@@ -39,7 +39,6 @@ from .qdmr import (
     QdmrStep,
     infer_op_type,
     parse_qdmr,
-    referenced_steps,
     render_program,
     superlative_fn,
 )
@@ -51,7 +50,7 @@ from .schema import (
     load_schema,
     open_readonly,
 )
-from .joinpath import JoinPath, join_tables, shortest_join_path
+from .joinpath import JoinPath, join_tables
 from .linking import (
     Assignment,
     BindingPlan,
@@ -71,13 +70,9 @@ from .sqlgen import (
     CmpPred,
     InPred,
     JoinPred,
-    MappedStep,
     OrGroup,
     SqlQuery,
-    clause,
-    map_step,
     render_sql,
-    resolve_self_join,
     synthesize,
 )
 from .executor import (
@@ -85,7 +80,6 @@ from .executor import (
     Denotation,
     answer_denotation,
     denotations_equal,
-    execute,
 )
 from .search import (
     SearchStatus,

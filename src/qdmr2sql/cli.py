@@ -174,20 +174,20 @@ def _parse_assignment(doc_text: str, schema) -> Assignment:
     return Assignment(choices=choices, literal_choices=literal_choices, ranks=())
 
 
-def _open_schema(source: str):
-    """Load a schema and, when the source is a database, a value index."""
-    path = Path(source)
-    if path.suffix.lower() == ".json":
-        return load_schema(path), None
-    conn = open_readonly(path)
-    schema = load_schema(conn)
-    return schema, ValueIndex(conn, schema)
-
-
 def _cmd_map(args: argparse.Namespace) -> int:
     program = parse_qdmr(args.qdmr)
-    schema, value_index = _open_schema(args.schema)
-    plan, linkings = link_program(program, schema, None, value_index)
+    if Path(args.schema).suffix.lower() == ".json":
+        schema = load_schema(args.schema)
+        plan, linkings = link_program(program, schema)
+    else:
+        # A database source also locates literals through a value index.
+        conn = open_readonly(args.schema)
+        try:
+            schema = load_schema(conn)
+            value_index = ValueIndex(conn, schema)
+            plan, linkings = link_program(program, schema, None, value_index)
+        finally:
+            conn.close()
     if args.assignment is not None:
         assignment = _parse_assignment(args.assignment, schema)
     else:
@@ -203,9 +203,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
-    schema, _ = _open_schema(args.schema)
+    schema = load_schema(args.schema)
     lexicon = EmbeddingLexicon.load(args.embeddings)
-    for cand in rank_columns(args.phrase, schema, lexicon, None, args.top_k):
+    for cand in rank_columns(args.phrase, schema, lexicon, args.top_k):
         print(
             f"{cand.rank}\ttier={cand.tier}\tsim={cand.similarity:.4f}\t{cand.column}"
         )

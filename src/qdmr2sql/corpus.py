@@ -6,7 +6,7 @@ the file's stem) and ``gold_sql`` (carried through untouched, never used
 by synthesis).  Malformed lines become reject records with reasons; they
 are never silently dropped.
 
-Batch runs search each example independently, optionally across a worker
+Batch runs search each example independently, optionally across a thread
 pool, and merge results back in input order so repeated runs produce
 byte-identical output files.  Coverage is reported per dataset group and
 in total, plus a second table restricted to examples whose answers are
@@ -27,7 +27,7 @@ from .errors import (
     Qdmr2SqlError,
     QdmrParseError,
 )
-from .executor import Database
+from .executor import Database, normalize_answer
 from .linking import EmbeddingLexicon
 from .qdmr import QdmrProgram, parse_qdmr
 from .schema import load_schema
@@ -69,26 +69,6 @@ class Reject:
 _REQUIRED = ("id", "question", "qdmr", "answer", "db_id")
 
 
-def _normalize_answer(raw) -> List[List[object]]:
-    """Scalars become 1x1; flat lists become one column; rows pass through."""
-    if raw is None or isinstance(raw, (int, float, str, bool)):
-        return [[raw]]
-    if not isinstance(raw, list):
-        raise ValueError(f"answer must be a scalar or list, got {type(raw).__name__}")
-    rows: List[List[object]] = []
-    for item in raw:
-        if isinstance(item, list):
-            for cell in item:
-                if not (cell is None or isinstance(cell, (int, float, str, bool))):
-                    raise ValueError("answer cells must be scalars or null")
-            rows.append(list(item))
-        elif item is None or isinstance(item, (int, float, str, bool)):
-            rows.append([item])
-        else:
-            raise ValueError("answer rows must be lists or scalars")
-    return rows
-
-
 def load_examples(
     path: Union[str, Path]
 ) -> Tuple[List[Example], List[Reject]]:
@@ -127,7 +107,7 @@ def load_examples(
             )
             continue
         try:
-            answer = _normalize_answer(doc["answer"])
+            answer = normalize_answer(doc["answer"])
         except ValueError as exc:
             rejects.append(Reject(line_no, str(exc), id=ex_id))
             continue

@@ -28,8 +28,8 @@ __all__ = [
     "Cell",
     "Denotation",
     "Database",
-    "execute",
     "denotations_equal",
+    "normalize_answer",
     "answer_denotation",
 ]
 
@@ -62,29 +62,44 @@ class Denotation:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __bool__(self) -> bool:
-        return bool(self.rows)
-
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Denotation":
         return cls(rows=tuple(tuple(_cell(v) for v in row) for row in rows))
 
 
-def answer_denotation(answer) -> Denotation:
-    """Normalize a supervised answer into a denotation.
+_SCALARS = (int, float, str, bool)
 
-    Accepts a scalar (one cell), a flat list of scalars (one column), or a
-    list of rows.
+
+def normalize_answer(answer) -> List[List[Cell]]:
+    """A supervised answer as rows of cells.
+
+    A scalar becomes one cell, a flat list of scalars one column, and a
+    list of rows (lists or tuples) passes through.  Raises ValueError on
+    any other shape or on a cell that is neither a scalar nor null.
     """
-    if answer is None or isinstance(answer, (int, float, str, bool)):
-        return Denotation.from_rows([[answer]])
-    rows = []
+    if answer is None or isinstance(answer, _SCALARS):
+        return [[answer]]
+    if not isinstance(answer, (list, tuple)):
+        raise ValueError(
+            f"answer must be a scalar or list, got {type(answer).__name__}"
+        )
+    rows: List[List[Cell]] = []
     for item in answer:
         if isinstance(item, (list, tuple)):
+            for cell in item:
+                if not (cell is None or isinstance(cell, _SCALARS)):
+                    raise ValueError("answer cells must be scalars or null")
             rows.append(list(item))
-        else:
+        elif item is None or isinstance(item, _SCALARS):
             rows.append([item])
-    return Denotation.from_rows(rows)
+        else:
+            raise ValueError("answer rows must be lists or scalars")
+    return rows
+
+
+def answer_denotation(answer) -> Denotation:
+    """The denotation of a supervised answer; see :func:`normalize_answer`."""
+    return Denotation.from_rows(normalize_answer(answer))
 
 
 class Database:
@@ -137,15 +152,6 @@ class Database:
             if timeout_secs is not None:
                 self.conn.set_progress_handler(None, 0)
         return Denotation.from_rows(rows)
-
-
-def execute(
-    database: Database, sql: str, timeout_secs: Optional[float] = None
-) -> Denotation:
-    """Execute ``sql`` on ``database`` and return its denotation."""
-    if not sql or not sql.strip():
-        raise SqlError("empty statement")
-    return database.execute(sql, timeout_secs)
 
 
 def _canon(cell: Cell) -> Cell:

@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 from .errors import DisconnectedTables
 from .schema import ColumnRef, FKEdge, SchemaGraph
 
-__all__ = ["JoinPath", "shortest_join_path", "join_tables"]
+__all__ = ["JoinPath", "join_tables"]
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,6 @@ class JoinPath:
 
     tables: Tuple[str, ...]
     edges: Tuple[FKEdge, ...]
-
-    def predicates(self) -> List[str]:
-        return [e.predicate() for e in self.edges]
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def _pick_edge(
@@ -106,19 +100,3 @@ def join_tables(
     hops.reverse()
     return JoinPath(tables=tuple(order), edges=tuple(hops))
 
-
-def shortest_join_path(
-    schema: SchemaGraph,
-    cols: Iterable[ColumnRef],
-    other_cols: Iterable[ColumnRef],
-) -> JoinPath:
-    """Shortest join path between the tables behind two column sets."""
-    cols = list(cols)
-    other_cols = list(other_cols)
-    anchors = frozenset(cols) | frozenset(other_cols)
-    return join_tables(
-        schema,
-        {c.table for c in cols},
-        {c.table for c in other_cols},
-        anchors,
-    )

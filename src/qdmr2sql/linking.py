@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -134,12 +134,11 @@ def rank_columns(
     phrase: str,
     schema: SchemaGraph,
     lexicon: Optional[EmbeddingLexicon] = None,
-    lemma_lexicon: Optional[Dict[str, str]] = None,
     top_k: Optional[int] = None,
 ) -> List[LinkCandidate]:
     """Rank every schema column as a link target for ``phrase``."""
     lexicon = lexicon or EmbeddingLexicon.empty()
-    lemmas = content_lemmas(tokenize(phrase), lemma_lexicon)
+    lemmas = content_lemmas(tokenize(phrase))
     lemma_set = set(lemmas)
     scored = []
     for col in schema.columns():
@@ -168,10 +167,6 @@ class Assignment:
     choices: Mapping[Tuple[int, str], ColumnRef]
     literal_choices: Mapping[str, ColumnRef]
     ranks: Tuple[int, ...] = ()
-
-    @property
-    def rank_sum(self) -> int:
-        return sum(self.ranks)
 
     def describe(self) -> Dict[str, str]:
         """Serializable view, used in emitted training pairs."""
@@ -329,7 +324,6 @@ def link_program(
     schema: SchemaGraph,
     lexicon: Optional[EmbeddingLexicon] = None,
     value_index: Optional[ValueIndex] = None,
-    lemma_lexicon: Optional[Dict[str, str]] = None,
     top_k: int = 20,
 ) -> Tuple[BindingPlan, List[PhraseLinking]]:
     """Plan a program's bindings and rank candidates for each phrase slot."""
@@ -338,9 +332,7 @@ def link_program(
         PhraseLinking(
             step_index=idx,
             phrase=phrase,
-            candidates=tuple(
-                rank_columns(phrase, schema, lexicon, lemma_lexicon, top_k)
-            ),
+            candidates=tuple(rank_columns(phrase, schema, lexicon, top_k)),
         )
         for idx, _, phrase in plan.phrase_slots
     ]

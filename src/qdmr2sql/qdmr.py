@@ -34,8 +34,8 @@ __all__ = [
     "QdmrProgram",
     "parse_qdmr",
     "infer_op_type",
-    "referenced_steps",
     "render_program",
+    "superlative_fn",
 ]
 
 
@@ -172,15 +172,13 @@ class QdmrStep:
 
     ``raw_text`` is the step utterance with the ``return`` prefix stripped
     and whitespace collapsed.  ``ref_args`` lists referenced step numbers in
-    order of first occurrence.  ``phrase_args`` lists the non-template,
-    non-reference fragments that may link to schema columns; comparison
-    literals are excluded (they live in ``shape.cmp_value``).
+    order of first occurrence.  Which fragments link to schema columns is
+    decided by :func:`qdmr2sql.linking.plan_bindings`, from ``shape``.
     """
 
     index: int
     raw_text: str
     operator: QdmrOperator
-    phrase_args: Tuple[str, ...]
     ref_args: Tuple[int, ...]
     shape: StepShape = field(compare=False)
 
@@ -355,27 +353,6 @@ def _analyze(text: str, index: int) -> Tuple[QdmrOperator, StepShape]:
     return QdmrOperator(OpKind.SELECT), StepShape(phrase=text)
 
 
-def _phrase_args(op: QdmrOperator, shape: StepShape) -> Tuple[str, ...]:
-    out = []
-    if op.kind in (OpKind.SELECT, OpKind.PROJECT) and shape.phrase:
-        out.append(shape.phrase)
-    if op.kind is OpKind.FILTER and shape.tail:
-        tail = _strip_refs(shape.tail)
-        if tail:
-            out.append(tail)
-    if op.kind is OpKind.GROUP:
-        for arg in (shape.value, shape.key):
-            if isinstance(arg, str):
-                out.append(arg)
-    if op.kind is OpKind.COMPARATIVE and isinstance(shape.target, str):
-        out.append(shape.target)
-    if op.kind is OpKind.SORT and isinstance(shape.key, str):
-        out.append(shape.key)
-    if op.kind is OpKind.INTERSECT and shape.head:
-        out.append(shape.head)
-    return tuple(out)
-
-
 def infer_op_type(step_text: str, index: int = 1) -> QdmrOperator:
     """Classify one step utterance without building a full program."""
     op, _ = _analyze(_normalize_step(step_text), index)
@@ -428,17 +405,11 @@ def parse_qdmr(text: str) -> QdmrProgram:
                 index=pos,
                 raw_text=utterance,
                 operator=op,
-                phrase_args=_phrase_args(op, shape),
                 ref_args=refs,
                 shape=shape,
             )
         )
     return QdmrProgram(steps=tuple(steps))
-
-
-def referenced_steps(step: QdmrStep) -> Tuple[int, ...]:
-    """Step numbers referenced by ``step``, in order of first occurrence."""
-    return step.ref_args
 
 
 def render_program(program: QdmrProgram) -> str:

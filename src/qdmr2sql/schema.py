@@ -24,7 +24,7 @@ import re
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import NoTables, UnreadableDatabase
 from .text import content_lemmas, tokenize
@@ -77,9 +77,6 @@ class FKEdge:
 
     source: ColumnRef
     target: ColumnRef
-
-    def predicate(self) -> str:
-        return f"{self.source} = {self.target}"
 
 
 def _make_column(table: str, column: str, declared: str) -> ColumnRef:

@@ -97,7 +97,6 @@ class SynthesisConfig:
 @dataclass(frozen=True)
 class SynthesisOutcome:
     status: SearchStatus
-    query: Optional[SqlQuery] = None
     sql: Optional[str] = None
     assignment: Optional[Assignment] = None
     heuristics_applied: Tuple[str, ...] = ()
@@ -295,6 +294,7 @@ def search(
 
     tried = 0
     mapping_errors: List[str] = []
+    engine_errors: List[str] = []
     assignments = enumerate_assignments(
         linkings,
         plan.literal_candidates,
@@ -313,32 +313,44 @@ def search(
                     failure_reason="search deadline exceeded",
                 )
             tried += 1
+            sql = render_sql(query)
             try:
-                result = database.execute(render_sql(query), timeout_secs=remaining)
+                result = database.execute(sql, timeout_secs=remaining)
             except ExecutionTimeout:
                 return SynthesisOutcome(
                     status=SearchStatus.TIMEOUT,
                     candidates_tried=tried,
                     failure_reason="candidate execution hit the search deadline",
                 )
-            except SqlError:
+            except SqlError as exc:
+                engine_errors.append(str(exc))
                 continue
             if denotations_equal(result, target, config.allow_empty_denotation):
                 return SynthesisOutcome(
                     status=SearchStatus.FOUND,
-                    query=query,
-                    sql=render_sql(query),
+                    sql=sql,
                     assignment=assignment,
                     heuristics_applied=label,
                     candidates_tried=tried,
                     qdmr=render_program(used_program),
                 )
 
-    if tried == 0:
-        reason = mapping_errors[-1] if mapping_errors else "no candidate could be built"
+    # Timeouts return above, so a tried candidate either executed or was
+    # rejected by the engine.
+    executed = tried - len(engine_errors)
+    if executed == 0:
+        if tried:
+            reason = (
+                f"the engine rejected all {tried} candidates; "
+                f"first error: {engine_errors[0]}"
+            )
+        elif mapping_errors:
+            reason = mapping_errors[-1]
+        else:
+            reason = "no candidate could be built"
         return SynthesisOutcome(
             status=SearchStatus.MAPPING_FAILED,
-            candidates_tried=0,
+            candidates_tried=tried,
             failure_reason=reason,
         )
     return SynthesisOutcome(

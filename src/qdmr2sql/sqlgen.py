@@ -24,7 +24,8 @@ operand's grouping preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -49,12 +50,8 @@ __all__ = [
     "InPred",
     "OrGroup",
     "SqlQuery",
-    "MappedStep",
-    "map_step",
     "synthesize",
     "render_sql",
-    "resolve_self_join",
-    "clause",
 ]
 
 
@@ -172,18 +169,6 @@ class SqlQuery:
         )
 
 
-def clause(query: SqlQuery, which: str) -> Sequence:
-    """Access one clause of a query: 'select', 'from', or 'where'."""
-    key = which.lower()
-    if key == "select":
-        return list(query.select)
-    if key == "from":
-        return list(query.from_tables)
-    if key == "where":
-        return list(query.where)
-    raise ValueError(f"unknown clause {which!r}")
-
-
 def render_sql(query: SqlQuery) -> str:
     """Render a query to SQL text (no trailing semicolon)."""
     has_agg = any(isinstance(i, AggExpr) for i in query.select)
@@ -213,7 +198,7 @@ def render_sql(query: SqlQuery) -> str:
 
 
 @dataclass(frozen=True)
-class MappedStep:
+class _MappedStep:
     """A step together with its linked columns and constructed query."""
 
     step: QdmrStep
@@ -225,14 +210,24 @@ class MappedStep:
 
 
 def _typed(text: str) -> Union[int, float, str]:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    """The number ``text`` spells, or ``text`` itself.
+
+    Only finite numerals without ``_`` separators count: ``nan`` and
+    ``inf`` have no SQL literal, and SQL does not read ``1_000`` as a
+    number, so all three are compared as text.
+    """
+    if "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+        try:
+            value = float(text)
+        except ValueError:
+            return text
+        if math.isfinite(value):
+            return value
+    return text
 
 
 def _item_expr(item: SelectItem) -> str:
@@ -241,16 +236,6 @@ def _item_expr(item: SelectItem) -> str:
     if isinstance(item, ColExpr):
         return item.render()
     raise ArityMismatch("operand has no addressable select expression")
-
-
-def _select_cols(query: SqlQuery) -> List[ColumnRef]:
-    out = []
-    for item in query.select:
-        if isinstance(item, ColExpr):
-            out.append(item.col)
-        elif isinstance(item, AggExpr):
-            out.append(item.arg.col)
-    return out
 
 
 def _add_tables(into: List[str], tables: Sequence[str]) -> None:
@@ -364,14 +349,14 @@ class _Binder:
         return self._literals.get(step_index, [])
 
 
-def _ref(mapped: Dict[int, MappedStep], n: Optional[int]) -> MappedStep:
+def _ref(mapped: Dict[int, _MappedStep], n: Optional[int]) -> _MappedStep:
     if n is None or n not in mapped:
         raise UnmappedReference(f"reference #{n} has not been mapped")
     return mapped[n]
 
 
-def resolve_self_join(
-    base: MappedStep,
+def _resolve_self_join(
+    base: _MappedStep,
     own_preds: Sequence[Pred],
     paths: Sequence[JoinPath],
     extra_tables: Sequence[str] = (),
@@ -418,7 +403,7 @@ def _build_select(step: QdmrStep, binder: _Binder) -> Tuple[SqlQuery, List[Colum
 def _build_filter(
     step: QdmrStep,
     binder: _Binder,
-    mapped: Dict[int, MappedStep],
+    mapped: Dict[int, _MappedStep],
     schema: SchemaGraph,
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     base = _ref(mapped, step.shape.base)
@@ -451,7 +436,7 @@ def _build_filter(
         extra_tables = [c.table for c in own_cols]
         for m in extra:
             extra_tables.extend(m.query.from_tables)
-        q = resolve_self_join(base, own_preds, paths, extra_tables)
+        q = _resolve_self_join(base, own_preds, paths, extra_tables)
         return q, own_cols or list(base.cols)
 
     q = SqlQuery()
@@ -475,7 +460,7 @@ def _build_filter(
 def _build_project(
     step: QdmrStep,
     binder: _Binder,
-    mapped: Dict[int, MappedStep],
+    mapped: Dict[int, _MappedStep],
     schema: SchemaGraph,
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     col = binder.require(step.index, "project")
@@ -501,7 +486,7 @@ def _build_project(
 
 
 def _build_aggregate(
-    step: QdmrStep, mapped: Dict[int, MappedStep]
+    step: QdmrStep, mapped: Dict[int, _MappedStep]
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     base = _ref(mapped, step.shape.base)
     head = base.query.select[0]
@@ -518,7 +503,7 @@ def _build_aggregate(
 
 
 def _operand(
-    arg, role: str, step: QdmrStep, binder: _Binder, mapped: Dict[int, MappedStep]
+    arg, role: str, step: QdmrStep, binder: _Binder, mapped: Dict[int, _MappedStep]
 ):
     """An operand is either a mapped reference or a directly bound column."""
     if isinstance(arg, int):
@@ -531,7 +516,7 @@ def _operand(
 def _build_group(
     step: QdmrStep,
     binder: _Binder,
-    mapped: Dict[int, MappedStep],
+    mapped: Dict[int, _MappedStep],
     schema: SchemaGraph,
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     value_expr, value_tables, value_ref, value_cols = _operand(
@@ -561,7 +546,7 @@ def _build_group(
 
 
 def _build_superlative(
-    step: QdmrStep, mapped: Dict[int, MappedStep], schema: SchemaGraph
+    step: QdmrStep, mapped: Dict[int, _MappedStep], schema: SchemaGraph
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     entity = _ref(mapped, step.shape.entity)
     measure = _ref(mapped, step.shape.measure)
@@ -590,7 +575,7 @@ def _build_superlative(
 def _build_comparative(
     step: QdmrStep,
     binder: _Binder,
-    mapped: Dict[int, MappedStep],
+    mapped: Dict[int, _MappedStep],
     schema: SchemaGraph,
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     base = _ref(mapped, step.shape.base)
@@ -627,7 +612,7 @@ def _build_comparative(
 
 
 def _build_union(
-    step: QdmrStep, mapped: Dict[int, MappedStep], schema: SchemaGraph
+    step: QdmrStep, mapped: Dict[int, _MappedStep], schema: SchemaGraph
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     members = [_ref(mapped, r) for r in step.shape.refs]
     if len(members) < 2:
@@ -649,7 +634,7 @@ def _build_union(
 
 
 def _build_union_column(
-    step: QdmrStep, mapped: Dict[int, MappedStep], schema: SchemaGraph
+    step: QdmrStep, mapped: Dict[int, _MappedStep], schema: SchemaGraph
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     members = [_ref(mapped, r) for r in step.shape.refs]
     units = [(m.query.from_tables, list(m.cols)) for m in members]
@@ -669,7 +654,7 @@ def _build_union_column(
 def _build_intersect(
     step: QdmrStep,
     binder: _Binder,
-    mapped: Dict[int, MappedStep],
+    mapped: Dict[int, _MappedStep],
     schema: SchemaGraph,
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     left = _ref(mapped, step.shape.left)
@@ -710,7 +695,7 @@ def _build_intersect(
 def _build_sort(
     step: QdmrStep,
     binder: _Binder,
-    mapped: Dict[int, MappedStep],
+    mapped: Dict[int, _MappedStep],
     schema: SchemaGraph,
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     base = _ref(mapped, step.shape.base)
@@ -736,7 +721,7 @@ def _build_sort(
 
 
 def _build_discard(
-    step: QdmrStep, mapped: Dict[int, MappedStep]
+    step: QdmrStep, mapped: Dict[int, _MappedStep]
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     base = _ref(mapped, step.shape.base)
     excluded = _ref(mapped, step.shape.right)
@@ -759,7 +744,7 @@ def _scalar(query: SqlQuery, index: int) -> None:
 
 
 def _build_arithmetic(
-    step: QdmrStep, mapped: Dict[int, MappedStep]
+    step: QdmrStep, mapped: Dict[int, _MappedStep]
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     left = _ref(mapped, step.shape.left)
     right = _ref(mapped, step.shape.right)
@@ -770,12 +755,12 @@ def _build_arithmetic(
     return q, list(left.cols) + list(right.cols)
 
 
-def map_step(
+def _map_step(
     step: QdmrStep,
     binder: _Binder,
-    mapped: Dict[int, MappedStep],
+    mapped: Dict[int, _MappedStep],
     schema: SchemaGraph,
-) -> MappedStep:
+) -> _MappedStep:
     """Construct the query for one step given everything mapped before it."""
     kind = step.operator.kind
     if kind is OpKind.SELECT:
@@ -806,7 +791,7 @@ def map_step(
         q, cols = _build_arithmetic(step, mapped)
     else:  # pragma: no cover - the enum is closed
         raise SqlBuildError(f"no rule for operator {kind}")
-    return MappedStep(step=step, cols=frozenset(cols), query=q)
+    return _MappedStep(step=step, cols=frozenset(cols), query=q)
 
 
 def synthesize(
@@ -817,7 +802,7 @@ def synthesize(
 ) -> SqlQuery:
     """Map every step in order and return the final step's query."""
     binder = _Binder(plan, assignment)
-    mapped: Dict[int, MappedStep] = {}
+    mapped: Dict[int, _MappedStep] = {}
     for step in program.steps:
-        mapped[step.index] = map_step(step, binder, mapped, schema)
+        mapped[step.index] = _map_step(step, binder, mapped, schema)
     return mapped[len(program.steps)].query

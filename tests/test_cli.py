@@ -5,9 +5,12 @@ Everything runs in-process through main(argv); 0 success, 1 usage,
 """
 
 import json
+import sqlite3
 
 import pytest
 
+import qdmr2sql.cli
+import qdmr2sql.schema
 from conftest import DATA_DIR
 from qdmr2sql.cli import main
 
@@ -221,3 +224,29 @@ class TestLink:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestConnections:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--qdmr", "return ships; return the name of #1"],
+            ["link", "--phrase", "ships", "--embeddings", str(EMBEDDINGS)],
+        ],
+    )
+    def test_database_is_closed(self, ship_death_db, monkeypatch, capsys, argv):
+        opened = []
+        real = qdmr2sql.schema.open_readonly
+
+        def recording(path):
+            conn = real(path)
+            opened.append(conn)
+            return conn
+
+        monkeypatch.setattr(qdmr2sql.cli, "open_readonly", recording)
+        monkeypatch.setattr(qdmr2sql.schema, "open_readonly", recording)
+        assert main(argv + ["--schema", str(ship_death_db)]) == 0
+        assert opened
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")

@@ -18,7 +18,6 @@ from qdmr2sql.executor import (
     Denotation,
     answer_denotation,
     denotations_equal,
-    execute,
 )
 from qdmr2sql.executor import _canon, _numbers_close
 
@@ -257,14 +256,7 @@ class TestDatabase:
 
 
 class TestExecuteFunction:
-    def test_empty_sql_rejected(self, ship_death_db, open_db):
-        db = open_db(ship_death_db)
-        with pytest.raises(SqlError):
-            execute(db, "")
-        with pytest.raises(SqlError):
-            execute(db, "   \n")
-
     def test_delegates(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
-        got = execute(db, "SELECT tonnage FROM ship WHERE id = 1")
+        got = db.execute("SELECT tonnage FROM ship WHERE id = 1")
         assert got.rows == ((400,),)

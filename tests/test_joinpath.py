@@ -15,7 +15,6 @@ from qdmr2sql import (
     JoinPath,
     join_tables,
     load_schema,
-    shortest_join_path,
 )
 from qdmr2sql.schema import SchemaGraph
 
@@ -59,6 +58,11 @@ def oracle_distance(schema, sources, targets):
     return best
 
 
+def edge_pairs(path):
+    """Each hop's foreign key as a (source, target) column pair."""
+    return [(str(e.source), str(e.target)) for e in path.edges]
+
+
 def check_path(schema, path, sources, targets):
     assert isinstance(path, JoinPath)
     assert path.tables[0] in sources
@@ -82,15 +86,15 @@ class TestBasics:
         schema = load_schema(ship_death_db)
         path = join_tables(schema, {"death"}, {"ship"})
         assert path.tables == ("death", "ship")
-        assert path.predicates() == ["death.caused_by_ship_id = ship.id"]
+        assert edge_pairs(path) == [("death.caused_by_ship_id", "ship.id")]
 
     def test_two_hops_through_bridge(self, academic_db):
         schema = load_schema(academic_db)
         path = join_tables(schema, {"author"}, {"publication"})
         assert path.tables == ("author", "writes", "publication")
-        assert set(path.predicates()) == {
-            "writes.aid = author.aid",
-            "writes.pid = publication.pid",
+        assert set(edge_pairs(path)) == {
+            ("writes.aid", "author.aid"),
+            ("writes.pid", "publication.pid"),
         }
 
     def test_disconnected(self):
@@ -114,20 +118,24 @@ class TestParallelEdges:
         schema = load_schema(voting_record_db)
         vote_col = schema.column("voting_record", "treasurer_vote")
         major = schema.column("student", "major")
-        path = shortest_join_path(schema, [major], [vote_col])
-        assert path.predicates() == ["voting_record.treasurer_vote = student.stuid"]
+        path = join_tables(
+            schema, {major.table}, {vote_col.table}, frozenset({major, vote_col})
+        )
+        assert edge_pairs(path) == [("voting_record.treasurer_vote", "student.stuid")]
 
     def test_other_anchor_picks_sibling_edge(self, voting_record_db):
         schema = load_schema(voting_record_db)
         stuid_col = schema.column("voting_record", "stuid")
         major = schema.column("student", "major")
-        path = shortest_join_path(schema, [major], [stuid_col])
-        assert path.predicates() == ["voting_record.stuid = student.stuid"]
+        path = join_tables(
+            schema, {major.table}, {stuid_col.table}, frozenset({major, stuid_col})
+        )
+        assert edge_pairs(path) == [("voting_record.stuid", "student.stuid")]
 
     def test_no_anchor_falls_back_to_first_declared(self, voting_record_db):
         schema = load_schema(voting_record_db)
         path = join_tables(schema, {"student"}, {"voting_record"})
-        assert path.predicates() == ["voting_record.stuid = student.stuid"]
+        assert edge_pairs(path) == [("voting_record.stuid", "student.stuid")]
 
 
 class TestDeterminism:

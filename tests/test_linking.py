@@ -186,7 +186,7 @@ class TestEnumerateAssignments:
 
     def test_rank_sums_nondecreasing(self):
         slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        sums = [a.rank_sum for a in enumerate_assignments(slots, {})]
+        sums = [sum(a.ranks) for a in enumerate_assignments(slots, {})]
         assert sums == sorted(sums)
 
     def test_every_combination_exactly_once(self):

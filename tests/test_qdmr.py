@@ -11,9 +11,10 @@ from qdmr2sql import (
     OpKind,
     infer_op_type,
     parse_qdmr,
+    plan_bindings,
     render_program,
 )
-from qdmr2sql.qdmr import referenced_steps, superlative_fn
+from qdmr2sql.qdmr import superlative_fn
 
 
 def kinds(text):
@@ -171,13 +172,25 @@ class TestShapes:
         assert shape.head == "owners"
         assert (shape.left, shape.right) == (1, 2)
 
-    def test_phrase_args_exclude_comparison_literal(self):
+    def test_comparison_literal_gets_no_phrase_slot(self):
         program = parse_qdmr("return cars; return #1 where price is less than 50")
-        assert program.steps[1].phrase_args == ("price",)
+        assert plan_bindings(program).phrase_slots == (
+            (1, "select", "cars"),
+            (2, "cmp_target", "price"),
+        )
 
     def test_project_phrase_drops_ref_marker(self):
         program = parse_qdmr("return the mississippi; return states #1 run through")
-        assert program.steps[1].phrase_args == ("states run through",)
+        assert plan_bindings(program).phrase_slots[1] == (
+            2,
+            "project",
+            "states run through",
+        )
+
+    def test_filter_tail_gets_no_phrase_slot(self):
+        program = parse_qdmr("return ships; return #1 from the northern fleet")
+        assert program.steps[1].operator.kind is OpKind.FILTER
+        assert plan_bindings(program).phrase_slots == ((1, "select", "ships"),)
 
 
 class TestValidation:
@@ -231,9 +244,9 @@ class TestRoundTrip:
         program = parse_qdmr(self.CANONICAL)
         assert parse_qdmr(render_program(program)) == program
 
-    def test_referenced_steps(self):
+    def test_ref_args_in_first_occurrence_order(self):
         program = parse_qdmr(self.CANONICAL)
-        assert referenced_steps(program.steps[3]) == (1, 3)
+        assert program.steps[3].ref_args == (1, 3)
 
 
 PHRASES = st.sampled_from(

@@ -82,7 +82,11 @@ class TestJsonSchema:
         schema = load_schema(self.DOC)
         assert isinstance(schema, SchemaGraph)
         assert list(schema.tables) == ["ship", "death"]
-        assert schema.fks[0].predicate() == "death.caused_by_ship_id = ship.id"
+        edge = schema.fks[0]
+        assert (str(edge.source), str(edge.target)) == (
+            "death.caused_by_ship_id",
+            "ship.id",
+        )
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "schema.json"

@@ -15,9 +15,11 @@ from conftest import (
     MISSISSIPPI_POPULATIONS,
     SHIP_TOP_NAME,
     VOTER_MAJORS,
+    build_db,
     schema_of,
 )
-from qdmr2sql.errors import NoSuperlativeToken, NoSwappableAggregate
+from qdmr2sql.errors import NoSuperlativeToken, NoSwappableAggregate, SqlError
+from qdmr2sql.executor import Database
 from qdmr2sql.qdmr import parse_qdmr, render_program
 from qdmr2sql.search import (
     SearchStatus,
@@ -394,6 +396,25 @@ class TestFailureStatuses:
         assert out.candidates_tried == 0
         assert out.failure_reason
 
+    def test_engine_rejecting_every_candidate(
+        self, products_db, open_db, lexicon, monkeypatch
+    ):
+        def reject(self, sql, timeout_secs=None):
+            raise SqlError("no such column: boom")
+
+        monkeypatch.setattr(Database, "execute", reject)
+        out = run_search(
+            open_db,
+            products_db,
+            lexicon,
+            "return product types; return the number of #1",
+            999,
+        )
+        assert out.status is SearchStatus.MAPPING_FAILED
+        assert out.candidates_tried > 0
+        assert f"all {out.candidates_tried} candidates" in out.failure_reason
+        assert "no such column: boom" in out.failure_reason
+
     def test_exhausted_on_unreachable_answer(self, products_db, open_db, lexicon):
         out = run_search(
             open_db,
@@ -448,3 +469,20 @@ class TestFailureStatuses:
         )
         assert out.status is SearchStatus.EXHAUSTED
         assert out.candidates_tried == 1
+
+
+class TestNonFiniteLiterals:
+    # Python reads these as nan, inf or 1000; each is a plain text value.
+    @pytest.mark.parametrize("value", ["Nan", "inf", "Infinity", "1_000"])
+    def test_compared_as_text(self, tmp_path, open_db, value):
+        path = tmp_path / "people.sqlite"
+        build_db(
+            path,
+            "CREATE TABLE people (id INTEGER PRIMARY KEY, name TEXT);"
+            f"INSERT INTO people VALUES (1, '{value}'), (2, 'Bob');",
+        )
+        out = run_search(
+            open_db, path, None, f"return people; return #1 where name is {value}", [1]
+        )
+        assert out.status is SearchStatus.FOUND
+        assert f"= '{value}'" in out.sql

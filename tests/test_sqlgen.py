@@ -17,7 +17,6 @@ from qdmr2sql import (
     SqlQuery,
     UnboundPhrase,
     ValueIndex,
-    clause,
     load_schema,
     open_readonly,
     parse_qdmr,
@@ -443,9 +442,9 @@ class TestRenderDetails:
             "return ships; return injuries of #1",
             {"1:ships": "ship.id", "2:injuries of": "death.injured"},
         )
-        assert set(clause(query, "from")) == {"ship", "death"}
-        assert len(clause(query, "select")) == 1
-        assert clause(query, "where")
+        assert set(query.from_tables) == {"ship", "death"}
+        assert len(query.select) == 1
+        assert query.where
 
 
 class TestFailures:
