@@ -37,7 +37,6 @@ from .qdmr import (
     QdmrOperator,
     QdmrProgram,
     QdmrStep,
-    infer_op_type,
     parse_qdmr,
     render_program,
     superlative_fn,

@@ -6,11 +6,14 @@ the file's stem) and ``gold_sql`` (carried through untouched, never used
 by synthesis).  Malformed lines become reject records with reasons; they
 are never silently dropped.
 
-Batch runs search each example independently, optionally across a thread
-pool, and merge results back in input order so repeated runs produce
-byte-identical output files.  Coverage is reported per dataset group and
-in total, plus a second table restricted to examples whose answers are
-non-empty.
+A batch run opens, introspects and value-indexes each database once, on
+its first example, and searches every example on that database through
+that one session.  With several jobs, each thread takes one database's
+examples at a time.  Results are merged back in input order, and no
+example's outcome depends on the others, so repeated runs and runs with
+any number of jobs produce byte-identical output files.  Coverage is
+reported per dataset group and in total, plus a second table restricted
+to examples whose answers are non-empty.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
 from .executor import Database, normalize_answer
 from .linking import EmbeddingLexicon
 from .qdmr import QdmrProgram, parse_qdmr
-from .schema import load_schema
+from .schema import ValueIndex, load_schema
 from .search import SearchStatus, SynthesisConfig, SynthesisOutcome, search
 
 __all__ = [
@@ -246,21 +249,84 @@ class CoverageReport:
 # --- batch synthesis ---------------------------------------------------------
 
 
-def _search_one(
-    example: Example,
-    db_path: Path,
+def _mapping_failed(exc: Qdmr2SqlError) -> SynthesisOutcome:
+    return SynthesisOutcome(
+        status=SearchStatus.MAPPING_FAILED,
+        failure_reason=f"{type(exc).__name__}: {exc}",
+    )
+
+
+class _Session:
+    """One database's connection, schema and value index, shared by every
+    example on it.  When opening or introspection fails, that failure is
+    every such example's outcome.  Use and close a session on the thread
+    that opened it: SQLite connections refuse other threads."""
+
+    def __init__(self, path: Path):
+        self.db: Optional[Database] = None
+        self.failure: Optional[SynthesisOutcome] = None
+        try:
+            self.db = Database.open(path)
+            self.schema = load_schema(self.db.conn)
+        except Qdmr2SqlError as exc:
+            self.close()
+            self.failure = _mapping_failed(exc)
+            return
+        except BaseException:
+            self.close()
+            raise
+        self.value_index = ValueIndex(self.db.conn, self.schema)
+
+    def search(
+        self,
+        example: Example,
+        config: SynthesisConfig,
+        lexicon: Optional[EmbeddingLexicon],
+    ) -> SynthesisOutcome:
+        if self.failure is not None:
+            return self.failure
+        try:
+            return search(
+                example,
+                self.schema,
+                self.db,
+                config,
+                lexicon,
+                value_index=self.value_index,
+            )
+        except Qdmr2SqlError as exc:
+            return _mapping_failed(exc)
+
+    def close(self) -> None:
+        if self.db is not None:
+            self.db.close()
+            self.db = None
+
+
+def _search_in_order(
+    examples: Sequence[Example],
+    paths: Dict[str, Path],
     config: SynthesisConfig,
     lexicon: Optional[EmbeddingLexicon],
-) -> SynthesisOutcome:
+) -> List[SynthesisOutcome]:
+    """Search ``examples`` in order, opening each database's session on its
+    first example and closing it after its last, so a corpus grouped by
+    database holds one connection at a time."""
+    last = {example.db_id: i for i, example in enumerate(examples)}
+    sessions: Dict[str, _Session] = {}
     try:
-        with Database.open(db_path) as db:
-            schema = load_schema(db.conn)
-            return search(example, schema, db, config, lexicon)
-    except Qdmr2SqlError as exc:
-        return SynthesisOutcome(
-            status=SearchStatus.MAPPING_FAILED,
-            failure_reason=f"{type(exc).__name__}: {exc}",
-        )
+        outcomes = []
+        for i, example in enumerate(examples):
+            session = sessions.get(example.db_id)
+            if session is None:
+                session = sessions[example.db_id] = _Session(paths[example.db_id])
+            outcomes.append(session.search(example, config, lexicon))
+            if last[example.db_id] == i:
+                sessions.pop(example.db_id).close()
+        return outcomes
+    finally:
+        for session in sessions.values():
+            session.close()
 
 
 def run_corpus(
@@ -274,7 +340,9 @@ def run_corpus(
     """Search every example and build the coverage report.
 
     Database files are resolved up front so a bad ``db_id`` aborts before
-    any work runs.  Results come back in input order regardless of
+    any work runs.  Each database is opened and introspected once.  With
+    ``jobs > 1``, up to ``jobs`` threads each search one database's
+    examples at a time.  Results come back in input order regardless of
     ``jobs``.
     """
     config = config or SynthesisConfig()
@@ -284,16 +352,25 @@ def run_corpus(
             if embeddings_path
             else EmbeddingLexicon.empty()
         )
-    paths = {ex.db_id: resolve_database(databases_dir, ex.db_id) for ex in examples}
+    shards: Dict[str, List[int]] = {}
+    for i, example in enumerate(examples):
+        shards.setdefault(example.db_id, []).append(i)
+    paths = {db_id: resolve_database(databases_dir, db_id) for db_id in shards}
+    if jobs > 1 and len(shards) > 1:
 
-    def work(example: Example) -> SynthesisOutcome:
-        return _search_one(example, paths[example.db_id], config, lexicon)
+        def work(indices: List[int]) -> List[SynthesisOutcome]:
+            shard = [examples[i] for i in indices]
+            return _search_in_order(shard, paths, config, lexicon)
 
-    if jobs > 1 and len(examples) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, examples))
+        groups = list(shards.values())
+        with ThreadPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+            results = list(pool.map(work, groups))
+        outcomes: List[Optional[SynthesisOutcome]] = [None] * len(examples)
+        for indices, found in zip(groups, results):
+            for i, outcome in zip(indices, found):
+                outcomes[i] = outcome
     else:
-        outcomes = [work(ex) for ex in examples]
+        outcomes = _search_in_order(examples, paths, config, lexicon)
     return outcomes, CoverageReport.build(examples, outcomes)
 
 

@@ -55,10 +55,6 @@ class Denotation:
 
     rows: Tuple[Tuple[Cell, ...], ...]
 
-    @property
-    def arity(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
     def __len__(self) -> int:
         return len(self.rows)
 

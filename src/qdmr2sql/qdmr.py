@@ -33,7 +33,6 @@ __all__ = [
     "QdmrStep",
     "QdmrProgram",
     "parse_qdmr",
-    "infer_op_type",
     "render_program",
     "superlative_fn",
 ]
@@ -351,12 +350,6 @@ def _analyze(text: str, index: int) -> Tuple[QdmrOperator, StepShape]:
     if not text:
         raise NonstandardStep(f"step {index}: empty step")
     return QdmrOperator(OpKind.SELECT), StepShape(phrase=text)
-
-
-def infer_op_type(step_text: str, index: int = 1) -> QdmrOperator:
-    """Classify one step utterance without building a full program."""
-    op, _ = _analyze(_normalize_step(step_text), index)
-    return op
 
 
 def superlative_fn(text: str) -> Optional[str]:

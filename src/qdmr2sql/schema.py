@@ -12,8 +12,10 @@ Column references carry the tokenized and lemmatized forms used by the
 phrase linker.  A column's token set includes its table-name tokens, so the
 phrase "ships" can reach every column of table ``ship``.
 
-:class:`ValueIndex` answers "which text columns contain this literal?" with
-lazy, memoized database scans.  Numeric literals are never value-indexed;
+:class:`ValueIndex` answers "which text columns contain this literal?".  It
+reads each text column once, on first use, into maps from exact and
+case-folded values to columns, and probes per literal only the columns
+those maps cannot answer for.  Numeric literals are never value-indexed;
 comparison values are handled by the SQL mapper instead.
 """
 
@@ -22,9 +24,10 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import NoTables, UnreadableDatabase
 from .text import content_lemmas, tokenize
@@ -39,6 +42,15 @@ __all__ = [
 ]
 
 _NUMERIC = re.compile(r"[-+]?\d+(?:\.\d+)?")
+
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+# A text column with more distinct values than this is probed per literal
+# rather than held in the value maps.  The cap bounds memory, not time: on
+# a 2-vCPU VM one column at the cap raises peak RSS by 22 MB (20-character
+# values) to 30 MB (100-character) and takes 0.2 to 0.27 s to read, a read
+# the per-example deadline does not yet cover.
+_MAX_MAPPED_VALUES = 50_000
 
 
 def _value_kind(declared: str) -> str:
@@ -236,37 +248,129 @@ def load_schema(
         conn.close()
 
 
-class ValueIndex:
-    """Lazy literal-to-column lookup over one database connection.
+def _column_order(col: ColumnRef) -> Tuple[str, str]:
+    return (col.table, col.column)
 
-    Lookups scan text-kind columns for an exact match first; when nothing
-    matches exactly, a case-insensitive comparison on trimmed values runs as
-    a fallback.  Results are memoized per literal.  The connection must be
-    read-only and must stay open for the index's lifetime.
+
+def _sqlite_fold(text: str) -> str:
+    """``text`` as SQLite's built-in ``lower(trim(?))`` returns it: only
+    spaces are trimmed and only ASCII letters are lowered."""
+    return text.strip(" ").translate(_ASCII_LOWER)
+
+
+def _text_affinity(declared: str) -> bool:
+    """Whether SQLite gives a column of this declared type TEXT affinity."""
+    t = (declared or "").upper()
+    return "INT" not in t and any(s in t for s in ("CHAR", "CLOB", "TEXT"))
+
+
+def _add(index: Dict[str, Tuple[ColumnRef, ...]], key: str, col: ColumnRef) -> None:
+    # Columns arrive in (table, column) order, so a repeat is the last entry.
+    have = index.get(key, ())
+    if not have or have[-1] is not col:
+        index[key] = have + (col,)
+
+
+class ValueIndex:
+    """Literal-to-column lookup over one database connection.
+
+    A literal matches the text columns whose ``=`` holds it; when no column
+    does, the columns where ``lower(trim(col)) = lower(trim(literal))``.
+    On the first lookup every text column is read once, and two maps go
+    from each exact and each folded value to its columns.  A column whose
+    ``=`` a Python string comparison cannot reproduce (no TEXT affinity,
+    or a COLLATE clause in its table) or with more distinct values than
+    the cap is probed with one query per literal instead.  Results are
+    memoized per literal, so the same literal always gets the same tuple
+    back.  The connection must be read-only and must stay open for
+    the index's lifetime.
     """
 
     def __init__(self, conn: sqlite3.Connection, schema: SchemaGraph):
         self._conn = conn
         self._schema = schema
+        self._exact: Optional[Dict[str, Tuple[ColumnRef, ...]]] = None
+        self._folded: Dict[str, Tuple[ColumnRef, ...]] = {}
+        self._probed: List[ColumnRef] = []
         self._cache: Dict[str, Tuple[ColumnRef, ...]] = {}
 
     def columns_containing(self, literal: str) -> Tuple[ColumnRef, ...]:
         """All text columns holding ``literal``, sorted by (table, column)."""
+        if _NUMERIC.fullmatch(literal.strip()):
+            return ()
+        if self._exact is None:
+            self._build()
         if literal in self._cache:
             return self._cache[literal]
-        result: Tuple[ColumnRef, ...] = ()
-        if not _NUMERIC.fullmatch(literal.strip()):
-            text_cols = [
-                c for c in self._schema.columns() if c.value_kind == "text"
-            ]
-            exact = [c for c in text_cols if self._contains(c, literal, fold=False)]
-            if exact:
-                result = tuple(sorted(exact, key=lambda c: (c.table, c.column)))
-            else:
-                folded = [c for c in text_cols if self._contains(c, literal, fold=True)]
-                result = tuple(sorted(folded, key=lambda c: (c.table, c.column)))
+        hits = self._exact.get(literal, ()) + tuple(
+            c for c in self._probed if self._contains(c, literal, fold=False)
+        )
+        if not hits:
+            hits = self._folded.get(_sqlite_fold(literal), ()) + tuple(
+                c for c in self._probed if self._contains(c, literal, fold=True)
+            )
+        result = tuple(sorted(hits, key=_column_order))
         self._cache[literal] = result
         return result
+
+    def _build(self) -> None:
+        """Read every text column the maps can serve into them, once."""
+        exact: Dict[str, Tuple[ColumnRef, ...]] = {}
+        folded: Dict[str, Tuple[ColumnRef, ...]] = {}
+        probed: List[ColumnRef] = []
+        columns = sorted(
+            (c for c in self._schema.columns() if c.value_kind == "text"),
+            key=_column_order,
+        )
+        comparable = {
+            table: self._comparable_columns(table)
+            for table in {c.table for c in columns}
+        }
+        for col in columns:
+            rows = None
+            if col.column in comparable[col.table]:
+                rows = self._distinct_values(col)
+            if rows is None:
+                probed.append(col)
+                continue
+            for value, fold in rows:
+                if isinstance(value, str):
+                    _add(exact, value, col)
+                if fold is not None:
+                    _add(folded, fold, col)
+        self._exact, self._folded, self._probed = exact, folded, probed
+
+    def _comparable_columns(self, table: str) -> frozenset:
+        """Columns of ``table`` whose ``=`` on a text operand is Python's
+        string equality: TEXT affinity and the default BINARY collation."""
+        try:
+            row = self._conn.execute(
+                "SELECT sql FROM sqlite_master WHERE type = 'table' AND name = ?",
+                (table,),
+            ).fetchone()
+            if row is None or "COLLATE" in (row[0] or "").upper():
+                return frozenset()
+            info = self._conn.execute(f'PRAGMA table_info("{table}")').fetchall()
+        except sqlite3.Error:
+            return frozenset()
+        return frozenset(r[1] for r in info if _text_affinity(r[2]))
+
+    def _distinct_values(self, col: ColumnRef) -> Optional[List[tuple]]:
+        """Each distinct cell with its ``lower(trim())``, or None when the
+        column is over the cap or cannot be read."""
+        sql = (
+            f'SELECT DISTINCT "{col.column}", lower(trim("{col.column}"))'
+            f' FROM "{col.table}"'
+        )
+        try:
+            cursor = self._conn.execute(sql)
+            try:
+                rows = cursor.fetchmany(_MAX_MAPPED_VALUES + 1)
+            finally:
+                cursor.close()
+        except sqlite3.Error:
+            return None
+        return rows if len(rows) <= _MAX_MAPPED_VALUES else None
 
     def _contains(self, col: ColumnRef, literal: str, fold: bool) -> bool:
         if fold:

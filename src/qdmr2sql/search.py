@@ -262,6 +262,8 @@ def search(
     database: Database,
     config: Optional[SynthesisConfig] = None,
     lexicon: Optional[EmbeddingLexicon] = None,
+    *,
+    value_index: Optional[ValueIndex] = None,
 ) -> SynthesisOutcome:
     """Search for a query whose execution matches the example's answer.
 
@@ -269,6 +271,9 @@ def search(
     ``answer``.  Statuses: Found on the first matching candidate,
     Exhausted when the assignment stream runs dry, Timeout on deadline,
     MappingFailed when no candidate could even be built and executed.
+    ``value_index`` must be over ``database`` and ``schema``; passing one
+    shares its lookups across the examples on that database, and without
+    one a fresh index is built.
     """
     config = config or SynthesisConfig()
     deadline = time.monotonic() + config.per_example_timeout
@@ -284,7 +289,8 @@ def search(
             )
 
     target = answer_denotation(example.answer)
-    value_index = ValueIndex(database.conn, schema)
+    if value_index is None:
+        value_index = ValueIndex(database.conn, schema)
     plan, linkings = link_program(
         program, schema, lexicon, value_index, top_k=config.top_k
     )

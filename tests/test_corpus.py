@@ -5,11 +5,17 @@ databases) was designed so that exactly 23 examples are reachable; its
 per-example statuses and the resulting report numbers are pinned here.
 """
 
+import dataclasses
 import json
+import shutil
+import sqlite3
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
 from conftest import DATA_DIR
+from qdmr2sql import corpus as corpus_module
 from qdmr2sql.corpus import (
     CoverageReport,
     CoverageRow,
@@ -24,6 +30,7 @@ from qdmr2sql.corpus import (
     write_rejects,
 )
 from qdmr2sql.errors import AllLinesInvalid, FileUnreadable
+from qdmr2sql.executor import Database
 from qdmr2sql.search import SearchStatus, SynthesisOutcome
 
 CORPUS = DATA_DIR / "corpus.jsonl"
@@ -255,6 +262,128 @@ class TestRunCorpus:
         bad = [_fake_example("x", "d", "no_such_db")]
         with pytest.raises(FileUnreadable):
             run_corpus(bad, db_dir)
+
+
+def _closed(conn):
+    # total_changes checks only that the connection is open, so it works on
+    # connections that other threads opened.
+    try:
+        conn.total_changes
+    except sqlite3.ProgrammingError:
+        return True
+    return False
+
+
+@pytest.fixture()
+def opened(monkeypatch):
+    """Every Database that Database.open returns during the test."""
+    databases = []
+    real_open = Database.open.__func__
+
+    def recording_open(cls, path):
+        db = real_open(cls, path)
+        databases.append(db)
+        return db
+
+    monkeypatch.setattr(Database, "open", classmethod(recording_open))
+    return databases
+
+
+class TestSessions:
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_each_database_opened_once_and_closed(self, opened, db_dir, lexicon, jobs):
+        examples, _ = load_examples(CORPUS)
+        run_corpus(examples, db_dir, lexicon=lexicon, jobs=jobs)
+        assert sorted(Path(db.path).stem for db in opened) == [
+            "academic", "geo", "ship_death",
+        ]
+        assert all(_closed(db.conn) for db in opened)
+
+    def test_grouped_corpus_holds_one_connection_at_a_time(
+        self, opened, monkeypatch, db_dir, lexicon
+    ):
+        examples, _ = load_examples(CORPUS)
+        order = {db_id: i for i, db_id in enumerate(dict.fromkeys(
+            ex.db_id for ex in examples
+        ))}
+        grouped = sorted(examples, key=lambda ex: order[ex.db_id])
+        still_open = []
+        recording_open = Database.open
+
+        def counting_open(cls, path):
+            still_open.append(sum(not _closed(db.conn) for db in opened))
+            return recording_open(path)
+
+        monkeypatch.setattr(Database, "open", classmethod(counting_open))
+        run_corpus(grouped, db_dir, lexicon=lexicon)
+        assert still_open == [0, 0, 0]
+        assert all(_closed(db.conn) for db in opened)
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_closed_when_search_raises(
+        self, opened, monkeypatch, db_dir, lexicon, jobs
+    ):
+        real_search = corpus_module.search
+
+        def failing_search(example, *args, **kwargs):
+            if example.db_id == "geo":
+                raise RuntimeError("search crashed")
+            return real_search(example, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_module, "search", failing_search)
+        examples, _ = load_examples(CORPUS)
+        with pytest.raises(RuntimeError, match="search crashed"):
+            run_corpus(examples, db_dir, lexicon=lexicon, jobs=jobs)
+        assert "geo" in {Path(db.path).stem for db in opened}
+        assert all(_closed(db.conn) for db in opened)
+
+    def test_unreadable_database_fails_only_its_examples(
+        self, corpus_run, tmp_path, db_dir, lexicon
+    ):
+        shutil.copy(db_dir / "ship_death.sqlite", tmp_path)
+        (tmp_path / "broken.sqlite").write_bytes(b"not a database. " * 64)
+        examples, outcomes, _ = corpus_run
+        serial = {ex.id: out for ex, out in zip(examples, outcomes)}
+        ships = [ex for ex in examples if ex.db_id == "ship_death"]
+        broken = [
+            dataclasses.replace(ex, id=f"broken-{ex.id}", db_id="broken")
+            for ex in ships
+        ]
+        mixed = [ex for pair in zip(broken, ships) for ex in pair]
+        got, _ = run_corpus(mixed, tmp_path, lexicon=lexicon)
+        for ex, out in zip(mixed, got):
+            if ex.db_id == "broken":
+                assert out.status is SearchStatus.MAPPING_FAILED
+                assert out.failure_reason == (
+                    "UnreadableDatabase: cannot introspect database:"
+                    " file is not a database"
+                )
+            else:
+                assert out == serial[ex.id]
+
+
+def test_jobs_shard_matches_serial_files(db_dir, lexicon, tmp_path):
+    examples, _ = load_examples(CORPUS)
+    by_db = {}
+    for ex in examples:
+        by_db.setdefault(ex.db_id, []).append(ex)
+    assert list(by_db) == ["ship_death", "geo", "academic"]
+    round_robin = [
+        ex for group in zip_longest(*by_db.values()) for ex in group if ex
+    ]
+    assert [ex.db_id for ex in round_robin[:4]] == [
+        "ship_death", "geo", "academic", "ship_death",
+    ]
+    files = []
+    for jobs in (1, 3):
+        outcomes, report = run_corpus(round_robin, db_dir, lexicon=lexicon, jobs=jobs)
+        out = tmp_path / f"jobs{jobs}" / "pairs.jsonl"
+        out.parent.mkdir()
+        assert emit_training_pairs(round_robin, outcomes, out) == 23
+        files.append(
+            (out.read_bytes(), failures_path(out).read_bytes(), report.to_json())
+        )
+    assert files[0] == files[1]
 
 
 class TestEmitTrainingPairs:

@@ -30,14 +30,14 @@ class TestDenotation:
     def test_from_rows_materializes_tuples(self):
         d = deno([1, "a"], [2, "b"])
         assert d.rows == ((1, "a"), (2, "b"))
-        assert d.arity == 2
+        assert len(d.rows[0]) == 2
         assert len(d) == 2
         assert bool(d)
 
     def test_empty(self):
         d = Denotation.from_rows([])
         assert d.rows == ()
-        assert d.arity == 0
+        assert not d.rows
         assert len(d) == 0
         assert not d
 
@@ -68,7 +68,7 @@ class TestAnswerDenotation:
     def test_list_of_rows(self):
         got = answer_denotation([[1, "x"], [2, "y"]])
         assert got.rows == ((1, "x"), (2, "y"))
-        assert got.arity == 2
+        assert len(got.rows[0]) == 2
 
     def test_tuples_work_as_rows(self):
         assert answer_denotation([(1,), (2,)]).rows == ((1,), (2,))

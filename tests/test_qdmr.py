@@ -9,7 +9,6 @@ from qdmr2sql import (
     MalformedReference,
     NonstandardStep,
     OpKind,
-    infer_op_type,
     parse_qdmr,
     plan_bindings,
     render_program,
@@ -19,6 +18,13 @@ from qdmr2sql.qdmr import superlative_fn
 
 def kinds(text):
     return [s.operator.kind for s in parse_qdmr(text).steps]
+
+
+def step_operator(text, index=1):
+    """The operator of ``text`` parsed as step ``index`` of a program whose
+    earlier steps are plain selections."""
+    preceding = [f"return things {i}" for i in range(1, index)]
+    return parse_qdmr("; ".join(preceding + [text])).steps[-1].operator
 
 
 class TestStepClassification:
@@ -57,8 +63,8 @@ class TestStepClassification:
         assert program.steps[-1].operator.kind is kind
 
     def test_infer_without_program_context(self):
-        assert infer_op_type("return cities").kind is OpKind.SELECT
-        assert infer_op_type("number of #1", index=2).kind is OpKind.AGGREGATE
+        assert step_operator("return cities").kind is OpKind.SELECT
+        assert step_operator("number of #1", index=2).kind is OpKind.AGGREGATE
 
     @pytest.mark.parametrize(
         "text,fn",
@@ -76,7 +82,7 @@ class TestStepClassification:
         ],
     )
     def test_aggregate_words(self, text, fn):
-        assert infer_op_type(text, index=2).aggregate_fn == fn
+        assert step_operator(text, index=2).aggregate_fn == fn
 
     @pytest.mark.parametrize(
         "text,cmp",
@@ -91,26 +97,26 @@ class TestStepClassification:
         ],
     )
     def test_comparators(self, text, cmp):
-        op = infer_op_type(text, index=3)
+        op = step_operator(text, index=3)
         assert op.kind is OpKind.COMPARATIVE
         assert op.comparator == cmp
 
     def test_superlative_direction_and_k(self):
-        hi = infer_op_type("#1 where #2 is highest", index=3)
-        lo = infer_op_type("#1 where #2 is the smallest", index=3)
-        top = infer_op_type("#1 where #2 is in the top 5", index=3)
+        hi = step_operator("#1 where #2 is highest", index=3)
+        lo = step_operator("#1 where #2 is the smallest", index=3)
+        top = step_operator("#1 where #2 is in the top 5", index=3)
         assert (hi.aggregate_fn, hi.k) == ("max", 1)
         assert (lo.aggregate_fn, lo.k) == ("min", 1)
         assert (top.aggregate_fn, top.k) == ("max", 5)
 
     def test_superlative_value_is_not_a_comparison(self):
         # "is highest" must never parse as COMPARATIVE with value "highest"
-        op = infer_op_type("#1 where #2 is biggest", index=3)
+        op = step_operator("#1 where #2 is biggest", index=3)
         assert op.kind is OpKind.SUPERLATIVE
 
     def test_sort_direction(self):
-        asc = infer_op_type("#1 sorted by #2", index=3)
-        desc = infer_op_type("#1 sorted by age in descending order", index=2)
+        asc = step_operator("#1 sorted by #2", index=3)
+        desc = step_operator("#1 sorted by age in descending order", index=2)
         assert asc.direction == "asc"
         assert desc.direction == "desc"
 
@@ -119,13 +125,13 @@ class TestStepClassification:
         [("sum", "+"), ("difference", "-"), ("multiplication", "*"), ("division", "/")],
     )
     def test_arithmetic_ops(self, word, op):
-        inferred = infer_op_type(f"the {word} of #1 and #2", index=3)
+        inferred = step_operator(f"the {word} of #1 and #2", index=3)
         assert inferred.kind is OpKind.ARITHMETIC
         assert inferred.arith_op == op
 
     def test_sum_of_two_refs_is_arithmetic_not_aggregate(self):
-        assert infer_op_type("sum of #1 and #2", index=3).kind is OpKind.ARITHMETIC
-        assert infer_op_type("sum of #1", index=2).kind is OpKind.AGGREGATE
+        assert step_operator("sum of #1 and #2", index=3).kind is OpKind.ARITHMETIC
+        assert step_operator("sum of #1", index=2).kind is OpKind.AGGREGATE
 
 
 class TestShapes:

@@ -4,7 +4,9 @@ import json
 import sqlite3
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qdmr2sql import schema as schema_module
 from qdmr2sql import (
     NoTables,
     SchemaGraph,
@@ -161,3 +163,148 @@ class TestValueIndex:
     def test_memoized(self, index):
         first = index.columns_containing("PVLDB")
         assert index.columns_containing("PVLDB") is first
+
+
+# --- the value maps against per-column probes --------------------------------
+
+# One case per table: TEXT and VARCHAR columns, a COLLATE NOCASE column
+# (its `=` ignores case) and a STRING column (NUMERIC affinity).
+VALUE_TABLES = (
+    "CREATE TABLE plain (v TEXT, w VARCHAR(20))",
+    "CREATE TABLE nocase (v TEXT COLLATE NOCASE)",
+    "CREATE TABLE numeric (v STRING)",
+)
+
+
+def _value_db(cells):
+    """An in-memory database with ``cells`` in every text column."""
+    conn = sqlite3.connect(":memory:")
+    for ddl in VALUE_TABLES:
+        conn.execute(ddl)
+    for cell in cells:
+        conn.execute("INSERT INTO plain VALUES (?, ?)", (cell, cell))
+        conn.execute("INSERT INTO nocase VALUES (?)", (cell,))
+        conn.execute("INSERT INTO numeric VALUES (?)", (cell,))
+    return conn
+
+
+def _probed_reference(index, schema, literal):
+    """The lookup as one query per text column and literal: exact ``=``
+    first, then ``lower(trim())`` on both sides."""
+    if schema_module._NUMERIC.fullmatch(literal.strip()):
+        return ()
+    columns = sorted(
+        (c for c in schema.columns() if c.value_kind == "text"),
+        key=lambda c: (c.table, c.column),
+    )
+    exact = tuple(c for c in columns if index._contains(c, literal, fold=False))
+    if exact:
+        return exact
+    return tuple(c for c in columns if index._contains(c, literal, fold=True))
+
+
+def _assert_matches_probes(cells, literals):
+    conn = _value_db(cells)
+    try:
+        schema = load_schema(conn)
+        index = ValueIndex(conn, schema)
+        for literal in literals:
+            want = _probed_reference(index, schema, literal)
+            assert index.columns_containing(literal) == want, literal
+    finally:
+        conn.close()
+
+
+_TEXT = st.text(
+    alphabet=st.sampled_from(["a", "A", "Ü", "ü", "é", "É", " ", "\t", "1", "e", "5"]),
+    max_size=5,
+)
+_CELL = st.one_of(
+    _TEXT,
+    st.none(),
+    _TEXT.map(str.encode),          # a BLOB whose bytes are valid text
+    st.binary(max_size=3),          # a BLOB that may not be valid UTF-8
+    st.integers(-10, 10),
+)
+
+
+def _variants(text):
+    return [text, text.upper(), text.lower(), f" {text}  ", f"\t{text}", text.strip()]
+
+
+class TestValueMaps:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cells=st.lists(_CELL, max_size=8),
+        extra=st.lists(_TEXT, max_size=4),
+        cap=st.sampled_from([schema_module._MAX_MAPPED_VALUES, 2, 0]),
+    )
+    def test_lookups_match_per_column_probes(self, cells, extra, cap):
+        literals = extra + [
+            v for cell in cells if isinstance(cell, str) for v in _variants(cell)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schema_module, "_MAX_MAPPED_VALUES", cap)
+            _assert_matches_probes(cells, literals)
+
+    def test_numeric_affinity_column_matches_by_number(self):
+        # A STRING column stores '1e5' as the number 100000, and `=` turns
+        # the literal '1e5' into the same number; no cell reads '1e5'.
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.executescript(
+                "CREATE TABLE a (code STRING); INSERT INTO a VALUES ('1e5');"
+            )
+            index = ValueIndex(conn, load_schema(conn))
+            got = [c.qualified for c in index.columns_containing("1e5")]
+            assert got == ["a.code"]
+        finally:
+            conn.close()
+
+    def test_collate_nocase_column_matches_exactly(self):
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.executescript(
+                "CREATE TABLE a (name TEXT COLLATE NOCASE);"
+                "CREATE TABLE b (city TEXT);"
+                "INSERT INTO a VALUES ('Paris');"
+                "INSERT INTO b VALUES ('PARIS');"
+            )
+            index = ValueIndex(conn, load_schema(conn))
+            got = [c.qualified for c in index.columns_containing("PARIS")]
+            assert got == ["a.name", "b.city"]
+        finally:
+            conn.close()
+
+    def test_each_column_read_once(self, geo_db):
+        conn = open_readonly(geo_db)
+        try:
+            schema = load_schema(conn)
+            index = ValueIndex(conn, schema)
+            statements = []
+            conn.set_trace_callback(statements.append)
+            index.columns_containing("missouri")
+            reads = [s for s in statements if "DISTINCT" in s]
+            text_columns = [c for c in schema.columns() if c.value_kind == "text"]
+            assert len(set(reads)) == len(reads) == len(text_columns)
+            assert not any("LIMIT 1" in s for s in statements)
+            statements.clear()
+            assert index.columns_containing("Texas") != ()
+            assert index.columns_containing("no such value") == ()
+            assert statements == []
+        finally:
+            conn.close()
+
+    def test_column_over_cap_is_probed(self, geo_db, monkeypatch):
+        monkeypatch.setattr(schema_module, "_MAX_MAPPED_VALUES", 1)
+        conn = open_readonly(geo_db)
+        try:
+            index = ValueIndex(conn, load_schema(conn))
+            cols = index.columns_containing("missouri")
+            assert [c.qualified for c in cols] == ["river.traverse", "state.state_name"]
+            statements = []
+            conn.set_trace_callback(statements.append)
+            index.columns_containing("Texas")
+            assert any("LIMIT 1" in s for s in statements)
+        finally:
+            conn.close()

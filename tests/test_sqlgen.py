@@ -229,7 +229,7 @@ class TestRuleGoldens:
         )
         assert sql == "SELECT state.population, state.area FROM state"
         result = run(geo_db, sql)
-        assert result.arity == 2
+        assert len(result.rows[0]) == 2
         assert len(result) == 9
 
     def test_intersect(self, academic_db):
