@@ -1,7 +1,7 @@
 """Read-only SQL execution and denotation comparison.
 
-A denotation is the materialized result of a query: a collection of rows
-of cells, where a cell is null, a number, or text.  Two denotations are
+A denotation is the result of a query: a collection of rows of cells,
+where a cell is null, a number, or text.  Two denotations are
 compared as sets of tuples: row order and duplicates are irrelevant, and
 column names are never part of the comparison.  Numbers match under a
 relative tolerance so that 5 equals 5.0 and float formatting differences
@@ -11,6 +11,12 @@ whitespace is trimmed.
 By default two empty denotations do NOT compare equal.  An empty result is
 most often a spurious query rather than a correct one, so an empty answer
 only matches when the caller opts in with ``allow_empty``.
+
+A candidate query is executed against its target answer: rows are read
+one at a time until the first one outside the target, because that row
+alone already makes the comparison fail.  Results are often far larger
+than the answer, and reading them to the end would cost most of the
+search.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from __future__ import annotations
 import sqlite3
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExecutionTimeout, SqlError
 from .schema import open_readonly
@@ -61,6 +68,11 @@ class Denotation:
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Denotation":
         return cls(rows=tuple(tuple(_cell(v) for v in row) for row in rows))
+
+    @cached_property
+    def _canonical(self) -> FrozenSet[Tuple[Cell, ...]]:
+        """The distinct rows with every cell canonicalised for comparison."""
+        return frozenset(tuple(map(_canon, row)) for row in self.rows)
 
 
 _SCALARS = (int, float, str, bool)
@@ -118,11 +130,26 @@ class Database:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def execute(self, sql: str, timeout_secs: Optional[float] = None) -> Denotation:
-        """Run one statement and materialize every result row.
+    def execute(
+        self,
+        sql: str,
+        timeout_secs: Optional[float] = None,
+        *,
+        target: Optional[Denotation] = None,
+    ) -> Denotation:
+        """Run one statement and read its result rows.
+
+        Without ``target`` every row is read.  With one, reading stops
+        after the first row that matches no row of ``target``, neither
+        exactly nor within the numeric tolerance.  That row alone makes
+        :func:`denotations_equal` against ``target`` false, and every row
+        before it matches, so the verdict on the rows read equals the
+        verdict on the whole result; ``len`` of the result counts the rows
+        read.
 
         The statement is aborted once ``timeout_secs`` of wall-clock time
-        have passed; the checks piggyback on the engine's progress hook.
+        have passed, also while its rows are read; the checks piggyback
+        on the engine's progress hook.
         """
         if timeout_secs is not None:
             deadline = time.monotonic() + timeout_secs
@@ -135,9 +162,25 @@ class Database:
                 return 0
 
             self.conn.set_progress_handler(_check, _PROGRESS_GRANULARITY)
+        wanted = None if target is None else target._canonical
+        rows: List[Tuple[Cell, ...]] = []
+        canonical = set()
         try:
             cursor = self.conn.execute(sql)
-            rows = cursor.fetchall()
+            try:
+                for raw in cursor:
+                    row = tuple(map(_cell, raw))
+                    rows.append(row)
+                    if wanted is not None:
+                        key = tuple(map(_canon, row))
+                        canonical.add(key)
+                        if key not in wanted and not any(
+                            _rows_match(key, t) for t in wanted
+                        ):
+                            break
+            finally:
+                # Resets the statement, which releases its read lock.
+                cursor.close()
         except sqlite3.Error as exc:
             if timeout_secs is not None and timed_out:
                 raise ExecutionTimeout(
@@ -147,7 +190,11 @@ class Database:
         finally:
             if timeout_secs is not None:
                 self.conn.set_progress_handler(None, 0)
-        return Denotation.from_rows(rows)
+        result = Denotation(rows=tuple(rows))
+        if wanted is not None:
+            # Seed the cached property so no cell is canonicalised twice.
+            object.__setattr__(result, "_canonical", frozenset(canonical))
+        return result
 
 
 def _canon(cell: Cell) -> Cell:
@@ -165,7 +212,7 @@ def _numbers_close(x: float, y: float) -> bool:
 
 
 def _cells_match(a: Cell, b: Cell) -> bool:
-    a, b = _canon(a), _canon(b)
+    """Whether two canonical cells (see :func:`_canon`) match."""
     if a is None or b is None:
         return a is None and b is None
     if isinstance(a, float) and isinstance(b, float):
@@ -176,11 +223,7 @@ def _cells_match(a: Cell, b: Cell) -> bool:
 
 
 def _rows_match(a: Tuple[Cell, ...], b: Tuple[Cell, ...]) -> bool:
-    return len(a) == len(b) and all(_cells_match(x, y) for x, y in zip(a, b))
-
-
-def _row_set(rows: Sequence[Tuple[Cell, ...]]) -> set:
-    return {tuple(_canon(c) for c in row) for row in rows}
+    return len(a) == len(b) and all(map(_cells_match, a, b))
 
 
 def denotations_equal(
@@ -191,14 +234,13 @@ def denotations_equal(
         return allow_empty
     if not a.rows or not b.rows:
         return False
-    if {len(r) for r in a.rows} != {len(r) for r in b.rows}:
+    set_a, set_b = a._canonical, b._canonical
+    if {len(r) for r in set_a} != {len(r) for r in set_b}:
         return False
-    set_a, set_b = _row_set(a.rows), _row_set(b.rows)
     if set_a == set_b:
         return True
     # Exact normalization misses float noise; fall back to tolerant
     # mutual coverage over the deduplicated rows.
-    list_a, list_b = list(set_a), list(set_b)
-    return all(any(_rows_match(ra, rb) for rb in list_b) for ra in list_a) and all(
-        any(_rows_match(ra, rb) for ra in list_a) for rb in list_b
+    return all(any(_rows_match(ra, rb) for rb in set_b) for ra in set_a) and all(
+        any(_rows_match(ra, rb) for ra in set_a) for rb in set_b
     )

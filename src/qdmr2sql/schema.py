@@ -149,8 +149,13 @@ def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
         raise UnreadableDatabase(f"no such database file: {p}")
     try:
         conn = sqlite3.connect(f"file:{p}?mode=ro", uri=True)
-        conn.execute("SELECT 1")
     except sqlite3.Error as exc:
+        raise UnreadableDatabase(f"cannot open {p}: {exc}") from exc
+    try:
+        # Reads the file header, which ``SELECT 1`` never touches.
+        conn.execute("PRAGMA schema_version")
+    except sqlite3.Error as exc:
+        conn.close()
         raise UnreadableDatabase(f"cannot open {p}: {exc}") from exc
     return conn
 

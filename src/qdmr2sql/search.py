@@ -321,7 +321,9 @@ def search(
             tried += 1
             sql = render_sql(query)
             try:
-                result = database.execute(sql, timeout_secs=remaining)
+                result = database.execute(
+                    sql, timeout_secs=remaining, target=target
+                )
             except ExecutionTimeout:
                 return SynthesisOutcome(
                     status=SearchStatus.TIMEOUT,

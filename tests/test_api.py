@@ -1,4 +1,6 @@
-"""Every exported name, and every hook point the benchmark patches, exists.
+"""Every exported name, and every hook point the benchmark patches, exists,
+and each hook point is still of the kind (function, method, classmethod)
+the benchmark wraps.
 
 Deleting a public name must also delete it from ``__all__`` and from the
 package re-exports; renaming a function the benchmark's tracing hooks
@@ -54,8 +56,11 @@ def tracing():
 
 
 def test_benchmark_hook_points_resolve(tracing):
-    for module, attr, _, _ in tracing.HOOKS:
-        tracing._resolve(module, attr)
+    """Each hook point exists and is still of the kind the hook wraps."""
+    for module, attr, _, kind in tracing.HOOKS:
+        owner, leaf = tracing._resolve(module, attr)
+        is_classmethod = isinstance(vars(owner)[leaf], classmethod)
+        assert (kind == tracing.CLASSMETHOD) == is_classmethod, f"{module}.{attr}"
 
 
 def test_benchmark_sample_points_resolve(tracing):

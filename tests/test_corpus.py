@@ -355,7 +355,7 @@ class TestSessions:
             if ex.db_id == "broken":
                 assert out.status is SearchStatus.MAPPING_FAILED
                 assert out.failure_reason == (
-                    "UnreadableDatabase: cannot introspect database:"
+                    f"UnreadableDatabase: cannot open {tmp_path / 'broken.sqlite'}:"
                     " file is not a database"
                 )
             else:

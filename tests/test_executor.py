@@ -2,14 +2,18 @@
 
 The comparison semantics carry most of the weight in candidate search:
 row order and duplicates are ignored, numbers match under a relative
-tolerance, and empty results only match when explicitly allowed.
+tolerance, and empty results only match when explicitly allowed.  A
+candidate executed against a target is read only until its first row
+outside the target, which must never change the verdict.
 """
 
 import hashlib
 import sqlite3
+import threading
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdmr2sql.errors import ExecutionTimeout, SqlError
@@ -19,7 +23,7 @@ from qdmr2sql.executor import (
     answer_denotation,
     denotations_equal,
 )
-from qdmr2sql.executor import _canon, _numbers_close
+from qdmr2sql.executor import NUMERIC_TOLERANCE, _canon, _numbers_close
 
 
 def deno(*rows):
@@ -260,3 +264,128 @@ class TestExecuteFunction:
         db = open_db(ship_death_db)
         got = db.execute("SELECT tonnage FROM ship WHERE id = 1")
         assert got.rows == ((400,),)
+
+
+# --- reading a candidate only until its first row outside the target --------
+
+_FLOAT_BASES = (0.0, 1.0, -2.5, 1e6)
+# Relative offsets at, inside and just past the numeric tolerance.
+_OFFSETS = (0.0, 0.5, 1.0, 1.01, 2.0, -1.0, -1.01)
+
+stored_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=2),
+    st.builds(
+        lambda base, k: base + k * NUMERIC_TOLERANCE * max(1.0, abs(base)),
+        st.sampled_from(_FLOAT_BASES),
+        st.sampled_from(_OFFSETS),
+    ),
+    st.sampled_from(["a", " a", "a ", "a\t", "b", ""]),
+    st.sampled_from([b"a", b"a ", b"\xff", b""]),
+)
+
+
+def _near(cell):
+    """Cells equal to ``cell`` exactly, within the tolerance, or just past it."""
+    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+        step = NUMERIC_TOLERANCE * max(1.0, abs(cell))
+        return st.sampled_from([cell + k * step for k in _OFFSETS])
+    if isinstance(cell, str):
+        return st.sampled_from([cell + " ", cell.rstrip(), " " + cell])
+    return st.just(cell)
+
+
+@st.composite
+def tables_and_targets(draw):
+    """Rows of one arity, with duplicates, and a target built around them:
+    a near copy of every distinct row or of some, plus rows of any arity."""
+    arity = draw(st.integers(min_value=1, max_value=3))
+    distinct = draw(
+        st.lists(st.tuples(*[stored_cells] * arity), max_size=5, unique=True)
+    )
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=7)) if distinct else []
+    rows = draw(st.permutations(distinct + repeats))
+    near = [draw(st.tuples(*map(_near, row))) for row in dict.fromkeys(rows)]
+    if near and not draw(st.booleans()):
+        near = draw(st.lists(st.sampled_from(near), max_size=len(near)))
+    any_arity = st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(*[stored_cells] * n)
+    )
+    extra = draw(st.lists(any_arity, max_size=2)) if draw(st.booleans()) else []
+    return arity, rows, Denotation.from_rows(near + extra)
+
+
+def _write_table(path, arity, rows):
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute(f"CREATE TABLE t ({', '.join(f'c{i}' for i in range(arity))})")
+        conn.executemany(f"INSERT INTO t VALUES ({', '.join('?' * arity)})", rows)
+        conn.commit()
+    finally:
+        conn.close()
+
+
+class TestEarlyExit:
+    @settings(max_examples=200, deadline=None)
+    @given(case=tables_and_targets())
+    def test_verdict_equals_full_verdict(self, tmp_path_factory, case):
+        arity, rows, target = case
+        path = tmp_path_factory.mktemp("early_exit") / "t.sqlite"
+        _write_table(path, arity, rows)
+        with Database.open(path) as db:
+            full = db.execute("SELECT * FROM t")
+            early = db.execute("SELECT * FROM t", target=target)
+        assert early.rows == full.rows[: len(early)]
+        for allow_empty in (False, True):
+            assert denotations_equal(early, target, allow_empty) == denotations_equal(
+                full, target, allow_empty
+            )
+
+    def test_row_within_tolerance_does_not_stop_reading(self, tmp_path):
+        path = tmp_path / "t.sqlite"
+        _write_table(path, 1, [(1.0000005,), (2.0,), (3.0,), (2.0,)])
+        target = answer_denotation([1, 2])
+        with Database.open(path) as db:
+            got = db.execute("SELECT c0 FROM t", target=target)
+        assert got.rows == ((1.0000005,), (2.0,), (3.0,))
+        assert not denotations_equal(got, target)
+
+    def test_deadline_holds_while_rows_stream(self, ship_death_db, open_db):
+        db = open_db(ship_death_db)
+        # Emits 1 forever, every thousandth step, so it never leaves the
+        # target and the rows read stay few.
+        endless = (
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+            "SELECT 1 FROM c WHERE x % 1000 = 0"
+        )
+        # Should the deadline not hold, interrupt the statement rather
+        # than hang; the test then fails on SqlError.
+        watchdog = threading.Timer(5.0, db.conn.interrupt)
+        watchdog.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(ExecutionTimeout):
+                db.execute(endless, timeout_secs=0.2, target=answer_denotation([[1]]))
+            elapsed = time.monotonic() - start
+        finally:
+            watchdog.cancel()
+        # One progress interval takes microseconds; the rest is slack for
+        # a loaded host.
+        assert elapsed < 0.2 + 0.5
+        assert db.execute("SELECT 1").rows == ((1,),)
+
+    def test_early_exit_releases_the_statement(self, tmp_path):
+        path = tmp_path / "big.sqlite"
+        _write_table(path, 1, [(i,) for i in range(1000)])
+        with Database.open(path) as db:
+            got = db.execute("SELECT c0 FROM t", target=answer_denotation([[-1]]))
+            assert got.rows == ((0,),)
+            # A statement left open holds a SHARED lock; the commit would
+            # then fail with "database is locked".
+            writer = sqlite3.connect(path, timeout=0)
+            try:
+                writer.execute("INSERT INTO t VALUES (1000)")
+                writer.commit()
+            finally:
+                writer.close()

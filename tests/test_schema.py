@@ -1,6 +1,7 @@
 """Schema introspection, read-only opening, and the literal value index."""
 
 import json
+import re
 import sqlite3
 
 import pytest
@@ -121,6 +122,15 @@ class TestReadOnly:
         with pytest.raises(UnreadableDatabase):
             open_readonly(ghost)
         assert not ghost.exists()
+
+    def test_garbage_file_fails_at_open(self, tmp_path):
+        garbage = tmp_path / "garbage.sqlite"
+        garbage.write_bytes(bytes(range(256)) * 16)
+        with pytest.raises(
+            UnreadableDatabase,
+            match=f"^cannot open {re.escape(str(garbage))}: file is not a database$",
+        ):
+            open_readonly(garbage)
 
 
 class TestValueIndex:

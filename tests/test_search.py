@@ -399,7 +399,7 @@ class TestFailureStatuses:
     def test_engine_rejecting_every_candidate(
         self, products_db, open_db, lexicon, monkeypatch
     ):
-        def reject(self, sql, timeout_secs=None):
+        def reject(self, sql, timeout_secs=None, *, target=None):
             raise SqlError("no such column: boom")
 
         monkeypatch.setattr(Database, "execute", reject)
