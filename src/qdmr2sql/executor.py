@@ -21,6 +21,7 @@ search.
 
 from __future__ import annotations
 
+import math
 import sqlite3
 import time
 from dataclasses import dataclass
@@ -208,7 +209,12 @@ def _canon(cell: Cell) -> Cell:
 
 
 def _numbers_close(x: float, y: float) -> bool:
-    return abs(x - y) <= NUMERIC_TOLERANCE * max(1.0, abs(x), abs(y))
+    scale = max(1.0, abs(x), abs(y))
+    if scale == math.inf:
+        # The tolerance would be infinite too: an infinite cell matches
+        # only an equal one.
+        return x == y
+    return abs(x - y) <= NUMERIC_TOLERANCE * scale
 
 
 def _cells_match(a: Cell, b: Cell) -> bool:

@@ -172,9 +172,9 @@ class Assignment:
         """Serializable view, used in emitted training pairs."""
         out = {}
         for (idx, phrase), col in self.choices.items():
-            out[f"{idx}:{phrase}"] = col.qualified
+            out[f"{idx}:{phrase}"] = str(col)
         for literal, col in self.literal_choices.items():
-            out[f"value:{literal}"] = col.qualified
+            out[f"value:{literal}"] = str(col)
         return out
 
 

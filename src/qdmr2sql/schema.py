@@ -26,6 +26,7 @@ import re
 import sqlite3
 import string
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -39,11 +40,35 @@ __all__ = [
     "ValueIndex",
     "load_schema",
     "open_readonly",
+    "quote_ident",
 ]
 
 _NUMERIC = re.compile(r"[-+]?\d+(?:\.\d+)?")
 
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+_BARE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# https://sqlite.org/lang_keywords.html
+_SQLITE_KEYWORDS = frozenset(
+    """
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH
+    AUTOINCREMENT BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE
+    COLUMN COMMIT CONFLICT CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE
+    CURRENT_TIME CURRENT_TIMESTAMP DATABASE DEFAULT DEFERRABLE DEFERRED
+    DELETE DESC DETACH DISTINCT DO DROP EACH ELSE END ESCAPE EXCEPT EXCLUDE
+    EXCLUSIVE EXISTS EXPLAIN FAIL FILTER FIRST FOLLOWING FOR FOREIGN FROM
+    FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE IMMEDIATE IN INDEX
+    INDEXED INITIALLY INNER INSERT INSTEAD INTERSECT INTO IS ISNULL JOIN KEY
+    LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING NOTNULL
+    NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN PRAGMA
+    PRECEDING PRIMARY QUERY RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX
+    RELEASE RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS
+    SAVEPOINT SELECT SET TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION
+    TRIGGER UNBOUNDED UNION UNIQUE UPDATE USING VACUUM VALUES VIEW VIRTUAL
+    WHEN WHERE WINDOW WITH WITHOUT
+    """.split()
+)
 
 # A text column with more distinct values than this is probed per literal
 # rather than held in the value maps.  The cap bounds memory, not time: on
@@ -51,6 +76,19 @@ _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 # values) to 30 MB (100-character) and takes 0.2 to 0.27 s to read, a read
 # the per-example deadline does not yet cover.
 _MAX_MAPPED_VALUES = 50_000
+
+
+@lru_cache(maxsize=4096)  # rendering spells every FROM table of every candidate
+def quote_ident(name: str) -> str:
+    """``name`` spelled as an SQLite identifier.
+
+    A plain name (letters, digits and ``_``, not starting with a digit)
+    that is not an SQLite keyword stays bare; any other name is
+    double-quoted, with each ``"`` inside it doubled.
+    """
+    if _BARE_IDENT.fullmatch(name) and name.upper() not in _SQLITE_KEYWORDS:
+        return name
+    return '"' + name.replace('"', '""') + '"'
 
 
 def _value_kind(declared: str) -> str:
@@ -78,9 +116,10 @@ class ColumnRef:
     def __str__(self) -> str:
         return f"{self.table}.{self.column}"
 
-    @property
-    def qualified(self) -> str:
-        return f"{self.table}.{self.column}"
+    @cached_property
+    def sql(self) -> str:
+        """The column as a qualified SQL identifier; see :func:`quote_ident`."""
+        return f"{quote_ident(self.table)}.{quote_ident(self.column)}"
 
 
 @dataclass(frozen=True)
@@ -178,7 +217,7 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
     for name in names:
         cols = []
         for _, col, declared, _, _, pk in conn.execute(
-            f'PRAGMA table_info("{name}")'
+            f"PRAGMA table_info({quote_ident(name)})"
         ):
             cols.append(_make_column(name, col, declared))
             if pk and name not in pks:
@@ -191,7 +230,7 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
         # foreign_key_list numbers ids from the last declared key down, so
         # descending id recovers declaration order.
         rows = sorted(
-            conn.execute(f'PRAGMA foreign_key_list("{name}")'),
+            conn.execute(f"PRAGMA foreign_key_list({quote_ident(name)})"),
             key=lambda r: (-r[0], r[1]),
         )
         for row in rows:
@@ -355,7 +394,9 @@ class ValueIndex:
             ).fetchone()
             if row is None or "COLLATE" in (row[0] or "").upper():
                 return frozenset()
-            info = self._conn.execute(f'PRAGMA table_info("{table}")').fetchall()
+            info = self._conn.execute(
+                f"PRAGMA table_info({quote_ident(table)})"
+            ).fetchall()
         except sqlite3.Error:
             return frozenset()
         return frozenset(r[1] for r in info if _text_affinity(r[2]))
@@ -363,9 +404,10 @@ class ValueIndex:
     def _distinct_values(self, col: ColumnRef) -> Optional[List[tuple]]:
         """Each distinct cell with its ``lower(trim())``, or None when the
         column is over the cap or cannot be read."""
+        column = quote_ident(col.column)
         sql = (
-            f'SELECT DISTINCT "{col.column}", lower(trim("{col.column}"))'
-            f' FROM "{col.table}"'
+            f"SELECT DISTINCT {column}, lower(trim({column}))"
+            f" FROM {quote_ident(col.table)}"
         )
         try:
             cursor = self._conn.execute(sql)
@@ -378,13 +420,13 @@ class ValueIndex:
         return rows if len(rows) <= _MAX_MAPPED_VALUES else None
 
     def _contains(self, col: ColumnRef, literal: str, fold: bool) -> bool:
+        column, value = quote_ident(col.column), "?"
         if fold:
-            sql = (
-                f'SELECT 1 FROM "{col.table}"'
-                f' WHERE lower(trim("{col.column}")) = lower(trim(?)) LIMIT 1'
-            )
-        else:
-            sql = f'SELECT 1 FROM "{col.table}" WHERE "{col.column}" = ? LIMIT 1'
+            column, value = f"lower(trim({column}))", "lower(trim(?))"
+        sql = (
+            f"SELECT 1 FROM {quote_ident(col.table)}"
+            f" WHERE {column} = {value} LIMIT 1"
+        )
         try:
             return self._conn.execute(sql, (literal,)).fetchone() is not None
         except sqlite3.Error:

@@ -15,9 +15,14 @@ by X" then "that by Y"); the conflict switches it to the nested form, which
 realizes the intersection.  A FILTER over a LIMIT-carrying query also
 nests, since inlining would reorder filtering and truncation.
 
-Queries render to a flat comma-join SQL dialect: qualified column names,
-``FROM t1, t2`` with explicit equality predicates, ``IN``/``NOT IN``
-subqueries, ``GROUP BY``/``HAVING``, ``ORDER BY ... LIMIT k``.  A
+A query is a typed, immutable tree: its predicates, grouping and ordering
+hold column and aggregate expressions, never SQL text, so equal subtrees
+are equal values and merged conjuncts are deduplicated by value.  Text
+appears only in :func:`render_sql`, in a flat comma-join SQL dialect:
+qualified column names, ``FROM t1, t2`` with explicit equality predicates,
+``IN``/``NOT IN`` subqueries, ``GROUP BY``/``HAVING``, ``ORDER BY ...
+LIMIT k``.  Identifiers that are plain, non-keyword names stay bare; any
+other is double-quoted (:func:`~qdmr2sql.schema.quote_ident`).  A
 comparison against an aggregated operand lands in HAVING, with the
 operand's grouping preserved.
 """
@@ -25,8 +30,9 @@ operand's grouping preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -39,7 +45,7 @@ from .errors import (
 from .joinpath import JoinPath, join_tables
 from .linking import Assignment, BindingPlan
 from .qdmr import OpKind, QdmrProgram, QdmrStep
-from .schema import ColumnRef, SchemaGraph
+from .schema import ColumnRef, SchemaGraph, quote_ident
 
 __all__ = [
     "ColExpr",
@@ -63,7 +69,7 @@ class ColExpr:
     col: ColumnRef
 
     def render(self) -> str:
-        return str(self.col)
+        return self.col.sql
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,7 @@ class ArithExpr:
 
 
 SelectItem = Union[ColExpr, AggExpr, ArithExpr]
+Operand = Union[ColExpr, AggExpr]
 
 
 def _sql_literal(value: Union[int, float, str]) -> str:
@@ -100,32 +107,44 @@ def _sql_literal(value: Union[int, float, str]) -> str:
 
 @dataclass(frozen=True)
 class JoinPred:
-    left: str
-    right: str
+    left: ColumnRef
+    right: ColumnRef
 
     def render(self) -> str:
-        return f"{self.left} = {self.right}"
+        return f"{self.left.sql} = {self.right.sql}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmpPred:
-    expr: str
+    """``expr op value``; two are equal when they render the same, so
+    ``x = 1`` and ``x = 1.0`` stay apart although ``1 == 1.0``."""
+
+    expr: Operand
     op: str  # = | != | > | < | >= | <=
     value: Union[int, float, str]
 
+    def _key(self) -> tuple:
+        return (self.expr, self.op, _sql_literal(self.value))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CmpPred) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def render(self) -> str:
-        return f"{self.expr} {self.op} {_sql_literal(self.value)}"
+        return f"{self.expr.render()} {self.op} {_sql_literal(self.value)}"
 
 
 @dataclass(frozen=True)
 class InPred:
-    expr: str
+    expr: Operand
     query: "SqlQuery"
     negated: bool = False
 
     def render(self) -> str:
         kw = "NOT IN" if self.negated else "IN"
-        return f"{self.expr} {kw} ( {render_sql(self.query)} )"
+        return f"{self.expr.render()} {kw} ( {render_sql(self.query)} )"
 
 
 @dataclass(frozen=True)
@@ -143,30 +162,18 @@ Pred = Union[JoinPred, CmpPred, InPred, OrGroup]
 # --- queries -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SqlQuery:
     """One SELECT statement in the flat comma-join dialect."""
 
-    select: List[SelectItem] = field(default_factory=list)
-    from_tables: List[str] = field(default_factory=list)
-    where: List[Pred] = field(default_factory=list)
-    group_by: Optional[str] = None
-    having: List[CmpPred] = field(default_factory=list)
-    order_by: Optional[Tuple[str, str]] = None  # (expr, "ASC" | "DESC")
+    select: Tuple[SelectItem, ...] = ()
+    from_tables: Tuple[str, ...] = ()
+    where: Tuple[Pred, ...] = ()
+    group_by: Optional[ColExpr] = None
+    having: Tuple[CmpPred, ...] = ()
+    order_by: Optional[Tuple[Operand, str]] = None  # (expr, "ASC" | "DESC")
     limit: Optional[int] = None
     distinct: bool = False
-
-    def copy(self) -> "SqlQuery":
-        return SqlQuery(
-            select=list(self.select),
-            from_tables=list(self.from_tables),
-            where=list(self.where),
-            group_by=self.group_by,
-            having=list(self.having),
-            order_by=self.order_by,
-            limit=self.limit,
-            distinct=self.distinct,
-        )
 
 
 def render_sql(query: SqlQuery) -> str:
@@ -183,15 +190,15 @@ def render_sql(query: SqlQuery) -> str:
     prefix = "SELECT DISTINCT " if (query.distinct and not distinct_inside) else "SELECT "
     parts.append(prefix + ", ".join(items))
     if query.from_tables:
-        parts.append("FROM " + ", ".join(query.from_tables))
+        parts.append("FROM " + ", ".join(map(quote_ident, query.from_tables)))
     if query.where:
         parts.append("WHERE " + " AND ".join(p.render() for p in query.where))
-    if query.group_by:
-        parts.append("GROUP BY " + query.group_by)
+    if query.group_by is not None:
+        parts.append("GROUP BY " + query.group_by.render())
     if query.having:
         parts.append("HAVING " + " AND ".join(p.render() for p in query.having))
     if query.order_by:
-        parts.append(f"ORDER BY {query.order_by[0]} {query.order_by[1]}")
+        parts.append(f"ORDER BY {query.order_by[0].render()} {query.order_by[1]}")
     if query.limit is not None:
         parts.append(f"LIMIT {query.limit}")
     return " ".join(parts)
@@ -230,37 +237,30 @@ def _typed(text: str) -> Union[int, float, str]:
     return text
 
 
-def _item_expr(item: SelectItem) -> str:
-    if isinstance(item, AggExpr):
-        return item.render()
-    if isinstance(item, ColExpr):
-        return item.render()
+def _item_expr(item: SelectItem) -> Operand:
+    if isinstance(item, (AggExpr, ColExpr)):
+        return item
     raise ArityMismatch("operand has no addressable select expression")
 
 
-def _add_tables(into: List[str], tables: Sequence[str]) -> None:
-    for t in tables:
-        if t not in into:
-            into.append(t)
-
-
-def _add_preds(into: List[Pred], preds: Sequence[Pred]) -> None:
-    seen = {p.render() for p in into}
-    for p in preds:
-        r = p.render()
-        if r not in seen:
-            seen.add(r)
-            into.append(p)
+def _merged(*groups: Iterable) -> tuple:
+    """The items of ``groups`` in order, each distinct value once."""
+    return tuple(dict.fromkeys(chain(*groups)))
 
 
 def _join_units(
     schema: SchemaGraph,
-    units: Sequence[Tuple[Sequence[str], Sequence[ColumnRef]]],
-) -> List[JoinPath]:
-    """Connect every unit (tables, anchor columns) into one component."""
+    units: Sequence[Tuple[Sequence[str], Iterable[ColumnRef]]],
+) -> Tuple[Tuple[str, ...], List[JoinPred]]:
+    """Connect every unit (tables, anchor columns) into one component.
+
+    Returns the FROM tables, the units' own in order and then those the
+    join paths add, and the join conjuncts of those paths.
+    """
+    own_tables = [tables for tables, _ in units]
     units = [u for u in units if u[0]]
     if len(units) < 2:
-        return []
+        return _merged(*own_tables), []
     paths: List[JoinPath] = []
     covered = set(units[0][0])
     anchors = frozenset(c for _, cols in units for c in cols)
@@ -274,22 +274,8 @@ def _join_units(
             raise MissingJoin(str(exc)) from exc
         paths.append(path)
         covered |= set(tables) | set(path.tables)
-    return paths
-
-
-def _path_preds(paths: Sequence[JoinPath]) -> List[Pred]:
-    preds: List[Pred] = []
-    for p in paths:
-        for e in p.edges:
-            preds.append(JoinPred(str(e.source), str(e.target)))
-    return preds
-
-
-def _path_tables(paths: Sequence[JoinPath]) -> List[str]:
-    out: List[str] = []
-    for p in paths:
-        _add_tables(out, p.tables)
-    return out
+    joins = [JoinPred(e.source, e.target) for p in paths for e in p.edges]
+    return _merged(*own_tables, *(p.tables for p in paths)), joins
 
 
 def _join_conjuncts(query: SqlQuery) -> List[Pred]:
@@ -303,16 +289,11 @@ def _vacuous(p: Pred) -> bool:
     q = p.query
     if q.where or q.group_by or q.having or q.order_by or q.limit is not None:
         return False
-    if len(q.select) != 1 or q.distinct:
-        return False
-    head = q.select[0]
-    if isinstance(head, (ColExpr, AggExpr)):
-        return _item_expr(head) == p.expr
-    return False
+    return len(q.select) == 1 and not q.distinct and q.select[0] == p.expr
 
 
-def _inherited(preds: Sequence[Pred]) -> List[Pred]:
-    return [p for p in preds if not _vacuous(p)]
+def _inherited(preds: Sequence[Pred]) -> Tuple[Pred, ...]:
+    return tuple(p for p in preds if not _vacuous(p))
 
 
 class _Binder:
@@ -356,10 +337,7 @@ def _ref(mapped: Dict[int, _MappedStep], n: Optional[int]) -> _MappedStep:
 
 
 def _resolve_self_join(
-    base: _MappedStep,
-    own_preds: Sequence[Pred],
-    paths: Sequence[JoinPath],
-    extra_tables: Sequence[str] = (),
+    base: _MappedStep, from_tables: Tuple[str, ...], own_preds: Sequence[Pred]
 ) -> SqlQuery:
     """Narrow ``base`` through a nested subquery instead of inlining it.
 
@@ -367,16 +345,12 @@ def _resolve_self_join(
     literal predicates and prior nestings stay inside the subquery, and the
     referenced select expression is constrained with ``IN``.
     """
-    q = SqlQuery()
-    q.select = list(base.query.select)
-    _add_tables(q.from_tables, base.query.from_tables)
-    _add_tables(q.from_tables, extra_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    _add_preds(q.where, _join_conjuncts(base.query))
-    _add_preds(q.where, _path_preds(paths))
-    _add_preds(q.where, own_preds)
-    _add_preds(q.where, [InPred(_item_expr(base.query.select[0]), base.query)])
-    return q
+    nested = InPred(_item_expr(base.query.select[0]), base.query)
+    return SqlQuery(
+        select=base.query.select,
+        from_tables=from_tables,
+        where=_merged(_join_conjuncts(base.query), own_preds, [nested]),
+    )
 
 
 # --- per-operator construction ----------------------------------------------
@@ -384,20 +358,15 @@ def _resolve_self_join(
 
 def _build_select(step: QdmrStep, binder: _Binder) -> Tuple[SqlQuery, List[ColumnRef]]:
     literals = binder.literals(step.index)
-    q = SqlQuery()
     if literals:
-        first_col = literals[0][1]
-        q.select = [ColExpr(first_col)]
-        _add_tables(q.from_tables, [c.table for _, c in literals])
-        _add_preds(
-            q.where,
-            [CmpPred(str(c), "=", _typed(t)) for t, c in literals],
+        q = SqlQuery(
+            select=(ColExpr(literals[0][1]),),
+            from_tables=_merged(c.table for _, c in literals),
+            where=_merged(CmpPred(ColExpr(c), "=", _typed(t)) for t, c in literals),
         )
         return q, [c for _, c in literals]
     col = binder.require(step.index, "select")
-    q.select = [ColExpr(col)]
-    q.from_tables = [col.table]
-    return q, [col]
+    return SqlQuery(select=(ColExpr(col),), from_tables=(col.table,)), [col]
 
 
 def _build_filter(
@@ -414,46 +383,40 @@ def _build_filter(
             raise UnboundPhrase(
                 f"step {step.index}: no database value matches {step.shape.tail!r}"
             )
-        return base.query.copy(), list(base.cols)
+        return base.query, list(base.cols)
 
-    own_preds: List[Pred] = [
-        CmpPred(str(c), "=", _typed(t)) for t, c in literals
-    ]
+    own_preds = [CmpPred(ColExpr(c), "=", _typed(t)) for t, c in literals]
     own_cols = [c for _, c in literals]
-    units = [(base.query.from_tables, list(base.cols))]
+    units = [(base.query.from_tables, base.cols)]
     units += [([c.table], [c]) for c in own_cols]
-    units += [(m.query.from_tables, list(m.cols)) for m in extra]
-    paths = _join_units(schema, units)
+    units += [(m.query.from_tables, m.cols) for m in extra]
+    from_tables, joins = _join_units(schema, units)
 
-    conflict = False
-    own_exprs = {(p.expr, p.value) for p in own_preds if isinstance(p, CmpPred)}
-    for p in base.query.where:
-        if isinstance(p, CmpPred) and p.op == "=":
-            for expr, value in own_exprs:
-                if p.expr == expr and p.value != value:
-                    conflict = True
+    conflict = any(
+        isinstance(p, CmpPred)
+        and p.op == "="
+        and p.expr == own.expr
+        and p.value != own.value
+        for p in base.query.where
+        for own in own_preds
+    )
     if conflict or base.query.limit is not None:
-        extra_tables = [c.table for c in own_cols]
-        for m in extra:
-            extra_tables.extend(m.query.from_tables)
-        q = _resolve_self_join(base, own_preds, paths, extra_tables)
+        q = _resolve_self_join(base, from_tables, joins + own_preds)
         return q, own_cols or list(base.cols)
 
-    q = SqlQuery()
-    q.select = list(base.query.select)
-    _add_tables(q.from_tables, base.query.from_tables)
-    _add_tables(q.from_tables, [c.table for c in own_cols])
-    for m in extra:
-        _add_tables(q.from_tables, m.query.from_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    _add_preds(q.where, _inherited(base.query.where))
-    for m in extra:
-        _add_preds(q.where, _inherited(m.query.where))
-    _add_preds(q.where, _path_preds(paths))
-    _add_preds(q.where, own_preds)
-    q.group_by = base.query.group_by
-    q.having = list(base.query.having)
-    q.order_by = base.query.order_by
+    q = SqlQuery(
+        select=base.query.select,
+        from_tables=from_tables,
+        where=_merged(
+            _inherited(base.query.where),
+            *(_inherited(m.query.where) for m in extra),
+            joins,
+            own_preds,
+        ),
+        group_by=base.query.group_by,
+        having=base.query.having,
+        order_by=base.query.order_by,
+    )
     return q, own_cols or list(base.cols)
 
 
@@ -466,22 +429,19 @@ def _build_project(
     col = binder.require(step.index, "project")
     base = _ref(mapped, step.shape.base)
     extras = [_ref(mapped, r) for r in step.shape.extra_refs]
-    units = [([col.table], [col]), (base.query.from_tables, list(base.cols))]
-    units += [(m.query.from_tables, list(m.cols)) for m in extras]
-    paths = _join_units(schema, units)
+    units = [([col.table], [col]), (base.query.from_tables, base.cols)]
+    units += [(m.query.from_tables, m.cols) for m in extras]
+    from_tables, joins = _join_units(schema, units)
 
-    q = SqlQuery()
-    q.select = [ColExpr(col)]
-    q.from_tables = [col.table]
-    _add_tables(q.from_tables, base.query.from_tables)
-    for m in extras:
-        _add_tables(q.from_tables, m.query.from_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    _add_preds(q.where, _join_conjuncts(base.query))
-    for m in extras:
-        _add_preds(q.where, _join_conjuncts(m.query))
-    _add_preds(q.where, _path_preds(paths))
-    _add_preds(q.where, [InPred(_item_expr(base.query.select[0]), base.query)])
+    q = SqlQuery(
+        select=(ColExpr(col),),
+        from_tables=from_tables,
+        where=_merged(
+            *(_join_conjuncts(m.query) for m in [base] + extras),
+            joins,
+            [InPred(_item_expr(base.query.select[0]), base.query)],
+        ),
+    )
     return q, [col]
 
 
@@ -494,11 +454,12 @@ def _build_aggregate(
         raise ArityMismatch(
             f"step {step.index}: cannot aggregate over an aggregated operand"
         )
-    q = SqlQuery()
-    q.select = [AggExpr(step.operator.aggregate_fn, head)]
-    q.from_tables = list(base.query.from_tables)
-    q.where = _inherited(base.query.where)
-    q.group_by = base.query.group_by
+    q = SqlQuery(
+        select=(AggExpr(step.operator.aggregate_fn, head),),
+        from_tables=base.query.from_tables,
+        where=_inherited(base.query.where),
+        group_by=base.query.group_by,
+    )
     return q, list(base.cols)
 
 
@@ -510,7 +471,7 @@ def _operand(
         m = _ref(mapped, arg)
         return m.query.select[0], m.query.from_tables, m, list(m.cols)
     col = binder.require(step.index, role)
-    return ColExpr(col), [col.table], None, [col]
+    return ColExpr(col), (col.table,), None, [col]
 
 
 def _build_group(
@@ -530,18 +491,16 @@ def _build_group(
     if not isinstance(key_expr, ColExpr):
         raise ArityMismatch(f"step {step.index}: grouping key is not a column")
     units = [(value_tables, value_cols), (key_tables, key_cols)]
-    paths = _join_units(schema, units)
+    from_tables, joins = _join_units(schema, units)
 
-    q = SqlQuery()
-    q.select = [AggExpr(step.operator.aggregate_fn, value_expr)]
-    _add_tables(q.from_tables, value_tables)
-    _add_tables(q.from_tables, key_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    for m in (value_ref, key_ref):
-        if m is not None:
-            _add_preds(q.where, _inherited(m.query.where))
-    _add_preds(q.where, _path_preds(paths))
-    q.group_by = key_expr.render()
+    q = SqlQuery(
+        select=(AggExpr(step.operator.aggregate_fn, value_expr),),
+        from_tables=from_tables,
+        where=_merged(
+            *(_inherited(m.query.where) for m in (value_ref, key_ref) if m), joins
+        ),
+        group_by=key_expr,
+    )
     return q, value_cols + key_cols
 
 
@@ -550,25 +509,21 @@ def _build_superlative(
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     entity = _ref(mapped, step.shape.entity)
     measure = _ref(mapped, step.shape.measure)
-    units = [
-        (entity.query.from_tables, list(entity.cols)),
-        (measure.query.from_tables, list(measure.cols)),
-    ]
-    paths = _join_units(schema, units)
+    units = [(m.query.from_tables, m.cols) for m in (entity, measure)]
+    from_tables, joins = _join_units(schema, units)
 
-    q = SqlQuery()
-    q.select = list(entity.query.select)
-    _add_tables(q.from_tables, entity.query.from_tables)
-    _add_tables(q.from_tables, measure.query.from_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    _add_preds(q.where, _inherited(entity.query.where))
-    _add_preds(q.where, _inherited(measure.query.where))
-    _add_preds(q.where, _path_preds(paths))
-    q.group_by = entity.query.group_by or measure.query.group_by
-    q.having = list(entity.query.having) + list(measure.query.having)
     direction = "DESC" if step.operator.aggregate_fn == "max" else "ASC"
-    q.order_by = (_item_expr(measure.query.select[0]), direction)
-    q.limit = step.operator.k or 1
+    q = SqlQuery(
+        select=entity.query.select,
+        from_tables=from_tables,
+        where=_merged(
+            _inherited(entity.query.where), _inherited(measure.query.where), joins
+        ),
+        group_by=entity.query.group_by or measure.query.group_by,
+        having=entity.query.having + measure.query.having,
+        order_by=(_item_expr(measure.query.select[0]), direction),
+        limit=step.operator.k or 1,
+    )
     return q, list(entity.cols)
 
 
@@ -582,32 +537,30 @@ def _build_comparative(
     target_expr, target_tables, target_ref, target_cols = _operand(
         step.shape.target, "cmp_target", step, binder, mapped
     )
-    units = [(base.query.from_tables, list(base.cols)), (target_tables, target_cols)]
-    paths = _join_units(schema, units)
+    units = [(base.query.from_tables, base.cols), (target_tables, target_cols)]
+    from_tables, joins = _join_units(schema, units)
 
-    q = SqlQuery()
-    q.select = list(base.query.select)
-    _add_tables(q.from_tables, base.query.from_tables)
-    _add_tables(q.from_tables, target_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    _add_preds(q.where, _inherited(base.query.where))
+    where = [_inherited(base.query.where)]
     if target_ref is not None:
-        _add_preds(q.where, _inherited(target_ref.query.where))
-    _add_preds(q.where, _path_preds(paths))
+        where.append(_inherited(target_ref.query.where))
+    where.append(joins)
+    group_by, having = base.query.group_by, base.query.having
     value = _typed(step.shape.cmp_value or "")
     if isinstance(target_expr, AggExpr):
         # Aggregate comparisons are HAVING conditions over the operand's
         # grouping, which must survive into this query.
-        q.group_by = (target_ref.query.group_by if target_ref else None) or base.query.group_by
-        q.having = list(base.query.having)
-        q.having.append(CmpPred(target_expr.render(), step.operator.comparator, value))
+        group_by = (target_ref.query.group_by if target_ref else None) or group_by
+        having += (CmpPred(target_expr, step.operator.comparator, value),)
     else:
-        q.group_by = base.query.group_by
-        q.having = list(base.query.having)
-        _add_preds(
-            q.where,
-            [CmpPred(_item_expr(target_expr), step.operator.comparator, value)],
-        )
+        cmp = CmpPred(_item_expr(target_expr), step.operator.comparator, value)
+        where.append([cmp])
+    q = SqlQuery(
+        select=base.query.select,
+        from_tables=from_tables,
+        where=_merged(*where),
+        group_by=group_by,
+        having=having,
+    )
     return q, list(base.cols) + target_cols
 
 
@@ -617,37 +570,30 @@ def _build_union(
     members = [_ref(mapped, r) for r in step.shape.refs]
     if len(members) < 2:
         raise SqlBuildError(f"step {step.index}: union needs two operands")
-    units = [(m.query.from_tables, list(m.cols)) for m in members]
-    paths = _join_units(schema, units)
+    units = [(m.query.from_tables, m.cols) for m in members]
+    from_tables, joins = _join_units(schema, units)
 
-    q = SqlQuery()
-    q.select = list(members[0].query.select)
-    for m in members:
-        _add_tables(q.from_tables, m.query.from_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    _add_preds(q.where, _path_preds(paths))
-    sides = [tuple(_inherited(m.query.where)) for m in members]
-    if all(sides):
-        q.where.append(OrGroup(sides=tuple(sides)))
-    cols = [c for m in members for c in m.cols]
-    return q, cols
+    sides = tuple(_inherited(m.query.where) for m in members)
+    q = SqlQuery(
+        select=members[0].query.select,
+        from_tables=from_tables,
+        where=_merged(joins) + ((OrGroup(sides=sides),) if all(sides) else ()),
+    )
+    return q, [c for m in members for c in m.cols]
 
 
 def _build_union_column(
     step: QdmrStep, mapped: Dict[int, _MappedStep], schema: SchemaGraph
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     members = [_ref(mapped, r) for r in step.shape.refs]
-    units = [(m.query.from_tables, list(m.cols)) for m in members]
-    paths = _join_units(schema, units)
+    units = [(m.query.from_tables, m.cols) for m in members]
+    from_tables, joins = _join_units(schema, units)
 
-    q = SqlQuery()
-    q.select = [m.query.select[0] for m in members]
-    for m in members:
-        _add_tables(q.from_tables, m.query.from_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    _add_preds(q.where, _path_preds(paths))
-    for m in members:
-        _add_preds(q.where, _inherited(m.query.where))
+    q = SqlQuery(
+        select=tuple(m.query.select[0] for m in members),
+        from_tables=from_tables,
+        where=_merged(joins, *(_inherited(m.query.where) for m in members)),
+    )
     return q, [c for m in members for c in m.cols]
 
 
@@ -665,30 +611,21 @@ def _build_intersect(
         if not isinstance(head, ColExpr):
             raise ArityMismatch(f"step {step.index}: no head column to intersect on")
         col = head.col
-    units = [
-        ([col.table], [col]),
-        (left.query.from_tables, list(left.cols)),
-        (right.query.from_tables, list(right.cols)),
-    ]
-    paths = _join_units(schema, units)
+    units = [([col.table], [col])]
+    units += [(m.query.from_tables, m.cols) for m in (left, right)]
+    from_tables, joins = _join_units(schema, units)
 
-    shared_from: List[str] = [col.table]
-    _add_tables(shared_from, left.query.from_tables)
-    _add_tables(shared_from, right.query.from_tables)
-    _add_tables(shared_from, _path_tables(paths))
-
-    inner = SqlQuery()
-    inner.select = [ColExpr(col)]
-    inner.from_tables = list(shared_from)
-    _add_preds(inner.where, _path_preds(paths))
-    _add_preds(inner.where, _inherited(right.query.where))
-
-    q = SqlQuery()
-    q.select = [ColExpr(col)]
-    q.from_tables = list(shared_from)
-    _add_preds(q.where, _path_preds(paths))
-    _add_preds(q.where, _inherited(left.query.where))
-    _add_preds(q.where, [InPred(str(col), inner)])
+    head = ColExpr(col)
+    inner = SqlQuery(
+        select=(head,),
+        from_tables=from_tables,
+        where=_merged(joins, _inherited(right.query.where)),
+    )
+    q = SqlQuery(
+        select=(head,),
+        from_tables=from_tables,
+        where=_merged(joins, _inherited(left.query.where), [InPred(head, inner)]),
+    )
     return q, [col]
 
 
@@ -702,21 +639,19 @@ def _build_sort(
     key_expr, key_tables, _, key_cols = _operand(
         step.shape.key, "sort_key", step, binder, mapped
     )
-    units = [(base.query.from_tables, list(base.cols)), (key_tables, key_cols)]
-    paths = _join_units(schema, units)
+    units = [(base.query.from_tables, base.cols), (key_tables, key_cols)]
+    from_tables, joins = _join_units(schema, units)
 
-    q = SqlQuery()
-    q.select = list(base.query.select)
-    _add_tables(q.from_tables, base.query.from_tables)
-    _add_tables(q.from_tables, key_tables)
-    _add_tables(q.from_tables, _path_tables(paths))
-    # The key operand orders rows; its own restrictions do not apply.
-    _add_preds(q.where, _inherited(base.query.where))
-    _add_preds(q.where, _path_preds(paths))
-    q.group_by = base.query.group_by
-    q.having = list(base.query.having)
     direction = "DESC" if step.operator.direction == "desc" else "ASC"
-    q.order_by = (_item_expr(key_expr), direction)
+    q = SqlQuery(
+        select=base.query.select,
+        from_tables=from_tables,
+        # The key operand orders rows; its own restrictions do not apply.
+        where=_merged(_inherited(base.query.where), joins),
+        group_by=base.query.group_by,
+        having=base.query.having,
+        order_by=(_item_expr(key_expr), direction),
+    )
     return q, list(base.cols)
 
 
@@ -725,13 +660,13 @@ def _build_discard(
 ) -> Tuple[SqlQuery, List[ColumnRef]]:
     base = _ref(mapped, step.shape.base)
     excluded = _ref(mapped, step.shape.right)
-    q = SqlQuery()
-    q.select = list(base.query.select)
-    q.from_tables = list(base.query.from_tables)
-    _add_preds(q.where, _inherited(base.query.where))
-    _add_preds(
-        q.where,
-        [InPred(_item_expr(base.query.select[0]), excluded.query, negated=True)],
+    head = _item_expr(base.query.select[0])
+    q = SqlQuery(
+        select=base.query.select,
+        from_tables=base.query.from_tables,
+        where=_merged(
+            _inherited(base.query.where), [InPred(head, excluded.query, negated=True)]
+        ),
     )
     return q, list(base.cols)
 
@@ -750,8 +685,7 @@ def _build_arithmetic(
     right = _ref(mapped, step.shape.right)
     _scalar(left.query, step.index)
     _scalar(right.query, step.index)
-    q = SqlQuery()
-    q.select = [ArithExpr(step.operator.arith_op, left.query, right.query)]
+    q = SqlQuery(select=(ArithExpr(step.operator.arith_op, left.query, right.query),))
     return q, list(left.cols) + list(right.cols)
 
 

@@ -386,6 +386,21 @@ def test_jobs_shard_matches_serial_files(db_dir, lexicon, tmp_path):
     assert files[0] == files[1]
 
 
+GOLDEN = DATA_DIR / "golden"
+
+
+def test_outputs_match_golden_files(corpus_run, tmp_path):
+    """The pairs, failures and report files of the fixture corpus, byte for
+    byte as committed under ``tests/data/golden``: any drift in the SQL the
+    mapper renders, in the assignments or in the reasons fails here."""
+    examples, outcomes, report = corpus_run
+    out = tmp_path / "pairs.jsonl"
+    emit_training_pairs(examples, outcomes, out)
+    (tmp_path / "report.json").write_text(report.to_json(), encoding="utf-8")
+    for name in ("pairs.jsonl", "pairs.failures.jsonl", "report.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 class TestEmitTrainingPairs:
     def test_companion_paths(self):
         assert failures_path("out/pairs.jsonl").name == "pairs.failures.jsonl"

@@ -115,6 +115,15 @@ class TestNumericTolerance:
         assert _numbers_close(2.0, 2.0 + 1.5e-6)
         assert not _numbers_close(2.0, 2.0 + 3e-6)
 
+    def test_infinity_matches_only_itself(self):
+        inf = float("inf")
+        assert _numbers_close(inf, inf)
+        assert _numbers_close(-inf, -inf)
+        for finite in (5.0, 0.0, -5.0, 1e308):
+            assert not _numbers_close(inf, finite)
+            assert not _numbers_close(finite, -inf)
+        assert not _numbers_close(inf, -inf)
+
 
 class TestDenotationsEqual:
     def test_order_insensitive(self):
@@ -166,6 +175,15 @@ class TestDenotationsEqual:
 
     def test_subset_is_not_equal(self):
         assert not denotations_equal(deno([1], [2]), deno([1]))
+
+    def test_infinite_cell_matches_only_equal_infinity(self):
+        inf = float("inf")
+        assert not denotations_equal(deno([inf]), deno([5]))
+        assert not denotations_equal(deno([5]), deno([inf]))
+        assert not denotations_equal(deno([-inf]), deno([5]))
+        assert not denotations_equal(deno([inf]), deno([-inf]))
+        assert denotations_equal(deno([inf]), deno([inf]))
+        assert denotations_equal(deno([-inf], [1]), deno([1.0], [-inf]))
 
 
 cells = st.one_of(
@@ -350,6 +368,17 @@ class TestEarlyExit:
             got = db.execute("SELECT c0 FROM t", target=target)
         assert got.rows == ((1.0000005,), (2.0,), (3.0,))
         assert not denotations_equal(got, target)
+
+    def test_overflowed_cell_stops_reading(self, ship_death_db, open_db):
+        # SQLite reads 1e999 as infinity; it matches no finite answer.
+        db = open_db(ship_death_db)
+        sql = "SELECT 1e999 UNION ALL SELECT 5"
+        target = answer_denotation([[5]])
+        got = db.execute(sql, target=target)
+        assert got.rows == ((float("inf"),),)
+        assert not denotations_equal(got, target)
+        inf_target = answer_denotation([[float("inf")]])
+        assert denotations_equal(db.execute("SELECT 1e999", target=inf_target), inf_target)
 
     def test_deadline_holds_while_rows_stream(self, ship_death_db, open_db):
         db = open_db(ship_death_db)

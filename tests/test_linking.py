@@ -101,25 +101,25 @@ class TestRankColumns:
         schema = load_schema(ship_death_db)
         top = rank_columns("the name", schema, lexicon)[0]
         assert top.tier == 1
-        assert top.column.qualified == "ship.name"
+        assert str(top.column) == "ship.name"
 
     def test_tier1_beats_higher_similarity_in_lower_tier(self, geo_db, lexicon):
         schema = load_schema(geo_db)
         ranked = rank_columns("the population", schema, lexicon)
-        assert ranked[0].column.qualified == "state.population"
+        assert str(ranked[0].column) == "state.population"
         assert ranked[0].tier == 1
         assert all(c.tier > 1 for c in ranked[1:])
 
     def test_tier2_overlap_ordering(self, ship_death_db, lexicon):
         schema = load_schema(ship_death_db)
         ranked = rank_columns("ships", schema, lexicon)
-        assert [c.column.qualified for c in ranked[:2]] == ["ship.id", "ship.name"]
+        assert [str(c.column) for c in ranked[:2]] == ["ship.id", "ship.name"]
         assert ranked[0].tier == 2
 
     def test_tier3_similarity_only(self, ship_death_db, lexicon):
         schema = load_schema(ship_death_db)
         ranked = rank_columns("injuries", schema, lexicon)
-        assert ranked[0].column.qualified == "death.injured"
+        assert str(ranked[0].column) == "death.injured"
         assert ranked[0].tier == 3
         assert ranked[0].similarity > ranked[1].similarity
 
@@ -135,7 +135,7 @@ class TestRankColumns:
         schema = load_schema(products_db)
         ranked = rank_columns("product types", schema, lexicon)
         assert [c.rank for c in ranked] == list(range(len(ranked)))
-        assert [c.column.qualified for c in ranked] == [
+        assert [str(c.column) for c in ranked] == [
             "products.product_type_code",
             "products.product_id",
             "products.product_name",
@@ -148,7 +148,7 @@ class TestRankColumns:
     def test_voting_ranking(self, voting_record_db, lexicon):
         schema = load_schema(voting_record_db)
         ranked = rank_columns("students with treasurer votes", schema, lexicon)
-        assert [c.column.qualified for c in ranked] == [
+        assert [str(c.column) for c in ranked] == [
             "student.stuid",
             "voting_record.treasurer_vote",
             "voting_record.stuid",
@@ -210,8 +210,8 @@ class TestEnumerateAssignments:
         got = list(enumerate_assignments(slots, literals))
         assert len(got) == 4
         first = got[0]
-        assert first.choices[(1, "x")].qualified == "t.a0"
-        assert first.literal_choices["France"].qualified == "country.name"
+        assert str(first.choices[(1, "x")]) == "t.a0"
+        assert str(first.literal_choices["France"]) == "country.name"
 
     def test_empty_candidate_list_yields_nothing(self):
         slots = [linking(1, "x", self.A), linking(2, "y", [])]
@@ -273,7 +273,7 @@ class TestPlanBindings:
             )
             plan = plan_bindings(program, index)
             assert plan.step_literals == {1: ("mississippi",)}
-            assert [c.qualified for c in plan.literal_candidates["mississippi"]] == [
+            assert [str(c) for c in plan.literal_candidates["mississippi"]] == [
                 "river.river_name"
             ]
             assert (1, "select", "the mississippi") not in plan.phrase_slots
@@ -295,7 +295,7 @@ class TestPlanBindings:
                 3: ("Yunyao Li",),
             }
             cols = plan.literal_candidates["H. V. Jagadish"]
-            assert [c.qualified for c in cols] == ["author.name"]
+            assert [str(c) for c in cols] == ["author.name"]
         finally:
             conn.close()
 
@@ -324,7 +324,7 @@ class TestLinkProgram:
             assert [l.phrase for l in linkings] == [
                 "states run through", "the population of",
             ]
-            assert linkings[0].candidates[0].column.qualified == "state.state_name"
+            assert str(linkings[0].candidates[0].column) == "state.state_name"
             assert all(len(l.candidates) <= 3 for l in linkings)
         finally:
             conn.close()

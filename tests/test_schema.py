@@ -16,6 +16,7 @@ from qdmr2sql import (
     load_schema,
     open_readonly,
 )
+from qdmr2sql.schema import quote_ident
 
 
 class TestIntrospection:
@@ -43,7 +44,7 @@ class TestIntrospection:
 
     def test_foreign_keys(self, academic_db):
         schema = load_schema(academic_db)
-        got = {(e.source.qualified, e.target.qualified) for e in schema.fks}
+        got = {(str(e.source), str(e.target)) for e in schema.fks}
         assert got == {
             ("publication.jid", "journal.jid"),
             ("writes.aid", "author.aid"),
@@ -52,14 +53,14 @@ class TestIntrospection:
 
     def test_parallel_foreign_keys_both_kept(self, voting_record_db):
         schema = load_schema(voting_record_db)
-        sources = sorted(e.source.qualified for e in schema.fks)
+        sources = sorted(str(e.source) for e in schema.fks)
         assert sources == ["voting_record.stuid", "voting_record.treasurer_vote"]
-        targets = {e.target.qualified for e in schema.fks}
+        targets = {str(e.target) for e in schema.fks}
         assert targets == {"student.stuid"}
 
     def test_column_lookup_case_insensitive(self, ship_death_db):
         schema = load_schema(ship_death_db)
-        assert schema.column("SHIP", "Name").qualified == "ship.name"
+        assert str(schema.column("SHIP", "Name")) == "ship.name"
         with pytest.raises(UnreadableDatabase):
             schema.column("ship", "missing")
 
@@ -95,7 +96,7 @@ class TestJsonSchema:
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(self.DOC))
         schema = load_schema(path)
-        assert schema.column("ship", "name").qualified == "ship.name"
+        assert str(schema.column("ship", "name")) == "ship.name"
 
     def test_empty_schema_rejected(self):
         with pytest.raises(NoTables):
@@ -142,14 +143,14 @@ class TestValueIndex:
 
     def test_exact_match(self, index):
         cols = index.columns_containing("PVLDB")
-        assert [c.qualified for c in cols] == ["journal.name"]
+        assert [str(c) for c in cols] == ["journal.name"]
 
     def test_value_in_several_columns_sorted(self, geo_db):
         conn = open_readonly(geo_db)
         try:
             index = ValueIndex(conn, load_schema(conn))
             cols = index.columns_containing("missouri")
-            assert [c.qualified for c in cols] == [
+            assert [str(c) for c in cols] == [
                 "river.traverse", "state.state_name",
             ]
         finally:
@@ -157,7 +158,7 @@ class TestValueIndex:
 
     def test_case_fold_fallback(self, index):
         cols = index.columns_containing("pvldb")
-        assert [c.qualified for c in cols] == ["journal.name"]
+        assert [str(c) for c in cols] == ["journal.name"]
 
     def test_exact_wins_over_folded(self, index):
         # 'PVLDB' matches journal.name exactly; the folded scan never runs.
@@ -266,7 +267,7 @@ class TestValueMaps:
                 "CREATE TABLE a (code STRING); INSERT INTO a VALUES ('1e5');"
             )
             index = ValueIndex(conn, load_schema(conn))
-            got = [c.qualified for c in index.columns_containing("1e5")]
+            got = [str(c) for c in index.columns_containing("1e5")]
             assert got == ["a.code"]
         finally:
             conn.close()
@@ -281,7 +282,7 @@ class TestValueMaps:
                 "INSERT INTO b VALUES ('PARIS');"
             )
             index = ValueIndex(conn, load_schema(conn))
-            got = [c.qualified for c in index.columns_containing("PARIS")]
+            got = [str(c) for c in index.columns_containing("PARIS")]
             assert got == ["a.name", "b.city"]
         finally:
             conn.close()
@@ -311,10 +312,87 @@ class TestValueMaps:
         try:
             index = ValueIndex(conn, load_schema(conn))
             cols = index.columns_containing("missouri")
-            assert [c.qualified for c in cols] == ["river.traverse", "state.state_name"]
+            assert [str(c) for c in cols] == ["river.traverse", "state.state_name"]
             statements = []
             conn.set_trace_callback(statements.append)
             index.columns_containing("Texas")
             assert any("LIMIT 1" in s for s in statements)
+        finally:
+            conn.close()
+
+
+# --- identifier quoting --------------------------------------------------------
+
+
+class TestQuoteIdent:
+    @pytest.mark.parametrize("name", ["ship", "Name", "_x1", "caused_by_ship_id"])
+    def test_plain_names_stay_bare(self, name):
+        assert quote_ident(name) == name
+
+    @pytest.mark.parametrize(
+        "name, spelled",
+        [
+            ("order", '"order"'),
+            ("Group", '"Group"'),
+            ("SELECT", '"SELECT"'),
+            ("home town", '"home town"'),
+            ("1st", '"1st"'),
+            ('od"d', '"od""d"'),
+            ("café", '"café"'),
+            ("a.b", '"a.b"'),
+        ],
+    )
+    def test_other_names_are_quoted(self, name, spelled):
+        assert quote_ident(name) == spelled
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.one_of(
+            st.sampled_from(sorted(schema_module._SQLITE_KEYWORDS)).flatmap(
+                lambda k: st.sampled_from([k, k.lower(), k.title()])
+            ),
+            st.text(st.characters(blacklist_characters="\x00"), min_size=1),
+        )
+    )
+    def test_sqlite_reads_the_name_back(self, name):
+        conn = sqlite3.connect(":memory:")
+        try:
+            cursor = conn.execute(f"SELECT 1 AS {quote_ident(name)}")
+            assert cursor.description[0][0] == name
+        finally:
+            conn.close()
+
+
+class TestOddNames:
+    def test_quoted_tables_introspect_and_index(self, tmp_path):
+        path = tmp_path / "odd.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            'CREATE TABLE "od""d" ("na""me" TEXT, "order" INTEGER PRIMARY KEY);'
+            'CREATE TABLE "group" ("home town" TEXT COLLATE NOCASE,'
+            ' "od id" INTEGER REFERENCES "od""d" ("order"));'
+            "INSERT INTO \"od\"\"d\" VALUES ('Lettice', 1), ('Mary', 2);"
+            "INSERT INTO \"group\" VALUES ('Leith', 1);"
+        )
+        conn.commit()
+        conn.close()
+        schema = load_schema(path)
+        assert list(schema.tables) == ['od"d', "group"]
+        assert [c.column for c in schema.tables['od"d']] == ['na"me', "order"]
+        assert [(str(e.source), str(e.target)) for e in schema.fks] == [
+            ("group.od id", 'od"d.order')
+        ]
+        assert schema.column('OD"D', 'NA"ME').sql == '"od""d"."na""me"'
+        conn = open_readonly(path)
+        try:
+            index = ValueIndex(conn, schema)
+            # Read into the value maps, exact and folded ...
+            assert [str(c) for c in index.columns_containing("Mary")] == ['od"d.na"me']
+            assert [str(c) for c in index.columns_containing(" MARY")] == ['od"d.na"me']
+            # ... and, behind COLLATE, probed per literal.
+            assert [str(c) for c in index.columns_containing("LEITH")] == [
+                "group.home town"
+            ]
+            assert index.columns_containing("Hull") == ()
         finally:
             conn.close()

@@ -6,7 +6,11 @@ candidates tried before the hit, which repair heuristics fired, and the
 winning SQL.
 """
 
+import sqlite3
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DISTINCT_PRODUCT_TYPES,
@@ -486,3 +490,91 @@ class TestNonFiniteLiterals:
         )
         assert out.status is SearchStatus.FOUND
         assert f"= '{value}'" in out.sql
+
+
+# --- identifiers that must be quoted ------------------------------------------
+
+_ODD_NAMES = st.one_of(
+    st.sampled_from(
+        ["order", "group", "select", "Order", "GROUP", "Where", "key",
+         "home town", 'od"d', '"', "Mixed Case", "1st", "a.b"]
+    ),
+    st.text(alphabet='aZ _."-1', min_size=1, max_size=6),
+)
+
+
+def _quoted(name):
+    return '"' + name.replace('"', '""') + '"'
+
+
+def _planted_table(table, text_col, num_col):
+    conn = sqlite3.connect(":memory:")
+    conn.execute(
+        f"CREATE TABLE {_quoted(table)}"
+        f" ({_quoted(text_col)} TEXT, {_quoted(num_col)} INTEGER)"
+    )
+    conn.executemany(
+        f"INSERT INTO {_quoted(table)} VALUES (?, ?)",
+        [("Lettice", 1), ("Mary", 2), ("Avalanche", 3), ("Mary", 4)],
+    )
+    return conn
+
+
+# One decomposition per clause that spells a column: SELECT, an aggregate,
+# WHERE with a literal and with a comparison, GROUP BY and ORDER BY.
+_PLANTED = [
+    ("return the things", ["Avalanche", "Lettice", "Mary"]),
+    ("return the things; return the number of #1", 4),
+    ("return the things; return #1 with Mary", [2, 4]),
+    ("return the things; return #1 where the number is more than 2",
+     ["Avalanche", "Mary"]),
+    ("return the things; return the number of #1 for each #1", [1, 1, 2]),
+    ("return the things; return #1 sorted by the number",
+     ["Avalanche", "Lettice", "Mary"]),
+]
+
+
+class TestIdentifierQuoting:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        table=_ODD_NAMES,
+        columns=st.lists(
+            _ODD_NAMES, min_size=2, max_size=2, unique_by=str.lower
+        ),
+    )
+    def test_planted_answers_found_whatever_the_names(self, table, columns):
+        conn = _planted_table(table, *columns)
+        try:
+            db = Database(conn)
+            schema = schema_of(db)
+            for qdmr, answer in _PLANTED:
+                out = search(FakeExample(qdmr, answer), schema, db)
+                assert out.status is SearchStatus.FOUND, (qdmr, out.failure_reason)
+        finally:
+            conn.close()
+
+    def test_keyword_tables_join(self, tmp_path, open_db):
+        path = tmp_path / "keywords.sqlite"
+        build_db(
+            path,
+            'CREATE TABLE "order" (id INTEGER PRIMARY KEY, "select" TEXT);'
+            'CREATE TABLE "group by" ("home town" TEXT,'
+            ' "order id" INTEGER REFERENCES "order" (id));'
+            "INSERT INTO \"order\" VALUES (1, 'Lettice'), (2, 'Mary');"
+            "INSERT INTO \"group by\" VALUES ('Leith', 1), ('Dover', 2),"
+            " ('Hull', 2);",
+        )
+        db = open_db(path)
+        out = search(
+            FakeExample(
+                "return the orders; return the home towns of #1; "
+                "return the number of #2 for each #1; "
+                "return #1 where #3 is highest",
+                ["Mary"],
+            ),
+            schema_of(db),
+            db,
+        )
+        assert out.status is SearchStatus.FOUND, out.failure_reason
+        assert 'FROM "order", "group by"' in out.sql
+        assert '"group by"."order id" = "order".id' in out.sql

@@ -7,6 +7,8 @@ rule template, and every golden also has to execute.  Merge behavior
 covered separately.
 """
 
+import dataclasses
+
 import pytest
 
 from qdmr2sql import (
@@ -24,7 +26,17 @@ from qdmr2sql import (
     render_sql,
     synthesize,
 )
-from qdmr2sql.sqlgen import AggExpr, ColExpr, CmpPred
+from qdmr2sql.schema import ColumnRef
+from qdmr2sql.search import heuristic_distinct
+from qdmr2sql.sqlgen import (
+    AggExpr,
+    ArithExpr,
+    ColExpr,
+    CmpPred,
+    InPred,
+    JoinPred,
+    OrGroup,
+)
 
 
 def build(db_path, qdmr, choices, use_values=True, literals=None):
@@ -406,6 +418,111 @@ class TestMergeSemantics:
         assert set(run(ship_death_db, sql).rows) == {("HMS Trinidad",)}
 
 
+class TestImmutableTree:
+    """Queries are frozen values: predicates, grouping and ordering hold
+    expression objects, and merged conjuncts are deduplicated by value."""
+
+    SUPERLATIVE = (
+        "return ships; return injuries of #1; "
+        "return number of #2 for each #1; return #1 where #3 is highest; "
+        "return the name of #4"
+    )
+    CHOICES = {
+        "1:ships": "ship.id",
+        "2:injuries of": "death.injured",
+        "5:the name of": "ship.name",
+    }
+
+    @staticmethod
+    def _nodes(query):
+        """Every query, predicate and expression reachable from ``query``."""
+        stack, seen = [query], []
+        while stack:
+            node = stack.pop()
+            seen.append(node)
+            if isinstance(node, SqlQuery):
+                stack.extend(node.select + node.where + node.having)
+                stack.extend(x for x in (node.group_by,) if x is not None)
+                stack.extend(node.order_by[:1] if node.order_by else ())
+            elif isinstance(node, InPred):
+                stack.extend([node.expr, node.query])
+            elif isinstance(node, ArithExpr):
+                stack.extend([node.left, node.right])
+            elif isinstance(node, OrGroup):
+                stack.extend(p for side in node.sides for p in side)
+            elif isinstance(node, CmpPred):
+                stack.append(node.expr)
+            elif isinstance(node, AggExpr):
+                stack.append(node.arg)
+        return seen
+
+    def test_nodes_are_frozen_hashable_and_typed(self, ship_death_db):
+        query, _ = build(ship_death_db, self.SUPERLATIVE, self.CHOICES)
+        nodes = self._nodes(query)
+        kinds = {type(n) for n in nodes}
+        assert {SqlQuery, InPred, JoinPred, AggExpr, ColExpr} <= kinds
+        for node in nodes:
+            hash(node)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, dataclasses.fields(node)[0].name, None)
+            if isinstance(node, SqlQuery):
+                assert all(isinstance(t, str) for t in node.from_tables)
+                assert node.group_by is None or isinstance(node.group_by, ColExpr)
+                if node.order_by:
+                    assert isinstance(node.order_by[0], (ColExpr, AggExpr))
+            elif isinstance(node, JoinPred):
+                assert isinstance(node.left, ColumnRef)
+                assert isinstance(node.right, ColumnRef)
+            elif isinstance(node, (CmpPred, InPred)):
+                assert isinstance(node.expr, (ColExpr, AggExpr))
+
+    def test_same_build_is_the_same_value(self, ship_death_db):
+        first, sql = build(ship_death_db, self.SUPERLATIVE, self.CHOICES)
+        again, _ = build(ship_death_db, self.SUPERLATIVE, self.CHOICES)
+        assert first == again and hash(first) == hash(again)
+        assert heuristic_distinct(first) != first
+        assert render_sql(heuristic_distinct(first)) == sql.replace(
+            "SELECT ", "SELECT DISTINCT ", 1
+        )
+
+    @pytest.mark.parametrize(
+        "first, second", [("1", "1.0"), ("0.0", "-0.0"), ("0", "-0.0")]
+    )
+    def test_literals_that_render_differently_stay_apart(
+        self, geo_db, first, second
+    ):
+        # 1 == 1.0 and 0.0 == -0.0 in Python, yet each pair renders two
+        # different conjuncts, and the merge must keep both.
+        _, sql = build(
+            geo_db,
+            "return states; return the population of #1; "
+            f"return #1 where #2 is {first}; return #3 where #2 is {second}",
+            {
+                "1:states": "state.state_name",
+                "2:the population of": "state.population",
+            },
+        )
+        literals = [p.split(" = ")[1] for p in sql.split(" WHERE ")[1].split(" AND ")]
+        assert literals == [first, second]
+
+    def test_equal_values_merge(self, geo_db):
+        _, sql = build(
+            geo_db,
+            "return states; return the population of #1; "
+            "return #1 where #2 is 7; return #3 where #2 is 7",
+            {
+                "1:states": "state.state_name",
+                "2:the population of": "state.population",
+            },
+        )
+        assert sql.endswith("WHERE state.population = 7")
+
+    def test_cmp_pred_equality_follows_rendering(self):
+        col = ColExpr(ColumnRef("t", "c"))
+        preds = [CmpPred(col, "=", v) for v in (1, 1.0, -0.0, 0.0, "1", True)]
+        assert len(set(preds)) == len({p.render() for p in preds}) == 5
+
+
 class TestRenderDetails:
     @staticmethod
     def _col(schema_db, table, column):
@@ -432,9 +549,9 @@ class TestRenderDetails:
         assert not sql.endswith(";")
 
     def test_string_literal_quoting(self):
-        pred = CmpPred("t.c", "=", "O'Brien")
+        pred = CmpPred(ColExpr(ColumnRef("t", "c")), "=", "O'Brien")
         assert pred.render() == "t.c = 'O''Brien'"
-        assert CmpPred("t.n", ">", 10).render() == "t.n > 10"
+        assert CmpPred(ColExpr(ColumnRef("t", "n")), ">", 10).render() == "t.n > 10"
 
     def test_clause_accessor(self, ship_death_db):
         query, _ = build(
