@@ -20,8 +20,6 @@ from .errors import (
     MalformedReference,
     MissingJoin,
     NonstandardStep,
-    NoSuperlativeToken,
-    NoSwappableAggregate,
     NoTables,
     Qdmr2SqlError,
     QdmrParseError,

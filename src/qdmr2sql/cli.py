@@ -114,12 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_batch(args: argparse.Namespace):
     examples, rejects = load_examples(args.examples)
+    lexicon = EmbeddingLexicon.load(args.embeddings)
     outcomes, report = run_corpus(
-        examples,
-        args.db_dir,
-        embeddings_path=args.embeddings,
-        config=_config(args),
-        jobs=args.jobs,
+        examples, args.db_dir, config=_config(args), jobs=args.jobs, lexicon=lexicon
     )
     return examples, rejects, outcomes, report
 
@@ -158,8 +155,7 @@ def _parse_assignment(doc_text: str, schema) -> Assignment:
     choices = {}
     literal_choices = {}
     for key, target in doc.items():
-        table, _, column = str(target).partition(".")
-        col = schema.column(table, column)
+        col = schema.resolve(str(target))
         slot, _, rest = key.partition(":")
         if slot == "value":
             literal_choices[rest] = col

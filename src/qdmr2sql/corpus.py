@@ -332,26 +332,20 @@ def _search_in_order(
 def run_corpus(
     examples: Sequence[Example],
     databases_dir: Union[str, Path],
-    embeddings_path: Optional[Union[str, Path]] = None,
     config: Optional[SynthesisConfig] = None,
     jobs: int = 1,
     lexicon: Optional[EmbeddingLexicon] = None,
 ) -> Tuple[List[SynthesisOutcome], CoverageReport]:
     """Search every example and build the coverage report.
 
-    Database files are resolved up front so a bad ``db_id`` aborts before
-    any work runs.  Each database is opened and introspected once.  With
-    ``jobs > 1``, up to ``jobs`` threads each search one database's
-    examples at a time.  Results come back in input order regardless of
-    ``jobs``.
+    Without a ``lexicon``, phrases link to columns by lexical and lemma
+    matches alone.  Database files are resolved up front so a bad
+    ``db_id`` aborts before any work runs.  Each database is opened and
+    introspected once.  With ``jobs > 1``, up to ``jobs`` threads each
+    search one database's examples at a time.  Results come back in input
+    order regardless of ``jobs``.
     """
     config = config or SynthesisConfig()
-    if lexicon is None:
-        lexicon = (
-            EmbeddingLexicon.load(embeddings_path)
-            if embeddings_path
-            else EmbeddingLexicon.empty()
-        )
     shards: Dict[str, List[int]] = {}
     for i, example in enumerate(examples):
         shards.setdefault(example.db_id, []).append(i)

@@ -75,16 +75,6 @@ class UnboundPhrase(SqlBuildError):
     """A step needs a column or literal binding that the assignment lacks."""
 
 
-# --- candidate search --------------------------------------------------------
-
-class NoSuperlativeToken(Qdmr2SqlError):
-    """No step carries a superlative token; the rewrite does not apply."""
-
-
-class NoSwappableAggregate(Qdmr2SqlError):
-    """No step aggregates with COUNT or SUM; the swap does not apply."""
-
-
 # --- execution ---------------------------------------------------------------
 
 class SqlError(Qdmr2SqlError):

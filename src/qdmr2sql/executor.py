@@ -114,13 +114,12 @@ def answer_denotation(answer) -> Denotation:
 class Database:
     """A read-only connection to one SQLite database file."""
 
-    def __init__(self, conn: sqlite3.Connection, path: Optional[str] = None):
+    def __init__(self, conn: sqlite3.Connection):
         self.conn = conn
-        self.path = path
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "Database":
-        return cls(open_readonly(path), path=str(path))
+        return cls(open_readonly(path))
 
     def close(self) -> None:
         self.conn.close()

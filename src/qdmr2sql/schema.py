@@ -108,7 +108,6 @@ class ColumnRef:
 
     table: str
     column: str
-    tokens: Tuple[str, ...] = field(compare=False, default=())
     lemmas: Tuple[str, ...] = field(compare=False, default=())
     own_lemmas: Tuple[str, ...] = field(compare=False, default=())
     value_kind: str = field(compare=False, default="other")
@@ -131,14 +130,11 @@ class FKEdge:
 
 
 def _make_column(table: str, column: str, declared: str) -> ColumnRef:
-    table_tokens = tokenize(table)
     column_tokens = tokenize(column)
-    tokens = table_tokens + column_tokens
     return ColumnRef(
         table=table,
         column=column,
-        tokens=tokens,
-        lemmas=content_lemmas(tokens),
+        lemmas=content_lemmas(tokenize(table) + column_tokens),
         own_lemmas=content_lemmas(column_tokens),
         value_kind=_value_kind(declared),
     )
@@ -163,6 +159,29 @@ class SchemaGraph:
             return self._by_name[(table.lower(), column.lower())]
         except KeyError:
             raise UnreadableDatabase(f"unknown column {table}.{column}") from None
+
+    def resolve(self, name: str) -> ColumnRef:
+        """The column that ``name``, spelled ``table.column``, refers to.
+
+        Table and column names may themselves hold dots, so the name is
+        split at each dot in turn; exactly one split must name a column.
+        """
+        keys = [
+            (name[:i].lower(), name[i + 1 :].lower())
+            for i, char in enumerate(name)
+            if char == "."
+        ]
+        if not keys:
+            raise UnreadableDatabase(
+                f"column {name} is not of the form table.column"
+            )
+        found = [self._by_name[key] for key in keys if key in self._by_name]
+        if len(found) > 1:
+            spellings = " or ".join(col.sql for col in found)
+            raise UnreadableDatabase(f"ambiguous column {name}: {spellings}")
+        if not found:
+            raise UnreadableDatabase(f"unknown column {name}")
+        return found[0]
 
     def columns(self) -> List[ColumnRef]:
         """All columns, table declaration order then column order."""
@@ -251,22 +270,47 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
     return graph
 
 
-def _load_json_schema(doc: dict) -> SchemaGraph:
+def _json_text(value: object, what: str) -> str:
+    """``value`` when it is a string SQLite can store, which is UTF-8."""
+    if not isinstance(value, str):
+        raise UnreadableDatabase(f"{what} must be a string, not {value!r}")
     try:
-        table_doc = doc["tables"]
-    except (TypeError, KeyError):
-        raise UnreadableDatabase("schema document lacks a 'tables' object") from None
-    tables = {
-        name: [_make_column(name, col, kind) for col, kind in cols.items()]
-        for name, cols in table_doc.items()
-    }
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise UnreadableDatabase(f"{what} {value!r} is not valid UTF-8") from None
+    return value
+
+
+def _json_object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        kind = type(value).__name__
+        raise UnreadableDatabase(f"{what} must be an object, not {kind}")
+    return value
+
+
+def _load_json_schema(doc: dict) -> SchemaGraph:
+    if not isinstance(doc, dict) or "tables" not in doc:
+        raise UnreadableDatabase("schema document lacks a 'tables' object")
+    tables = {}
+    for name, cols in _json_object(doc["tables"], "'tables'").items():
+        name = _json_text(name, "table name")
+        tables[name] = [
+            _make_column(
+                name,
+                _json_text(col, "column name"),
+                _json_text(kind, f"type of {name}.{col}"),
+            )
+            for col, kind in _json_object(cols, f"columns of table {name}").items()
+        ]
     graph = SchemaGraph(tables, [])
-    fks = []
-    for src, dst in (doc.get("foreign_keys") or {}).items():
-        st, sc = src.split(".", 1)
-        dt, dc = dst.split(".", 1)
-        fks.append(FKEdge(graph.column(st, sc), graph.column(dt, dc)))
-    graph.fks = fks
+    fk_doc = _json_object(doc.get("foreign_keys") or {}, "'foreign_keys'")
+    graph.fks = [
+        FKEdge(
+            graph.resolve(_json_text(src, "foreign key")),
+            graph.resolve(_json_text(dst, f"target of foreign key {src}")),
+        )
+        for src, dst in fk_doc.items()
+    ]
     return graph
 
 

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import (
-    NoSuperlativeToken,
-    NoSwappableAggregate,
-    Qdmr2SqlError,
-    QdmrParseError,
-    SqlError,
-    ExecutionTimeout,
-)
+from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
 from .executor import Database, answer_denotation, denotations_equal
 from .linking import (
     Assignment,
@@ -62,10 +55,6 @@ HEURISTIC_DISTINCT = "distinct"
 HEURISTIC_SUPERLATIVE = "superlative"
 HEURISTIC_AGGREGATE_SWAP = "aggregate_swap"
 
-ALL_HEURISTICS = frozenset(
-    {HEURISTIC_DISTINCT, HEURISTIC_SUPERLATIVE, HEURISTIC_AGGREGATE_SWAP}
-)
-
 
 class SearchStatus(str, Enum):
     FOUND = "Found"
@@ -80,7 +69,6 @@ class SynthesisConfig:
     max_assignments: int = 1000
     per_example_timeout: float = 60.0
     allow_empty_denotation: bool = False
-    heuristics_enabled: frozenset = ALL_HEURISTICS
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -89,9 +77,6 @@ class SynthesisConfig:
             raise ValueError("max_assignments must be at least 1")
         if self.per_example_timeout <= 0:
             raise ValueError("per_example_timeout must be positive")
-        unknown = set(self.heuristics_enabled) - ALL_HEURISTICS
-        if unknown:
-            raise ValueError(f"unknown heuristics: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +88,6 @@ class SynthesisOutcome:
     candidates_tried: int = 0
     failure_reason: Optional[str] = None
     qdmr: Optional[str] = None
-
-    @property
-    def found(self) -> bool:
-        return self.status is SearchStatus.FOUND
 
 
 # --- repair heuristics -------------------------------------------------------
@@ -128,13 +109,14 @@ def heuristic_distinct(query: SqlQuery) -> SqlQuery:
     )
 
 
-def heuristic_superlative(program: QdmrProgram) -> QdmrProgram:
+def heuristic_superlative(program: QdmrProgram) -> Optional[QdmrProgram]:
     """Rewrite noun-phrase superlatives into explicit superlative steps.
 
     A PROJECT or FILTER step whose text carries a superlative token, whose
     reference #M exists, and whose referenced step itself references some
     #E, becomes "#E where #M is highest" (or lowest).  All such steps are
-    rewritten at once; everything else is preserved verbatim.
+    rewritten at once; everything else is preserved verbatim.  None when
+    no step is rewritable or the rewrite does not parse.
     """
     texts = [s.raw_text for s in program.steps]
     rewrote = False
@@ -153,11 +135,11 @@ def heuristic_superlative(program: QdmrProgram) -> QdmrProgram:
         texts[step.index - 1] = f"#{entity} where #{measure} is {token}"
         rewrote = True
     if not rewrote:
-        raise NoSuperlativeToken("no rewritable superlative step")
+        return None
     try:
         return parse_qdmr("; ".join(texts))
-    except QdmrParseError as exc:
-        raise NoSuperlativeToken(f"rewrite does not parse: {exc}") from exc
+    except QdmrParseError:
+        return None
 
 
 _COUNT_WORDS = re.compile(r"\b(number|count)\b")
@@ -165,7 +147,8 @@ _SUM_WORD = re.compile(r"\bsum\b")
 
 
 def heuristic_aggregate_swap(program: QdmrProgram) -> List[QdmrProgram]:
-    """One variant per aggregating step, with COUNT and SUM exchanged."""
+    """One variant per aggregating step, with COUNT and SUM exchanged;
+    empty when no step aggregates with a swappable COUNT or SUM."""
     variants: List[QdmrProgram] = []
     for step in program.steps:
         if step.operator.kind not in (OpKind.AGGREGATE, OpKind.GROUP):
@@ -192,77 +175,45 @@ def heuristic_aggregate_swap(program: QdmrProgram) -> List[QdmrProgram]:
             and new_step.operator.aggregate_fn != fn
         ):
             variants.append(candidate)
-    if not variants:
-        raise NoSwappableAggregate("no COUNT or SUM step to swap")
     return variants
 
 
 # --- the search loop ---------------------------------------------------------
 
 
-@dataclass
-class _Variant:
-    program: QdmrProgram
-    plan: BindingPlan
-    label: Tuple[str, ...]
-
-
 def _program_variants(
     program: QdmrProgram,
     plan: BindingPlan,
     value_index: Optional[ValueIndex],
-    enabled: frozenset,
-) -> List[_Variant]:
-    """The base program plus every enabled structural rewrite, in order."""
-    variants = [_Variant(program, plan, ())]
-    if HEURISTIC_SUPERLATIVE in enabled:
-        try:
-            rewritten = heuristic_superlative(program)
-            variants.append(
-                _Variant(
-                    rewritten,
-                    plan_bindings(rewritten, value_index),
-                    (HEURISTIC_SUPERLATIVE,),
-                )
-            )
-        except NoSuperlativeToken:
-            pass
-    if HEURISTIC_AGGREGATE_SWAP in enabled:
-        try:
-            for swapped in heuristic_aggregate_swap(program):
-                variants.append(
-                    _Variant(
-                        swapped,
-                        plan_bindings(swapped, value_index),
-                        (HEURISTIC_AGGREGATE_SWAP,),
-                    )
-                )
-        except NoSwappableAggregate:
-            pass
-    return variants
+) -> List[Tuple[QdmrProgram, BindingPlan, Tuple[str, ...]]]:
+    """The base program plus every structural rewrite, in order, each as
+    ``(program, plan, labels)``: the labels name the rewrites applied."""
+    rewrites = [(heuristic_superlative(program), HEURISTIC_SUPERLATIVE)]
+    swaps = heuristic_aggregate_swap(program)
+    rewrites += [(swapped, HEURISTIC_AGGREGATE_SWAP) for swapped in swaps]
+    return [(program, plan, ())] + [
+        (rewritten, plan_bindings(rewritten, value_index), (label,))
+        for rewritten, label in rewrites
+        if rewritten is not None
+    ]
 
 
 def _candidates(
-    variants: Sequence[_Variant],
+    variants: Sequence[Tuple[QdmrProgram, BindingPlan, Tuple[str, ...]]],
     schema: SchemaGraph,
     assignment: Assignment,
-    enabled: frozenset,
     errors: List[str],
 ) -> Iterator[Tuple[SqlQuery, Tuple[str, ...], QdmrProgram]]:
     """Build every candidate query for one assignment, cheapest first."""
-    for variant in variants:
+    for program, plan, label in variants:
         try:
-            query = synthesize(variant.program, schema, assignment, variant.plan)
+            query = synthesize(program, schema, assignment, plan)
         except Qdmr2SqlError as exc:
             errors.append(str(exc))
             continue
-        yield query, variant.label, variant.program
-        if HEURISTIC_DISTINCT in enabled and not query.distinct:
-            yield (
-                heuristic_distinct(query),
-                variant.label + (HEURISTIC_DISTINCT,),
-                variant.program,
-            )
+        yield query, label, program
+        if not query.distinct:
+            yield heuristic_distinct(query), label + (HEURISTIC_DISTINCT,), program
 
 
 def search(
@@ -303,9 +254,7 @@ def search(
     plan, linkings = link_program(
         program, schema, lexicon, value_index, top_k=config.top_k
     )
-    variants = _program_variants(
-        program, plan, value_index, config.heuristics_enabled
-    )
+    variants = _program_variants(program, plan, value_index)
 
     tried = 0
     mapping_errors: List[str] = []
@@ -318,7 +267,7 @@ def search(
     )
     for assignment in assignments:
         for query, label, used_program in _candidates(
-            variants, schema, assignment, config.heuristics_enabled, mapping_errors
+            variants, schema, assignment, mapping_errors
         ):
             remaining = deadline - time.monotonic()
             if remaining <= 0:

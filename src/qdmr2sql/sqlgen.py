@@ -206,9 +206,8 @@ def render_sql(query: SqlQuery) -> str:
 
 @dataclass(frozen=True)
 class _MappedStep:
-    """A step together with its linked columns and constructed query."""
+    """A step's linked columns and constructed query."""
 
-    step: QdmrStep
     cols: frozenset
     query: SqlQuery
 
@@ -725,7 +724,7 @@ def _map_step(
         q, cols = _build_arithmetic(step, mapped)
     else:  # pragma: no cover - the enum is closed
         raise SqlBuildError(f"no rule for operator {kind}")
-    return _MappedStep(step=step, cols=frozenset(cols), query=q)
+    return _MappedStep(cols=frozenset(cols), query=q)
 
 
 def synthesize(

@@ -1,6 +1,6 @@
 """Every exported name, and every hook point the benchmark patches, exists,
 and each hook point is still of the kind (function, method, classmethod)
-the benchmark wraps.
+the benchmark wraps.  Every search option is one the command line sets.
 
 Deleting a public name must also delete it from ``__all__`` and from the
 package re-exports; renaming a function the benchmark's tracing hooks
@@ -8,6 +8,7 @@ into must be caught here rather than in a benchmark run.
 """
 
 import ast
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import qdmr2sql
+from qdmr2sql import cli
+from qdmr2sql.search import SynthesisConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qdmr2sql"
@@ -66,3 +69,21 @@ def test_benchmark_hook_points_resolve(tracing):
 def test_benchmark_sample_points_resolve(tracing):
     for module, attr in tracing.SAMPLE_POINTS:
         tracing._resolve(module, attr)
+
+
+def test_every_config_field_is_set_from_the_command_line():
+    """A ``SynthesisConfig`` field that no flag sets is an option that only
+    tests can choose."""
+    args = cli.build_parser().parse_args(
+        ["coverage", "--examples", "e.jsonl", "--db-dir", "dbs",
+         "--embeddings", "v.txt", "--out", "r.json",
+         "--top-k", "3", "--max-assignments", "7", "--timeout-secs", "5",
+         "--allow-empty", "--jobs", "2"]
+    )
+    config, default = cli._config(args), SynthesisConfig()
+    unset = [
+        field.name
+        for field in dataclasses.fields(SynthesisConfig)
+        if getattr(config, field.name) == getattr(default, field.name)
+    ]
+    assert not unset

@@ -203,6 +203,70 @@ class TestMap:
         assert "--assignment" in capsys.readouterr().err
 
 
+class TestMalformedJsonSchema:
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ({"tables": [{"t": {"a": "text"}}]}, "'tables' must be an object"),
+            ({"tables": {"t": ["a"]}}, "columns of table t must be an object"),
+            ({"tables": {"t": {"a": 5}}}, "type of t.a must be a string"),
+            (
+                {"tables": {"t": {"a": "text"}}, "foreign_keys": {"ta": "t.a"}},
+                "column ta is not of the form table.column",
+            ),
+            ({"tables": {"\ud800": {"a": "text"}}}, "is not valid UTF-8"),
+        ],
+        ids=["tables_list", "columns_list", "type_number", "fk_no_dot", "surrogate"],
+    )
+    @pytest.mark.parametrize("command", ["map", "link"])
+    def test_exits_2_with_the_reason(self, tmp_path, capsys, command, doc, reason):
+        schema_file = tmp_path / "schema.json"
+        schema_file.write_text(json.dumps(doc))
+        argv = {
+            "map": ["map", "--qdmr", "return a"],
+            "link": ["link", "--phrase", "a", "--embeddings", str(EMBEDDINGS)],
+        }[command]
+        assert main(argv + ["--schema", str(schema_file)]) == 2
+        assert reason in capsys.readouterr().err
+
+
+class TestDottedNames:
+    """``--assignment`` names a column ``table.column``, and either name may
+    hold dots: each split is tried against the schema."""
+
+    @pytest.fixture()
+    def dotted_db(self, tmp_path):
+        path = tmp_path / "dotted.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            'CREATE TABLE "a.b" (c TEXT);'
+            'CREATE TABLE a ("b.c" TEXT, d TEXT);'
+            'CREATE TABLE "x.y" (z TEXT);'
+        )
+        conn.close()
+        return path
+
+    def run_map(self, dotted_db, target):
+        return main(
+            ["map", "--qdmr", "return things", "--schema", str(dotted_db),
+             "--assignment", json.dumps({"1:things": target})]
+        )
+
+    def test_the_one_split_that_resolves_is_used(self, dotted_db, capsys):
+        assert self.run_map(dotted_db, "x.y.z") == 0
+        assert capsys.readouterr().out == 'SELECT "x.y".z FROM "x.y"\n'
+
+    def test_two_splits_that_resolve_are_ambiguous(self, dotted_db, capsys):
+        assert self.run_map(dotted_db, "a.b.c") == 2
+        assert capsys.readouterr().err == (
+            'error: ambiguous column a.b.c: a."b.c" or "a.b".c\n'
+        )
+
+    def test_no_split_that_resolves_is_unknown(self, dotted_db, capsys):
+        assert self.run_map(dotted_db, "a.b.d") == 2
+        assert capsys.readouterr().err == "error: unknown column a.b.d\n"
+
+
 class TestLink:
     def test_ranked_candidates(self, ship_death_db, capsys):
         code = main(

@@ -276,13 +276,14 @@ def _closed(conn):
 
 @pytest.fixture()
 def opened(monkeypatch):
-    """Every Database that Database.open returns during the test."""
+    """A ``(path, database)`` pair for every Database that Database.open
+    returns during the test."""
     databases = []
     real_open = Database.open.__func__
 
     def recording_open(cls, path):
         db = real_open(cls, path)
-        databases.append(db)
+        databases.append((Path(path), db))
         return db
 
     monkeypatch.setattr(Database, "open", classmethod(recording_open))
@@ -294,10 +295,10 @@ class TestSessions:
     def test_each_database_opened_once_and_closed(self, opened, db_dir, lexicon, jobs):
         examples, _ = load_examples(CORPUS)
         run_corpus(examples, db_dir, lexicon=lexicon, jobs=jobs)
-        assert sorted(Path(db.path).stem for db in opened) == [
+        assert sorted(path.stem for path, _ in opened) == [
             "academic", "geo", "ship_death",
         ]
-        assert all(_closed(db.conn) for db in opened)
+        assert all(_closed(db.conn) for _, db in opened)
 
     def test_grouped_corpus_holds_one_connection_at_a_time(
         self, opened, monkeypatch, db_dir, lexicon
@@ -311,13 +312,13 @@ class TestSessions:
         recording_open = Database.open
 
         def counting_open(cls, path):
-            still_open.append(sum(not _closed(db.conn) for db in opened))
+            still_open.append(sum(not _closed(db.conn) for _, db in opened))
             return recording_open(path)
 
         monkeypatch.setattr(Database, "open", classmethod(counting_open))
         run_corpus(grouped, db_dir, lexicon=lexicon)
         assert still_open == [0, 0, 0]
-        assert all(_closed(db.conn) for db in opened)
+        assert all(_closed(db.conn) for _, db in opened)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_closed_when_search_raises(
@@ -334,8 +335,8 @@ class TestSessions:
         examples, _ = load_examples(CORPUS)
         with pytest.raises(RuntimeError, match="search crashed"):
             run_corpus(examples, db_dir, lexicon=lexicon, jobs=jobs)
-        assert "geo" in {Path(db.path).stem for db in opened}
-        assert all(_closed(db.conn) for db in opened)
+        assert "geo" in {path.stem for path, _ in opened}
+        assert all(_closed(db.conn) for _, db in opened)
 
     def test_unreadable_database_fails_only_its_examples(
         self, corpus_run, tmp_path, db_dir, lexicon

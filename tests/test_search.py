@@ -6,6 +6,7 @@ candidates tried before the hit, which repair heuristics fired, and the
 winning SQL.
 """
 
+import importlib
 import sqlite3
 
 import pytest
@@ -22,19 +23,21 @@ from conftest import (
     build_db,
     schema_of,
 )
-from qdmr2sql.errors import NoSuperlativeToken, NoSwappableAggregate, SqlError
+from qdmr2sql.errors import SqlError
 from qdmr2sql.executor import Database
 from qdmr2sql.qdmr import parse_qdmr, render_program
 from qdmr2sql.search import (
     SearchStatus,
     SynthesisConfig,
-    SynthesisOutcome,
     heuristic_aggregate_swap,
     heuristic_distinct,
     heuristic_superlative,
     search,
 )
 from qdmr2sql.sqlgen import SqlQuery
+
+# The package re-exports the ``search`` function under the module's name.
+search_module = importlib.import_module("qdmr2sql.search")
 
 
 class TestConfig:
@@ -44,9 +47,6 @@ class TestConfig:
         assert cfg.max_assignments == 1000
         assert cfg.per_example_timeout == 60.0
         assert not cfg.allow_empty_denotation
-        assert cfg.heuristics_enabled == frozenset(
-            {"distinct", "superlative", "aggregate_swap"}
-        )
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -55,20 +55,11 @@ class TestConfig:
             {"max_assignments": 0},
             {"per_example_timeout": 0.0},
             {"per_example_timeout": -1.0},
-            {"heuristics_enabled": frozenset({"distinct", "magic"})},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SynthesisConfig(**kwargs)
-
-    def test_heuristic_subset_accepted(self):
-        cfg = SynthesisConfig(heuristics_enabled=frozenset({"distinct"}))
-        assert cfg.heuristics_enabled == frozenset({"distinct"})
-
-    def test_outcome_found_property(self):
-        assert SynthesisOutcome(status=SearchStatus.FOUND).found
-        assert not SynthesisOutcome(status=SearchStatus.EXHAUSTED).found
 
 
 class TestDistinctHeuristic:
@@ -102,14 +93,12 @@ class TestSuperlativeHeuristic:
 
     def test_no_superlative_token(self):
         program = parse_qdmr("return states; return the size of #1")
-        with pytest.raises(NoSuperlativeToken):
-            heuristic_superlative(program)
+        assert heuristic_superlative(program) is None
 
     def test_token_without_usable_references(self):
         # The measure step must itself reference an entity step.
         program = parse_qdmr("return states; return the largest of #1")
-        with pytest.raises(NoSuperlativeToken):
-            heuristic_superlative(program)
+        assert heuristic_superlative(program) is None
 
 
 class TestAggregateSwapHeuristic:
@@ -140,13 +129,11 @@ class TestAggregateSwapHeuristic:
         program = parse_qdmr(
             "return ships; return tonnage of #1; return the average of #2"
         )
-        with pytest.raises(NoSwappableAggregate):
-            heuristic_aggregate_swap(program)
+        assert heuristic_aggregate_swap(program) == []
 
     def test_no_aggregate_at_all(self):
         program = parse_qdmr("return ships; return the name of #1")
-        with pytest.raises(NoSwappableAggregate):
-            heuristic_aggregate_swap(program)
+        assert heuristic_aggregate_swap(program) == []
 
 
 def run_search(open_db, db_path, lexicon, qdmr, answer, config=None):
@@ -298,6 +285,7 @@ class TestEndToEnd:
             "return product types; return the number of #1",
             DISTINCT_PRODUCT_TYPES,
         )
+        # COUNT over any column is 6; only the DISTINCT repair reaches 3.
         assert out.status is SearchStatus.FOUND
         assert out.candidates_tried == 2
         assert out.heuristics_applied == ("distinct",)
@@ -431,17 +419,24 @@ class TestFailureStatuses:
         assert out.candidates_tried > 0
         assert "no candidate" in out.failure_reason
 
-    def test_exhausted_when_repairs_disabled(self, products_db, open_db, lexicon):
-        cfg = SynthesisConfig(heuristics_enabled=frozenset())
+    def test_exhausted_when_repairs_disabled(
+        self, products_db, open_db, lexicon, monkeypatch
+    ):
+        # Keep only the candidates no repair touched: COUNT over any column
+        # is 6, so without the DISTINCT repair nothing reaches 3.
+        all_candidates = search_module._candidates
+
+        def unrepaired(*args):
+            return (c for c in all_candidates(*args) if not c[1])
+
+        monkeypatch.setattr(search_module, "_candidates", unrepaired)
         out = run_search(
             open_db,
             products_db,
             lexicon,
             "return product types; return the number of #1",
             DISTINCT_PRODUCT_TYPES,
-            config=cfg,
         )
-        # COUNT over any column is 6; only the DISTINCT repair reaches 3.
         assert out.status is SearchStatus.EXHAUSTED
         assert out.candidates_tried == 3
 
@@ -456,13 +451,13 @@ class TestFailureStatuses:
             config=cfg,
         )
         assert out.status is SearchStatus.TIMEOUT
-        assert not out.found
 
     def test_max_assignments_bounds_the_search(
         self, academic_db, open_db, lexicon
     ):
-        # The winning assignment is the fifth; a cap of one stops earlier.
-        cfg = SynthesisConfig(max_assignments=1, heuristics_enabled=frozenset())
+        # The winning assignment is the fifth; a cap of one stops after the
+        # first one's plain query and its DISTINCT form.
+        cfg = SynthesisConfig(max_assignments=1)
         out = run_search(
             open_db,
             academic_db,
@@ -472,7 +467,7 @@ class TestFailureStatuses:
             config=cfg,
         )
         assert out.status is SearchStatus.EXHAUSTED
-        assert out.candidates_tried == 1
+        assert out.candidates_tried == 2
 
 
 class TestNonFiniteLiterals:
