@@ -58,13 +58,22 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, default=1)
 
 
+class _UsageError(Exception):
+    """A flag value the command cannot run with: exit 1, before any work."""
+
+
 def _config(args: argparse.Namespace) -> SynthesisConfig:
-    return SynthesisConfig(
-        top_k=args.top_k,
-        max_assignments=args.max_assignments,
-        per_example_timeout=args.timeout_secs,
-        allow_empty_denotation=args.allow_empty,
-    )
+    if args.jobs < 1:
+        raise _UsageError("jobs must be at least 1")
+    try:
+        return SynthesisConfig(
+            top_k=args.top_k,
+            max_assignments=args.max_assignments,
+            per_example_timeout=args.timeout_secs,
+            allow_empty_denotation=args.allow_empty,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,10 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_batch(args: argparse.Namespace):
+    config = _config(args)
     examples, rejects = load_examples(args.examples)
     lexicon = EmbeddingLexicon.load(args.embeddings)
     outcomes, report = run_corpus(
-        examples, args.db_dir, config=_config(args), jobs=args.jobs, lexicon=lexicon
+        examples, args.db_dir, config=config, jobs=args.jobs, lexicon=lexicon
     )
     return examples, rejects, outcomes, report
 
@@ -199,6 +209,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
+    if args.top_k < 1:
+        raise _UsageError("top_k must be at least 1")
     schema = load_schema(args.schema)
     lexicon = EmbeddingLexicon.load(args.embeddings)
     for cand in rank_columns(args.phrase, schema, lexicon, args.top_k):
@@ -219,6 +231,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except Qdmr2SqlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,11 @@ are never silently dropped.
 
 A batch run opens, introspects and value-indexes each database once, on
 its first example, and searches every example on that database through
-that one session.  With several jobs, each thread takes one database's
-examples at a time.  Results are merged back in input order, and no
-example's outcome depends on the others, so repeated runs and runs with
-any number of jobs produce byte-identical output files.  Coverage is
+that one session, which also ranks each distinct phrase once.  With
+several jobs, each thread takes one database's examples at a time.
+Results are merged back in input order, and no example's outcome depends
+on the others, so repeated runs and runs with any number of jobs produce
+byte-identical output files.  Coverage is
 reported per dataset group and in total, plus a second table restricted
 to examples whose answers are non-empty.
 """
@@ -31,7 +32,7 @@ from .errors import (
     QdmrParseError,
 )
 from .executor import Database, normalize_answer
-from .linking import EmbeddingLexicon
+from .linking import EmbeddingLexicon, LinkCandidate
 from .qdmr import QdmrProgram, parse_qdmr
 from .schema import ValueIndex, load_schema
 from .search import SearchStatus, SynthesisConfig, SynthesisOutcome, search
@@ -257,12 +258,22 @@ def _mapping_failed(exc: Qdmr2SqlError) -> SynthesisOutcome:
 
 
 class _Session:
-    """One database's connection, schema and value index, shared by every
-    example on it.  When opening or introspection fails, that failure is
-    every such example's outcome.  Use and close a session on the thread
-    that opened it: SQLite connections refuse other threads."""
+    """One database's connection, schema, value index and phrase rankings,
+    shared by every example on it.  The config and lexicon are fixed for
+    the session's life, so a phrase's ranking is computed once and reused.
+    When opening or introspection fails, that failure is every such
+    example's outcome.  Use and close a session on the thread that opened
+    it: SQLite connections refuse other threads."""
 
-    def __init__(self, path: Path):
+    def __init__(
+        self,
+        path: Path,
+        config: SynthesisConfig,
+        lexicon: Optional[EmbeddingLexicon],
+    ):
+        self.config = config
+        self.lexicon = lexicon
+        self.rankings: Dict[str, Tuple[LinkCandidate, ...]] = {}
         self.db: Optional[Database] = None
         self.failure: Optional[SynthesisOutcome] = None
         try:
@@ -277,12 +288,7 @@ class _Session:
             raise
         self.value_index = ValueIndex(self.db.conn, self.schema)
 
-    def search(
-        self,
-        example: Example,
-        config: SynthesisConfig,
-        lexicon: Optional[EmbeddingLexicon],
-    ) -> SynthesisOutcome:
+    def search(self, example: Example) -> SynthesisOutcome:
         if self.failure is not None:
             return self.failure
         try:
@@ -290,9 +296,10 @@ class _Session:
                 example,
                 self.schema,
                 self.db,
-                config,
-                lexicon,
+                self.config,
+                self.lexicon,
                 value_index=self.value_index,
+                rankings=self.rankings,
             )
         except Qdmr2SqlError as exc:
             return _mapping_failed(exc)
@@ -319,8 +326,10 @@ def _search_in_order(
         for i, example in enumerate(examples):
             session = sessions.get(example.db_id)
             if session is None:
-                session = sessions[example.db_id] = _Session(paths[example.db_id])
-            outcomes.append(session.search(example, config, lexicon))
+                session = sessions[example.db_id] = _Session(
+                    paths[example.db_id], config, lexicon
+                )
+            outcomes.append(session.search(example))
             if last[example.db_id] == i:
                 sessions.pop(example.db_id).close()
         return outcomes

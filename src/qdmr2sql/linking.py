@@ -136,7 +136,10 @@ def rank_columns(
     lexicon: Optional[EmbeddingLexicon] = None,
     top_k: Optional[int] = None,
 ) -> List[LinkCandidate]:
-    """Rank every schema column as a link target for ``phrase``."""
+    """Rank every schema column as a link target for ``phrase``; keep the
+    best ``top_k``, or all of them when ``top_k`` is None."""
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be at least 1")
     lexicon = lexicon or EmbeddingLexicon.empty()
     lemmas = content_lemmas(tokenize(phrase))
     lemma_set = set(lemmas)
@@ -157,7 +160,7 @@ def rank_columns(
         LinkCandidate(column=col, tier=tier, similarity=-neg, rank=i)
         for i, (tier, neg, _, _, col) in enumerate(scored)
     ]
-    return out[:top_k] if top_k else out
+    return out if top_k is None else out[:top_k]
 
 
 @dataclass(frozen=True)
@@ -325,15 +328,26 @@ def link_program(
     lexicon: Optional[EmbeddingLexicon] = None,
     value_index: Optional[ValueIndex] = None,
     top_k: int = 20,
+    *,
+    rankings: Optional[Dict[str, Tuple[LinkCandidate, ...]]] = None,
 ) -> Tuple[BindingPlan, List[PhraseLinking]]:
-    """Plan a program's bindings and rank candidates for each phrase slot."""
+    """Plan a program's bindings and rank candidates for each phrase slot.
+
+    ``rankings`` maps a phrase to its ranking; phrases missing from it are
+    ranked and added.  A caller may share one such memo across programs
+    only while ``schema``, ``lexicon`` and ``top_k`` stay the same, since
+    a ranking depends on all three.
+    """
     plan = plan_bindings(program, value_index)
-    linkings = [
-        PhraseLinking(
-            step_index=idx,
-            phrase=phrase,
-            candidates=tuple(rank_columns(phrase, schema, lexicon, top_k)),
+    if rankings is None:
+        rankings = {}
+    linkings = []
+    for idx, _, phrase in plan.phrase_slots:
+        candidates = rankings.get(phrase)
+        if candidates is None:
+            candidates = tuple(rank_columns(phrase, schema, lexicon, top_k))
+            rankings[phrase] = candidates
+        linkings.append(
+            PhraseLinking(step_index=idx, phrase=phrase, candidates=candidates)
         )
-        for idx, _, phrase in plan.phrase_slots
-    ]
     return plan, linkings

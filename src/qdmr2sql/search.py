@@ -24,7 +24,7 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
 from .executor import Database, answer_denotation, denotations_equal
@@ -32,6 +32,7 @@ from .linking import (
     Assignment,
     BindingPlan,
     EmbeddingLexicon,
+    LinkCandidate,
     enumerate_assignments,
     link_program,
     plan_bindings,
@@ -224,6 +225,7 @@ def search(
     lexicon: Optional[EmbeddingLexicon] = None,
     *,
     value_index: Optional[ValueIndex] = None,
+    rankings: Optional[Dict[str, Tuple[LinkCandidate, ...]]] = None,
 ) -> SynthesisOutcome:
     """Search for a query whose execution matches the example's answer.
 
@@ -233,7 +235,9 @@ def search(
     MappingFailed when no candidate could even be built and executed.
     ``value_index`` must be over ``database`` and ``schema``; passing one
     shares its lookups across the examples on that database, and without
-    one a fresh index is built.
+    one a fresh index is built.  ``rankings`` is the phrase-ranking memo of
+    :func:`link_program`, shared the same way, for one ``schema``,
+    ``lexicon`` and ``config.top_k``.
     """
     config = config or SynthesisConfig()
     deadline = time.monotonic() + config.per_example_timeout
@@ -252,7 +256,8 @@ def search(
     if value_index is None:
         value_index = ValueIndex(database.conn, schema)
     plan, linkings = link_program(
-        program, schema, lexicon, value_index, top_k=config.top_k
+        program, schema, lexicon, value_index, top_k=config.top_k,
+        rankings=rankings,
     )
     variants = _program_variants(program, plan, value_index)
 

@@ -118,6 +118,31 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("internal error:")
 
 
+class TestInvalidConfigFlags:
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--top-k", "top_k must be at least 1"),
+            ("--max-assignments", "max_assignments must be at least 1"),
+            ("--timeout-secs", "per_example_timeout must be positive"),
+            ("--jobs", "jobs must be at least 1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["synth", "coverage"])
+    def test_usage_error_before_any_work(
+        self, db_dir, tmp_path, capsys, command, flag, message
+    ):
+        outputs = {
+            "synth": ["--out-pairs", str(tmp_path / "p.jsonl"),
+                      "--out-report", str(tmp_path / "r.json")],
+            "coverage": ["--out", str(tmp_path / "r.json")],
+        }
+        argv = [command] + batch_args(db_dir, **{flag: "0"}) + outputs[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"qdmr2sql {command}: error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestCoverage:
     def test_report_only(self, db_dir, tmp_path, capsys):
         out = tmp_path / "cov.json"
@@ -280,6 +305,17 @@ class TestLink:
             "1\ttier=2\tsim=0.5954\tship.name",
             "2\ttier=2\tsim=0.5000\tship.ship_type",
         ]
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_is_a_usage_error(self, ship_death_db, capsys, top_k):
+        code = main(
+            ["link", "--phrase", "ships", "--schema", str(ship_death_db),
+             "--embeddings", str(EMBEDDINGS), "--top-k", top_k]
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qdmr2sql link: error: top_k must be at least 1\n"
 
     def test_missing_embeddings_file(self, ship_death_db, tmp_path, capsys):
         code = main(

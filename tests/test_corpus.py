@@ -16,6 +16,7 @@ import pytest
 
 from conftest import DATA_DIR
 from qdmr2sql import corpus as corpus_module
+from qdmr2sql import linking
 from qdmr2sql.corpus import (
     CoverageReport,
     CoverageRow,
@@ -31,7 +32,13 @@ from qdmr2sql.corpus import (
 )
 from qdmr2sql.errors import AllLinesInvalid, FileUnreadable
 from qdmr2sql.executor import Database
-from qdmr2sql.search import SearchStatus, SynthesisOutcome
+from qdmr2sql.schema import ValueIndex, load_schema, open_readonly
+from qdmr2sql.search import (
+    SearchStatus,
+    SynthesisConfig,
+    SynthesisOutcome,
+    search,
+)
 
 CORPUS = DATA_DIR / "corpus.jsonl"
 
@@ -390,16 +397,105 @@ def test_jobs_shard_matches_serial_files(db_dir, lexicon, tmp_path):
 GOLDEN = DATA_DIR / "golden"
 
 
+def assert_matches_golden(examples, outcomes, report, out_dir):
+    out = out_dir / "pairs.jsonl"
+    emit_training_pairs(examples, outcomes, out)
+    (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+    for name in ("pairs.jsonl", "pairs.failures.jsonl", "report.json"):
+        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 def test_outputs_match_golden_files(corpus_run, tmp_path):
     """The pairs, failures and report files of the fixture corpus, byte for
     byte as committed under ``tests/data/golden``: any drift in the SQL the
     mapper renders, in the assignments or in the reasons fails here."""
-    examples, outcomes, report = corpus_run
-    out = tmp_path / "pairs.jsonl"
-    emit_training_pairs(examples, outcomes, out)
-    (tmp_path / "report.json").write_text(report.to_json(), encoding="utf-8")
-    for name in ("pairs.jsonl", "pairs.failures.jsonl", "report.json"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert_matches_golden(*corpus_run, tmp_path)
+
+
+def _database_key(schema):
+    return tuple(sorted(schema.tables))
+
+
+@pytest.fixture()
+def ranked(monkeypatch):
+    """A ``(database, phrase)`` pair for every call of
+    ``linking.rank_columns`` during the test; a database is named by its
+    sorted table names."""
+    calls = []
+    real = linking.rank_columns
+
+    def counting(phrase, schema, lexicon=None, top_k=None):
+        calls.append((_database_key(schema), phrase))
+        return real(phrase, schema, lexicon, top_k)
+
+    monkeypatch.setattr(linking, "rank_columns", counting)
+    return calls
+
+
+def _phrase_slots(examples, db_dir):
+    """Every ``(database, phrase)`` phrase slot of ``examples``' programs,
+    in order, planned with a fresh value index per database."""
+    slots = []
+    for db_id in dict.fromkeys(ex.db_id for ex in examples):
+        conn = open_readonly(resolve_database(db_dir, db_id))
+        try:
+            schema = load_schema(conn)
+            index = ValueIndex(conn, schema)
+            for ex in examples:
+                if ex.db_id == db_id:
+                    plan = linking.plan_bindings(ex.program, index)
+                    slots += [
+                        (_database_key(schema), phrase)
+                        for _, _, phrase in plan.phrase_slots
+                    ]
+        finally:
+            conn.close()
+    return slots
+
+
+class TestRankingMemo:
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_each_phrase_ranked_once_per_database(
+        self, ranked, db_dir, lexicon, tmp_path, jobs
+    ):
+        examples, _ = load_examples(CORPUS)
+        slots = _phrase_slots(examples, db_dir)
+        distinct = set(slots)
+        # Phrases repeat within a database, so a memo has something to save.
+        assert len(distinct) < len(slots)
+        outcomes, report = run_corpus(examples, db_dir, lexicon=lexicon, jobs=jobs)
+        assert sorted(ranked) == sorted(distinct)
+        assert_matches_golden(examples, outcomes, report, tmp_path)
+
+    def test_no_ranking_outlives_its_run(self, ranked, db_dir, lexicon, tmp_path):
+        """A run at ``top_k`` 1 followed by one at 20 ranks every phrase
+        afresh in each and gives what two fresh runs give; a ranking kept
+        from the first run (a cache keyed by phrase alone) would cut the
+        second run's candidates to one."""
+        examples, _ = load_examples(CORPUS)
+        distinct = sorted(set(_phrase_slots(examples, db_dir)))
+        narrow = SynthesisConfig(top_k=1)
+        narrow_outcomes, _ = run_corpus(
+            examples, db_dir, config=narrow, lexicon=lexicon
+        )
+        assert sorted(ranked) == distinct
+        ranked.clear()
+        wide_outcomes, wide_report = run_corpus(
+            examples, db_dir, config=SynthesisConfig(top_k=20), lexicon=lexicon
+        )
+        assert sorted(ranked) == distinct
+        assert_matches_golden(examples, wide_outcomes, wide_report, tmp_path)
+        fresh_narrow = []
+        for ex in examples:
+            db = Database.open(resolve_database(db_dir, ex.db_id))
+            try:
+                schema = load_schema(db.conn)
+                fresh_narrow.append(search(ex, schema, db, narrow, lexicon))
+            finally:
+                db.close()
+        assert narrow_outcomes == fresh_narrow
+        found = [o.status is SearchStatus.FOUND for o in narrow_outcomes]
+        assert sum(found) < len(EXPECTED_FOUND)
 
 
 class TestEmitTrainingPairs:

@@ -12,12 +12,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import DATA_DIR
 from qdmr2sql import (
     EmbeddingLexicon,
     UnreadableDatabase,
     ValueIndex,
     enumerate_assignments,
     link_program,
+    load_examples,
     open_readonly,
     parse_qdmr,
     phrase_column_similarity,
@@ -144,6 +146,12 @@ class TestRankColumns:
     def test_top_k_truncates(self, geo_db, lexicon):
         schema = load_schema(geo_db)
         assert len(rank_columns("states", schema, lexicon, top_k=2)) == 2
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_is_rejected(self, geo_db, lexicon, top_k):
+        schema = load_schema(geo_db)
+        with pytest.raises(ValueError, match="top_k must be at least 1"):
+            rank_columns("states", schema, lexicon, top_k=top_k)
 
     def test_voting_ranking(self, voting_record_db, lexicon):
         schema = load_schema(voting_record_db)
@@ -328,3 +336,33 @@ class TestLinkProgram:
             assert all(len(l.candidates) <= 3 for l in linkings)
         finally:
             conn.close()
+
+    def test_memo_rankings_equal_fresh_ones(self, db_dir, lexicon):
+        """With one memo per database, every phrase slot of the fixture
+        corpus gets the candidates a fresh ``rank_columns`` gives, and a
+        repeated phrase gets the memo's own tuple back."""
+        examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
+        reused = 0
+        for db_id in dict.fromkeys(ex.db_id for ex in examples):
+            conn = open_readonly(db_dir / f"{db_id}.sqlite")
+            try:
+                schema = load_schema(conn)
+                index = ValueIndex(conn, schema)
+                memo = {}
+                for ex in examples:
+                    if ex.db_id != db_id:
+                        continue
+                    seen = dict(memo)
+                    _, linkings = link_program(
+                        ex.program, schema, lexicon, index, rankings=memo
+                    )
+                    for l in linkings:
+                        fresh = rank_columns(l.phrase, schema, lexicon, 20)
+                        assert l.candidates == tuple(fresh)
+                        assert l.candidates is memo[l.phrase]
+                        if l.phrase in seen:
+                            assert l.candidates is seen[l.phrase]
+                            reused += 1
+            finally:
+                conn.close()
+        assert reused
