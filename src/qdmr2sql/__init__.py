@@ -80,6 +80,7 @@ from .executor import (
 )
 from .search import (
     SearchStatus,
+    Session,
     SynthesisConfig,
     SynthesisOutcome,
     heuristic_aggregate_swap,

@@ -136,7 +136,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     written = emit_training_pairs(examples, outcomes, args.out_pairs)
     if rejects:
         write_rejects(rejects, rejects_path(args.out_pairs))
-    Path(args.out_report).write_text(report.to_json(), encoding="utf-8")
+    report.write(args.out_report)
     found = sum(1 for o in outcomes if o.status is SearchStatus.FOUND)
     pct = CoverageReport.percent(found, len(examples))
     print(
@@ -148,7 +148,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     examples, rejects, outcomes, report = _run_batch(args)
-    Path(args.out).write_text(report.to_json(), encoding="utf-8")
+    report.write(args.out)
     found = sum(1 for o in outcomes if o.status is SearchStatus.FOUND)
     pct = CoverageReport.percent(found, len(examples))
     print(f"coverage {pct}% ({found}/{len(examples)}); report -> {args.out}")

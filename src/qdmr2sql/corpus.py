@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .errors import (
     AllLinesInvalid,
@@ -32,10 +33,16 @@ from .errors import (
     QdmrParseError,
 )
 from .executor import Database, normalize_answer
-from .linking import EmbeddingLexicon, LinkCandidate
+from .linking import EmbeddingLexicon
 from .qdmr import QdmrProgram, parse_qdmr
-from .schema import ValueIndex, load_schema
-from .search import SearchStatus, SynthesisConfig, SynthesisOutcome, search
+from .schema import load_schema
+from .search import (
+    SearchStatus,
+    Session,
+    SynthesisConfig,
+    SynthesisOutcome,
+    search,
+)
 
 __all__ = [
     "Example",
@@ -55,12 +62,11 @@ __all__ = [
 class Example:
     id: str
     question: str
-    qdmr: str
+    program: QdmrProgram
     answer: List[List[object]]
     db_id: str
     dataset: str = "default"
     gold_sql: Optional[str] = None
-    program: Optional[QdmrProgram] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -126,12 +132,11 @@ def load_examples(
             Example(
                 id=ex_id,
                 question=str(doc["question"]),
-                qdmr=str(doc["qdmr"]),
+                program=program,
                 answer=answer,
                 db_id=str(doc["db_id"]),
                 dataset=str(doc.get("dataset", default_dataset)),
                 gold_sql=doc.get("gold_sql"),
-                program=program,
             )
         )
     if n_lines and not examples:
@@ -246,6 +251,10 @@ class CoverageReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
+    def write(self, path: Union[str, Path]) -> None:
+        with _output(path) as fh:
+            fh.write(self.to_json())
+
 
 # --- batch synthesis ---------------------------------------------------------
 
@@ -257,57 +266,24 @@ def _mapping_failed(exc: Qdmr2SqlError) -> SynthesisOutcome:
     )
 
 
-class _Session:
-    """One database's connection, schema, value index and phrase rankings,
-    shared by every example on it.  The config and lexicon are fixed for
-    the session's life, so a phrase's ranking is computed once and reused.
-    When opening or introspection fails, that failure is every such
-    example's outcome.  Use and close a session on the thread that opened
-    it: SQLite connections refuse other threads."""
-
-    def __init__(
-        self,
-        path: Path,
-        config: SynthesisConfig,
-        lexicon: Optional[EmbeddingLexicon],
-    ):
-        self.config = config
-        self.lexicon = lexicon
-        self.rankings: Dict[str, Tuple[LinkCandidate, ...]] = {}
-        self.db: Optional[Database] = None
-        self.failure: Optional[SynthesisOutcome] = None
+def _open_session(
+    path: Path,
+    config: SynthesisConfig,
+    lexicon: Optional[EmbeddingLexicon],
+) -> Union[Session, SynthesisOutcome]:
+    """Open, introspect and index one database for its examples.  When
+    opening or introspection fails, that failure is every such example's
+    outcome."""
+    try:
+        database = Database.open(path)
         try:
-            self.db = Database.open(path)
-            self.schema = load_schema(self.db.conn)
-        except Qdmr2SqlError as exc:
-            self.close()
-            self.failure = _mapping_failed(exc)
-            return
+            schema = load_schema(database.conn)
         except BaseException:
-            self.close()
+            database.close()
             raise
-        self.value_index = ValueIndex(self.db.conn, self.schema)
-
-    def search(self, example: Example) -> SynthesisOutcome:
-        if self.failure is not None:
-            return self.failure
-        try:
-            return search(
-                example,
-                self.schema,
-                self.db,
-                self.config,
-                self.lexicon,
-                value_index=self.value_index,
-                rankings=self.rankings,
-            )
-        except Qdmr2SqlError as exc:
-            return _mapping_failed(exc)
-
-    def close(self) -> None:
-        if self.db is not None:
-            self.db.close()
-            self.db = None
+    except Qdmr2SqlError as exc:
+        return _mapping_failed(exc)
+    return Session(database, schema, config, lexicon)
 
 
 def _search_in_order(
@@ -320,22 +296,29 @@ def _search_in_order(
     first example and closing it after its last, so a corpus grouped by
     database holds one connection at a time."""
     last = {example.db_id: i for i, example in enumerate(examples)}
-    sessions: Dict[str, _Session] = {}
+    sessions: Dict[str, Union[Session, SynthesisOutcome]] = {}
     try:
         outcomes = []
         for i, example in enumerate(examples):
             session = sessions.get(example.db_id)
             if session is None:
-                session = sessions[example.db_id] = _Session(
+                session = sessions[example.db_id] = _open_session(
                     paths[example.db_id], config, lexicon
                 )
-            outcomes.append(session.search(example))
-            if last[example.db_id] == i:
-                sessions.pop(example.db_id).close()
+            if isinstance(session, Session):
+                try:
+                    outcomes.append(search(example, session))
+                except Qdmr2SqlError as exc:
+                    outcomes.append(_mapping_failed(exc))
+                if last[example.db_id] == i:
+                    sessions.pop(example.db_id).close()
+            else:
+                outcomes.append(session)
         return outcomes
     finally:
         for session in sessions.values():
-            session.close()
+            if isinstance(session, Session):
+                session.close()
 
 
 def run_corpus(
@@ -352,8 +335,10 @@ def run_corpus(
     ``db_id`` aborts before any work runs.  Each database is opened and
     introspected once.  With ``jobs > 1``, up to ``jobs`` threads each
     search one database's examples at a time.  Results come back in input
-    order regardless of ``jobs``.
+    order regardless of ``jobs``, which must be at least 1.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     config = config or SynthesisConfig()
     shards: Dict[str, List[int]] = {}
     for i, example in enumerate(examples):
@@ -380,18 +365,30 @@ def run_corpus(
 # --- output files ------------------------------------------------------------
 
 
-def failures_path(pairs_path: Union[str, Path]) -> Path:
+def _companion_path(pairs_path: Union[str, Path], tag: str) -> Path:
     p = Path(pairs_path)
     if p.suffix:
-        return p.with_name(f"{p.stem}.failures{p.suffix}")
-    return p.with_name(f"{p.name}.failures")
+        return p.with_name(f"{p.stem}.{tag}{p.suffix}")
+    return p.with_name(f"{p.name}.{tag}")
+
+
+def failures_path(pairs_path: Union[str, Path]) -> Path:
+    return _companion_path(pairs_path, "failures")
 
 
 def rejects_path(pairs_path: Union[str, Path]) -> Path:
-    p = Path(pairs_path)
-    if p.suffix:
-        return p.with_name(f"{p.stem}.rejects{p.suffix}")
-    return p.with_name(f"{p.name}.rejects")
+    return _companion_path(pairs_path, "rejects")
+
+
+@contextmanager
+def _output(path: Union[str, Path]) -> Iterator[TextIO]:
+    """``path`` open for writing text; failing to open or write it raises
+    FileUnreadable naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise FileUnreadable(f"cannot write {path}: {exc}") from exc
 
 
 def emit_training_pairs(
@@ -402,48 +399,42 @@ def emit_training_pairs(
     """Write one pair line per successful example; failures go to a
     companion file next to ``path``.  Returns the number of pairs written.
     """
-    path = Path(path)
     pairs_written = 0
-    try:
-        with open(path, "w", encoding="utf-8") as pairs, open(
-            failures_path(path), "w", encoding="utf-8"
-        ) as failures:
-            for example, outcome in zip(examples, outcomes):
-                if outcome.status is SearchStatus.FOUND:
-                    record = {
-                        "id": example.id,
-                        "question": example.question,
-                        "sql": outcome.sql,
-                        "db_id": example.db_id,
-                        "assignment": outcome.assignment.describe()
-                        if outcome.assignment
-                        else {},
-                        "heuristics": list(outcome.heuristics_applied),
-                        "qdmr": outcome.qdmr,
-                    }
-                    if example.gold_sql is not None:
-                        record["gold_sql"] = example.gold_sql
-                    pairs.write(json.dumps(record) + "\n")
-                    pairs_written += 1
-                else:
-                    failures.write(
-                        json.dumps(
-                            {
-                                "id": example.id,
-                                "status": outcome.status.value,
-                                "failure_reason": outcome.failure_reason,
-                            }
-                        )
-                        + "\n"
+    with _output(path) as pairs, _output(failures_path(path)) as failures:
+        for example, outcome in zip(examples, outcomes):
+            if outcome.status is SearchStatus.FOUND:
+                record = {
+                    "id": example.id,
+                    "question": example.question,
+                    "sql": outcome.sql,
+                    "db_id": example.db_id,
+                    "assignment": outcome.assignment.describe()
+                    if outcome.assignment
+                    else {},
+                    "heuristics": list(outcome.heuristics_applied),
+                    "qdmr": outcome.qdmr,
+                }
+                if example.gold_sql is not None:
+                    record["gold_sql"] = example.gold_sql
+                pairs.write(json.dumps(record) + "\n")
+                pairs_written += 1
+            else:
+                failures.write(
+                    json.dumps(
+                        {
+                            "id": example.id,
+                            "status": outcome.status.value,
+                            "failure_reason": outcome.failure_reason,
+                        }
                     )
-    except OSError as exc:
-        raise FileUnreadable(f"cannot write {path}: {exc}") from exc
+                    + "\n"
+                )
     return pairs_written
 
 
 def write_rejects(rejects: Sequence[Reject], path: Union[str, Path]) -> int:
     """Write reject records as JSONL; returns the count written."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         for reject in rejects:
             doc: Dict[str, object] = {
                 "line": reject.line_no,

@@ -334,9 +334,8 @@ def link_program(
     """Plan a program's bindings and rank candidates for each phrase slot.
 
     ``rankings`` maps a phrase to its ranking; phrases missing from it are
-    ranked and added.  A caller may share one such memo across programs
-    only while ``schema``, ``lexicon`` and ``top_k`` stay the same, since
-    a ranking depends on all three.
+    ranked and added.  :class:`qdmr2sql.search.Session` owns the memo that
+    is shared across programs, and says when sharing it is valid.
     """
     plan = plan_bindings(program, value_index)
     if rankings is None:

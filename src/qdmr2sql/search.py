@@ -45,6 +45,7 @@ __all__ = [
     "SynthesisConfig",
     "SynthesisOutcome",
     "SearchStatus",
+    "Session",
     "search",
     "heuristic_distinct",
     "heuristic_superlative",
@@ -185,7 +186,7 @@ def heuristic_aggregate_swap(program: QdmrProgram) -> List[QdmrProgram]:
 def _program_variants(
     program: QdmrProgram,
     plan: BindingPlan,
-    value_index: Optional[ValueIndex],
+    value_index: ValueIndex,
 ) -> List[Tuple[QdmrProgram, BindingPlan, Tuple[str, ...]]]:
     """The base program plus every structural rewrite, in order, each as
     ``(program, plan, labels)``: the labels name the rewrites applied."""
@@ -217,49 +218,52 @@ def _candidates(
             yield heuristic_distinct(query), label + (HEURISTIC_DISTINCT,), program
 
 
-def search(
-    example,
-    schema: SchemaGraph,
-    database: Database,
-    config: Optional[SynthesisConfig] = None,
-    lexicon: Optional[EmbeddingLexicon] = None,
-    *,
-    value_index: Optional[ValueIndex] = None,
-    rankings: Optional[Dict[str, Tuple[LinkCandidate, ...]]] = None,
-) -> SynthesisOutcome:
+class Session:
+    """One database's search state, shared by every example searched on it.
+
+    Holds the database, its schema, the config and lexicon, a
+    :class:`ValueIndex` over the database's connection and a memo from
+    phrase to column ranking.  A ranking depends on the schema, the lexicon
+    and ``config.top_k``, so the memo is valid only while all three stay
+    those of this session; a session never changes them.  Use and close a
+    session on the thread that opened its database: SQLite connections
+    refuse other threads.
+    """
+
+    def __init__(
+        self,
+        database: Database,
+        schema: SchemaGraph,
+        config: SynthesisConfig,
+        lexicon: Optional[EmbeddingLexicon] = None,
+    ):
+        self.database = database
+        self.schema = schema
+        self.config = config
+        self.lexicon = lexicon
+        self.value_index = ValueIndex(database.conn, schema)
+        self.rankings: Dict[str, Tuple[LinkCandidate, ...]] = {}
+
+    def close(self) -> None:
+        self.database.close()
+
+
+def search(example, session: Session) -> SynthesisOutcome:
     """Search for a query whose execution matches the example's answer.
 
-    ``example`` must expose ``qdmr`` (or a pre-parsed ``program``) and
-    ``answer``.  Statuses: Found on the first matching candidate,
-    Exhausted when the assignment stream runs dry, Timeout on deadline,
-    MappingFailed when no candidate could even be built and executed.
-    ``value_index`` must be over ``database`` and ``schema``; passing one
-    shares its lookups across the examples on that database, and without
-    one a fresh index is built.  ``rankings`` is the phrase-ranking memo of
-    :func:`link_program`, shared the same way, for one ``schema``,
-    ``lexicon`` and ``config.top_k``.
+    ``example`` must expose a parsed ``program`` and an ``answer``.
+    Statuses: Found on the first matching candidate, Exhausted when the
+    assignment stream runs dry, Timeout on deadline, MappingFailed when no
+    candidate could even be built and executed.
     """
-    config = config or SynthesisConfig()
+    config = session.config
     deadline = time.monotonic() + config.per_example_timeout
-
-    program = getattr(example, "program", None)
-    if program is None:
-        try:
-            program = parse_qdmr(example.qdmr)
-        except QdmrParseError as exc:
-            return SynthesisOutcome(
-                status=SearchStatus.MAPPING_FAILED,
-                failure_reason=f"decomposition does not parse: {exc}",
-            )
-
     target = answer_denotation(example.answer)
-    if value_index is None:
-        value_index = ValueIndex(database.conn, schema)
     plan, linkings = link_program(
-        program, schema, lexicon, value_index, top_k=config.top_k,
-        rankings=rankings,
+        example.program, session.schema, session.lexicon, session.value_index,
+        top_k=config.top_k, rankings=session.rankings,
     )
-    variants = _program_variants(program, plan, value_index)
+    variants = _program_variants(example.program, plan, session.value_index)
 
     tried = 0
     mapping_errors: List[str] = []
@@ -272,7 +276,7 @@ def search(
     )
     for assignment in assignments:
         for query, label, used_program in _candidates(
-            variants, schema, assignment, mapping_errors
+            variants, session.schema, assignment, mapping_errors
         ):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -284,7 +288,7 @@ def search(
             tried += 1
             sql = render_sql(query)
             try:
-                result = database.execute(
+                result = session.database.execute(
                     sql, timeout_secs=remaining, target=target
                 )
             except ExecutionTimeout:

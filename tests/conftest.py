@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qdmr2sql import Database, EmbeddingLexicon, load_schema
+from qdmr2sql import Database, EmbeddingLexicon, load_schema, parse_qdmr
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -290,9 +290,9 @@ def schema_of(db: Database):
 
 
 class FakeExample:
-    """The duck-typed example shape the search loop consumes."""
+    """The duck-typed example shape the search loop consumes: a parsed
+    ``program`` and an ``answer``."""
 
-    def __init__(self, qdmr: str, answer, program=None):
-        self.qdmr = qdmr
+    def __init__(self, qdmr: str, answer):
+        self.program = parse_qdmr(qdmr)
         self.answer = answer
-        self.program = program

@@ -49,7 +49,7 @@ from qdmr2sql.corpus import (
 from qdmr2sql.errors import DisconnectedTables
 from qdmr2sql.executor import Denotation, denotations_equal
 from qdmr2sql.joinpath import join_tables
-from qdmr2sql.search import SearchStatus, SynthesisConfig, search
+from qdmr2sql.search import SearchStatus, Session, SynthesisConfig, search
 
 
 @contextmanager
@@ -65,9 +65,8 @@ def criterion(capsys, n, label):
 
 def do_search(open_db, db_path, lexicon, qdmr, answer, config=None):
     db = open_db(db_path)
-    return search(
-        FakeExample(qdmr, answer), schema_of(db), db, config=config, lexicon=lexicon
-    )
+    session = Session(db, schema_of(db), config or SynthesisConfig(), lexicon)
+    return search(FakeExample(qdmr, answer), session)
 
 
 def test_full_pipeline_on_grouping_fixture(
@@ -485,10 +484,7 @@ def test_planted_search_soundness(capsys, db_dir, lexicon):
             with Database.open(db_file) as db:
                 out = search(
                     FakeExample(qdmr, answer),
-                    load_schema(db.conn),
-                    db,
-                    config,
-                    lexicon,
+                    Session(db, load_schema(db.conn), config, lexicon),
                 )
             assert out.status is SearchStatus.FOUND, (db_file.stem, qdmr)
 
@@ -496,10 +492,7 @@ def test_planted_search_soundness(capsys, db_dir, lexicon):
             with Database.open(db_file) as db:
                 out = search(
                     FakeExample(qdmr, answer),
-                    load_schema(db.conn),
-                    db,
-                    config,
-                    lexicon,
+                    Session(db, load_schema(db.conn), config, lexicon),
                 )
             assert out.status is SearchStatus.EXHAUSTED, (db_file.stem, qdmr)
             # Exhaustion, not the assignment cap, ended these searches.

@@ -1,6 +1,7 @@
 """Every exported name, and every hook point the benchmark patches, exists,
 and each hook point is still of the kind (function, method, classmethod)
-the benchmark wraps.  Every search option is one the command line sets.
+the benchmark wraps.  Every search option is one the command line sets,
+and ``search`` takes nothing but an example and a session.
 
 Deleting a public name must also delete it from ``__all__`` and from the
 package re-exports; renaming a function the benchmark's tracing hooks
@@ -10,6 +11,7 @@ into must be caught here rather than in a benchmark run.
 import ast
 import dataclasses
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -87,3 +89,18 @@ def test_every_config_field_is_set_from_the_command_line():
         if getattr(config, field.name) == getattr(default, field.name)
     ]
     assert not unset
+
+
+def test_search_takes_an_example_and_a_session():
+    """A defaulted parameter of ``search`` would be an option that only
+    tests choose."""
+    search = importlib.import_module("qdmr2sql.search")
+    params = inspect.signature(search.search).parameters.values()
+    assert [p.name for p in params] == ["example", "session"]
+    assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def test_session_is_exported():
+    search = importlib.import_module("qdmr2sql.search")
+    assert "Session" in search.__all__
+    assert qdmr2sql.Session is search.Session

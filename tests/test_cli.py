@@ -107,15 +107,34 @@ class TestSynth:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_unwritable_report_is_internal(self, db_dir, tmp_path, capsys):
-        code = main(
-            ["synth"]
-            + batch_args(db_dir)
-            + ["--out-pairs", str(tmp_path / "p.jsonl"),
-               "--out-report", str(tmp_path / "no" / "dir" / "r.json")]
-        )
-        assert code == 3
-        assert capsys.readouterr().err.startswith("internal error:")
+
+
+class TestUnwritableOutputs:
+    """An output file that cannot be written is an input problem: exit 2
+    with the path, whichever file it is."""
+
+    @pytest.mark.parametrize("output", ["pairs", "report", "rejects", "coverage"])
+    def test_exits_2_naming_the_file(self, db_dir, tmp_path, capsys, output):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(CORPUS.read_text() + "this line is garbage\n")
+        unwritable = tmp_path / "no" / "dir" / "out.json"
+        pairs, report = tmp_path / "pairs.jsonl", tmp_path / "report.json"
+        if output == "pairs":
+            pairs = unwritable
+        elif output == "report":
+            report = unwritable
+        elif output == "rejects":
+            unwritable = tmp_path / "pairs.rejects.jsonl"
+            unwritable.mkdir()
+        args = batch_args(db_dir, **{"--examples": str(corpus)})
+        if output == "coverage":
+            argv = ["coverage"] + args + ["--out", str(unwritable)]
+        else:
+            argv = ["synth"] + args + [
+                "--out-pairs", str(pairs), "--out-report", str(report)
+            ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {unwritable}: ")
 
 
 class TestInvalidConfigFlags:

@@ -32,9 +32,11 @@ from qdmr2sql.corpus import (
 )
 from qdmr2sql.errors import AllLinesInvalid, FileUnreadable
 from qdmr2sql.executor import Database
+from qdmr2sql.qdmr import parse_qdmr
 from qdmr2sql.schema import ValueIndex, load_schema, open_readonly
 from qdmr2sql.search import (
     SearchStatus,
+    Session,
     SynthesisConfig,
     SynthesisOutcome,
     search,
@@ -164,7 +166,7 @@ def _fake_example(id, dataset, db_id, answer=((1,),)):
     return Example(
         id=id,
         question="q",
-        qdmr="return things",
+        program=parse_qdmr("return things"),
         answer=[list(r) for r in answer],
         db_id=db_id,
         dataset=dataset,
@@ -394,6 +396,16 @@ def test_jobs_shard_matches_serial_files(db_dir, lexicon, tmp_path):
     assert files[0] == files[1]
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected_before_any_database(opened, tmp_path, jobs):
+    examples, _ = load_examples(CORPUS)
+    # No database exists under ``tmp_path``: resolving one would raise
+    # FileUnreadable instead.
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_corpus(examples, tmp_path, jobs=jobs)
+    assert opened == []
+
+
 GOLDEN = DATA_DIR / "golden"
 
 
@@ -489,8 +501,8 @@ class TestRankingMemo:
         for ex in examples:
             db = Database.open(resolve_database(db_dir, ex.db_id))
             try:
-                schema = load_schema(db.conn)
-                fresh_narrow.append(search(ex, schema, db, narrow, lexicon))
+                session = Session(db, load_schema(db.conn), narrow, lexicon)
+                fresh_narrow.append(search(ex, session))
             finally:
                 db.close()
         assert narrow_outcomes == fresh_narrow
@@ -553,7 +565,7 @@ class TestEmitTrainingPairs:
         ex = Example(
             id="g",
             question="q",
-            qdmr="return things",
+            program=parse_qdmr("return things"),
             answer=[[1]],
             db_id="db",
             gold_sql="SELECT 1",

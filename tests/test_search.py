@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DATA_DIR,
     DISTINCT_PRODUCT_TYPES,
     FakeExample,
     LARGEST_STATE_AREA,
@@ -23,11 +24,16 @@ from conftest import (
     build_db,
     schema_of,
 )
+from qdmr2sql import corpus as corpus_module
+from qdmr2sql import linking
+from qdmr2sql.corpus import Example, load_examples, run_corpus
 from qdmr2sql.errors import SqlError
 from qdmr2sql.executor import Database
 from qdmr2sql.qdmr import parse_qdmr, render_program
+from qdmr2sql.schema import ValueIndex, load_schema
 from qdmr2sql.search import (
     SearchStatus,
+    Session,
     SynthesisConfig,
     heuristic_aggregate_swap,
     heuristic_distinct,
@@ -138,9 +144,8 @@ class TestAggregateSwapHeuristic:
 
 def run_search(open_db, db_path, lexicon, qdmr, answer, config=None):
     db = open_db(db_path)
-    return search(
-        FakeExample(qdmr, answer), schema_of(db), db, config=config, lexicon=lexicon
-    )
+    session = Session(db, schema_of(db), config or SynthesisConfig(), lexicon)
+    return search(FakeExample(qdmr, answer), session)
 
 
 class TestEndToEnd:
@@ -356,23 +361,41 @@ class TestEndToEnd:
 
     def test_accepts_preparsed_program(self, products_db, open_db, lexicon):
         program = parse_qdmr("return product types; return the number of #1")
-        db = open_db(products_db)
-        out = search(
-            FakeExample(qdmr=None, answer=3, program=program),
-            schema_of(db),
-            db,
-            lexicon=lexicon,
+        example = Example(
+            id="p", question="q", program=program, answer=[[3]], db_id="products"
         )
+        db = open_db(products_db)
+        out = search(example, Session(db, schema_of(db), SynthesisConfig(), lexicon))
         assert out.status is SearchStatus.FOUND
         assert out.heuristics_applied == ("distinct",)
 
 
 class TestFailureStatuses:
-    def test_unparseable_decomposition(self, products_db, open_db, lexicon):
-        out = run_search(open_db, products_db, lexicon, "return #5", 3)
-        assert out.status is SearchStatus.MAPPING_FAILED
-        assert out.candidates_tried == 0
-        assert "parse" in out.failure_reason
+    def test_unparseable_decomposition(
+        self, products_db, tmp_path, monkeypatch, lexicon
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id": "ok", "db_id": "products", "question": "q", '
+            '"qdmr": "return product types; return the number of #1", '
+            '"answer": 3}\n'
+            '{"id": "bad", "db_id": "products", "question": "q", '
+            '"qdmr": "return #5", "answer": 3}\n'
+        )
+        examples, rejects = load_examples(corpus)
+        assert [(r.line_no, r.id) for r in rejects] == [(2, "bad")]
+        assert rejects[0].reason.startswith("DanglingReference: ")
+        searched = []
+        real_search = corpus_module.search
+
+        def recording_search(example, session):
+            searched.append(example.id)
+            return real_search(example, session)
+
+        monkeypatch.setattr(corpus_module, "search", recording_search)
+        outcomes, _ = run_corpus(examples, products_db.parent, lexicon=lexicon)
+        assert searched == ["ok"]
+        assert [o.status for o in outcomes] == [SearchStatus.FOUND]
 
     def test_no_buildable_candidate(self, ship_death_db, open_db, lexicon):
         # The filter tail matches no stored value, so every assignment
@@ -541,9 +564,9 @@ class TestIdentifierQuoting:
         conn = _planted_table(table, *columns)
         try:
             db = Database(conn)
-            schema = schema_of(db)
+            session = Session(db, schema_of(db), SynthesisConfig())
             for qdmr, answer in _PLANTED:
-                out = search(FakeExample(qdmr, answer), schema, db)
+                out = search(FakeExample(qdmr, answer), session)
                 assert out.status is SearchStatus.FOUND, (qdmr, out.failure_reason)
         finally:
             conn.close()
@@ -567,9 +590,46 @@ class TestIdentifierQuoting:
                 "return #1 where #3 is highest",
                 ["Mary"],
             ),
-            schema_of(db),
-            db,
+            Session(db, schema_of(db), SynthesisConfig()),
         )
         assert out.status is SearchStatus.FOUND, out.failure_reason
         assert 'FROM "order", "group by"' in out.sql
         assert '"group by"."order id" = "order".id' in out.sql
+
+
+class TestSession:
+    def test_one_value_index_and_one_ranking_per_phrase(
+        self, db_dir, monkeypatch, lexicon
+    ):
+        examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
+        ships = [ex for ex in examples if ex.db_id == "ship_death"]
+        with Database.open(db_dir / "ship_death.sqlite") as db:
+            schema = load_schema(db.conn)
+            plans = [
+                linking.plan_bindings(ex.program, ValueIndex(db.conn, schema))
+                for ex in ships
+            ]
+        slots = [phrase for plan in plans for _, _, phrase in plan.phrase_slots]
+        # Phrases repeat across the examples, so one ranking serves several.
+        assert len(set(slots)) < len(slots)
+
+        indexes, ranked = [], []
+        real_init = ValueIndex.__init__
+        real_rank = linking.rank_columns
+
+        def counting_init(self, *args):
+            indexes.append(self)
+            real_init(self, *args)
+
+        def counting_rank(phrase, *args):
+            ranked.append(phrase)
+            return real_rank(phrase, *args)
+
+        monkeypatch.setattr(ValueIndex, "__init__", counting_init)
+        monkeypatch.setattr(linking, "rank_columns", counting_rank)
+        with Database.open(db_dir / "ship_death.sqlite") as db:
+            session = Session(db, load_schema(db.conn), SynthesisConfig(), lexicon)
+            outcomes = [search(ex, session) for ex in ships]
+        assert len(indexes) == 1
+        assert sorted(ranked) == sorted(set(slots))
+        assert [o.status.value for o in outcomes].count("Found") == 7
