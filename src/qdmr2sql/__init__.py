@@ -17,6 +17,7 @@ from .errors import (
     EmptyProgram,
     ExecutionTimeout,
     FileUnreadable,
+    FileUnwritable,
     MalformedReference,
     MissingJoin,
     NonstandardStep,

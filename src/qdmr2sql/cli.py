@@ -182,23 +182,26 @@ def _parse_assignment(doc_text: str, schema) -> Assignment:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     program = parse_qdmr(args.qdmr)
+    top_k = SynthesisConfig().top_k
     if Path(args.schema).suffix.lower() == ".json":
         schema = load_schema(args.schema)
-        plan, linkings = link_program(program, schema)
+        plan, linkings = link_program(program, schema, None, None, top_k, {})
     else:
         # A database source also locates literals through a value index.
         conn = open_readonly(args.schema)
         try:
             schema = load_schema(conn)
             value_index = ValueIndex(conn, schema)
-            plan, linkings = link_program(program, schema, None, value_index)
+            plan, linkings = link_program(
+                program, schema, None, value_index, top_k, {}
+            )
         finally:
             conn.close()
     if args.assignment is not None:
         assignment = _parse_assignment(args.assignment, schema)
     else:
         assignment = next(
-            enumerate_assignments(linkings, plan.literal_candidates, limit=1),
+            enumerate_assignments(linkings, plan.literal_candidates, top_k, 1),
             None,
         )
         if assignment is None:

@@ -22,13 +22,14 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .errors import (
     AllLinesInvalid,
     FileUnreadable,
+    FileUnwritable,
     Qdmr2SqlError,
     QdmrParseError,
 )
@@ -171,15 +172,6 @@ class CoverageRow:
     synthesized: int
     coverage: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "dataset": self.dataset,
-            "db_count": self.db_count,
-            "examples": self.examples,
-            "synthesized": self.synthesized,
-            "coverage": self.coverage,
-        }
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -200,15 +192,10 @@ class CoverageReport:
         pairs: Sequence[Tuple[Example, SynthesisOutcome]],
     ) -> Tuple[Tuple[CoverageRow, ...], Optional[CoverageRow]]:
         groups: Dict[str, List[Tuple[Example, SynthesisOutcome]]] = {}
-        order: List[str] = []
         for ex, out in pairs:
-            if ex.dataset not in groups:
-                groups[ex.dataset] = []
-                order.append(ex.dataset)
-            groups[ex.dataset].append((ex, out))
+            groups.setdefault(ex.dataset, []).append((ex, out))
         rows = []
-        for name in order:
-            members = groups[name]
+        for name, members in groups.items():
             n = len(members)
             m = sum(1 for _, out in members if out.status is SearchStatus.FOUND)
             dbs = len({ex.db_id for ex, _ in members})
@@ -235,11 +222,11 @@ class CoverageReport:
 
     def to_dict(self) -> Dict[str, object]:
         doc: Dict[str, object] = {
-            "groups": [r.to_dict() for r in self.rows],
-            "total": self.total.to_dict() if self.total else None,
+            "groups": [asdict(r) for r in self.rows],
+            "total": asdict(self.total) if self.total else None,
             "non_empty": {
-                "groups": [r.to_dict() for r in self.non_empty_rows],
-                "total": self.non_empty_total.to_dict()
+                "groups": [asdict(r) for r in self.non_empty_rows],
+                "total": asdict(self.non_empty_total)
                 if self.non_empty_total
                 else None,
             },
@@ -383,12 +370,12 @@ def rejects_path(pairs_path: Union[str, Path]) -> Path:
 @contextmanager
 def _output(path: Union[str, Path]) -> Iterator[TextIO]:
     """``path`` open for writing text; failing to open or write it raises
-    FileUnreadable naming the path."""
+    FileUnwritable naming the path."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
-        raise FileUnreadable(f"cannot write {path}: {exc}") from exc
+        raise FileUnwritable(f"cannot write {path}: {exc}") from exc
 
 
 def emit_training_pairs(

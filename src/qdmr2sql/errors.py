@@ -88,11 +88,16 @@ class ExecutionTimeout(SqlError):
 # --- corpus handling ---------------------------------------------------------
 
 class CorpusError(Qdmr2SqlError):
-    """An example file could not be used."""
+    """An input or output file could not be used."""
 
 
 class FileUnreadable(CorpusError):
-    """The examples file does not exist or cannot be parsed at all."""
+    """An input file (examples, word vectors, a database's location) does
+    not exist or cannot be read or parsed at all."""
+
+
+class FileUnwritable(CorpusError):
+    """An output file cannot be opened or written."""
 
 
 class AllLinesInvalid(CorpusError):

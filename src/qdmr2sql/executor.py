@@ -12,11 +12,13 @@ By default two empty denotations do NOT compare equal.  An empty result is
 most often a spurious query rather than a correct one, so an empty answer
 only matches when the caller opts in with ``allow_empty``.
 
-A candidate query is executed against its target answer: rows are read
-one at a time until the first one outside the target, because that row
-alone already makes the comparison fail.  Results are often far larger
-than the answer, and reading them to the end would cost most of the
-search.
+A query runs in one mode only, the one the search needs: against its
+target answer and under the search's deadline.  Rows are read one at a
+time until the first one outside the target, because that row alone
+already makes the comparison fail; results are often far larger than the
+answer, and reading them to the end would cost most of the search.  The
+deadline is the absolute ``time.monotonic()`` value the search computed,
+checked by the engine's progress hook while the statement runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ExecutionTimeout, SqlError
 from .schema import open_readonly
@@ -130,70 +132,56 @@ class Database:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def execute(
-        self,
-        sql: str,
-        timeout_secs: Optional[float] = None,
-        *,
-        target: Optional[Denotation] = None,
-    ) -> Denotation:
-        """Run one statement and read its result rows.
+    def execute(self, sql: str, deadline: float, target: Denotation) -> Denotation:
+        """Run one statement and read its rows until the first one that
+        matches no row of ``target``, neither exactly nor within the
+        numeric tolerance.
 
-        Without ``target`` every row is read.  With one, reading stops
-        after the first row that matches no row of ``target``, neither
-        exactly nor within the numeric tolerance.  That row alone makes
-        :func:`denotations_equal` against ``target`` false, and every row
-        before it matches, so the verdict on the rows read equals the
-        verdict on the whole result; ``len`` of the result counts the rows
-        read.
+        That row alone makes :func:`denotations_equal` against ``target``
+        false, and every row before it matches, so the verdict on the rows
+        read equals the verdict on the whole result; ``len`` of the result
+        counts the rows read.
 
-        The statement is aborted once ``timeout_secs`` of wall-clock time
-        have passed, also while its rows are read; the checks piggyback
+        The statement is aborted once ``time.monotonic()`` passes
+        ``deadline``, also while its rows are read; the checks piggyback
         on the engine's progress hook.
         """
-        if timeout_secs is not None:
-            deadline = time.monotonic() + timeout_secs
-            timed_out = []
+        timed_out = False
 
-            def _check() -> int:
-                if time.monotonic() > deadline:
-                    timed_out.append(True)
-                    return 1
-                return 0
+        def _check() -> bool:
+            nonlocal timed_out
+            timed_out = time.monotonic() > deadline
+            return timed_out
 
-            self.conn.set_progress_handler(_check, _PROGRESS_GRANULARITY)
-        wanted = None if target is None else target._canonical
+        wanted = target._canonical
         rows: List[Tuple[Cell, ...]] = []
         canonical = set()
         try:
-            cursor = self.conn.execute(sql)
+            self.conn.set_progress_handler(_check, _PROGRESS_GRANULARITY)
             try:
-                for raw in cursor:
-                    row = tuple(map(_cell, raw))
-                    rows.append(row)
-                    if wanted is not None:
+                cursor = self.conn.execute(sql)
+                try:
+                    for raw in cursor:
+                        row = tuple(map(_cell, raw))
+                        rows.append(row)
                         key = tuple(map(_canon, row))
                         canonical.add(key)
                         if key not in wanted and not any(
                             _rows_match(key, t) for t in wanted
                         ):
                             break
+                finally:
+                    # Resets the statement, which releases its read lock.
+                    cursor.close()
             finally:
-                # Resets the statement, which releases its read lock.
-                cursor.close()
-        except sqlite3.Error as exc:
-            if timeout_secs is not None and timed_out:
-                raise ExecutionTimeout(
-                    f"query exceeded {timeout_secs:.1f}s"
-                ) from exc
-            raise SqlError(str(exc)) from exc
-        finally:
-            if timeout_secs is not None:
                 self.conn.set_progress_handler(None, 0)
+        except sqlite3.Error as exc:
+            if timed_out:
+                raise ExecutionTimeout("query ran past its deadline") from exc
+            raise SqlError(str(exc)) from exc
         result = Denotation(rows=tuple(rows))
-        if wanted is not None:
-            # Seed the cached property so no cell is canonicalised twice.
-            object.__setattr__(result, "_canonical", frozenset(canonical))
+        # Seed the cached property so no cell is canonicalised twice.
+        object.__setattr__(result, "_canonical", frozenset(canonical))
         return result
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import UnreadableDatabase
+from .errors import FileUnreadable
 from .qdmr import OpKind, QdmrProgram
 from .schema import ColumnRef, SchemaGraph, ValueIndex
 from .text import STOP_WORDS, content_lemmas, tokenize
@@ -54,6 +54,8 @@ class EmbeddingLexicon:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "EmbeddingLexicon":
+        """Read a vectors file; raises FileUnreadable when it cannot be read
+        or its lines disagree on the vector width or hold a non-number."""
         vectors: Dict[str, Tuple[float, ...]] = {}
         dim: Optional[int] = None
         try:
@@ -66,14 +68,12 @@ class EmbeddingLexicon:
                     if dim is None:
                         dim = len(values)
                     elif len(values) != dim:
-                        raise UnreadableDatabase(
-                            f"inconsistent vector width in {path}"
-                        )
+                        raise FileUnreadable(f"inconsistent vector width in {path}")
                     vectors[parts[0]] = values
         except OSError as exc:
-            raise UnreadableDatabase(f"cannot read embeddings {path}: {exc}") from exc
+            raise FileUnreadable(f"cannot read embeddings {path}: {exc}") from exc
         except ValueError as exc:
-            raise UnreadableDatabase(f"malformed embeddings {path}: {exc}") from exc
+            raise FileUnreadable(f"malformed embeddings {path}: {exc}") from exc
         return cls(vectors)
 
     @classmethod
@@ -133,12 +133,12 @@ class PhraseLinking:
 def rank_columns(
     phrase: str,
     schema: SchemaGraph,
-    lexicon: Optional[EmbeddingLexicon] = None,
-    top_k: Optional[int] = None,
+    lexicon: Optional[EmbeddingLexicon],
+    top_k: int,
 ) -> List[LinkCandidate]:
-    """Rank every schema column as a link target for ``phrase``; keep the
-    best ``top_k``, or all of them when ``top_k`` is None."""
-    if top_k is not None and top_k < 1:
+    """Rank every schema column as a link target for ``phrase`` and keep
+    the best ``top_k``; without a lexicon every similarity is 0."""
+    if top_k < 1:
         raise ValueError("top_k must be at least 1")
     lexicon = lexicon or EmbeddingLexicon.empty()
     lemmas = content_lemmas(tokenize(phrase))
@@ -160,7 +160,7 @@ def rank_columns(
         LinkCandidate(column=col, tier=tier, similarity=-neg, rank=i)
         for i, (tier, neg, _, _, col) in enumerate(scored)
     ]
-    return out if top_k is None else out[:top_k]
+    return out[:top_k]
 
 
 @dataclass(frozen=True)
@@ -184,15 +184,16 @@ class Assignment:
 def enumerate_assignments(
     linkings: Sequence[PhraseLinking],
     literal_links: Mapping[str, Sequence[ColumnRef]],
-    top_k: int = 20,
-    limit: Optional[int] = None,
+    top_k: int,
+    limit: int,
 ) -> Iterator[Assignment]:
-    """Yield assignments best-first by rank sum.
+    """Yield at most ``limit`` assignments best-first by rank sum.
 
     Slot order is the phrase linkings in the given order followed by the
     literals in insertion order; the rank tuple over those slots breaks
-    ties lexicographically.  The stream ends once the capped cross-product
-    (``top_k`` options per slot) is exhausted.
+    ties lexicographically.  The stream ends earlier once the capped
+    cross-product (``top_k`` options per slot) is exhausted; with no slots
+    it holds one empty assignment.
     """
     slots: List[Tuple[str, object, Sequence[object]]] = []
     for linking in linkings:
@@ -203,18 +204,11 @@ def enumerate_assignments(
 
     if any(not options for _, _, options in slots):
         return
-    yielded = 0
-    if not slots:
-        if limit is None or limit > 0:
-            yield Assignment(choices={}, literal_choices={}, ranks=())
-        return
-
     start = tuple(0 for _ in slots)
     heap = [(0, start)]
     seen = {start}
-    while heap:
-        if limit is not None and yielded >= limit:
-            return
+    yielded = 0
+    while heap and yielded < limit:
         total, ranks = heapq.heappop(heap)
         choices: Dict[Tuple[int, str], ColumnRef] = {}
         literal_choices: Dict[str, ColumnRef] = {}
@@ -325,11 +319,10 @@ def plan_bindings(
 def link_program(
     program: QdmrProgram,
     schema: SchemaGraph,
-    lexicon: Optional[EmbeddingLexicon] = None,
-    value_index: Optional[ValueIndex] = None,
-    top_k: int = 20,
-    *,
-    rankings: Optional[Dict[str, Tuple[LinkCandidate, ...]]] = None,
+    lexicon: Optional[EmbeddingLexicon],
+    value_index: Optional[ValueIndex],
+    top_k: int,
+    rankings: Dict[str, Tuple[LinkCandidate, ...]],
 ) -> Tuple[BindingPlan, List[PhraseLinking]]:
     """Plan a program's bindings and rank candidates for each phrase slot.
 
@@ -338,8 +331,6 @@ def link_program(
     is shared across programs, and says when sharing it is valid.
     """
     plan = plan_bindings(program, value_index)
-    if rankings is None:
-        rankings = {}
     linkings = []
     for idx, _, phrase in plan.phrase_slots:
         candidates = rankings.get(phrase)

@@ -50,7 +50,6 @@ __all__ = [
     "heuristic_distinct",
     "heuristic_superlative",
     "heuristic_aggregate_swap",
-    "synthesize",
 ]
 
 HEURISTIC_DISTINCT = "distinct"
@@ -261,7 +260,7 @@ def search(example, session: Session) -> SynthesisOutcome:
     target = answer_denotation(example.answer)
     plan, linkings = link_program(
         example.program, session.schema, session.lexicon, session.value_index,
-        top_k=config.top_k, rankings=session.rankings,
+        config.top_k, session.rankings,
     )
     variants = _program_variants(example.program, plan, session.value_index)
 
@@ -269,17 +268,13 @@ def search(example, session: Session) -> SynthesisOutcome:
     mapping_errors: List[str] = []
     engine_errors: List[str] = []
     assignments = enumerate_assignments(
-        linkings,
-        plan.literal_candidates,
-        top_k=config.top_k,
-        limit=config.max_assignments,
+        linkings, plan.literal_candidates, config.top_k, config.max_assignments
     )
     for assignment in assignments:
         for query, label, used_program in _candidates(
             variants, session.schema, assignment, mapping_errors
         ):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if time.monotonic() >= deadline:
                 return SynthesisOutcome(
                     status=SearchStatus.TIMEOUT,
                     candidates_tried=tried,
@@ -288,9 +283,7 @@ def search(example, session: Session) -> SynthesisOutcome:
             tried += 1
             sql = render_sql(query)
             try:
-                result = session.database.execute(
-                    sql, timeout_secs=remaining, target=target
-                )
+                result = session.database.execute(sql, deadline, target)
             except ExecutionTimeout:
                 return SynthesisOutcome(
                     status=SearchStatus.TIMEOUT,

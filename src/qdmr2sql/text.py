@@ -3,8 +3,7 @@
 Identifiers split on underscores, punctuation, and camelCase boundaries;
 phrases split on whitespace and punctuation.  Lemmatization is a small
 deterministic rule cascade (plural stripping, -ing/-ed stripping with
-doubling repair) behind an exception map for common irregular forms.  An
-optional user-supplied lexicon can override both, entry by entry.
+doubling repair) behind an exception map for common irregular forms.
 
 The rules are intentionally modest: their only job is to make phrase tokens
 and schema-identifier tokens meet at a shared form, and golden tests pin the
@@ -14,7 +13,7 @@ outputs the rest of the package relies on.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 __all__ = ["STOP_WORDS", "tokenize", "lemmatize", "content_lemmas"]
 
@@ -81,10 +80,8 @@ def _repair_e(stem: str) -> str:
     return stem
 
 
-def lemmatize(token: str, lexicon: Optional[Dict[str, str]] = None) -> str:
+def lemmatize(token: str) -> str:
     """Reduce one lowercased token to its lemma."""
-    if lexicon and token in lexicon:
-        return lexicon[token]
     if token in _LEMMA_EXCEPTIONS:
         return _LEMMA_EXCEPTIONS[token]
     if len(token) > 4 and token.endswith("ies"):
@@ -106,15 +103,13 @@ def lemmatize(token: str, lexicon: Optional[Dict[str, str]] = None) -> str:
     return token
 
 
-def content_lemmas(
-    tokens: Iterable[str], lexicon: Optional[Dict[str, str]] = None
-) -> Tuple[str, ...]:
+def content_lemmas(tokens: Iterable[str]) -> Tuple[str, ...]:
     """Lemmas of the non-stop-word tokens, deduplicated, order preserved."""
     out = []
     for token in tokens:
         if token in STOP_WORDS:
             continue
-        lemma = lemmatize(token, lexicon)
+        lemma = lemmatize(token)
         if lemma and lemma not in out:
             out.append(lemma)
     return tuple(out)

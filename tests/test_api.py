@@ -100,6 +100,43 @@ def test_search_takes_an_example_and_a_session():
     assert all(p.default is inspect.Parameter.empty for p in params)
 
 
+# Each operation the search runs, with the one signature its one mode
+# needs.  A defaulted parameter would be a mode the search never selects,
+# an option that only tests choose.
+ONE_MODE = [
+    ("qdmr2sql.executor", "Database.execute", ["self", "sql", "deadline", "target"]),
+    ("qdmr2sql.linking", "rank_columns", ["phrase", "schema", "lexicon", "top_k"]),
+    ("qdmr2sql.linking", "enumerate_assignments",
+     ["linkings", "literal_links", "top_k", "limit"]),
+    ("qdmr2sql.linking", "link_program",
+     ["program", "schema", "lexicon", "value_index", "top_k", "rankings"]),
+    ("qdmr2sql.text", "lemmatize", ["token"]),
+    ("qdmr2sql.text", "content_lemmas", ["tokens"]),
+]
+
+
+@pytest.mark.parametrize(
+    ("module", "attr", "names"), ONE_MODE, ids=[attr for _, attr, _ in ONE_MODE]
+)
+def test_search_operations_have_one_mode(module, attr, names):
+    fn = importlib.import_module(module)
+    for part in attr.split("."):
+        fn = getattr(fn, part)
+    params = inspect.signature(fn).parameters.values()
+    assert [p.name for p in params] == names
+    assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def test_search_exports_only_its_own_names():
+    """``search`` imports ``synthesize`` as a hook point, not to export it."""
+    search = importlib.import_module("qdmr2sql.search")
+    foreign = [
+        name for name in search.__all__
+        if getattr(search, name).__module__ != "qdmr2sql.search"
+    ]
+    assert not foreign
+
+
 def test_session_is_exported():
     search = importlib.import_module("qdmr2sql.search")
     assert "Session" in search.__all__

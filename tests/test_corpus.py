@@ -7,6 +7,7 @@ per-example statuses and the resulting report numbers are pinned here.
 
 import dataclasses
 import json
+import re
 import shutil
 import sqlite3
 from itertools import zip_longest
@@ -30,7 +31,7 @@ from qdmr2sql.corpus import (
     run_corpus,
     write_rejects,
 )
-from qdmr2sql.errors import AllLinesInvalid, FileUnreadable
+from qdmr2sql.errors import AllLinesInvalid, FileUnreadable, FileUnwritable
 from qdmr2sql.executor import Database
 from qdmr2sql.qdmr import parse_qdmr
 from qdmr2sql.schema import ValueIndex, load_schema, open_readonly
@@ -115,8 +116,9 @@ class TestLoadExamples:
         assert examples[0].answer == [[1, "a"], [2, "b"]]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileUnreadable):
+        with pytest.raises(FileUnreadable) as info:
             load_examples(tmp_path / "absent.jsonl")
+        assert not isinstance(info.value, FileUnwritable)
 
     def test_all_lines_invalid(self, tmp_path):
         path = tmp_path / "junk.jsonl"
@@ -436,7 +438,7 @@ def ranked(monkeypatch):
     calls = []
     real = linking.rank_columns
 
-    def counting(phrase, schema, lexicon=None, top_k=None):
+    def counting(phrase, schema, lexicon, top_k):
         calls.append((_database_key(schema), phrase))
         return real(phrase, schema, lexicon, top_k)
 
@@ -587,3 +589,21 @@ class TestWriteRejects:
         docs = [json.loads(l) for l in path.read_text().splitlines()]
         assert docs[0] == {"line": 3, "reason": "invalid JSON"}
         assert docs[1] == {"line": 9, "reason": "missing", "id": "x"}
+
+
+class TestUnwritableOutputs:
+    """An output that cannot be written raises FileUnwritable naming it, a
+    type a caller can tell apart from an input that cannot be read."""
+
+    @pytest.mark.parametrize("output", ["pairs", "rejects", "report"])
+    def test_raises_file_unwritable(self, tmp_path, output):
+        path = tmp_path / "no" / "dir" / "out.jsonl"
+        write = {
+            "pairs": lambda: emit_training_pairs([], [], path),
+            "rejects": lambda: write_rejects([], path),
+            "report": lambda: CoverageReport.build([], []).write(path),
+        }[output]
+        reason = re.escape(f"cannot write {path}: ")
+        with pytest.raises(FileUnwritable, match=reason) as info:
+            write()
+        assert not isinstance(info.value, FileUnreadable)

@@ -3,8 +3,9 @@
 The comparison semantics carry most of the weight in candidate search:
 row order and duplicates are ignored, numbers match under a relative
 tolerance, and empty results only match when explicitly allowed.  A
-candidate executed against a target is read only until its first row
-outside the target, which must never change the verdict.
+candidate is executed against its target under a deadline and read only
+until its first row outside the target, which must never change the
+verdict; whole results are read through the plain sqlite3 oracle ``run``.
 """
 
 import hashlib
@@ -24,10 +25,21 @@ from qdmr2sql.executor import (
     denotations_equal,
 )
 from qdmr2sql.executor import NUMERIC_TOLERANCE, _canon, _numbers_close
+from test_sqlgen import run
 
 
 def deno(*rows):
     return Denotation.from_rows(rows)
+
+
+def soon(secs=60.0):
+    """A deadline ``secs`` from now; the default is one no fixture query
+    comes near."""
+    return time.monotonic() + secs
+
+
+ONE = answer_denotation(1)
+NOTHING = answer_denotation([])
 
 
 class TestDenotation:
@@ -224,28 +236,28 @@ class TestEqualityProperties:
 class TestDatabase:
     def test_execute_returns_denotation(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
-        got = db.execute("SELECT COUNT(*) FROM ship")
+        got = db.execute("SELECT COUNT(*) FROM ship", soon(), answer_denotation(6))
         assert got.rows == ((6,),)
 
     def test_writes_rejected_and_file_untouched(self, ship_death_db, open_db):
         before = hashlib.sha256(ship_death_db.read_bytes()).hexdigest()
         db = open_db(ship_death_db)
         with pytest.raises(SqlError):
-            db.execute("INSERT INTO ship (id, name) VALUES (99, 'x')")
+            db.execute("INSERT INTO ship (id, name) VALUES (99, 'x')", soon(), NOTHING)
         with pytest.raises(SqlError):
-            db.execute("DELETE FROM death")
+            db.execute("DELETE FROM death", soon(), NOTHING)
         after = hashlib.sha256(ship_death_db.read_bytes()).hexdigest()
         assert before == after
 
     def test_syntax_error(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
         with pytest.raises(SqlError):
-            db.execute("SELEC 1")
+            db.execute("SELEC 1", soon(), ONE)
 
     def test_missing_table(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
         with pytest.raises(SqlError):
-            db.execute("SELECT * FROM no_such_table")
+            db.execute("SELECT * FROM no_such_table", soon(), ONE)
 
     def test_timeout_aborts_runaway_query(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
@@ -255,20 +267,24 @@ class TestDatabase:
             "SELECT COUNT(*) FROM c"
         )
         with pytest.raises(ExecutionTimeout):
-            db.execute(runaway, timeout_secs=0.1)
+            db.execute(runaway, soon(0.1), answer_denotation(100000000))
         # The progress hook is cleared afterwards; the connection still works.
-        assert db.execute("SELECT 1").rows == ((1,),)
+        assert db.execute("SELECT 1", soon(), ONE).rows == ((1,),)
 
     def test_fast_query_survives_timeout(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
-        got = db.execute("SELECT name FROM ship WHERE id = 3", timeout_secs=5.0)
+        got = db.execute(
+            "SELECT name FROM ship WHERE id = 3",
+            soon(5.0),
+            answer_denotation("HMS Trinidad"),
+        )
         assert got.rows == (("HMS Trinidad",),)
 
     def test_context_manager_closes(self, ship_death_db):
         with Database.open(ship_death_db) as db:
-            assert db.execute("SELECT 1").rows == ((1,),)
+            assert db.execute("SELECT 1", soon(), ONE).rows == ((1,),)
         with pytest.raises(SqlError):
-            db.execute("SELECT 1")
+            db.execute("SELECT 1", soon(), ONE)
 
     def test_open_missing_file_raises(self, tmp_path):
         from qdmr2sql.errors import UnreadableDatabase
@@ -280,7 +296,9 @@ class TestDatabase:
 class TestExecuteFunction:
     def test_delegates(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
-        got = db.execute("SELECT tonnage FROM ship WHERE id = 1")
+        got = db.execute(
+            "SELECT tonnage FROM ship WHERE id = 1", soon(), answer_denotation(400)
+        )
         assert got.rows == ((400,),)
 
 
@@ -351,9 +369,9 @@ class TestEarlyExit:
         arity, rows, target = case
         path = tmp_path_factory.mktemp("early_exit") / "t.sqlite"
         _write_table(path, arity, rows)
+        full = run(path, "SELECT * FROM t")
         with Database.open(path) as db:
-            full = db.execute("SELECT * FROM t")
-            early = db.execute("SELECT * FROM t", target=target)
+            early = db.execute("SELECT * FROM t", soon(), target)
         assert early.rows == full.rows[: len(early)]
         for allow_empty in (False, True):
             assert denotations_equal(early, target, allow_empty) == denotations_equal(
@@ -365,7 +383,7 @@ class TestEarlyExit:
         _write_table(path, 1, [(1.0000005,), (2.0,), (3.0,), (2.0,)])
         target = answer_denotation([1, 2])
         with Database.open(path) as db:
-            got = db.execute("SELECT c0 FROM t", target=target)
+            got = db.execute("SELECT c0 FROM t", soon(), target)
         assert got.rows == ((1.0000005,), (2.0,), (3.0,))
         assert not denotations_equal(got, target)
 
@@ -374,11 +392,12 @@ class TestEarlyExit:
         db = open_db(ship_death_db)
         sql = "SELECT 1e999 UNION ALL SELECT 5"
         target = answer_denotation([[5]])
-        got = db.execute(sql, target=target)
+        got = db.execute(sql, soon(), target)
         assert got.rows == ((float("inf"),),)
         assert not denotations_equal(got, target)
         inf_target = answer_denotation([[float("inf")]])
-        assert denotations_equal(db.execute("SELECT 1e999", target=inf_target), inf_target)
+        got = db.execute("SELECT 1e999", soon(), inf_target)
+        assert denotations_equal(got, inf_target)
 
     def test_deadline_holds_while_rows_stream(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
@@ -395,20 +414,20 @@ class TestEarlyExit:
         try:
             start = time.monotonic()
             with pytest.raises(ExecutionTimeout):
-                db.execute(endless, timeout_secs=0.2, target=answer_denotation([[1]]))
+                db.execute(endless, soon(0.2), answer_denotation([[1]]))
             elapsed = time.monotonic() - start
         finally:
             watchdog.cancel()
         # One progress interval takes microseconds; the rest is slack for
         # a loaded host.
         assert elapsed < 0.2 + 0.5
-        assert db.execute("SELECT 1").rows == ((1,),)
+        assert db.execute("SELECT 1", soon(), ONE).rows == ((1,),)
 
     def test_early_exit_releases_the_statement(self, tmp_path):
         path = tmp_path / "big.sqlite"
         _write_table(path, 1, [(i,) for i in range(1000)])
         with Database.open(path) as db:
-            got = db.execute("SELECT c0 FROM t", target=answer_denotation([[-1]]))
+            got = db.execute("SELECT c0 FROM t", soon(), answer_denotation([[-1]]))
             assert got.rows == ((0,),)
             # A statement left open holds a SHARED lock; the commit would
             # then fail with "database is locked".

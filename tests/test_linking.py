@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA_DIR
 from qdmr2sql import (
     EmbeddingLexicon,
-    UnreadableDatabase,
+    FileUnreadable,
+    SchemaError,
     ValueIndex,
     enumerate_assignments,
     link_program,
@@ -63,12 +64,21 @@ class TestLexicon:
     def test_inconsistent_width_rejected(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1.0 2.0\nb 1.0\n")
-        with pytest.raises(UnreadableDatabase):
+        with pytest.raises(FileUnreadable, match="inconsistent vector width"):
+            EmbeddingLexicon.load(path)
+
+    def test_non_number_rejected(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1.0 two\n")
+        with pytest.raises(FileUnreadable, match="malformed embeddings"):
             EmbeddingLexicon.load(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(UnreadableDatabase):
+        # An unreadable vectors file is an input file problem, not a
+        # database one.
+        with pytest.raises(FileUnreadable) as info:
             EmbeddingLexicon.load(tmp_path / "absent.txt")
+        assert not isinstance(info.value, SchemaError)
 
     def test_mini_file_loads(self, lexicon):
         assert len(lexicon) == 43
@@ -101,33 +111,33 @@ class TestSimilarity:
 class TestRankColumns:
     def test_tier1_exact_lemma_set(self, ship_death_db, lexicon):
         schema = load_schema(ship_death_db)
-        top = rank_columns("the name", schema, lexicon)[0]
+        top = rank_columns("the name", schema, lexicon, 20)[0]
         assert top.tier == 1
         assert str(top.column) == "ship.name"
 
     def test_tier1_beats_higher_similarity_in_lower_tier(self, geo_db, lexicon):
         schema = load_schema(geo_db)
-        ranked = rank_columns("the population", schema, lexicon)
+        ranked = rank_columns("the population", schema, lexicon, 20)
         assert str(ranked[0].column) == "state.population"
         assert ranked[0].tier == 1
         assert all(c.tier > 1 for c in ranked[1:])
 
     def test_tier2_overlap_ordering(self, ship_death_db, lexicon):
         schema = load_schema(ship_death_db)
-        ranked = rank_columns("ships", schema, lexicon)
+        ranked = rank_columns("ships", schema, lexicon, 20)
         assert [str(c.column) for c in ranked[:2]] == ["ship.id", "ship.name"]
         assert ranked[0].tier == 2
 
     def test_tier3_similarity_only(self, ship_death_db, lexicon):
         schema = load_schema(ship_death_db)
-        ranked = rank_columns("injuries", schema, lexicon)
+        ranked = rank_columns("injuries", schema, lexicon, 20)
         assert str(ranked[0].column) == "death.injured"
         assert ranked[0].tier == 3
         assert ranked[0].similarity > ranked[1].similarity
 
     def test_without_lexicon_order_is_tier_then_name(self, ship_death_db):
         schema = load_schema(ship_death_db)
-        ranked = rank_columns("ships", schema)
+        ranked = rank_columns("ships", schema, None, 20)
         # All similarities collapse to zero; tier then (table, column) rules.
         assert ranked[0].column.table == "ship" or ranked[0].tier <= 2
         sims = {c.similarity for c in ranked}
@@ -135,7 +145,7 @@ class TestRankColumns:
 
     def test_rank_field_matches_position(self, products_db, lexicon):
         schema = load_schema(products_db)
-        ranked = rank_columns("product types", schema, lexicon)
+        ranked = rank_columns("product types", schema, lexicon, 20)
         assert [c.rank for c in ranked] == list(range(len(ranked)))
         assert [str(c.column) for c in ranked] == [
             "products.product_type_code",
@@ -155,7 +165,7 @@ class TestRankColumns:
 
     def test_voting_ranking(self, voting_record_db, lexicon):
         schema = load_schema(voting_record_db)
-        ranked = rank_columns("students with treasurer votes", schema, lexicon)
+        ranked = rank_columns("students with treasurer votes", schema, lexicon, 20)
         assert [str(c.column) for c in ranked] == [
             "student.stuid",
             "voting_record.treasurer_vote",
@@ -182,40 +192,44 @@ def linking(idx, phrase, cols):
     )
 
 
+# Neither bound binds on the slots below unless a test passes its own.
+TOP_K, LIMIT = 20, 1000
+
+
 class TestEnumerateAssignments:
     A = [col("t", "a0"), col("t", "a1"), col("t", "a2")]
     B = [col("t", "b0"), col("t", "b1"), col("t", "b2")]
 
     def test_best_first_with_lexicographic_ties(self):
         slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        got = [a.ranks for a in enumerate_assignments(slots, {})]
+        got = [a.ranks for a in enumerate_assignments(slots, {}, TOP_K, LIMIT)]
         assert got[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
         assert len(got) == 9
 
     def test_rank_sums_nondecreasing(self):
         slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        sums = [sum(a.ranks) for a in enumerate_assignments(slots, {})]
+        sums = [sum(a.ranks) for a in enumerate_assignments(slots, {}, TOP_K, LIMIT)]
         assert sums == sorted(sums)
 
     def test_every_combination_exactly_once(self):
         slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        got = [a.ranks for a in enumerate_assignments(slots, {})]
+        got = [a.ranks for a in enumerate_assignments(slots, {}, TOP_K, LIMIT)]
         assert sorted(got) == sorted(itertools.product(range(3), range(3)))
 
     def test_top_k_caps_each_slot(self):
         slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        got = list(enumerate_assignments(slots, {}, top_k=2))
+        got = list(enumerate_assignments(slots, {}, 2, LIMIT))
         assert len(got) == 4
 
     def test_limit_stops_stream(self):
         slots = [linking(1, "x", self.A)]
-        got = list(enumerate_assignments(slots, {}, limit=2))
+        got = list(enumerate_assignments(slots, {}, TOP_K, 2))
         assert len(got) == 2
 
     def test_literal_slots_participate(self):
         slots = [linking(1, "x", self.A[:2])]
         literals = {"France": [col("country", "name"), col("city", "name")]}
-        got = list(enumerate_assignments(slots, literals))
+        got = list(enumerate_assignments(slots, literals, TOP_K, LIMIT))
         assert len(got) == 4
         first = got[0]
         assert str(first.choices[(1, "x")]) == "t.a0"
@@ -223,17 +237,17 @@ class TestEnumerateAssignments:
 
     def test_empty_candidate_list_yields_nothing(self):
         slots = [linking(1, "x", self.A), linking(2, "y", [])]
-        assert list(enumerate_assignments(slots, {})) == []
+        assert list(enumerate_assignments(slots, {}, TOP_K, LIMIT)) == []
 
     def test_no_slots_yields_single_empty_assignment(self):
-        got = list(enumerate_assignments([], {}))
+        got = list(enumerate_assignments([], {}, TOP_K, LIMIT))
         assert len(got) == 1
         assert got[0].choices == {}
 
     def test_describe_round_trip_keys(self):
         slots = [linking(2, "the majors", self.A[:1])]
         literals = {"PVLDB": [col("journal", "name")]}
-        (assignment,) = enumerate_assignments(slots, literals)
+        (assignment,) = enumerate_assignments(slots, literals, TOP_K, LIMIT)
         assert assignment.describe() == {
             "2:the majors": "t.a0",
             "value:PVLDB": "journal.name",
@@ -250,7 +264,7 @@ def test_property_enumeration_is_exhaustive_and_sorted(sizes, top_k):
         linking(i + 1, f"p{i}", [col("t", f"c{i}_{j}") for j in range(n)])
         for i, n in enumerate(sizes)
     ]
-    got = [a.ranks for a in enumerate_assignments(slots, {}, top_k=top_k)]
+    got = [a.ranks for a in enumerate_assignments(slots, {}, top_k, LIMIT)]
     expect = list(itertools.product(*(range(min(n, top_k)) for n in sizes)))
     assert sorted(got) == sorted(expect)
     sums = [sum(r) for r in got]
@@ -326,9 +340,7 @@ class TestLinkProgram:
                 "return the mississippi; return states #1 run through; "
                 "return the population of #2"
             )
-            plan, linkings = link_program(
-                program, schema, lexicon, index, top_k=3
-            )
+            plan, linkings = link_program(program, schema, lexicon, index, 3, {})
             assert [l.phrase for l in linkings] == [
                 "states run through", "the population of",
             ]
@@ -354,7 +366,7 @@ class TestLinkProgram:
                         continue
                     seen = dict(memo)
                     _, linkings = link_program(
-                        ex.program, schema, lexicon, index, rankings=memo
+                        ex.program, schema, lexicon, index, 20, memo
                     )
                     for l in linkings:
                         fresh = rank_columns(l.phrase, schema, lexicon, 20)

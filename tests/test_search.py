@@ -414,7 +414,7 @@ class TestFailureStatuses:
     def test_engine_rejecting_every_candidate(
         self, products_db, open_db, lexicon, monkeypatch
     ):
-        def reject(self, sql, timeout_secs=None, *, target=None):
+        def reject(self, sql, deadline, target):
             raise SqlError("no such column: boom")
 
         monkeypatch.setattr(Database, "execute", reject)

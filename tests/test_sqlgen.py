@@ -8,13 +8,14 @@ covered separately.
 """
 
 import dataclasses
+import sqlite3
 
 import pytest
 
 from qdmr2sql import (
     Assignment,
     ArityMismatch,
-    Database,
+    Denotation,
     MissingJoin,
     SqlQuery,
     UnboundPhrase,
@@ -73,8 +74,14 @@ def build(db_path, qdmr, choices, use_values=True, literals=None):
 
 
 def run(db_path, sql):
-    with Database.open(db_path) as db:
-        return db.execute(sql)
+    """Every row of ``sql``, read through a plain read-only sqlite3
+    connection: an oracle independent of ``Database.execute``, which reads
+    a candidate only as far as its target answer."""
+    conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+    try:
+        return Denotation.from_rows(conn.execute(sql))
+    finally:
+        conn.close()
 
 
 class TestRuleGoldens:

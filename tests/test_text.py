@@ -60,8 +60,8 @@ def test_lemmatize(token, lemma):
     assert lemmatize(token) == lemma
 
 
-def test_lexicon_overrides_rules():
-    assert lemmatize("ships", {"ships": "vessel"}) == "vessel"
+def test_rules_alone_decide_the_lemma():
+    assert lemmatize("ships") == "ship"
 
 
 def test_content_lemmas_drop_stop_words_and_dedupe():
