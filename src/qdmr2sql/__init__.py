@@ -54,7 +54,7 @@ from .linking import (
     BindingPlan,
     EmbeddingLexicon,
     LinkCandidate,
-    PhraseLinking,
+    Slot,
     enumerate_assignments,
     link_program,
     phrase_column_similarity,

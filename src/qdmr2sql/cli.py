@@ -16,11 +16,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .corpus import (
     CoverageReport,
+    create_outputs,
     emit_training_pairs,
+    failures_path,
     load_examples,
     rejects_path,
     run_corpus,
@@ -30,6 +32,7 @@ from .errors import Qdmr2SqlError
 from .linking import (
     Assignment,
     EmbeddingLexicon,
+    Slot,
     enumerate_assignments,
     link_program,
     rank_columns,
@@ -121,10 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_batch(args: argparse.Namespace):
+def _run_batch(args: argparse.Namespace, outputs: Callable[[list], list]):
+    """Load the examples and the lexicon, create every file
+    ``outputs(rejects)`` names, then search: an output that cannot be
+    written stops the command before any example is searched."""
     config = _config(args)
     examples, rejects = load_examples(args.examples)
     lexicon = EmbeddingLexicon.load(args.embeddings)
+    create_outputs(outputs(rejects))
     outcomes, report = run_corpus(
         examples, args.db_dir, config=config, jobs=args.jobs, lexicon=lexicon
     )
@@ -132,22 +139,27 @@ def _run_batch(args: argparse.Namespace):
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    examples, rejects, outcomes, report = _run_batch(args)
-    written = emit_training_pairs(examples, outcomes, args.out_pairs)
+    pairs = args.out_pairs
+    examples, rejects, outcomes, report = _run_batch(
+        args,
+        lambda rejects: [pairs, failures_path(pairs), args.out_report]
+        + ([rejects_path(pairs)] if rejects else []),
+    )
+    written = emit_training_pairs(examples, outcomes, pairs)
     if rejects:
-        write_rejects(rejects, rejects_path(args.out_pairs))
+        write_rejects(rejects, rejects_path(pairs))
     report.write(args.out_report)
     found = sum(1 for o in outcomes if o.status is SearchStatus.FOUND)
     pct = CoverageReport.percent(found, len(examples))
     print(
         f"synthesized {written}/{len(examples)} examples ({pct}%), "
-        f"{len(rejects)} rejected; pairs -> {args.out_pairs}"
+        f"{len(rejects)} rejected; pairs -> {pairs}"
     )
     return 0
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    examples, rejects, outcomes, report = _run_batch(args)
+    examples, _, outcomes, report = _run_batch(args, lambda rejects: [args.out])
     report.write(args.out)
     found = sum(1 for o in outcomes if o.status is SearchStatus.FOUND)
     pct = CoverageReport.percent(found, len(examples))
@@ -162,22 +174,20 @@ def _parse_assignment(doc_text: str, schema) -> Assignment:
         raise Qdmr2SqlError(f"--assignment is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise Qdmr2SqlError("--assignment must be a JSON object")
-    choices = {}
-    literal_choices = {}
+    columns = {}
     for key, target in doc.items():
         col = schema.resolve(str(target))
-        slot, _, rest = key.partition(":")
-        if slot == "value":
-            literal_choices[rest] = col
+        step, _, text = key.partition(":")
+        if step == "value":
+            columns[Slot(None, text)] = col
         else:
             try:
-                idx = int(slot)
+                columns[Slot(int(step), text)] = col
             except ValueError as exc:
                 raise Qdmr2SqlError(
                     f"assignment key {key!r} is neither 'step:phrase' nor 'value:literal'"
                 ) from exc
-            choices[(idx, rest)] = col
-    return Assignment(choices=choices, literal_choices=literal_choices, ranks=())
+    return Assignment(columns)
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -185,25 +195,20 @@ def _cmd_map(args: argparse.Namespace) -> int:
     top_k = SynthesisConfig().top_k
     if Path(args.schema).suffix.lower() == ".json":
         schema = load_schema(args.schema)
-        plan, linkings = link_program(program, schema, None, None, top_k, {})
+        plan, slots = link_program(program, schema, None, None, top_k, {})
     else:
         # A database source also locates literals through a value index.
         conn = open_readonly(args.schema)
         try:
             schema = load_schema(conn)
             value_index = ValueIndex(conn, schema)
-            plan, linkings = link_program(
-                program, schema, None, value_index, top_k, {}
-            )
+            plan, slots = link_program(program, schema, None, value_index, top_k, {})
         finally:
             conn.close()
     if args.assignment is not None:
         assignment = _parse_assignment(args.assignment, schema)
     else:
-        assignment = next(
-            enumerate_assignments(linkings, plan.literal_candidates, top_k, 1),
-            None,
-        )
+        assignment = next(enumerate_assignments(slots, 1), None)
         if assignment is None:
             raise Qdmr2SqlError("no phrase assignment could be formed")
     query = synthesize(program, schema, assignment, plan)
@@ -216,10 +221,9 @@ def _cmd_link(args: argparse.Namespace) -> int:
         raise _UsageError("top_k must be at least 1")
     schema = load_schema(args.schema)
     lexicon = EmbeddingLexicon.load(args.embeddings)
-    for cand in rank_columns(args.phrase, schema, lexicon, args.top_k):
-        print(
-            f"{cand.rank}\ttier={cand.tier}\tsim={cand.similarity:.4f}\t{cand.column}"
-        )
+    ranked = rank_columns(args.phrase, schema, lexicon, args.top_k)
+    for rank, cand in enumerate(ranked):
+        print(f"{rank}\ttier={cand.tier}\tsim={cand.similarity:.4f}\t{cand.column}")
     return 0
 
 

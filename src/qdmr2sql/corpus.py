@@ -56,6 +56,7 @@ __all__ = [
     "emit_training_pairs",
     "write_rejects",
     "failures_path",
+    "create_outputs",
 ]
 
 
@@ -376,6 +377,14 @@ def _output(path: Union[str, Path]) -> Iterator[TextIO]:
             yield fh
     except OSError as exc:
         raise FileUnwritable(f"cannot write {path}: {exc}") from exc
+
+
+def create_outputs(paths: Sequence[Union[str, Path]]) -> None:
+    """Create or empty each of ``paths``, so a command finds one it cannot
+    write before it does any work; raises FileUnwritable naming it."""
+    for path in paths:
+        with _output(path):
+            pass
 
 
 def emit_training_pairs(

@@ -9,11 +9,12 @@ Ties inside a tier break lexicographically by (table, column), so rankings
 are total and reproducible.
 
 Literal values mentioned in a step are matched verbatim against database
-cells; every column containing the literal is a candidate.  Candidate
-column choices, one per phrase and per literal, form an assignment; the
-enumerator yields assignments in non-decreasing rank-sum order (best first,
-ties by lexicographic rank tuple) so a search can walk alternatives from
-most to least plausible.
+cells; every column containing the literal is a candidate.  Each phrase of
+a step and each literal is a :class:`Slot`; an :class:`Assignment` maps
+every slot to one of its candidate columns.  The enumerator yields
+assignments in non-decreasing rank-sum order (best first, ties by
+lexicographic rank tuple) so a search can walk alternatives from most to
+least plausible.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from .errors import FileUnreadable
 from .qdmr import OpKind, QdmrProgram
@@ -32,7 +35,7 @@ from .text import STOP_WORDS, content_lemmas, tokenize
 __all__ = [
     "EmbeddingLexicon",
     "LinkCandidate",
-    "PhraseLinking",
+    "Slot",
     "Assignment",
     "BindingPlan",
     "phrase_column_similarity",
@@ -118,16 +121,6 @@ class LinkCandidate:
     column: ColumnRef
     tier: int
     similarity: float
-    rank: int
-
-
-@dataclass(frozen=True)
-class PhraseLinking:
-    """A phrase slot with its full candidate ranking."""
-
-    step_index: int
-    phrase: str
-    candidates: Tuple[LinkCandidate, ...]
 
 
 def rank_columns(
@@ -156,53 +149,47 @@ def rank_columns(
             tier = 3
         scored.append((tier, -sim, col.table, col.column, col))
     scored.sort(key=lambda item: item[:4])
-    out = [
-        LinkCandidate(column=col, tier=tier, similarity=-neg, rank=i)
-        for i, (tier, neg, _, _, col) in enumerate(scored)
+    return [
+        LinkCandidate(column=col, tier=tier, similarity=-neg)
+        for tier, neg, _, _, col in scored[:top_k]
     ]
-    return out[:top_k]
+
+
+class Slot(NamedTuple):
+    """A fragment an assignment binds to a column: the phrase ``text`` of
+    step ``step``, or, with ``step`` None, a literal value that every step
+    mentioning it shares.  ``str(slot)`` is its key in the pairs file."""
+
+    step: Optional[int]
+    text: str
+
+    def __str__(self) -> str:
+        return f"value:{self.text}" if self.step is None else f"{self.step}:{self.text}"
 
 
 @dataclass(frozen=True)
 class Assignment:
-    """One concrete choice of column per phrase slot and per literal."""
+    """One column per slot."""
 
-    choices: Mapping[Tuple[int, str], ColumnRef]
-    literal_choices: Mapping[str, ColumnRef]
-    ranks: Tuple[int, ...] = ()
+    columns: Mapping[Slot, ColumnRef]
 
     def describe(self) -> Dict[str, str]:
         """Serializable view, used in emitted training pairs."""
-        out = {}
-        for (idx, phrase), col in self.choices.items():
-            out[f"{idx}:{phrase}"] = str(col)
-        for literal, col in self.literal_choices.items():
-            out[f"value:{literal}"] = str(col)
-        return out
+        return {str(slot): str(col) for slot, col in self.columns.items()}
 
 
 def enumerate_assignments(
-    linkings: Sequence[PhraseLinking],
-    literal_links: Mapping[str, Sequence[ColumnRef]],
-    top_k: int,
-    limit: int,
+    slots: Sequence[Tuple[Slot, Sequence[ColumnRef]]], limit: int
 ) -> Iterator[Assignment]:
     """Yield at most ``limit`` assignments best-first by rank sum.
 
-    Slot order is the phrase linkings in the given order followed by the
-    literals in insertion order; the rank tuple over those slots breaks
-    ties lexicographically.  The stream ends earlier once the capped
-    cross-product (``top_k`` options per slot) is exhausted; with no slots
-    it holds one empty assignment.
+    ``slots`` pairs each slot with its options, best first; a slot's rank
+    is the position of its chosen option, and the rank tuple over the
+    slots in order breaks ties lexicographically.  The stream ends earlier
+    once every combination has been yielded; with no slots it holds one
+    empty assignment, and with a slot that has no options it holds none.
     """
-    slots: List[Tuple[str, object, Sequence[object]]] = []
-    for linking in linkings:
-        options = linking.candidates[:top_k]
-        slots.append(("phrase", (linking.step_index, linking.phrase), options))
-    for literal, cols in literal_links.items():
-        slots.append(("literal", literal, list(cols)[:top_k]))
-
-    if any(not options for _, _, options in slots):
+    if any(not options for _, options in slots):
         return
     start = tuple(0 for _ in slots)
     heap = [(0, start)]
@@ -210,18 +197,11 @@ def enumerate_assignments(
     yielded = 0
     while heap and yielded < limit:
         total, ranks = heapq.heappop(heap)
-        choices: Dict[Tuple[int, str], ColumnRef] = {}
-        literal_choices: Dict[str, ColumnRef] = {}
-        for (kind, key, options), r in zip(slots, ranks):
-            if kind == "phrase":
-                choices[key] = options[r].column
-            else:
-                literal_choices[key] = options[r]
         yield Assignment(
-            choices=choices, literal_choices=literal_choices, ranks=ranks
+            {slot: options[r] for (slot, options), r in zip(slots, ranks)}
         )
         yielded += 1
-        for i, (_, _, options) in enumerate(slots):
+        for i, (_, options) in enumerate(slots):
             if ranks[i] + 1 < len(options):
                 nxt = ranks[:i] + (ranks[i] + 1,) + ranks[i + 1:]
                 if nxt not in seen:
@@ -238,7 +218,6 @@ class BindingPlan:
 
     phrase_slots: Tuple[Tuple[int, str, str], ...]  # (step, role, phrase)
     step_literals: Mapping[int, Tuple[str, ...]]
-    literal_candidates: Mapping[str, Tuple[ColumnRef, ...]]
 
 
 def _find_literals(fragment: str, index: ValueIndex) -> List[str]:
@@ -278,7 +257,6 @@ def plan_bindings(
     """
     phrase_slots: List[Tuple[int, str, str]] = []
     step_literals: Dict[int, Tuple[str, ...]] = {}
-    literal_candidates: Dict[str, Tuple[ColumnRef, ...]] = {}
 
     for step in program.steps:
         shape = step.shape
@@ -289,9 +267,6 @@ def plan_bindings(
             literals = _find_literals(fragment, value_index) if fragment else []
         if literals:
             step_literals[step.index] = tuple(literals)
-            for lit in literals:
-                if lit not in literal_candidates:
-                    literal_candidates[lit] = value_index.columns_containing(lit)
 
         if kind is OpKind.SELECT and not literals and shape.phrase:
             phrase_slots.append((step.index, "select", shape.phrase))
@@ -309,11 +284,7 @@ def plan_bindings(
         elif kind is OpKind.INTERSECT and shape.head:
             phrase_slots.append((step.index, "intersect_head", shape.head))
 
-    return BindingPlan(
-        phrase_slots=tuple(phrase_slots),
-        step_literals=step_literals,
-        literal_candidates=literal_candidates,
-    )
+    return BindingPlan(phrase_slots=tuple(phrase_slots), step_literals=step_literals)
 
 
 def link_program(
@@ -322,22 +293,29 @@ def link_program(
     lexicon: Optional[EmbeddingLexicon],
     value_index: Optional[ValueIndex],
     top_k: int,
-    rankings: Dict[str, Tuple[LinkCandidate, ...]],
-) -> Tuple[BindingPlan, List[PhraseLinking]]:
-    """Plan a program's bindings and rank candidates for each phrase slot.
+    rankings: Dict[str, Tuple[ColumnRef, ...]],
+) -> Tuple[BindingPlan, List[Tuple[Slot, Tuple[ColumnRef, ...]]]]:
+    """Plan a program's bindings and list each slot with its best ``top_k``
+    columns: phrase slots in plan order, then literals in first-mention
+    order, each once.
 
-    ``rankings`` maps a phrase to its ranking; phrases missing from it are
-    ranked and added.  :class:`qdmr2sql.search.Session` owns the memo that
-    is shared across programs, and says when sharing it is valid.
+    ``rankings`` maps a phrase to its ranked columns; phrases missing from
+    it are ranked and added.  :class:`qdmr2sql.search.Session` owns the
+    memo that is shared across programs, and says when sharing it is
+    valid.  A literal's columns come from the value index, which keeps
+    them.
     """
     plan = plan_bindings(program, value_index)
-    linkings = []
+    slots: Dict[Slot, Tuple[ColumnRef, ...]] = {}
     for idx, _, phrase in plan.phrase_slots:
-        candidates = rankings.get(phrase)
-        if candidates is None:
-            candidates = tuple(rank_columns(phrase, schema, lexicon, top_k))
-            rankings[phrase] = candidates
-        linkings.append(
-            PhraseLinking(step_index=idx, phrase=phrase, candidates=candidates)
-        )
-    return plan, linkings
+        columns = rankings.get(phrase)
+        if columns is None:
+            ranked = rank_columns(phrase, schema, lexicon, top_k)
+            columns = rankings[phrase] = tuple(c.column for c in ranked)
+        slots[Slot(idx, phrase)] = columns
+    for literals in plan.step_literals.values():
+        for literal in literals:
+            slot = Slot(None, literal)
+            if slot not in slots:
+                slots[slot] = value_index.columns_containing(literal)[:top_k]
+    return plan, list(slots.items())

@@ -24,7 +24,7 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
 from .executor import Database, answer_denotation, denotations_equal
@@ -32,13 +32,12 @@ from .linking import (
     Assignment,
     BindingPlan,
     EmbeddingLexicon,
-    LinkCandidate,
     enumerate_assignments,
     link_program,
     plan_bindings,
 )
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
-from .schema import SchemaGraph, ValueIndex
+from .schema import ColumnRef, SchemaGraph, ValueIndex
 from .sqlgen import SqlQuery, render_sql, synthesize
 
 __all__ = [
@@ -203,14 +202,14 @@ def _candidates(
     variants: Sequence[Tuple[QdmrProgram, BindingPlan, Tuple[str, ...]]],
     schema: SchemaGraph,
     assignment: Assignment,
-    errors: List[str],
-) -> Iterator[Tuple[SqlQuery, Tuple[str, ...], QdmrProgram]]:
-    """Build every candidate query for one assignment, cheapest first."""
+) -> Iterator[Tuple[Union[SqlQuery, Qdmr2SqlError], Tuple[str, ...], QdmrProgram]]:
+    """Build every candidate query for one assignment, cheapest first; a
+    variant that cannot be built yields its error in place of a query."""
     for program, plan, label in variants:
         try:
             query = synthesize(program, schema, assignment, plan)
         except Qdmr2SqlError as exc:
-            errors.append(str(exc))
+            yield exc, label, program
             continue
         yield query, label, program
         if not query.distinct:
@@ -241,7 +240,7 @@ class Session:
         self.config = config
         self.lexicon = lexicon
         self.value_index = ValueIndex(database.conn, schema)
-        self.rankings: Dict[str, Tuple[LinkCandidate, ...]] = {}
+        self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
 
     def close(self) -> None:
         self.database.close()
@@ -258,22 +257,23 @@ def search(example, session: Session) -> SynthesisOutcome:
     config = session.config
     deadline = time.monotonic() + config.per_example_timeout
     target = answer_denotation(example.answer)
-    plan, linkings = link_program(
+    plan, slots = link_program(
         example.program, session.schema, session.lexicon, session.value_index,
         config.top_k, session.rankings,
     )
     variants = _program_variants(example.program, plan, session.value_index)
 
     tried = 0
-    mapping_errors: List[str] = []
-    engine_errors: List[str] = []
-    assignments = enumerate_assignments(
-        linkings, plan.literal_candidates, config.top_k, config.max_assignments
-    )
-    for assignment in assignments:
+    mapping_error: Optional[str] = None  # the last one
+    engine_error: Optional[str] = None  # the first one
+    engine_errors = 0
+    for assignment in enumerate_assignments(slots, config.max_assignments):
         for query, label, used_program in _candidates(
-            variants, session.schema, assignment, mapping_errors
+            variants, session.schema, assignment
         ):
+            if isinstance(query, Qdmr2SqlError):
+                mapping_error = str(query)
+                continue
             if time.monotonic() >= deadline:
                 return SynthesisOutcome(
                     status=SearchStatus.TIMEOUT,
@@ -291,7 +291,9 @@ def search(example, session: Session) -> SynthesisOutcome:
                     failure_reason="candidate execution hit the search deadline",
                 )
             except SqlError as exc:
-                engine_errors.append(str(exc))
+                engine_errors += 1
+                if engine_error is None:
+                    engine_error = str(exc)
                 continue
             if denotations_equal(result, target, config.allow_empty_denotation):
                 return SynthesisOutcome(
@@ -305,15 +307,14 @@ def search(example, session: Session) -> SynthesisOutcome:
 
     # Timeouts return above, so a tried candidate either executed or was
     # rejected by the engine.
-    executed = tried - len(engine_errors)
-    if executed == 0:
+    if tried == engine_errors:
         if tried:
             reason = (
                 f"the engine rejected all {tried} candidates; "
-                f"first error: {engine_errors[0]}"
+                f"first error: {engine_error}"
             )
-        elif mapping_errors:
-            reason = mapping_errors[-1]
+        elif mapping_error is not None:
+            reason = mapping_error
         else:
             reason = "no candidate could be built"
         return SynthesisOutcome(

@@ -299,23 +299,20 @@ class _Binder:
     """Resolves one step's column and literal bindings from an assignment."""
 
     def __init__(self, plan: BindingPlan, assignment: Assignment):
-        self._roles: Dict[Tuple[int, str], List[ColumnRef]] = {}
-        for idx, role, phrase in plan.phrase_slots:
-            col = assignment.choices.get((idx, phrase))
-            if col is not None:
-                self._roles.setdefault((idx, role), []).append(col)
-        self._literals: Dict[int, List[Tuple[str, ColumnRef]]] = {}
-        for idx, texts in plan.step_literals.items():
-            resolved = []
-            for text in texts:
-                col = assignment.literal_choices.get(text)
-                if col is not None:
-                    resolved.append((text, col))
-            self._literals[idx] = resolved
+        # Plain ``(step, text)`` tuples find the ``Slot`` keys, since a
+        # NamedTuple hashes and compares as a tuple, and cost less to build.
+        columns = assignment.columns
+        self._roles = {
+            (idx, role): columns.get((idx, phrase))
+            for idx, role, phrase in plan.phrase_slots
+        }
+        self._literals = {
+            idx: [(t, columns[None, t]) for t in texts if (None, t) in columns]
+            for idx, texts in plan.step_literals.items()
+        }
 
     def role(self, step_index: int, role: str) -> Optional[ColumnRef]:
-        cols = self._roles.get((step_index, role))
-        return cols[0] if cols else None
+        return self._roles.get((step_index, role))
 
     def require(self, step_index: int, role: str) -> ColumnRef:
         col = self.role(step_index, role)

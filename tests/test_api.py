@@ -106,8 +106,7 @@ def test_search_takes_an_example_and_a_session():
 ONE_MODE = [
     ("qdmr2sql.executor", "Database.execute", ["self", "sql", "deadline", "target"]),
     ("qdmr2sql.linking", "rank_columns", ["phrase", "schema", "lexicon", "top_k"]),
-    ("qdmr2sql.linking", "enumerate_assignments",
-     ["linkings", "literal_links", "top_k", "limit"]),
+    ("qdmr2sql.linking", "enumerate_assignments", ["slots", "limit"]),
     ("qdmr2sql.linking", "link_program",
      ["program", "schema", "lexicon", "value_index", "top_k", "rankings"]),
     ("qdmr2sql.text", "lemmatize", ["token"]),
@@ -141,3 +140,21 @@ def test_session_is_exported():
     search = importlib.import_module("qdmr2sql.search")
     assert "Session" in search.__all__
     assert qdmr2sql.Session is search.Session
+
+
+def test_an_assignment_is_one_map_from_slot_to_column():
+    """Which column fills which phrase or literal is recorded once, keyed
+    by ``Slot``: no second encoding of the same choice rides along."""
+    linking = importlib.import_module("qdmr2sql.linking")
+    fields = {
+        cls: [f.name for f in dataclasses.fields(cls)]
+        for cls in (linking.Assignment, linking.LinkCandidate, linking.BindingPlan)
+    }
+    assert fields == {
+        linking.Assignment: ["columns"],
+        linking.LinkCandidate: ["column", "tier", "similarity"],
+        linking.BindingPlan: ["phrase_slots", "step_literals"],
+    }
+    assert linking.Slot._fields == ("step", "text")
+    assert not hasattr(linking, "PhraseLinking")
+    assert not hasattr(qdmr2sql, "PhraseLinking")

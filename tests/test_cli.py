@@ -10,6 +10,7 @@ import sqlite3
 import pytest
 
 import qdmr2sql.cli
+import qdmr2sql.corpus
 import qdmr2sql.schema
 from conftest import DATA_DIR
 from qdmr2sql.cli import main
@@ -111,10 +112,20 @@ class TestSynth:
 
 class TestUnwritableOutputs:
     """An output file that cannot be written is an input problem: exit 2
-    with the path, whichever file it is."""
+    with the path, whichever file it is, before any example is searched."""
 
     @pytest.mark.parametrize("output", ["pairs", "report", "rejects", "coverage"])
-    def test_exits_2_naming_the_file(self, db_dir, tmp_path, capsys, output):
+    def test_exits_2_naming_the_file(
+        self, db_dir, tmp_path, capsys, monkeypatch, output
+    ):
+        searched = []
+        real_search = qdmr2sql.corpus.search
+
+        def counting_search(example, session):
+            searched.append(example.id)
+            return real_search(example, session)
+
+        monkeypatch.setattr(qdmr2sql.corpus, "search", counting_search)
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(CORPUS.read_text() + "this line is garbage\n")
         unwritable = tmp_path / "no" / "dir" / "out.json"
@@ -135,6 +146,7 @@ class TestUnwritableOutputs:
             ]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {unwritable}: ")
+        assert searched == []
 
 
 class TestInvalidConfigFlags:
@@ -245,6 +257,26 @@ class TestMap:
         )
         assert code == 2
         assert "--assignment" in capsys.readouterr().err
+
+    def test_pairs_file_assignments_map_back_to_their_sql(self, db_dir, capsys):
+        """The keys the pairs file writes are the keys ``--assignment``
+        reads: mapping each golden pair's decomposition with its assignment
+        prints its SQL.  ``map`` makes no repairs, so a pair that needed
+        DISTINCT is skipped."""
+        checked = 0
+        for line in (DATA_DIR / "golden" / "pairs.jsonl").read_text().splitlines():
+            pair = json.loads(line)
+            if "distinct" in pair["heuristics"]:
+                continue
+            argv = [
+                "map", "--qdmr", pair["qdmr"],
+                "--schema", str(db_dir / f"{pair['db_id']}.sqlite"),
+                "--assignment", json.dumps(pair["assignment"]),
+            ]
+            assert main(argv) == 0, pair["id"]
+            assert capsys.readouterr().out == pair["sql"] + "\n", pair["id"]
+            checked += 1
+        assert checked == 23
 
 
 class TestMalformedJsonSchema:

@@ -17,6 +17,7 @@ from qdmr2sql import (
     EmbeddingLexicon,
     FileUnreadable,
     SchemaError,
+    Slot,
     ValueIndex,
     enumerate_assignments,
     link_program,
@@ -27,8 +28,9 @@ from qdmr2sql import (
     plan_bindings,
     rank_columns,
     load_schema,
+    render_sql,
+    synthesize,
 )
-from qdmr2sql.linking import LinkCandidate, PhraseLinking
 from qdmr2sql.schema import ColumnRef
 
 
@@ -143,10 +145,17 @@ class TestRankColumns:
         sims = {c.similarity for c in ranked}
         assert sims == {0.0}
 
-    def test_rank_field_matches_position(self, products_db, lexicon):
+    def test_position_follows_tier_then_similarity_then_name(
+        self, products_db, lexicon
+    ):
+        """A candidate's rank is its position: the list is sorted by tier,
+        then by falling similarity, then by (table, column)."""
         schema = load_schema(products_db)
         ranked = rank_columns("product types", schema, lexicon, 20)
-        assert [c.rank for c in ranked] == list(range(len(ranked)))
+        keys = [
+            (c.tier, -c.similarity, c.column.table, c.column.column) for c in ranked
+        ]
+        assert keys == sorted(keys)
         assert [str(c.column) for c in ranked] == [
             "products.product_type_code",
             "products.product_id",
@@ -181,19 +190,18 @@ def col(table, column):
     )
 
 
-def linking(idx, phrase, cols):
-    return PhraseLinking(
-        step_index=idx,
-        phrase=phrase,
-        candidates=tuple(
-            LinkCandidate(column=c, tier=3, similarity=0.0, rank=i)
-            for i, c in enumerate(cols)
-        ),
-    )
+def slot(idx, phrase, cols):
+    return Slot(idx, phrase), tuple(cols)
 
 
-# Neither bound binds on the slots below unless a test passes its own.
-TOP_K, LIMIT = 20, 1000
+def ranks(assignment, slots):
+    """Each slot's rank: the position of its chosen column among its
+    options."""
+    return tuple(options.index(assignment.columns[s]) for s, options in slots)
+
+
+# The limit does not bind on the slots below unless a test passes its own.
+LIMIT = 1000
 
 
 class TestEnumerateAssignments:
@@ -201,74 +209,102 @@ class TestEnumerateAssignments:
     B = [col("t", "b0"), col("t", "b1"), col("t", "b2")]
 
     def test_best_first_with_lexicographic_ties(self):
-        slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        got = [a.ranks for a in enumerate_assignments(slots, {}, TOP_K, LIMIT)]
+        slots = [slot(1, "x", self.A), slot(2, "y", self.B)]
+        got = [ranks(a, slots) for a in enumerate_assignments(slots, LIMIT)]
         assert got[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
         assert len(got) == 9
 
     def test_rank_sums_nondecreasing(self):
-        slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        sums = [sum(a.ranks) for a in enumerate_assignments(slots, {}, TOP_K, LIMIT)]
+        slots = [slot(1, "x", self.A), slot(2, "y", self.B)]
+        sums = [sum(ranks(a, slots)) for a in enumerate_assignments(slots, LIMIT)]
         assert sums == sorted(sums)
 
     def test_every_combination_exactly_once(self):
-        slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        got = [a.ranks for a in enumerate_assignments(slots, {}, TOP_K, LIMIT)]
+        slots = [slot(1, "x", self.A), slot(2, "y", self.B)]
+        got = [ranks(a, slots) for a in enumerate_assignments(slots, LIMIT)]
         assert sorted(got) == sorted(itertools.product(range(3), range(3)))
 
-    def test_top_k_caps_each_slot(self):
-        slots = [linking(1, "x", self.A), linking(2, "y", self.B)]
-        got = list(enumerate_assignments(slots, {}, 2, LIMIT))
-        assert len(got) == 4
+    def test_top_k_caps_each_slot(self, geo_db, lexicon):
+        """``link_program`` keeps at most ``top_k`` options for a phrase
+        slot and for a literal slot, and the enumeration walks exactly the
+        product of what it kept."""
+        conn = open_readonly(geo_db)
+        try:
+            schema = load_schema(conn)
+            index = ValueIndex(conn, schema)
+            program = parse_qdmr("return missouri; return the population of #1")
+            _, wide = link_program(program, schema, lexicon, index, 20, {})
+            _, narrow = link_program(program, schema, lexicon, index, 1, {})
+        finally:
+            conn.close()
+        assert [s for s, _ in wide] == [
+            Slot(2, "the population of"), Slot(None, "missouri"),
+        ]
+        assert [len(options) for _, options in wide] == [6, 2]
+        assert [options for _, options in narrow] == [o[:1] for _, o in wide]
+        assert len(list(enumerate_assignments(wide, LIMIT))) == 12
+        assert len(list(enumerate_assignments(narrow, LIMIT))) == 1
 
     def test_limit_stops_stream(self):
-        slots = [linking(1, "x", self.A)]
-        got = list(enumerate_assignments(slots, {}, TOP_K, 2))
+        slots = [slot(1, "x", self.A)]
+        got = list(enumerate_assignments(slots, 2))
         assert len(got) == 2
 
     def test_literal_slots_participate(self):
-        slots = [linking(1, "x", self.A[:2])]
-        literals = {"France": [col("country", "name"), col("city", "name")]}
-        got = list(enumerate_assignments(slots, literals, TOP_K, LIMIT))
+        france = [col("country", "name"), col("city", "name")]
+        slots = [slot(1, "x", self.A[:2]), slot(None, "France", france)]
+        got = list(enumerate_assignments(slots, LIMIT))
         assert len(got) == 4
         first = got[0]
-        assert str(first.choices[(1, "x")]) == "t.a0"
-        assert str(first.literal_choices["France"]) == "country.name"
+        assert str(first.columns[Slot(1, "x")]) == "t.a0"
+        assert str(first.columns[Slot(None, "France")]) == "country.name"
+        # A plain (step, text) tuple finds the same slot: the mapper looks
+        # slots up that way.
+        assert first.columns[(None, "France")] is first.columns[Slot(None, "France")]
 
     def test_empty_candidate_list_yields_nothing(self):
-        slots = [linking(1, "x", self.A), linking(2, "y", [])]
-        assert list(enumerate_assignments(slots, {}, TOP_K, LIMIT)) == []
+        slots = [slot(1, "x", self.A), slot(2, "y", [])]
+        assert list(enumerate_assignments(slots, LIMIT)) == []
 
     def test_no_slots_yields_single_empty_assignment(self):
-        got = list(enumerate_assignments([], {}, TOP_K, LIMIT))
+        got = list(enumerate_assignments([], LIMIT))
         assert len(got) == 1
-        assert got[0].choices == {}
+        assert got[0].columns == {}
 
     def test_describe_round_trip_keys(self):
-        slots = [linking(2, "the majors", self.A[:1])]
-        literals = {"PVLDB": [col("journal", "name")]}
-        (assignment,) = enumerate_assignments(slots, literals, TOP_K, LIMIT)
+        slots = [
+            slot(2, "the majors", self.A[:1]),
+            slot(None, "PVLDB", [col("journal", "name")]),
+        ]
+        (assignment,) = enumerate_assignments(slots, LIMIT)
         assert assignment.describe() == {
             "2:the majors": "t.a0",
             "value:PVLDB": "journal.name",
         }
+        assert [str(s) for s, _ in slots] == list(assignment.describe())
 
 
 @settings(max_examples=50)
 @given(
-    sizes=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
-    top_k=st.integers(min_value=1, max_value=4),
+    sizes=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3),
+    limit=st.integers(min_value=1, max_value=100),
 )
-def test_property_enumeration_is_exhaustive_and_sorted(sizes, top_k):
+def test_property_enumeration_is_exhaustive_and_sorted(sizes, limit):
     slots = [
-        linking(i + 1, f"p{i}", [col("t", f"c{i}_{j}") for j in range(n)])
+        slot(i + 1, f"p{i}", [col("t", f"c{i}_{j}") for j in range(n)])
         for i, n in enumerate(sizes)
     ]
-    got = [a.ranks for a in enumerate_assignments(slots, {}, top_k, LIMIT)]
-    expect = list(itertools.product(*(range(min(n, top_k)) for n in sizes)))
-    assert sorted(got) == sorted(expect)
+    got = [ranks(a, slots) for a in enumerate_assignments(slots, limit)]
+    expect = list(itertools.product(*(range(n) for n in sizes)))
+    assert len(got) == min(len(expect), limit)
+    assert len(set(got)) == len(got)
+    assert set(got) <= set(expect)
     sums = [sum(r) for r in got]
     assert sums == sorted(sums)
+    # Best first: nothing left out has a smaller rank sum than the last
+    # assignment yielded.
+    left = set(expect) - set(got)
+    assert all(sum(r) >= sums[-1] for r in left)
 
 
 class TestPlanBindings:
@@ -283,19 +319,21 @@ class TestPlanBindings:
             (2, "project", "states run through"),
             (3, "project", "the population of"),
         )
-        assert not plan.literal_candidates
+        assert not plan.step_literals
 
     def test_select_literal_consumes_phrase_slot(self, geo_db):
         conn = open_readonly(geo_db)
         try:
-            index = ValueIndex(conn, load_schema(conn))
+            schema = load_schema(conn)
+            index = ValueIndex(conn, schema)
             program = parse_qdmr(
                 "return the mississippi; return states #1 run through; "
                 "return the population of #2"
             )
             plan = plan_bindings(program, index)
             assert plan.step_literals == {1: ("mississippi",)}
-            assert [str(c) for c in plan.literal_candidates["mississippi"]] == [
+            _, slots = link_program(program, schema, None, index, 20, {})
+            assert [str(c) for c in dict(slots)[Slot(None, "mississippi")]] == [
                 "river.river_name"
             ]
             assert (1, "select", "the mississippi") not in plan.phrase_slots
@@ -306,7 +344,8 @@ class TestPlanBindings:
     def test_filter_tail_multiword_literal(self, academic_db):
         conn = open_readonly(academic_db)
         try:
-            index = ValueIndex(conn, load_schema(conn))
+            schema = load_schema(conn)
+            index = ValueIndex(conn, schema)
             program = parse_qdmr(
                 "return papers; return #1 by H. V. Jagadish; "
                 "return #2 by Yunyao Li"
@@ -316,7 +355,8 @@ class TestPlanBindings:
                 2: ("H. V. Jagadish",),
                 3: ("Yunyao Li",),
             }
-            cols = plan.literal_candidates["H. V. Jagadish"]
+            _, slots = link_program(program, schema, None, index, 20, {})
+            cols = dict(slots)[Slot(None, "H. V. Jagadish")]
             assert [str(c) for c in cols] == ["author.name"]
         finally:
             conn.close()
@@ -340,18 +380,48 @@ class TestLinkProgram:
                 "return the mississippi; return states #1 run through; "
                 "return the population of #2"
             )
-            plan, linkings = link_program(program, schema, lexicon, index, 3, {})
-            assert [l.phrase for l in linkings] == [
-                "states run through", "the population of",
+            plan, slots = link_program(program, schema, lexicon, index, 3, {})
+            assert [s for s, _ in slots] == [
+                Slot(2, "states run through"),
+                Slot(3, "the population of"),
+                Slot(None, "mississippi"),
             ]
-            assert str(linkings[0].candidates[0].column) == "state.state_name"
-            assert all(len(l.candidates) <= 3 for l in linkings)
+            assert [(i, p) for i, _, p in plan.phrase_slots] == [
+                tuple(s) for s, _ in slots[:2]
+            ]
+            assert str(slots[0][1][0]) == "state.state_name"
+            assert all(len(options) <= 3 for _, options in slots)
         finally:
             conn.close()
 
+    def test_a_literal_two_steps_mention_is_one_slot(self, geo_db):
+        """"missouri" names a state and a river's state: one slot with both
+        columns, and whichever is chosen, both steps use it."""
+        conn = open_readonly(geo_db)
+        try:
+            schema = load_schema(conn)
+            index = ValueIndex(conn, schema)
+            program = parse_qdmr("return missouri; return #1 that is missouri")
+            plan, slots = link_program(program, schema, None, index, 20, {})
+            assert plan.step_literals == {1: ("missouri",), 2: ("missouri",)}
+            assert [(s, [str(c) for c in options]) for s, options in slots] == [
+                (Slot(None, "missouri"), ["river.traverse", "state.state_name"]),
+            ]
+            sqls = [
+                render_sql(synthesize(program, schema, assignment, plan))
+                for assignment in enumerate_assignments(slots, LIMIT)
+            ]
+        finally:
+            conn.close()
+        assert sqls == [
+            "SELECT river.traverse FROM river WHERE river.traverse = 'missouri'",
+            "SELECT state.state_name FROM state "
+            "WHERE state.state_name = 'missouri'",
+        ]
+
     def test_memo_rankings_equal_fresh_ones(self, db_dir, lexicon):
         """With one memo per database, every phrase slot of the fixture
-        corpus gets the candidates a fresh ``rank_columns`` gives, and a
+        corpus gets the columns a fresh ``rank_columns`` gives, and a
         repeated phrase gets the memo's own tuple back."""
         examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
         reused = 0
@@ -365,15 +435,17 @@ class TestLinkProgram:
                     if ex.db_id != db_id:
                         continue
                     seen = dict(memo)
-                    _, linkings = link_program(
+                    _, slots = link_program(
                         ex.program, schema, lexicon, index, 20, memo
                     )
-                    for l in linkings:
-                        fresh = rank_columns(l.phrase, schema, lexicon, 20)
-                        assert l.candidates == tuple(fresh)
-                        assert l.candidates is memo[l.phrase]
-                        if l.phrase in seen:
-                            assert l.candidates is seen[l.phrase]
+                    for s, columns in slots:
+                        if s.step is None:
+                            continue
+                        fresh = rank_columns(s.text, schema, lexicon, 20)
+                        assert columns == tuple(c.column for c in fresh)
+                        assert columns is memo[s.text]
+                        if s.text in seen:
+                            assert columns is seen[s.text]
                             reused += 1
             finally:
                 conn.close()

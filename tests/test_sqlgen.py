@@ -19,7 +19,9 @@ from qdmr2sql import (
     MissingJoin,
     SqlQuery,
     UnboundPhrase,
+    Slot,
     ValueIndex,
+    link_program,
     load_schema,
     open_readonly,
     parse_qdmr,
@@ -45,29 +47,24 @@ def build(db_path, qdmr, choices, use_values=True, literals=None):
 
     ``choices`` maps "idx:phrase" to "table.column"; ``literals`` maps a
     literal to "table.column" (defaults to the value index's top match).
+    A phrase slot ``choices`` leaves out stays unbound.
     """
     conn = open_readonly(db_path)
     try:
         schema = load_schema(conn)
         program = parse_qdmr(qdmr)
         index = ValueIndex(conn, schema) if use_values else None
-        plan = plan_bindings(program, index)
-        picked = {}
-        for key, spec in choices.items():
-            idx, phrase = key.split(":", 1)
-            table, column = spec.split(".", 1)
-            picked[(int(idx), phrase)] = schema.column(table, column)
-        literal_choices = {}
-        for literal, cols in plan.literal_candidates.items():
-            if literals and literal in literals:
-                table, column = literals[literal].split(".", 1)
-                literal_choices[literal] = schema.column(table, column)
-            else:
-                literal_choices[literal] = cols[0]
-        assignment = Assignment(
-            choices=picked, literal_choices=literal_choices
-        )
-        query = synthesize(program, schema, assignment, plan)
+        plan, slots = link_program(program, schema, None, index, 1, {})
+        pinned = {f"value:{k}": v for k, v in (literals or {}).items()}
+        pinned.update(choices)
+        columns = {}
+        for slot, options in slots:
+            spec = pinned.get(str(slot))
+            if spec is not None:
+                columns[slot] = schema.column(*spec.split(".", 1))
+            elif slot.step is None:
+                columns[slot] = options[0]
+        query = synthesize(program, schema, Assignment(columns), plan)
         return query, render_sql(query)
     finally:
         conn.close()
@@ -598,11 +595,10 @@ class TestFailures:
         program = parse_qdmr("return alpha; return betas of #1")
         plan = plan_bindings(program)
         assignment = Assignment(
-            choices={
-                (1, "alpha"): schema.column("t0", "id"),
-                (2, "betas of"): schema.column("t2", "id"),
-            },
-            literal_choices={},
+            {
+                Slot(1, "alpha"): schema.column("t0", "id"),
+                Slot(2, "betas of"): schema.column("t2", "id"),
+            }
         )
         with pytest.raises(MissingJoin):
             synthesize(program, schema, assignment, plan)
