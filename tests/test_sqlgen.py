@@ -165,6 +165,15 @@ class TestRuleGoldens:
         got = {r[0] for r in run(university_db, sql).rows}
         assert got == {21750.0, 6500.0}
 
+    def test_group_with_phrase_value(self, ship_death_db):
+        _, sql = build(
+            ship_death_db,
+            "return number of ship names for each ship type",
+            {"1:ship names": "ship.name", "1:ship type": "ship.ship_type"},
+        )
+        assert sql == "SELECT COUNT(ship.name) FROM ship GROUP BY ship.ship_type"
+        assert sorted(run(ship_death_db, sql).rows) == [(1,)] * 4 + [(2,)]
+
     def test_superlative(self, ship_death_db):
         _, sql = build(
             ship_death_db,
@@ -232,6 +241,25 @@ class TestRuleGoldens:
         got = {r[0] for r in run(geo_db, sql).rows}
         assert got == {"illinois", "missouri", "texas", "arkansas", "montana"}
 
+    def test_union_spelled_both(self, geo_db):
+        # "both #3 and #4" with no leading preposition is a UNION.
+        _, sql = build(
+            geo_db,
+            "return states; return the population of #1; "
+            "return #1 where #2 is more than 6000000; "
+            "return #1 where #2 is less than 3100000; "
+            "return both #3 and #4",
+            {
+                "1:states": "state.state_name",
+                "2:the population of": "state.population",
+            },
+        )
+        assert sql == (
+            "SELECT state.state_name FROM state"
+            " WHERE ( state.population > 6000000"
+            " OR state.population < 3100000 )"
+        )
+
     def test_union_column(self, geo_db):
         _, sql = build(
             geo_db,
@@ -266,6 +294,26 @@ class TestRuleGoldens:
         )
         got = {r[0] for r in run(academic_db, sql).rows}
         assert got == {"Structured Search", "Schema Matching Survey"}
+
+    def test_intersect_without_head_uses_left_column(self, ship_death_db):
+        _, sql = build(
+            ship_death_db,
+            "return ships; return deaths; return in both #1 and #2",
+            {
+                "1:ships": "death.caused_by_ship_id",
+                "2:deaths": "death.caused_by_ship_id",
+            },
+        )
+        assert sql == (
+            "SELECT death.caused_by_ship_id FROM death"
+            " WHERE death.caused_by_ship_id IN"
+            " ( SELECT death.caused_by_ship_id FROM death )"
+        )
+        assert len(run(ship_death_db, sql)) == 12
+
+    def test_bare_reference_repeats_its_query(self, ship_death_db):
+        _, sql = build(ship_death_db, "return ships; return #1", {"1:ships": "ship.name"})
+        assert sql == "SELECT ship.name FROM ship"
 
     def test_sort(self, geo_db):
         _, sql = build(
@@ -576,6 +624,14 @@ class TestFailures:
                 "return ships; return the tonnage of #1; "
                 "return the sum of #1 and #2",
                 {"1:ships": "ship.id", "2:the tonnage of": "ship.tonnage"},
+            )
+
+    def test_intersect_without_head_over_aggregate(self, ship_death_db):
+        with pytest.raises(ArityMismatch, match="no head column"):
+            build(
+                ship_death_db,
+                "return ships; return number of #1; return in both #2 and #1",
+                {"1:ships": "ship.id"},
             )
 
     def test_unbound_phrase(self, ship_death_db):
