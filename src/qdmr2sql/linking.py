@@ -174,8 +174,10 @@ class Assignment:
     columns: Mapping[Slot, ColumnRef]
 
     def describe(self) -> Dict[str, str]:
-        """Serializable view, used in emitted training pairs."""
-        return {str(slot): str(col) for slot, col in self.columns.items()}
+        """Serializable view, used in emitted training pairs: each column
+        spelled as :attr:`ColumnRef.sql`, which ``map --assignment`` reads
+        back as that one column."""
+        return {str(slot): col.sql for slot, col in self.columns.items()}
 
 
 def enumerate_assignments(
@@ -216,8 +218,12 @@ def enumerate_assignments(
 class BindingPlan:
     """Which fragments of a program need columns, and which are literals."""
 
-    phrase_slots: Tuple[Tuple[int, str, str], ...]  # (step, role, phrase)
+    phrase_slots: Tuple[Slot, ...]
     step_literals: Mapping[int, Tuple[str, ...]]
+
+
+# The fields of a step's shape that may hold a phrase naming a column.
+_PHRASE_FIELDS = ("phrase", "value", "key", "target", "head")
 
 
 def _find_literals(fragment: str, index: ValueIndex) -> List[str]:
@@ -250,12 +256,16 @@ def plan_bindings(
 ) -> BindingPlan:
     """Collect the phrase slots and literal slots a program needs.
 
-    SELECT steps whose text mentions a database literal become value
-    selections and contribute no phrase slot; FILTER tails only ever
-    contribute literals.  Without a value index (schema-only mode) every
-    fragment is treated as a phrase.
+    A step's phrase slots are the texts its shape holds in ``phrase``,
+    ``value``, ``key``, ``target`` and ``head``, in that order, each once;
+    its rule reads its columns under those texts.  SELECT steps whose text
+    mentions a database literal become value selections and contribute no
+    phrase slot; FILTER tails only ever contribute literals.  Without a
+    value index (schema-only mode) no literal is found: every SELECT phrase
+    is a phrase slot, and a FILTER whose tail holds words but no further
+    reference cannot be mapped (:class:`~qdmr2sql.errors.UnboundPhrase`).
     """
-    phrase_slots: List[Tuple[int, str, str]] = []
+    phrase_slots: Dict[Slot, None] = {}
     step_literals: Dict[int, Tuple[str, ...]] = {}
 
     for step in program.steps:
@@ -267,22 +277,11 @@ def plan_bindings(
             literals = _find_literals(fragment, value_index) if fragment else []
         if literals:
             step_literals[step.index] = tuple(literals)
-
-        if kind is OpKind.SELECT and not literals and shape.phrase:
-            phrase_slots.append((step.index, "select", shape.phrase))
-        elif kind is OpKind.PROJECT and shape.phrase:
-            phrase_slots.append((step.index, "project", shape.phrase))
-        elif kind is OpKind.GROUP:
-            if isinstance(shape.value, str):
-                phrase_slots.append((step.index, "group_value", shape.value))
-            if isinstance(shape.key, str):
-                phrase_slots.append((step.index, "group_key", shape.key))
-        elif kind is OpKind.COMPARATIVE and isinstance(shape.target, str):
-            phrase_slots.append((step.index, "cmp_target", shape.target))
-        elif kind is OpKind.SORT and isinstance(shape.key, str):
-            phrase_slots.append((step.index, "sort_key", shape.key))
-        elif kind is OpKind.INTERSECT and shape.head:
-            phrase_slots.append((step.index, "intersect_head", shape.head))
+        for name in _PHRASE_FIELDS:
+            text = getattr(shape, name)
+            # A SELECT whose phrase holds literals selects those instead.
+            if isinstance(text, str) and text and not (literals and name == "phrase"):
+                phrase_slots[Slot(step.index, text)] = None
 
     return BindingPlan(phrase_slots=tuple(phrase_slots), step_literals=step_literals)
 
@@ -307,12 +306,12 @@ def link_program(
     """
     plan = plan_bindings(program, value_index)
     slots: Dict[Slot, Tuple[ColumnRef, ...]] = {}
-    for idx, _, phrase in plan.phrase_slots:
-        columns = rankings.get(phrase)
+    for slot in plan.phrase_slots:
+        columns = rankings.get(slot.text)
         if columns is None:
-            ranked = rank_columns(phrase, schema, lexicon, top_k)
-            columns = rankings[phrase] = tuple(c.column for c in ranked)
-        slots[Slot(idx, phrase)] = columns
+            ranked = rank_columns(slot.text, schema, lexicon, top_k)
+            columns = rankings[slot.text] = tuple(c.column for c in ranked)
+        slots[slot] = columns
     for literals in plan.step_literals.values():
         for literal in literals:
             slot = Slot(None, literal)

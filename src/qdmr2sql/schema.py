@@ -49,6 +49,10 @@ _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 _BARE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# ``table.column`` where either part may be a double-quoted identifier.
+_NAME_PART = r'("(?:[^"]|"")*"|[^."]+)'
+_QUOTED_NAME = re.compile(rf"{_NAME_PART}\.{_NAME_PART}")
+
 # https://sqlite.org/lang_keywords.html
 _SQLITE_KEYWORDS = frozenset(
     """
@@ -163,14 +167,24 @@ class SchemaGraph:
     def resolve(self, name: str) -> ColumnRef:
         """The column that ``name``, spelled ``table.column``, refers to.
 
-        Table and column names may themselves hold dots, so the name is
-        split at each dot in turn; exactly one split must name a column.
+        A spelling that quotes a part, as :attr:`ColumnRef.sql` does, names
+        one column.  Unquoted table and column names may themselves hold
+        dots, so such a name is split at each dot in turn; exactly one
+        split must name a column.
         """
-        keys = [
-            (name[:i].lower(), name[i + 1 :].lower())
-            for i, char in enumerate(name)
-            if char == "."
-        ]
+        quoted = _QUOTED_NAME.fullmatch(name) if '"' in name else None
+        if quoted:
+            # A quoted part drops its quotes and halves each doubled quote.
+            keys = [tuple(
+                (p[1:-1].replace('""', '"') if p[0] == '"' else p).lower()
+                for p in quoted.groups()
+            )]
+        else:
+            keys = [
+                (name[:i].lower(), name[i + 1 :].lower())
+                for i, char in enumerate(name)
+                if char == "."
+            ]
         if not keys:
             raise UnreadableDatabase(
                 f"column {name} is not of the form table.column"

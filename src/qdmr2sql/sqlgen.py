@@ -32,7 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .errors import (
     ArityMismatch,
@@ -295,41 +297,43 @@ def _inherited(preds: Sequence[Pred]) -> Tuple[Pred, ...]:
     return tuple(p for p in preds if not _vacuous(p))
 
 
-class _Binder:
-    """Resolves one step's column and literal bindings from an assignment."""
+@dataclass(frozen=True)
+class _Context:
+    """What the rules read besides their own step.
 
-    def __init__(self, plan: BindingPlan, assignment: Assignment):
-        # Plain ``(step, text)`` tuples find the ``Slot`` keys, since a
-        # NamedTuple hashes and compares as a tuple, and cost less to build.
-        columns = assignment.columns
-        self._roles = {
-            (idx, role): columns.get((idx, phrase))
-            for idx, role, phrase in plan.phrase_slots
-        }
-        self._literals = {
-            idx: [(t, columns[None, t]) for t in texts if (None, t) in columns]
-            for idx, texts in plan.step_literals.items()
-        }
+    ``columns`` is the assignment's map from slot to column; rules look a
+    column up under a plain ``(step, text)`` tuple, which finds the
+    ``Slot`` key (a NamedTuple hashes and compares as a tuple) and costs
+    less to build.  ``mapped`` holds the steps mapped so far.
+    """
 
-    def role(self, step_index: int, role: str) -> Optional[ColumnRef]:
-        return self._roles.get((step_index, role))
+    columns: Mapping[Tuple[Optional[int], str], ColumnRef]
+    step_literals: Mapping[int, Tuple[str, ...]]
+    mapped: Dict[int, _MappedStep]
+    schema: SchemaGraph
 
-    def require(self, step_index: int, role: str) -> ColumnRef:
-        col = self.role(step_index, role)
+    def column(self, step: QdmrStep, text: str) -> ColumnRef:
+        col = self.columns.get((step.index, text))
         if col is None:
-            raise UnboundPhrase(
-                f"step {step_index} has no column bound for its {role} phrase"
-            )
+            raise UnboundPhrase(f"step {step.index} has no column bound for {text!r}")
         return col
 
-    def literals(self, step_index: int) -> List[Tuple[str, ColumnRef]]:
-        return self._literals.get(step_index, [])
+    def literals(self, step: QdmrStep) -> List[Tuple[str, ColumnRef]]:
+        texts = self.step_literals.get(step.index, ())
+        return [(t, self.columns[None, t]) for t in texts if (None, t) in self.columns]
 
+    def ref(self, n: Optional[int]) -> _MappedStep:
+        if n is None or n not in self.mapped:
+            raise UnmappedReference(f"reference #{n} has not been mapped")
+        return self.mapped[n]
 
-def _ref(mapped: Dict[int, _MappedStep], n: Optional[int]) -> _MappedStep:
-    if n is None or n not in mapped:
-        raise UnmappedReference(f"reference #{n} has not been mapped")
-    return mapped[n]
+    def operand(self, step: QdmrStep, arg: Union[int, str]):
+        """A mapped reference, or the column bound to a phrase of ``step``."""
+        if isinstance(arg, int):
+            m = self.ref(arg)
+            return m.query.select[0], m.query.from_tables, m, list(m.cols)
+        col = self.column(step, arg)
+        return ColExpr(col), (col.table,), None, [col]
 
 
 def _resolve_self_join(
@@ -350,10 +354,15 @@ def _resolve_self_join(
 
 
 # --- per-operator construction ----------------------------------------------
+#
+# Every rule takes ``(step, ctx)`` and returns the step's query and the
+# columns it links; ``_RULES`` maps each operator kind to its rule.
+
+Built = Tuple[SqlQuery, List[ColumnRef]]
 
 
-def _build_select(step: QdmrStep, binder: _Binder) -> Tuple[SqlQuery, List[ColumnRef]]:
-    literals = binder.literals(step.index)
+def _build_select(step: QdmrStep, ctx: _Context) -> Built:
+    literals = ctx.literals(step)
     if literals:
         q = SqlQuery(
             select=(ColExpr(literals[0][1]),),
@@ -361,19 +370,14 @@ def _build_select(step: QdmrStep, binder: _Binder) -> Tuple[SqlQuery, List[Colum
             where=_merged(CmpPred(ColExpr(c), "=", _typed(t)) for t, c in literals),
         )
         return q, [c for _, c in literals]
-    col = binder.require(step.index, "select")
+    col = ctx.column(step, step.shape.phrase)
     return SqlQuery(select=(ColExpr(col),), from_tables=(col.table,)), [col]
 
 
-def _build_filter(
-    step: QdmrStep,
-    binder: _Binder,
-    mapped: Dict[int, _MappedStep],
-    schema: SchemaGraph,
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    base = _ref(mapped, step.shape.base)
-    literals = binder.literals(step.index)
-    extra = [_ref(mapped, r) for r in step.shape.extra_refs]
+def _build_filter(step: QdmrStep, ctx: _Context) -> Built:
+    base = ctx.ref(step.shape.base)
+    literals = ctx.literals(step)
+    extra = [ctx.ref(r) for r in step.shape.extra_refs]
     if not literals and not extra:
         if step.shape.tail:
             raise UnboundPhrase(
@@ -386,7 +390,7 @@ def _build_filter(
     units = [(base.query.from_tables, base.cols)]
     units += [([c.table], [c]) for c in own_cols]
     units += [(m.query.from_tables, m.cols) for m in extra]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     conflict = any(
         isinstance(p, CmpPred)
@@ -416,18 +420,13 @@ def _build_filter(
     return q, own_cols or list(base.cols)
 
 
-def _build_project(
-    step: QdmrStep,
-    binder: _Binder,
-    mapped: Dict[int, _MappedStep],
-    schema: SchemaGraph,
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    col = binder.require(step.index, "project")
-    base = _ref(mapped, step.shape.base)
-    extras = [_ref(mapped, r) for r in step.shape.extra_refs]
+def _build_project(step: QdmrStep, ctx: _Context) -> Built:
+    col = ctx.column(step, step.shape.phrase)
+    base = ctx.ref(step.shape.base)
+    extras = [ctx.ref(r) for r in step.shape.extra_refs]
     units = [([col.table], [col]), (base.query.from_tables, base.cols)]
     units += [(m.query.from_tables, m.cols) for m in extras]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     q = SqlQuery(
         select=(ColExpr(col),),
@@ -441,10 +440,8 @@ def _build_project(
     return q, [col]
 
 
-def _build_aggregate(
-    step: QdmrStep, mapped: Dict[int, _MappedStep]
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    base = _ref(mapped, step.shape.base)
+def _build_aggregate(step: QdmrStep, ctx: _Context) -> Built:
+    base = ctx.ref(step.shape.base)
     head = base.query.select[0]
     if not isinstance(head, ColExpr):
         raise ArityMismatch(
@@ -459,35 +456,15 @@ def _build_aggregate(
     return q, list(base.cols)
 
 
-def _operand(
-    arg, role: str, step: QdmrStep, binder: _Binder, mapped: Dict[int, _MappedStep]
-):
-    """An operand is either a mapped reference or a directly bound column."""
-    if isinstance(arg, int):
-        m = _ref(mapped, arg)
-        return m.query.select[0], m.query.from_tables, m, list(m.cols)
-    col = binder.require(step.index, role)
-    return ColExpr(col), (col.table,), None, [col]
-
-
-def _build_group(
-    step: QdmrStep,
-    binder: _Binder,
-    mapped: Dict[int, _MappedStep],
-    schema: SchemaGraph,
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    value_expr, value_tables, value_ref, value_cols = _operand(
-        step.shape.value, "group_value", step, binder, mapped
-    )
-    key_expr, key_tables, key_ref, key_cols = _operand(
-        step.shape.key, "group_key", step, binder, mapped
-    )
+def _build_group(step: QdmrStep, ctx: _Context) -> Built:
+    value_expr, value_tables, value_ref, value_cols = ctx.operand(step, step.shape.value)
+    key_expr, key_tables, key_ref, key_cols = ctx.operand(step, step.shape.key)
     if not isinstance(value_expr, ColExpr):
         raise ArityMismatch(f"step {step.index}: grouped value is already aggregated")
     if not isinstance(key_expr, ColExpr):
         raise ArityMismatch(f"step {step.index}: grouping key is not a column")
     units = [(value_tables, value_cols), (key_tables, key_cols)]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     q = SqlQuery(
         select=(AggExpr(step.operator.aggregate_fn, value_expr),),
@@ -500,13 +477,11 @@ def _build_group(
     return q, value_cols + key_cols
 
 
-def _build_superlative(
-    step: QdmrStep, mapped: Dict[int, _MappedStep], schema: SchemaGraph
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    entity = _ref(mapped, step.shape.entity)
-    measure = _ref(mapped, step.shape.measure)
+def _build_superlative(step: QdmrStep, ctx: _Context) -> Built:
+    entity = ctx.ref(step.shape.entity)
+    measure = ctx.ref(step.shape.measure)
     units = [(m.query.from_tables, m.cols) for m in (entity, measure)]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     direction = "DESC" if step.operator.aggregate_fn == "max" else "ASC"
     q = SqlQuery(
@@ -523,18 +498,13 @@ def _build_superlative(
     return q, list(entity.cols)
 
 
-def _build_comparative(
-    step: QdmrStep,
-    binder: _Binder,
-    mapped: Dict[int, _MappedStep],
-    schema: SchemaGraph,
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    base = _ref(mapped, step.shape.base)
-    target_expr, target_tables, target_ref, target_cols = _operand(
-        step.shape.target, "cmp_target", step, binder, mapped
+def _build_comparative(step: QdmrStep, ctx: _Context) -> Built:
+    base = ctx.ref(step.shape.base)
+    target_expr, target_tables, target_ref, target_cols = ctx.operand(
+        step, step.shape.target
     )
     units = [(base.query.from_tables, base.cols), (target_tables, target_cols)]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     where = [_inherited(base.query.where)]
     if target_ref is not None:
@@ -560,14 +530,12 @@ def _build_comparative(
     return q, list(base.cols) + target_cols
 
 
-def _build_union(
-    step: QdmrStep, mapped: Dict[int, _MappedStep], schema: SchemaGraph
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    members = [_ref(mapped, r) for r in step.shape.refs]
+def _build_union(step: QdmrStep, ctx: _Context) -> Built:
+    members = [ctx.ref(r) for r in step.shape.refs]
     if len(members) < 2:
         raise SqlBuildError(f"step {step.index}: union needs two operands")
     units = [(m.query.from_tables, m.cols) for m in members]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     sides = tuple(_inherited(m.query.where) for m in members)
     q = SqlQuery(
@@ -578,12 +546,10 @@ def _build_union(
     return q, [c for m in members for c in m.cols]
 
 
-def _build_union_column(
-    step: QdmrStep, mapped: Dict[int, _MappedStep], schema: SchemaGraph
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    members = [_ref(mapped, r) for r in step.shape.refs]
+def _build_union_column(step: QdmrStep, ctx: _Context) -> Built:
+    members = [ctx.ref(r) for r in step.shape.refs]
     units = [(m.query.from_tables, m.cols) for m in members]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     q = SqlQuery(
         select=tuple(m.query.select[0] for m in members),
@@ -593,15 +559,11 @@ def _build_union_column(
     return q, [c for m in members for c in m.cols]
 
 
-def _build_intersect(
-    step: QdmrStep,
-    binder: _Binder,
-    mapped: Dict[int, _MappedStep],
-    schema: SchemaGraph,
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    left = _ref(mapped, step.shape.left)
-    right = _ref(mapped, step.shape.right)
-    col = binder.role(step.index, "intersect_head")
+def _build_intersect(step: QdmrStep, ctx: _Context) -> Built:
+    left = ctx.ref(step.shape.left)
+    right = ctx.ref(step.shape.right)
+    # Without a head phrase, or with it unbound, intersect on the left's column.
+    col = ctx.columns.get((step.index, step.shape.head))
     if col is None:
         head = left.query.select[0]
         if not isinstance(head, ColExpr):
@@ -609,7 +571,7 @@ def _build_intersect(
         col = head.col
     units = [([col.table], [col])]
     units += [(m.query.from_tables, m.cols) for m in (left, right)]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     head = ColExpr(col)
     inner = SqlQuery(
@@ -625,18 +587,11 @@ def _build_intersect(
     return q, [col]
 
 
-def _build_sort(
-    step: QdmrStep,
-    binder: _Binder,
-    mapped: Dict[int, _MappedStep],
-    schema: SchemaGraph,
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    base = _ref(mapped, step.shape.base)
-    key_expr, key_tables, _, key_cols = _operand(
-        step.shape.key, "sort_key", step, binder, mapped
-    )
+def _build_sort(step: QdmrStep, ctx: _Context) -> Built:
+    base = ctx.ref(step.shape.base)
+    key_expr, key_tables, _, key_cols = ctx.operand(step, step.shape.key)
     units = [(base.query.from_tables, base.cols), (key_tables, key_cols)]
-    from_tables, joins = _join_units(schema, units)
+    from_tables, joins = _join_units(ctx.schema, units)
 
     direction = "DESC" if step.operator.direction == "desc" else "ASC"
     q = SqlQuery(
@@ -651,11 +606,9 @@ def _build_sort(
     return q, list(base.cols)
 
 
-def _build_discard(
-    step: QdmrStep, mapped: Dict[int, _MappedStep]
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    base = _ref(mapped, step.shape.base)
-    excluded = _ref(mapped, step.shape.right)
+def _build_discard(step: QdmrStep, ctx: _Context) -> Built:
+    base = ctx.ref(step.shape.base)
+    excluded = ctx.ref(step.shape.right)
     head = _item_expr(base.query.select[0])
     q = SqlQuery(
         select=base.query.select,
@@ -674,54 +627,30 @@ def _scalar(query: SqlQuery, index: int) -> None:
         raise ArityMismatch(f"step {index}: arithmetic operand is not scalar")
 
 
-def _build_arithmetic(
-    step: QdmrStep, mapped: Dict[int, _MappedStep]
-) -> Tuple[SqlQuery, List[ColumnRef]]:
-    left = _ref(mapped, step.shape.left)
-    right = _ref(mapped, step.shape.right)
+def _build_arithmetic(step: QdmrStep, ctx: _Context) -> Built:
+    left = ctx.ref(step.shape.left)
+    right = ctx.ref(step.shape.right)
     _scalar(left.query, step.index)
     _scalar(right.query, step.index)
     q = SqlQuery(select=(ArithExpr(step.operator.arith_op, left.query, right.query),))
     return q, list(left.cols) + list(right.cols)
 
 
-def _map_step(
-    step: QdmrStep,
-    binder: _Binder,
-    mapped: Dict[int, _MappedStep],
-    schema: SchemaGraph,
-) -> _MappedStep:
-    """Construct the query for one step given everything mapped before it."""
-    kind = step.operator.kind
-    if kind is OpKind.SELECT:
-        q, cols = _build_select(step, binder)
-    elif kind is OpKind.FILTER:
-        q, cols = _build_filter(step, binder, mapped, schema)
-    elif kind is OpKind.PROJECT:
-        q, cols = _build_project(step, binder, mapped, schema)
-    elif kind is OpKind.AGGREGATE:
-        q, cols = _build_aggregate(step, mapped)
-    elif kind is OpKind.GROUP:
-        q, cols = _build_group(step, binder, mapped, schema)
-    elif kind is OpKind.SUPERLATIVE:
-        q, cols = _build_superlative(step, mapped, schema)
-    elif kind is OpKind.COMPARATIVE:
-        q, cols = _build_comparative(step, binder, mapped, schema)
-    elif kind is OpKind.UNION:
-        q, cols = _build_union(step, mapped, schema)
-    elif kind is OpKind.UNION_COLUMN:
-        q, cols = _build_union_column(step, mapped, schema)
-    elif kind is OpKind.INTERSECT:
-        q, cols = _build_intersect(step, binder, mapped, schema)
-    elif kind is OpKind.SORT:
-        q, cols = _build_sort(step, binder, mapped, schema)
-    elif kind is OpKind.DISCARD:
-        q, cols = _build_discard(step, mapped)
-    elif kind is OpKind.ARITHMETIC:
-        q, cols = _build_arithmetic(step, mapped)
-    else:  # pragma: no cover - the enum is closed
-        raise SqlBuildError(f"no rule for operator {kind}")
-    return _MappedStep(cols=frozenset(cols), query=q)
+_RULES: Dict[OpKind, Callable[[QdmrStep, _Context], Built]] = {
+    OpKind.SELECT: _build_select,
+    OpKind.FILTER: _build_filter,
+    OpKind.PROJECT: _build_project,
+    OpKind.AGGREGATE: _build_aggregate,
+    OpKind.GROUP: _build_group,
+    OpKind.SUPERLATIVE: _build_superlative,
+    OpKind.COMPARATIVE: _build_comparative,
+    OpKind.UNION: _build_union,
+    OpKind.UNION_COLUMN: _build_union_column,
+    OpKind.INTERSECT: _build_intersect,
+    OpKind.SORT: _build_sort,
+    OpKind.DISCARD: _build_discard,
+    OpKind.ARITHMETIC: _build_arithmetic,
+}
 
 
 def synthesize(
@@ -731,8 +660,8 @@ def synthesize(
     plan: BindingPlan,
 ) -> SqlQuery:
     """Map every step in order and return the final step's query."""
-    binder = _Binder(plan, assignment)
-    mapped: Dict[int, _MappedStep] = {}
+    ctx = _Context(assignment.columns, plan.step_literals, {}, schema)
     for step in program.steps:
-        mapped[step.index] = _map_step(step, binder, mapped, schema)
-    return mapped[len(program.steps)].query
+        q, cols = _RULES[step.operator.kind](step, ctx)
+        ctx.mapped[step.index] = _MappedStep(cols=frozenset(cols), query=q)
+    return ctx.mapped[len(program.steps)].query

@@ -158,3 +158,19 @@ def test_an_assignment_is_one_map_from_slot_to_column():
     assert linking.Slot._fields == ("step", "text")
     assert not hasattr(linking, "PhraseLinking")
     assert not hasattr(qdmr2sql, "PhraseLinking")
+
+
+def test_each_step_reads_its_own_slots():
+    """A plan lists ``Slot``s, and a rule reads its columns under its own
+    step's shape texts: no role names, binder or per-kind dispatch chain
+    sit between the assignment and the rules."""
+    linking = importlib.import_module("qdmr2sql.linking")
+    sqlgen = importlib.import_module("qdmr2sql.sqlgen")
+    program = qdmr2sql.parse_qdmr(
+        "return ships; return injuries of #1; return number of #2 for each type"
+    )
+    slots = linking.plan_bindings(program).phrase_slots
+    assert slots and all(type(slot) is linking.Slot for slot in slots)
+    assert set(sqlgen._RULES) == set(qdmr2sql.OpKind)
+    assert not hasattr(sqlgen, "_Binder")
+    assert not hasattr(sqlgen, "_map_step")

@@ -308,16 +308,22 @@ class TestMalformedJsonSchema:
 
 class TestDottedNames:
     """``--assignment`` names a column ``table.column``, and either name may
-    hold dots: each split is tried against the schema."""
+    hold dots: a quoted spelling names one column, and otherwise each split
+    is tried against the schema."""
 
     @pytest.fixture()
     def dotted_db(self, tmp_path):
-        path = tmp_path / "dotted.sqlite"
+        path = tmp_path / "dbs" / "dotted.sqlite"
+        path.parent.mkdir()
         conn = sqlite3.connect(path)
         conn.executescript(
             'CREATE TABLE "a.b" (c TEXT);'
             'CREATE TABLE a ("b.c" TEXT, d TEXT);'
             'CREATE TABLE "x.y" (z TEXT);'
+            'CREATE TABLE t ("order" TEXT);'
+            "INSERT INTO \"a.b\" VALUES ('p'), ('q');"
+            "INSERT INTO a VALUES ('r', NULL), ('s', NULL);"
+            "INSERT INTO t VALUES ('u'), ('v');"
         )
         conn.close()
         return path
@@ -341,6 +347,40 @@ class TestDottedNames:
     def test_no_split_that_resolves_is_unknown(self, dotted_db, capsys):
         assert self.run_map(dotted_db, "a.b.d") == 2
         assert capsys.readouterr().err == "error: unknown column a.b.d\n"
+
+    def test_a_quoted_spelling_names_one_column(self, dotted_db, capsys):
+        assert self.run_map(dotted_db, '"A.B"."C"') == 0
+        assert capsys.readouterr().out == 'SELECT "a.b".c FROM "a.b"\n'
+
+    def test_pairs_file_spellings_map_back(self, dotted_db, tmp_path, capsys):
+        """Each answer lies in one column: the two whose ``str`` spellings
+        are both ``a.b.c``, and one named by a keyword.  The pairs file
+        spells each so that ``map --assignment`` reads back that column."""
+        answers = {"ab": ["p", "q"], "a": ["r", "s"], "t": ["u", "v"]}
+        examples = tmp_path / "examples.jsonl"
+        examples.write_text("".join(
+            json.dumps({"id": key, "db_id": "dotted", "question": "?",
+                        "qdmr": "return things", "answer": answer}) + "\n"
+            for key, answer in answers.items()
+        ))
+        pairs = tmp_path / "pairs.jsonl"
+        argv = ["synth", "--examples", str(examples),
+                "--db-dir", str(dotted_db.parent),
+                "--embeddings", str(EMBEDDINGS), "--out-pairs", str(pairs),
+                "--out-report", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        written = [json.loads(line) for line in pairs.read_text().splitlines()]
+        assert {p["id"]: p["assignment"] for p in written} == {
+            "ab": {"1:things": '"a.b".c'},
+            "a": {"1:things": 'a."b.c"'},
+            "t": {"1:things": 't."order"'},
+        }
+        for pair in written:
+            argv = ["map", "--qdmr", pair["qdmr"], "--schema", str(dotted_db),
+                    "--assignment", json.dumps(pair["assignment"])]
+            assert main(argv) == 0, pair["id"]
+            assert capsys.readouterr().out == pair["sql"] + "\n", pair["id"]
 
 
 class TestLink:

@@ -459,8 +459,8 @@ def _phrase_slots(examples, db_dir):
                 if ex.db_id == db_id:
                     plan = linking.plan_bindings(ex.program, index)
                     slots += [
-                        (_database_key(schema), phrase)
-                        for _, _, phrase in plan.phrase_slots
+                        (_database_key(schema), slot.text)
+                        for slot in plan.phrase_slots
                     ]
         finally:
             conn.close()

@@ -315,9 +315,9 @@ class TestPlanBindings:
         )
         plan = plan_bindings(program)
         assert plan.phrase_slots == (
-            (1, "select", "the mississippi"),
-            (2, "project", "states run through"),
-            (3, "project", "the population of"),
+            Slot(1, "the mississippi"),
+            Slot(2, "states run through"),
+            Slot(3, "the population of"),
         )
         assert not plan.step_literals
 
@@ -336,7 +336,7 @@ class TestPlanBindings:
             assert [str(c) for c in dict(slots)[Slot(None, "mississippi")]] == [
                 "river.river_name"
             ]
-            assert (1, "select", "the mississippi") not in plan.phrase_slots
+            assert Slot(1, "the mississippi") not in plan.phrase_slots
             assert len(plan.phrase_slots) == 2
         finally:
             conn.close()
@@ -367,7 +367,18 @@ class TestPlanBindings:
             "return the number of #2 for each affiliation"
         )
         plan = plan_bindings(program)
-        assert (3, "group_key", "affiliation") in plan.phrase_slots
+        assert Slot(3, "affiliation") in plan.phrase_slots
+
+    def test_group_phrase_value_comes_before_its_key(self):
+        program = parse_qdmr("return number of ship names for each ship type")
+        assert plan_bindings(program).phrase_slots == (
+            Slot(1, "ship names"),
+            Slot(1, "ship type"),
+        )
+
+    def test_a_text_two_fields_hold_is_one_slot(self):
+        program = parse_qdmr("return number of ships for each ships")
+        assert plan_bindings(program).phrase_slots == (Slot(1, "ships"),)
 
 
 class TestLinkProgram:
@@ -386,9 +397,7 @@ class TestLinkProgram:
                 Slot(3, "the population of"),
                 Slot(None, "mississippi"),
             ]
-            assert [(i, p) for i, _, p in plan.phrase_slots] == [
-                tuple(s) for s, _ in slots[:2]
-            ]
+            assert list(plan.phrase_slots) == [s for s, _ in slots[:2]]
             assert str(slots[0][1][0]) == "state.state_name"
             assert all(len(options) <= 3 for _, options in slots)
         finally:

@@ -609,7 +609,7 @@ class TestSession:
                 linking.plan_bindings(ex.program, ValueIndex(db.conn, schema))
                 for ex in ships
             ]
-        slots = [phrase for plan in plans for _, _, phrase in plan.phrase_slots]
+        slots = [slot.text for plan in plans for slot in plan.phrase_slots]
         # Phrases repeat across the examples, so one ranking serves several.
         assert len(set(slots)) < len(slots)
 

@@ -644,6 +644,14 @@ class TestFailures:
                 use_values=True,
             )
 
+    def test_unbound_phrase_is_named(self, ship_death_db):
+        with pytest.raises(UnboundPhrase, match="step 2 .* 'injuries of'"):
+            build(
+                ship_death_db,
+                "return ships; return injuries of #1",
+                {"1:ships": "ship.id"},
+            )
+
     def test_disconnected_tables(self):
         from test_joinpath import make_schema
 
