@@ -259,19 +259,18 @@ def _open_session(
     config: SynthesisConfig,
     lexicon: Optional[EmbeddingLexicon],
 ) -> Union[Session, SynthesisOutcome]:
-    """Open, introspect and index one database for its examples.  When
-    opening or introspection fails, that failure is every such example's
-    outcome."""
+    """Open, introspect and value-index one database for its examples.
+    When opening or introspection fails, that failure is every such
+    example's outcome; the database is closed whatever raised."""
     try:
         database = Database.open(path)
         try:
-            schema = load_schema(database.conn)
+            return Session(database, load_schema(database.conn), config, lexicon)
         except BaseException:
             database.close()
             raise
     except Qdmr2SqlError as exc:
         return _mapping_failed(exc)
-    return Session(database, schema, config, lexicon)
 
 
 def _search_in_order(

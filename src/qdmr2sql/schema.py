@@ -10,11 +10,13 @@ read-only) or a JSON document of the form::
 
 Column references carry the tokenized and lemmatized forms used by the
 phrase linker.  A column's token set includes its table-name tokens, so the
-phrase "ships" can reach every column of table ``ship``.
+phrase "ships" can reach every column of table ``ship``.  Introspection
+also records how a literal is looked up in each column (``lookup``), from
+its declared type and its table's ``CREATE`` statement.
 
-:class:`ValueIndex` answers "which text columns contain this literal?".  It
-reads each text column once, on first use, into maps from exact and
-case-folded values to columns, and probes per literal only the columns
+:class:`ValueIndex` answers "which text columns contain this literal?".  Its
+constructor reads each mappable column once into maps from exact and
+case-folded values to columns; lookups probe per literal only the columns
 those maps cannot answer for.  Numeric literals are never value-indexed;
 comparison values are handled by the SQL mapper instead.
 """
@@ -78,7 +80,7 @@ _SQLITE_KEYWORDS = frozenset(
 # rather than held in the value maps.  The cap bounds memory, not time: on
 # a 2-vCPU VM one column at the cap raises peak RSS by 22 MB (20-character
 # values) to 30 MB (100-character) and takes 0.2 to 0.27 s to read, a read
-# the per-example deadline does not yet cover.
+# made when the index is built, which a search session does when it opens.
 _MAX_MAPPED_VALUES = 50_000
 
 
@@ -95,26 +97,31 @@ def quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _value_kind(declared: str) -> str:
+def _lookup(declared: str, collated: bool) -> Optional[str]:
+    """How a literal is looked up in a column of type ``declared``: None
+    for a non-text type; ``"probe"`` where Python string equality cannot
+    reproduce the column's ``=`` (a STRING type has NUMERIC affinity, and
+    ``collated`` marks a table whose ``CREATE`` holds a COLLATE clause);
+    ``"map"`` otherwise."""
     t = (declared or "").upper()
     if any(s in t for s in ("INT", "REAL", "FLOA", "DOUB", "NUM", "DEC")):
-        return "number"
-    if any(s in t for s in ("CHAR", "CLOB", "TEXT", "STRING")):
-        return "text"
-    if "DATE" in t or "TIME" in t:
-        return "date"
-    return "other"
+        return None
+    if any(s in t for s in ("CHAR", "CLOB", "TEXT")):
+        return "probe" if collated else "map"
+    return "probe" if "STRING" in t else None
 
 
 @dataclass(frozen=True)
 class ColumnRef:
-    """A fully qualified column with its linkable token forms."""
+    """A fully qualified column with its linkable token forms and how a
+    literal is looked up in it: ``"map"``, ``"probe"`` or None (see
+    :class:`ValueIndex`)."""
 
     table: str
     column: str
     lemmas: Tuple[str, ...] = field(compare=False, default=())
     own_lemmas: Tuple[str, ...] = field(compare=False, default=())
-    value_kind: str = field(compare=False, default="other")
+    lookup: Optional[str] = field(compare=False, default=None)
 
     def __str__(self) -> str:
         return f"{self.table}.{self.column}"
@@ -133,14 +140,16 @@ class FKEdge:
     target: ColumnRef
 
 
-def _make_column(table: str, column: str, declared: str) -> ColumnRef:
+def _make_column(
+    table: str, column: str, declared: str, collated: bool = False
+) -> ColumnRef:
     column_tokens = tokenize(column)
     return ColumnRef(
         table=table,
         column=column,
         lemmas=content_lemmas(tokenize(table) + column_tokens),
         own_lemmas=content_lemmas(column_tokens),
-        value_kind=_value_kind(declared),
+        lookup=_lookup(declared, collated),
     )
 
 
@@ -220,7 +229,9 @@ def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
     if not p.exists():
         raise UnreadableDatabase(f"no such database file: {p}")
     try:
-        conn = sqlite3.connect(f"file:{p}?mode=ro", uri=True)
+        # as_uri() escapes '#', '?' and '%', which would otherwise end or
+        # alter the path part of the URI.
+        conn = sqlite3.connect(p.resolve().as_uri() + "?mode=ro", uri=True)
     except sqlite3.Error as exc:
         raise UnreadableDatabase(f"cannot open {p}: {exc}") from exc
     try:
@@ -234,32 +245,32 @@ def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
 
 def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
     try:
-        names = [
-            r[0]
-            for r in conn.execute(
-                "SELECT name FROM sqlite_master"
+        creates = dict(
+            conn.execute(
+                "SELECT name, sql FROM sqlite_master"
                 " WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
                 " ORDER BY rowid"
             )
-        ]
+        )
     except sqlite3.Error as exc:
         raise UnreadableDatabase(f"cannot introspect database: {exc}") from exc
 
     tables: Dict[str, List[ColumnRef]] = {}
     pks: Dict[str, str] = {}
-    for name in names:
+    for name, create in creates.items():
+        collated = "COLLATE" in (create or "").upper()
         cols = []
         for _, col, declared, _, _, pk in conn.execute(
             f"PRAGMA table_info({quote_ident(name)})"
         ):
-            cols.append(_make_column(name, col, declared))
+            cols.append(_make_column(name, col, declared, collated))
             if pk and name not in pks:
                 pks[name] = col
         tables[name] = cols
     graph = SchemaGraph(tables, [])
 
     fks: List[FKEdge] = []
-    for name in names:
+    for name in creates:
         # foreign_key_list numbers ids from the last declared key down, so
         # descending id recovers declaration order.
         rows = sorted(
@@ -360,12 +371,6 @@ def _sqlite_fold(text: str) -> str:
     return text.strip(" ").translate(_ASCII_LOWER)
 
 
-def _text_affinity(declared: str) -> bool:
-    """Whether SQLite gives a column of this declared type TEXT affinity."""
-    t = (declared or "").upper()
-    return "INT" not in t and any(s in t for s in ("CHAR", "CLOB", "TEXT"))
-
-
 def _add(index: Dict[str, Tuple[ColumnRef, ...]], key: str, col: ColumnRef) -> None:
     # Columns arrive in (table, column) order, so a repeat is the last entry.
     have = index.get(key, ())
@@ -378,30 +383,39 @@ class ValueIndex:
 
     A literal matches the text columns whose ``=`` holds it; when no column
     does, the columns where ``lower(trim(col)) = lower(trim(literal))``.
-    On the first lookup every text column is read once, and two maps go
-    from each exact and each folded value to its columns.  A column whose
-    ``=`` a Python string comparison cannot reproduce (no TEXT affinity,
-    or a COLLATE clause in its table) or with more distinct values than
-    the cap is probed with one query per literal instead.  Results are
-    memoized per literal, so the same literal always gets the same tuple
-    back.  The connection must be read-only and must stay open for
-    the index's lifetime.
+    The constructor reads every ``"map"`` column (see
+    :attr:`ColumnRef.lookup`) once, into two maps from each exact and each
+    folded value to its columns, and reads nothing else about the schema.
+    A ``"probe"`` column, or one with more distinct values than the cap, is
+    probed with one query per literal instead.  Results are memoized per
+    literal, so the same literal always gets the same tuple back.  The
+    connection must be read-only and must stay open for the index's
+    lifetime.
     """
 
     def __init__(self, conn: sqlite3.Connection, schema: SchemaGraph):
         self._conn = conn
-        self._schema = schema
-        self._exact: Optional[Dict[str, Tuple[ColumnRef, ...]]] = None
+        self._exact: Dict[str, Tuple[ColumnRef, ...]] = {}
         self._folded: Dict[str, Tuple[ColumnRef, ...]] = {}
         self._probed: List[ColumnRef] = []
         self._cache: Dict[str, Tuple[ColumnRef, ...]] = {}
+        for col in sorted(schema.columns(), key=_column_order):
+            if col.lookup is None:
+                continue
+            rows = self._distinct_values(col) if col.lookup == "map" else None
+            if rows is None:
+                self._probed.append(col)
+                continue
+            for value, fold in rows:
+                if isinstance(value, str):
+                    _add(self._exact, value, col)
+                if fold is not None:
+                    _add(self._folded, fold, col)
 
     def columns_containing(self, literal: str) -> Tuple[ColumnRef, ...]:
         """All text columns holding ``literal``, sorted by (table, column)."""
         if _NUMERIC.fullmatch(literal.strip()):
             return ()
-        if self._exact is None:
-            self._build()
         if literal in self._cache:
             return self._cache[literal]
         hits = self._exact.get(literal, ()) + tuple(
@@ -414,50 +428,6 @@ class ValueIndex:
         result = tuple(sorted(hits, key=_column_order))
         self._cache[literal] = result
         return result
-
-    def _build(self) -> None:
-        """Read every text column the maps can serve into them, once."""
-        exact: Dict[str, Tuple[ColumnRef, ...]] = {}
-        folded: Dict[str, Tuple[ColumnRef, ...]] = {}
-        probed: List[ColumnRef] = []
-        columns = sorted(
-            (c for c in self._schema.columns() if c.value_kind == "text"),
-            key=_column_order,
-        )
-        comparable = {
-            table: self._comparable_columns(table)
-            for table in {c.table for c in columns}
-        }
-        for col in columns:
-            rows = None
-            if col.column in comparable[col.table]:
-                rows = self._distinct_values(col)
-            if rows is None:
-                probed.append(col)
-                continue
-            for value, fold in rows:
-                if isinstance(value, str):
-                    _add(exact, value, col)
-                if fold is not None:
-                    _add(folded, fold, col)
-        self._exact, self._folded, self._probed = exact, folded, probed
-
-    def _comparable_columns(self, table: str) -> frozenset:
-        """Columns of ``table`` whose ``=`` on a text operand is Python's
-        string equality: TEXT affinity and the default BINARY collation."""
-        try:
-            row = self._conn.execute(
-                "SELECT sql FROM sqlite_master WHERE type = 'table' AND name = ?",
-                (table,),
-            ).fetchone()
-            if row is None or "COLLATE" in (row[0] or "").upper():
-                return frozenset()
-            info = self._conn.execute(
-                f"PRAGMA table_info({quote_ident(table)})"
-            ).fetchall()
-        except sqlite3.Error:
-            return frozenset()
-        return frozenset(r[1] for r in info if _text_affinity(r[2]))
 
     def _distinct_values(self, col: ColumnRef) -> Optional[List[tuple]]:
         """Each distinct cell with its ``lower(trim())``, or None when the

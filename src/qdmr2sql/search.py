@@ -221,11 +221,13 @@ class Session:
 
     Holds the database, its schema, the config and lexicon, a
     :class:`ValueIndex` over the database's connection and a memo from
-    phrase to column ranking.  A ranking depends on the schema, the lexicon
-    and ``config.top_k``, so the memo is valid only while all three stay
-    those of this session; a session never changes them.  Use and close a
-    session on the thread that opened its database: SQLite connections
-    refuse other threads.
+    phrase to column ranking.  Constructing a session builds the value
+    index, which reads the database's text columns, so that read falls
+    outside every example's deadline.  A ranking depends on the schema,
+    the lexicon and ``config.top_k``, so the memo is valid only while all
+    three stay those of this session; a session never changes them.  Use
+    and close a session on the thread that opened its database: SQLite
+    connections refuse other threads.
     """
 
     def __init__(

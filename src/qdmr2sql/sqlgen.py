@@ -319,8 +319,13 @@ class _Context:
         return col
 
     def literals(self, step: QdmrStep) -> List[Tuple[str, ColumnRef]]:
-        texts = self.step_literals.get(step.index, ())
-        return [(t, self.columns[None, t]) for t in texts if (None, t) in self.columns]
+        found = []
+        for text in self.step_literals.get(step.index, ()):
+            col = self.columns.get((None, text))
+            if col is None:
+                raise UnboundPhrase(f"step {step.index} has no column bound for value {text!r}")
+            found.append((text, col))
+        return found
 
     def ref(self, n: Optional[int]) -> _MappedStep:
         if n is None or n not in self.mapped:
@@ -562,9 +567,10 @@ def _build_union_column(step: QdmrStep, ctx: _Context) -> Built:
 def _build_intersect(step: QdmrStep, ctx: _Context) -> Built:
     left = ctx.ref(step.shape.left)
     right = ctx.ref(step.shape.right)
-    # Without a head phrase, or with it unbound, intersect on the left's column.
-    col = ctx.columns.get((step.index, step.shape.head))
-    if col is None:
+    # Without a head phrase, intersect on the left's column.
+    if step.shape.head:
+        col = ctx.column(step, step.shape.head)
+    else:
         head = left.query.select[0]
         if not isinstance(head, ColExpr):
             raise ArityMismatch(f"step {step.index}: no head column to intersect on")

@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import sqlite3
 import sys
 from pathlib import Path
 
@@ -174,3 +175,23 @@ def test_each_step_reads_its_own_slots():
     assert set(sqlgen._RULES) == set(qdmr2sql.OpKind)
     assert not hasattr(sqlgen, "_Binder")
     assert not hasattr(sqlgen, "_map_step")
+
+
+def test_a_columns_lookup_is_read_once_at_introspection():
+    """How a literal is looked up in a column is recorded once, on the
+    column: the value index neither classifies declared types nor reads
+    the schema a second time, and builds its maps when constructed."""
+    schema = importlib.import_module("qdmr2sql.schema")
+    names = [f.name for f in dataclasses.fields(schema.ColumnRef)]
+    assert "lookup" in names and "value_kind" not in names
+    for gone in ("_value_kind", "_text_affinity"):
+        assert not hasattr(schema, gone)
+    for gone in ("_comparable_columns", "_build"):
+        assert not hasattr(schema.ValueIndex, gone)
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (name TEXT)")
+        index = schema.ValueIndex(conn, schema.load_schema(conn))
+        assert not hasattr(index, "_schema")
+    finally:
+        conn.close()

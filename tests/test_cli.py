@@ -250,6 +250,35 @@ class TestMap:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_unbound_intersect_head_is_reported(self, academic_db, capsys):
+        # A head phrase left out of the assignment is not replaced by the
+        # left operand's column.
+        assignment = json.dumps({
+            "1:papers": "publication.pid",
+            "value:H. V. Jagadish": "author.name",
+            "value:Yunyao Li": "author.name",
+        })
+        code = main(
+            ["map", "--qdmr",
+             "return papers; return #1 by H. V. Jagadish; "
+             "return #1 by Yunyao Li; return titles in both #2 and #3",
+             "--schema", str(academic_db), "--assignment", assignment]
+        )
+        assert code == 2
+        assert "'titles'" in capsys.readouterr().err
+
+    def test_unbound_literal_is_reported(self, academic_db, capsys):
+        # The literal is in the database; only the assignment lacks it.
+        code = main(
+            ["map", "--qdmr", "return papers; return #1 by H. V. Jagadish",
+             "--schema", str(academic_db),
+             "--assignment", json.dumps({"1:papers": "publication.pid"})]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'H. V. Jagadish'" in err
+        assert "no database value matches" not in err
+
     def test_bad_assignment_json(self, ship_death_db, capsys):
         code = main(
             ["map", "--qdmr", "return ships", "--schema", str(ship_death_db),

@@ -349,6 +349,21 @@ class TestSessions:
         assert "geo" in {path.stem for path, _ in opened}
         assert all(_closed(db.conn) for _, db in opened)
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_closed_when_value_index_raises(
+        self, opened, monkeypatch, db_dir, lexicon, jobs
+    ):
+        # Opening a session builds its value index, which reads the database.
+        def failing_init(self, conn, schema):
+            raise RuntimeError("index crashed")
+
+        monkeypatch.setattr(ValueIndex, "__init__", failing_init)
+        examples, _ = load_examples(CORPUS)
+        with pytest.raises(RuntimeError, match="index crashed"):
+            run_corpus(examples, db_dir, lexicon=lexicon, jobs=jobs)
+        assert opened
+        assert all(_closed(db.conn) for _, db in opened)
+
     def test_unreadable_database_fails_only_its_examples(
         self, corpus_run, tmp_path, db_dir, lexicon
     ):

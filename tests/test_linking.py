@@ -185,7 +185,7 @@ class TestRankColumns:
 
 def col(table, column):
     return ColumnRef(
-        table=table, column=column, value_kind="text",
+        table=table, column=column, lookup="map",
         own_lemmas=(column,), lemmas=(table, column),
     )
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import sqlite3
 
 import pytest
@@ -39,8 +40,20 @@ class TestIntrospection:
 
     def test_value_kinds(self, ship_death_db):
         schema = load_schema(ship_death_db)
-        assert schema.column("ship", "name").value_kind == "text"
-        assert schema.column("ship", "tonnage").value_kind == "number"
+        assert schema.column("ship", "name").lookup == "map"
+        assert schema.column("ship", "tonnage").lookup is None
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.executescript(
+                "CREATE TABLE a (code STRING, note TEXT);"
+                "CREATE TABLE b (name TEXT COLLATE NOCASE, city TEXT);"
+            )
+            lookups = {str(c): c.lookup for c in load_schema(conn).columns()}
+        finally:
+            conn.close()
+        assert lookups == {
+            "a.code": "probe", "a.note": "map", "b.name": "probe", "b.city": "probe",
+        }
 
     def test_foreign_keys(self, academic_db):
         schema = load_schema(academic_db)
@@ -117,6 +130,24 @@ class TestReadOnly:
                 conn.execute("INSERT INTO ship VALUES (99, 'x', 'y', 1)")
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("dirname", ["odd#dir", "q?dir", "pct%41dir"])
+    def test_uri_characters_in_path(self, tmp_path, ship_death_db, dirname):
+        # '#' and '?' would end the URI's path part and '%' would start an
+        # escape, opening or creating some other file.
+        (tmp_path / dirname).mkdir()
+        path = tmp_path / dirname / "ship_death.sqlite"
+        shutil.copy(ship_death_db, path)
+        conn = open_readonly(path)
+        try:
+            assert list(load_schema(conn).tables) == ["ship", "death"]
+            with pytest.raises(sqlite3.OperationalError):
+                conn.execute("INSERT INTO ship VALUES (99, 'x', 'y', 1)")
+        finally:
+            conn.close()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            [dirname, "ship_death.sqlite"]
+        )
 
     def test_missing_file_not_created(self, tmp_path):
         ghost = tmp_path / "nope.sqlite"
@@ -205,7 +236,7 @@ def _probed_reference(index, schema, literal):
     if schema_module._NUMERIC.fullmatch(literal.strip()):
         return ()
     columns = sorted(
-        (c for c in schema.columns() if c.value_kind == "text"),
+        (c for c in schema.columns() if c.lookup is not None),
         key=lambda c: (c.table, c.column),
     )
     exact = tuple(c for c in columns if index._contains(c, literal, fold=False))
@@ -288,18 +319,23 @@ class TestValueMaps:
             conn.close()
 
     def test_each_column_read_once(self, geo_db):
+        # The constructor reads each mapped column and nothing else of the
+        # schema; lookups then answer from the maps alone.
         conn = open_readonly(geo_db)
         try:
             schema = load_schema(conn)
-            index = ValueIndex(conn, schema)
             statements = []
             conn.set_trace_callback(statements.append)
-            index.columns_containing("missouri")
+            index = ValueIndex(conn, schema)
             reads = [s for s in statements if "DISTINCT" in s]
-            text_columns = [c for c in schema.columns() if c.value_kind == "text"]
-            assert len(set(reads)) == len(reads) == len(text_columns)
-            assert not any("LIMIT 1" in s for s in statements)
+            mapped = [c for c in schema.columns() if c.lookup == "map"]
+            assert len(set(reads)) == len(reads) == len(mapped) > 0
+            assert len(statements) == len(reads)
+            assert not any(
+                "sqlite_master" in s or "PRAGMA" in s.upper() for s in statements
+            )
             statements.clear()
+            assert index.columns_containing("missouri") != ()
             assert index.columns_containing("Texas") != ()
             assert index.columns_containing("no such value") == ()
             assert statements == []

@@ -8,6 +8,7 @@ winning SQL.
 
 import importlib
 import sqlite3
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -474,6 +475,32 @@ class TestFailureStatuses:
             config=cfg,
         )
         assert out.status is SearchStatus.TIMEOUT
+
+    def test_value_index_build_precedes_the_deadline(
+        self, ship_death_db, open_db, lexicon, monkeypatch
+    ):
+        # The session reads the text columns when it opens, so a slow first
+        # read takes nothing from the example's own deadline.
+        real_read = ValueIndex._distinct_values
+        slept = []
+
+        def slow_read(self, col):
+            if not slept:
+                slept.append(col)
+                time.sleep(0.3)
+            return real_read(self, col)
+
+        monkeypatch.setattr(ValueIndex, "_distinct_values", slow_read)
+        out = run_search(
+            open_db,
+            ship_death_db,
+            lexicon,
+            "return ships; return names of #1",
+            ["Lettice", "Bon Accord", "HMS Trinidad", "Mary", "Lettice", "Avalanche"],
+            config=SynthesisConfig(per_example_timeout=0.2),
+        )
+        assert slept
+        assert out.status is SearchStatus.FOUND
 
     def test_max_assignments_bounds_the_search(
         self, academic_db, open_db, lexicon

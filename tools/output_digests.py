@@ -1,0 +1,87 @@
+"""Digest the output files of the benchmark workloads.
+
+For each workload of ``perfbench/workloads.py`` this builds the inputs at
+one seed in a temporary directory, runs ``run_corpus`` on them with the
+package under ``--src``, and writes the pairs, failures and report files
+as ``perfbench/worker.py`` does.  It prints one line per workload: the
+SHA-256 of the three files together and the number of examples found.
+Two versions of the package whose lines agree wrote byte-identical files
+for the same inputs; the inputs always come from this checkout.
+
+Standard library only.  Usage:
+
+    python3 tools/output_digests.py [--src DIR] [--seed N] [--jobs N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+OUTPUTS = ("pairs.jsonl", "pairs.failures.jsonl", "report.json")
+
+
+def digest(out_dir: Path) -> str:
+    """The SHA-256 of the output files, each preceded by its name."""
+    h = hashlib.sha256()
+    for name in OUTPUTS:
+        h.update(name.encode())
+        h.update((out_dir / name).read_bytes())
+    return h.hexdigest()
+
+
+def run_workload(workloads, name: str, seed: int, jobs: int, work: Path) -> str:
+    """Build workload ``name``, run the corpus on it, and describe the files."""
+    corpus = importlib.import_module("qdmr2sql.corpus")
+    linking = importlib.import_module("qdmr2sql.linking")
+    search = importlib.import_module("qdmr2sql.search")
+    inputs, out = work / "inputs", work / "out"
+    inputs.mkdir()
+    out.mkdir()
+    workload = workloads.GENERATORS[name](REPO, inputs, seed)
+    lexicon = linking.EmbeddingLexicon.load(workload.lexicon)
+    examples, rejects = corpus.load_examples(workload.corpus)
+    if rejects:
+        raise RuntimeError(f"{name}: {len(rejects)} corpus lines were rejected")
+    outcomes, report = corpus.run_corpus(
+        examples, workload.db_dir, config=search.SynthesisConfig(),
+        jobs=jobs, lexicon=lexicon,
+    )
+    corpus.emit_training_pairs(examples, outcomes, out / "pairs.jsonl")
+    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    found = sum(o.status is search.SearchStatus.FOUND for o in outcomes)
+    return f"{name}\tfound {found}/{len(examples)}\tsha256 {digest(out)}"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", type=Path, default=REPO / "src",
+                   help="directory holding the qdmr2sql package (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--jobs", type=int, default=1)
+    args = p.parse_args(argv)
+
+    sys.dont_write_bytecode = True  # leave perfbench/ and --src as they are
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(REPO / "perfbench"))
+    package = importlib.import_module("qdmr2sql")
+    if not Path(package.__file__).resolve().is_relative_to(src):
+        print(f"error: qdmr2sql was imported from {package.__file__}, not {src}",
+              file=sys.stderr)
+        return 2
+    workloads = importlib.import_module("workloads")
+    for name in sorted(workloads.GENERATORS):
+        with tempfile.TemporaryDirectory(prefix="qdmr2sql-digests-") as tmp:
+            print(run_workload(workloads, name, args.seed, args.jobs, Path(tmp)),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
