@@ -35,6 +35,7 @@ from .linking import (
     Slot,
     enumerate_assignments,
     link_program,
+    plan_bindings,
     rank_columns,
 )
 from .qdmr import parse_qdmr
@@ -195,14 +196,16 @@ def _cmd_map(args: argparse.Namespace) -> int:
     top_k = SynthesisConfig().top_k
     if Path(args.schema).suffix.lower() == ".json":
         schema = load_schema(args.schema)
-        plan, slots = link_program(program, schema, None, None, top_k, {})
+        plan = plan_bindings(program, None)
+        slots = link_program(plan, schema, None, None, top_k, {})
     else:
         # A database source also locates literals through a value index.
         conn = open_readonly(args.schema)
         try:
             schema = load_schema(conn)
             value_index = ValueIndex(conn, schema)
-            plan, slots = link_program(program, schema, None, value_index, top_k, {})
+            plan = plan_bindings(program, value_index)
+            slots = link_program(plan, schema, None, value_index, top_k, {})
         finally:
             conn.close()
     if args.assignment is not None:

@@ -65,7 +65,7 @@ def join_tables(
     if shared:
         return JoinPath(tables=(min(shared),), edges=())
 
-    adjacency = schema.table_adjacency()
+    adjacency = schema.adjacency
     dist: Dict[str, int] = {t: 0 for t in src}
     queue = deque(sorted(src))
     while queue:

@@ -252,7 +252,7 @@ def _find_literals(fragment: str, index: ValueIndex) -> List[str]:
 
 
 def plan_bindings(
-    program: QdmrProgram, value_index: Optional[ValueIndex] = None
+    program: QdmrProgram, value_index: Optional[ValueIndex]
 ) -> BindingPlan:
     """Collect the phrase slots and literal slots a program needs.
 
@@ -287,24 +287,22 @@ def plan_bindings(
 
 
 def link_program(
-    program: QdmrProgram,
+    plan: BindingPlan,
     schema: SchemaGraph,
     lexicon: Optional[EmbeddingLexicon],
     value_index: Optional[ValueIndex],
     top_k: int,
     rankings: Dict[str, Tuple[ColumnRef, ...]],
-) -> Tuple[BindingPlan, List[Tuple[Slot, Tuple[ColumnRef, ...]]]]:
-    """Plan a program's bindings and list each slot with its best ``top_k``
-    columns: phrase slots in plan order, then literals in first-mention
-    order, each once.
+) -> List[Tuple[Slot, Tuple[ColumnRef, ...]]]:
+    """List each slot of ``plan`` with its best ``top_k`` columns: phrase
+    slots in plan order, then literals in first-mention order, each once.
 
     ``rankings`` maps a phrase to its ranked columns; phrases missing from
     it are ranked and added.  :class:`qdmr2sql.search.Session` owns the
     memo that is shared across programs, and says when sharing it is
-    valid.  A literal's columns come from the value index, which keeps
-    them.
+    valid.  A literal's columns come from ``value_index``, the index the
+    plan found it in, which keeps them.
     """
-    plan = plan_bindings(program, value_index)
     slots: Dict[Slot, Tuple[ColumnRef, ...]] = {}
     for slot in plan.phrase_slots:
         columns = rankings.get(slot.text)
@@ -317,4 +315,4 @@ def link_program(
             slot = Slot(None, literal)
             if slot not in slots:
                 slots[slot] = value_index.columns_containing(literal)[:top_k]
-    return plan, list(slots.items())
+    return list(slots.items())

@@ -30,7 +30,7 @@ import string
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import NoTables, UnreadableDatabase
 from .text import content_lemmas, tokenize
@@ -154,18 +154,24 @@ def _make_column(
 
 
 class SchemaGraph:
-    """Tables, columns in declaration order, and the foreign-key graph."""
+    """Tables, columns in declaration order, and the foreign-key graph as
+    undirected ``adjacency``: table -> [(neighbor, edge), ...], edges in
+    declaration order, so the first declared key is a hop's first choice."""
 
-    def __init__(self, tables: Dict[str, List[ColumnRef]], fks: List[FKEdge]):
+    def __init__(self, tables: Dict[str, List[ColumnRef]], fks: Sequence[FKEdge]):
         if not tables:
             raise NoTables("schema declares no tables")
         self.tables: Dict[str, List[ColumnRef]] = tables
-        self.fks: List[FKEdge] = fks
+        self.fks: Tuple[FKEdge, ...] = tuple(fks)
         self._by_name = {
             (c.table.lower(), c.column.lower()): c
             for cols in tables.values()
             for c in cols
         }
+        self.adjacency: Dict[str, List[Tuple[str, FKEdge]]] = {t: [] for t in tables}
+        for edge in self.fks:
+            self.adjacency[edge.source.table].append((edge.target.table, edge))
+            self.adjacency[edge.target.table].append((edge.source.table, edge))
 
     def column(self, table: str, column: str) -> ColumnRef:
         try:
@@ -209,18 +215,6 @@ class SchemaGraph:
     def columns(self) -> List[ColumnRef]:
         """All columns, table declaration order then column order."""
         return [c for cols in self.tables.values() for c in cols]
-
-    def table_adjacency(self) -> Dict[str, List[Tuple[str, FKEdge]]]:
-        """Undirected adjacency: table -> [(neighbor, edge), ...].
-
-        Edges keep declaration order, so the first declared foreign key
-        between two tables is the first candidate for a join hop.
-        """
-        adj: Dict[str, List[Tuple[str, FKEdge]]] = {t: [] for t in self.tables}
-        for edge in self.fks:
-            adj[edge.source.table].append((edge.target.table, edge))
-            adj[edge.target.table].append((edge.source.table, edge))
-        return adj
 
 
 def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
@@ -267,7 +261,7 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
             if pk and name not in pks:
                 pks[name] = col
         tables[name] = cols
-    graph = SchemaGraph(tables, [])
+    names = SchemaGraph(tables, ())  # finds the columns the keys name
 
     fks: List[FKEdge] = []
     for name in creates:
@@ -287,12 +281,11 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
                     continue
             try:
                 fks.append(
-                    FKEdge(graph.column(name, src_col), graph.column(target_table, dst_col))
+                    FKEdge(names.column(name, src_col), names.column(target_table, dst_col))
                 )
             except UnreadableDatabase:
                 continue  # dangling declaration; skip the edge
-    graph.fks = fks
-    return graph
+    return SchemaGraph(tables, fks)
 
 
 def _json_text(value: object, what: str) -> str:
@@ -327,16 +320,15 @@ def _load_json_schema(doc: dict) -> SchemaGraph:
             )
             for col, kind in _json_object(cols, f"columns of table {name}").items()
         ]
-    graph = SchemaGraph(tables, [])
+    names = SchemaGraph(tables, ())  # finds the columns the keys name
     fk_doc = _json_object(doc.get("foreign_keys") or {}, "'foreign_keys'")
-    graph.fks = [
+    return SchemaGraph(tables, [
         FKEdge(
-            graph.resolve(_json_text(src, "foreign key")),
-            graph.resolve(_json_text(dst, f"target of foreign key {src}")),
+            names.resolve(_json_text(src, "foreign key")),
+            names.resolve(_json_text(dst, f"target of foreign key {src}")),
         )
         for src, dst in fk_doc.items()
-    ]
-    return graph
+    ])
 
 
 def load_schema(

@@ -1,21 +1,20 @@
 """Execution-guided search over phrase assignments and repair heuristics.
 
 The mapper is deterministic once every phrase is bound to a column, so the
-search space is the space of bindings.  Assignments are tried best-first
-by summed candidate rank.  For each assignment the base query is executed
-and compared against the supervised answer; when it misses, cheap
-structural repairs are tried before moving to the next assignment:
+search space is the space of bindings.  An example is planned
+(:func:`~qdmr2sql.linking.plan_bindings`) and linked once, and its
+assignments are tried best-first by summed candidate rank.  For each
+assignment, each variant of the decomposition is mapped under the
+example's one plan, in this order: the base decomposition; the
+superlative rewrite, which turns a superlative buried in a noun phrase
+("state with the largest #2") into an explicit step ("#1 where #2 is
+highest"); one COUNT/SUM swap per aggregating step.  Each mapped query is
+tried as mapped, then with DISTINCT on its SELECT clause.
 
-1. add DISTINCT to the SELECT clause;
-2. rewrite steps that bury a superlative inside a noun phrase ("state
-   with the largest #2") into explicit superlative steps ("#1 where #2 is
-   highest");
-3. swap COUNT with SUM (and vice versa) in aggregating steps, one step
-   per variant.
-
-The first candidate whose denotation equals the answer wins.  Candidates
-that the engine rejects are counted and discarded; the search only fails
-hard (``MappingFailed``) when not a single candidate could be executed.
+The first candidate whose denotation equals the answer wins.  A variant
+that cannot be mapped is skipped; candidates that the engine rejects are
+counted and discarded.  The search only fails hard (``MappingFailed``)
+when not a single candidate could be executed.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
 from .executor import Database, answer_denotation, denotations_equal
 from .linking import (
     Assignment,
-    BindingPlan,
     EmbeddingLexicon,
     enumerate_assignments,
     link_program,
@@ -181,39 +179,17 @@ def heuristic_aggregate_swap(program: QdmrProgram) -> List[QdmrProgram]:
 # --- the search loop ---------------------------------------------------------
 
 
-def _program_variants(
-    program: QdmrProgram,
-    plan: BindingPlan,
-    value_index: ValueIndex,
-) -> List[Tuple[QdmrProgram, BindingPlan, Tuple[str, ...]]]:
+def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str, ...]]]:
     """The base program plus every structural rewrite, in order, each as
-    ``(program, plan, labels)``: the labels name the rewrites applied."""
+    ``(program, labels)``: the labels name the rewrites applied.  Each maps
+    under the base program's plan: its SELECT and FILTER steps, the only
+    ones that read literals, are the base program's own."""
     rewrites = [(heuristic_superlative(program), HEURISTIC_SUPERLATIVE)]
     swaps = heuristic_aggregate_swap(program)
     rewrites += [(swapped, HEURISTIC_AGGREGATE_SWAP) for swapped in swaps]
-    return [(program, plan, ())] + [
-        (rewritten, plan_bindings(rewritten, value_index), (label,))
-        for rewritten, label in rewrites
-        if rewritten is not None
+    return [(program, ())] + [
+        (rewritten, (label,)) for rewritten, label in rewrites if rewritten is not None
     ]
-
-
-def _candidates(
-    variants: Sequence[Tuple[QdmrProgram, BindingPlan, Tuple[str, ...]]],
-    schema: SchemaGraph,
-    assignment: Assignment,
-) -> Iterator[Tuple[Union[SqlQuery, Qdmr2SqlError], Tuple[str, ...], QdmrProgram]]:
-    """Build every candidate query for one assignment, cheapest first; a
-    variant that cannot be built yields its error in place of a query."""
-    for program, plan, label in variants:
-        try:
-            query = synthesize(program, schema, assignment, plan)
-        except Qdmr2SqlError as exc:
-            yield exc, label, program
-            continue
-        yield query, label, program
-        if not query.distinct:
-            yield heuristic_distinct(query), label + (HEURISTIC_DISTINCT,), program
 
 
 class Session:
@@ -259,53 +235,56 @@ def search(example, session: Session) -> SynthesisOutcome:
     config = session.config
     deadline = time.monotonic() + config.per_example_timeout
     target = answer_denotation(example.answer)
-    plan, slots = link_program(
-        example.program, session.schema, session.lexicon, session.value_index,
+    plan = plan_bindings(example.program, session.value_index)
+    slots = link_program(
+        plan, session.schema, session.lexicon, session.value_index,
         config.top_k, session.rankings,
     )
-    variants = _program_variants(example.program, plan, session.value_index)
+    variants = _program_variants(example.program)
 
     tried = 0
     mapping_error: Optional[str] = None  # the last one
     engine_error: Optional[str] = None  # the first one
     engine_errors = 0
     for assignment in enumerate_assignments(slots, config.max_assignments):
-        for query, label, used_program in _candidates(
-            variants, session.schema, assignment
-        ):
-            if isinstance(query, Qdmr2SqlError):
-                mapping_error = str(query)
-                continue
-            if time.monotonic() >= deadline:
-                return SynthesisOutcome(
-                    status=SearchStatus.TIMEOUT,
-                    candidates_tried=tried,
-                    failure_reason="search deadline exceeded",
-                )
-            tried += 1
-            sql = render_sql(query)
+        for program, labels in variants:
             try:
-                result = session.database.execute(sql, deadline, target)
-            except ExecutionTimeout:
-                return SynthesisOutcome(
-                    status=SearchStatus.TIMEOUT,
-                    candidates_tried=tried,
-                    failure_reason="candidate execution hit the search deadline",
-                )
-            except SqlError as exc:
-                engine_errors += 1
-                if engine_error is None:
-                    engine_error = str(exc)
+                query = synthesize(program, session.schema, assignment, plan)
+            except Qdmr2SqlError as exc:
+                mapping_error = str(exc)
                 continue
-            if denotations_equal(result, target, config.allow_empty_denotation):
-                return SynthesisOutcome(
-                    status=SearchStatus.FOUND,
-                    sql=sql,
-                    assignment=assignment,
-                    heuristics_applied=label,
-                    candidates_tried=tried,
-                    qdmr=render_program(used_program),
-                )
+            distinct = heuristic_distinct(query), labels + (HEURISTIC_DISTINCT,)
+            for candidate, applied in ((query, labels), distinct):
+                if time.monotonic() >= deadline:
+                    return SynthesisOutcome(
+                        status=SearchStatus.TIMEOUT,
+                        candidates_tried=tried,
+                        failure_reason="search deadline exceeded",
+                    )
+                tried += 1
+                sql = render_sql(candidate)
+                try:
+                    result = session.database.execute(sql, deadline, target)
+                except ExecutionTimeout:
+                    return SynthesisOutcome(
+                        status=SearchStatus.TIMEOUT,
+                        candidates_tried=tried,
+                        failure_reason="candidate execution hit the search deadline",
+                    )
+                except SqlError as exc:
+                    engine_errors += 1
+                    if engine_error is None:
+                        engine_error = str(exc)
+                    continue
+                if denotations_equal(result, target, config.allow_empty_denotation):
+                    return SynthesisOutcome(
+                        status=SearchStatus.FOUND,
+                        sql=sql,
+                        assignment=assignment,
+                        heuristics_applied=applied,
+                        candidates_tried=tried,
+                        qdmr=render_program(program),
+                    )
 
     # Timeouts return above, so a tried candidate either executed or was
     # rejected by the engine.

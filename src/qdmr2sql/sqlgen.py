@@ -13,7 +13,8 @@ FILTER inlines the referenced query unless doing so would conjoin two
 different equality literals on the same column (the self-join case: "papers
 by X" then "that by Y"); the conflict switches it to the nested form, which
 realizes the intersection.  A FILTER over a LIMIT-carrying query also
-nests, since inlining would reorder filtering and truncation.
+nests, since inlining would reorder filtering and truncation, and so does
+every other rule: the conjuncts without the LIMIT select every row.
 
 A query is a typed, immutable tree: its predicates, grouping and ordering
 hold column and aggregate expressions, never SQL text, so equal subtrees
@@ -327,10 +328,19 @@ class _Context:
             found.append((text, col))
         return found
 
-    def ref(self, n: Optional[int]) -> _MappedStep:
+    def built(self, n: Optional[int]) -> _MappedStep:
+        """Step ``n`` as mapped, for the rules that nest its query whole."""
         if n is None or n not in self.mapped:
             raise UnmappedReference(f"reference #{n} has not been mapped")
         return self.mapped[n]
+
+    def ref(self, n: Optional[int]) -> _MappedStep:
+        """Step ``n`` for a rule that merges its conjuncts, read through
+        ``head IN ( ... LIMIT k )`` when it ends in a LIMIT."""
+        m = self.built(n)
+        if m.query.limit is None:
+            return m
+        return _MappedStep(m.cols, _resolve_self_join(m, m.query.from_tables, ()))
 
     def operand(self, step: QdmrStep, arg: Union[int, str]):
         """A mapped reference, or the column bound to a phrase of ``step``."""
@@ -380,7 +390,7 @@ def _build_select(step: QdmrStep, ctx: _Context) -> Built:
 
 
 def _build_filter(step: QdmrStep, ctx: _Context) -> Built:
-    base = ctx.ref(step.shape.base)
+    base = ctx.built(step.shape.base)
     literals = ctx.literals(step)
     extra = [ctx.ref(r) for r in step.shape.extra_refs]
     if not literals and not extra:
@@ -427,7 +437,7 @@ def _build_filter(step: QdmrStep, ctx: _Context) -> Built:
 
 def _build_project(step: QdmrStep, ctx: _Context) -> Built:
     col = ctx.column(step, step.shape.phrase)
-    base = ctx.ref(step.shape.base)
+    base = ctx.built(step.shape.base)
     extras = [ctx.ref(r) for r in step.shape.extra_refs]
     units = [([col.table], [col]), (base.query.from_tables, base.cols)]
     units += [(m.query.from_tables, m.cols) for m in extras]

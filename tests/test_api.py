@@ -108,8 +108,10 @@ ONE_MODE = [
     ("qdmr2sql.executor", "Database.execute", ["self", "sql", "deadline", "target"]),
     ("qdmr2sql.linking", "rank_columns", ["phrase", "schema", "lexicon", "top_k"]),
     ("qdmr2sql.linking", "enumerate_assignments", ["slots", "limit"]),
+    ("qdmr2sql.linking", "plan_bindings", ["program", "value_index"]),
     ("qdmr2sql.linking", "link_program",
-     ["program", "schema", "lexicon", "value_index", "top_k", "rankings"]),
+     ["plan", "schema", "lexicon", "value_index", "top_k", "rankings"]),
+    ("qdmr2sql.search", "_program_variants", ["program"]),
     ("qdmr2sql.text", "lemmatize", ["token"]),
     ("qdmr2sql.text", "content_lemmas", ["tokens"]),
 ]
@@ -170,7 +172,7 @@ def test_each_step_reads_its_own_slots():
     program = qdmr2sql.parse_qdmr(
         "return ships; return injuries of #1; return number of #2 for each type"
     )
-    slots = linking.plan_bindings(program).phrase_slots
+    slots = linking.plan_bindings(program, None).phrase_slots
     assert slots and all(type(slot) is linking.Slot for slot in slots)
     assert set(sqlgen._RULES) == set(qdmr2sql.OpKind)
     assert not hasattr(sqlgen, "_Binder")
@@ -195,3 +197,24 @@ def test_a_columns_lookup_is_read_once_at_introspection():
         assert not hasattr(index, "_schema")
     finally:
         conn.close()
+
+
+def test_an_example_is_planned_once():
+    """Every rewrite maps under its example's one plan, and the search loop
+    builds each candidate itself: no generator yields errors for queries."""
+    search = importlib.import_module("qdmr2sql.search")
+    assert not hasattr(search, "_candidates")
+
+
+def test_the_schema_graph_is_whole_when_built():
+    """A schema graph takes its foreign keys when constructed and builds
+    its adjacency once; no caller rebuilds it or assigns keys later."""
+    schema = importlib.import_module("qdmr2sql.schema")
+    assert not hasattr(schema.SchemaGraph, "table_adjacency")
+    graph = schema.load_schema({
+        "tables": {"a": {"id": "INTEGER"}, "b": {"a_id": "INTEGER"}},
+        "foreign_keys": {"b.a_id": "a.id"},
+    })
+    assert isinstance(graph.fks, tuple)
+    assert [n for n, _ in graph.adjacency["a"]] == ["b"]
+    assert [n for n, _ in graph.adjacency["b"]] == ["a"]

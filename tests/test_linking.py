@@ -233,8 +233,9 @@ class TestEnumerateAssignments:
             schema = load_schema(conn)
             index = ValueIndex(conn, schema)
             program = parse_qdmr("return missouri; return the population of #1")
-            _, wide = link_program(program, schema, lexicon, index, 20, {})
-            _, narrow = link_program(program, schema, lexicon, index, 1, {})
+            plan = plan_bindings(program, index)
+            wide = link_program(plan, schema, lexicon, index, 20, {})
+            narrow = link_program(plan, schema, lexicon, index, 1, {})
         finally:
             conn.close()
         assert [s for s, _ in wide] == [
@@ -313,7 +314,7 @@ class TestPlanBindings:
             "return the mississippi; return states #1 run through; "
             "return the population of #2"
         )
-        plan = plan_bindings(program)
+        plan = plan_bindings(program, None)
         assert plan.phrase_slots == (
             Slot(1, "the mississippi"),
             Slot(2, "states run through"),
@@ -332,7 +333,7 @@ class TestPlanBindings:
             )
             plan = plan_bindings(program, index)
             assert plan.step_literals == {1: ("mississippi",)}
-            _, slots = link_program(program, schema, None, index, 20, {})
+            slots = link_program(plan, schema, None, index, 20, {})
             assert [str(c) for c in dict(slots)[Slot(None, "mississippi")]] == [
                 "river.river_name"
             ]
@@ -355,7 +356,7 @@ class TestPlanBindings:
                 2: ("H. V. Jagadish",),
                 3: ("Yunyao Li",),
             }
-            _, slots = link_program(program, schema, None, index, 20, {})
+            slots = link_program(plan, schema, None, index, 20, {})
             cols = dict(slots)[Slot(None, "H. V. Jagadish")]
             assert [str(c) for c in cols] == ["author.name"]
         finally:
@@ -366,19 +367,19 @@ class TestPlanBindings:
             "return universities; return the enrollment of #1; "
             "return the number of #2 for each affiliation"
         )
-        plan = plan_bindings(program)
+        plan = plan_bindings(program, None)
         assert Slot(3, "affiliation") in plan.phrase_slots
 
     def test_group_phrase_value_comes_before_its_key(self):
         program = parse_qdmr("return number of ship names for each ship type")
-        assert plan_bindings(program).phrase_slots == (
+        assert plan_bindings(program, None).phrase_slots == (
             Slot(1, "ship names"),
             Slot(1, "ship type"),
         )
 
     def test_a_text_two_fields_hold_is_one_slot(self):
         program = parse_qdmr("return number of ships for each ships")
-        assert plan_bindings(program).phrase_slots == (Slot(1, "ships"),)
+        assert plan_bindings(program, None).phrase_slots == (Slot(1, "ships"),)
 
 
 class TestLinkProgram:
@@ -391,7 +392,8 @@ class TestLinkProgram:
                 "return the mississippi; return states #1 run through; "
                 "return the population of #2"
             )
-            plan, slots = link_program(program, schema, lexicon, index, 3, {})
+            plan = plan_bindings(program, index)
+            slots = link_program(plan, schema, lexicon, index, 3, {})
             assert [s for s, _ in slots] == [
                 Slot(2, "states run through"),
                 Slot(3, "the population of"),
@@ -411,7 +413,8 @@ class TestLinkProgram:
             schema = load_schema(conn)
             index = ValueIndex(conn, schema)
             program = parse_qdmr("return missouri; return #1 that is missouri")
-            plan, slots = link_program(program, schema, None, index, 20, {})
+            plan = plan_bindings(program, index)
+            slots = link_program(plan, schema, None, index, 20, {})
             assert plan.step_literals == {1: ("missouri",), 2: ("missouri",)}
             assert [(s, [str(c) for c in options]) for s, options in slots] == [
                 (Slot(None, "missouri"), ["river.traverse", "state.state_name"]),
@@ -444,9 +447,8 @@ class TestLinkProgram:
                     if ex.db_id != db_id:
                         continue
                     seen = dict(memo)
-                    _, slots = link_program(
-                        ex.program, schema, lexicon, index, 20, memo
-                    )
+                    plan = plan_bindings(ex.program, index)
+                    slots = link_program(plan, schema, lexicon, index, 20, memo)
                     for s, columns in slots:
                         if s.step is None:
                             continue

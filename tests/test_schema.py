@@ -79,7 +79,7 @@ class TestIntrospection:
 
     def test_adjacency_is_undirected(self, academic_db):
         schema = load_schema(academic_db)
-        adj = schema.table_adjacency()
+        adj = schema.adjacency
         assert {n for n, _ in adj["publication"]} == {"journal", "writes"}
         assert {n for n, _ in adj["author"]} == {"writes"}
 

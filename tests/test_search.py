@@ -28,9 +28,9 @@ from conftest import (
 from qdmr2sql import corpus as corpus_module
 from qdmr2sql import linking
 from qdmr2sql.corpus import Example, load_examples, run_corpus
-from qdmr2sql.errors import SqlError
+from qdmr2sql.errors import Qdmr2SqlError, SqlError
 from qdmr2sql.executor import Database
-from qdmr2sql.qdmr import parse_qdmr, render_program
+from qdmr2sql.qdmr import OpKind, parse_qdmr, render_program
 from qdmr2sql.schema import ValueIndex, load_schema
 from qdmr2sql.search import (
     SearchStatus,
@@ -41,7 +41,7 @@ from qdmr2sql.search import (
     heuristic_superlative,
     search,
 )
-from qdmr2sql.sqlgen import SqlQuery
+from qdmr2sql.sqlgen import SqlQuery, render_sql, synthesize
 
 # The package re-exports the ``search`` function under the module's name.
 search_module = importlib.import_module("qdmr2sql.search")
@@ -324,6 +324,28 @@ class TestEndToEnd:
             "states; the size of #1; #1 where #2 is highest; the size of #3"
         )
 
+    def test_superlative_repair_keeps_its_limit_under_an_aggregate(
+        self, geo_db, open_db, lexicon
+    ):
+        # Counting the rewritten superlative must count its one row, not
+        # every state.
+        out = run_search(
+            open_db,
+            geo_db,
+            lexicon,
+            "return states; return the area of #1; "
+            "return state with the largest #2; return the number of #3",
+            1,
+        )
+        assert out.status is SearchStatus.FOUND
+        assert out.candidates_tried == 3
+        assert out.heuristics_applied == ("superlative",)
+        assert out.sql == (
+            "SELECT COUNT(state.state_name) FROM state WHERE state.state_name IN "
+            "( SELECT state.state_name FROM state "
+            "ORDER BY state.area DESC LIMIT 1 )"
+        )
+
     def test_aggregate_swap_repair(self, university_db, open_db, lexicon):
         out = run_search(
             open_db,
@@ -446,14 +468,13 @@ class TestFailureStatuses:
     def test_exhausted_when_repairs_disabled(
         self, products_db, open_db, lexicon, monkeypatch
     ):
-        # Keep only the candidates no repair touched: COUNT over any column
-        # is 6, so without the DISTINCT repair nothing reaches 3.
-        all_candidates = search_module._candidates
-
-        def unrepaired(*args):
-            return (c for c in all_candidates(*args) if not c[1])
-
-        monkeypatch.setattr(search_module, "_candidates", unrepaired)
+        # No rewrite, and a DISTINCT copy that is its base query again:
+        # COUNT over any column is 6, so without the DISTINCT repair nothing
+        # reaches 3.  Each of the 3 base queries is tried twice.
+        monkeypatch.setattr(
+            search_module, "_program_variants", lambda program: [(program, ())]
+        )
+        monkeypatch.setattr(search_module, "heuristic_distinct", lambda query: query)
         out = run_search(
             open_db,
             products_db,
@@ -462,7 +483,7 @@ class TestFailureStatuses:
             DISTINCT_PRODUCT_TYPES,
         )
         assert out.status is SearchStatus.EXHAUSTED
-        assert out.candidates_tried == 3
+        assert out.candidates_tried == 6
 
     def test_timeout(self, ship_death_db, open_db, lexicon):
         cfg = SynthesisConfig(per_example_timeout=1e-9)
@@ -660,3 +681,89 @@ class TestSession:
         assert len(indexes) == 1
         assert sorted(ranked) == sorted(set(slots))
         assert [o.status.value for o in outcomes].count("Found") == 7
+
+
+class TestCandidateOrder:
+    def test_each_variant_as_mapped_then_distinct(
+        self, geo_db, open_db, lexicon, monkeypatch
+    ):
+        """For one assignment: the base query, the superlative rewrite and
+        the COUNT/SUM swap, each as mapped and then with DISTINCT."""
+        rendered = []
+        real_render = search_module.render_sql
+
+        def recording(query):
+            rendered.append(real_render(query))
+            return rendered[-1]
+
+        monkeypatch.setattr(search_module, "render_sql", recording)
+        out = run_search(
+            open_db,
+            geo_db,
+            lexicon,
+            "return states; return the size of #1; "
+            "return state with the largest #2; return the number of #3",
+            -1,
+            config=SynthesisConfig(max_assignments=1),
+        )
+        assert out.status is SearchStatus.EXHAUSTED
+        assert out.candidates_tried == 6
+        every_area = (
+            "FROM state WHERE state.area IN ( SELECT state.area FROM state "
+            "WHERE state.state_name IN ( SELECT state.state_name FROM state ) )"
+        )
+        largest = (
+            "FROM state WHERE state.state_name IN ( SELECT state.state_name "
+            "FROM state ORDER BY state.area DESC LIMIT 1 )"
+        )
+        assert rendered == [
+            f"SELECT COUNT(state.area) {every_area}",
+            f"SELECT COUNT(DISTINCT state.area) {every_area}",
+            f"SELECT COUNT(state.state_name) {largest}",
+            f"SELECT COUNT(DISTINCT state.state_name) {largest}",
+            f"SELECT SUM(state.area) {every_area}",
+            f"SELECT SUM(DISTINCT state.area) {every_area}",
+        ]
+
+
+def _mapped(program, schema, assignment, plan):
+    try:
+        return render_sql(synthesize(program, schema, assignment, plan))
+    except Qdmr2SqlError as exc:
+        return type(exc), str(exc)
+
+
+class TestPlanSharing:
+    def test_every_variant_maps_under_the_base_plan(self, db_dir):
+        """A variant's SELECT and FILTER steps, the only ones that read a
+        plan's literals, are the base program's own; so mapping a variant
+        under the base plan gives what its own plan gives."""
+        examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
+        compared = 0
+        for db_id in dict.fromkeys(ex.db_id for ex in examples):
+            with Database.open(db_dir / f"{db_id}.sqlite") as db:
+                schema = load_schema(db.conn)
+                index = ValueIndex(db.conn, schema)
+                programs = {
+                    render_program(ex.program): ex.program
+                    for ex in examples if ex.db_id == db_id
+                }
+                for base in programs.values():
+                    plan = linking.plan_bindings(base, index)
+                    slots = linking.link_program(plan, schema, None, index, 20, {})
+                    variants = search_module._program_variants(base)
+                    assert variants[0] == (base, ())
+                    for variant, _ in variants[1:]:
+                        for step in variant.steps:
+                            if step.operator.kind in (OpKind.SELECT, OpKind.FILTER):
+                                own = base.step(step.index)
+                                assert own.operator.kind is step.operator.kind
+                                assert own.raw_text == step.raw_text
+                                assert own.shape == step.shape
+                        own_plan = linking.plan_bindings(variant, index)
+                        for assignment in linking.enumerate_assignments(slots, 20):
+                            assert _mapped(variant, schema, assignment, plan) == (
+                                _mapped(variant, schema, assignment, own_plan)
+                            )
+                            compared += 1
+        assert compared > 0

@@ -54,7 +54,8 @@ def build(db_path, qdmr, choices, use_values=True, literals=None):
         schema = load_schema(conn)
         program = parse_qdmr(qdmr)
         index = ValueIndex(conn, schema) if use_values else None
-        plan, slots = link_program(program, schema, None, index, 1, {})
+        plan = plan_bindings(program, index)
+        slots = link_program(plan, schema, None, index, 1, {})
         pinned = {f"value:{k}": v for k, v in (literals or {}).items()}
         pinned.update(choices)
         columns = {}
@@ -469,6 +470,28 @@ class TestMergeSemantics:
         assert "LIMIT 1 )" in sql
         assert set(run(ship_death_db, sql).rows) == {("HMS Trinidad",)}
 
+    # A later step that copied the superlative's conjuncts without its
+    # LIMIT counted or sorted every state.
+    LARGEST = "return states; return the area of #1; return #1 where #2 is highest"
+    AREA = {"1:states": "state.state_name", "2:the area of": "state.area"}
+    LIMITED = (
+        "state.state_name IN ( SELECT state.state_name FROM state "
+        "ORDER BY state.area DESC LIMIT 1 )"
+    )
+
+    def test_aggregate_keeps_a_superlatives_limit(self, geo_db):
+        _, sql = build(geo_db, self.LARGEST + "; return the number of #3", self.AREA)
+        assert sql == f"SELECT COUNT(state.state_name) FROM state WHERE {self.LIMITED}"
+        assert run(geo_db, sql).rows == ((1,),)
+
+    def test_sort_keeps_a_superlatives_limit(self, geo_db):
+        _, sql = build(geo_db, self.LARGEST + "; return #3 sorted by #2", self.AREA)
+        assert sql == (
+            f"SELECT state.state_name FROM state WHERE {self.LIMITED} "
+            "ORDER BY state.area ASC"
+        )
+        assert run(geo_db, sql).rows == (("texas",),)
+
 
 class TestImmutableTree:
     """Queries are frozen values: predicates, grouping and ordering hold
@@ -657,7 +680,7 @@ class TestFailures:
 
         schema = make_schema(3, [(1, 0)])
         program = parse_qdmr("return alpha; return betas of #1")
-        plan = plan_bindings(program)
+        plan = plan_bindings(program, None)
         assignment = Assignment(
             {
                 Slot(1, "alpha"): schema.column("t0", "id"),

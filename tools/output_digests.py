@@ -8,9 +8,18 @@ SHA-256 of the three files together and the number of examples found.
 Two versions of the package whose lines agree wrote byte-identical files
 for the same inputs; the inputs always come from this checkout.
 
+With ``--against DIR`` the tool runs itself again in a subprocess with
+``--src DIR`` and the same ``--seed`` and ``--jobs``, prints that run's
+lines too, and exits 1 naming each workload whose line differs (0 when
+all agree).  To check a change against its parent commit:
+
+    git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
+    python3 tools/output_digests.py --against /tmp/parent/src
+
 Standard library only.  Usage:
 
     python3 tools/output_digests.py [--src DIR] [--seed N] [--jobs N]
+                                    [--against DIR]
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -64,6 +74,8 @@ def main(argv=None) -> int:
                    help="directory holding the qdmr2sql package (default: %(default)s)")
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--against", type=Path, default=None,
+                   help="a second package directory whose lines must agree")
     args = p.parse_args(argv)
 
     sys.dont_write_bytecode = True  # leave perfbench/ and --src as they are
@@ -76,10 +88,35 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     workloads = importlib.import_module("workloads")
+    lines = []
     for name in sorted(workloads.GENERATORS):
         with tempfile.TemporaryDirectory(prefix="qdmr2sql-digests-") as tmp:
-            print(run_workload(workloads, name, args.seed, args.jobs, Path(tmp)),
-                  flush=True)
+            lines.append(run_workload(workloads, name, args.seed, args.jobs, Path(tmp)))
+        print(lines[-1], flush=True)
+    if args.against is None:
+        return 0
+    return compare(lines, args)
+
+
+def compare(lines, args) -> int:
+    """Run this tool on ``--against`` and name the workloads that differ."""
+    other = subprocess.run(
+        [sys.executable, __file__, "--src", str(args.against),
+         "--seed", str(args.seed), "--jobs", str(args.jobs)],
+        capture_output=True, text=True,
+    )
+    print(f"--against {args.against}:")
+    print(other.stdout, end="")
+    if other.returncode:
+        print(other.stderr, end="", file=sys.stderr)
+        return other.returncode
+    ours = {line.split("\t", 1)[0]: line for line in lines}
+    theirs = {line.split("\t", 1)[0]: line for line in other.stdout.splitlines()}
+    differ = [n for n in sorted(ours.keys() | theirs.keys()) if ours.get(n) != theirs.get(n)]
+    if differ:
+        print(f"differs: {', '.join(differ)}", file=sys.stderr)
+        return 1
+    print("all workloads agree")
     return 0
 
 
