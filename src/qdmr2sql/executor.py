@@ -36,6 +36,11 @@ from .schema import open_readonly
 
 __all__ = [
     "Cell",
+    "NULL",
+    "NUMBER",
+    "TEXT",
+    "TYPEOF_KINDS",
+    "cell_kind",
     "Denotation",
     "Database",
     "denotations_equal",
@@ -51,12 +56,30 @@ NUMERIC_TOLERANCE = 1e-6
 _PROGRESS_GRANULARITY = 1000
 
 
+# The kinds of cell the comparison tells apart: a cell only ever matches a
+# cell of its own kind (see ``_cells_match``).
+NULL, NUMBER, TEXT = "null", "number", "text"
+
+# The kind of cell each storage class that SQLite's ``typeof`` names is read
+# as; BLOBs decode to text.
+TYPEOF_KINDS = {
+    "null": NULL, "integer": NUMBER, "real": NUMBER, "text": TEXT, "blob": TEXT,
+}
+
+
 def _cell(value) -> Cell:
     if isinstance(value, bytes):
         return value.decode("utf-8", "replace")
     if isinstance(value, bool):
         return int(value)
     return value
+
+
+def cell_kind(cell: Cell) -> str:
+    """The kind of ``cell``: :data:`NULL`, :data:`NUMBER` or :data:`TEXT`."""
+    if cell is None:
+        return NULL
+    return TEXT if isinstance(cell, str) else NUMBER
 
 
 @dataclass(frozen=True)
@@ -76,6 +99,11 @@ class Denotation:
     def _canonical(self) -> FrozenSet[Tuple[Cell, ...]]:
         """The distinct rows with every cell canonicalised for comparison."""
         return frozenset(tuple(map(_canon, row)) for row in self.rows)
+
+    @cached_property
+    def kinds(self) -> FrozenSet[Tuple[str, ...]]:
+        """The distinct rows with every cell replaced by its kind."""
+        return frozenset(tuple(map(cell_kind, row)) for row in self.rows)
 
 
 _SCALARS = (int, float, str, bool)

@@ -135,7 +135,7 @@ class QdmrOperator:
     aggregate_fn: Optional[str] = None   # count | sum | avg | max | min
     comparator: Optional[str] = None     # > | < | = | != | >= | <=
     direction: Optional[str] = None      # asc | desc
-    k: Optional[int] = None              # SUPERLATIVE cutoff
+    k: Optional[int] = None              # SUPERLATIVE cutoff, at least 1
     arith_op: Optional[str] = None       # + | - | * | /
 
 
@@ -275,7 +275,10 @@ def _analyze(text: str, index: int) -> Tuple[QdmrOperator, StepShape]:
 
     m = _RE_SUPER_TOP.fullmatch(text)
     if m:
-        op = QdmrOperator(OpKind.SUPERLATIVE, aggregate_fn="max", k=int(m.group(3)))
+        k = int(m.group(3))
+        if k < 1:
+            raise NonstandardStep(f"step {index}: a top-{k} superlative keeps nothing")
+        op = QdmrOperator(OpKind.SUPERLATIVE, aggregate_fn="max", k=k)
         return op, StepShape(entity=int(m.group(1)), measure=int(m.group(2)))
 
     m = _RE_COMPARATIVE.fullmatch(text)

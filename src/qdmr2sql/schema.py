@@ -113,15 +113,18 @@ def _lookup(declared: str, collated: bool) -> Optional[str]:
 
 @dataclass(frozen=True)
 class ColumnRef:
-    """A fully qualified column with its linkable token forms and how a
-    literal is looked up in it: ``"map"``, ``"probe"`` or None (see
-    :class:`ValueIndex`)."""
+    """A fully qualified column with its linkable token forms, how a
+    literal is looked up in it (``"map"``, ``"probe"`` or None, see
+    :class:`ValueIndex`) and whether its table's ``CREATE`` holds a
+    COLLATE clause, under which ``=`` and DISTINCT may merge values that
+    differ as Python strings."""
 
     table: str
     column: str
     lemmas: Tuple[str, ...] = field(compare=False, default=())
     own_lemmas: Tuple[str, ...] = field(compare=False, default=())
     lookup: Optional[str] = field(compare=False, default=None)
+    collated: bool = field(compare=False, default=False)
 
     def __str__(self) -> str:
         return f"{self.table}.{self.column}"
@@ -150,6 +153,7 @@ def _make_column(
         lemmas=content_lemmas(tokenize(table) + column_tokens),
         own_lemmas=content_lemmas(column_tokens),
         lookup=_lookup(declared, collated),
+        collated=collated,
     )
 
 
@@ -379,10 +383,12 @@ class ValueIndex:
     :attr:`ColumnRef.lookup`) once, into two maps from each exact and each
     folded value to its columns, and reads nothing else about the schema.
     A ``"probe"`` column, or one with more distinct values than the cap, is
-    probed with one query per literal instead.  Results are memoized per
-    literal, so the same literal always gets the same tuple back.  The
-    connection must be read-only and must stay open for the index's
-    lifetime.
+    probed with one query per literal instead.  A column is read only
+    when its table has at most the cap in rows or a count of its first
+    cap + 1 distinct values shows it is within the cap.  Results are
+    memoized per literal, so the same literal always gets the same tuple
+    back.  The connection must be read-only and must stay open for the
+    index's lifetime.
     """
 
     def __init__(self, conn: sqlite3.Connection, schema: SchemaGraph):
@@ -391,9 +397,12 @@ class ValueIndex:
         self._folded: Dict[str, Tuple[ColumnRef, ...]] = {}
         self._probed: List[ColumnRef] = []
         self._cache: Dict[str, Tuple[ColumnRef, ...]] = {}
-        for col in sorted(schema.columns(), key=_column_order):
-            if col.lookup is None:
-                continue
+        columns = [c for c in sorted(schema.columns(), key=_column_order) if c.lookup]
+        self._table_rows = {
+            table: self._count(f"SELECT COUNT(*) FROM {quote_ident(table)}")
+            for table in dict.fromkeys(c.table for c in columns if c.lookup == "map")
+        }
+        for col in columns:
             rows = self._distinct_values(col) if col.lookup == "map" else None
             if rows is None:
                 self._probed.append(col)
@@ -421,14 +430,30 @@ class ValueIndex:
         self._cache[literal] = result
         return result
 
+    def _count(self, sql: str) -> Optional[int]:
+        """The one number ``sql`` selects, or None when it cannot be read."""
+        try:
+            return self._conn.execute(sql).fetchone()[0]
+        except sqlite3.Error:
+            return None
+
     def _distinct_values(self, col: ColumnRef) -> Optional[List[tuple]]:
         """Each distinct cell with its ``lower(trim())``, or None when the
-        column is over the cap or cannot be read."""
-        column = quote_ident(col.column)
-        sql = (
-            f"SELECT DISTINCT {column}, lower(trim({column}))"
-            f" FROM {quote_ident(col.table)}"
-        )
+        column is over the cap or cannot be read.
+
+        A table with more rows than the cap may hold a column over it, so
+        the column's first cap + 1 distinct values are counted first, which
+        costs far less than reading them."""
+        column, table = quote_ident(col.column), quote_ident(col.table)
+        rows = self._table_rows.get(col.table)
+        if rows is None or rows > _MAX_MAPPED_VALUES:
+            distinct = self._count(
+                f"SELECT COUNT(*) FROM (SELECT DISTINCT {column} FROM {table}"
+                f" LIMIT {_MAX_MAPPED_VALUES + 1})"
+            )
+            if distinct is None or distinct > _MAX_MAPPED_VALUES:
+                return None
+        sql = f"SELECT DISTINCT {column}, lower(trim({column})) FROM {table}"
         try:
             cursor = self._conn.execute(sql)
             try:

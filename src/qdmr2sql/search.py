@@ -15,18 +15,42 @@ The first candidate whose denotation equals the answer wins.  A variant
 that cannot be mapped is skipped; candidates that the engine rejects are
 counted and discarded.  The search only fails hard (``MappingFailed``)
 when not a single candidate could be executed.
+
+Some candidates are decided from their query tree, the answer and the
+session's census of the cell kinds each column holds, without being
+rendered or executed; they are mismatches and still count as tried:
+
+- a DISTINCT copy whose base query executed, when DISTINCT cannot change
+  its set of rows: no aggregate, into which DISTINCT would be rendered, no
+  LIMIT and no column of a table with a COLLATE clause.  Comparison is by
+  sets, so the copy gets its base query's verdict, a mismatch;
+- once a candidate of the example has executed, so that neither the
+  status nor the first engine error can change any more, a candidate with
+  some answer row that no row of its result can match: the row's width is
+  not the query's, or one of its cells is of a kind (null, number, text)
+  that the select item in its place never yields.
 """
 
 from __future__ import annotations
 
 import re
+import sqlite3
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
-from .executor import Database, answer_denotation, denotations_equal
+from .executor import (
+    NULL,
+    NUMBER,
+    TEXT,
+    TYPEOF_KINDS,
+    Database,
+    Denotation,
+    answer_denotation,
+    denotations_equal,
+)
 from .linking import (
     Assignment,
     EmbeddingLexicon,
@@ -35,8 +59,8 @@ from .linking import (
     plan_bindings,
 )
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
-from .schema import ColumnRef, SchemaGraph, ValueIndex
-from .sqlgen import SqlQuery, render_sql, synthesize
+from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident
+from .sqlgen import AggExpr, ColExpr, SelectItem, SqlQuery, render_sql, synthesize
 
 __all__ = [
     "SynthesisConfig",
@@ -176,6 +200,79 @@ def heuristic_aggregate_swap(program: QdmrProgram) -> List[QdmrProgram]:
     return variants
 
 
+# --- deciding candidates without running them ---------------------------------
+
+_ANY_KIND = frozenset((NULL, NUMBER, TEXT))
+_NUMBER_OR_NULL = frozenset((NUMBER, NULL))
+_AGGREGATE_KINDS = {
+    "count": frozenset((NUMBER,)), "sum": _NUMBER_OR_NULL, "avg": _NUMBER_OR_NULL,
+}
+
+Census = Dict[ColumnRef, FrozenSet[str]]
+
+
+def _kind_census(conn: sqlite3.Connection, schema: SchemaGraph) -> Census:
+    """The kinds of cell each column holds, read in one pass over each
+    table; the columns of a table that cannot be read may hold any kind."""
+    census: Census = {}
+    for table, cols in schema.tables.items():
+        types = ", ".join(f"typeof({col.sql})" for col in cols)
+        try:
+            combos = conn.execute(
+                f"SELECT DISTINCT {types} FROM {quote_ident(table)}"
+            ).fetchall()
+        except sqlite3.Error:
+            census.update(dict.fromkeys(cols, _ANY_KIND))
+            continue
+        for i, col in enumerate(cols):
+            census[col] = frozenset(TYPEOF_KINDS[combo[i]] for combo in combos)
+    return census
+
+
+def _item_kinds(item: SelectItem, query: SqlQuery, census: Census) -> FrozenSet[str]:
+    """The kinds of cell ``item`` can yield in ``query``'s result."""
+    if isinstance(item, ColExpr):
+        kinds = census[item.col]
+        # Over no rows, an aggregate query without GROUP BY still returns
+        # one row, whose bare columns are null.
+        if query.group_by is None and (
+            query.having
+            or any(isinstance(e, AggExpr) for e in query.select)
+            or (query.order_by and isinstance(query.order_by[0], AggExpr))
+        ):
+            return kinds | {NULL}
+        return kinds
+    if isinstance(item, AggExpr):
+        if item.fn in ("min", "max"):
+            return census[item.arg.col] | {NULL}
+        return _AGGREGATE_KINDS[item.fn]
+    return _NUMBER_OR_NULL  # arithmetic over two scalar subqueries
+
+
+def _cannot_match(query: SqlQuery, answer: Denotation, census: Census) -> bool:
+    """Whether some answer row is of a width, or has a cell of a kind, that
+    no row of ``query``'s result has.  Every answer row must be matched, so
+    such a query is a mismatch; an empty answer has no row to check, so
+    this never decides against it."""
+    items = [_item_kinds(item, query, census) for item in query.select]
+    return any(
+        len(row) != len(items) or not all(map(frozenset.__contains__, items, row))
+        for row in answer.kinds
+    )
+
+
+def _distinct_keeps_rows(query: SqlQuery) -> bool:
+    """Whether ``query`` with DISTINCT on its SELECT returns the same set
+    of rows: not when DISTINCT is rendered inside an aggregate, when a
+    LIMIT cuts the deduplicated rows differently, or when a collation
+    merges cells that the comparison tells apart."""
+    return query.limit is None and not any(
+        isinstance(item, AggExpr)
+        or (isinstance(item, ColExpr) and item.col.collated)
+        for item in query.select
+    )
+
+
 # --- the search loop ---------------------------------------------------------
 
 
@@ -196,9 +293,10 @@ class Session:
     """One database's search state, shared by every example searched on it.
 
     Holds the database, its schema, the config and lexicon, a
-    :class:`ValueIndex` over the database's connection and a memo from
-    phrase to column ranking.  Constructing a session builds the value
-    index, which reads the database's text columns, so that read falls
+    :class:`ValueIndex` over the database's connection, a census of the
+    kinds of cell each column holds and a memo from phrase to column
+    ranking.  Constructing a session builds the value index, which reads
+    the database's text columns, and takes the census, so those reads fall
     outside every example's deadline.  A ranking depends on the schema,
     the lexicon and ``config.top_k``, so the memo is valid only while all
     three stay those of this session; a session never changes them.  Use
@@ -218,10 +316,17 @@ class Session:
         self.config = config
         self.lexicon = lexicon
         self.value_index = ValueIndex(database.conn, schema)
+        self.census = _kind_census(database.conn, schema)
         self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
 
     def close(self) -> None:
         self.database.close()
+
+
+def _timeout(tried: int, reason: str) -> SynthesisOutcome:
+    return SynthesisOutcome(
+        status=SearchStatus.TIMEOUT, candidates_tried=tried, failure_reason=reason
+    )
 
 
 def search(example, session: Session) -> SynthesisOutcome:
@@ -243,36 +348,36 @@ def search(example, session: Session) -> SynthesisOutcome:
     variants = _program_variants(example.program)
 
     tried = 0
+    executed = False  # whether a candidate ran without an engine error
     mapping_error: Optional[str] = None  # the last one
     engine_error: Optional[str] = None  # the first one
-    engine_errors = 0
     for assignment in enumerate_assignments(slots, config.max_assignments):
         for program, labels in variants:
+            if time.monotonic() >= deadline:
+                return _timeout(tried, "search deadline exceeded")
             try:
                 query = synthesize(program, session.schema, assignment, plan)
             except Qdmr2SqlError as exc:
                 mapping_error = str(exc)
                 continue
             distinct = heuristic_distinct(query), labels + (HEURISTIC_DISTINCT,)
+            base_mismatched = False
             for candidate, applied in ((query, labels), distinct):
                 if time.monotonic() >= deadline:
-                    return SynthesisOutcome(
-                        status=SearchStatus.TIMEOUT,
-                        candidates_tried=tried,
-                        failure_reason="search deadline exceeded",
-                    )
+                    return _timeout(tried, "search deadline exceeded")
                 tried += 1
+                if base_mismatched and _distinct_keeps_rows(query):
+                    continue
+                if executed and _cannot_match(candidate, target, session.census):
+                    continue
                 sql = render_sql(candidate)
                 try:
                     result = session.database.execute(sql, deadline, target)
                 except ExecutionTimeout:
-                    return SynthesisOutcome(
-                        status=SearchStatus.TIMEOUT,
-                        candidates_tried=tried,
-                        failure_reason="candidate execution hit the search deadline",
+                    return _timeout(
+                        tried, "candidate execution hit the search deadline"
                     )
                 except SqlError as exc:
-                    engine_errors += 1
                     if engine_error is None:
                         engine_error = str(exc)
                     continue
@@ -285,10 +390,11 @@ def search(example, session: Session) -> SynthesisOutcome:
                         candidates_tried=tried,
                         qdmr=render_program(program),
                     )
+                executed = base_mismatched = True
 
-    # Timeouts return above, so a tried candidate either executed or was
-    # rejected by the engine.
-    if tried == engine_errors:
+    # Timeouts return above, and candidates are decided only once one has
+    # executed, so when none executed every one was rejected by the engine.
+    if not executed:
         if tried:
             reason = (
                 f"the engine rejected all {tried} candidates; "

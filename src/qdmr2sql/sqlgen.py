@@ -508,7 +508,7 @@ def _build_superlative(step: QdmrStep, ctx: _Context) -> Built:
         group_by=entity.query.group_by or measure.query.group_by,
         having=entity.query.having + measure.query.having,
         order_by=(_item_expr(measure.query.select[0]), direction),
-        limit=step.operator.k or 1,
+        limit=step.operator.k,
     )
     return q, list(entity.cols)
 

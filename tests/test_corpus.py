@@ -269,6 +269,22 @@ class TestRunCorpus:
         assert [o.sql for o in par_outcomes] == [o.sql for o in outcomes]
         assert par_report.to_json() == report.to_json()
 
+    def test_decided_candidates_are_not_executed(self, db_dir, lexicon, monkeypatch):
+        # 121 candidates are tried; 18 of them are decided from their query,
+        # the answer and the cell kinds, and never reach the engine.
+        examples, _ = load_examples(CORPUS)
+        executed = []
+        real_execute = Database.execute
+
+        def counting(self, sql, deadline, target):
+            executed.append(sql)
+            return real_execute(self, sql, deadline, target)
+
+        monkeypatch.setattr(Database, "execute", counting)
+        outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
+        assert sum(o.candidates_tried for o in outcomes) == 121
+        assert len(executed) == 103
+
     def test_unknown_db_id_aborts_upfront(self, db_dir):
         bad = [_fake_example("x", "d", "no_such_db")]
         with pytest.raises(FileUnreadable):

@@ -300,3 +300,27 @@ def test_superlative_token_scan():
     assert superlative_fn("state with the largest #2") == "max"
     assert superlative_fn("the smallest #2") == "min"
     assert superlative_fn("plain phrase") is None
+
+
+_SUPERLATIVE_TAILS = st.one_of(
+    st.sampled_from(["highest", "the largest", "BIGGEST", "lowest", "the smallest"]),
+    st.integers(min_value=0, max_value=10**6).flatmap(
+        lambda n: st.sampled_from([f"in the top {n}", f"in the top 0{n}"])
+    ),
+)
+
+
+@given(_SUPERLATIVE_TAILS)
+def test_property_every_superlative_has_a_cutoff(tail):
+    """A parsed SUPERLATIVE operator always carries an integer ``k`` of at
+    least 1, which the mapper writes as its LIMIT; a top-0 superlative,
+    which would keep nothing, does not parse."""
+    text = f"return ships; return tonnage of #1; return #1 where #2 is {tail}"
+    try:
+        program = parse_qdmr(text)
+    except NonstandardStep:
+        assert tail.startswith("in the top") and int(tail.split()[-1]) == 0
+        return
+    operator = program.steps[2].operator
+    assert operator.kind is OpKind.SUPERLATIVE
+    assert type(operator.k) is int and operator.k >= 1

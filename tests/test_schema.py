@@ -319,8 +319,9 @@ class TestValueMaps:
             conn.close()
 
     def test_each_column_read_once(self, geo_db):
-        # The constructor reads each mapped column and nothing else of the
-        # schema; lookups then answer from the maps alone.
+        # The constructor counts the rows of each table that holds a mapped
+        # column, reads each mapped column once and reads nothing else of
+        # the schema; lookups then answer from the maps alone.
         conn = open_readonly(geo_db)
         try:
             schema = load_schema(conn)
@@ -330,7 +331,11 @@ class TestValueMaps:
             reads = [s for s in statements if "DISTINCT" in s]
             mapped = [c for c in schema.columns() if c.lookup == "map"]
             assert len(set(reads)) == len(reads) == len(mapped) > 0
-            assert len(statements) == len(reads)
+            counts = [s for s in statements if s not in reads]
+            assert counts == [
+                f"SELECT COUNT(*) FROM {table}"
+                for table in sorted({c.table for c in mapped})
+            ]
             assert not any(
                 "sqlite_master" in s or "PRAGMA" in s.upper() for s in statements
             )
@@ -339,6 +344,32 @@ class TestValueMaps:
             assert index.columns_containing("Texas") != ()
             assert index.columns_containing("no such value") == ()
             assert statements == []
+        finally:
+            conn.close()
+
+    def test_column_over_cap_is_counted_not_read(self, monkeypatch):
+        # In a table with more rows than the cap, a column's distinct values
+        # are counted up to cap + 1 before any is read; one over the cap is
+        # never read, and one within it is read as in a small table.
+        monkeypatch.setattr(schema_module, "_MAX_MAPPED_VALUES", 2)
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.executescript(
+                "CREATE TABLE t (many TEXT, few TEXT);"
+                "INSERT INTO t VALUES ('a', 'x'), ('b', 'y'), ('c', 'x');"
+            )
+            schema = load_schema(conn)
+            statements = []
+            conn.set_trace_callback(statements.append)
+            index = ValueIndex(conn, schema)
+            assert statements == [
+                "SELECT COUNT(*) FROM t",
+                "SELECT COUNT(*) FROM (SELECT DISTINCT few FROM t LIMIT 3)",
+                "SELECT DISTINCT few, lower(trim(few)) FROM t",
+                "SELECT COUNT(*) FROM (SELECT DISTINCT many FROM t LIMIT 3)",
+            ]
+            assert [str(c) for c in index.columns_containing("b")] == ["t.many"]
+            assert [str(c) for c in index.columns_containing("x")] == ["t.few"]
         finally:
             conn.close()
 

@@ -11,7 +11,7 @@ import sqlite3
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -29,9 +29,11 @@ from qdmr2sql import corpus as corpus_module
 from qdmr2sql import linking
 from qdmr2sql.corpus import Example, load_examples, run_corpus
 from qdmr2sql.errors import Qdmr2SqlError, SqlError
-from qdmr2sql.executor import Database
+from qdmr2sql.executor import (
+    Database, Denotation, answer_denotation, cell_kind, denotations_equal,
+)
 from qdmr2sql.qdmr import OpKind, parse_qdmr, render_program
-from qdmr2sql.schema import ValueIndex, load_schema
+from qdmr2sql.schema import ColumnRef, ValueIndex, load_schema
 from qdmr2sql.search import (
     SearchStatus,
     Session,
@@ -41,7 +43,9 @@ from qdmr2sql.search import (
     heuristic_superlative,
     search,
 )
-from qdmr2sql.sqlgen import SqlQuery, render_sql, synthesize
+from qdmr2sql.sqlgen import (
+    AggExpr, ArithExpr, CmpPred, ColExpr, InPred, SqlQuery, render_sql, synthesize,
+)
 
 # The package re-exports the ``search`` function under the module's name.
 search_module = importlib.import_module("qdmr2sql.search")
@@ -437,21 +441,30 @@ class TestFailureStatuses:
     def test_engine_rejecting_every_candidate(
         self, products_db, open_db, lexicon, monkeypatch
     ):
-        def reject(self, sql, deadline, target):
-            raise SqlError("no such column: boom")
+        # No candidate executes, so none may be decided without running:
+        # not by width ([1, 2]), not by kind ("three" against a COUNT) and
+        # not as a DISTINCT copy.  Each is rejected and counted.
+        for answer in (999, [[1, 2]], [["three"]]):
+            calls = []
 
-        monkeypatch.setattr(Database, "execute", reject)
-        out = run_search(
-            open_db,
-            products_db,
-            lexicon,
-            "return product types; return the number of #1",
-            999,
-        )
-        assert out.status is SearchStatus.MAPPING_FAILED
-        assert out.candidates_tried > 0
-        assert f"all {out.candidates_tried} candidates" in out.failure_reason
-        assert "no such column: boom" in out.failure_reason
+            def reject(self, sql, deadline, target):
+                calls.append(sql)
+                raise SqlError(f"no such column: boom {len(calls)}")
+
+            monkeypatch.setattr(Database, "execute", reject)
+            out = run_search(
+                open_db,
+                products_db,
+                lexicon,
+                "return product types; return the number of #1",
+                answer,
+            )
+            assert out.status is SearchStatus.MAPPING_FAILED
+            assert len(calls) == out.candidates_tried == 12
+            assert out.failure_reason == (
+                "the engine rejected all 12 candidates; "
+                "first error: no such column: boom 1"
+            )
 
     def test_exhausted_on_unreachable_answer(self, products_db, open_db, lexicon):
         out = run_search(
@@ -522,6 +535,31 @@ class TestFailureStatuses:
         )
         assert slept
         assert out.status is SearchStatus.FOUND
+
+    def test_deadline_checked_before_each_map(
+        self, ship_death_db, open_db, lexicon, monkeypatch
+    ):
+        # Every map is slow and fails, so no candidate is ever tried; the
+        # deadline must still end the search after at most one more map.
+        timeout, one_map = 0.2, 0.05
+
+        def slow_failing_map(*args):
+            time.sleep(one_map)
+            raise Qdmr2SqlError("cannot map")
+
+        monkeypatch.setattr(search_module, "synthesize", slow_failing_map)
+        db = open_db(ship_death_db)
+        session = Session(
+            db, schema_of(db), SynthesisConfig(per_example_timeout=timeout), lexicon
+        )
+        example = FakeExample("return ships; return names of #1", ["Mary"])
+        start = time.monotonic()
+        out = search(example, session)
+        elapsed = time.monotonic() - start
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.candidates_tried == 0
+        assert out.failure_reason == "search deadline exceeded"
+        assert elapsed < timeout + one_map + 0.1
 
     def test_max_assignments_bounds_the_search(
         self, academic_db, open_db, lexicon
@@ -767,3 +805,271 @@ class TestPlanSharing:
                             )
                             compared += 1
         assert compared > 0
+
+
+# --- candidates decided without running them -----------------------------------
+
+_STORED = st.sampled_from(
+    # Every kind: null, numbers, numeric strings, text that differs only in
+    # case or trailing blanks, and BLOBs, which are read as text.
+    [None, 1, 2, 2.0, -1.25, "1", "2.0", "x", "X", "x ", b"x", b"1"]
+)
+# Each column draws from a pool of at most three values, so that rows
+# repeat and DISTINCT has something to merge.
+_ROWS = st.lists(
+    st.lists(_STORED, min_size=1, max_size=3), min_size=3, max_size=3
+).flatmap(lambda pools: st.lists(
+    st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=8
+))
+_ANSWER_CELL = st.one_of(
+    st.none(),
+    st.integers(-2, 2),
+    st.sampled_from([0.5, 2.0, 1]),
+    st.sampled_from(["1", "2", "x", "X", "y", "2.0"]),
+)
+
+
+def _columns(nocase):
+    """The columns of table ``t``, as introspection records them."""
+    return [ColumnRef("t", name, collated=nocase) for name in "abc"]
+
+
+@st.composite
+def _query(draw, nocase):
+    """A query over table ``t`` from the constructs ``sqlgen`` emits."""
+    cols = _columns(nocase)
+
+    def col():
+        return ColExpr(draw(st.sampled_from(cols)))
+
+    def sometimes():
+        return draw(st.sampled_from([False, False, False, True]))
+
+    def scalar():
+        fn = draw(st.sampled_from(["count", "sum", "min", "max"]))
+        return SqlQuery(select=(AggExpr(fn, col()),), from_tables=("t",))
+
+    def item():
+        kind = draw(st.sampled_from(
+            ["col"] * 4 + ["count", "sum", "avg", "min", "max", "arith"]
+        ))
+        if kind == "col":
+            return col()
+        if kind == "arith":
+            return ArithExpr(draw(st.sampled_from("+-*/")), scalar(), scalar())
+        return AggExpr(kind, col())
+
+    select = tuple(item() for _ in range(draw(st.integers(1, 2))))
+    where = ()
+    if sometimes():
+        # An inner ORDER BY ... LIMIT, whose ties SQLite breaks as it likes.
+        key = col()
+        inner = SqlQuery(
+            select=(key,), from_tables=("t",),
+            order_by=(col(), draw(st.sampled_from(["ASC", "DESC"]))),
+            limit=draw(st.integers(1, 3)),
+        )
+        where = (InPred(key, inner),)
+    group_by = col() if sometimes() else None
+    having = ()
+    if sometimes():
+        having = (CmpPred(AggExpr("count", col()), ">", draw(st.integers(0, 2))),)
+    order_by = None
+    if sometimes():
+        key = col() if draw(st.booleans()) else AggExpr("count", col())
+        order_by = (key, draw(st.sampled_from(["ASC", "DESC"])))
+    return SqlQuery(
+        select=select, from_tables=("t",), where=where, group_by=group_by,
+        having=having, order_by=order_by,
+        limit=draw(st.integers(1, 3)) if sometimes() else None,
+    )
+
+
+# (nocase, the candidates the search maps, more queries whose rules are checked)
+_CASES = st.booleans().flatmap(lambda nocase: st.tuples(
+    st.just(nocase),
+    st.lists(_query(nocase), min_size=1, max_size=6),
+    st.lists(_query(nocase), max_size=8),
+))
+
+_A, _B = _columns(False)[:2]
+_A_NOCASE = _columns(True)[0]
+
+
+def _plain(*items, **clauses):
+    return SqlQuery(select=items, from_tables=("t",), **clauses)
+
+
+def _rows_of(conn, query):
+    """The full result of ``query``; None when the engine rejects it."""
+    try:
+        return Denotation.from_rows(conn.execute(render_sql(query)).fetchall())
+    except sqlite3.Error:
+        return None
+
+
+class TestDecidedCandidates:
+    """A candidate the search decides without running it is one that,
+    read in full, does not match the answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=_ROWS,
+        case=_CASES,
+        # The answer is the full result of one candidate, as mapped or with
+        # DISTINCT, so that a rule deciding it wrongly drops a match, or
+        # else drawn.
+        source=st.tuples(st.integers(0, 5), st.booleans()),
+        drawn=st.one_of(st.none(), st.lists(
+            st.lists(_ANSWER_CELL, min_size=1, max_size=2), max_size=3
+        )),
+        allow_empty=st.booleans(),
+    )
+    # Under NOCASE, DISTINCT merges 'x' and 'X'.
+    @example(
+        rows=[("x", 1, 1), ("X", 2, 2)],
+        case=(True, [_plain(ColExpr(_A_NOCASE))], []),
+        source=(0, True), drawn=None, allow_empty=False,
+    )
+    # DISTINCT before a LIMIT keeps other rows.
+    @example(
+        rows=[("x", 1, 1), ("x", 2, 2), ("y", 3, 3)],
+        case=(False, [_plain(ColExpr(_A), limit=2)], []),
+        source=(0, True), drawn=None, allow_empty=False,
+    )
+    # Over no rows, MIN is null, and so are the bare columns of an
+    # aggregate query without GROUP BY.
+    @example(
+        rows=[],
+        case=(False, [_plain(AggExpr("min", ColExpr(_A)))],
+              [_plain(ColExpr(_A), AggExpr("count", ColExpr(_B)))]),
+        source=(0, False), drawn=None, allow_empty=False,
+    )
+    def test_decided_candidates_do_not_match(
+        self, rows, case, source, drawn, allow_empty
+    ):
+        nocase, queries, checked = case
+        conn = sqlite3.connect(":memory:")
+        collate = " COLLATE NOCASE" if nocase else ""
+        # Declared types give the cells their kinds: column a turns numbers
+        # into numeric strings, b turns numeric strings into numbers and
+        # keeps other text, and the untyped c keeps what it gets.
+        conn.execute(f"CREATE TABLE t (a TEXT{collate}, b INTEGER, c)")
+        conn.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+        try:
+            session = Session(
+                Database(conn), load_schema(conn),
+                SynthesisConfig(allow_empty_denotation=allow_empty),
+            )
+            for query in queries + checked:
+                self._check_rules(conn, query, session.census)
+            index, distinct = source
+            query = queries[index % len(queries)]
+            result = _rows_of(conn, heuristic_distinct(query) if distinct else query)
+            if drawn is not None or result is None:
+                answer = drawn or []
+            else:
+                answer = [list(row) for row in result.rows]
+            self._check_search(conn, session, queries, answer, allow_empty)
+        finally:
+            conn.close()
+
+    @staticmethod
+    def _check_rules(conn, query, census):
+        """The rules hold on ``query`` whatever the answer: each cell is of
+        a kind its select item may yield, and a DISTINCT copy the search
+        would decide returns the same rows as a set."""
+        rows = _rows_of(conn, query)
+        if rows is None:
+            return
+        kinds = [search_module._item_kinds(i, query, census) for i in query.select]
+        for row in rows.rows:
+            cell_kinds = map(cell_kind, row)
+            assert all(map(frozenset.__contains__, kinds, cell_kinds)), (
+                render_sql(query), row,
+            )
+        if search_module._distinct_keeps_rows(query):
+            copied = _rows_of(conn, heuristic_distinct(query))
+            assert copied._canonical == rows._canonical, render_sql(query)
+
+    @staticmethod
+    def _check_search(conn, session, queries, answer, allow_empty):
+        """Run the search over ``queries`` as the mapped candidates, then
+        read every candidate it decided in full."""
+        built, rendered, ran = [], [], []
+        real_render = search_module.render_sql
+        real_distinct = search_module.heuristic_distinct
+        real_execute = Database.execute
+
+        def synthesize(*args):
+            built.append(queries[len(built) // 2])
+            return built[-1]
+
+        def distinct(query):
+            built.append(real_distinct(query))
+            return built[-1]
+
+        def render(query):
+            rendered.append(query)
+            return real_render(query)
+
+        def execute(self, sql, deadline, target):
+            result = real_execute(self, sql, deadline, target)
+            ran.append(rendered[-1])
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_program_variants", lambda p: [(p, ())])
+            mp.setattr(search_module, "enumerate_assignments",
+                       lambda slots, limit: (linking.Assignment({}) for _ in queries))
+            mp.setattr(search_module, "synthesize", synthesize)
+            mp.setattr(search_module, "heuristic_distinct", distinct)
+            mp.setattr(search_module, "render_sql", render)
+            mp.setattr(Database, "execute", execute)
+            out = search(FakeExample("return things", answer), session)
+
+        target = answer_denotation(answer)
+        tried = built[: out.candidates_tried]
+        rendered_ids, ran_ids = {id(q) for q in rendered}, {id(q) for q in ran}
+        for position, candidate in enumerate(tried):
+            if id(candidate) in rendered_ids:
+                continue
+            # Decided: an earlier candidate ran, and this one cannot match.
+            assert any(id(q) in ran_ids for q in tried[:position])
+            result = _rows_of(conn, candidate)
+            assert result is None or not denotations_equal(
+                result, target, allow_empty
+            ), render_sql(candidate)
+
+    @pytest.mark.parametrize("collate", [" COLLATE NOCASE", ""])
+    def test_distinct_copy_runs_only_under_a_collation(
+        self, tmp_path, open_db, collate
+    ):
+        # Under NOCASE, DISTINCT keeps one of 'Ann' and 'ANN', so the copy
+        # matches where its base did not: it must run, not take the base's
+        # verdict.  Without a collation it cannot match and does not run.
+        path = tmp_path / "people.sqlite"
+        build_db(
+            path,
+            f"CREATE TABLE people (name TEXT{collate});"
+            "INSERT INTO people VALUES ('Ann'), ('ANN'), ('Bob');",
+        )
+        executed = []
+        real_execute = Database.execute
+
+        def recording(self, sql, deadline, target):
+            executed.append(sql)
+            return real_execute(self, sql, deadline, target)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Database, "execute", recording)
+            out = run_search(open_db, path, None, "return people", ["Ann", "Bob"])
+        assert out.candidates_tried == 2
+        base = "SELECT people.name FROM people"
+        if collate:
+            assert out.status is SearchStatus.FOUND
+            assert out.heuristics_applied == ("distinct",)
+            assert executed == [base, "SELECT DISTINCT people.name FROM people"]
+        else:
+            assert out.status is SearchStatus.EXHAUSTED
+            assert executed == [base]
