@@ -36,11 +36,6 @@ from .schema import open_readonly
 
 __all__ = [
     "Cell",
-    "NULL",
-    "NUMBER",
-    "TEXT",
-    "TYPEOF_KINDS",
-    "cell_kind",
     "Denotation",
     "Database",
     "denotations_equal",

@@ -383,12 +383,10 @@ class ValueIndex:
     :attr:`ColumnRef.lookup`) once, into two maps from each exact and each
     folded value to its columns, and reads nothing else about the schema.
     A ``"probe"`` column, or one with more distinct values than the cap, is
-    probed with one query per literal instead.  A column is read only
-    when its table has at most the cap in rows or a count of its first
-    cap + 1 distinct values shows it is within the cap.  Results are
-    memoized per literal, so the same literal always gets the same tuple
-    back.  The connection must be read-only and must stay open for the
-    index's lifetime.
+    probed with one query per literal instead.  Results are memoized per
+    literal, so the same literal always gets the same tuple back.  The
+    connection must be read-only and must stay open for the index's
+    lifetime.
     """
 
     def __init__(self, conn: sqlite3.Connection, schema: SchemaGraph):
@@ -397,12 +395,9 @@ class ValueIndex:
         self._folded: Dict[str, Tuple[ColumnRef, ...]] = {}
         self._probed: List[ColumnRef] = []
         self._cache: Dict[str, Tuple[ColumnRef, ...]] = {}
-        columns = [c for c in sorted(schema.columns(), key=_column_order) if c.lookup]
-        self._table_rows = {
-            table: self._count(f"SELECT COUNT(*) FROM {quote_ident(table)}")
-            for table in dict.fromkeys(c.table for c in columns if c.lookup == "map")
-        }
-        for col in columns:
+        for col in sorted(schema.columns(), key=_column_order):
+            if col.lookup is None:
+                continue
             rows = self._distinct_values(col) if col.lookup == "map" else None
             if rows is None:
                 self._probed.append(col)
@@ -430,39 +425,31 @@ class ValueIndex:
         self._cache[literal] = result
         return result
 
-    def _count(self, sql: str) -> Optional[int]:
-        """The one number ``sql`` selects, or None when it cannot be read."""
-        try:
-            return self._conn.execute(sql).fetchone()[0]
-        except sqlite3.Error:
-            return None
-
     def _distinct_values(self, col: ColumnRef) -> Optional[List[tuple]]:
         """Each distinct cell with its ``lower(trim())``, or None when the
         column is over the cap or cannot be read.
 
-        A table with more rows than the cap may hold a column over it, so
-        the column's first cap + 1 distinct values are counted first, which
-        costs far less than reading them."""
-        column, table = quote_ident(col.column), quote_ident(col.table)
-        rows = self._table_rows.get(col.table)
-        if rows is None or rows > _MAX_MAPPED_VALUES:
-            distinct = self._count(
-                f"SELECT COUNT(*) FROM (SELECT DISTINCT {column} FROM {table}"
-                f" LIMIT {_MAX_MAPPED_VALUES + 1})"
-            )
-            if distinct is None or distinct > _MAX_MAPPED_VALUES:
-                return None
-        sql = f"SELECT DISTINCT {column}, lower(trim({column})) FROM {table}"
+        SQLite gathers and counts the first cap + 1 distinct cells itself
+        and returns them only when they are within the cap, so an over-cap
+        column sends no row back, and only distinct cells are folded."""
+        # Qualified, so that a table named d is not read as the CTE.
+        table = "main." + quote_ident(col.table)
+        sql = (
+            f"WITH d AS (SELECT DISTINCT {quote_ident(col.column)} AS v"
+            f" FROM {table} LIMIT {_MAX_MAPPED_VALUES + 1})"
+            f" SELECT v, lower(trim(v)) FROM d"
+            f" WHERE (SELECT COUNT(*) FROM d) <= {_MAX_MAPPED_VALUES}"
+        )
         try:
-            cursor = self._conn.execute(sql)
-            try:
-                rows = cursor.fetchmany(_MAX_MAPPED_VALUES + 1)
-            finally:
-                cursor.close()
+            rows = self._conn.execute(sql).fetchall()
+            # No row comes back from an empty table or an over-cap column.
+            if not rows and self._conn.execute(
+                f"SELECT EXISTS (SELECT 1 FROM {table})"
+            ).fetchone()[0]:
+                return None
         except sqlite3.Error:
             return None
-        return rows if len(rows) <= _MAX_MAPPED_VALUES else None
+        return rows
 
     def _contains(self, col: ColumnRef, literal: str, fold: bool) -> bool:
         column, value = quote_ident(col.column), "?"

@@ -213,19 +213,20 @@ Census = Dict[ColumnRef, FrozenSet[str]]
 
 def _kind_census(conn: sqlite3.Connection, schema: SchemaGraph) -> Census:
     """The kinds of cell each column holds, read in one pass over each
-    table; the columns of a table that cannot be read may hold any kind."""
+    table that returns one row of at most five type names per column; the
+    columns of a table that cannot be read may hold any kind."""
     census: Census = {}
     for table, cols in schema.tables.items():
-        types = ", ".join(f"typeof({col.sql})" for col in cols)
+        types = ", ".join(f"group_concat(DISTINCT typeof({col.sql}))" for col in cols)
         try:
-            combos = conn.execute(
-                f"SELECT DISTINCT {types} FROM {quote_ident(table)}"
-            ).fetchall()
+            row = conn.execute(f"SELECT {types} FROM {quote_ident(table)}").fetchone()
         except sqlite3.Error:
             census.update(dict.fromkeys(cols, _ANY_KIND))
             continue
-        for i, col in enumerate(cols):
-            census[col] = frozenset(TYPEOF_KINDS[combo[i]] for combo in combos)
+        for col, names in zip(cols, row):
+            census[col] = frozenset(
+                TYPEOF_KINDS[name] for name in (names.split(",") if names else ())
+            )
     return census
 
 

@@ -319,9 +319,8 @@ class TestValueMaps:
             conn.close()
 
     def test_each_column_read_once(self, geo_db):
-        # The constructor counts the rows of each table that holds a mapped
-        # column, reads each mapped column once and reads nothing else of
-        # the schema; lookups then answer from the maps alone.
+        # The constructor reads each mapped column and nothing else of the
+        # schema; lookups then answer from the maps alone.
         conn = open_readonly(geo_db)
         try:
             schema = load_schema(conn)
@@ -331,11 +330,7 @@ class TestValueMaps:
             reads = [s for s in statements if "DISTINCT" in s]
             mapped = [c for c in schema.columns() if c.lookup == "map"]
             assert len(set(reads)) == len(reads) == len(mapped) > 0
-            counts = [s for s in statements if s not in reads]
-            assert counts == [
-                f"SELECT COUNT(*) FROM {table}"
-                for table in sorted({c.table for c in mapped})
-            ]
+            assert len(statements) == len(reads)
             assert not any(
                 "sqlite_master" in s or "PRAGMA" in s.upper() for s in statements
             )
@@ -347,29 +342,38 @@ class TestValueMaps:
         finally:
             conn.close()
 
-    def test_column_over_cap_is_counted_not_read(self, monkeypatch):
-        # In a table with more rows than the cap, a column's distinct values
-        # are counted up to cap + 1 before any is read; one over the cap is
-        # never read, and one within it is read as in a small table.
+    def test_column_over_cap_sends_no_row(self, monkeypatch):
+        # One statement per mapped column counts its first cap + 1 distinct
+        # values and returns them only within the cap.  A column that
+        # returns nothing is probed when its table has rows (over the cap)
+        # and mapped when it has none.  The table named d is not confused
+        # with the statement's CTE.
         monkeypatch.setattr(schema_module, "_MAX_MAPPED_VALUES", 2)
         conn = sqlite3.connect(":memory:")
         try:
             conn.executescript(
-                "CREATE TABLE t (many TEXT, few TEXT);"
-                "INSERT INTO t VALUES ('a', 'x'), ('b', 'y'), ('c', 'x');"
+                "CREATE TABLE d (many TEXT, few TEXT);"
+                "CREATE TABLE e (none TEXT);"
+                "INSERT INTO d VALUES ('a', 'x'), ('b', 'y'), ('c', 'x');"
             )
             schema = load_schema(conn)
             statements = []
             conn.set_trace_callback(statements.append)
             index = ValueIndex(conn, schema)
-            assert statements == [
-                "SELECT COUNT(*) FROM t",
-                "SELECT COUNT(*) FROM (SELECT DISTINCT few FROM t LIMIT 3)",
-                "SELECT DISTINCT few, lower(trim(few)) FROM t",
-                "SELECT COUNT(*) FROM (SELECT DISTINCT many FROM t LIMIT 3)",
+            reads = [
+                f"WITH d AS (SELECT DISTINCT {col} AS v FROM main.{table} LIMIT 3)"
+                " SELECT v, lower(trim(v)) FROM d WHERE (SELECT COUNT(*) FROM d) <= 2"
+                for table, col in (("d", "few"), ("d", "many"), ("e", "none"))
             ]
-            assert [str(c) for c in index.columns_containing("b")] == ["t.many"]
-            assert [str(c) for c in index.columns_containing("x")] == ["t.few"]
+            assert statements == [
+                reads[0],
+                reads[1], "SELECT EXISTS (SELECT 1 FROM main.d)",
+                reads[2], "SELECT EXISTS (SELECT 1 FROM main.e)",
+            ]
+            statements.clear()
+            assert [str(c) for c in index.columns_containing("x")] == ["d.few"]
+            assert statements == ["SELECT 1 FROM d WHERE many = 'x' LIMIT 1"]
+            assert [str(c) for c in index.columns_containing("b")] == ["d.many"]
         finally:
             conn.close()
 

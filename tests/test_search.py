@@ -1041,6 +1041,32 @@ class TestDecidedCandidates:
                 result, target, allow_empty
             ), render_sql(candidate)
 
+    def test_census_reads_one_row_per_table(self):
+        # Each table is read in one statement that aggregates each column's
+        # type names, so it returns one row however many combinations of
+        # kinds its rows hold; an empty table's columns hold no kind.
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.executescript(
+                "CREATE TABLE t (a, b TEXT); CREATE TABLE e (c);"
+                "INSERT INTO t VALUES (1, 'x'), (2.5, NULL), ('y', x'00'), (NULL, 'z');"
+            )
+            schema = load_schema(conn)
+            statements = []
+            conn.set_trace_callback(statements.append)
+            census = search_module._kind_census(conn, schema)
+            assert len(statements) == 2
+            assert all(
+                s.startswith("SELECT group_concat(DISTINCT typeof(") for s in statements
+            )
+            assert census == {
+                ColumnRef("t", "a"): {"number", "text", "null"},
+                ColumnRef("t", "b"): {"text", "null"},
+                ColumnRef("e", "c"): set(),
+            }
+        finally:
+            conn.close()
+
     @pytest.mark.parametrize("collate", [" COLLATE NOCASE", ""])
     def test_distinct_copy_runs_only_under_a_collation(
         self, tmp_path, open_db, collate
