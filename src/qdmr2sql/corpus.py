@@ -99,7 +99,7 @@ def load_examples(
     examples: List[Example] = []
     rejects: List[Reject] = []
     n_lines = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         n_lines += 1

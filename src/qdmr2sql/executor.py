@@ -1,12 +1,15 @@
 """Read-only SQL execution and denotation comparison.
 
-A denotation is the result of a query: a collection of rows of cells,
-where a cell is null, a number, or text.  Two denotations are
-compared as sets of tuples: row order and duplicates are irrelevant, and
-column names are never part of the comparison.  Numbers match under a
-relative tolerance so that 5 equals 5.0 and float formatting differences
-across aggregate functions do not matter; text matches after trailing
-whitespace is trimmed.
+A denotation is the result of a query: a collection of rows of cells.
+It holds each cell in the one form the comparison reads, the canonical
+cell: null stays null, a number (a boolean included) becomes a float, and
+text (a BLOB decoded as UTF-8) loses its trailing whitespace.  A cell
+only matches a cell of its own kind, and its kind is the type of its
+canonical form: ``NoneType``, ``float`` or ``str``.  Two denotations
+are compared as sets of tuples: row order and duplicates are irrelevant,
+and column names are never part of the comparison.  Numbers match under a
+relative tolerance so that float formatting differences across aggregate
+functions do not matter.
 
 By default two empty denotations do NOT compare equal.  An empty result is
 most often a spurious query rather than a correct one, so an empty answer
@@ -43,7 +46,7 @@ __all__ = [
     "answer_denotation",
 ]
 
-Cell = Union[None, int, float, str]
+Cell = Union[None, float, str]
 
 NUMERIC_TOLERANCE = 1e-6
 
@@ -51,9 +54,10 @@ NUMERIC_TOLERANCE = 1e-6
 _PROGRESS_GRANULARITY = 1000
 
 
-# The kinds of cell the comparison tells apart: a cell only ever matches a
-# cell of its own kind (see ``_cells_match``).
-NULL, NUMBER, TEXT = "null", "number", "text"
+# The kinds of cell the comparison tells apart, as the types of canonical
+# cells: a cell only ever matches a cell of its own kind (see
+# ``_cells_match``).
+NULL, NUMBER, TEXT = type(None), float, str
 
 # The kind of cell each storage class that SQLite's ``typeof`` names is read
 # as; BLOBs decode to text.
@@ -62,24 +66,22 @@ TYPEOF_KINDS = {
 }
 
 
-def _cell(value) -> Cell:
+def _canon(value) -> Cell:
+    """The canonical cell of a value read from SQLite or given in an answer."""
+    if isinstance(value, str):
+        return value.rstrip()
+    if isinstance(value, (int, float)):
+        return float(value)
     if isinstance(value, bytes):
-        return value.decode("utf-8", "replace")
-    if isinstance(value, bool):
-        return int(value)
+        return value.decode("utf-8", "replace").rstrip()
     return value
-
-
-def cell_kind(cell: Cell) -> str:
-    """The kind of ``cell``: :data:`NULL`, :data:`NUMBER` or :data:`TEXT`."""
-    if cell is None:
-        return NULL
-    return TEXT if isinstance(cell, str) else NUMBER
 
 
 @dataclass(frozen=True)
 class Denotation:
-    """The set of result rows a query evaluates to."""
+    """The rows a query evaluates to, in read order and with duplicates
+    kept, each cell canonical (see :func:`_canon`); the kind of a cell is
+    its type."""
 
     rows: Tuple[Tuple[Cell, ...], ...]
 
@@ -88,23 +90,22 @@ class Denotation:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Denotation":
-        return cls(rows=tuple(tuple(_cell(v) for v in row) for row in rows))
+        return cls(rows=tuple(tuple(map(_canon, row)) for row in rows))
 
     @cached_property
-    def _canonical(self) -> FrozenSet[Tuple[Cell, ...]]:
-        """The distinct rows with every cell canonicalised for comparison."""
-        return frozenset(tuple(map(_canon, row)) for row in self.rows)
+    def _distinct(self) -> FrozenSet[Tuple[Cell, ...]]:
+        return frozenset(self.rows)
 
     @cached_property
-    def kinds(self) -> FrozenSet[Tuple[str, ...]]:
+    def kinds(self) -> FrozenSet[Tuple[type, ...]]:
         """The distinct rows with every cell replaced by its kind."""
-        return frozenset(tuple(map(cell_kind, row)) for row in self.rows)
+        return frozenset(tuple(map(type, row)) for row in self._distinct)
 
 
 _SCALARS = (int, float, str, bool)
 
 
-def normalize_answer(answer) -> List[List[Cell]]:
+def normalize_answer(answer) -> List[list]:
     """A supervised answer as rows of cells.
 
     A scalar becomes one cell, a flat list of scalars one column, and a
@@ -117,7 +118,7 @@ def normalize_answer(answer) -> List[List[Cell]]:
         raise ValueError(
             f"answer must be a scalar or list, got {type(answer).__name__}"
         )
-    rows: List[List[Cell]] = []
+    rows: List[list] = []
     for item in answer:
         if isinstance(item, (list, tuple)):
             for cell in item:
@@ -176,21 +177,18 @@ class Database:
             timed_out = time.monotonic() > deadline
             return timed_out
 
-        wanted = target._canonical
+        wanted = target._distinct
         rows: List[Tuple[Cell, ...]] = []
-        canonical = set()
         try:
             self.conn.set_progress_handler(_check, _PROGRESS_GRANULARITY)
             try:
                 cursor = self.conn.execute(sql)
                 try:
                     for raw in cursor:
-                        row = tuple(map(_cell, raw))
+                        row = tuple(map(_canon, raw))
                         rows.append(row)
-                        key = tuple(map(_canon, row))
-                        canonical.add(key)
-                        if key not in wanted and not any(
-                            _rows_match(key, t) for t in wanted
+                        if row not in wanted and not any(
+                            _rows_match(row, t) for t in wanted
                         ):
                             break
                 finally:
@@ -202,20 +200,7 @@ class Database:
             if timed_out:
                 raise ExecutionTimeout("query ran past its deadline") from exc
             raise SqlError(str(exc)) from exc
-        result = Denotation(rows=tuple(rows))
-        # Seed the cached property so no cell is canonicalised twice.
-        object.__setattr__(result, "_canonical", frozenset(canonical))
-        return result
-
-
-def _canon(cell: Cell) -> Cell:
-    if isinstance(cell, str):
-        return cell.rstrip()
-    if isinstance(cell, bool):
-        return float(cell)
-    if isinstance(cell, (int, float)):
-        return float(cell)
-    return cell
+        return Denotation(rows=tuple(rows))
 
 
 def _numbers_close(x: float, y: float) -> bool:
@@ -250,7 +235,7 @@ def denotations_equal(
         return allow_empty
     if not a.rows or not b.rows:
         return False
-    set_a, set_b = a._canonical, b._canonical
+    set_a, set_b = a._distinct, b._distinct
     if {len(r) for r in set_a} != {len(r) for r in set_b}:
         return False
     if set_a == set_b:

@@ -83,12 +83,6 @@ class EmbeddingLexicon:
     def empty(cls) -> "EmbeddingLexicon":
         return cls({})
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._vectors
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
     def cosine(self, a: str, b: str) -> float:
         va, vb = self._vectors.get(a), self._vectors.get(b)
         if va is None or vb is None:

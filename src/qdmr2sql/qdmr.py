@@ -188,9 +188,6 @@ class QdmrProgram:
 
     steps: Tuple[QdmrStep, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def step(self, number: int) -> QdmrStep:
         """Return the step with 1-based number ``number``."""
         return self.steps[number - 1]

@@ -208,7 +208,7 @@ _AGGREGATE_KINDS = {
     "count": frozenset((NUMBER,)), "sum": _NUMBER_OR_NULL, "avg": _NUMBER_OR_NULL,
 }
 
-Census = Dict[ColumnRef, FrozenSet[str]]
+Census = Dict[ColumnRef, FrozenSet[type]]
 
 
 def _kind_census(conn: sqlite3.Connection, schema: SchemaGraph) -> Census:
@@ -230,7 +230,7 @@ def _kind_census(conn: sqlite3.Connection, schema: SchemaGraph) -> Census:
     return census
 
 
-def _item_kinds(item: SelectItem, query: SqlQuery, census: Census) -> FrozenSet[str]:
+def _item_kinds(item: SelectItem, query: SqlQuery, census: Census) -> FrozenSet[type]:
     """The kinds of cell ``item`` can yield in ``query``'s result."""
     if isinstance(item, ColExpr):
         kinds = census[item.col]

@@ -218,3 +218,26 @@ def test_the_schema_graph_is_whole_when_built():
     assert isinstance(graph.fks, tuple)
     assert [n for n, _ in graph.adjacency["a"]] == ["b"]
     assert [n for n, _ in graph.adjacency["b"]] == ["a"]
+
+
+def test_a_cell_has_one_canonical_form():
+    """A denotation stores each cell as the comparison reads it, and a
+    cell's kind is its type: no raw form, separate canonical set or kind
+    string rides along."""
+    executor = importlib.import_module("qdmr2sql.executor")
+    for gone in ("_cell", "cell_kind"):
+        assert not hasattr(executor, gone)
+    assert not hasattr(executor.Denotation, "_canonical")
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (b BLOB, i INTEGER, j, s TEXT, n)")
+        conn.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", (b"x ", 1, 5, "a  ", None))
+        want = (("x", 1.0, 5.0, "a", None),)
+        target = executor.answer_denotation([["x", 1, 5, "a", None]])
+        read = executor.Database(conn).execute("SELECT * FROM t", float("inf"), target)
+        built = executor.Denotation.from_rows(conn.execute("SELECT * FROM t"))
+        for result in (read, built):
+            assert result.rows == want
+            assert result.kinds == {(str, float, float, str, type(None))}
+    finally:
+        conn.close()

@@ -115,6 +115,30 @@ class TestLoadExamples:
         examples, _ = load_examples(path)
         assert examples[0].answer == [[1, "a"], [2, "b"]]
 
+    @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+    def test_line_breaking_characters_inside_strings(self, tmp_path, char):
+        # JSON allows these raw inside a string; they do not end a line.
+        path = tmp_path / "odd.jsonl"
+        path.write_text(
+            json.dumps({"id": "u", "question": f"a{char}b", "qdmr": "return ships",
+                        "answer": 1, "db_id": "d"}, ensure_ascii=False)
+            + "\nnot json\n",
+            encoding="utf-8",
+        )
+        examples, rejects = load_examples(path)
+        assert [ex.question for ex in examples] == [f"a{char}b"]
+        assert [r.line_no for r in rejects] == [2]
+
+    def test_reject_line_numbers_are_physical_on_crlf(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(
+            b'{"id": "ok", "question": "q", "qdmr": "return ships", '
+            b'"answer": 1, "db_id": "d"}\r\n\r\nnot json\r\n[1]\r\n'
+        )
+        examples, rejects = load_examples(path)
+        assert [ex.id for ex in examples] == ["ok"]
+        assert [r.line_no for r in rejects] == [3, 4]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileUnreadable) as info:
             load_examples(tmp_path / "absent.jsonl")

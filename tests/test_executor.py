@@ -61,10 +61,11 @@ class TestDenotation:
         d = deno([b"abc"])
         assert d.rows == (("abc",),)
 
-    def test_bool_cells_become_ints(self):
+    def test_bool_cells_become_floats(self):
         d = deno([True, False])
-        assert d.rows == ((1, 0),)
-        assert all(type(c) is int for c in d.rows[0])
+        assert d.rows == ((1.0, 0.0),)
+        assert all(type(c) is float for c in d.rows[0])
+        assert denotations_equal(answer_denotation(True), deno([1]))
 
     def test_none_passes_through(self):
         assert deno([None]).rows == ((None,),)

@@ -225,10 +225,10 @@ class TestValidation:
             parse_qdmr("return dogs; return # 1 in France")
 
     def test_trailing_semicolon_tolerated(self):
-        assert len(parse_qdmr("return dogs;")) == 1
+        assert len(parse_qdmr("return dogs;").steps) == 1
 
     def test_trailing_period_tolerated(self):
-        assert len(parse_qdmr("return dogs; return #1 in France.")) == 2
+        assert len(parse_qdmr("return dogs; return #1 in France.").steps) == 2
 
 
 class TestRoundTrip:
