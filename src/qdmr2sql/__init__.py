@@ -85,7 +85,6 @@ from .search import (
     SynthesisConfig,
     SynthesisOutcome,
     heuristic_aggregate_swap,
-    heuristic_distinct,
     heuristic_superlative,
     search,
 )

@@ -20,6 +20,7 @@ to examples whose answers are non-empty.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -105,7 +106,8 @@ def load_examples(
         n_lines += 1
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        # Too many digits in an integer raise ValueError, deep nesting RecursionError.
+        except (ValueError, RecursionError) as exc:
             rejects.append(Reject(line_no, f"invalid JSON: {exc}"))
             continue
         if not isinstance(doc, dict):
@@ -157,7 +159,8 @@ def resolve_database(databases_dir: Union[str, Path], db_id: str) -> Path:
         root / db_id / f"{db_id}.db",
     ]
     for candidate in candidates:
-        if candidate.is_file():
+        # Unlike Path.is_file, this is False for a name too long for the OS.
+        if os.path.isfile(candidate):
             return candidate
     raise FileUnreadable(f"no database file for {db_id!r} under {root}")
 

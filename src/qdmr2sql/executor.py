@@ -110,25 +110,31 @@ def normalize_answer(answer) -> List[list]:
 
     A scalar becomes one cell, a flat list of scalars one column, and a
     list of rows (lists or tuples) passes through.  Raises ValueError on
-    any other shape or on a cell that is neither a scalar nor null.
+    any other shape and on a cell that is not null or a canonical scalar.
     """
     if answer is None or isinstance(answer, _SCALARS):
-        return [[answer]]
-    if not isinstance(answer, (list, tuple)):
+        answer = [answer]
+    elif not isinstance(answer, (list, tuple)):
         raise ValueError(
             f"answer must be a scalar or list, got {type(answer).__name__}"
         )
     rows: List[list] = []
     for item in answer:
         if isinstance(item, (list, tuple)):
-            for cell in item:
-                if not (cell is None or isinstance(cell, _SCALARS)):
-                    raise ValueError("answer cells must be scalars or null")
-            rows.append(list(item))
+            row = list(item)
         elif item is None or isinstance(item, _SCALARS):
-            rows.append([item])
+            row = [item]
         else:
             raise ValueError("answer rows must be lists or scalars")
+        for cell in row:
+            if not (cell is None or isinstance(cell, _SCALARS)):
+                raise ValueError("answer cells must be scalars or null")
+            if type(cell) is int:  # the one scalar _canon can fail on
+                try:
+                    float(cell)
+                except OverflowError:
+                    raise ValueError("answer number too large for a float") from None
+        rows.append(row)
     return rows
 
 

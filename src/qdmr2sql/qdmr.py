@@ -58,7 +58,7 @@ class OpKind(str, Enum):
 Arg = Union[int, str]
 
 _REF = re.compile(r"#(\d+)")
-_BAD_REF = re.compile(r"#(?!\d)")
+_BAD_REF = re.compile(r"#(?!\d{1,9}(?!\d))")
 
 _AGG_WORDS = {
     "number": "count",

@@ -12,7 +12,7 @@ Column references carry the tokenized and lemmatized forms used by the
 phrase linker.  A column's token set includes its table-name tokens, so the
 phrase "ships" can reach every column of table ``ship``.  Introspection
 also records how a literal is looked up in each column (``lookup``), from
-its declared type and its table's ``CREATE`` statement.
+its declared type and whether SQLite compares it under a collation.
 
 :class:`ValueIndex` answers "which text columns contain this literal?".  Its
 constructor reads each mappable column once into maps from exact and
@@ -101,8 +101,8 @@ def _lookup(declared: str, collated: bool) -> Optional[str]:
     """How a literal is looked up in a column of type ``declared``: None
     for a non-text type; ``"probe"`` where Python string equality cannot
     reproduce the column's ``=`` (a STRING type has NUMERIC affinity, and
-    ``collated`` marks a table whose ``CREATE`` holds a COLLATE clause);
-    ``"map"`` otherwise."""
+    ``collated`` marks a column compared under a collation other than
+    BINARY); ``"map"`` otherwise."""
     t = (declared or "").upper()
     if any(s in t for s in ("INT", "REAL", "FLOA", "DOUB", "NUM", "DEC")):
         return None
@@ -115,9 +115,9 @@ def _lookup(declared: str, collated: bool) -> Optional[str]:
 class ColumnRef:
     """A fully qualified column with its linkable token forms, how a
     literal is looked up in it (``"map"``, ``"probe"`` or None, see
-    :class:`ValueIndex`) and whether its table's ``CREATE`` holds a
-    COLLATE clause, under which ``=`` and DISTINCT may merge values that
-    differ as Python strings."""
+    :class:`ValueIndex`) and whether SQLite compares it under a collation
+    other than BINARY, under which ``=`` and DISTINCT may merge values
+    that differ as Python strings."""
 
     table: str
     column: str
@@ -241,34 +241,44 @@ def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
     return conn
 
 
+def _collated(conn: sqlite3.Connection, table: str, column: str) -> bool:
+    """Whether SQLite compares ``column`` under a collation other than
+    BINARY: a UNION takes its leftmost column's collation, and only BINARY
+    keeps 'a', 'A' and 'a ' apart.  An unknown collation fails and counts."""
+    try:
+        return conn.execute(
+            f"SELECT count(*) FROM (SELECT {quote_ident(column)}"
+            f" FROM {quote_ident(table)} WHERE 0"
+            " UNION SELECT 'a' UNION SELECT 'A' UNION SELECT 'a ')"
+        ).fetchone()[0] != 3
+    except sqlite3.Error:
+        return True
+
+
 def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
     try:
-        creates = dict(
-            conn.execute(
-                "SELECT name, sql FROM sqlite_master"
-                " WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
-                " ORDER BY rowid"
-            )
-        )
+        table_names = [name for name, in conn.execute(
+            "SELECT name FROM sqlite_master"
+            " WHERE type = 'table' AND name NOT LIKE 'sqlite_%' ORDER BY rowid"
+        )]
     except sqlite3.Error as exc:
         raise UnreadableDatabase(f"cannot introspect database: {exc}") from exc
 
     tables: Dict[str, List[ColumnRef]] = {}
     pks: Dict[str, str] = {}
-    for name, create in creates.items():
-        collated = "COLLATE" in (create or "").upper()
+    for name in table_names:
         cols = []
         for _, col, declared, _, _, pk in conn.execute(
             f"PRAGMA table_info({quote_ident(name)})"
         ):
-            cols.append(_make_column(name, col, declared, collated))
+            cols.append(_make_column(name, col, declared, _collated(conn, name, col)))
             if pk and name not in pks:
                 pks[name] = col
         tables[name] = cols
     names = SchemaGraph(tables, ())  # finds the columns the keys name
 
     fks: List[FKEdge] = []
-    for name in creates:
+    for name in table_names:
         # foreign_key_list numbers ids from the last declared key down, so
         # descending id recovers declaration order.
         rows = sorted(

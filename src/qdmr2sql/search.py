@@ -9,7 +9,7 @@ example's one plan, in this order: the base decomposition; the
 superlative rewrite, which turns a superlative buried in a noun phrase
 ("state with the largest #2") into an explicit step ("#1 where #2 is
 highest"); one COUNT/SUM swap per aggregating step.  Each mapped query is
-tried as mapped, then with DISTINCT on its SELECT clause.
+tried as mapped, then rendered with DISTINCT (a flag of ``render_sql``).
 
 The first candidate whose denotation equals the answer wins.  A variant
 that cannot be mapped is skipped; candidates that the engine rejects are
@@ -20,10 +20,10 @@ Some candidates are decided from their query tree, the answer and the
 session's census of the cell kinds each column holds, without being
 rendered or executed; they are mismatches and still count as tried:
 
-- a DISTINCT copy whose base query executed, when DISTINCT cannot change
-  its set of rows: no aggregate, into which DISTINCT would be rendered, no
-  LIMIT and no column of a table with a COLLATE clause.  Comparison is by
-  sets, so the copy gets its base query's verdict, a mismatch;
+- the DISTINCT try of a query whose first try executed, when DISTINCT
+  cannot change its set of rows: no aggregate, no LIMIT and no column
+  compared under a collation.  Comparison is by sets, so the try gets the
+  first try's verdict, a mismatch;
 - once a candidate of the example has executed, so that neither the
   status nor the first engine error can change any more, a candidate with
   some answer row that no row of its result can match: the row's width is
@@ -60,7 +60,10 @@ from .linking import (
 )
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
 from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident
-from .sqlgen import AggExpr, ColExpr, SelectItem, SqlQuery, render_sql, synthesize
+from .sqlgen import (
+    AggExpr, ColExpr, SelectItem, SqlQuery, render_sql, synthesize,
+    _aggregates, _distinct_keeps_rows,
+)
 
 __all__ = [
     "SynthesisConfig",
@@ -68,14 +71,9 @@ __all__ = [
     "SearchStatus",
     "Session",
     "search",
-    "heuristic_distinct",
     "heuristic_superlative",
     "heuristic_aggregate_swap",
 ]
-
-HEURISTIC_DISTINCT = "distinct"
-HEURISTIC_SUPERLATIVE = "superlative"
-HEURISTIC_AGGREGATE_SWAP = "aggregate_swap"
 
 
 class SearchStatus(str, Enum):
@@ -113,22 +111,6 @@ class SynthesisOutcome:
 
 
 # --- repair heuristics -------------------------------------------------------
-
-
-def heuristic_distinct(query: SqlQuery) -> SqlQuery:
-    """The same query with DISTINCT on its SELECT clause."""
-    # A plain constructor call: ``dataclasses.replace`` costs three times as
-    # much, and this runs once per candidate.
-    return SqlQuery(
-        select=query.select,
-        from_tables=query.from_tables,
-        where=query.where,
-        group_by=query.group_by,
-        having=query.having,
-        order_by=query.order_by,
-        limit=query.limit,
-        distinct=True,
-    )
 
 
 def heuristic_superlative(program: QdmrProgram) -> Optional[QdmrProgram]:
@@ -238,7 +220,7 @@ def _item_kinds(item: SelectItem, query: SqlQuery, census: Census) -> FrozenSet[
         # one row, whose bare columns are null.
         if query.group_by is None and (
             query.having
-            or any(isinstance(e, AggExpr) for e in query.select)
+            or _aggregates(query)
             or (query.order_by and isinstance(query.order_by[0], AggExpr))
         ):
             return kinds | {NULL}
@@ -262,18 +244,6 @@ def _cannot_match(query: SqlQuery, answer: Denotation, census: Census) -> bool:
     )
 
 
-def _distinct_keeps_rows(query: SqlQuery) -> bool:
-    """Whether ``query`` with DISTINCT on its SELECT returns the same set
-    of rows: not when DISTINCT is rendered inside an aggregate, when a
-    LIMIT cuts the deduplicated rows differently, or when a collation
-    merges cells that the comparison tells apart."""
-    return query.limit is None and not any(
-        isinstance(item, AggExpr)
-        or (isinstance(item, ColExpr) and item.col.collated)
-        for item in query.select
-    )
-
-
 # --- the search loop ---------------------------------------------------------
 
 
@@ -282,9 +252,9 @@ def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str
     ``(program, labels)``: the labels name the rewrites applied.  Each maps
     under the base program's plan: its SELECT and FILTER steps, the only
     ones that read literals, are the base program's own."""
-    rewrites = [(heuristic_superlative(program), HEURISTIC_SUPERLATIVE)]
+    rewrites = [(heuristic_superlative(program), "superlative")]
     swaps = heuristic_aggregate_swap(program)
-    rewrites += [(swapped, HEURISTIC_AGGREGATE_SWAP) for swapped in swaps]
+    rewrites += [(swapped, "aggregate_swap") for swapped in swaps]
     return [(program, ())] + [
         (rewritten, (label,)) for rewritten, label in rewrites if rewritten is not None
     ]
@@ -361,17 +331,16 @@ def search(example, session: Session) -> SynthesisOutcome:
             except Qdmr2SqlError as exc:
                 mapping_error = str(exc)
                 continue
-            distinct = heuristic_distinct(query), labels + (HEURISTIC_DISTINCT,)
             base_mismatched = False
-            for candidate, applied in ((query, labels), distinct):
+            for distinct in (False, True):
                 if time.monotonic() >= deadline:
                     return _timeout(tried, "search deadline exceeded")
                 tried += 1
                 if base_mismatched and _distinct_keeps_rows(query):
                     continue
-                if executed and _cannot_match(candidate, target, session.census):
+                if executed and _cannot_match(query, target, session.census):
                     continue
-                sql = render_sql(candidate)
+                sql = render_sql(query, distinct=distinct)
                 try:
                     result = session.database.execute(sql, deadline, target)
                 except ExecutionTimeout:
@@ -387,7 +356,7 @@ def search(example, session: Session) -> SynthesisOutcome:
                         status=SearchStatus.FOUND,
                         sql=sql,
                         assignment=assignment,
-                        heuristics_applied=applied,
+                        heuristics_applied=labels + (("distinct",) if distinct else ()),
                         candidates_tried=tried,
                         qdmr=render_program(program),
                     )

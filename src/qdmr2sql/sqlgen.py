@@ -25,7 +25,10 @@ qualified column names, ``FROM t1, t2`` with explicit equality predicates,
 LIMIT k``.  Identifiers that are plain, non-keyword names stay bare; any
 other is double-quoted (:func:`~qdmr2sql.schema.quote_ident`).  A
 comparison against an aggregated operand lands in HAVING, with the
-operand's grouping preserved.
+operand's grouping preserved.  A literal the value index found is compared
+as that text (``code = '1e5'``), a comparison value as the number it spells.
+DISTINCT is a flag of :func:`render_sql`, not part of a query;
+:func:`_distinct_keeps_rows` says when it cannot change the set of rows.
 """
 
 from __future__ import annotations
@@ -176,22 +179,21 @@ class SqlQuery:
     having: Tuple[CmpPred, ...] = ()
     order_by: Optional[Tuple[Operand, str]] = None  # (expr, "ASC" | "DESC")
     limit: Optional[int] = None
-    distinct: bool = False
 
 
-def render_sql(query: SqlQuery) -> str:
-    """Render a query to SQL text (no trailing semicolon)."""
-    has_agg = any(isinstance(i, AggExpr) for i in query.select)
-    distinct_inside = query.distinct and has_agg
-    parts = []
-    items = []
-    for item in query.select:
-        if isinstance(item, AggExpr):
-            items.append(item.render(distinct=distinct_inside))
-        else:
-            items.append(item.render())
-    prefix = "SELECT DISTINCT " if (query.distinct and not distinct_inside) else "SELECT "
-    parts.append(prefix + ", ".join(items))
+def _aggregates(query: SqlQuery) -> bool:
+    return any(isinstance(item, AggExpr) for item in query.select)
+
+
+def render_sql(query: SqlQuery, distinct: bool = False) -> str:
+    """SQL text for ``query``, without a trailing semicolon; ``distinct`` puts
+    DISTINCT inside its aggregates, or on its SELECT clause if it has none."""
+    inside = distinct and _aggregates(query)
+    items = ", ".join(
+        item.render(inside) if isinstance(item, AggExpr) else item.render()
+        for item in query.select
+    )
+    parts = [("SELECT DISTINCT " if distinct and not inside else "SELECT ") + items]
     if query.from_tables:
         parts.append("FROM " + ", ".join(map(quote_ident, query.from_tables)))
     if query.where:
@@ -207,6 +209,15 @@ def render_sql(query: SqlQuery) -> str:
     return " ".join(parts)
 
 
+def _distinct_keeps_rows(query: SqlQuery) -> bool:
+    """Whether ``render_sql(query, distinct=True)`` has ``query``'s set of rows:
+    not with DISTINCT inside an aggregate, a LIMIT that cuts the deduplicated
+    rows, or a collation that merges cells the comparison tells apart."""
+    return query.limit is None and not _aggregates(query) and not any(
+        isinstance(item, ColExpr) and item.col.collated for item in query.select
+    )
+
+
 @dataclass(frozen=True)
 class _MappedStep:
     """A step's linked columns and constructed query."""
@@ -219,7 +230,7 @@ class _MappedStep:
 
 
 def _typed(text: str) -> Union[int, float, str]:
-    """The number ``text`` spells, or ``text`` itself.
+    """The number a comparison value ``text`` spells, or ``text`` itself.
 
     Only finite numerals without ``_`` separators count: ``nan`` and
     ``inf`` have no SQL literal, and SQL does not read ``1_000`` as a
@@ -291,7 +302,7 @@ def _vacuous(p: Pred) -> bool:
     q = p.query
     if q.where or q.group_by or q.having or q.order_by or q.limit is not None:
         return False
-    return len(q.select) == 1 and not q.distinct and q.select[0] == p.expr
+    return len(q.select) == 1 and q.select[0] == p.expr
 
 
 def _inherited(preds: Sequence[Pred]) -> Tuple[Pred, ...]:
@@ -382,7 +393,7 @@ def _build_select(step: QdmrStep, ctx: _Context) -> Built:
         q = SqlQuery(
             select=(ColExpr(literals[0][1]),),
             from_tables=_merged(c.table for _, c in literals),
-            where=_merged(CmpPred(ColExpr(c), "=", _typed(t)) for t, c in literals),
+            where=_merged(CmpPred(ColExpr(c), "=", t) for t, c in literals),
         )
         return q, [c for _, c in literals]
     col = ctx.column(step, step.shape.phrase)
@@ -400,7 +411,7 @@ def _build_filter(step: QdmrStep, ctx: _Context) -> Built:
             )
         return base.query, list(base.cols)
 
-    own_preds = [CmpPred(ColExpr(c), "=", _typed(t)) for t, c in literals]
+    own_preds = [CmpPred(ColExpr(c), "=", t) for t, c in literals]
     own_cols = [c for _, c in literals]
     units = [(base.query.from_tables, base.cols)]
     units += [([c.table], [c]) for c in own_cols]

@@ -6,8 +6,12 @@ Everything runs in-process through main(argv); 0 success, 1 usage,
 
 import json
 import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qdmr2sql.cli
 import qdmr2sql.corpus
@@ -97,6 +101,54 @@ class TestSynth:
             for l in (tmp_path / "out.rejects.jsonl").read_text().splitlines()
         ]
         assert rejects[0]["line"] == 2
+
+    # Answers with no canonical cell, and JSON that Python will not read.
+    BAD_ANSWERS = {
+        "overflow": "[" + "9" * 400 + "]",
+        "too_many_digits": "1" * 5000,
+        "deep_nesting": "[" * 100_000,
+    }
+
+    def _synth_lines(self, db_dir, tmp_path, lines):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(line + "\n" for line in lines))
+        pairs = tmp_path / "out.jsonl"
+        return main(
+            ["synth", "--examples", str(corpus), "--db-dir", str(db_dir),
+             "--embeddings", str(EMBEDDINGS),
+             "--out-pairs", str(pairs), "--out-report", str(tmp_path / "r.json")]
+        )
+
+    @staticmethod
+    def _line(id_, answer):
+        return (
+            f'{{"id": "{id_}", "dataset": "d", "db_id": "products", '
+            '"question": "how many kinds?", '
+            '"qdmr": "return product types; return the number of #1", '
+            f'"answer": {answer}}}'
+        )
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ANSWERS))
+    def test_bad_answer_alone_rejects_every_line(self, db_dir, tmp_path, capsys, bad):
+        line = self._line("bad", self.BAD_ANSWERS[bad])
+        assert self._synth_lines(db_dir, tmp_path, [line]) == 2
+        assert "all 1 lines" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ANSWERS))
+    def test_bad_answer_next_to_a_valid_line(self, db_dir, tmp_path, capsys, bad):
+        lines = [self._line("ok", 3), self._line("bad", self.BAD_ANSWERS[bad])]
+        assert self._synth_lines(db_dir, tmp_path, lines) == 0
+        out = capsys.readouterr().out
+        assert "synthesized 1/1 examples (100.0%), 1 rejected" in out
+        rejects = [
+            json.loads(l)
+            for l in (tmp_path / "out.rejects.jsonl").read_text().splitlines()
+        ]
+        assert [r["line"] for r in rejects] == [2]
+        if bad == "overflow":
+            assert rejects[0]["reason"] == "answer number too large for a float"
+        else:
+            assert rejects[0]["reason"].startswith("invalid JSON: ")
 
     def test_missing_examples_file(self, db_dir, tmp_path, capsys):
         code = main(
@@ -470,3 +522,108 @@ class TestConnections:
         for conn in opened:
             with pytest.raises(sqlite3.ProgrammingError):
                 conn.execute("SELECT 1")
+
+
+# --- drawn corpora: whatever the loader accepts, synth exits 0 or 2 --------
+
+_NOUNS = [
+    "ships", "names", "tonnage", "injuries", "states", "population", "rivers",
+    "papers", "authors", "products", "types", "students", "majors", "schools",
+]
+_VALUES = ["Lettice", "texas", "PVLDB", "Food", "1e5", "800", "3.5", "O'Brien", ""]
+_STEPS = [
+    "return {n} of #{r}", "return the {n} of #{r}",
+    "return #{r} where #{q} is more than {v}", "return #{r} where #{q} is {v}",
+    "return #{r} with {n} {v}", "return #{r} in {v}", "return #{r} by {v}",
+    "return the number of #{r}", "return the sum of #{r}",
+    "return the average of #{r}", "return number of #{r} for each #{q}",
+    "return #{r} where #{q} is highest", "return #{r} where #{q} is lowest",
+    "return {n} with the largest #{r}", "return #{r} sorted by #{q}",
+    "return #{r} and #{q}", "return #{r} or #{q}", "return #{r} besides #{q}",
+    "return #{r} in both #{q} and #{r}", "return the difference of #{r} and #{q}",
+]
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-(10**500), 10**500), st.floats(),
+    st.text(max_size=6), st.sampled_from(["NaN", "\u2028", "a\u2029b", "Lettice"]),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+# Raw JSON text, so that it may also be what json.dumps never writes.
+_ODD_ANSWERS = st.one_of(
+    st.builds(json.dumps, _JSON),
+    st.sampled_from(["NaN", "-Infinity", "9" * 400, "1" * 5000, "[1, 2,", "[[]]"]),
+    st.sampled_from([50, 5000, 100_000]).map(lambda n: "[" * n + "]" * n),
+)
+_DB_IDS = ["ship_death", "geo", "academic", "voting_record", "products", "university"]
+
+
+def _mostly(draw, usual, other):
+    """A draw from ``usual`` nine times in ten, else from ``other``."""
+    return draw(other if draw(st.integers(0, 9)) == 0 else usual)
+
+
+@st.composite
+def _decomposition(draw):
+    """Steps from a small grammar; now and then a step is noise or
+    refers to a step that does not precede it."""
+    steps = [f"return {draw(st.sampled_from(_NOUNS))}"]
+    for i in range(1, draw(st.integers(1, 4))):
+        ref = _mostly(draw, st.just(st.integers(1, i)), st.just(st.integers(0, i + 2)))
+        step = draw(st.sampled_from(_STEPS)).format(
+            n=draw(st.sampled_from(_NOUNS)), v=draw(st.sampled_from(_VALUES)),
+            r=draw(ref), q=draw(ref),
+        )
+        noise = st.one_of(st.text(max_size=12), st.just("return #" + "1" * 5000))
+        steps.append(_mostly(draw, st.just(step), noise))
+    return "; ".join(steps)
+
+
+@st.composite
+def _corpus_line(draw):
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.text(max_size=20).filter(lambda t: "\n" not in t))
+    fields = {
+        "id": draw(st.one_of(st.text(max_size=4), st.integers())),
+        "question": draw(st.text(max_size=10)),
+        "qdmr": _mostly(draw, _decomposition(), _JSON),
+        # An unknown db_id stops the whole run before any search.
+        "db_id": _mostly(draw, st.sampled_from(_DB_IDS), _JSON),
+    }
+    parts = [
+        f"{json.dumps(name)}: {json.dumps(value, ensure_ascii=draw(st.booleans()))}"
+        for name, value in fields.items()
+        if draw(st.integers(0, 29))  # now and then a field is missing
+    ]
+    if draw(st.integers(0, 29)):
+        answer = _mostly(
+            draw,
+            st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4)).map(json.dumps),
+            _ODD_ANSWERS,
+        )
+        parts.append(f'"answer": {answer}')
+    return "{" + ", ".join(parts) + "}"
+
+
+class TestDrawnCorpora:
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(lines=st.lists(_corpus_line(), min_size=1, max_size=3))
+    def test_synth_never_exits_with_an_internal_error(self, db_dir, lines):
+        with tempfile.TemporaryDirectory() as out:
+            corpus = Path(out) / "corpus.jsonl"
+            corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            code = main(
+                ["synth", "--examples", str(corpus), "--db-dir", str(db_dir),
+                 "--embeddings", str(EMBEDDINGS), "--timeout-secs", "0.2",
+                 "--out-pairs", str(Path(out) / "pairs.jsonl"),
+                 "--out-report", str(Path(out) / "report.json")]
+            )
+        assert code in (0, 2)

@@ -174,6 +174,13 @@ class TestResolveDatabase:
         with pytest.raises(FileUnreadable):
             resolve_database(tmp_path, "ghost")
 
+    @pytest.mark.parametrize(
+        "db_id", ["x" * 5000, "nul\x00byte"], ids=["too_long", "nul_byte"]
+    )
+    def test_a_name_the_os_refuses_is_missing(self, tmp_path, db_id):
+        with pytest.raises(FileUnreadable):
+            resolve_database(tmp_path, db_id)
+
 
 class TestCoveragePercent:
     def test_published_corpus_ratio(self):

@@ -224,6 +224,11 @@ class TestValidation:
         with pytest.raises(MalformedReference):
             parse_qdmr("return dogs; return # 1 in France")
 
+    @pytest.mark.parametrize("digits", [10, 5000])
+    def test_overlong_step_number(self, digits):
+        with pytest.raises(MalformedReference):
+            parse_qdmr("return dogs; return #" + "1" * digits)
+
     def test_trailing_semicolon_tolerated(self):
         assert len(parse_qdmr("return dogs;").steps) == 1
 

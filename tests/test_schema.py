@@ -51,9 +51,44 @@ class TestIntrospection:
             lookups = {str(c): c.lookup for c in load_schema(conn).columns()}
         finally:
             conn.close()
+        # Only the column with the COLLATE clause is probed, not its table.
         assert lookups == {
-            "a.code": "probe", "a.note": "map", "b.name": "probe", "b.city": "probe",
+            "a.code": "probe", "a.note": "map", "b.name": "probe", "b.city": "map",
         }
+
+    # A COLLATE clause on one column, in a default value's text and in a
+    # table constraint; only the first makes its column collated.
+    COLLATED_TABLE = (
+        "CREATE TABLE t (a TEXT COLLATE NOCASE, b TEXT,"
+        " collate_date TEXT DEFAULT 'x COLLATE y',"
+        " CHECK (b COLLATE NOCASE <> ''))"
+    )
+
+    def test_collation_is_decided_per_column(self):
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.executescript(
+                self.COLLATED_TABLE + ";"
+                "CREATE TABLE r (x TEXT COLLATE RTRIM, n INTEGER COLLATE NOCASE,"
+                " y TEXT COLLATE BINARY);"
+            )
+            cols = {str(c): c for c in load_schema(conn).columns()}
+        finally:
+            conn.close()
+        collated = {name for name, c in cols.items() if c.collated}
+        assert collated == {"t.a", "r.x", "r.n"}
+        assert cols["t.b"].lookup == cols["t.collate_date"].lookup == "map"
+        assert cols["t.a"].lookup == cols["r.x"].lookup == "probe"
+
+    def test_unknown_collation_counts_as_collated(self, tmp_path):
+        path = tmp_path / "custom.sqlite"
+        conn = sqlite3.connect(path)
+        conn.create_collation("reverse", lambda x, y: (y > x) - (y < x))
+        conn.executescript("CREATE TABLE t (a TEXT COLLATE reverse, b TEXT);")
+        conn.close()
+        cols = {str(c): c for c in load_schema(path).columns()}
+        assert cols["t.a"].collated and cols["t.a"].lookup == "probe"
+        assert not cols["t.b"].collated and cols["t.b"].lookup == "map"
 
     def test_foreign_keys(self, academic_db):
         schema = load_schema(academic_db)

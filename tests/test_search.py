@@ -6,6 +6,7 @@ candidates tried before the hit, which repair heuristics fired, and the
 winning SQL.
 """
 
+import dataclasses
 import importlib
 import sqlite3
 import time
@@ -26,7 +27,7 @@ from conftest import (
     schema_of,
 )
 from qdmr2sql import corpus as corpus_module
-from qdmr2sql import linking
+from qdmr2sql import linking, sqlgen
 from qdmr2sql.corpus import Example, load_examples, run_corpus
 from qdmr2sql.errors import Qdmr2SqlError, SqlError
 from qdmr2sql.executor import (
@@ -39,7 +40,6 @@ from qdmr2sql.search import (
     Session,
     SynthesisConfig,
     heuristic_aggregate_swap,
-    heuristic_distinct,
     heuristic_superlative,
     search,
 )
@@ -73,13 +73,40 @@ class TestConfig:
             SynthesisConfig(**kwargs)
 
 
-class TestDistinctHeuristic:
-    def test_copies_and_sets_flag(self):
-        q = SqlQuery(select=("x",), from_tables=("t",))
-        out = heuristic_distinct(q)
-        assert out.distinct
-        assert not q.distinct
-        assert out is not q
+class TestDistinctTry:
+    def test_second_try_renders_the_mapped_query_distinct(
+        self, products_db, open_db, lexicon, monkeypatch
+    ):
+        # The DISTINCT try renders the very query the first try rendered,
+        # with the flag set; no copy of it is made.
+        mapped, rendered = [], []
+        real_synthesize = search_module.synthesize
+        real_render = search_module.render_sql
+
+        def mapping(*args):
+            mapped.append(real_synthesize(*args))
+            return mapped[-1]
+
+        def recording(query, distinct=False):
+            rendered.append((query, distinct))
+            return real_render(query, distinct=distinct)
+
+        monkeypatch.setattr(search_module, "synthesize", mapping)
+        monkeypatch.setattr(search_module, "render_sql", recording)
+        out = run_search(
+            open_db,
+            products_db,
+            lexicon,
+            "return product types; return the number of #1",
+            DISTINCT_PRODUCT_TYPES,
+        )
+        assert out.heuristics_applied == ("distinct",)
+        assert [(id(q), d) for q, d in rendered] == [
+            (id(mapped[0]), False), (id(mapped[0]), True),
+        ]
+        assert out.sql == render_sql(mapped[0], distinct=True)
+        assert "distinct" not in {f.name for f in dataclasses.fields(SqlQuery)}
+        assert not hasattr(search_module, "heuristic_distinct")
 
 
 class TestSuperlativeHeuristic:
@@ -287,6 +314,22 @@ class TestEndToEnd:
             "2:the majors of": "student.major",
         }
 
+    def test_numeric_looking_text_literal(self, tmp_path, open_db):
+        # '1e5' in a TEXT column is compared as that text, not as 100000.0.
+        path = tmp_path / "items.sqlite"
+        build_db(
+            path,
+            "CREATE TABLE item (id INTEGER PRIMARY KEY, code TEXT, name TEXT);"
+            "INSERT INTO item VALUES (1, '1e5', 'widget'), (2, 'abc', 'gadget');",
+        )
+        out = run_search(
+            open_db, path, None,
+            "return items; return #1 with code 1e5; return the name of #2",
+            ["widget"],
+        )
+        assert out.status is SearchStatus.FOUND
+        assert "item.code = '1e5'" in out.sql
+
     def test_distinct_repair(self, products_db, open_db, lexicon):
         out = run_search(
             open_db,
@@ -443,7 +486,7 @@ class TestFailureStatuses:
     ):
         # No candidate executes, so none may be decided without running:
         # not by width ([1, 2]), not by kind ("three" against a COUNT) and
-        # not as a DISTINCT copy.  Each is rejected and counted.
+        # not as a DISTINCT try.  Each is rejected and counted.
         for answer in (999, [[1, 2]], [["three"]]):
             calls = []
 
@@ -481,13 +524,18 @@ class TestFailureStatuses:
     def test_exhausted_when_repairs_disabled(
         self, products_db, open_db, lexicon, monkeypatch
     ):
-        # No rewrite, and a DISTINCT copy that is its base query again:
+        # No rewrite, and a DISTINCT try that renders its base query again:
         # COUNT over any column is 6, so without the DISTINCT repair nothing
         # reaches 3.  Each of the 3 base queries is tried twice.
+        real_render = search_module.render_sql
+
+        def without_distinct(query, distinct=False):
+            return real_render(query)
+
         monkeypatch.setattr(
             search_module, "_program_variants", lambda program: [(program, ())]
         )
-        monkeypatch.setattr(search_module, "heuristic_distinct", lambda query: query)
+        monkeypatch.setattr(search_module, "render_sql", without_distinct)
         out = run_search(
             open_db,
             products_db,
@@ -730,8 +778,8 @@ class TestCandidateOrder:
         rendered = []
         real_render = search_module.render_sql
 
-        def recording(query):
-            rendered.append(real_render(query))
+        def recording(query, distinct=False):
+            rendered.append(real_render(query, distinct=distinct))
             return rendered[-1]
 
         monkeypatch.setattr(search_module, "render_sql", recording)
@@ -900,10 +948,11 @@ def _plain(*items, **clauses):
     return SqlQuery(select=items, from_tables=("t",), **clauses)
 
 
-def _rows_of(conn, query):
+def _rows_of(conn, query, distinct=False):
     """The full result of ``query``; None when the engine rejects it."""
     try:
-        return Denotation.from_rows(conn.execute(render_sql(query)).fetchall())
+        sql = render_sql(query, distinct=distinct)
+        return Denotation.from_rows(conn.execute(sql).fetchall())
     except sqlite3.Error:
         return None
 
@@ -965,7 +1014,7 @@ class TestDecidedCandidates:
                 self._check_rules(conn, query, session.census)
             index, distinct = source
             query = queries[index % len(queries)]
-            result = _rows_of(conn, heuristic_distinct(query) if distinct else query)
+            result = _rows_of(conn, query, distinct)
             if drawn is not None or result is None:
                 answer = drawn or []
             else:
@@ -977,7 +1026,7 @@ class TestDecidedCandidates:
     @staticmethod
     def _check_rules(conn, query, census):
         """The rules hold on ``query`` whatever the answer: each cell is of
-        a kind its select item may yield, and a DISTINCT copy the search
+        a kind its select item may yield, and a DISTINCT try the search
         would decide returns the same rows as a set."""
         rows = _rows_of(conn, query)
         if rows is None:
@@ -988,30 +1037,28 @@ class TestDecidedCandidates:
             assert all(map(frozenset.__contains__, kinds, cell_kinds)), (
                 render_sql(query), row,
             )
-        if search_module._distinct_keeps_rows(query):
-            copied = _rows_of(conn, heuristic_distinct(query))
-            assert set(copied.rows) == set(rows.rows), render_sql(query)
+        if sqlgen._distinct_keeps_rows(query):
+            deduplicated = _rows_of(conn, query, distinct=True)
+            assert set(deduplicated.rows) == set(rows.rows), render_sql(query)
 
     @staticmethod
     def _check_search(conn, session, queries, answer, allow_empty):
         """Run the search over ``queries`` as the mapped candidates, then
         read every candidate it decided in full."""
+        # A try is (query, distinct); the search renders the tries of the
+        # query it mapped last, so a rendered try is known by its position.
         built, rendered, ran = [], [], []
         real_render = search_module.render_sql
-        real_distinct = search_module.heuristic_distinct
         real_execute = Database.execute
 
         def synthesize(*args):
-            built.append(queries[len(built) // 2])
+            built.append(queries[len(built)])
             return built[-1]
 
-        def distinct(query):
-            built.append(real_distinct(query))
-            return built[-1]
-
-        def render(query):
-            rendered.append(query)
-            return real_render(query)
+        def render(query, distinct=False):
+            assert query is built[-1]
+            rendered.append(2 * (len(built) - 1) + distinct)
+            return real_render(query, distinct=distinct)
 
         def execute(self, sql, deadline, target):
             result = real_execute(self, sql, deadline, target)
@@ -1023,23 +1070,21 @@ class TestDecidedCandidates:
             mp.setattr(search_module, "enumerate_assignments",
                        lambda slots, limit: (linking.Assignment({}) for _ in queries))
             mp.setattr(search_module, "synthesize", synthesize)
-            mp.setattr(search_module, "heuristic_distinct", distinct)
             mp.setattr(search_module, "render_sql", render)
             mp.setattr(Database, "execute", execute)
             out = search(FakeExample("return things", answer), session)
 
         target = answer_denotation(answer)
-        tried = built[: out.candidates_tried]
-        rendered_ids, ran_ids = {id(q) for q in rendered}, {id(q) for q in ran}
-        for position, candidate in enumerate(tried):
-            if id(candidate) in rendered_ids:
+        tries = [(query, distinct) for query in built for distinct in (False, True)]
+        for position in range(out.candidates_tried):
+            if position in rendered:
                 continue
             # Decided: an earlier candidate ran, and this one cannot match.
-            assert any(id(q) in ran_ids for q in tried[:position])
-            result = _rows_of(conn, candidate)
+            assert any(p < position for p in ran)
+            result = _rows_of(conn, *tries[position])
             assert result is None or not denotations_equal(
                 result, target, allow_empty
-            ), render_sql(candidate)
+            ), render_sql(*tries[position])
 
     def test_census_reads_one_row_per_table(self):
         # Each table is read in one statement that aggregates each column's
@@ -1067,13 +1112,40 @@ class TestDecidedCandidates:
         finally:
             conn.close()
 
+    def test_distinct_try_on_an_uncollated_column_is_decided(self, tmp_path, open_db):
+        # Only t.a carries a collation; the COLLATE words elsewhere in the
+        # table's CREATE do not make t.b collated, so t.b's DISTINCT try
+        # takes its base query's verdict and never runs.
+        path = tmp_path / "t.sqlite"
+        build_db(
+            path,
+            "CREATE TABLE t (a TEXT COLLATE NOCASE, b TEXT,"
+            " collate_date TEXT DEFAULT 'x COLLATE y',"
+            " CHECK (b COLLATE NOCASE <> ''));"
+            "INSERT INTO t VALUES ('Ann', 'Ann', 'x'), ('ANN', 'ANN', 'y');",
+        )
+        executed = []
+        real_execute = Database.execute
+
+        def recording(self, sql, deadline, target):
+            executed.append(sql)
+            return real_execute(self, sql, deadline, target)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Database, "execute", recording)
+            out = run_search(open_db, path, None, "return b", ["Zed"])
+        assert out.status is SearchStatus.EXHAUSTED
+        assert "SELECT t.b FROM t" in executed
+        assert "SELECT DISTINCT t.b FROM t" not in executed
+        assert "SELECT DISTINCT t.a FROM t" in executed
+
     @pytest.mark.parametrize("collate", [" COLLATE NOCASE", ""])
     def test_distinct_copy_runs_only_under_a_collation(
         self, tmp_path, open_db, collate
     ):
-        # Under NOCASE, DISTINCT keeps one of 'Ann' and 'ANN', so the copy
-        # matches where its base did not: it must run, not take the base's
-        # verdict.  Without a collation it cannot match and does not run.
+        # Under NOCASE, DISTINCT keeps one of 'Ann' and 'ANN', so the DISTINCT
+        # try matches where the first did not: it must run, not take the
+        # first try's verdict.  Without a collation it cannot match and does not run.
         path = tmp_path / "people.sqlite"
         build_db(
             path,

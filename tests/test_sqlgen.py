@@ -12,6 +12,7 @@ import sqlite3
 
 import pytest
 
+from conftest import build_db
 from qdmr2sql import (
     Assignment,
     ArityMismatch,
@@ -30,7 +31,6 @@ from qdmr2sql import (
     synthesize,
 )
 from qdmr2sql.schema import ColumnRef
-from qdmr2sql.search import heuristic_distinct
 from qdmr2sql.sqlgen import (
     AggExpr,
     ArithExpr,
@@ -555,8 +555,7 @@ class TestImmutableTree:
         first, sql = build(ship_death_db, self.SUPERLATIVE, self.CHOICES)
         again, _ = build(ship_death_db, self.SUPERLATIVE, self.CHOICES)
         assert first == again and hash(first) == hash(again)
-        assert heuristic_distinct(first) != first
-        assert render_sql(heuristic_distinct(first)) == sql.replace(
+        assert render_sql(first, distinct=True) == sql.replace(
             "SELECT ", "SELECT DISTINCT ", 1
         )
 
@@ -607,17 +606,16 @@ class TestRenderDetails:
         q = SqlQuery(
             select=[self._col(ship_death_db, "ship", "name")],
             from_tables=["ship"],
-            distinct=True,
         )
-        assert render_sql(q) == "SELECT DISTINCT ship.name FROM ship"
+        assert render_sql(q, distinct=True) == "SELECT DISTINCT ship.name FROM ship"
 
     def test_distinct_moves_inside_aggregate(self, ship_death_db):
         q = SqlQuery(
             select=[AggExpr("count", self._col(ship_death_db, "ship", "name"))],
             from_tables=["ship"],
-            distinct=True,
         )
-        assert render_sql(q) == "SELECT COUNT(DISTINCT ship.name) FROM ship"
+        sql = render_sql(q, distinct=True)
+        assert sql == "SELECT COUNT(DISTINCT ship.name) FROM ship"
 
     def test_no_trailing_semicolon(self, ship_death_db):
         _, sql = build(ship_death_db, "return ships", {"1:ships": "ship.id"})
@@ -638,6 +636,25 @@ class TestRenderDetails:
         assert len(query.select) == 1
         assert query.where
 
+
+class TestLiteralSpelling:
+    @pytest.mark.parametrize("code", ["1e5", "2E3", "-1e2"])
+    def test_literal_is_spelled_as_the_index_found_it(self, tmp_path, code):
+        # The value index found the text in a TEXT column; read as a number
+        # (100000.0), it would match no row of that column.
+        path = tmp_path / "items.sqlite"
+        build_db(
+            path,
+            "CREATE TABLE item (id INTEGER PRIMARY KEY, code TEXT, name TEXT);"
+            f"INSERT INTO item VALUES (1, '{code}', 'widget'), (2, 'abc', 'gadget');",
+        )
+        _, sql = build(
+            path,
+            f"return items; return #1 with code {code}; return the name of #2",
+            {"1:items": "item.id", "3:the name of": "item.name"},
+        )
+        assert f"item.code = '{code}'" in sql
+        assert run(path, sql).rows == (("widget",),)
 
 class TestFailures:
     def test_arithmetic_over_non_scalar(self, ship_death_db):
