@@ -8,7 +8,8 @@ are never silently dropped.
 
 A batch run opens, introspects and value-indexes each database once, on
 its first example, and searches every example on that database through
-that one session, which also ranks each distinct phrase once.  With
+that one session, which also ranks each distinct phrase, prepares each
+distinct decomposition and searches each join path once.  With
 several jobs, each thread takes one database's examples at a time.
 Results are merged back in input order, and no example's outcome depends
 on the others, so repeated runs and runs with any number of jobs produce
@@ -149,8 +150,15 @@ def load_examples(
 
 
 def resolve_database(databases_dir: Union[str, Path], db_id: str) -> Path:
-    """Locate the database file for ``db_id`` under ``databases_dir``."""
+    """Locate the database file for ``db_id`` under ``databases_dir``.
+
+    A ``db_id`` must be one path component: one with a separator (so any
+    absolute one), ``.`` or ``..`` names no file here, so it raises
+    FileUnreadable like a missing one.
+    """
     root = Path(databases_dir)
+    if db_id in ("", ".", "..") or Path(db_id).name != db_id:
+        raise FileUnreadable(f"no database file for {db_id!r} under {root}")
     candidates = [
         root / db_id,
         root / f"{db_id}.sqlite",

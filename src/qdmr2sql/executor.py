@@ -110,7 +110,9 @@ def normalize_answer(answer) -> List[list]:
 
     A scalar becomes one cell, a flat list of scalars one column, and a
     list of rows (lists or tuples) passes through.  Raises ValueError on
-    any other shape and on a cell that is not null or a canonical scalar.
+    any other shape, on a cell that is not null or a canonical scalar, and
+    on a NaN cell, which no cell matches.  An infinite cell is kept: SQLite
+    yields infinities, and an infinite cell matches an equal one.
     """
     if answer is None or isinstance(answer, _SCALARS):
         answer = [answer]
@@ -134,6 +136,8 @@ def normalize_answer(answer) -> List[list]:
                     float(cell)
                 except OverflowError:
                     raise ValueError("answer number too large for a float") from None
+            elif type(cell) is float and math.isnan(cell):
+                raise ValueError("answer cell NaN matches no cell")
         rows.append(row)
     return rows
 

@@ -1,15 +1,31 @@
 """Execution-guided search over phrase assignments and repair heuristics.
 
 The mapper is deterministic once every phrase is bound to a column, so the
-search space is the space of bindings.  An example is planned
-(:func:`~qdmr2sql.linking.plan_bindings`) and linked once, and its
-assignments are tried best-first by summed candidate rank.  For each
-assignment, each variant of the decomposition is mapped under the
-example's one plan, in this order: the base decomposition; the
-superlative rewrite, which turns a superlative buried in a noun phrase
-("state with the largest #2") into an explicit step ("#1 where #2 is
-highest"); one COUNT/SUM swap per aggregating step.  Each mapped query is
-tried as mapped, then rendered with DISTINCT (a flag of ``render_sql``).
+search space is the space of bindings.  Its assignments are tried
+best-first by summed candidate rank.  For each assignment, each variant of
+the decomposition is mapped under one plan, in this order: the base
+decomposition; the superlative rewrite, which turns a superlative buried
+in a noun phrase ("state with the largest #2") into an explicit step ("#1
+where #2 is highest"); one COUNT/SUM swap per aggregating step.  Each
+mapped query is tried as mapped, then rendered with DISTINCT (a flag of
+``render_sql``).
+
+Nothing an assignment cannot change is built twice:
+
+- once per session, for each distinct decomposition
+  (:meth:`Session.prepare`): the plan
+  (:func:`~qdmr2sql.linking.plan_bindings`), the slots with their ranked
+  columns (:func:`~qdmr2sql.linking.link_program`), the variants, and for
+  each variant the slots each step reads
+  (:func:`~qdmr2sql.sqlgen.step_reads`);
+- once per session, for each join-path key: the join path;
+- once per example and variant, for each step but the last and each set
+  of columns of the slots it reads: the step's query
+  (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments differ in
+  one slot, so most steps repeat.
+
+Each variant of each assignment is still one call of ``synthesize``, made
+only while the deadline holds.
 
 The first candidate whose denotation equals the answer wins.  A variant
 that cannot be mapped is skipped; candidates that the engine rejects are
@@ -53,7 +69,9 @@ from .executor import (
 )
 from .linking import (
     Assignment,
+    BindingPlan,
     EmbeddingLexicon,
+    Slot,
     enumerate_assignments,
     link_program,
     plan_bindings,
@@ -61,8 +79,8 @@ from .linking import (
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
 from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident
 from .sqlgen import (
-    AggExpr, ColExpr, SelectItem, SqlQuery, render_sql, synthesize,
-    _aggregates, _distinct_keeps_rows,
+    AggExpr, ColExpr, JoinPaths, Reads, SelectItem, SqlQuery, StepMemo, render_sql,
+    step_reads, synthesize, _aggregates, _distinct_keeps_rows,
 )
 
 __all__ = [
@@ -260,19 +278,33 @@ def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str
     ]
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """What a session builds once for a decomposition: its plan, its slots
+    with their candidate columns, and its variants, each as ``(program,
+    labels, reads)`` with the slots each step reads
+    (:func:`~qdmr2sql.sqlgen.step_reads`)."""
+
+    plan: BindingPlan
+    slots: List[Tuple[Slot, Tuple[ColumnRef, ...]]]
+    variants: Tuple[Tuple[QdmrProgram, Tuple[str, ...], Reads], ...]
+
+
 class Session:
     """One database's search state, shared by every example searched on it.
 
     Holds the database, its schema, the config and lexicon, a
     :class:`ValueIndex` over the database's connection, a census of the
-    kinds of cell each column holds and a memo from phrase to column
-    ranking.  Constructing a session builds the value index, which reads
-    the database's text columns, and takes the census, so those reads fall
-    outside every example's deadline.  A ranking depends on the schema,
-    the lexicon and ``config.top_k``, so the memo is valid only while all
-    three stay those of this session; a session never changes them.  Use
-    and close a session on the thread that opened its database: SQLite
-    connections refuse other threads.
+    kinds of cell each column holds, and three memos that fill as
+    examples are searched: phrase to column ranking, decomposition to its
+    plan, slots and variants (:meth:`prepare`), and join-path key to join
+    path.  Constructing a session builds the value index, which reads the
+    database's text columns, and takes the census, so those reads fall
+    outside every example's deadline.  Each memo depends only on the
+    schema, the value index, the lexicon and the config, and a session
+    never changes them, so each holds for the session's life and no
+    longer.  Use and close a session on the thread that opened its
+    database: SQLite connections refuse other threads.
     """
 
     def __init__(
@@ -289,6 +321,25 @@ class Session:
         self.value_index = ValueIndex(database.conn, schema)
         self.census = _kind_census(database.conn, schema)
         self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
+        self.prepared: Dict[QdmrProgram, _Prepared] = {}
+        self.join_paths: JoinPaths = {}
+
+    def prepare(self, program: QdmrProgram) -> _Prepared:
+        """``program`` planned, linked and rewritten, on its first search in
+        this session; taken from the memo after that."""
+        prepared = self.prepared.get(program)
+        if prepared is None:
+            plan = plan_bindings(program, self.value_index)
+            slots = link_program(
+                plan, self.schema, self.lexicon, self.value_index,
+                self.config.top_k, self.rankings,
+            )
+            variants = tuple(
+                (variant, labels, step_reads(variant, plan))
+                for variant, labels in _program_variants(program)
+            )
+            prepared = self.prepared[program] = _Prepared(plan, slots, variants)
+        return prepared
 
     def close(self) -> None:
         self.database.close()
@@ -303,7 +354,9 @@ def _timeout(tried: int, reason: str) -> SynthesisOutcome:
 def search(example, session: Session) -> SynthesisOutcome:
     """Search for a query whose execution matches the example's answer.
 
-    ``example`` must expose a parsed ``program`` and an ``answer``.
+    ``example`` must expose a parsed ``program`` and an ``answer``.  The
+    program is prepared through ``session`` (:meth:`Session.prepare`), and
+    its mapped steps are kept for this search alone.
     Statuses: Found on the first matching candidate, Exhausted when the
     assignment stream runs dry, Timeout on deadline, MappingFailed when no
     candidate could even be built and executed.
@@ -311,23 +364,24 @@ def search(example, session: Session) -> SynthesisOutcome:
     config = session.config
     deadline = time.monotonic() + config.per_example_timeout
     target = answer_denotation(example.answer)
-    plan = plan_bindings(example.program, session.value_index)
-    slots = link_program(
-        plan, session.schema, session.lexicon, session.value_index,
-        config.top_k, session.rankings,
-    )
-    variants = _program_variants(example.program)
+    prepared = session.prepare(example.program)
+    variants = [
+        (program, labels, StepMemo(reads, session.join_paths))
+        for program, labels, reads in prepared.variants
+    ]
 
     tried = 0
     executed = False  # whether a candidate ran without an engine error
     mapping_error: Optional[str] = None  # the last one
     engine_error: Optional[str] = None  # the first one
-    for assignment in enumerate_assignments(slots, config.max_assignments):
-        for program, labels in variants:
+    for assignment in enumerate_assignments(prepared.slots, config.max_assignments):
+        for program, labels, memo in variants:
             if time.monotonic() >= deadline:
                 return _timeout(tried, "search deadline exceeded")
             try:
-                query = synthesize(program, session.schema, assignment, plan)
+                query = synthesize(
+                    program, session.schema, assignment, prepared.plan, memo
+                )
             except Qdmr2SqlError as exc:
                 mapping_error = str(exc)
                 continue

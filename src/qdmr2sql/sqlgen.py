@@ -29,6 +29,12 @@ operand's grouping preserved.  A literal the value index found is compared
 as that text (``code = '1e5'``), a comparison value as the number it spells.
 DISTINCT is a flag of :func:`render_sql`, not part of a query;
 :func:`_distinct_keeps_rows` says when it cannot change the set of rows.
+
+A step's query depends only on the columns of the slots it reads
+(:func:`step_reads`), the schema and the join paths between its tables.
+So a :class:`StepMemo` keeps each step's query across the assignments of
+one example, and the join paths found, keyed by the tables and anchor
+columns they connect, serve a whole session.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Union,
 )
 
 from .errors import (
@@ -49,7 +56,7 @@ from .errors import (
     UnmappedReference,
 )
 from .joinpath import JoinPath, join_tables
-from .linking import Assignment, BindingPlan
+from .linking import Assignment, BindingPlan, Slot
 from .qdmr import OpKind, QdmrProgram, QdmrStep
 from .schema import ColumnRef, SchemaGraph, quote_ident
 
@@ -62,6 +69,8 @@ __all__ = [
     "InPred",
     "OrGroup",
     "SqlQuery",
+    "StepMemo",
+    "step_reads",
     "synthesize",
     "render_sql",
 ]
@@ -261,14 +270,21 @@ def _merged(*groups: Iterable) -> tuple:
     return tuple(dict.fromkeys(chain(*groups)))
 
 
+# A join path's key: the tables already covered, the tables to reach and
+# the anchor columns.  A key whose tables no path connects keeps the reason.
+JoinKey = Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[ColumnRef]]
+JoinPaths = Dict[JoinKey, Union[JoinPath, str]]
+
+
 def _join_units(
-    schema: SchemaGraph,
+    ctx: "_Context",
     units: Sequence[Tuple[Sequence[str], Iterable[ColumnRef]]],
 ) -> Tuple[Tuple[str, ...], List[JoinPred]]:
     """Connect every unit (tables, anchor columns) into one component.
 
     Returns the FROM tables, the units' own in order and then those the
-    join paths add, and the join conjuncts of those paths.
+    join paths add, and the join conjuncts of those paths.  Each path is
+    searched once per key and kept in ``ctx.paths``.
     """
     own_tables = [tables for tables, _ in units]
     units = [u for u in units if u[0]]
@@ -281,10 +297,16 @@ def _join_units(
         if set(tables) & covered:
             covered |= set(tables)
             continue
-        try:
-            path = join_tables(schema, covered, tables, anchors)
-        except DisconnectedTables as exc:
-            raise MissingJoin(str(exc)) from exc
+        key = (frozenset(covered), frozenset(tables), anchors)
+        path = ctx.paths.get(key)
+        if path is None:
+            try:
+                path = join_tables(ctx.schema, covered, tables, anchors)
+            except DisconnectedTables as exc:
+                path = str(exc)
+            ctx.paths[key] = path
+        if isinstance(path, str):
+            raise MissingJoin(path)
         paths.append(path)
         covered |= set(tables) | set(path.tables)
     joins = [JoinPred(e.source, e.target) for p in paths for e in p.edges]
@@ -316,13 +338,15 @@ class _Context:
     ``columns`` is the assignment's map from slot to column; rules look a
     column up under a plain ``(step, text)`` tuple, which finds the
     ``Slot`` key (a NamedTuple hashes and compares as a tuple) and costs
-    less to build.  ``mapped`` holds the steps mapped so far.
+    less to build.  ``mapped`` holds the steps mapped so far, ``paths``
+    the join paths found so far.
     """
 
     columns: Mapping[Tuple[Optional[int], str], ColumnRef]
     step_literals: Mapping[int, Tuple[str, ...]]
     mapped: Dict[int, _MappedStep]
     schema: SchemaGraph
+    paths: JoinPaths
 
     def column(self, step: QdmrStep, text: str) -> ColumnRef:
         col = self.columns.get((step.index, text))
@@ -416,7 +440,7 @@ def _build_filter(step: QdmrStep, ctx: _Context) -> Built:
     units = [(base.query.from_tables, base.cols)]
     units += [([c.table], [c]) for c in own_cols]
     units += [(m.query.from_tables, m.cols) for m in extra]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     conflict = any(
         isinstance(p, CmpPred)
@@ -452,7 +476,7 @@ def _build_project(step: QdmrStep, ctx: _Context) -> Built:
     extras = [ctx.ref(r) for r in step.shape.extra_refs]
     units = [([col.table], [col]), (base.query.from_tables, base.cols)]
     units += [(m.query.from_tables, m.cols) for m in extras]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     q = SqlQuery(
         select=(ColExpr(col),),
@@ -490,7 +514,7 @@ def _build_group(step: QdmrStep, ctx: _Context) -> Built:
     if not isinstance(key_expr, ColExpr):
         raise ArityMismatch(f"step {step.index}: grouping key is not a column")
     units = [(value_tables, value_cols), (key_tables, key_cols)]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     q = SqlQuery(
         select=(AggExpr(step.operator.aggregate_fn, value_expr),),
@@ -507,7 +531,7 @@ def _build_superlative(step: QdmrStep, ctx: _Context) -> Built:
     entity = ctx.ref(step.shape.entity)
     measure = ctx.ref(step.shape.measure)
     units = [(m.query.from_tables, m.cols) for m in (entity, measure)]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     direction = "DESC" if step.operator.aggregate_fn == "max" else "ASC"
     q = SqlQuery(
@@ -530,7 +554,7 @@ def _build_comparative(step: QdmrStep, ctx: _Context) -> Built:
         step, step.shape.target
     )
     units = [(base.query.from_tables, base.cols), (target_tables, target_cols)]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     where = [_inherited(base.query.where)]
     if target_ref is not None:
@@ -561,7 +585,7 @@ def _build_union(step: QdmrStep, ctx: _Context) -> Built:
     if len(members) < 2:
         raise SqlBuildError(f"step {step.index}: union needs two operands")
     units = [(m.query.from_tables, m.cols) for m in members]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     sides = tuple(_inherited(m.query.where) for m in members)
     q = SqlQuery(
@@ -575,7 +599,7 @@ def _build_union(step: QdmrStep, ctx: _Context) -> Built:
 def _build_union_column(step: QdmrStep, ctx: _Context) -> Built:
     members = [ctx.ref(r) for r in step.shape.refs]
     units = [(m.query.from_tables, m.cols) for m in members]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     q = SqlQuery(
         select=tuple(m.query.select[0] for m in members),
@@ -598,7 +622,7 @@ def _build_intersect(step: QdmrStep, ctx: _Context) -> Built:
         col = head.col
     units = [([col.table], [col])]
     units += [(m.query.from_tables, m.cols) for m in (left, right)]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     head = ColExpr(col)
     inner = SqlQuery(
@@ -618,7 +642,7 @@ def _build_sort(step: QdmrStep, ctx: _Context) -> Built:
     base = ctx.ref(step.shape.base)
     key_expr, key_tables, _, key_cols = ctx.operand(step, step.shape.key)
     units = [(base.query.from_tables, base.cols), (key_tables, key_cols)]
-    from_tables, joins = _join_units(ctx.schema, units)
+    from_tables, joins = _join_units(ctx, units)
 
     direction = "DESC" if step.operator.direction == "desc" else "ASC"
     q = SqlQuery(
@@ -680,15 +704,75 @@ _RULES: Dict[OpKind, Callable[[QdmrStep, _Context], Built]] = {
 }
 
 
+Reads = Tuple[Tuple[Slot, ...], ...]
+
+
+def step_reads(program: QdmrProgram, plan: BindingPlan) -> Reads:
+    """For each step, the slots whose columns its query depends on: its own
+    phrase slots and literals under ``plan``, and those of every step it
+    references, transitively.  A rule reads no other slot, so two
+    assignments that agree on these slots map the step to the same query."""
+    reads: List[Tuple[Slot, ...]] = []
+    for step in program.steps:
+        own = [slot for slot in plan.phrase_slots if slot.step == step.index]
+        own += [Slot(None, text) for text in plan.step_literals.get(step.index, ())]
+        inherited = [reads[ref - 1] for ref in step.ref_args]
+        reads.append(tuple(dict.fromkeys(chain(own, *inherited))))
+    return tuple(reads)
+
+
+class StepMemo:
+    """One program's mapped steps, kept across the assignments of one example.
+
+    ``reads`` is :func:`step_reads` of the program; a step is kept under
+    the columns its slots hold.  The last step is not kept: it reads the
+    slots of every step that leads to it, and no two assignments of an
+    example agree on every slot.  ``paths`` is the join-path memo, which
+    holds only what the schema decides and so may serve every memo of one
+    database.
+    """
+
+    __slots__ = ("reads", "paths", "steps")
+
+    def __init__(self, reads: Reads, paths: JoinPaths):
+        self.reads = reads
+        self.paths = paths
+        self.steps: Tuple[Dict[tuple, _MappedStep], ...] = tuple(
+            {} for _ in reads[:-1]
+        )
+
+
 def synthesize(
     program: QdmrProgram,
     schema: SchemaGraph,
     assignment: Assignment,
     plan: BindingPlan,
+    memo: Optional[StepMemo] = None,
 ) -> SqlQuery:
-    """Map every step in order and return the final step's query."""
-    ctx = _Context(assignment.columns, plan.step_literals, {}, schema)
-    for step in program.steps:
+    """Map every step in order and return the final step's query.
+
+    With a ``memo`` built for this program and plan, a step mapped under
+    the same columns of the slots it reads is taken from it, and join
+    paths from its ``paths``.  A step that fails is not kept, so it fails
+    again, with the same error, wherever it recurs.
+    """
+    columns = assignment.columns
+    paths: JoinPaths = {} if memo is None else memo.paths
+    ctx = _Context(columns, plan.step_literals, {}, schema, paths)
+
+    def build(step: QdmrStep) -> _MappedStep:
         q, cols = _RULES[step.operator.kind](step, ctx)
-        ctx.mapped[step.index] = _MappedStep(cols=frozenset(cols), query=q)
+        return _MappedStep(cols=frozenset(cols), query=q)
+
+    kept = () if memo is None else memo.steps
+    for step in program.steps:
+        i = step.index
+        if i <= len(kept):
+            key = tuple(map(columns.get, memo.reads[i - 1]))
+            mapped = kept[i - 1].get(key)
+            if mapped is None:
+                mapped = kept[i - 1][key] = build(step)
+        else:
+            mapped = build(step)
+        ctx.mapped[i] = mapped
     return ctx.mapped[len(program.steps)].query

@@ -102,11 +102,13 @@ class TestSynth:
         ]
         assert rejects[0]["line"] == 2
 
-    # Answers with no canonical cell, and JSON that Python will not read.
+    # Answers with no canonical cell or one that no cell matches, and JSON
+    # that Python will not read.
     BAD_ANSWERS = {
         "overflow": "[" + "9" * 400 + "]",
         "too_many_digits": "1" * 5000,
         "deep_nesting": "[" * 100_000,
+        "nan": "[1, NaN]",
     }
 
     def _synth_lines(self, db_dir, tmp_path, lines):
@@ -147,6 +149,8 @@ class TestSynth:
         assert [r["line"] for r in rejects] == [2]
         if bad == "overflow":
             assert rejects[0]["reason"] == "answer number too large for a float"
+        elif bad == "nan":
+            assert rejects[0]["reason"] == "answer cell NaN matches no cell"
         else:
             assert rejects[0]["reason"].startswith("invalid JSON: ")
 

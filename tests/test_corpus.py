@@ -6,10 +6,12 @@ per-example statuses and the resulting report numbers are pinned here.
 """
 
 import dataclasses
+import importlib
 import json
 import re
 import shutil
 import sqlite3
+from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 
 from conftest import DATA_DIR
 from qdmr2sql import corpus as corpus_module
-from qdmr2sql import linking
+from qdmr2sql import linking, sqlgen
 from qdmr2sql.corpus import (
     CoverageReport,
     CoverageRow,
@@ -33,7 +35,7 @@ from qdmr2sql.corpus import (
 )
 from qdmr2sql.errors import AllLinesInvalid, FileUnreadable, FileUnwritable
 from qdmr2sql.executor import Database
-from qdmr2sql.qdmr import parse_qdmr
+from qdmr2sql.qdmr import parse_qdmr, render_program
 from qdmr2sql.schema import ValueIndex, load_schema, open_readonly
 from qdmr2sql.search import (
     SearchStatus,
@@ -178,6 +180,29 @@ class TestResolveDatabase:
         "db_id", ["x" * 5000, "nul\x00byte"], ids=["too_long", "nul_byte"]
     )
     def test_a_name_the_os_refuses_is_missing(self, tmp_path, db_id):
+        with pytest.raises(FileUnreadable):
+            resolve_database(tmp_path, db_id)
+
+    @pytest.mark.parametrize("spelling", ["relative", "absolute"])
+    def test_a_db_id_naming_a_file_elsewhere_is_missing(self, tmp_path, spelling):
+        root = tmp_path / "root"
+        root.mkdir()
+        for place in ("dbs", "elsewhere"):
+            (tmp_path / place).mkdir()
+            (tmp_path / place / "items.sqlite").write_bytes(b"x")
+        db_id = {
+            "relative": "../dbs/items",
+            "absolute": str(tmp_path / "elsewhere" / "items"),
+        }[spelling]
+        # Joined onto the directory, the db_id names a real file.
+        assert (root / f"{db_id}.sqlite").is_file()
+        with pytest.raises(FileUnreadable):
+            resolve_database(root, db_id)
+
+    @pytest.mark.parametrize("db_id", ["", ".", "..", "items/"])
+    def test_only_a_single_path_component_names_a_database(self, tmp_path, db_id):
+        for name in (".sqlite", "..sqlite", "...sqlite", "items.sqlite"):
+            (tmp_path / name).write_bytes(b"x")
         with pytest.raises(FileUnreadable):
             resolve_database(tmp_path, db_id)
 
@@ -572,6 +597,101 @@ class TestRankingMemo:
         assert narrow_outcomes == fresh_narrow
         found = [o.status is SearchStatus.FOUND for o in narrow_outcomes]
         assert sum(found) < len(EXPECTED_FOUND)
+
+
+# The package re-exports the ``search`` function under the module's name.
+search_module = importlib.import_module("qdmr2sql.search")
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """A record per call of the work a session does once: each join path
+    searched (``sqlgen.join_tables``) as ``("join", database, covered,
+    targets, anchors)``, and, through the search module's names, each
+    decomposition planned as ``("plan", program)``, each linked as
+    ``("link", database)`` and each rewrite parsed as ``("parse", text)``."""
+    calls = []
+    real_join = sqlgen.join_tables
+    real_plan = search_module.plan_bindings
+    real_link = search_module.link_program
+    real_parse = search_module.parse_qdmr
+
+    def join(schema, sources, targets, anchors):
+        key = (frozenset(sources), frozenset(targets), anchors)
+        calls.append(("join", _database_key(schema), *key))
+        return real_join(schema, sources, targets, anchors)
+
+    def plan(program, value_index):
+        calls.append(("plan", program))
+        return real_plan(program, value_index)
+
+    def link(plan, schema, *args):
+        calls.append(("link", _database_key(schema)))
+        return real_link(plan, schema, *args)
+
+    def parse(text):
+        calls.append(("parse", text))
+        return real_parse(text)
+
+    monkeypatch.setattr(sqlgen, "join_tables", join)
+    monkeypatch.setattr(search_module, "plan_bindings", plan)
+    monkeypatch.setattr(search_module, "link_program", link)
+    monkeypatch.setattr(search_module, "parse_qdmr", parse)
+    return calls
+
+
+def _of(kind, calls):
+    return [call[1:] for call in calls if call[0] == kind]
+
+
+class TestSessionMemos:
+    """A session plans, links and rewrites each decomposition once and
+    searches each join path once; a run keeps none of it for the next."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_each_built_once_per_session(self, built, db_dir, lexicon, tmp_path, jobs):
+        examples, _ = load_examples(CORPUS)
+        databases = {ex.program: ex.db_id for ex in examples}
+        # A decomposition on two databases would be planned in each session.
+        assert len({(ex.program, ex.db_id) for ex in examples}) == len(databases)
+        assert len(databases) < len(examples)
+        keys = {}
+        for db_id in dict.fromkeys(databases.values()):
+            conn = open_readonly(resolve_database(db_dir, db_id))
+            try:
+                keys[db_id] = _database_key(load_schema(conn))
+            finally:
+                conn.close()
+        # What rewriting each decomposition once parses.
+        for program in databases:
+            search_module._program_variants(program)
+        rewrites = Counter(_of("parse", built))
+        built.clear()
+
+        again = [dataclasses.replace(ex, id=f"{ex.id}-again") for ex in examples]
+        outcomes, _ = run_corpus(examples + again, db_dir, lexicon=lexicon, jobs=jobs)
+        first, second = outcomes[:len(examples)], outcomes[len(examples):]
+        assert first == second
+        report = CoverageReport.build(examples, first)
+        assert_matches_golden(examples, first, report, tmp_path)
+
+        assert Counter(_of("plan", built)) == Counter((p,) for p in databases)
+        assert Counter(_of("link", built)) == Counter(
+            (keys[db_id],) for db_id in databases.values()
+        )
+        assert Counter(_of("parse", built)) == rewrites
+        joins = _of("join", built)
+        assert joins and len(joins) == len(set(joins))
+
+    def test_a_second_run_recomputes_everything(self, built, db_dir, lexicon):
+        examples, _ = load_examples(CORPUS)
+        first, _ = run_corpus(examples, db_dir, lexicon=lexicon)
+        calls = Counter(built)
+        assert {call[0] for call in calls} == {"join", "plan", "link", "parse"}
+        built.clear()
+        second, _ = run_corpus(examples, db_dir, lexicon=lexicon)
+        assert Counter(built) == calls
+        assert second == first
 
 
 class TestEmitTrainingPairs:

@@ -94,6 +94,13 @@ class TestAnswerDenotation:
         d = answer_denotation([])
         assert d.rows == ()
 
+    def test_nan_is_refused_and_infinity_kept(self):
+        nan, inf = float("nan"), float("inf")
+        for answer in (nan, [1, nan], [[1, nan]]):
+            with pytest.raises(ValueError, match="NaN matches no cell"):
+                answer_denotation(answer)
+        assert answer_denotation([inf, -inf]).rows == ((inf,), (-inf,))
+
 
 class TestCellCanon:
     def test_numbers_collapse_to_float(self):

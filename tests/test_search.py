@@ -44,7 +44,8 @@ from qdmr2sql.search import (
     search,
 )
 from qdmr2sql.sqlgen import (
-    AggExpr, ArithExpr, CmpPred, ColExpr, InPred, SqlQuery, render_sql, synthesize,
+    AggExpr, ArithExpr, CmpPred, ColExpr, InPred, SqlQuery, StepMemo, render_sql,
+    step_reads, synthesize,
 )
 
 # The package re-exports the ``search`` function under the module's name.
@@ -812,9 +813,9 @@ class TestCandidateOrder:
         ]
 
 
-def _mapped(program, schema, assignment, plan):
+def _mapped(program, schema, assignment, plan, memo=None):
     try:
-        return render_sql(synthesize(program, schema, assignment, plan))
+        return render_sql(synthesize(program, schema, assignment, plan, memo))
     except Qdmr2SqlError as exc:
         return type(exc), str(exc)
 
@@ -853,6 +854,74 @@ class TestPlanSharing:
                             )
                             compared += 1
         assert compared > 0
+
+
+class TestStepMemo:
+    def test_memoized_steps_map_as_fresh_ones(self, db_dir, lexicon):
+        """For every fixture example, every assignment its search may
+        enumerate and every variant, mapping through the example's memo
+        renders what mapping afresh renders, or fails with the same error;
+        and the memo is used, not only filled."""
+        examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
+        config = SynthesisConfig()
+        compared = kept = 0
+        for db_id in dict.fromkeys(ex.db_id for ex in examples):
+            with Database.open(db_dir / f"{db_id}.sqlite") as db:
+                session = Session(db, load_schema(db.conn), config, lexicon)
+                for ex in examples:
+                    if ex.db_id != db_id:
+                        continue
+                    prepared = session.prepare(ex.program)
+                    memos = [
+                        StepMemo(reads, session.join_paths)
+                        for _, _, reads in prepared.variants
+                    ]
+                    assignments = list(linking.enumerate_assignments(
+                        prepared.slots, config.max_assignments
+                    ))
+                    for assignment in assignments:
+                        for (variant, _, _), memo in zip(prepared.variants, memos):
+                            args = (variant, session.schema, assignment, prepared.plan)
+                            assert _mapped(*args, memo) == _mapped(*args)
+                            compared += 1
+                    kept += sum(
+                        len(steps) < len(assignments)
+                        for memo in memos for steps in memo.steps if steps
+                    )
+        assert compared > 1000
+        assert kept > 0
+
+    def test_a_step_is_kept_under_the_slots_of_the_steps_it_references(
+        self, ship_death_db, open_db
+    ):
+        """Two assignments that differ only in step 1's slot give step 2
+        different queries, so step 2's memo key must hold step 1's column.
+        A third step makes step 2 one that the memo keeps."""
+        db = open_db(ship_death_db)
+        schema = load_schema(db.conn)
+        program = parse_qdmr(
+            "return ships; return injuries of #1; return the number of #2"
+        )
+        plan = linking.plan_bindings(program, None)
+        ships, injuries = plan.phrase_slots
+        assert (ships.step, injuries.step) == (1, 2)
+        injured = ColumnRef("death", "injured")
+        assignments = [
+            linking.Assignment({ships: ColumnRef(table, column), injuries: injured})
+            for table, column in (("ship", "id"), ("death", "caused_by_ship_id"))
+        ]
+        memo = StepMemo(step_reads(program, plan), {})
+        memoized = [_mapped(program, schema, a, plan, memo) for a in assignments]
+        fresh = [_mapped(program, schema, a, plan) for a in assignments]
+        assert memoized == fresh
+        # Joined to ship through ship.id, or read from death alone.
+        assert fresh == [
+            "SELECT COUNT(death.injured) FROM death, ship"
+            " WHERE death.caused_by_ship_id = ship.id",
+            "SELECT COUNT(death.injured) FROM death",
+        ]
+        # Step 2 was mapped once per assignment, not taken from the first.
+        assert len(memo.steps[1]) == 2
 
 
 # --- candidates decided without running them -----------------------------------
