@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import math
 import sqlite3
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ExecutionTimeout, SqlError
-from .schema import open_readonly
+from .schema import interrupted, open_readonly, set_deadline
 
 __all__ = [
     "Cell",
@@ -49,9 +48,6 @@ __all__ = [
 Cell = Union[None, float, str]
 
 NUMERIC_TOLERANCE = 1e-6
-
-# How many virtual-machine steps run between deadline checks.
-_PROGRESS_GRANULARITY = 1000
 
 
 # The kinds of cell the comparison tells apart, as the types of canonical
@@ -177,20 +173,12 @@ class Database:
         counts the rows read.
 
         The statement is aborted once ``time.monotonic()`` passes
-        ``deadline``, also while its rows are read; the checks piggyback
-        on the engine's progress hook.
+        ``deadline`` (:func:`~qdmr2sql.schema.set_deadline`).
         """
-        timed_out = False
-
-        def _check() -> bool:
-            nonlocal timed_out
-            timed_out = time.monotonic() > deadline
-            return timed_out
-
         wanted = target._distinct
         rows: List[Tuple[Cell, ...]] = []
         try:
-            self.conn.set_progress_handler(_check, _PROGRESS_GRANULARITY)
+            set_deadline(self.conn, deadline)
             try:
                 cursor = self.conn.execute(sql)
                 try:
@@ -205,9 +193,9 @@ class Database:
                     # Resets the statement, which releases its read lock.
                     cursor.close()
             finally:
-                self.conn.set_progress_handler(None, 0)
+                set_deadline(self.conn, None)
         except sqlite3.Error as exc:
-            if timed_out:
+            if interrupted(exc):
                 raise ExecutionTimeout("query ran past its deadline") from exc
             raise SqlError(str(exc)) from exc
         return Denotation(rows=tuple(rows))

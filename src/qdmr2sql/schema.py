@@ -18,7 +18,9 @@ its declared type and whether SQLite compares it under a collation.
 constructor reads each mappable column once into maps from exact and
 case-folded values to columns; lookups probe per literal only the columns
 those maps cannot answer for.  Numeric literals are never value-indexed;
-comparison values are handled by the SQL mapper instead.
+comparison values are handled by the SQL mapper instead.  A lookup made
+under :func:`set_deadline` is aborted at the deadline and raises
+:class:`~qdmr2sql.errors.ExecutionTimeout`; nothing is memoized for it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ import json
 import re
 import sqlite3
 import string
+import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import NoTables, UnreadableDatabase
+from .errors import ExecutionTimeout, NoTables, UnreadableDatabase
 from .text import content_lemmas, tokenize
 
 __all__ = [
@@ -40,9 +43,11 @@ __all__ = [
     "FKEdge",
     "SchemaGraph",
     "ValueIndex",
+    "interrupted",
     "load_schema",
     "open_readonly",
     "quote_ident",
+    "set_deadline",
 ]
 
 _NUMERIC = re.compile(r"[-+]?\d+(?:\.\d+)?")
@@ -241,6 +246,30 @@ def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
     return conn
 
 
+# How many virtual-machine steps run between deadline checks.
+_PROGRESS_GRANULARITY = 1000
+
+
+def set_deadline(conn: sqlite3.Connection, deadline: Optional[float]) -> None:
+    """Abort every statement run on ``conn`` from now on once
+    ``time.monotonic()`` passes the absolute ``deadline``, also while its
+    rows are read; None lifts the deadline.  The checks piggyback on the
+    engine's progress hook, and an aborted statement raises an error for
+    which :func:`interrupted` holds."""
+    if deadline is None:
+        conn.set_progress_handler(None, 0)
+    else:
+        conn.set_progress_handler(
+            lambda: time.monotonic() > deadline, _PROGRESS_GRANULARITY
+        )
+
+
+def interrupted(exc: sqlite3.Error) -> bool:
+    """Whether the engine aborted the statement because its progress hook
+    asked it to, which only :func:`set_deadline` does."""
+    return isinstance(exc, sqlite3.OperationalError) and str(exc) == "interrupted"
+
+
 def _collated(conn: sqlite3.Connection, table: str, column: str) -> bool:
     """Whether SQLite compares ``column`` under a collation other than
     BINARY: a UNION takes its leftmost column's collation, and only BINARY
@@ -394,7 +423,9 @@ class ValueIndex:
     folded value to its columns, and reads nothing else about the schema.
     A ``"probe"`` column, or one with more distinct values than the cap, is
     probed with one query per literal instead.  Results are memoized per
-    literal, so the same literal always gets the same tuple back.  The
+    literal, so the same literal always gets the same tuple back; a probe
+    aborted by :func:`set_deadline` raises
+    :class:`~qdmr2sql.errors.ExecutionTimeout` and memoizes nothing.  The
     connection must be read-only and must stay open for the index's
     lifetime.
     """
@@ -471,5 +502,7 @@ class ValueIndex:
         )
         try:
             return self._conn.execute(sql, (literal,)).fetchone() is not None
-        except sqlite3.Error:
+        except sqlite3.Error as exc:
+            if interrupted(exc):
+                raise ExecutionTimeout("value probe ran past its deadline") from exc
             return False

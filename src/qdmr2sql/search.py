@@ -32,19 +32,29 @@ that cannot be mapped is skipped; candidates that the engine rejects are
 counted and discarded.  The search only fails hard (``MappingFailed``)
 when not a single candidate could be executed.
 
-Some candidates are decided from their query tree, the answer and the
-session's census of the cell kinds each column holds, without being
-rendered or executed; they are mismatches and still count as tried:
+Some candidates are decided without being executed; they are mismatches
+or engine rejections and still count as tried:
 
-- the DISTINCT try of a query whose first try executed, when DISTINCT
-  cannot change its set of rows: no aggregate, no LIMIT and no column
-  compared under a collation.  Comparison is by sets, so the try gets the
-  first try's verdict, a mismatch;
+- a candidate whose statement this search already ran or saw the engine
+  reject.  The same statement on the same connection, against the same
+  answer, gets the same verdict, and a match or a timeout would have
+  ended the search.  This holds per search only: nothing is kept for the
+  next example;
+- the DISTINCT try of a query when DISTINCT cannot change its set of
+  rows: no aggregate, no LIMIT and no column compared under a collation.
+  Comparison is by sets, so the try reads its first try's statement and
+  is decided with it, without being rendered;
 - once a candidate of the example has executed, so that neither the
   status nor the first engine error can change any more, a candidate with
   some answer row that no row of its result can match: the row's width is
   not the query's, or one of its cells is of a kind (null, number, text)
-  that the select item in its place never yields.
+  that the select item in its place never yields.  This is decided from
+  the query tree, the answer and the session's census of the cell kinds
+  each column holds, without rendering.
+
+The decomposition is prepared under the example's deadline: a literal
+probe that runs past it ends the search with Timeout and leaves nothing
+in the session's memos.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
 from .executor import (
@@ -77,7 +87,7 @@ from .linking import (
     plan_bindings,
 )
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
-from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident
+from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident, set_deadline
 from .sqlgen import (
     AggExpr, ColExpr, JoinPaths, Reads, SelectItem, SqlQuery, StepMemo, render_sql,
     step_reads, synthesize, _aggregates, _distinct_keeps_rows,
@@ -324,16 +334,25 @@ class Session:
         self.prepared: Dict[QdmrProgram, _Prepared] = {}
         self.join_paths: JoinPaths = {}
 
-    def prepare(self, program: QdmrProgram) -> _Prepared:
+    def prepare(self, program: QdmrProgram, deadline: float) -> _Prepared:
         """``program`` planned, linked and rewritten, on its first search in
-        this session; taken from the memo after that."""
+        this session; taken from the memo after that.
+
+        The literal probes of planning and linking run until the absolute
+        ``time.monotonic()`` value ``deadline``; one that runs past it
+        raises :class:`~qdmr2sql.errors.ExecutionTimeout`, and the program
+        stays unprepared."""
         prepared = self.prepared.get(program)
         if prepared is None:
-            plan = plan_bindings(program, self.value_index)
-            slots = link_program(
-                plan, self.schema, self.lexicon, self.value_index,
-                self.config.top_k, self.rankings,
-            )
+            set_deadline(self.database.conn, deadline)
+            try:
+                plan = plan_bindings(program, self.value_index)
+                slots = link_program(
+                    plan, self.schema, self.lexicon, self.value_index,
+                    self.config.top_k, self.rankings,
+                )
+            finally:
+                set_deadline(self.database.conn, None)
             variants = tuple(
                 (variant, labels, step_reads(variant, plan))
                 for variant, labels in _program_variants(program)
@@ -356,7 +375,8 @@ def search(example, session: Session) -> SynthesisOutcome:
 
     ``example`` must expose a parsed ``program`` and an ``answer``.  The
     program is prepared through ``session`` (:meth:`Session.prepare`), and
-    its mapped steps are kept for this search alone.
+    its mapped steps and the statements it ran are kept for this search
+    alone.
     Statuses: Found on the first matching candidate, Exhausted when the
     assignment stream runs dry, Timeout on deadline, MappingFailed when no
     candidate could even be built and executed.
@@ -364,7 +384,10 @@ def search(example, session: Session) -> SynthesisOutcome:
     config = session.config
     deadline = time.monotonic() + config.per_example_timeout
     target = answer_denotation(example.answer)
-    prepared = session.prepare(example.program)
+    try:
+        prepared = session.prepare(example.program, deadline)
+    except ExecutionTimeout:
+        return _timeout(0, "literal lookup hit the search deadline")
     variants = [
         (program, labels, StepMemo(reads, session.join_paths))
         for program, labels, reads in prepared.variants
@@ -372,6 +395,7 @@ def search(example, session: Session) -> SynthesisOutcome:
 
     tried = 0
     executed = False  # whether a candidate ran without an engine error
+    ran: Set[str] = set()  # each statement run or rejected, none matching
     mapping_error: Optional[str] = None  # the last one
     engine_error: Optional[str] = None  # the first one
     for assignment in enumerate_assignments(prepared.slots, config.max_assignments):
@@ -385,16 +409,18 @@ def search(example, session: Session) -> SynthesisOutcome:
             except Qdmr2SqlError as exc:
                 mapping_error = str(exc)
                 continue
-            base_mismatched = False
             for distinct in (False, True):
                 if time.monotonic() >= deadline:
                     return _timeout(tried, "search deadline exceeded")
                 tried += 1
-                if base_mismatched and _distinct_keeps_rows(query):
-                    continue
+                if distinct and _distinct_keeps_rows(query):
+                    continue  # decided with its first try, which reads the same rows
                 if executed and _cannot_match(query, target, session.census):
                     continue
                 sql = render_sql(query, distinct=distinct)
+                if sql in ran:
+                    continue
+                ran.add(sql)
                 try:
                     result = session.database.execute(sql, deadline, target)
                 except ExecutionTimeout:
@@ -414,10 +440,11 @@ def search(example, session: Session) -> SynthesisOutcome:
                         candidates_tried=tried,
                         qdmr=render_program(program),
                     )
-                executed = base_mismatched = True
+                executed = True
 
-    # Timeouts return above, and candidates are decided only once one has
-    # executed, so when none executed every one was rejected by the engine.
+    # Timeouts return above, and until a candidate has executed, a try is
+    # decided only when it reads a statement the engine rejected, so when
+    # none executed every one was rejected by the engine.
     if not executed:
         if tried:
             reason = (

@@ -59,6 +59,8 @@ EXPECTED_STATUS = {
     "a8": "Exhausted", "a9": "Exhausted",
 }
 EXPECTED_FOUND = sorted(k for k, v in EXPECTED_STATUS.items() if v == "Found")
+# id -> candidates tried, where not 1
+EXPECTED_TRIED = {"s7": 32, "g2": 3, "g9": 0, "a1": 3, "a3": 9, "a8": 36, "a9": 18}
 
 
 class TestLoadExamples:
@@ -340,6 +342,39 @@ class TestRunCorpus:
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
         assert sum(o.candidates_tried for o in outcomes) == 121
         assert len(executed) == 103
+
+    def test_no_statement_runs_twice_in_one_search(self, db_dir, lexicon, monkeypatch):
+        # Beside the fixture examples, s4 with an answer no query reaches:
+        # "tonnage of #1" reads only #1's table, so each of the four columns
+        # "ships" binds to maps to the same query, and its 256 tries read 64
+        # statements.  Each runs once; the repeats take its verdict.
+        examples, _ = load_examples(CORPUS)
+        s4 = next(ex for ex in examples if ex.id == "s4")
+        examples.append(dataclasses.replace(s4, id="unreachable", answer=[[12345]]))
+        searches = []  # (example id, statements executed)
+        real_search, real_execute = corpus_module.search, Database.execute
+
+        def recording_search(example, session):
+            searches.append((example.id, []))
+            return real_search(example, session)
+
+        def recording_execute(self, sql, deadline, target):
+            searches[-1][1].append(sql)
+            return real_execute(self, sql, deadline, target)
+
+        monkeypatch.setattr(corpus_module, "search", recording_search)
+        monkeypatch.setattr(Database, "execute", recording_execute)
+        outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
+        for id, statements in searches:
+            assert len(set(statements)) == len(statements), id
+        got = {ex.id: (out.status.value, out.candidates_tried)
+               for ex, out in zip(examples, outcomes)}
+        assert got == {
+            **{id: (status, EXPECTED_TRIED.get(id, 1))
+               for id, status in EXPECTED_STATUS.items()},
+            "unreachable": ("Exhausted", 256),
+        }
+        assert [len(statements) for id, statements in searches if id == "unreachable"] == [64]
 
     def test_unknown_db_id_aborts_upfront(self, db_dir):
         bad = [_fake_example("x", "d", "no_such_db")]

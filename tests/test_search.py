@@ -8,11 +8,12 @@ winning SQL.
 
 import dataclasses
 import importlib
+import math
 import sqlite3
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -28,6 +29,7 @@ from conftest import (
 )
 from qdmr2sql import corpus as corpus_module
 from qdmr2sql import linking, sqlgen
+from qdmr2sql import schema as schema_module
 from qdmr2sql.corpus import Example, load_examples, run_corpus
 from qdmr2sql.errors import Qdmr2SqlError, SqlError
 from qdmr2sql.executor import (
@@ -485,9 +487,10 @@ class TestFailureStatuses:
     def test_engine_rejecting_every_candidate(
         self, products_db, open_db, lexicon, monkeypatch
     ):
-        # No candidate executes, so none may be decided without running:
-        # not by width ([1, 2]), not by kind ("three" against a COUNT) and
-        # not as a DISTINCT try.  Each is rejected and counted.
+        # No candidate executes, so none may be decided by width ([1, 2])
+        # or by kind ("three" against a COUNT), and each try is a statement
+        # of its own (DISTINCT changes what a COUNT counts), so none repeats
+        # one.  Each is rejected and counted.
         for answer in (999, [[1, 2]], [["three"]]):
             calls = []
 
@@ -609,6 +612,49 @@ class TestFailureStatuses:
         assert out.candidates_tried == 0
         assert out.failure_reason == "search deadline exceeded"
         assert elapsed < timeout + one_map + 0.1
+
+    def test_literal_probes_stop_at_the_deadline(self, tmp_path, open_db, monkeypatch):
+        # With the value index's cap lowered, all ten text columns are
+        # probed for each literal the plan and the links look up, which
+        # takes several deadlines.  The probe that crosses the deadline is
+        # aborted, and nothing it left undecided is kept: the same session
+        # finds the answer once the deadline allows.
+        monkeypatch.setattr(schema_module, "_MAX_MAPPED_VALUES", 10)
+        rows = 10_000
+        path = tmp_path / "items.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE items (id INTEGER PRIMARY KEY, "
+            + ", ".join(f"c{i} TEXT" for i in range(10)) + ")"
+        )
+        conn.executemany(
+            f"INSERT INTO items VALUES (?{', ?' * 10})",
+            ((r, *(f"value {i} number {r:07d}" for i in range(10))) for r in range(rows)),
+        )
+        conn.commit()
+        conn.close()
+        db = open_db(path)
+        timeout = 0.05
+        session = Session(db, schema_of(db), SynthesisConfig(per_example_timeout=timeout))
+        example = FakeExample("return items; return #1 named value 3 number 0000042", [[42]])
+
+        start = time.monotonic()
+        out = search(example, session)
+        elapsed = time.monotonic() - start
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.candidates_tried == 0
+        assert out.failure_reason == "literal lookup hit the search deadline"
+        assert elapsed < timeout + 0.1
+        assert not session.prepared
+
+        session.config = SynthesisConfig()
+        start = time.monotonic()
+        out = search(example, session)
+        assert time.monotonic() - start > 2 * timeout  # the probes' own time
+        assert out.status is SearchStatus.FOUND
+        assert out.sql == (
+            "SELECT items.id FROM items WHERE items.c3 = 'value 3 number 0000042'"
+        )
 
     def test_max_assignments_bounds_the_search(
         self, academic_db, open_db, lexicon
@@ -871,7 +917,7 @@ class TestStepMemo:
                 for ex in examples:
                     if ex.db_id != db_id:
                         continue
-                    prepared = session.prepare(ex.program)
+                    prepared = session.prepare(ex.program, math.inf)
                     memos = [
                         StepMemo(reads, session.join_paths)
                         for _, _, reads in prepared.variants
@@ -1063,6 +1109,15 @@ class TestDecidedCandidates:
               [_plain(ColExpr(_A), AggExpr("count", ColExpr(_B)))]),
         source=(0, False), drawn=None, allow_empty=False,
     )
+    # The engine rejects HAVING in a query without aggregates, and the
+    # DISTINCT try is decided with its rejected first try.
+    @example(
+        rows=[],
+        case=(False, [_plain(
+            ColExpr(_A), having=(CmpPred(AggExpr("count", ColExpr(_A)), ">", 0),)
+        )], []),
+        source=(0, False), drawn=None, allow_empty=False,
+    )
     def test_decided_candidates_do_not_match(
         self, rows, case, source, drawn, allow_empty
     ):
@@ -1113,10 +1168,13 @@ class TestDecidedCandidates:
     @staticmethod
     def _check_search(conn, session, queries, answer, allow_empty):
         """Run the search over ``queries`` as the mapped candidates, then
-        read every candidate it decided in full."""
+        read every try it did not execute in full, and name why it was
+        decided."""
         # A try is (query, distinct); the search renders the tries of the
         # query it mapped last, so a rendered try is known by its position.
-        built, rendered, ran = [], [], []
+        built, rendered = [], []
+        executed = {}  # position -> statement, run or rejected
+        ran = []  # positions that ran without an engine error
         real_render = search_module.render_sql
         real_execute = Database.execute
 
@@ -1130,6 +1188,7 @@ class TestDecidedCandidates:
             return real_render(query, distinct=distinct)
 
         def execute(self, sql, deadline, target):
+            executed[rendered[-1]] = sql
             result = real_execute(self, sql, deadline, target)
             ran.append(rendered[-1])
             return result
@@ -1143,17 +1202,29 @@ class TestDecidedCandidates:
             mp.setattr(Database, "execute", execute)
             out = search(FakeExample("return things", answer), session)
 
+        assert len(set(executed.values())) == len(executed), "a statement ran twice"
         target = answer_denotation(answer)
         tries = [(query, distinct) for query in built for distinct in (False, True)]
         for position in range(out.candidates_tried):
-            if position in rendered:
+            if position in executed:
                 continue
-            # Decided: an earlier candidate ran, and this one cannot match.
-            assert any(p < position for p in ran)
-            result = _rows_of(conn, *tries[position])
+            query, distinct = tries[position]
+            # The statement the try reads: a DISTINCT try that cannot change
+            # the set of rows reads its first try's.
+            reads = render_sql(
+                query, distinct=distinct and not sqlgen._distinct_keeps_rows(query)
+            )
+            if reads in (sql for p, sql in executed.items() if p < position):
+                reason = "repeats a statement run or rejected earlier"
+            else:
+                assert any(p < position for p in ran)
+                assert search_module._cannot_match(query, target, session.census)
+                reason = "no row can match, after a run"
+            event(f"decided: {reason}")
+            result = _rows_of(conn, query, distinct)
             assert result is None or not denotations_equal(
                 result, target, allow_empty
-            ), render_sql(*tries[position])
+            ), render_sql(query, distinct=distinct)
 
     def test_census_reads_one_row_per_table(self):
         # Each table is read in one statement that aggregates each column's

@@ -10,10 +10,10 @@ Builds a SQLite database in a temporary directory with one table,
 the search took, the search's status and the candidates it tried.
 
 A column with more distinct values than the value index maps is probed
-once per literal, and those probes run before the search checks its
-deadline, so with enough rows the search returns Timeout long after
-``--timeout`` with no candidate tried.  This tool measures that; it does
-not change it.
+once per literal, when the decomposition is planned and linked.  Those
+probes run under the example's deadline, so with enough rows the search
+returns Timeout with no candidate tried, within ``--timeout`` plus one
+check of the engine's progress hook.
 
 Standard library only.  Usage:
 
