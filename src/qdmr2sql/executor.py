@@ -19,9 +19,17 @@ A query runs in one mode only, the one the search needs: against its
 target answer and under the search's deadline.  Rows are read one at a
 time until the first one outside the target, because that row alone
 already makes the comparison fail; results are often far larger than the
-answer, and reading them to the end would cost most of the search.  The
+answer, and reading them to the end would cost most of the search.  Such
+a row decides the comparison where it is read: the result says so
+(:attr:`Execution.mismatch`), and only a result whose every row lies in
+the target is left for :func:`denotations_equal` to decide.  The
 deadline is the absolute ``time.monotonic()`` value the search computed,
 checked by the engine's progress hook while the statement runs.
+
+Outside a read transaction every statement takes the file's read lock
+and drops it again when it is reset.  A search session holds one read
+transaction for its life (:meth:`Database.hold_snapshot`), so its
+statements read one snapshot and skip that round trip.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .schema import interrupted, open_readonly, set_deadline
 __all__ = [
     "Cell",
     "Denotation",
+    "Execution",
     "Database",
     "denotations_equal",
     "normalize_answer",
@@ -96,6 +105,16 @@ class Denotation:
     def kinds(self) -> FrozenSet[Tuple[type, ...]]:
         """The distinct rows with every cell replaced by its kind."""
         return frozenset(tuple(map(type, row)) for row in self._distinct)
+
+
+@dataclass(frozen=True)
+class Execution(Denotation):
+    """The rows :meth:`Database.execute` read, in read order.  ``mismatch``
+    is whether the last of them matches no row of the target, which alone
+    makes :func:`denotations_equal` against the target false; when it is
+    False, every row of the result was read and lies in the target."""
+
+    mismatch: bool
 
 
 _SCALARS = (int, float, str, bool)
@@ -162,21 +181,33 @@ class Database:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def execute(self, sql: str, deadline: float, target: Denotation) -> Denotation:
+    def hold_snapshot(self) -> None:
+        """Begin a read transaction on the connection unless one is open.
+
+        From its first read until the connection closes, every statement
+        reads one snapshot of the file and none takes and drops the file's
+        read lock; meanwhile a writer to a rollback-journal database cannot
+        commit."""
+        if not self.conn.in_transaction:
+            self.conn.execute("BEGIN")
+
+    def execute(self, sql: str, deadline: float, target: Denotation) -> Execution:
         """Run one statement and read its rows until the first one that
         matches no row of ``target``, neither exactly nor within the
         numeric tolerance.
 
         That row alone makes :func:`denotations_equal` against ``target``
-        false, and every row before it matches, so the verdict on the rows
-        read equals the verdict on the whole result; ``len`` of the result
-        counts the rows read.
+        false, which the result records as its ``mismatch``; every row
+        before it matches, so the verdict on the rows read equals the
+        verdict on the whole result.  ``len`` of the result counts the
+        rows read.
 
         The statement is aborted once ``time.monotonic()`` passes
         ``deadline`` (:func:`~qdmr2sql.schema.set_deadline`).
         """
         wanted = target._distinct
         rows: List[Tuple[Cell, ...]] = []
+        mismatch = False
         try:
             set_deadline(self.conn, deadline)
             try:
@@ -188,9 +219,11 @@ class Database:
                         if row not in wanted and not any(
                             _rows_match(row, t) for t in wanted
                         ):
+                            mismatch = True
                             break
                 finally:
-                    # Resets the statement, which releases its read lock.
+                    # Resets the statement; outside a read transaction
+                    # (see hold_snapshot) that releases its read lock.
                     cursor.close()
             finally:
                 set_deadline(self.conn, None)
@@ -198,7 +231,7 @@ class Database:
             if interrupted(exc):
                 raise ExecutionTimeout("query ran past its deadline") from exc
             raise SqlError(str(exc)) from exc
-        return Denotation(rows=tuple(rows))
+        return Execution(rows=tuple(rows), mismatch=mismatch)
 
 
 def _numbers_close(x: float, y: float) -> bool:

@@ -27,7 +27,11 @@ Nothing an assignment cannot change is built twice:
 Each variant of each assignment is still one call of ``synthesize``, made
 only while the deadline holds.
 
-The first candidate whose denotation equals the answer wins.  A variant
+The first candidate whose denotation equals the answer wins.  Execution
+reads a result only until its first row outside the answer and marks it
+a mismatch there (:meth:`~qdmr2sql.executor.Database.execute`), so only a
+result whose every row lies in the answer is compared with
+:func:`~qdmr2sql.executor.denotations_equal`.  A variant
 that cannot be mapped is skipped; candidates that the engine rejects are
 counted and discarded.  The search only fails hard (``MappingFailed``)
 when not a single candidate could be executed.
@@ -313,8 +317,17 @@ class Session:
     outside every example's deadline.  Each memo depends only on the
     schema, the value index, the lexicon and the config, and a session
     never changes them, so each holds for the session's life and no
-    longer.  Use and close a session on the thread that opened its
-    database: SQLite connections refuse other threads.
+    longer.
+
+    A session reads one snapshot of the database: it holds a read
+    transaction on the connection from its construction, or from before
+    if one is open already, until :meth:`close`
+    (:meth:`~qdmr2sql.executor.Database.hold_snapshot`), so the data its
+    memos and the per-search set of statements run assume does not
+    change under them, and no statement pays for taking and dropping the
+    file's lock.  Meanwhile a writer to a rollback-journal database
+    cannot commit.  Use and close a session on the thread that opened
+    its database: SQLite connections refuse other threads.
     """
 
     def __init__(
@@ -324,6 +337,7 @@ class Session:
         config: SynthesisConfig,
         lexicon: Optional[EmbeddingLexicon] = None,
     ):
+        database.hold_snapshot()
         self.database = database
         self.schema = schema
         self.config = config
@@ -361,6 +375,7 @@ class Session:
         return prepared
 
     def close(self) -> None:
+        """Close the database, which ends the session's read transaction."""
         self.database.close()
 
 
@@ -431,7 +446,9 @@ def search(example, session: Session) -> SynthesisOutcome:
                     if engine_error is None:
                         engine_error = str(exc)
                     continue
-                if denotations_equal(result, target, config.allow_empty_denotation):
+                if not result.mismatch and denotations_equal(
+                    result, target, config.allow_empty_denotation
+                ):
                     return SynthesisOutcome(
                         status=SearchStatus.FOUND,
                         sql=sql,

@@ -28,6 +28,7 @@ from conftest import (
     schema_of,
 )
 from qdmr2sql import corpus as corpus_module
+from qdmr2sql import executor as executor_module
 from qdmr2sql import linking, sqlgen
 from qdmr2sql import schema as schema_module
 from qdmr2sql.corpus import Example, load_examples, run_corpus
@@ -49,6 +50,9 @@ from qdmr2sql.sqlgen import (
     AggExpr, ArithExpr, CmpPred, ColExpr, InPred, SqlQuery, StepMemo, render_sql,
     step_reads, synthesize,
 )
+
+from test_executor import _write_table, tables_and_targets
+from test_sqlgen import run
 
 # The package re-exports the ``search`` function under the module's name.
 search_module = importlib.import_module("qdmr2sql.search")
@@ -175,6 +179,33 @@ class TestAggregateSwapHeuristic:
     def test_no_aggregate_at_all(self):
         program = parse_qdmr("return ships; return the name of #1")
         assert heuristic_aggregate_swap(program) == []
+
+
+def _collated_items(tmp_path):
+    """A database of 20 rows in 30 indexed ``COLLATE NOCASE`` columns, each
+    of which the value index probes per literal; row ``r`` holds
+    ``value i row r`` in column ``ci``."""
+    path = tmp_path / "collated.sqlite"
+    names = [f"c{i}" for i in range(30)]
+    build_db(
+        path,
+        "CREATE TABLE items (id INTEGER PRIMARY KEY, "
+        + ", ".join(f"{name} TEXT COLLATE NOCASE" for name in names) + ");"
+        + "".join(f"CREATE INDEX i_{name} ON items ({name});" for name in names)
+        + "INSERT INTO items VALUES "
+        + ", ".join(
+            f"({r}, " + ", ".join(f"'value {i} row {r}'" for i in range(30)) + ")"
+            for r in range(20)
+        ) + ";",
+    )
+    return path
+
+
+# A filter of 40 words, none in the database: planning and linking it probes
+# each of its n-grams in every column of ``_collated_items``.
+_LONG_FILTER = FakeExample(
+    "return items; return #1 with " + " ".join(f"word{i}" for i in range(40)), [[1]]
+)
 
 
 def run_search(open_db, db_path, lexicon, qdmr, answer, config=None):
@@ -656,6 +687,45 @@ class TestFailureStatuses:
             "SELECT items.id FROM items WHERE items.c3 = 'value 3 number 0000042'"
         )
 
+    def test_runs_of_short_probes_stop_at_the_deadline(self, tmp_path, open_db):
+        # Every column is collated, so each is probed for each n-gram of the
+        # 40-word filter.  Each probe runs fewer engine steps than lie
+        # between two deadline checks, yet the run of them stops at the
+        # deadline: SQLite counts the steps of a prepared statement across
+        # its runs, and the probes reuse their cached statements.
+        db = open_db(_collated_items(tmp_path))
+        example = _LONG_FILTER
+        timeout = 0.05
+        session = Session(db, schema_of(db), SynthesisConfig(per_example_timeout=timeout))
+        # The engine steps of each probe of one literal, in both spellings
+        # in each column.
+        steps = []
+        db.conn.set_trace_callback(lambda sql: steps.append(0))
+
+        def count_step():
+            steps[-1] += 1
+
+        db.conn.set_progress_handler(count_step, 1)
+        session.value_index.columns_containing("word0 word1")
+        db.conn.set_progress_handler(None, 0)
+        db.conn.set_trace_callback(None)
+        assert len(steps) == 60
+        assert max(steps) < schema_module._PROGRESS_GRANULARITY
+
+        start = time.monotonic()
+        out = search(example, session)
+        elapsed = time.monotonic() - start
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.candidates_tried == 0
+        assert out.failure_reason == "literal lookup hit the search deadline"
+        assert elapsed < timeout + 0.1
+
+        session.config = SynthesisConfig()
+        start = time.monotonic()
+        out = search(example, session)
+        assert time.monotonic() - start > 2 * timeout  # the probes' own time
+        assert out.status is SearchStatus.MAPPING_FAILED
+
     def test_max_assignments_bounds_the_search(
         self, academic_db, open_db, lexicon
     ):
@@ -814,6 +884,159 @@ class TestSession:
         assert len(indexes) == 1
         assert sorted(ranked) == sorted(set(slots))
         assert [o.status.value for o in outcomes].count("Found") == 7
+
+
+class TestSnapshot:
+    """A session reads one snapshot: it holds one read transaction from
+    its construction until it closes, which no deadline abort ends."""
+
+    TOP_SHIP = FakeExample(
+        "return ships; return injuries of #1; "
+        "return number of #2 for each #1; "
+        "return #1 where #3 is highest; return the name of #4",
+        [SHIP_TOP_NAME],
+    )
+
+    def test_writer_commits_only_after_the_session_closes(self, tmp_path, open_db):
+        path = tmp_path / "people.sqlite"
+        build_db(
+            path, "CREATE TABLE people (name TEXT); INSERT INTO people VALUES ('Ann');"
+        )
+        db = open_db(path)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        out = search(FakeExample("return people", ["Ann"]), session)
+        assert out.status is SearchStatus.FOUND
+        writer = sqlite3.connect(path, timeout=0)
+        try:
+            writer.execute("INSERT INTO people VALUES ('Bob')")
+            with pytest.raises(sqlite3.OperationalError, match="database is locked"):
+                writer.commit()
+            session.close()
+            writer.commit()
+        finally:
+            writer.close()
+
+    def test_aborted_candidate_keeps_the_transaction(
+        self, ship_death_db, open_db, lexicon
+    ):
+        db = open_db(ship_death_db)
+        session = Session(
+            db, schema_of(db), SynthesisConfig(per_example_timeout=0.05), lexicon
+        )
+        runaway = (
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c)"
+            " SELECT count(*) FROM c"
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "render_sql", lambda query, distinct=False: runaway)
+            out = search(self.TOP_SHIP, session)
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.failure_reason == "candidate execution hit the search deadline"
+        assert db.conn.in_transaction
+        session.config = SynthesisConfig()
+        assert search(self.TOP_SHIP, session).status is SearchStatus.FOUND
+
+    def test_aborted_probe_keeps_the_transaction(self, tmp_path, open_db):
+        db = open_db(_collated_items(tmp_path))
+        session = Session(db, schema_of(db), SynthesisConfig(per_example_timeout=0.05))
+        out = search(_LONG_FILTER, session)
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.failure_reason == "literal lookup hit the search deadline"
+        assert db.conn.in_transaction
+        session.config = SynthesisConfig()
+        example = FakeExample(
+            "return items; return #1 with value 3 row 7", ["value 0 row 7"]
+        )
+        out = search(example, session)
+        assert out.status is SearchStatus.FOUND, out.failure_reason
+        assert out.sql == "SELECT items.c0 FROM items WHERE items.c3 = 'value 3 row 7'"
+
+    def test_two_sessions_on_one_database(self, ship_death_db, open_db, lexicon):
+        # A second session, and a session on a connection whose writes are
+        # not committed, read in the transaction already open.
+        db = open_db(ship_death_db)
+        for _ in range(2):
+            session = Session(db, schema_of(db), SynthesisConfig(), lexicon)
+            assert search(self.TOP_SHIP, session).status is SearchStatus.FOUND
+        conn = _planted_table("t", "name", "number")
+        try:
+            assert conn.in_transaction
+            db = Database(conn)
+            for _ in range(2):
+                session = Session(db, schema_of(db), SynthesisConfig())
+                out = search(FakeExample(*_PLANTED[0]), session)
+                assert out.status is SearchStatus.FOUND
+        finally:
+            conn.close()
+
+
+class TestOnePassVerdict:
+    """The search decides a candidate from the rows it read: one outside
+    the answer is a mismatch, and only a result read in full is compared."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tables_and_targets(), allow_empty=st.booleans())
+    @example(case=(1, [], Denotation.from_rows([])), allow_empty=True)
+    @example(case=(1, [], Denotation.from_rows([])), allow_empty=False)
+    @example(case=(1, [(1,), (1,)], Denotation.from_rows([])), allow_empty=True)
+    # The last row read is within the tolerance of an answer row.
+    @example(case=(1, [(2,), (1.0000005,)], answer_denotation([1, 2])), allow_empty=False)
+    def test_verdict_equals_full_verdict(self, tmp_path_factory, case, allow_empty):
+        arity, rows, target = case
+        path = tmp_path_factory.mktemp("verdict") / "t.sqlite"
+        _write_table(path, arity, rows)
+        full = run(path, "SELECT * FROM t")
+        query = SqlQuery(
+            select=tuple(ColExpr(ColumnRef("t", f"c{i}")) for i in range(arity)),
+            from_tables=("t",),
+        )
+        with Database.open(path) as db:
+            session = Session(
+                db, load_schema(db.conn),
+                SynthesisConfig(allow_empty_denotation=allow_empty),
+            )
+            # One candidate, which reads every column; its DISTINCT try is
+            # decided with it.
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search_module, "_program_variants", lambda p: [(p, ())])
+                mp.setattr(search_module, "enumerate_assignments",
+                           lambda slots, limit: iter([linking.Assignment({})]))
+                mp.setattr(search_module, "synthesize", lambda *args: query)
+                out = search(
+                    FakeExample("return things", [list(row) for row in target.rows]),
+                    session,
+                )
+        assert out.status in (SearchStatus.FOUND, SearchStatus.EXHAUSTED)
+        assert (out.status is SearchStatus.FOUND) == denotations_equal(
+            full, target, allow_empty
+        )
+
+    def test_mismatch_never_compared(self, db_dir, lexicon, monkeypatch):
+        executed, compared = [], []
+        real_execute = Database.execute
+        real_equal = search_module.denotations_equal
+
+        def execute(self, sql, deadline, target):
+            executed.append(real_execute(self, sql, deadline, target))
+            return executed[-1]
+
+        def equal(result, target, allow_empty=False):
+            compared.append(result)
+            assert not result.mismatch
+            assert all(
+                any(executor_module._rows_match(row, t) for t in target.rows)
+                for row in result.rows
+            )
+            return real_equal(result, target, allow_empty)
+
+        monkeypatch.setattr(Database, "execute", execute)
+        monkeypatch.setattr(search_module, "denotations_equal", equal)
+        examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
+        outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
+        mismatches = [r for r in executed if r.mismatch]
+        assert mismatches
+        assert len(compared) == len(executed) - len(mismatches)
+        assert sum(o.status is SearchStatus.FOUND for o in outcomes) == 23
 
 
 class TestCandidateOrder:
