@@ -29,6 +29,7 @@ from .corpus import (
     write_rejects,
 )
 from .errors import Qdmr2SqlError
+from .executor import Database
 from .linking import (
     Assignment,
     EmbeddingLexicon,
@@ -39,7 +40,7 @@ from .linking import (
     rank_columns,
 )
 from .qdmr import parse_qdmr
-from .schema import ValueIndex, load_schema, open_readonly
+from .schema import ValueIndex, load_schema
 from .search import SearchStatus, SynthesisConfig
 from .sqlgen import render_sql, synthesize
 
@@ -200,14 +201,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
         slots = link_program(plan, schema, None, None, top_k, {})
     else:
         # A database source also locates literals through a value index.
-        conn = open_readonly(args.schema)
-        try:
-            schema = load_schema(conn)
-            value_index = ValueIndex(conn, schema)
+        with Database.open(args.schema) as database:
+            schema = load_schema(database.conn)
+            value_index = ValueIndex(database, schema)
             plan = plan_bindings(program, value_index)
             slots = link_program(plan, schema, None, value_index, top_k, {})
-        finally:
-            conn.close()
     if args.assignment is not None:
         assignment = _parse_assignment(args.assignment, schema)
     else:

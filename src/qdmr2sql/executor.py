@@ -16,15 +16,15 @@ most often a spurious query rather than a correct one, so an empty answer
 only matches when the caller opts in with ``allow_empty``.
 
 A query runs in one mode only, the one the search needs: against its
-target answer and under the search's deadline.  Rows are read one at a
+target answer and under the database's deadline.  Rows are read one at a
 time until the first one outside the target, because that row alone
 already makes the comparison fail; results are often far larger than the
 answer, and reading them to the end would cost most of the search.  Such
 a row decides the comparison where it is read: the result says so
 (:attr:`Execution.mismatch`), and only a result whose every row lies in
 the target is left for :func:`denotations_equal` to decide.  The
-deadline is the absolute ``time.monotonic()`` value the search computed,
-checked by the engine's progress hook while the statement runs.
+:class:`Database` holds its search's deadline, which the engine's progress
+hook checks while a statement runs and Python code between statements.
 
 Outside a read transaction every statement takes the file's read lock
 and drops it again when it is reset.  A search session holds one read
@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import math
 import sqlite3
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ExecutionTimeout, SqlError
-from .schema import interrupted, open_readonly, set_deadline
+from .schema import _PROGRESS_GRANULARITY, interrupted, open_readonly
 
 __all__ = [
     "Cell",
@@ -163,10 +164,11 @@ def answer_denotation(answer) -> Denotation:
 
 
 class Database:
-    """A read-only connection to one SQLite database file."""
+    """A read-only connection to one SQLite file and the deadline of its search."""
 
     def __init__(self, conn: sqlite3.Connection):
         self.conn = conn
+        self.deadline = math.inf
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "Database":
@@ -191,7 +193,19 @@ class Database:
         if not self.conn.in_transaction:
             self.conn.execute("BEGIN")
 
-    def execute(self, sql: str, deadline: float, target: Denotation) -> Execution:
+    def set_deadline(self, deadline: float) -> None:
+        """Abort each statement on the connection, row reads included, once
+        ``time.monotonic()`` passes ``deadline``, by the engine's progress
+        hook; ``math.inf`` lifts it.  See ``schema.interrupted``."""
+        self.deadline = deadline
+        hook = None if deadline == math.inf else self.past_deadline
+        self.conn.set_progress_handler(hook, _PROGRESS_GRANULARITY)
+
+    def past_deadline(self) -> bool:
+        """Whether ``time.monotonic()`` has passed the deadline."""
+        return time.monotonic() > self.deadline
+
+    def execute(self, sql: str, target: Denotation) -> Execution:
         """Run one statement and read its rows until the first one that
         matches no row of ``target``, neither exactly nor within the
         numeric tolerance.
@@ -202,31 +216,27 @@ class Database:
         verdict on the whole result.  ``len`` of the result counts the
         rows read.
 
-        The statement is aborted once ``time.monotonic()`` passes
-        ``deadline`` (:func:`~qdmr2sql.schema.set_deadline`).
+        The statement is aborted once the database's deadline passes
+        (:meth:`set_deadline`).
         """
         wanted = target._distinct
         rows: List[Tuple[Cell, ...]] = []
         mismatch = False
         try:
-            set_deadline(self.conn, deadline)
+            cursor = self.conn.execute(sql)
             try:
-                cursor = self.conn.execute(sql)
-                try:
-                    for raw in cursor:
-                        row = tuple(map(_canon, raw))
-                        rows.append(row)
-                        if row not in wanted and not any(
-                            _rows_match(row, t) for t in wanted
-                        ):
-                            mismatch = True
-                            break
-                finally:
-                    # Resets the statement; outside a read transaction
-                    # (see hold_snapshot) that releases its read lock.
-                    cursor.close()
+                for raw in cursor:
+                    row = tuple(map(_canon, raw))
+                    rows.append(row)
+                    if row not in wanted and not any(
+                        _rows_match(row, t) for t in wanted
+                    ):
+                        mismatch = True
+                        break
             finally:
-                set_deadline(self.conn, None)
+                # Resets the statement; outside a read transaction (see
+                # hold_snapshot) that releases its read lock.
+                cursor.close()
         except sqlite3.Error as exc:
             if interrupted(exc):
                 raise ExecutionTimeout("query ran past its deadline") from exc

@@ -18,8 +18,8 @@ its declared type and whether SQLite compares it under a collation.
 constructor reads each mappable column once into maps from exact and
 case-folded values to columns; lookups probe per literal only the columns
 those maps cannot answer for.  Numeric literals are never value-indexed;
-comparison values are handled by the SQL mapper instead.  A lookup made
-under :func:`set_deadline` is aborted at the deadline and raises
+comparison values are handled by the SQL mapper instead.  A lookup that
+meets its database's deadline raises
 :class:`~qdmr2sql.errors.ExecutionTimeout`; nothing is memoized for it.
 """
 
@@ -29,7 +29,6 @@ import json
 import re
 import sqlite3
 import string
-import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -47,7 +46,6 @@ __all__ = [
     "load_schema",
     "open_readonly",
     "quote_ident",
-    "set_deadline",
 ]
 
 _NUMERIC = re.compile(r"[-+]?\d+(?:\.\d+)?")
@@ -250,23 +248,9 @@ def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
 _PROGRESS_GRANULARITY = 1000
 
 
-def set_deadline(conn: sqlite3.Connection, deadline: Optional[float]) -> None:
-    """Abort every statement run on ``conn`` from now on once
-    ``time.monotonic()`` passes the absolute ``deadline``, also while its
-    rows are read; None lifts the deadline.  The checks piggyback on the
-    engine's progress hook, and an aborted statement raises an error for
-    which :func:`interrupted` holds."""
-    if deadline is None:
-        conn.set_progress_handler(None, 0)
-    else:
-        conn.set_progress_handler(
-            lambda: time.monotonic() > deadline, _PROGRESS_GRANULARITY
-        )
-
-
 def interrupted(exc: sqlite3.Error) -> bool:
-    """Whether the engine aborted the statement because its progress hook
-    asked it to, which only :func:`set_deadline` does."""
+    """Whether the engine aborted the statement because its progress hook,
+    which only ``Database.set_deadline`` installs, asked it to."""
     return isinstance(exc, sqlite3.OperationalError) and str(exc) == "interrupted"
 
 
@@ -414,7 +398,8 @@ def _add(index: Dict[str, Tuple[ColumnRef, ...]], key: str, col: ColumnRef) -> N
 
 
 class ValueIndex:
-    """Literal-to-column lookup over one database connection.
+    """Literal-to-column lookup over one database, read through anything
+    with the ``conn`` and ``past_deadline`` of an executor ``Database``.
 
     A literal matches the text columns whose ``=`` holds it; when no column
     does, the columns where ``lower(trim(col)) = lower(trim(literal))``.
@@ -423,15 +408,15 @@ class ValueIndex:
     folded value to its columns, and reads nothing else about the schema.
     A ``"probe"`` column, or one with more distinct values than the cap, is
     probed with one query per literal instead.  Results are memoized per
-    literal, so the same literal always gets the same tuple back; a probe
-    aborted by :func:`set_deadline` raises
+    literal, so the same literal always gets the same tuple back; a lookup
+    that meets the database's deadline, before or during a probe, raises
     :class:`~qdmr2sql.errors.ExecutionTimeout` and memoizes nothing.  The
-    connection must be read-only and must stay open for the index's
+    database must be read-only and must stay open for the index's
     lifetime.
     """
 
-    def __init__(self, conn: sqlite3.Connection, schema: SchemaGraph):
-        self._conn = conn
+    def __init__(self, database, schema: SchemaGraph):
+        self._db = database
         self._exact: Dict[str, Tuple[ColumnRef, ...]] = {}
         self._folded: Dict[str, Tuple[ColumnRef, ...]] = {}
         self._probed: List[ColumnRef] = []
@@ -482,9 +467,9 @@ class ValueIndex:
             f" WHERE (SELECT COUNT(*) FROM d) <= {_MAX_MAPPED_VALUES}"
         )
         try:
-            rows = self._conn.execute(sql).fetchall()
+            rows = self._db.conn.execute(sql).fetchall()
             # No row comes back from an empty table or an over-cap column.
-            if not rows and self._conn.execute(
+            if not rows and self._db.conn.execute(
                 f"SELECT EXISTS (SELECT 1 FROM {table})"
             ).fetchone()[0]:
                 return None
@@ -493,6 +478,9 @@ class ValueIndex:
         return rows
 
     def _contains(self, col: ColumnRef, literal: str, fold: bool) -> bool:
+        # Probes shorter than the engine hook's granularity may never fire it.
+        if self._db.past_deadline():
+            raise ExecutionTimeout("value probe ran past its deadline")
         column, value = quote_ident(col.column), "?"
         if fold:
             column, value = f"lower(trim({column}))", "lower(trim(?))"
@@ -501,7 +489,7 @@ class ValueIndex:
             f" WHERE {column} = {value} LIMIT 1"
         )
         try:
-            return self._conn.execute(sql, (literal,)).fetchone() is not None
+            return self._db.conn.execute(sql, (literal,)).fetchone() is not None
         except sqlite3.Error as exc:
             if interrupted(exc):
                 raise ExecutionTimeout("value probe ran past its deadline") from exc

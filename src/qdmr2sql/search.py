@@ -56,13 +56,14 @@ or engine rejections and still count as tried:
   the query tree, the answer and the session's census of the cell kinds
   each column holds, without rendering.
 
-The decomposition is prepared under the example's deadline: a literal
-probe that runs past it ends the search with Timeout and leaves nothing
-in the session's memos.
+The session's database holds the example's deadline until the search
+ends, so it bounds every statement the search runs: a literal probe that
+meets it ends the search with Timeout and leaves the memos as they were.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sqlite3
 import time
@@ -91,7 +92,7 @@ from .linking import (
     plan_bindings,
 )
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
-from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident, set_deadline
+from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident
 from .sqlgen import (
     AggExpr, ColExpr, JoinPaths, Reads, SelectItem, SqlQuery, StepMemo, render_sql,
     step_reads, synthesize, _aggregates, _distinct_keeps_rows,
@@ -342,31 +343,26 @@ class Session:
         self.schema = schema
         self.config = config
         self.lexicon = lexicon
-        self.value_index = ValueIndex(database.conn, schema)
+        self.value_index = ValueIndex(database, schema)
         self.census = _kind_census(database.conn, schema)
         self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
         self.prepared: Dict[QdmrProgram, _Prepared] = {}
         self.join_paths: JoinPaths = {}
 
-    def prepare(self, program: QdmrProgram, deadline: float) -> _Prepared:
+    def prepare(self, program: QdmrProgram) -> _Prepared:
         """``program`` planned, linked and rewritten, on its first search in
         this session; taken from the memo after that.
 
-        The literal probes of planning and linking run until the absolute
-        ``time.monotonic()`` value ``deadline``; one that runs past it
-        raises :class:`~qdmr2sql.errors.ExecutionTimeout`, and the program
-        stays unprepared."""
+        A literal probe that meets the database's deadline raises
+        :class:`~qdmr2sql.errors.ExecutionTimeout` and leaves the program
+        unprepared."""
         prepared = self.prepared.get(program)
         if prepared is None:
-            set_deadline(self.database.conn, deadline)
-            try:
-                plan = plan_bindings(program, self.value_index)
-                slots = link_program(
-                    plan, self.schema, self.lexicon, self.value_index,
-                    self.config.top_k, self.rankings,
-                )
-            finally:
-                set_deadline(self.database.conn, None)
+            plan = plan_bindings(program, self.value_index)
+            slots = link_program(
+                plan, self.schema, self.lexicon, self.value_index,
+                self.config.top_k, self.rankings,
+            )
             variants = tuple(
                 (variant, labels, step_reads(variant, plan))
                 for variant, labels in _program_variants(program)
@@ -396,11 +392,19 @@ def search(example, session: Session) -> SynthesisOutcome:
     assignment stream runs dry, Timeout on deadline, MappingFailed when no
     candidate could even be built and executed.
     """
-    config = session.config
-    deadline = time.monotonic() + config.per_example_timeout
+    database = session.database
+    database.set_deadline(time.monotonic() + session.config.per_example_timeout)
+    try:
+        return _search(example, session)
+    finally:
+        database.set_deadline(math.inf)
+
+
+def _search(example, session: Session) -> SynthesisOutcome:
+    config, database = session.config, session.database
     target = answer_denotation(example.answer)
     try:
-        prepared = session.prepare(example.program, deadline)
+        prepared = session.prepare(example.program)
     except ExecutionTimeout:
         return _timeout(0, "literal lookup hit the search deadline")
     variants = [
@@ -415,7 +419,7 @@ def search(example, session: Session) -> SynthesisOutcome:
     engine_error: Optional[str] = None  # the first one
     for assignment in enumerate_assignments(prepared.slots, config.max_assignments):
         for program, labels, memo in variants:
-            if time.monotonic() >= deadline:
+            if database.past_deadline():
                 return _timeout(tried, "search deadline exceeded")
             try:
                 query = synthesize(
@@ -425,7 +429,7 @@ def search(example, session: Session) -> SynthesisOutcome:
                 mapping_error = str(exc)
                 continue
             for distinct in (False, True):
-                if time.monotonic() >= deadline:
+                if database.past_deadline():
                     return _timeout(tried, "search deadline exceeded")
                 tried += 1
                 if distinct and _distinct_keeps_rows(query):
@@ -437,7 +441,7 @@ def search(example, session: Session) -> SynthesisOutcome:
                     continue
                 ran.add(sql)
                 try:
-                    result = session.database.execute(sql, deadline, target)
+                    result = database.execute(sql, target)
                 except ExecutionTimeout:
                     return _timeout(
                         tried, "candidate execution hit the search deadline"

@@ -105,7 +105,7 @@ def test_search_takes_an_example_and_a_session():
 # needs.  A defaulted parameter would be a mode the search never selects,
 # an option that only tests choose.
 ONE_MODE = [
-    ("qdmr2sql.executor", "Database.execute", ["self", "sql", "deadline", "target"]),
+    ("qdmr2sql.executor", "Database.execute", ["self", "sql", "target"]),
     ("qdmr2sql.linking", "rank_columns", ["phrase", "schema", "lexicon", "top_k"]),
     ("qdmr2sql.linking", "enumerate_assignments", ["slots", "limit"]),
     ("qdmr2sql.linking", "plan_bindings", ["program", "value_index"]),
@@ -183,6 +183,7 @@ def test_a_columns_lookup_is_read_once_at_introspection():
     """How a literal is looked up in a column is recorded once, on the
     column: the value index neither classifies declared types nor reads
     the schema a second time, and builds its maps when constructed."""
+    executor = importlib.import_module("qdmr2sql.executor")
     schema = importlib.import_module("qdmr2sql.schema")
     names = [f.name for f in dataclasses.fields(schema.ColumnRef)]
     assert "lookup" in names and "value_kind" not in names
@@ -193,7 +194,7 @@ def test_a_columns_lookup_is_read_once_at_introspection():
     conn = sqlite3.connect(":memory:")
     try:
         conn.execute("CREATE TABLE t (name TEXT)")
-        index = schema.ValueIndex(conn, schema.load_schema(conn))
+        index = schema.ValueIndex(executor.Database(conn), schema.load_schema(conn))
         assert not hasattr(index, "_schema")
     finally:
         conn.close()
@@ -234,7 +235,7 @@ def test_a_cell_has_one_canonical_form():
         conn.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", (b"x ", 1, 5, "a  ", None))
         want = (("x", 1.0, 5.0, "a", None),)
         target = executor.answer_denotation([["x", 1, 5, "a", None]])
-        read = executor.Database(conn).execute("SELECT * FROM t", float("inf"), target)
+        read = executor.Database(conn).execute("SELECT * FROM t", target)
         built = executor.Denotation.from_rows(conn.execute("SELECT * FROM t"))
         for result in (read, built):
             assert result.rows == want

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qdmr2sql.cli
 import qdmr2sql.corpus
+import qdmr2sql.executor
 import qdmr2sql.schema
 from conftest import DATA_DIR
 from qdmr2sql.cli import main
@@ -519,7 +520,7 @@ class TestConnections:
             opened.append(conn)
             return conn
 
-        monkeypatch.setattr(qdmr2sql.cli, "open_readonly", recording)
+        monkeypatch.setattr(qdmr2sql.executor, "open_readonly", recording)
         monkeypatch.setattr(qdmr2sql.schema, "open_readonly", recording)
         assert main(argv + ["--schema", str(ship_death_db)]) == 0
         assert opened

@@ -334,9 +334,9 @@ class TestRunCorpus:
         executed = []
         real_execute = Database.execute
 
-        def counting(self, sql, deadline, target):
+        def counting(self, sql, target):
             executed.append(sql)
-            return real_execute(self, sql, deadline, target)
+            return real_execute(self, sql, target)
 
         monkeypatch.setattr(Database, "execute", counting)
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
@@ -358,9 +358,9 @@ class TestRunCorpus:
             searches.append((example.id, []))
             return real_search(example, session)
 
-        def recording_execute(self, sql, deadline, target):
+        def recording_execute(self, sql, target):
             searches[-1][1].append(sql)
-            return real_execute(self, sql, deadline, target)
+            return real_execute(self, sql, target)
 
         monkeypatch.setattr(corpus_module, "search", recording_search)
         monkeypatch.setattr(Database, "execute", recording_execute)
@@ -576,7 +576,7 @@ def _phrase_slots(examples, db_dir):
         conn = open_readonly(resolve_database(db_dir, db_id))
         try:
             schema = load_schema(conn)
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             for ex in examples:
                 if ex.db_id == db_id:
                     plan = linking.plan_bindings(ex.program, index)

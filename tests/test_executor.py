@@ -3,12 +3,14 @@
 The comparison semantics carry most of the weight in candidate search:
 row order and duplicates are ignored, numbers match under a relative
 tolerance, and empty results only match when explicitly allowed.  A
-candidate is executed against its target under a deadline and read only
-until its first row outside the target, which must never change the
-verdict; whole results are read through the plain sqlite3 oracle ``run``.
+candidate is executed against its target under its database's deadline
+and read only until its first row outside the target, which must never
+change the verdict; whole results are read through the plain sqlite3
+oracle ``run``.
 """
 
 import hashlib
+import math
 import sqlite3
 import threading
 import time
@@ -32,9 +34,8 @@ def deno(*rows):
     return Denotation.from_rows(rows)
 
 
-def soon(secs=60.0):
-    """A deadline ``secs`` from now; the default is one no fixture query
-    comes near."""
+def soon(secs):
+    """A deadline ``secs`` from now."""
     return time.monotonic() + secs
 
 
@@ -244,28 +245,28 @@ class TestEqualityProperties:
 class TestDatabase:
     def test_execute_returns_denotation(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
-        got = db.execute("SELECT COUNT(*) FROM ship", soon(), answer_denotation(6))
+        got = db.execute("SELECT COUNT(*) FROM ship", answer_denotation(6))
         assert got.rows == ((6,),)
 
     def test_writes_rejected_and_file_untouched(self, ship_death_db, open_db):
         before = hashlib.sha256(ship_death_db.read_bytes()).hexdigest()
         db = open_db(ship_death_db)
         with pytest.raises(SqlError):
-            db.execute("INSERT INTO ship (id, name) VALUES (99, 'x')", soon(), NOTHING)
+            db.execute("INSERT INTO ship (id, name) VALUES (99, 'x')", NOTHING)
         with pytest.raises(SqlError):
-            db.execute("DELETE FROM death", soon(), NOTHING)
+            db.execute("DELETE FROM death", NOTHING)
         after = hashlib.sha256(ship_death_db.read_bytes()).hexdigest()
         assert before == after
 
     def test_syntax_error(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
         with pytest.raises(SqlError):
-            db.execute("SELEC 1", soon(), ONE)
+            db.execute("SELEC 1", ONE)
 
     def test_missing_table(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
         with pytest.raises(SqlError):
-            db.execute("SELECT * FROM no_such_table", soon(), ONE)
+            db.execute("SELECT * FROM no_such_table", ONE)
 
     def test_timeout_aborts_runaway_query(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
@@ -274,25 +275,26 @@ class TestDatabase:
             "(SELECT 1 UNION ALL SELECT x + 1 FROM c WHERE x < 100000000) "
             "SELECT COUNT(*) FROM c"
         )
+        db.set_deadline(soon(0.1))
         with pytest.raises(ExecutionTimeout):
-            db.execute(runaway, soon(0.1), answer_denotation(100000000))
-        # The progress hook is cleared afterwards; the connection still works.
-        assert db.execute("SELECT 1", soon(), ONE).rows == ((1,),)
+            db.execute(runaway, answer_denotation(100000000))
+        # Once the deadline is lifted, the connection still works.
+        db.set_deadline(math.inf)
+        assert db.execute("SELECT 1", ONE).rows == ((1,),)
 
     def test_fast_query_survives_timeout(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
+        db.set_deadline(soon(5.0))
         got = db.execute(
-            "SELECT name FROM ship WHERE id = 3",
-            soon(5.0),
-            answer_denotation("HMS Trinidad"),
+            "SELECT name FROM ship WHERE id = 3", answer_denotation("HMS Trinidad")
         )
         assert got.rows == (("HMS Trinidad",),)
 
     def test_context_manager_closes(self, ship_death_db):
         with Database.open(ship_death_db) as db:
-            assert db.execute("SELECT 1", soon(), ONE).rows == ((1,),)
+            assert db.execute("SELECT 1", ONE).rows == ((1,),)
         with pytest.raises(SqlError):
-            db.execute("SELECT 1", soon(), ONE)
+            db.execute("SELECT 1", ONE)
 
     def test_open_missing_file_raises(self, tmp_path):
         from qdmr2sql.errors import UnreadableDatabase
@@ -304,9 +306,7 @@ class TestDatabase:
 class TestExecuteFunction:
     def test_delegates(self, ship_death_db, open_db):
         db = open_db(ship_death_db)
-        got = db.execute(
-            "SELECT tonnage FROM ship WHERE id = 1", soon(), answer_denotation(400)
-        )
+        got = db.execute("SELECT tonnage FROM ship WHERE id = 1", answer_denotation(400))
         assert got.rows == ((400,),)
 
 
@@ -379,7 +379,7 @@ class TestEarlyExit:
         _write_table(path, arity, rows)
         full = run(path, "SELECT * FROM t")
         with Database.open(path) as db:
-            early = db.execute("SELECT * FROM t", soon(), target)
+            early = db.execute("SELECT * FROM t", target)
         assert early.rows == full.rows[: len(early)]
         for allow_empty in (False, True):
             assert denotations_equal(early, target, allow_empty) == denotations_equal(
@@ -391,7 +391,7 @@ class TestEarlyExit:
         _write_table(path, 1, [(1.0000005,), (2.0,), (3.0,), (2.0,)])
         target = answer_denotation([1, 2])
         with Database.open(path) as db:
-            got = db.execute("SELECT c0 FROM t", soon(), target)
+            got = db.execute("SELECT c0 FROM t", target)
         assert got.rows == ((1.0000005,), (2.0,), (3.0,))
         assert not denotations_equal(got, target)
 
@@ -400,11 +400,11 @@ class TestEarlyExit:
         db = open_db(ship_death_db)
         sql = "SELECT 1e999 UNION ALL SELECT 5"
         target = answer_denotation([[5]])
-        got = db.execute(sql, soon(), target)
+        got = db.execute(sql, target)
         assert got.rows == ((float("inf"),),)
         assert not denotations_equal(got, target)
         inf_target = answer_denotation([[float("inf")]])
-        got = db.execute("SELECT 1e999", soon(), inf_target)
+        got = db.execute("SELECT 1e999", inf_target)
         assert denotations_equal(got, inf_target)
 
     def test_deadline_holds_while_rows_stream(self, ship_death_db, open_db):
@@ -421,21 +421,23 @@ class TestEarlyExit:
         watchdog.start()
         try:
             start = time.monotonic()
+            db.set_deadline(soon(0.2))
             with pytest.raises(ExecutionTimeout):
-                db.execute(endless, soon(0.2), answer_denotation([[1]]))
+                db.execute(endless, answer_denotation([[1]]))
             elapsed = time.monotonic() - start
         finally:
             watchdog.cancel()
         # One progress interval takes microseconds; the rest is slack for
         # a loaded host.
         assert elapsed < 0.2 + 0.5
-        assert db.execute("SELECT 1", soon(), ONE).rows == ((1,),)
+        db.set_deadline(math.inf)
+        assert db.execute("SELECT 1", ONE).rows == ((1,),)
 
     def test_early_exit_releases_the_statement(self, tmp_path):
         path = tmp_path / "big.sqlite"
         _write_table(path, 1, [(i,) for i in range(1000)])
         with Database.open(path) as db:
-            got = db.execute("SELECT c0 FROM t", soon(), answer_denotation([[-1]]))
+            got = db.execute("SELECT c0 FROM t", answer_denotation([[-1]]))
             assert got.rows == ((0,),)
             # A statement left open holds a SHARED lock; the commit would
             # then fail with "database is locked".

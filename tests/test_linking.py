@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
 from qdmr2sql import (
+    Database,
     EmbeddingLexicon,
     FileUnreadable,
     SchemaError,
@@ -235,7 +236,7 @@ class TestEnumerateAssignments:
         conn = open_readonly(geo_db)
         try:
             schema = load_schema(conn)
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             program = parse_qdmr("return missouri; return the population of #1")
             plan = plan_bindings(program, index)
             wide = link_program(plan, schema, lexicon, index, 20, {})
@@ -330,7 +331,7 @@ class TestPlanBindings:
         conn = open_readonly(geo_db)
         try:
             schema = load_schema(conn)
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             program = parse_qdmr(
                 "return the mississippi; return states #1 run through; "
                 "return the population of #2"
@@ -350,7 +351,7 @@ class TestPlanBindings:
         conn = open_readonly(academic_db)
         try:
             schema = load_schema(conn)
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             program = parse_qdmr(
                 "return papers; return #1 by H. V. Jagadish; "
                 "return #2 by Yunyao Li"
@@ -391,7 +392,7 @@ class TestLinkProgram:
         conn = open_readonly(geo_db)
         try:
             schema = load_schema(conn)
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             program = parse_qdmr(
                 "return the mississippi; return states #1 run through; "
                 "return the population of #2"
@@ -415,7 +416,7 @@ class TestLinkProgram:
         conn = open_readonly(geo_db)
         try:
             schema = load_schema(conn)
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             program = parse_qdmr("return missouri; return #1 that is missouri")
             plan = plan_bindings(program, index)
             slots = link_program(plan, schema, None, index, 20, {})
@@ -445,7 +446,7 @@ class TestLinkProgram:
             conn = open_readonly(db_dir / f"{db_id}.sqlite")
             try:
                 schema = load_schema(conn)
-                index = ValueIndex(conn, schema)
+                index = ValueIndex(Database(conn), schema)
                 memo = {}
                 for ex in examples:
                     if ex.db_id != db_id:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdmr2sql import schema as schema_module
 from qdmr2sql import (
+    Database,
     NoTables,
     SchemaGraph,
     UnreadableDatabase,
@@ -204,7 +205,7 @@ class TestValueIndex:
     @pytest.fixture()
     def index(self, academic_db):
         conn = open_readonly(academic_db)
-        yield ValueIndex(conn, load_schema(conn))
+        yield ValueIndex(Database(conn), load_schema(conn))
         conn.close()
 
     def test_exact_match(self, index):
@@ -214,7 +215,7 @@ class TestValueIndex:
     def test_value_in_several_columns_sorted(self, geo_db):
         conn = open_readonly(geo_db)
         try:
-            index = ValueIndex(conn, load_schema(conn))
+            index = ValueIndex(Database(conn), load_schema(conn))
             cols = index.columns_containing("missouri")
             assert [str(c) for c in cols] == [
                 "river.traverse", "state.state_name",
@@ -284,7 +285,7 @@ def _assert_matches_probes(cells, literals):
     conn = _value_db(cells)
     try:
         schema = load_schema(conn)
-        index = ValueIndex(conn, schema)
+        index = ValueIndex(Database(conn), schema)
         for literal in literals:
             want = _probed_reference(index, schema, literal)
             assert index.columns_containing(literal) == want, literal
@@ -332,7 +333,7 @@ class TestValueMaps:
             conn.executescript(
                 "CREATE TABLE a (code STRING); INSERT INTO a VALUES ('1e5');"
             )
-            index = ValueIndex(conn, load_schema(conn))
+            index = ValueIndex(Database(conn), load_schema(conn))
             got = [str(c) for c in index.columns_containing("1e5")]
             assert got == ["a.code"]
         finally:
@@ -347,7 +348,7 @@ class TestValueMaps:
                 "INSERT INTO a VALUES ('Paris');"
                 "INSERT INTO b VALUES ('PARIS');"
             )
-            index = ValueIndex(conn, load_schema(conn))
+            index = ValueIndex(Database(conn), load_schema(conn))
             got = [str(c) for c in index.columns_containing("PARIS")]
             assert got == ["a.name", "b.city"]
         finally:
@@ -361,7 +362,7 @@ class TestValueMaps:
             schema = load_schema(conn)
             statements = []
             conn.set_trace_callback(statements.append)
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             reads = [s for s in statements if "DISTINCT" in s]
             mapped = [c for c in schema.columns() if c.lookup == "map"]
             assert len(set(reads)) == len(reads) == len(mapped) > 0
@@ -394,7 +395,7 @@ class TestValueMaps:
             schema = load_schema(conn)
             statements = []
             conn.set_trace_callback(statements.append)
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             reads = [
                 f"WITH d AS (SELECT DISTINCT {col} AS v FROM main.{table} LIMIT 3)"
                 " SELECT v, lower(trim(v)) FROM d WHERE (SELECT COUNT(*) FROM d) <= 2"
@@ -416,7 +417,7 @@ class TestValueMaps:
         monkeypatch.setattr(schema_module, "_MAX_MAPPED_VALUES", 1)
         conn = open_readonly(geo_db)
         try:
-            index = ValueIndex(conn, load_schema(conn))
+            index = ValueIndex(Database(conn), load_schema(conn))
             cols = index.columns_containing("missouri")
             assert [str(c) for c in cols] == ["river.traverse", "state.state_name"]
             statements = []
@@ -497,7 +498,7 @@ class TestOddNames:
         assert schema.column('OD"D', 'NA"ME').sql == '"od""d"."na""me"'
         conn = open_readonly(path)
         try:
-            index = ValueIndex(conn, schema)
+            index = ValueIndex(Database(conn), schema)
             # Read into the value maps, exact and folded ...
             assert [str(c) for c in index.columns_containing("Mary")] == ['od"d.na"me']
             assert [str(c) for c in index.columns_containing(" MARY")] == ['od"d.na"me']

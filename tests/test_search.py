@@ -181,12 +181,12 @@ class TestAggregateSwapHeuristic:
         assert heuristic_aggregate_swap(program) == []
 
 
-def _collated_items(tmp_path):
-    """A database of 20 rows in 30 indexed ``COLLATE NOCASE`` columns, each
-    of which the value index probes per literal; row ``r`` holds
-    ``value i row r`` in column ``ci``."""
+def _collated_items(tmp_path, columns=30):
+    """A database of 20 rows in ``columns`` indexed ``COLLATE NOCASE``
+    columns, each of which the value index probes per literal; row ``r``
+    holds ``value i row r`` in column ``ci``."""
     path = tmp_path / "collated.sqlite"
-    names = [f"c{i}" for i in range(30)]
+    names = [f"c{i}" for i in range(columns)]
     build_db(
         path,
         "CREATE TABLE items (id INTEGER PRIMARY KEY, "
@@ -194,7 +194,7 @@ def _collated_items(tmp_path):
         + "".join(f"CREATE INDEX i_{name} ON items ({name});" for name in names)
         + "INSERT INTO items VALUES "
         + ", ".join(
-            f"({r}, " + ", ".join(f"'value {i} row {r}'" for i in range(30)) + ")"
+            f"({r}, " + ", ".join(f"'value {i} row {r}'" for i in range(columns)) + ")"
             for r in range(20)
         ) + ";",
     )
@@ -525,7 +525,7 @@ class TestFailureStatuses:
         for answer in (999, [[1, 2]], [["three"]]):
             calls = []
 
-            def reject(self, sql, deadline, target):
+            def reject(self, sql, target):
                 calls.append(sql)
                 raise SqlError(f"no such column: boom {len(calls)}")
 
@@ -726,6 +726,26 @@ class TestFailureStatuses:
         assert time.monotonic() - start > 2 * timeout  # the probes' own time
         assert out.status is SearchStatus.MAPPING_FAILED
 
+    def test_runs_of_uncached_probes_stop_at_the_deadline(self, tmp_path, open_db):
+        # 70 collated columns take 140 probe statements, more than the
+        # connection's statement cache holds, so each probe is compiled
+        # afresh and its step count, which the engine's hook reads, starts
+        # at zero: no probe reaches a check of the hook.  The check made
+        # before each probe stops the run.
+        db = open_db(_collated_items(tmp_path, columns=70))
+        words = " ".join(f"word{i}" for i in range(20))
+        example = FakeExample(f"return items; return #1 with {words}", [[1]])
+        timeout = 0.05
+        session = Session(db, schema_of(db), SynthesisConfig(per_example_timeout=timeout))
+
+        start = time.monotonic()
+        out = search(example, session)
+        elapsed = time.monotonic() - start
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.candidates_tried == 0
+        assert out.failure_reason == "literal lookup hit the search deadline"
+        assert elapsed < timeout + 0.1
+
     def test_max_assignments_bounds_the_search(
         self, academic_db, open_db, lexicon
     ):
@@ -857,7 +877,7 @@ class TestSession:
         with Database.open(db_dir / "ship_death.sqlite") as db:
             schema = load_schema(db.conn)
             plans = [
-                linking.plan_bindings(ex.program, ValueIndex(db.conn, schema))
+                linking.plan_bindings(ex.program, ValueIndex(db, schema))
                 for ex in ships
             ]
         slots = [slot.text for plan in plans for slot in plan.phrase_slots]
@@ -970,6 +990,75 @@ class TestSnapshot:
             conn.close()
 
 
+class TestDeadlineLifted:
+    """However a search ends, it lifts its deadline from the database: past
+    any deadline, a long statement runs to its end and a literal is probed."""
+
+    # Over 10^5 engine steps, a hundred and more checks of the hook.
+    COUNT_TO_1E5 = (
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c WHERE x < 100000)"
+        " SELECT count(*) FROM c"
+    )
+    RUNAWAY = (
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c)"
+        " SELECT count(*) FROM c"
+    )
+
+    @pytest.mark.parametrize("qdmr, answer, timeout, status", [
+        ("return items; return #1 with value 3 row 7", ["value 0 row 7"], 60.0,
+         SearchStatus.FOUND),
+        ("return items", ["no such value"], 60.0, SearchStatus.EXHAUSTED),
+        ("return items; return #1 with " + " ".join(f"word{i}" for i in range(40)),
+         [[1]], 0.05, SearchStatus.TIMEOUT),
+        ("return items; return #1 with word0", [[1]], 60.0,
+         SearchStatus.MAPPING_FAILED),
+    ], ids=["found", "exhausted", "probe_timeout", "mapping_failed"])
+    def test_after_each_status(self, tmp_path, open_db, qdmr, answer, timeout, status):
+        db = open_db(_collated_items(tmp_path))
+        session = Session(db, schema_of(db), SynthesisConfig(per_example_timeout=timeout))
+        assert search(FakeExample(qdmr, answer), session).status is status
+        self.assert_unbounded(db, session)
+
+    def test_after_a_candidate_timeout(self, tmp_path, open_db, monkeypatch):
+        db = open_db(_collated_items(tmp_path))
+        session = Session(db, schema_of(db), SynthesisConfig(per_example_timeout=0.05))
+        monkeypatch.setattr(
+            search_module, "render_sql", lambda query, distinct=False: self.RUNAWAY
+        )
+        out = search(FakeExample("return items", [[1]]), session)
+        assert out.failure_reason == "candidate execution hit the search deadline"
+        self.assert_unbounded(db, session)
+
+    def test_after_a_search_that_raises(self, tmp_path, open_db, monkeypatch):
+        def broken(slots, limit):
+            raise RuntimeError("broken enumeration")
+
+        db = open_db(_collated_items(tmp_path))
+        session = Session(db, schema_of(db), SynthesisConfig())
+        monkeypatch.setattr(search_module, "enumerate_assignments", broken)
+        with pytest.raises(RuntimeError, match="broken enumeration"):
+            search(FakeExample("return items", [[1]]), session)
+        self.assert_unbounded(db, session)
+
+    def test_a_bare_database_has_none(self):
+        db = Database(sqlite3.connect(":memory:"))
+        try:
+            assert db.deadline == math.inf
+            self.assert_unbounded(db, None)
+        finally:
+            db.close()
+
+    def assert_unbounded(self, db, session):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(time, "monotonic", lambda: math.inf)
+            got = db.execute(self.COUNT_TO_1E5, answer_denotation(100000))
+            assert got.rows == ((100000,),) and not got.mismatch
+            if session is not None:
+                assert session.value_index.columns_containing("value 5 row 9") == (
+                    ColumnRef("items", "c5"),
+                )
+
+
 class TestOnePassVerdict:
     """The search decides a candidate from the rows it read: one outside
     the answer is a mismatch, and only a result read in full is compared."""
@@ -1016,8 +1105,8 @@ class TestOnePassVerdict:
         real_execute = Database.execute
         real_equal = search_module.denotations_equal
 
-        def execute(self, sql, deadline, target):
-            executed.append(real_execute(self, sql, deadline, target))
+        def execute(self, sql, target):
+            executed.append(real_execute(self, sql, target))
             return executed[-1]
 
         def equal(result, target, allow_empty=False):
@@ -1099,7 +1188,7 @@ class TestPlanSharing:
         for db_id in dict.fromkeys(ex.db_id for ex in examples):
             with Database.open(db_dir / f"{db_id}.sqlite") as db:
                 schema = load_schema(db.conn)
-                index = ValueIndex(db.conn, schema)
+                index = ValueIndex(db, schema)
                 programs = {
                     render_program(ex.program): ex.program
                     for ex in examples if ex.db_id == db_id
@@ -1140,7 +1229,7 @@ class TestStepMemo:
                 for ex in examples:
                     if ex.db_id != db_id:
                         continue
-                    prepared = session.prepare(ex.program, math.inf)
+                    prepared = session.prepare(ex.program)
                     memos = [
                         StepMemo(reads, session.join_paths)
                         for _, _, reads in prepared.variants
@@ -1410,9 +1499,9 @@ class TestDecidedCandidates:
             rendered.append(2 * (len(built) - 1) + distinct)
             return real_render(query, distinct=distinct)
 
-        def execute(self, sql, deadline, target):
+        def execute(self, sql, target):
             executed[rendered[-1]] = sql
-            result = real_execute(self, sql, deadline, target)
+            result = real_execute(self, sql, target)
             ran.append(rendered[-1])
             return result
 
@@ -1490,9 +1579,9 @@ class TestDecidedCandidates:
         executed = []
         real_execute = Database.execute
 
-        def recording(self, sql, deadline, target):
+        def recording(self, sql, target):
             executed.append(sql)
-            return real_execute(self, sql, deadline, target)
+            return real_execute(self, sql, target)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Database, "execute", recording)
@@ -1518,9 +1607,9 @@ class TestDecidedCandidates:
         executed = []
         real_execute = Database.execute
 
-        def recording(self, sql, deadline, target):
+        def recording(self, sql, target):
             executed.append(sql)
-            return real_execute(self, sql, deadline, target)
+            return real_execute(self, sql, target)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Database, "execute", recording)

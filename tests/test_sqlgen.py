@@ -16,6 +16,7 @@ from conftest import build_db
 from qdmr2sql import (
     Assignment,
     ArityMismatch,
+    Database,
     Denotation,
     MissingJoin,
     SqlQuery,
@@ -53,7 +54,7 @@ def build(db_path, qdmr, choices, use_values=True, literals=None):
     try:
         schema = load_schema(conn)
         program = parse_qdmr(qdmr)
-        index = ValueIndex(conn, schema) if use_values else None
+        index = ValueIndex(Database(conn), schema) if use_values else None
         plan = plan_bindings(program, index)
         slots = link_program(plan, schema, None, index, 1, {})
         pinned = {f"value:{k}": v for k, v in (literals or {}).items()}
