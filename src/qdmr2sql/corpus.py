@@ -270,14 +270,12 @@ def _open_session(
     config: SynthesisConfig,
     lexicon: Optional[EmbeddingLexicon],
 ) -> Union[Session, SynthesisOutcome]:
-    """Open, introspect and value-index one database for its examples,
-    all in the session's one read transaction.  When opening or
-    introspection fails, that failure is every such example's outcome;
-    the database is closed whatever raised."""
+    """Open, introspect and value-index one database for its examples.
+    When opening or introspection fails, that failure is every such
+    example's outcome; the database is closed whatever raised."""
     try:
         database = Database.open(path)
         try:
-            database.hold_snapshot()
             return Session(database, load_schema(database.conn), config, lexicon)
         except BaseException:
             database.close()

@@ -26,10 +26,10 @@ the target is left for :func:`denotations_equal` to decide.  The
 :class:`Database` holds its search's deadline, which the engine's progress
 hook checks while a statement runs and Python code between statements.
 
-Outside a read transaction every statement takes the file's read lock
-and drops it again when it is reset.  A search session holds one read
-transaction for its life (:meth:`Database.hold_snapshot`), so its
-statements read one snapshot and skip that round trip.
+:meth:`Database.open` reads a file once, into a private in-memory copy
+with each foreign-key child column indexed, so every statement on it
+reads one snapshot, takes no file lock, and joins on a key without
+building an index first.  The copy costs about the file's size in memory.
 """
 
 from __future__ import annotations
@@ -37,13 +37,14 @@ from __future__ import annotations
 import math
 import sqlite3
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
-from .errors import ExecutionTimeout, SqlError
-from .schema import _PROGRESS_GRANULARITY, interrupted, open_readonly
+from .errors import ExecutionTimeout, SqlError, UnreadableDatabase
+from .schema import _PROGRESS_GRANULARITY, interrupted, open_readonly, quote_ident
 
 __all__ = [
     "Cell",
@@ -164,7 +165,7 @@ def answer_denotation(answer) -> Denotation:
 
 
 class Database:
-    """A read-only connection to one SQLite file and the deadline of its search."""
+    """A read-only connection to one SQLite database and the deadline of its search."""
 
     def __init__(self, conn: sqlite3.Connection):
         self.conn = conn
@@ -172,7 +173,27 @@ class Database:
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "Database":
-        return cls(open_readonly(path))
+        """A private in-memory copy of the file at ``path``, about its size,
+        with an index on each foreign-key child column the engine can build;
+        the engine rejects every write to it."""
+        source, conn = open_readonly(path), sqlite3.connect(":memory:")
+        try:
+            source.backup(conn)
+            keys = conn.execute(  # each table's foreign-key child columns
+                'SELECT DISTINCT m.name, f."from" FROM sqlite_master AS m,'
+                " pragma_foreign_key_list(m.name) AS f WHERE m.type = 'table'"
+            ).fetchall()
+        except sqlite3.Error as exc:
+            conn.close()
+            raise UnreadableDatabase(f"cannot open {Path(path)}: {exc}") from exc
+        finally:
+            source.close()
+        for i, (table, column) in enumerate(keys):
+            with suppress(sqlite3.Error):  # say, under a collation this process lacks
+                conn.execute(f"CREATE INDEX qdmr2sql_fk_{i} ON"
+                             f" {quote_ident(table)} ({quote_ident(column)})")
+        conn.execute("PRAGMA query_only = ON")
+        return cls(conn)
 
     def close(self) -> None:
         self.conn.close()
@@ -182,16 +203,6 @@ class Database:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def hold_snapshot(self) -> None:
-        """Begin a read transaction on the connection unless one is open.
-
-        From its first read until the connection closes, every statement
-        reads one snapshot of the file and none takes and drops the file's
-        read lock; meanwhile a writer to a rollback-journal database cannot
-        commit."""
-        if not self.conn.in_transaction:
-            self.conn.execute("BEGIN")
 
     def set_deadline(self, deadline: float) -> None:
         """Abort each statement on the connection, row reads included, once
@@ -234,9 +245,7 @@ class Database:
                         mismatch = True
                         break
             finally:
-                # Resets the statement; outside a read transaction (see
-                # hold_snapshot) that releases its read lock.
-                cursor.close()
+                cursor.close()  # resets the statement
         except sqlite3.Error as exc:
             if interrupted(exc):
                 raise ExecutionTimeout("query ran past its deadline") from exc

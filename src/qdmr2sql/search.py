@@ -27,7 +27,9 @@ Nothing an assignment cannot change is built twice:
 Each variant of each assignment is still one call of ``synthesize``, made
 only while the deadline holds.
 
-The first candidate whose denotation equals the answer wins.  Execution
+The first candidate whose denotation equals the answer wins, unless a
+LIMIT in it cuts a tie (:func:`_tied`): the plan picks which tied rows it
+returns, yet QDMR's "highest" means them all.  Execution
 reads a result only until its first row outside the answer and marks it
 a mismatch there (:meth:`~qdmr2sql.executor.Database.execute`), so only a
 result whose every row lies in the answer is compared with
@@ -67,9 +69,9 @@ import math
 import re
 import sqlite3
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
 from .executor import (
@@ -92,10 +94,11 @@ from .linking import (
     plan_bindings,
 )
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
-from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident
+from . import sqlgen
+from .schema import ColumnRef, SchemaGraph, ValueIndex, interrupted, quote_ident
 from .sqlgen import (
-    AggExpr, ColExpr, JoinPaths, Reads, SelectItem, SqlQuery, StepMemo, render_sql,
-    step_reads, synthesize, _aggregates, _distinct_keeps_rows,
+    AggExpr, ArithExpr, ColExpr, InPred, JoinPaths, OrGroup, Reads, SelectItem, SqlQuery,
+    StepMemo, render_sql, step_reads, synthesize, _aggregates, _distinct_keeps_rows,
 )
 
 __all__ = [
@@ -277,6 +280,39 @@ def _cannot_match(query: SqlQuery, answer: Denotation, census: Census) -> bool:
     )
 
 
+def _queries(query: SqlQuery) -> Iterator[SqlQuery]:
+    """``query`` and every query nested in it."""
+    yield query
+    preds = list(query.where)
+    for pred in preds:  # grows by the conjuncts of each OR group
+        if isinstance(pred, OrGroup):
+            preds += [p for side in pred.sides for p in side]
+    nested = [p.query for p in preds if isinstance(p, InPred)]
+    nested += [q for i in query.select if isinstance(i, ArithExpr) for q in (i.left, i.right)]
+    for q in nested:
+        yield from _queries(q)
+
+
+def _tied(query: SqlQuery, distinct: bool, conn: sqlite3.Connection) -> bool:
+    """Whether a LIMIT k in the try ``query`` cuts between rows k and k + 1 of
+    equal ORDER BY key, read as its query runs (row DISTINCT included); run on
+    ``conn`` and rendered by ``sqlgen``, so that no candidate count sees it."""
+    for q in _queries(query):
+        if q.limit is not None:
+            key = q.order_by[:1] if q.order_by else ()  # no key: every row ties
+            probe = replace(q, select=q.select + key, limit=q.limit + 1)
+            sql = sqlgen.render_sql(probe, distinct and q is query and not _aggregates(probe))
+            try:
+                rows = conn.execute(sql).fetchall()
+            except sqlite3.Error as exc:
+                if interrupted(exc):
+                    raise ExecutionTimeout("query ran past its deadline") from exc
+                return True  # no verdict, so no match
+            if len(rows) > q.limit and (not key or rows[-1][-1] == rows[-2][-1]):
+                return True
+    return False
+
+
 # --- the search loop ---------------------------------------------------------
 
 
@@ -320,15 +356,12 @@ class Session:
     never changes them, so each holds for the session's life and no
     longer.
 
-    A session reads one snapshot of the database: it holds a read
-    transaction on the connection from its construction, or from before
-    if one is open already, until :meth:`close`
-    (:meth:`~qdmr2sql.executor.Database.hold_snapshot`), so the data its
-    memos and the per-search set of statements run assume does not
-    change under them, and no statement pays for taking and dropping the
-    file's lock.  Meanwhile a writer to a rollback-journal database
-    cannot commit.  Use and close a session on the thread that opened
-    its database: SQLite connections refuse other threads.
+    A session on a :meth:`~qdmr2sql.executor.Database.open` database
+    reads one snapshot, the file's private in-memory copy (about the
+    file's size): the data its memos and the per-search set of statements
+    run assume does not change under them, and a writer to the file never
+    waits for it.  Use and close a session on the thread that opened its
+    database: SQLite connections refuse other threads.
     """
 
     def __init__(
@@ -338,7 +371,6 @@ class Session:
         config: SynthesisConfig,
         lexicon: Optional[EmbeddingLexicon] = None,
     ):
-        database.hold_snapshot()
         self.database = database
         self.schema = schema
         self.config = config
@@ -371,7 +403,7 @@ class Session:
         return prepared
 
     def close(self) -> None:
-        """Close the database, which ends the session's read transaction."""
+        """Close the database, which frees its copy."""
         self.database.close()
 
 
@@ -442,6 +474,9 @@ def _search(example, session: Session) -> SynthesisOutcome:
                 ran.add(sql)
                 try:
                     result = database.execute(sql, target)
+                    found = not result.mismatch and denotations_equal(
+                        result, target, config.allow_empty_denotation
+                    ) and (" LIMIT " not in sql or not _tied(query, distinct, database.conn))
                 except ExecutionTimeout:
                     return _timeout(
                         tried, "candidate execution hit the search deadline"
@@ -450,9 +485,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
                     if engine_error is None:
                         engine_error = str(exc)
                     continue
-                if not result.mismatch and denotations_equal(
-                    result, target, config.allow_empty_denotation
-                ):
+                if found:
                     return SynthesisOutcome(
                         status=SearchStatus.FOUND,
                         sql=sql,

@@ -11,6 +11,7 @@ oracle ``run``.
 
 import hashlib
 import math
+import re
 import sqlite3
 import threading
 import time
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdmr2sql.errors import ExecutionTimeout, SqlError
+from qdmr2sql import executor as executor_module
+from qdmr2sql.errors import ExecutionTimeout, SqlError, UnreadableDatabase
 from qdmr2sql.executor import (
     Database,
     Denotation,
@@ -301,6 +303,82 @@ class TestDatabase:
 
         with pytest.raises(UnreadableDatabase):
             Database.open(tmp_path / "absent.sqlite")
+
+
+def _indexed_columns(db, table):
+    """The columns of ``table`` that lead one of its indexes on the copy."""
+    quoted = '"' + table.replace('"', '""') + '"'
+    return {
+        db.conn.execute(f"PRAGMA index_info({name!r})").fetchone()[2]
+        for _, name, *_ in db.conn.execute(f"PRAGMA index_list({quoted})")
+    }
+
+
+class TestPrivateCopy:
+    """``Database.open`` reads the file once into a private in-memory copy,
+    indexes each foreign-key child column there, and refuses every write."""
+
+    def test_insert_is_rejected(self, ship_death_db, open_db):
+        db = open_db(ship_death_db)
+        with pytest.raises(SqlError, match="readonly"):
+            db.execute("INSERT INTO ship VALUES (7, 'Ark', 'barge', 10)", ONE)
+        assert db.execute("SELECT count(*) FROM ship", answer_denotation(6)).rows == (
+            (6,),
+        )
+
+    def test_foreign_key_columns_are_indexed(self, ship_death_db, open_db):
+        db = open_db(ship_death_db)
+        assert _indexed_columns(db, "death") == {"caused_by_ship_id"}
+        assert _indexed_columns(db, "ship") == set()
+
+    @pytest.mark.parametrize("table, column", [
+        ("order", "select"), ("line item", "ship id"), ('a"b', 'x"y'),
+    ])
+    def test_odd_names_are_indexed(self, tmp_path, open_db, table, column):
+        def q(name):
+            return '"' + name.replace('"', '""') + '"'
+
+        path = tmp_path / "odd.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE parent (id INTEGER PRIMARY KEY);"
+            f"CREATE TABLE {q(table)} ({q(column)} INTEGER REFERENCES parent (id));"
+        )
+        conn.close()
+        assert _indexed_columns(open_db(path), table) == {column}
+
+    def test_virtual_table_and_unbuildable_index(self, tmp_path, open_db):
+        # The file's collation is not registered where it is opened, so the
+        # engine refuses an index on ``c.folded``; the other key is indexed.
+        path = tmp_path / "odd.sqlite"
+        conn = sqlite3.connect(path)
+        conn.create_collation("folded", lambda a, b: (a > b) - (a < b))
+        conn.executescript(
+            "CREATE TABLE p (id INTEGER PRIMARY KEY);"
+            "CREATE TABLE c (plain INTEGER REFERENCES p (id),"
+            " folded TEXT COLLATE folded REFERENCES p (id));"
+            "CREATE VIRTUAL TABLE shape USING rtree (id, x0, x1);"
+            "INSERT INTO shape VALUES (1, 0, 1);"
+        )
+        conn.close()
+        db = open_db(path)
+        assert _indexed_columns(db, "c") == {"plain"}
+        assert db.execute("SELECT count(*) FROM shape", ONE).rows == ((1,),)
+
+    def test_failed_copy_is_unreadable(self, ship_death_db, monkeypatch):
+        real = executor_module.open_readonly
+
+        def closed(path):
+            conn = real(path)
+            conn.close()
+            return conn
+
+        monkeypatch.setattr(executor_module, "open_readonly", closed)
+        with pytest.raises(
+            UnreadableDatabase,
+            match=f"^cannot open {re.escape(str(ship_death_db))}: Cannot operate",
+        ):
+            Database.open(ship_death_db)
 
 
 class TestExecuteFunction:

@@ -907,8 +907,9 @@ class TestSession:
 
 
 class TestSnapshot:
-    """A session reads one snapshot: it holds one read transaction from
-    its construction until it closes, which no deadline abort ends."""
+    """A session reads one snapshot: the private copy ``Database.open``
+    made of the file, which neither a later commit to the file nor a
+    deadline abort changes."""
 
     TOP_SHIP = FakeExample(
         "return ships; return injuries of #1; "
@@ -917,7 +918,16 @@ class TestSnapshot:
         [SHIP_TOP_NAME],
     )
 
-    def test_writer_commits_only_after_the_session_closes(self, tmp_path, open_db):
+    @staticmethod
+    def _commit(path, sql):
+        writer = sqlite3.connect(path, timeout=0)
+        try:
+            writer.execute(sql)
+            writer.commit()
+        finally:
+            writer.close()
+
+    def test_writer_commits_while_the_session_reads_its_snapshot(self, tmp_path, open_db):
         path = tmp_path / "people.sqlite"
         build_db(
             path, "CREATE TABLE people (name TEXT); INSERT INTO people VALUES ('Ann');"
@@ -926,20 +936,19 @@ class TestSnapshot:
         session = Session(db, schema_of(db), SynthesisConfig())
         out = search(FakeExample("return people", ["Ann"]), session)
         assert out.status is SearchStatus.FOUND
-        writer = sqlite3.connect(path, timeout=0)
-        try:
-            writer.execute("INSERT INTO people VALUES ('Bob')")
-            with pytest.raises(sqlite3.OperationalError, match="database is locked"):
-                writer.commit()
-            session.close()
-            writer.commit()
-        finally:
-            writer.close()
+        self._commit(path, "INSERT INTO people VALUES ('Bob')")
+        out = search(FakeExample("return people", ["Ann", "Bob"]), session)
+        assert out.status is SearchStatus.EXHAUSTED
+        assert search(FakeExample("return people", ["Ann"]), session).status is (
+            SearchStatus.FOUND
+        )
 
-    def test_aborted_candidate_keeps_the_transaction(
-        self, ship_death_db, open_db, lexicon
+    def test_aborted_candidate_keeps_the_snapshot(
+        self, ship_death_db, tmp_path, open_db, lexicon
     ):
-        db = open_db(ship_death_db)
+        path = tmp_path / "ship_death.sqlite"
+        path.write_bytes(ship_death_db.read_bytes())
+        db = open_db(path)
         session = Session(
             db, schema_of(db), SynthesisConfig(per_example_timeout=0.05), lexicon
         )
@@ -952,17 +961,19 @@ class TestSnapshot:
             out = search(self.TOP_SHIP, session)
         assert out.status is SearchStatus.TIMEOUT
         assert out.failure_reason == "candidate execution hit the search deadline"
-        assert db.conn.in_transaction
+        # In the file, the top ship now has no deaths; the snapshot keeps them.
+        self._commit(path, "DELETE FROM death WHERE caused_by_ship_id = 3")
         session.config = SynthesisConfig()
         assert search(self.TOP_SHIP, session).status is SearchStatus.FOUND
 
-    def test_aborted_probe_keeps_the_transaction(self, tmp_path, open_db):
-        db = open_db(_collated_items(tmp_path))
+    def test_aborted_probe_keeps_the_snapshot(self, tmp_path, open_db):
+        path = _collated_items(tmp_path)
+        db = open_db(path)
         session = Session(db, schema_of(db), SynthesisConfig(per_example_timeout=0.05))
         out = search(_LONG_FILTER, session)
         assert out.status is SearchStatus.TIMEOUT
         assert out.failure_reason == "literal lookup hit the search deadline"
-        assert db.conn.in_transaction
+        self._commit(path, "UPDATE items SET c3 = 'gone' WHERE id = 7")
         session.config = SynthesisConfig()
         example = FakeExample(
             "return items; return #1 with value 3 row 7", ["value 0 row 7"]
@@ -988,6 +999,113 @@ class TestSnapshot:
                 assert out.status is SearchStatus.FOUND
         finally:
             conn.close()
+
+
+def _ships(path, tonnages, deaths=None):
+    """A ``ship`` table with one row per tonnage, named in turn from a fixed
+    list, whose second name is at no extreme of id or name order; with
+    ``deaths``, a ``death`` table of (ship id, killed) rows keyed to it."""
+    names = ["Avalanche", "Mary", "Zephyr", "Lettice", "Bon Accord", "Kestrel"]
+    script = "CREATE TABLE ship (id INTEGER PRIMARY KEY, name TEXT, tonnage INTEGER);"
+    script += "".join(
+        f"INSERT INTO ship VALUES ({i}, '{names[i - 1]}', {t});"
+        for i, t in enumerate(tonnages, 1)
+    )
+    if deaths is not None:
+        script += (
+            "CREATE TABLE death (id INTEGER PRIMARY KEY, killed INTEGER,"
+            " caused_by_ship_id INTEGER REFERENCES ship (id));"
+        ) + "".join(
+            f"INSERT INTO death VALUES ({i}, {killed}, {ship});"
+            for i, (ship, killed) in enumerate(deaths, 1)
+        )
+    build_db(path, script)
+    return names[: len(tonnages)]
+
+
+_HIGHEST = [
+    "return ships; return tonnage of #1; return #1 where #2 is highest; "
+    "return the name of #3",
+    "return ships; return the name of #1; return tonnage of #1; "
+    "return #2 where #3 is highest",
+]
+
+
+class TestTies:
+    """A LIMIT that cuts between rows of equal ORDER BY key returns the tied
+    rows the query plan picks; QDMR's "highest" means all of them, so such a
+    try is a mismatch."""
+
+    @pytest.mark.parametrize("qdmr", _HIGHEST, ids=["nested", "top_level"])
+    def test_tie_at_the_top_is_not_found_through_a_limit(
+        self, tmp_path, open_db, lexicon, qdmr
+    ):
+        # Mary and Zephyr share the top tonnage; Mary is at no extreme of
+        # id or name, so only a cut through the tie could return her alone.
+        tied, untied = tmp_path / "tied.sqlite", tmp_path / "untied.sqlite"
+        _ships(tied, [250, 900, 900, 300])
+        _ships(untied, [250, 900, 800, 300])
+        out = run_search(open_db, tied, lexicon, qdmr, ["Mary"])
+        assert out.status is SearchStatus.EXHAUSTED, out.sql
+        out = run_search(open_db, untied, lexicon, qdmr, ["Mary"])
+        assert out.status is SearchStatus.FOUND
+        assert "ORDER BY ship.tonnage DESC LIMIT 1" in out.sql
+
+    def test_tie_check_runs_outside_the_executor(self, tmp_path, open_db, monkeypatch):
+        # The check reads rows k and k + 1 of each LIMIT 1 query on the
+        # session's connection; Database.execute runs candidates alone.
+        path = tmp_path / "ships.sqlite"
+        _ships(path, [250, 900, 900, 300])
+        db = open_db(path)
+        traced, executed = [], []
+        db.conn.set_trace_callback(traced.append)
+        real_execute = Database.execute
+
+        def recording(self, sql, target):
+            executed.append(sql)
+            return real_execute(self, sql, target)
+
+        monkeypatch.setattr(Database, "execute", recording)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        out = search(FakeExample(_HIGHEST[1], ["Mary"]), session)
+        assert out.status is SearchStatus.EXHAUSTED
+        assert any(sql.endswith("LIMIT 2") for sql in traced)
+        assert not any(sql.endswith("LIMIT 2") for sql in executed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tonnages=st.lists(st.sampled_from([100, 200, 300]), min_size=1, max_size=6),
+        deaths=st.one_of(st.none(), st.lists(
+            st.tuples(st.integers(1, 6), st.sampled_from([0, 1, 2])), max_size=8
+        )),
+        qdmr=st.sampled_from(_HIGHEST + [
+            "return ships; return tonnage of #1; return #1 where #2 is lowest; "
+            "return the name of #3",
+            "return ships; return deaths of #1; return number of #2 for each #1; "
+            "return #1 where #3 is highest; return the name of #4",
+            "return ships; return killed of #1; return #1 where #2 is highest; "
+            "return the name of #3",
+        ]),
+        pick=st.lists(st.integers(0, 5), min_size=1, max_size=2),
+    )
+    def test_found_sql_reads_the_same_rows_from_the_file(
+        self, tmp_path_factory, tonnages, deaths, qdmr, pick
+    ):
+        path = tmp_path_factory.mktemp("ties") / "ships.sqlite"
+        names = _ships(path, tonnages, deaths)
+        answer = sorted({names[i % len(names)] for i in pick})
+        with Database.open(path) as db:
+            session = Session(db, schema_of(db), SynthesisConfig())
+            out = search(FakeExample(qdmr, answer), session)
+            event(f"{out.status.value}, LIMIT: {'LIMIT' in (out.sql or '')}")
+            if out.status is not SearchStatus.FOUND:
+                return
+            copied = set(db.conn.execute(out.sql))
+        plain = sqlite3.connect(path.resolve().as_uri() + "?mode=ro", uri=True)
+        try:
+            assert set(plain.execute(out.sql)) == copied, out.sql
+        finally:
+            plain.close()
 
 
 class TestDeadlineLifted:
@@ -1534,9 +1652,12 @@ class TestDecidedCandidates:
                 reason = "no row can match, after a run"
             event(f"decided: {reason}")
             result = _rows_of(conn, query, distinct)
+            # A try whose LIMIT cuts a tie is a mismatch whatever it returns.
             assert result is None or not denotations_equal(
                 result, target, allow_empty
-            ), render_sql(query, distinct=distinct)
+            ) or search_module._tied(query, distinct, conn), render_sql(
+                query, distinct=distinct
+            )
 
     def test_census_reads_one_row_per_table(self):
         # Each table is read in one statement that aggregates each column's

@@ -6,8 +6,10 @@ Builds a SQLite database in a temporary directory with one table,
 (``r`` zero-padded to seven digits).  It opens a ``Session`` on it with
 ``per_example_timeout`` set to ``--timeout``, then searches
 ``return items; return #1 named value 3 number 0000042`` with the answer
-``[[42]]``.  It prints the seconds the session took to open, the seconds
-the search took, the search's status and the candidates it tried.
+``[[42]]``.  It prints the seconds the session took to open with the
+process's peak resident set size after it (``Database.open`` copies the
+file into memory), the seconds the search took, the search's status and
+the candidates it tried.
 
 A column with more distinct values than the value index maps is probed
 once per literal, when the decomposition is planned and linked.  Those
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import resource
 import sqlite3
 import sys
 import tempfile
@@ -54,6 +57,12 @@ def build(path: Path, rows: int) -> None:
         conn.commit()
     finally:
         conn.close()
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes or KiB
 
 
 def main(argv=None) -> int:
@@ -88,7 +97,8 @@ def main(argv=None) -> int:
         database = executor.Database.open(path)
         try:
             session = search.Session(database, schema.load_schema(database.conn), config)
-            print(f"open\t{time.perf_counter() - start:.2f} s")
+            print(f"open\t{time.perf_counter() - start:.2f} s\t"
+                  f"peak RSS {peak_rss_mb():.0f} MB")
             start = time.perf_counter()
             outcome = search.search(example, session)
             print(f"search\t{time.perf_counter() - start:.2f} s\t"
