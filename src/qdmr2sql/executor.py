@@ -22,9 +22,13 @@ already makes the comparison fail; results are often far larger than the
 answer, and reading them to the end would cost most of the search.  Such
 a row decides the comparison where it is read: the result says so
 (:attr:`Execution.mismatch`), and only a result whose every row lies in
-the target is left for :func:`denotations_equal` to decide.  The
-:class:`Database` holds its search's deadline, which the engine's progress
-hook checks while a statement runs and Python code between statements.
+the target is left for :func:`denotations_equal` to decide.  One loop,
+:func:`read_until_mismatch`, reads rows so, whether they come from the
+query's own statement (:meth:`Database.execute`) or are its column of the
+one row of a statement it shares with other aggregates over the same
+rows (:meth:`Database.execute_row`).  The :class:`Database` holds its
+search's deadline, which the engine's progress hook checks while a
+statement runs and Python code between statements.
 
 :meth:`Database.open` reads a file once, into a private in-memory copy
 with each foreign-key child column indexed, so every statement on it
@@ -52,6 +56,7 @@ __all__ = [
     "Execution",
     "Database",
     "denotations_equal",
+    "read_until_mismatch",
     "normalize_answer",
     "answer_denotation",
 ]
@@ -218,39 +223,60 @@ class Database:
 
     def execute(self, sql: str, target: Denotation) -> Execution:
         """Run one statement and read its rows until the first one that
-        matches no row of ``target``, neither exactly nor within the
-        numeric tolerance.
-
-        That row alone makes :func:`denotations_equal` against ``target``
-        false, which the result records as its ``mismatch``; every row
-        before it matches, so the verdict on the rows read equals the
-        verdict on the whole result.  ``len`` of the result counts the
-        rows read.
+        matches no row of ``target`` (see :func:`read_until_mismatch`).
 
         The statement is aborted once the database's deadline passes
         (:meth:`set_deadline`).
         """
-        wanted = target._distinct
-        rows: List[Tuple[Cell, ...]] = []
-        mismatch = False
         try:
             cursor = self.conn.execute(sql)
             try:
-                for raw in cursor:
-                    row = tuple(map(_canon, raw))
-                    rows.append(row)
-                    if row not in wanted and not any(
-                        _rows_match(row, t) for t in wanted
-                    ):
-                        mismatch = True
-                        break
+                return read_until_mismatch(cursor, target)
             finally:
                 cursor.close()  # resets the statement
         except sqlite3.Error as exc:
-            if interrupted(exc):
-                raise ExecutionTimeout("query ran past its deadline") from exc
-            raise SqlError(str(exc)) from exc
-        return Execution(rows=tuple(rows), mismatch=mismatch)
+            raise _engine_error(exc) from exc
+
+    def execute_row(self, sql: str) -> tuple:
+        """Run a statement that returns one row, such as an aggregate query
+        without GROUP BY, and return that row (the first, were there more)
+        as the engine reads it; under the deadline and with the errors of
+        :meth:`execute`."""
+        try:
+            cursor = self.conn.execute(sql)
+            try:
+                return cursor.fetchone()
+            finally:
+                cursor.close()  # resets the statement
+        except sqlite3.Error as exc:
+            raise _engine_error(exc) from exc
+
+
+def _engine_error(exc: sqlite3.Error) -> Exception:
+    """What a statement the engine failed raises: a timeout when the
+    deadline interrupted it, else :class:`SqlError`."""
+    if interrupted(exc):
+        return ExecutionTimeout("query ran past its deadline")
+    return SqlError(str(exc))
+
+
+def read_until_mismatch(rows: Iterable[Sequence], target: Denotation) -> Execution:
+    """Read ``rows`` until the first one that matches no row of ``target``,
+    neither exactly nor within the numeric tolerance.
+
+    That row alone makes :func:`denotations_equal` against ``target``
+    false, which the result records as its ``mismatch``; every row before
+    it matches, so the verdict on the rows read equals the verdict on all
+    of ``rows``.  ``len`` of the result counts the rows read.
+    """
+    wanted = target._distinct
+    read: List[Tuple[Cell, ...]] = []
+    for raw in rows:
+        row = tuple(map(_canon, raw))
+        read.append(row)
+        if row not in wanted and not any(_rows_match(row, t) for t in wanted):
+            return Execution(rows=tuple(read), mismatch=True)
+    return Execution(rows=tuple(read), mismatch=False)
 
 
 def _numbers_close(x: float, y: float) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -52,7 +53,7 @@ class EmbeddingLexicon:
     def __init__(self, vectors: Dict[str, Tuple[float, ...]]):
         self._vectors = vectors
         self._norms = {
-            t: math.sqrt(sum(x * x for x in v)) for t, v in vectors.items()
+            t: math.sqrt(sum(map(operator.mul, v, v))) for t, v in vectors.items()
         }
 
     @classmethod
@@ -90,7 +91,7 @@ class EmbeddingLexicon:
         na, nb = self._norms[a], self._norms[b]
         if na == 0.0 or nb == 0.0:
             return 0.0
-        return sum(x * y for x, y in zip(va, vb)) / (na * nb)
+        return sum(map(operator.mul, va, vb)) / (na * nb)
 
 
 def phrase_column_similarity(

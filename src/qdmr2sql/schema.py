@@ -279,11 +279,17 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
 
     tables: Dict[str, List[ColumnRef]] = {}
     pks: Dict[str, str] = {}
+    keys: Dict[str, list] = {}
     for name in table_names:
+        try:
+            info = conn.execute(f"PRAGMA table_info({quote_ident(name)})").fetchall()
+            keys[name] = conn.execute(
+                f"PRAGMA foreign_key_list({quote_ident(name)})"
+            ).fetchall()
+        except sqlite3.Error:
+            continue  # say, a virtual table whose module this SQLite lacks
         cols = []
-        for _, col, declared, _, _, pk in conn.execute(
-            f"PRAGMA table_info({quote_ident(name)})"
-        ):
+        for _, col, declared, _, _, pk in info:
             cols.append(_make_column(name, col, declared, _collated(conn, name, col)))
             if pk and name not in pks:
                 pks[name] = col
@@ -291,14 +297,10 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
     names = SchemaGraph(tables, ())  # finds the columns the keys name
 
     fks: List[FKEdge] = []
-    for name in table_names:
+    for name, rows in keys.items():
         # foreign_key_list numbers ids from the last declared key down, so
         # descending id recovers declaration order.
-        rows = sorted(
-            conn.execute(f"PRAGMA foreign_key_list({quote_ident(name)})"),
-            key=lambda r: (-r[0], r[1]),
-        )
-        for row in rows:
+        for row in sorted(rows, key=lambda r: (-r[0], r[1])):
             fk_id, seq, target_table, src_col, dst_col = row[0], row[1], row[2], row[3], row[4]
             if seq != 0:
                 continue  # composite keys: keep the leading pair only

@@ -22,10 +22,29 @@ Nothing an assignment cannot change is built twice:
 - once per example and variant, for each step but the last and each set
   of columns of the slots it reads: the step's query
   (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments differ in
-  one slot, so most steps repeat.
+  one slot, so most steps repeat;
+- once per example, for each aggregated column, join and DISTINCT flag:
+  the statement the aggregate tries over them share (see below).
 
 Each variant of each assignment is still one call of ``synthesize``, made
 only while the deadline holds.
+
+Aggregate tries over one join share a statement.  A query whose select
+list is one aggregate and which has no GROUP BY, HAVING, ORDER BY or
+LIMIT returns exactly one row.  When it also joins two or more tables, its
+tries read their column of a statement that computes, over the same FROM
+and WHERE, one aggregate of the column for each function the
+decomposition's variants aggregate with (usually COUNT and SUM), with
+DISTINCT inside each as the try has it.  SQLite computes each aggregate
+on its own over the same rows, so each column is what the try's own
+statement returns.  The statement runs on the first try that reads it and
+its row serves the others, the COUNT/SUM swap's among them, until the
+search ends; it saves compiling a statement, which costs more the more
+tables it joins.  A try answered this way is rendered, counted and
+decided as any other; only its execution is shared.  When the engine
+rejects the shared statement (SUM overflows where COUNT alone would
+not), each try runs its own, so the engine errors and the statuses are
+those of the tries' own statements.
 
 The first candidate whose denotation equals the answer wins, unless a
 LIMIT in it cuts a tie (:func:`_tied`): the plan picks which tied rows it
@@ -41,11 +60,11 @@ when not a single candidate could be executed.
 Some candidates are decided without being executed; they are mismatches
 or engine rejections and still count as tried:
 
-- a candidate whose statement this search already ran or saw the engine
-  reject.  The same statement on the same connection, against the same
-  answer, gets the same verdict, and a match or a timeout would have
-  ended the search.  This holds per search only: nothing is kept for the
-  next example;
+- a candidate whose statement this search already ran, answered from a
+  shared statement, or saw the engine reject.  The same statement on the
+  same connection, against the same answer, gets the same verdict, and a
+  match or a timeout would have ended the search.  This holds per search
+  only: nothing is kept for the next example;
 - the DISTINCT try of a query when DISTINCT cannot change its set of
   rows: no aggregate, no LIMIT and no column compared under a collation.
   Comparison is by sets, so the try reads its first try's statement and
@@ -83,6 +102,7 @@ from .executor import (
     Denotation,
     answer_denotation,
     denotations_equal,
+    read_until_mismatch,
 )
 from .linking import (
     Assignment,
@@ -98,7 +118,8 @@ from . import sqlgen
 from .schema import ColumnRef, SchemaGraph, ValueIndex, interrupted, quote_ident
 from .sqlgen import (
     AggExpr, ArithExpr, ColExpr, InPred, JoinPaths, OrGroup, Reads, SelectItem, SqlQuery,
-    StepMemo, render_sql, step_reads, synthesize, _aggregates, _distinct_keeps_rows,
+    StepMemo, render_aggregates, render_sql, step_reads, synthesize, _aggregates,
+    _distinct_keeps_rows,
 )
 
 __all__ = [
@@ -332,13 +353,67 @@ def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str
 @dataclass(frozen=True)
 class _Prepared:
     """What a session builds once for a decomposition: its plan, its slots
-    with their candidate columns, and its variants, each as ``(program,
+    with their candidate columns, its variants, each as ``(program,
     labels, reads)`` with the slots each step reads
-    (:func:`~qdmr2sql.sqlgen.step_reads`)."""
+    (:func:`~qdmr2sql.sqlgen.step_reads`), and the family of aggregate
+    functions its shared statements compute (:func:`_family`)."""
 
     plan: BindingPlan
     slots: List[Tuple[Slot, Tuple[ColumnRef, ...]]]
     variants: Tuple[Tuple[QdmrProgram, Tuple[str, ...], Reads], ...]
+    family: Tuple[str, ...]
+
+
+def _family(programs: List[QdmrProgram]) -> Tuple[str, ...]:
+    """The aggregate functions of the steps of ``programs`` that aggregate,
+    in order of first use, when there are two or more; else none, since a
+    statement shared by one function is each try's own."""
+    fns = tuple(dict.fromkeys(
+        step.operator.aggregate_fn
+        for program in programs
+        for step in program.steps
+        if step.operator.kind in (OpKind.AGGREGATE, OpKind.GROUP)
+    ))
+    return fns if len(fns) > 1 else ()
+
+
+def _shared_column(query: SqlQuery, family: Tuple[str, ...]) -> Optional[int]:
+    """The column that answers the tries of ``query`` in their shared
+    statement, or None when they run their own.
+
+    A query shares when its select list is one aggregate of a function in
+    ``family``, it has no GROUP BY, HAVING, ORDER BY or LIMIT, so it
+    returns exactly one row, and it joins two or more tables.  Sharing
+    saves compiling a statement, which costs more the more tables it
+    joins; over one table a statement compiles in microseconds, and SQLite
+    reads a lone DISTINCT aggregate of an indexed column from its index,
+    which it cannot do for two in one statement."""
+    if len(query.select) != 1 or len(query.from_tables) < 2:
+        return None
+    item = query.select[0]
+    if (not isinstance(item, AggExpr) or item.fn not in family
+            or query.group_by is not None or query.having or query.order_by
+            or query.limit is not None):
+        return None
+    return family.index(item.fn)
+
+
+def _shared_row(
+    database: Database, query: SqlQuery, distinct: bool, sql: str,
+    family: Tuple[str, ...], shared: Dict[str, Optional[tuple]],
+) -> Optional[tuple]:
+    """The row of the statement the try ``(query, distinct)``, whose own
+    statement is ``sql``, shares: one aggregate of each function in
+    ``family`` over ``query``'s argument and clauses, DISTINCT inside each
+    as the try has it.  Run on its first try in the search and kept in
+    ``shared`` under its text; None once the engine has rejected it."""
+    statement = render_aggregates(query, family, distinct, sql)
+    if statement not in shared:
+        try:
+            shared[statement] = database.execute_row(statement)
+        except SqlError:
+            shared[statement] = None
+    return shared[statement]
 
 
 class Session:
@@ -399,7 +474,8 @@ class Session:
                 (variant, labels, step_reads(variant, plan))
                 for variant, labels in _program_variants(program)
             )
-            prepared = self.prepared[program] = _Prepared(plan, slots, variants)
+            family = _family([variant for variant, _, _ in variants])
+            prepared = self.prepared[program] = _Prepared(plan, slots, variants, family)
         return prepared
 
     def close(self) -> None:
@@ -447,6 +523,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
     tried = 0
     executed = False  # whether a candidate ran without an engine error
     ran: Set[str] = set()  # each statement run or rejected, none matching
+    shared: Dict[str, Optional[tuple]] = {}  # each shared statement run: its row
     mapping_error: Optional[str] = None  # the last one
     engine_error: Optional[str] = None  # the first one
     for assignment in enumerate_assignments(prepared.slots, config.max_assignments):
@@ -460,6 +537,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
             except Qdmr2SqlError as exc:
                 mapping_error = str(exc)
                 continue
+            column = _shared_column(query, prepared.family)
             for distinct in (False, True):
                 if database.past_deadline():
                     return _timeout(tried, "search deadline exceeded")
@@ -473,7 +551,13 @@ def _search(example, session: Session) -> SynthesisOutcome:
                     continue
                 ran.add(sql)
                 try:
-                    result = database.execute(sql, target)
+                    row = None if column is None else _shared_row(
+                        database, query, distinct, sql, prepared.family, shared
+                    )
+                    if row is None:  # no shared statement, or the engine rejected it
+                        result = database.execute(sql, target)
+                    else:
+                        result = read_until_mismatch((row[column:column + 1],), target)
                     found = not result.mismatch and denotations_equal(
                         result, target, config.allow_empty_denotation
                     ) and (" LIMIT " not in sql or not _tied(query, distinct, database.conn))

@@ -73,6 +73,7 @@ __all__ = [
     "step_reads",
     "synthesize",
     "render_sql",
+    "render_aggregates",
 ]
 
 
@@ -216,6 +217,19 @@ def render_sql(query: SqlQuery, distinct: bool = False) -> str:
     if query.limit is not None:
         parts.append(f"LIMIT {query.limit}")
     return " ".join(parts)
+
+
+def render_aggregates(
+    query: SqlQuery, fns: Sequence[str], distinct: bool, sql: str
+) -> str:
+    """``sql``, which is ``render_sql(query, distinct)`` for a query whose
+    select list is one aggregate, with one aggregate of each function in
+    ``fns`` over that aggregate's argument in its place; the clauses after
+    the select list are taken from ``sql``, not rendered again."""
+    item = query.select[0]
+    clauses = sql[len("SELECT ") + len(item.render(distinct)):]
+    items = ", ".join(AggExpr(fn, item.arg).render(distinct) for fn in fns)
+    return "SELECT " + items + clauses
 
 
 def _distinct_keeps_rows(query: SqlQuery) -> bool:

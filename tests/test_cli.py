@@ -529,6 +529,54 @@ class TestConnections:
                 conn.execute("SELECT 1")
 
 
+def _add_unloadable_table(path):
+    """Declare in the file at ``path`` a virtual table whose module no SQLite
+    here has, as a file written where that module exists would hold it."""
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute("PRAGMA writable_schema = ON")
+        conn.execute(
+            "INSERT INTO sqlite_master (type, name, tbl_name, rootpage, sql) VALUES"
+            " ('table', 'v', 'v', 0, 'CREATE VIRTUAL TABLE v USING nosuchmod(a)')"
+        )
+        conn.commit()
+    finally:
+        conn.close()
+
+
+class TestTableOfAnUnknownModule:
+    """A table the engine cannot describe is left out of the schema."""
+
+    def test_map_reads_the_other_tables(self, tmp_path, capsys):
+        path = tmp_path / "orders.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE orders (id INTEGER PRIMARY KEY, item TEXT);"
+            "INSERT INTO orders VALUES (1, 'pen');"
+        )
+        conn.close()
+        _add_unloadable_table(path)
+        assert main(["map", "--qdmr", "return orders", "--schema", str(path)]) == 0
+        assert capsys.readouterr().out == "SELECT orders.id FROM orders\n"
+
+    def test_synth_outputs_are_unchanged(self, db_dir, tmp_path, capsys):
+        odd_dir = tmp_path / "dbs"
+        odd_dir.mkdir()
+        for db in db_dir.glob("*.sqlite"):
+            (odd_dir / db.name).write_bytes(db.read_bytes())
+        _add_unloadable_table(odd_dir / "ship_death.sqlite")
+        outputs = {}
+        for name, dbs in (("plain", db_dir), ("odd", odd_dir)):
+            pairs, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+            argv = ["synth"] + batch_args(dbs) + [
+                "--out-pairs", str(pairs), "--out-report", str(report)]
+            assert main(argv) == 0
+            assert "synthesized 23/27 examples" in capsys.readouterr().out
+            failures = tmp_path / f"{name}.failures.jsonl"
+            outputs[name] = [p.read_bytes() for p in (pairs, failures, report)]
+        assert outputs["odd"] == outputs["plain"]
+
+
 # --- drawn corpora: whatever the loader accepts, synth exits 0 or 2 --------
 
 _NOUNS = [

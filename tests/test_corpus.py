@@ -329,44 +329,36 @@ class TestRunCorpus:
 
     def test_decided_candidates_are_not_executed(self, db_dir, lexicon, monkeypatch):
         # 121 candidates are tried; 18 of them are decided from their query,
-        # the answer and the cell kinds, and never reach the engine.
+        # the answer and the cell kinds, and never reach the engine.  Of the
+        # other 103, 102 run their own statement; a7's COUNT over a join,
+        # found on its first try, reads the statement it would share with
+        # its SUM.  4 more statements check the LIMIT cut of a match for a
+        # tie.  So the engine runs 107 statements.
         examples, _ = load_examples(CORPUS)
-        executed = []
-        real_execute = Database.execute
-
-        def counting(self, sql, target):
-            executed.append(sql)
-            return real_execute(self, sql, target)
-
-        monkeypatch.setattr(Database, "execute", counting)
+        statements = _trace_searches(monkeypatch)
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
         assert sum(o.candidates_tried for o in outcomes) == 121
-        assert len(executed) == 103
+        shared = [sql for _, sql in statements if _SHARED.match(sql)]
+        assert (len(statements), len(shared)) == (107, 1)
 
     def test_no_statement_runs_twice_in_one_search(self, db_dir, lexicon, monkeypatch):
         # Beside the fixture examples, s4 with an answer no query reaches:
         # "tonnage of #1" reads only #1's table, so each of the four columns
         # "ships" binds to maps to the same query, and its 256 tries read 64
-        # statements.  Each runs once; the repeats take its verdict.
+        # statements of their own.  32 of them read one table and run; the
+        # other 32, a SUM and a COUNT over the ship-death join for each
+        # column and DISTINCT flag, read 16 shared statements.  Each runs
+        # once; the repeats take its verdict.
         examples, _ = load_examples(CORPUS)
         s4 = next(ex for ex in examples if ex.id == "s4")
         examples.append(dataclasses.replace(s4, id="unreachable", answer=[[12345]]))
-        searches = []  # (example id, statements executed)
-        real_search, real_execute = corpus_module.search, Database.execute
-
-        def recording_search(example, session):
-            searches.append((example.id, []))
-            return real_search(example, session)
-
-        def recording_execute(self, sql, target):
-            searches[-1][1].append(sql)
-            return real_execute(self, sql, target)
-
-        monkeypatch.setattr(corpus_module, "search", recording_search)
-        monkeypatch.setattr(Database, "execute", recording_execute)
+        statements = _trace_searches(monkeypatch)
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
-        for id, statements in searches:
-            assert len(set(statements)) == len(statements), id
+        searches = {}  # example id -> the statements the engine ran
+        for id, sql in statements:
+            searches.setdefault(id, []).append(sql)
+        for id, ran in searches.items():
+            assert len(set(ran)) == len(ran), id
         got = {ex.id: (out.status.value, out.candidates_tried)
                for ex, out in zip(examples, outcomes)}
         assert got == {
@@ -374,12 +366,37 @@ class TestRunCorpus:
                for id, status in EXPECTED_STATUS.items()},
             "unreachable": ("Exhausted", 256),
         }
-        assert [len(statements) for id, statements in searches if id == "unreachable"] == [64]
+        shared = [sql for sql in searches["unreachable"] if _SHARED.match(sql)]
+        assert (len(searches["unreachable"]), len(shared)) == (48, 16)
 
     def test_unknown_db_id_aborts_upfront(self, db_dir):
         bad = [_fake_example("x", "d", "no_such_db")]
         with pytest.raises(FileUnreadable):
             run_corpus(bad, db_dir)
+
+
+# A statement shared by the aggregate tries over one FROM ... WHERE: two or
+# more aggregates of one argument, such as "SELECT SUM(x), COUNT(x) FROM t, u".
+_SHARED = re.compile(r"SELECT (\w+\((DISTINCT )?[^()]+\), )+\w+\((DISTINCT )?[^()]+\) FROM ")
+
+
+def _trace_searches(monkeypatch):
+    """``(example id, statement)`` for each statement the engine runs while
+    ``run_corpus`` searches, in order."""
+    statements = []
+    real_search = corpus_module.search
+
+    def tracing_search(example, session):
+        session.database.conn.set_trace_callback(
+            lambda sql: statements.append((example.id, sql))
+        )
+        try:
+            return real_search(example, session)
+        finally:
+            session.database.conn.set_trace_callback(None)
+
+    monkeypatch.setattr(corpus_module, "search", tracing_search)
+    return statements
 
 
 def _closed(conn):

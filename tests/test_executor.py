@@ -511,17 +511,44 @@ class TestEarlyExit:
         db.set_deadline(math.inf)
         assert db.execute("SELECT 1", ONE).rows == ((1,),)
 
-    def test_early_exit_releases_the_statement(self, tmp_path):
-        path = tmp_path / "big.sqlite"
-        _write_table(path, 1, [(i,) for i in range(1000)])
-        with Database.open(path) as db:
+    @staticmethod
+    def _kept_cursors():
+        """A database on a writable connection that keeps a reference to each
+        cursor it opens, so that only ``cursor.close()`` resets a statement
+        read part-way: CPython would otherwise free, and so reset, it as
+        soon as the method returns."""
+
+        class Keeping:
+            def __init__(self, conn):
+                self.conn, self.cursors = conn, []
+
+            def execute(self, sql):
+                self.cursors.append(self.conn.execute(sql))
+                return self.cursors[-1]
+
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE t (c0)")
+        conn.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(1000)])
+        return conn, Database(Keeping(conn))
+
+    def test_early_exit_releases_the_statement(self):
+        conn, db = self._kept_cursors()
+        try:
             got = db.execute("SELECT c0 FROM t", answer_denotation([[-1]]))
-            assert got.rows == ((0,),)
-            # A statement left open holds a SHARED lock; the commit would
-            # then fail with "database is locked".
-            writer = sqlite3.connect(path, timeout=0)
-            try:
-                writer.execute("INSERT INTO t VALUES (1000)")
-                writer.commit()
-            finally:
-                writer.close()
+            assert got.rows == ((0,),) and got.mismatch
+            # A statement left part-read holds the table: DROP would then
+            # fail with "database table is locked".
+            conn.execute("DROP TABLE t")
+        finally:
+            conn.close()
+
+    def test_one_row_read_releases_the_statement(self):
+        # Reading the one row of an aggregate reaches the statement's end,
+        # which resets it; a statement with rows left needs the close.
+        conn, db = self._kept_cursors()
+        try:
+            assert db.execute_row("SELECT COUNT(c0), SUM(c0) FROM t") == (1000, 499500)
+            assert db.execute_row("SELECT c0 FROM t") == (0,)
+            conn.execute("DROP TABLE t")
+        finally:
+            conn.close()

@@ -81,6 +81,22 @@ class TestLexicon:
             EmbeddingLexicon.load(tmp_path / "absent.txt")
         assert not isinstance(info.value, SchemaError)
 
+    @settings(max_examples=200, deadline=None)
+    @given(pair=st.integers(1, 40).flatmap(lambda dim: st.tuples(*(
+        st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim) for _ in "ab"
+    ))))
+    def test_cosine_sums_as_the_loop_does(self, pair):
+        # The reference: the loops ``cosine`` and the norms once ran, which
+        # sum the same products in the same order, so the results are equal
+        # bit for bit.
+        a, b = pair
+        lex = EmbeddingLexicon({"a": tuple(a), "b": tuple(b)})
+        na, nb = (math.sqrt(sum(x * x for x in v)) for v in (a, b))
+        expected = 0.0 if not na or not nb else (
+            sum(x * y for x, y in zip(a, b)) / (na * nb)
+        )
+        assert lex.cosine("a", "b") == expected
+
     def test_mini_file_loads(self, lexicon):
         # Every one of the file's 43 tokens has a nonzero vector.
         tokens = [

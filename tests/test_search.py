@@ -32,7 +32,7 @@ from qdmr2sql import executor as executor_module
 from qdmr2sql import linking, sqlgen
 from qdmr2sql import schema as schema_module
 from qdmr2sql.corpus import Example, load_examples, run_corpus
-from qdmr2sql.errors import Qdmr2SqlError, SqlError
+from qdmr2sql.errors import Qdmr2SqlError
 from qdmr2sql.executor import (
     Database, Denotation, answer_denotation, denotations_equal,
 )
@@ -47,8 +47,8 @@ from qdmr2sql.search import (
     search,
 )
 from qdmr2sql.sqlgen import (
-    AggExpr, ArithExpr, CmpPred, ColExpr, InPred, SqlQuery, StepMemo, render_sql,
-    step_reads, synthesize,
+    AggExpr, ArithExpr, CmpPred, ColExpr, InPred, JoinPred, SqlQuery, StepMemo,
+    render_sql, step_reads, synthesize,
 )
 
 from test_executor import _write_table, tables_and_targets
@@ -516,33 +516,43 @@ class TestFailureStatuses:
         assert out.failure_reason
 
     def test_engine_rejecting_every_candidate(
-        self, products_db, open_db, lexicon, monkeypatch
+        self, products_db, academic_db, open_db, lexicon
     ):
         # No candidate executes, so none may be decided by width ([1, 2])
         # or by kind ("three" against a COUNT), and each try is a statement
         # of its own (DISTINCT changes what a COUNT counts), so none repeats
-        # one.  Each is rejected and counted.
-        for answer in (999, [[1, 2]], [["three"]]):
-            calls = []
+        # one.  The engine refuses to compile any statement.  Over products,
+        # each of the 12 tries reads one table and is refused on its own.
+        # Over academic, the 14 statements shared by a COUNT and a SUM over
+        # a join are refused first, and then each of the 36 tries is.
+        for path, qdmr, tried, refusals in (
+            (products_db, "return product types; return the number of #1", 12, 12),
+            (academic_db, "return papers; return #1 in PVLDB; return the number of #2",
+             36, 36 + 14),
+        ):
+            db = open_db(path)
+            session = Session(db, schema_of(db), SynthesisConfig(), lexicon)
+            for answer in (999, [[1, 2]], [["three"]]):
+                refused = []
 
-            def reject(self, sql, target):
-                calls.append(sql)
-                raise SqlError(f"no such column: boom {len(calls)}")
+                def refuse(action, *args):
+                    if action == sqlite3.SQLITE_SELECT:  # once per statement
+                        refused.append(action)
+                        return sqlite3.SQLITE_DENY
+                    return sqlite3.SQLITE_OK
 
-            monkeypatch.setattr(Database, "execute", reject)
-            out = run_search(
-                open_db,
-                products_db,
-                lexicon,
-                "return product types; return the number of #1",
-                answer,
-            )
-            assert out.status is SearchStatus.MAPPING_FAILED
-            assert len(calls) == out.candidates_tried == 12
-            assert out.failure_reason == (
-                "the engine rejected all 12 candidates; "
-                "first error: no such column: boom 1"
-            )
+                db.conn.set_authorizer(refuse)
+                try:
+                    out = search(FakeExample(qdmr, answer), session)
+                finally:
+                    db.conn.set_authorizer(None)
+                assert out.status is SearchStatus.MAPPING_FAILED
+                assert out.candidates_tried == tried
+                assert len(refused) == refusals
+                assert out.failure_reason == (
+                    f"the engine rejected all {tried} candidates; "
+                    "first error: not authorized"
+                )
 
     def test_exhausted_on_unreachable_answer(self, products_db, open_db, lexicon):
         out = run_search(
@@ -1219,12 +1229,15 @@ class TestOnePassVerdict:
         )
 
     def test_mismatch_never_compared(self, db_dir, lexicon, monkeypatch):
+        # A try reads its rows from its own statement (Database.execute) or
+        # its column of a statement shared with other aggregate tries; both
+        # read through read_until_mismatch.
         executed, compared = [], []
-        real_execute = Database.execute
+        real_read = executor_module.read_until_mismatch
         real_equal = search_module.denotations_equal
 
-        def execute(self, sql, target):
-            executed.append(real_execute(self, sql, target))
+        def read(rows, target):
+            executed.append(real_read(rows, target))
             return executed[-1]
 
         def equal(result, target, allow_empty=False):
@@ -1236,12 +1249,15 @@ class TestOnePassVerdict:
             )
             return real_equal(result, target, allow_empty)
 
-        monkeypatch.setattr(Database, "execute", execute)
+        monkeypatch.setattr(executor_module, "read_until_mismatch", read)
+        monkeypatch.setattr(search_module, "read_until_mismatch", read)
         monkeypatch.setattr(search_module, "denotations_equal", equal)
         examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
         mismatches = [r for r in executed if r.mismatch]
         assert mismatches
+        # One result for each of the 103 tries that reach the engine.
+        assert len(executed) == 103
         assert len(compared) == len(executed) - len(mismatches)
         assert sum(o.status is SearchStatus.FOUND for o in outcomes) == 23
 
@@ -1744,3 +1760,142 @@ class TestDecidedCandidates:
         else:
             assert out.status is SearchStatus.EXHAUSTED
             assert executed == [base]
+
+
+# --- aggregate tries answered from a shared statement ---------------------------
+
+_T_COLS = [ColumnRef("t", "a", collated=True)] + [ColumnRef("t", n) for n in "bcd"]
+_U_COLS = [ColumnRef("u", "e")]
+_JOIN = JoinPred(ColumnRef("u", "t_id"), ColumnRef("t", "id"))
+_FNS = ["count", "sum", "avg", "min", "max"]
+# Nulls, reals, text that differs only in case, and integers whose sum
+# overflows SQLite's 64 bits.
+_CELL = st.sampled_from(
+    [None, 1, 2, -3, 0.5, 1e308, "x", "X", "2", 2**62, 2**63 - 1, -(2**63)]
+)
+
+
+@st.composite
+def _shared_case(draw):
+    """Two tables, the aggregate queries the search maps over them (each
+    one row, sharing a few FROM ... WHERE bodies) and the family of
+    aggregate functions its shared statements compute."""
+    t_rows = draw(st.lists(st.tuples(_CELL, _CELL, _CELL, _CELL), max_size=5))
+    u_rows = draw(st.lists(
+        st.tuples(st.integers(1, 6), _CELL), max_size=5
+    )) if t_rows else []
+    family = tuple(draw(st.lists(st.sampled_from(_FNS), min_size=2, unique=True)))
+    joined = draw(st.sampled_from([True, True, True, False]))  # only joins share
+    bodies = []
+    for _ in range(draw(st.integers(1, 2))):
+        arg = ColExpr(draw(st.sampled_from(_T_COLS + (_U_COLS if joined else []))))
+        where = (_JOIN,) if joined else ()
+        if draw(st.booleans()):
+            col = ColExpr(draw(st.sampled_from(_T_COLS)))
+            op = draw(st.sampled_from(["=", "!=", ">"]))
+            where += (CmpPred(col, op, draw(st.sampled_from([1, 0.5, "x"]))),)
+        bodies.append((arg, ("t", "u") if joined else ("t",), where))
+    queries = [
+        SqlQuery(select=(AggExpr(fn, arg),), from_tables=tables, where=where)
+        for arg, tables, where in (
+            draw(st.sampled_from(bodies)) for _ in range(draw(st.integers(1, 6)))
+        )
+        for fn in [draw(st.sampled_from(family))]
+    ]
+    return t_rows, u_rows, family, queries
+
+
+def _shared_db(t_rows, u_rows):
+    conn = sqlite3.connect(":memory:")
+    conn.executescript(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, a TEXT COLLATE NOCASE, b INTEGER,"
+        " c REAL, d); CREATE TABLE u (t_id INTEGER REFERENCES t (id), e);"
+    )
+    conn.executemany("INSERT INTO t (a, b, c, d) VALUES (?, ?, ?, ?)", t_rows)
+    conn.executemany("INSERT INTO u VALUES (?, ?)", u_rows)
+    return conn
+
+
+class TestSharedStatements:
+    """A try answered from the statement it shares with the other aggregate
+    tries over its FROM ... WHERE and DISTINCT flag gets the verdict its own
+    statement gets alone, and the search's outcome is the one it has when
+    every try runs its own statement."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=_shared_case(),
+        # The answer is the full result of one try, or else drawn.
+        source=st.tuples(st.integers(0, 5), st.booleans()),
+        drawn=st.one_of(st.none(), st.lists(st.lists(_CELL, min_size=1, max_size=1),
+                                            max_size=2)),
+        allow_empty=st.booleans(),
+    )
+    # SUM(b) overflows, so the shared statement fails while COUNT(b) alone
+    # succeeds: the try runs its own statement and matches.
+    @example(
+        case=([(None, 2**62, None, None)] * 2, [(1, None), (2, None)], ("count", "sum"),
+              [SqlQuery(select=(AggExpr("count", ColExpr(_T_COLS[1])),),
+                        from_tables=("t", "u"), where=(_JOIN,))]),
+        source=(0, False), drawn=None, allow_empty=False,
+    )
+    def test_shared_verdict_is_the_own_verdict(self, case, source, drawn, allow_empty):
+        t_rows, u_rows, family, queries = case
+        conn = _shared_db(t_rows, u_rows)
+        try:
+            db = Database(conn)
+            session = Session(
+                db, load_schema(conn), SynthesisConfig(allow_empty_denotation=allow_empty)
+            )
+            index, distinct = source
+            result = _rows_of(conn, queries[index % len(queries)], distinct)
+            if drawn is not None or result is None:
+                answer = drawn or []
+            else:
+                answer = [list(row) for row in result.rows]
+            out, answered = self._search(session, queries, answer, family)
+            alone, none_shared = self._search(session, queries, answer, ())
+            assert not none_shared
+            assert out == alone
+            event(f"tries answered from a shared statement: {min(len(answered), 3)}")
+            target = answer_denotation(answer)
+            for query, distinct, got in answered:
+                own = db.execute(render_sql(query, distinct=distinct), target)
+                assert got == own
+                assert (not got.mismatch and denotations_equal(got, target, allow_empty)) == (
+                    not own.mismatch and denotations_equal(own, target, allow_empty)
+                )
+        finally:
+            conn.close()
+
+    @staticmethod
+    def _search(session, queries, answer, family):
+        """The search over ``queries`` as the mapped candidates, with
+        ``family`` as the decomposition's, and each try answered from a
+        shared statement as ``(query, distinct, result)``."""
+        session.prepared.clear()
+        built, rendered, answered = [], [], []
+        real_render, real_read = search_module.render_sql, search_module.read_until_mismatch
+
+        def synthesize(*args):
+            built.append(queries[len(built)])
+            return built[-1]
+
+        def render(query, distinct=False):
+            rendered.append((query, distinct))
+            return real_render(query, distinct=distinct)
+
+        def read(rows, target):
+            answered.append((*rendered[-1], real_read(rows, target)))
+            return answered[-1][-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_program_variants", lambda p: [(p, ())])
+            mp.setattr(search_module, "_family", lambda programs: family)
+            mp.setattr(search_module, "enumerate_assignments",
+                       lambda slots, limit: (linking.Assignment({}) for _ in queries))
+            mp.setattr(search_module, "synthesize", synthesize)
+            mp.setattr(search_module, "render_sql", render)
+            mp.setattr(search_module, "read_until_mismatch", read)
+            out = search(FakeExample("return things", answer), session)
+        return out, answered

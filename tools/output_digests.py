@@ -4,9 +4,13 @@ For each workload of ``perfbench/workloads.py`` this builds the inputs at
 one seed in a temporary directory, runs ``run_corpus`` on them with the
 package under ``--src``, and writes the pairs, failures and report files
 as ``perfbench/worker.py`` does.  It prints one line per workload: the
-SHA-256 of the three files together and the number of examples found.
-Two versions of the package whose lines agree wrote byte-identical files
-for the same inputs; the inputs always come from this checkout.
+number of examples found, the candidates tried summed over the examples,
+the number of examples of each status, and the SHA-256 of the three files
+together.  The output files do not hold a Found example's candidate count,
+so the sum shows a change in tries that the files would not.  Two
+versions of the package whose lines agree wrote byte-identical files and
+tried as many candidates for the same inputs; the inputs always come from
+this checkout.
 
 With ``--against DIR`` the tool runs itself again in a subprocess with
 ``--src DIR`` and the same ``--seed`` and ``--jobs``, prints that run's
@@ -30,6 +34,7 @@ import importlib
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -65,7 +70,11 @@ def run_workload(workloads, name: str, seed: int, jobs: int, work: Path) -> str:
     corpus.emit_training_pairs(examples, outcomes, out / "pairs.jsonl")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     found = sum(o.status is search.SearchStatus.FOUND for o in outcomes)
-    return f"{name}\tfound {found}/{len(examples)}\tsha256 {digest(out)}"
+    tried = sum(o.candidates_tried for o in outcomes)
+    statuses = Counter(o.status.value for o in outcomes)
+    histogram = " ".join(f"{status}:{n}" for status, n in sorted(statuses.items()))
+    return (f"{name}\tfound {found}/{len(examples)}\ttried {tried}"
+            f"\tstatuses {histogram}\tsha256 {digest(out)}")
 
 
 def main(argv=None) -> int:
