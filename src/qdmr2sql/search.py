@@ -34,7 +34,8 @@ list is one aggregate and which has no GROUP BY, HAVING, ORDER BY or
 LIMIT returns exactly one row.  When it also joins two or more tables, its
 tries read their column of a statement that computes, over the same FROM
 and WHERE, one aggregate of the column for each function the
-decomposition's variants aggregate with (usually COUNT and SUM), with
+AGGREGATE steps of the decomposition's variants use (usually COUNT and
+SUM), with
 DISTINCT inside each as the try has it.  SQLite computes each aggregate
 on its own over the same rows, so each column is what the try's own
 statement returns.  The statement runs on the first try that reads it and
@@ -365,14 +366,15 @@ class _Prepared:
 
 
 def _family(programs: List[QdmrProgram]) -> Tuple[str, ...]:
-    """The aggregate functions of the steps of ``programs`` that aggregate,
-    in order of first use, when there are two or more; else none, since a
-    statement shared by one function is each try's own."""
+    """The aggregate functions of the AGGREGATE steps of ``programs``, in
+    order of first use, when there are two or more; else none, since a
+    statement shared by one function is each try's own.  GROUP steps are
+    left out: a query built from one has a GROUP BY, so it never shares."""
     fns = tuple(dict.fromkeys(
         step.operator.aggregate_fn
         for program in programs
         for step in program.steps
-        if step.operator.kind in (OpKind.AGGREGATE, OpKind.GROUP)
+        if step.operator.kind is OpKind.AGGREGATE
     ))
     return fns if len(fns) > 1 else ()
 

@@ -521,37 +521,55 @@ class TestFailureStatuses:
         # No candidate executes, so none may be decided by width ([1, 2])
         # or by kind ("three" against a COUNT), and each try is a statement
         # of its own (DISTINCT changes what a COUNT counts), so none repeats
-        # one.  The engine refuses to compile any statement.  Over products,
-        # each of the 12 tries reads one table and is refused on its own.
-        # Over academic, the 14 statements shared by a COUNT and a SUM over
-        # a join are refused first, and then each of the 36 tries is.
-        for path, qdmr, tried, refusals in (
-            (products_db, "return product types; return the number of #1", 12, 12),
+        # one.  The engine refuses every statement, numbering its refusals,
+        # and the reason names the first try's own.  Over products, each of
+        # the 12 tries reads one table and is refused on its own, the first
+        # as "boom 1".  Over academic, the 14 statements shared by a COUNT
+        # and a SUM over a join are refused too, each before the own
+        # statements of its tries: the first try's shared statement is
+        # "boom 1" and its own "boom 2".
+        class Refusing:
+            """A connection whose engine refuses each statement it is
+            given, as ``boom 1``, ``boom 2``, ... in turn."""
+
+            def __init__(self, conn):
+                self.conn, self.refused = conn, []
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+            def execute(self, sql, *args):
+                self.refused.append(sql)
+                raise sqlite3.OperationalError(f"boom {len(self.refused)}")
+
+        for path, qdmr, tried, refusals, first in (
+            (products_db, "return product types; return the number of #1",
+             12, 12, 1),
             (academic_db, "return papers; return #1 in PVLDB; return the number of #2",
-             36, 36 + 14),
+             36, 36 + 14, 2),
         ):
             db = open_db(path)
             session = Session(db, schema_of(db), SynthesisConfig(), lexicon)
+            conn = db.conn
             for answer in (999, [[1, 2]], [["three"]]):
-                refused = []
-
-                def refuse(action, *args):
-                    if action == sqlite3.SQLITE_SELECT:  # once per statement
-                        refused.append(action)
-                        return sqlite3.SQLITE_DENY
-                    return sqlite3.SQLITE_OK
-
-                db.conn.set_authorizer(refuse)
+                example = FakeExample(qdmr, answer)
+                session.prepare(example.program)  # its literal probes read the file
+                db.conn = refusing = Refusing(conn)
                 try:
-                    out = search(FakeExample(qdmr, answer), session)
+                    out = search(example, session)
                 finally:
-                    db.conn.set_authorizer(None)
+                    db.conn = conn
                 assert out.status is SearchStatus.MAPPING_FAILED
                 assert out.candidates_tried == tried
+                refused = refusing.refused
                 assert len(refused) == refusals
+                own = refused[first - 1]
+                assert own.startswith("SELECT COUNT(") and ", SUM(" not in own
+                if first > 1:
+                    assert ", SUM(" in refused[0]  # shared, refused first
                 assert out.failure_reason == (
                     f"the engine rejected all {tried} candidates; "
-                    "first error: not authorized"
+                    f"first error: boom {first}"
                 )
 
     def test_exhausted_on_unreachable_answer(self, products_db, open_db, lexicon):
@@ -1821,6 +1839,22 @@ class TestSharedStatements:
     tries over its FROM ... WHERE and DISTINCT flag gets the verdict its own
     statement gets alone, and the search's outcome is the one it has when
     every try runs its own statement."""
+
+    def test_family_reads_aggregate_steps_only(self):
+        # A GROUP step's query has a GROUP BY, so it never shares, and its
+        # COUNT (with the SUM of its swap) joins no family: the AVG alone
+        # is no family either.
+        def family(qdmr):
+            program = parse_qdmr(qdmr)
+            return search_module._family(
+                [variant for variant, _ in search_module._program_variants(program)]
+            )
+
+        assert family("return papers; return the number of #1") == ("count", "sum")
+        assert family(
+            "return papers; return years of #1; "
+            "return the number of #1 for each #2; return the average of #2"
+        ) == ()
 
     @settings(max_examples=200, deadline=None)
     @given(
