@@ -60,7 +60,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-assignments", type=int, default=1000)
     sub.add_argument("--timeout-secs", type=float, default=60.0)
     sub.add_argument("--allow-empty", action="store_true")
-    sub.add_argument("--jobs", type=int, default=1)
 
 
 class _UsageError(Exception):
@@ -68,8 +67,6 @@ class _UsageError(Exception):
 
 
 def _config(args: argparse.Namespace) -> SynthesisConfig:
-    if args.jobs < 1:
-        raise _UsageError("jobs must be at least 1")
     try:
         return SynthesisConfig(
             top_k=args.top_k,
@@ -134,9 +131,7 @@ def _run_batch(args: argparse.Namespace, outputs: Callable[[list], list]):
     examples, rejects = load_examples(args.examples)
     lexicon = EmbeddingLexicon.load(args.embeddings)
     create_outputs(outputs(rejects))
-    outcomes, report = run_corpus(
-        examples, args.db_dir, config=config, jobs=args.jobs, lexicon=lexicon
-    )
+    outcomes, report = run_corpus(examples, args.db_dir, config=config, lexicon=lexicon)
     return examples, rejects, outcomes, report
 
 

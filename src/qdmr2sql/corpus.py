@@ -6,23 +6,20 @@ the file's stem) and ``gold_sql`` (carried through untouched, never used
 by synthesis).  Malformed lines become reject records with reasons; they
 are never silently dropped.
 
-A batch run opens, introspects and value-indexes each database once, on
-its first example, and searches every example on that database through
-that one session, which also ranks each distinct phrase, prepares each
-distinct decomposition and searches each join path once.  With
-several jobs, each thread takes one database's examples at a time.
-Results are merged back in input order, and no example's outcome depends
-on the others, so repeated runs and runs with any number of jobs produce
-byte-identical output files.  Coverage is
-reported per dataset group and in total, plus a second table restricted
-to examples whose answers are non-empty.
+A batch run searches the examples one at a time, in input order.  It
+opens, introspects and value-indexes each database once, on its first
+example, and searches every example on that database through that one
+session, which also ranks each distinct phrase, prepares each distinct
+decomposition and searches each join path once.  No example's outcome
+depends on the others, so repeated runs produce byte-identical output
+files.  Coverage is reported per dataset group and in total, plus a
+second table restricted to examples whose answers are non-empty.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -93,7 +90,8 @@ def load_examples(
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which JSON refuses.
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
@@ -284,19 +282,34 @@ def _open_session(
         return _mapping_failed(exc)
 
 
-def _search_in_order(
+def run_corpus(
     examples: Sequence[Example],
-    paths: Dict[str, Path],
-    config: SynthesisConfig,
-    lexicon: Optional[EmbeddingLexicon],
-) -> List[SynthesisOutcome]:
-    """Search ``examples`` in order, opening each database's session on its
-    first example and closing it after its last, so a corpus grouped by
-    database holds one connection at a time."""
+    databases_dir: Union[str, Path],
+    config: Optional[SynthesisConfig] = None,
+    jobs: int = 1,
+    lexicon: Optional[EmbeddingLexicon] = None,
+) -> Tuple[List[SynthesisOutcome], CoverageReport]:
+    """Search every example in input order and build the coverage report.
+
+    Without a ``lexicon``, phrases link to columns by lexical and lemma
+    matches alone.  Database files are resolved up front, in input order,
+    so a bad ``db_id`` aborts before any work runs.  Each database's
+    session opens on its first example and closes after its last, so a
+    corpus grouped by database holds one connection at a time.
+
+    ``jobs`` must be at least 1 and changes nothing: every example is
+    searched on the calling thread, because a thread per database never
+    made a run faster.  The keyword stays only because the benchmark's
+    check pass (``perfbench/worker.py``) still passes ``jobs=2``.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    config = config or SynthesisConfig()
     last = {example.db_id: i for i, example in enumerate(examples)}
+    paths = {db_id: resolve_database(databases_dir, db_id) for db_id in last}
     sessions: Dict[str, Union[Session, SynthesisOutcome]] = {}
+    outcomes: List[SynthesisOutcome] = []
     try:
-        outcomes = []
         for i, example in enumerate(examples):
             session = sessions.get(example.db_id)
             if session is None:
@@ -312,51 +325,10 @@ def _search_in_order(
                     sessions.pop(example.db_id).close()
             else:
                 outcomes.append(session)
-        return outcomes
     finally:
         for session in sessions.values():
             if isinstance(session, Session):
                 session.close()
-
-
-def run_corpus(
-    examples: Sequence[Example],
-    databases_dir: Union[str, Path],
-    config: Optional[SynthesisConfig] = None,
-    jobs: int = 1,
-    lexicon: Optional[EmbeddingLexicon] = None,
-) -> Tuple[List[SynthesisOutcome], CoverageReport]:
-    """Search every example and build the coverage report.
-
-    Without a ``lexicon``, phrases link to columns by lexical and lemma
-    matches alone.  Database files are resolved up front so a bad
-    ``db_id`` aborts before any work runs.  Each database is opened and
-    introspected once.  With ``jobs > 1``, up to ``jobs`` threads each
-    search one database's examples at a time.  Results come back in input
-    order regardless of ``jobs``, which must be at least 1.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    config = config or SynthesisConfig()
-    shards: Dict[str, List[int]] = {}
-    for i, example in enumerate(examples):
-        shards.setdefault(example.db_id, []).append(i)
-    paths = {db_id: resolve_database(databases_dir, db_id) for db_id in shards}
-    if jobs > 1 and len(shards) > 1:
-
-        def work(indices: List[int]) -> List[SynthesisOutcome]:
-            shard = [examples[i] for i in indices]
-            return _search_in_order(shard, paths, config, lexicon)
-
-        groups = list(shards.values())
-        with ThreadPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            results = list(pool.map(work, groups))
-        outcomes: List[Optional[SynthesisOutcome]] = [None] * len(examples)
-        for indices, found in zip(groups, results):
-            for i, outcome in zip(indices, found):
-                outcomes[i] = outcome
-    else:
-        outcomes = _search_in_order(examples, paths, config, lexicon)
     return outcomes, CoverageReport.build(examples, outcomes)
 
 

@@ -25,6 +25,7 @@ from .errors import (
     EmptyProgram,
     MalformedReference,
     NonstandardStep,
+    QdmrParseError,
 )
 
 __all__ = [
@@ -366,10 +367,16 @@ def parse_qdmr(text: str) -> QdmrProgram:
     """Parse a ``;``-separated decomposition into a validated program.
 
     Raises :class:`EmptyProgram`, :class:`MalformedReference`,
-    :class:`DanglingReference`, or :class:`NonstandardStep` on bad input.
+    :class:`DanglingReference`, or :class:`NonstandardStep` on bad input,
+    and :class:`QdmrParseError` on text that is not valid UTF-8 (a lone
+    surrogate), which no SQL text built from it could carry to SQLite.
     """
     if text is None:
         raise EmptyProgram("no decomposition text")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise QdmrParseError(f"decomposition {text!r} is not valid UTF-8") from None
     stripped = text.strip()
     if stripped.endswith("."):
         stripped = stripped[:-1]

@@ -149,11 +149,12 @@ class SynthesisConfig:
     allow_empty_denotation: bool = False
 
     def __post_init__(self):
-        if self.top_k < 1:
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not self.top_k >= 1:
             raise ValueError("top_k must be at least 1")
-        if self.max_assignments < 1:
+        if not self.max_assignments >= 1:
             raise ValueError("max_assignments must be at least 1")
-        if self.per_example_timeout <= 0:
+        if not self.per_example_timeout > 0:
             raise ValueError("per_example_timeout must be positive")
 
 
@@ -204,8 +205,9 @@ def heuristic_superlative(program: QdmrProgram) -> Optional[QdmrProgram]:
         return None
 
 
-_COUNT_WORDS = re.compile(r"\b(number|count)\b")
-_SUM_WORD = re.compile(r"\bsum\b")
+# The parser reads aggregate words in any case, so the swap does too.
+_COUNT_WORDS = re.compile(r"\b(number|count)\b", re.IGNORECASE)
+_SUM_WORD = re.compile(r"\bsum\b", re.IGNORECASE)
 
 
 def heuristic_aggregate_swap(program: QdmrProgram) -> List[QdmrProgram]:
@@ -437,8 +439,7 @@ class Session:
     reads one snapshot, the file's private in-memory copy (about the
     file's size): the data its memos and the per-search set of statements
     run assume does not change under them, and a writer to the file never
-    waits for it.  Use and close a session on the thread that opened its
-    database: SQLite connections refuse other threads.
+    waits for it.
     """
 
     def __init__(

@@ -81,7 +81,7 @@ def test_every_config_field_is_set_from_the_command_line():
         ["coverage", "--examples", "e.jsonl", "--db-dir", "dbs",
          "--embeddings", "v.txt", "--out", "r.json",
          "--top-k", "3", "--max-assignments", "7", "--timeout-secs", "5",
-         "--allow-empty", "--jobs", "2"]
+         "--allow-empty"]
     )
     config, default = cli._config(args), SynthesisConfig()
     unset = [

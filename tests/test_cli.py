@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qdmr2sql.cli
@@ -22,6 +22,12 @@ from qdmr2sql.cli import main
 
 CORPUS = DATA_DIR / "corpus.jsonl"
 EMBEDDINGS = DATA_DIR / "mini_glove.txt"
+# Valid JSON whose decomposition holds a lone surrogate, which no SQL text
+# can carry to SQLite.
+SURROGATE_LINE = (
+    '{"id": "sur", "question": "q", "db_id": "ship_death", "answer": 1, '
+    '"qdmr": "return ships; return #1 where tonnage is more than \\ud800"}'
+)
 
 
 def batch_args(db_dir, **extra):
@@ -155,6 +161,18 @@ class TestSynth:
         else:
             assert rejects[0]["reason"].startswith("invalid JSON: ")
 
+    def test_lone_surrogate_rejects_only_its_line(self, db_dir, tmp_path, capsys):
+        lines = [SURROGATE_LINE, self._line("ok", 3)]
+        assert self._synth_lines(db_dir, tmp_path, lines) == 0
+        out = capsys.readouterr().out
+        assert "synthesized 1/1 examples (100.0%), 1 rejected" in out
+        assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 1
+        (reject,) = [
+            json.loads(l)
+            for l in (tmp_path / "out.rejects.jsonl").read_text().splitlines()
+        ]
+        assert (reject["line"], reject["id"]) == (1, "sur")
+
     def test_missing_examples_file(self, db_dir, tmp_path, capsys):
         code = main(
             ["synth", "--examples", str(tmp_path / "none.jsonl"),
@@ -207,27 +225,56 @@ class TestUnwritableOutputs:
 
 
 class TestInvalidConfigFlags:
+    @staticmethod
+    def _outputs(tmp_path, command):
+        return {
+            "synth": ["--out-pairs", str(tmp_path / "p.jsonl"),
+                      "--out-report", str(tmp_path / "r.json")],
+            "coverage": ["--out", str(tmp_path / "r.json")],
+        }[command]
+
     @pytest.mark.parametrize(
         "flag, message",
         [
             ("--top-k", "top_k must be at least 1"),
             ("--max-assignments", "max_assignments must be at least 1"),
             ("--timeout-secs", "per_example_timeout must be positive"),
-            ("--jobs", "jobs must be at least 1"),
         ],
     )
     @pytest.mark.parametrize("command", ["synth", "coverage"])
     def test_usage_error_before_any_work(
         self, db_dir, tmp_path, capsys, command, flag, message
     ):
-        outputs = {
-            "synth": ["--out-pairs", str(tmp_path / "p.jsonl"),
-                      "--out-report", str(tmp_path / "r.json")],
-            "coverage": ["--out", str(tmp_path / "r.json")],
-        }
-        argv = [command] + batch_args(db_dir, **{flag: "0"}) + outputs[command]
+        argv = (
+            [command] + batch_args(db_dir, **{flag: "0"})
+            + self._outputs(tmp_path, command)
+        )
         assert main(argv) == 1
         assert capsys.readouterr().err == f"qdmr2sql {command}: error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["synth", "coverage"])
+    def test_nan_timeout_is_a_usage_error(self, db_dir, tmp_path, capsys, command):
+        # NaN passes a ``<= 0`` check and would switch the deadline off.
+        argv = (
+            [command] + batch_args(db_dir, **{"--timeout-secs": "nan"})
+            + self._outputs(tmp_path, command)
+        )
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"qdmr2sql {command}: error: per_example_timeout must be positive\n"
+        )
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["synth", "coverage"])
+    def test_jobs_flag_is_unrecognized(self, db_dir, tmp_path, capsys, command):
+        # Every corpus is searched serially; there is no ``--jobs``.
+        argv = (
+            [command] + batch_args(db_dir, **{"--jobs": "2"})
+            + self._outputs(tmp_path, command)
+        )
+        assert main(argv) == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 
@@ -306,6 +353,15 @@ class TestMap:
         code = main(["map", "--qdmr", "return #3", "--schema", str(ship_death_db)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_decomposition_that_is_not_utf8(self, ship_death_db, capsys):
+        # A lone surrogate, as an undecodable command-line byte arrives.
+        code = main(
+            ["map", "--qdmr", "return ships where name is \udcff",
+             "--schema", str(ship_death_db)]
+        )
+        assert code == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
 
     def test_unbound_intersect_head_is_reported(self, academic_db, capsys):
         # A head phrase left out of the assignment is not replaced by the
@@ -669,6 +725,7 @@ class TestDrawnCorpora:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     @given(lines=st.lists(_corpus_line(), min_size=1, max_size=3))
+    @example(lines=[SURROGATE_LINE])
     def test_synth_never_exits_with_an_internal_error(self, db_dir, lines):
         with tempfile.TemporaryDirectory() as out:
             corpus = Path(out) / "corpus.jsonl"

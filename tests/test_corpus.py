@@ -11,6 +11,7 @@ import json
 import re
 import shutil
 import sqlite3
+import threading
 from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
@@ -142,6 +143,34 @@ class TestLoadExamples:
         examples, rejects = load_examples(path)
         assert [ex.id for ex in examples] == ["ok"]
         assert [r.line_no for r in rejects] == [3, 4]
+
+    def test_a_lone_surrogate_in_the_decomposition_is_rejected(self, tmp_path):
+        # Valid JSON, but no SQL text built from it can reach SQLite.
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text(
+            '{"id": "ok", "question": "q", "qdmr": "return ships", '
+            '"answer": 1, "db_id": "d"}\n'
+            '{"id": "sur", "question": "q", "qdmr": "return ships; return #1 '
+            'where tonnage is more than \\ud800", "answer": 1, "db_id": "d"}\n'
+        )
+        examples, rejects = load_examples(path)
+        assert [ex.id for ex in examples] == ["ok"]
+        assert [(r.line_no, r.id) for r in rejects] == [(2, "sur")]
+        assert rejects[0].reason.startswith("QdmrParseError: ")
+        assert "not valid UTF-8" in rejects[0].reason
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(
+            b"\xef\xbb\xbf"
+            b'{"id": "a", "question": "q", "qdmr": "return ships", '
+            b'"answer": 1, "db_id": "d"}\n'
+            b'{"id": "b", "question": "q", "qdmr": "return ships", '
+            b'"answer": 2, "db_id": "d"}\n'
+        )
+        examples, rejects = load_examples(path)
+        assert [ex.id for ex in examples] == ["a", "b"]
+        assert rejects == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileUnreadable) as info:
@@ -318,13 +347,25 @@ class TestRunCorpus:
         assert again_report.to_json() == report.to_json()
         assert [o.sql for o in again_outcomes] == [o.sql for o in outcomes]
 
-    def test_parallel_run_matches_serial(self, corpus_run, db_dir, lexicon):
+    def test_jobs_searches_on_the_calling_thread(
+        self, corpus_run, db_dir, lexicon, monkeypatch
+    ):
+        # ``jobs`` is accepted and changes nothing: no search leaves this
+        # thread, and the outcomes and report are those of ``jobs=1``.
         examples, outcomes, report = corpus_run
+        threads = []
+        inner = corpus_module.search
+
+        def on_thread(example, session):
+            threads.append(threading.get_ident())
+            return inner(example, session)
+
+        monkeypatch.setattr(corpus_module, "search", on_thread)
         par_outcomes, par_report = run_corpus(
             examples, db_dir, lexicon=lexicon, jobs=4
         )
-        assert [o.status for o in par_outcomes] == [o.status for o in outcomes]
-        assert [o.sql for o in par_outcomes] == [o.sql for o in outcomes]
+        assert threads == [threading.get_ident()] * len(examples)
+        assert par_outcomes == outcomes
         assert par_report.to_json() == report.to_json()
 
     def test_decided_candidates_are_not_executed(self, db_dir, lexicon, monkeypatch):

@@ -170,6 +170,31 @@ class TestAggregateSwapHeuristic:
         assert step.operator.kind.name == "GROUP"
         assert step.operator.aggregate_fn == "sum"
 
+    @pytest.mark.parametrize(
+        "text, swapped, fn",
+        [
+            ("return ships; return Number of #1", "sum of #1", "sum"),
+            (
+                "return ships; return tonnage of #1; return the Sum of #2",
+                "the number of #2",
+                "count",
+            ),
+            (
+                "return ships; return injuries of #1; "
+                "return Number of #2 for each #1",
+                "sum of #2 for each #1",
+                "sum",
+            ),
+        ],
+        ids=["count", "sum", "group"],
+    )
+    def test_capitalized_aggregate_words_swap(self, text, swapped, fn):
+        # The parser reads these words in any case; so must the swap.
+        program = parse_qdmr(text)
+        (variant,) = heuristic_aggregate_swap(program)
+        assert variant.steps[-1].raw_text == swapped
+        assert variant.steps[-1].operator.aggregate_fn == fn
+
     def test_avg_is_not_swappable(self):
         program = parse_qdmr(
             "return ships; return tonnage of #1; return the average of #2"

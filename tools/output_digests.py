@@ -13,17 +13,16 @@ tried as many candidates for the same inputs; the inputs always come from
 this checkout.
 
 With ``--against DIR`` the tool runs itself again in a subprocess with
-``--src DIR`` and the same ``--seed`` and ``--jobs``, prints that run's
-lines too, and exits 1 naming each workload whose line differs (0 when
-all agree).  To check a change against its parent commit:
+``--src DIR`` and the same ``--seed``, prints that run's lines too,
+and exits 1 naming each workload whose line differs (0 when all
+agree).  To check a change against its parent commit:
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python3 tools/output_digests.py --against /tmp/parent/src
 
 Standard library only.  Usage:
 
-    python3 tools/output_digests.py [--src DIR] [--seed N] [--jobs N]
-                                    [--against DIR]
+    python3 tools/output_digests.py [--src DIR] [--seed N] [--against DIR]
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def digest(out_dir: Path) -> str:
     return h.hexdigest()
 
 
-def run_workload(workloads, name: str, seed: int, jobs: int, work: Path) -> str:
+def run_workload(workloads, name: str, seed: int, work: Path) -> str:
     """Build workload ``name``, run the corpus on it, and describe the files."""
     corpus = importlib.import_module("qdmr2sql.corpus")
     linking = importlib.import_module("qdmr2sql.linking")
@@ -64,8 +63,7 @@ def run_workload(workloads, name: str, seed: int, jobs: int, work: Path) -> str:
     if rejects:
         raise RuntimeError(f"{name}: {len(rejects)} corpus lines were rejected")
     outcomes, report = corpus.run_corpus(
-        examples, workload.db_dir, config=search.SynthesisConfig(),
-        jobs=jobs, lexicon=lexicon,
+        examples, workload.db_dir, config=search.SynthesisConfig(), lexicon=lexicon,
     )
     corpus.emit_training_pairs(examples, outcomes, out / "pairs.jsonl")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -82,7 +80,6 @@ def main(argv=None) -> int:
     p.add_argument("--src", type=Path, default=REPO / "src",
                    help="directory holding the qdmr2sql package (default: %(default)s)")
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--against", type=Path, default=None,
                    help="a second package directory whose lines must agree")
     args = p.parse_args(argv)
@@ -100,7 +97,7 @@ def main(argv=None) -> int:
     lines = []
     for name in sorted(workloads.GENERATORS):
         with tempfile.TemporaryDirectory(prefix="qdmr2sql-digests-") as tmp:
-            lines.append(run_workload(workloads, name, args.seed, args.jobs, Path(tmp)))
+            lines.append(run_workload(workloads, name, args.seed, Path(tmp)))
         print(lines[-1], flush=True)
     if args.against is None:
         return 0
@@ -111,7 +108,7 @@ def compare(lines, args) -> int:
     """Run this tool on ``--against`` and name the workloads that differ."""
     other = subprocess.run(
         [sys.executable, __file__, "--src", str(args.against),
-         "--seed", str(args.seed), "--jobs", str(args.jobs)],
+         "--seed", str(args.seed)],
         capture_output=True, text=True,
     )
     print(f"--against {args.against}:")
