@@ -15,7 +15,7 @@ By default two empty denotations do NOT compare equal.  An empty result is
 most often a spurious query rather than a correct one, so an empty answer
 only matches when the caller opts in with ``allow_empty``.
 
-A query runs in one mode only, the one the search needs: against its
+A candidate runs in one mode only, the one the search needs: against its
 target answer and under the database's deadline.  Rows are read one at a
 time until the first one outside the target, because that row alone
 already makes the comparison fail; results are often far larger than the
@@ -26,9 +26,9 @@ the target is left for :func:`denotations_equal` to decide.  One loop,
 :func:`read_until_mismatch`, reads rows so, whether they come from the
 query's own statement (:meth:`Database.execute`) or are its column of the
 one row of a statement it shares with other aggregates over the same
-rows (:meth:`Database.execute_row`).  The :class:`Database` holds its
-search's deadline, which the engine's progress hook checks while a
-statement runs and Python code between statements.
+rows.  The :class:`Database` runs every other statement of a session too
+(:meth:`Database.fetch`), so its deadline bounds each one, and only this
+module tells a statement the deadline aborted from an engine error.
 
 :meth:`Database.open` reads a file once, into a private in-memory copy
 with each foreign-key child column indexed, so every statement on it
@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ExecutionTimeout, SqlError, UnreadableDatabase
-from .schema import _PROGRESS_GRANULARITY, interrupted, open_readonly, quote_ident
+from .schema import open_readonly, quote_ident
 
 __all__ = [
     "Cell",
@@ -169,8 +169,13 @@ def answer_denotation(answer) -> Denotation:
     return Denotation.from_rows(normalize_answer(answer))
 
 
+# How many virtual-machine steps run between deadline checks.
+_PROGRESS_GRANULARITY = 1000
+
+
 class Database:
-    """A read-only connection to one SQLite database and the deadline of its search."""
+    """A read-only connection to one SQLite database and the deadline of
+    its search, under which it runs every statement a session issues."""
 
     def __init__(self, conn: sqlite3.Connection):
         self.conn = conn
@@ -212,7 +217,7 @@ class Database:
     def set_deadline(self, deadline: float) -> None:
         """Abort each statement on the connection, row reads included, once
         ``time.monotonic()`` passes ``deadline``, by the engine's progress
-        hook; ``math.inf`` lifts it.  See ``schema.interrupted``."""
+        hook; ``math.inf`` lifts it.  See :func:`_interrupted`."""
         self.deadline = deadline
         hook = None if deadline == math.inf else self.past_deadline
         self.conn.set_progress_handler(hook, _PROGRESS_GRANULARITY)
@@ -237,25 +242,29 @@ class Database:
         except sqlite3.Error as exc:
             raise _engine_error(exc) from exc
 
-    def execute_row(self, sql: str) -> tuple:
-        """Run a statement that returns one row, such as an aggregate query
-        without GROUP BY, and return that row (the first, were there more)
-        as the engine reads it; under the deadline and with the errors of
-        :meth:`execute`."""
+    def fetch(self, sql: str, params: Sequence = ()) -> List[tuple]:
+        """Run a statement that is not a candidate and return all its rows,
+        with the errors of :meth:`execute`.  The deadline is also checked
+        before the statement runs: a run of statements each shorter than
+        the hook's interval might never fire the hook."""
+        if self.past_deadline():
+            raise ExecutionTimeout("query ran past its deadline")
         try:
-            cursor = self.conn.execute(sql)
-            try:
-                return cursor.fetchone()
-            finally:
-                cursor.close()  # resets the statement
+            return self.conn.execute(sql, params).fetchall()
         except sqlite3.Error as exc:
             raise _engine_error(exc) from exc
+
+
+def _interrupted(exc: sqlite3.Error) -> bool:
+    """Whether the engine aborted the statement because its progress hook,
+    which only :meth:`Database.set_deadline` installs, asked it to."""
+    return isinstance(exc, sqlite3.OperationalError) and str(exc) == "interrupted"
 
 
 def _engine_error(exc: sqlite3.Error) -> Exception:
     """What a statement the engine failed raises: a timeout when the
     deadline interrupted it, else :class:`SqlError`."""
-    if interrupted(exc):
+    if _interrupted(exc):
         return ExecutionTimeout("query ran past its deadline")
     return SqlError(str(exc))
 

@@ -18,9 +18,10 @@ its declared type and whether SQLite compares it under a collation.
 constructor reads each mappable column once into maps from exact and
 case-folded values to columns; lookups probe per literal only the columns
 those maps cannot answer for.  Numeric literals are never value-indexed;
-comparison values are handled by the SQL mapper instead.  A lookup that
-meets its database's deadline raises
-:class:`~qdmr2sql.errors.ExecutionTimeout`; nothing is memoized for it.
+comparison values are handled by the SQL mapper instead.  The index runs
+its statements through its database's ``fetch``, so a lookup that meets
+the database's deadline raises :class:`~qdmr2sql.errors.ExecutionTimeout`;
+nothing is memoized for it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import ExecutionTimeout, NoTables, UnreadableDatabase
+from .errors import ExecutionTimeout, NoTables, SqlError, UnreadableDatabase
 from .text import content_lemmas, tokenize
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "FKEdge",
     "SchemaGraph",
     "ValueIndex",
-    "interrupted",
     "load_schema",
     "open_readonly",
     "quote_ident",
@@ -244,16 +244,6 @@ def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
     return conn
 
 
-# How many virtual-machine steps run between deadline checks.
-_PROGRESS_GRANULARITY = 1000
-
-
-def interrupted(exc: sqlite3.Error) -> bool:
-    """Whether the engine aborted the statement because its progress hook,
-    which only ``Database.set_deadline`` installs, asked it to."""
-    return isinstance(exc, sqlite3.OperationalError) and str(exc) == "interrupted"
-
-
 def _collated(conn: sqlite3.Connection, table: str, column: str) -> bool:
     """Whether SQLite compares ``column`` under a collation other than
     BINARY: a UNION takes its leftmost column's collation, and only BINARY
@@ -400,8 +390,8 @@ def _add(index: Dict[str, Tuple[ColumnRef, ...]], key: str, col: ColumnRef) -> N
 
 
 class ValueIndex:
-    """Literal-to-column lookup over one database, read through anything
-    with the ``conn`` and ``past_deadline`` of an executor ``Database``.
+    """Literal-to-column lookup over one database, read through the
+    ``fetch`` of an executor ``Database``.
 
     A literal matches the text columns whose ``=`` holds it; when no column
     does, the columns where ``lower(trim(col)) = lower(trim(literal))``.
@@ -469,20 +459,17 @@ class ValueIndex:
             f" WHERE (SELECT COUNT(*) FROM d) <= {_MAX_MAPPED_VALUES}"
         )
         try:
-            rows = self._db.conn.execute(sql).fetchall()
+            rows = self._db.fetch(sql)
             # No row comes back from an empty table or an over-cap column.
-            if not rows and self._db.conn.execute(
-                f"SELECT EXISTS (SELECT 1 FROM {table})"
-            ).fetchone()[0]:
+            if not rows and self._db.fetch(f"SELECT EXISTS (SELECT 1 FROM {table})")[0][0]:
                 return None
-        except sqlite3.Error:
+        except ExecutionTimeout:
+            raise
+        except SqlError:
             return None
         return rows
 
     def _contains(self, col: ColumnRef, literal: str, fold: bool) -> bool:
-        # Probes shorter than the engine hook's granularity may never fire it.
-        if self._db.past_deadline():
-            raise ExecutionTimeout("value probe ran past its deadline")
         column, value = quote_ident(col.column), "?"
         if fold:
             column, value = f"lower(trim({column}))", "lower(trim(?))"
@@ -491,8 +478,8 @@ class ValueIndex:
             f" WHERE {column} = {value} LIMIT 1"
         )
         try:
-            return self._db.conn.execute(sql, (literal,)).fetchone() is not None
-        except sqlite3.Error as exc:
-            if interrupted(exc):
-                raise ExecutionTimeout("value probe ran past its deadline") from exc
+            return bool(self._db.fetch(sql, (literal,)))
+        except ExecutionTimeout:
+            raise
+        except SqlError:
             return False

@@ -31,11 +31,10 @@ only while the deadline holds.
 
 Aggregate tries over one join share a statement.  A query whose select
 list is one aggregate and which has no GROUP BY, HAVING, ORDER BY or
-LIMIT returns exactly one row.  When it also joins two or more tables, its
-tries read their column of a statement that computes, over the same FROM
-and WHERE, one aggregate of the column for each function the
-AGGREGATE steps of the decomposition's variants use (usually COUNT and
-SUM), with
+LIMIT returns exactly one row.  When it also joins two or more tables and
+its aggregate is a COUNT or a SUM, the two functions the COUNT/SUM swap
+exchanges, its tries read their column of a statement that computes,
+over the same FROM and WHERE, the COUNT and the SUM of the column, with
 DISTINCT inside each as the try has it.  SQLite computes each aggregate
 on its own over the same rows, so each column is what the try's own
 statement returns.  The statement runs on the first try that reads it and
@@ -79,15 +78,15 @@ or engine rejections and still count as tried:
   each column holds, without rendering.
 
 The session's database holds the example's deadline until the search
-ends, so it bounds every statement the search runs: a literal probe that
-meets it ends the search with Timeout and leaves the memos as they were.
+ends and runs every statement the search issues, so the deadline bounds
+each of them: a literal probe that meets it ends the search with Timeout
+and leaves the memos as they were.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sqlite3
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -116,7 +115,7 @@ from .linking import (
 )
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
 from . import sqlgen
-from .schema import ColumnRef, SchemaGraph, ValueIndex, interrupted, quote_ident
+from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident
 from .sqlgen import (
     AggExpr, ArithExpr, ColExpr, InPred, JoinPaths, OrGroup, Reads, SelectItem, SqlQuery,
     StepMemo, render_aggregates, render_sql, step_reads, synthesize, _aggregates,
@@ -253,7 +252,7 @@ _AGGREGATE_KINDS = {
 Census = Dict[ColumnRef, FrozenSet[type]]
 
 
-def _kind_census(conn: sqlite3.Connection, schema: SchemaGraph) -> Census:
+def _kind_census(database: Database, schema: SchemaGraph) -> Census:
     """The kinds of cell each column holds, read in one pass over each
     table that returns one row of at most five type names per column; the
     columns of a table that cannot be read may hold any kind."""
@@ -261,8 +260,10 @@ def _kind_census(conn: sqlite3.Connection, schema: SchemaGraph) -> Census:
     for table, cols in schema.tables.items():
         types = ", ".join(f"group_concat(DISTINCT typeof({col.sql}))" for col in cols)
         try:
-            row = conn.execute(f"SELECT {types} FROM {quote_ident(table)}").fetchone()
-        except sqlite3.Error:
+            row, = database.fetch(f"SELECT {types} FROM {quote_ident(table)}")
+        except ExecutionTimeout:
+            raise
+        except SqlError:
             census.update(dict.fromkeys(cols, _ANY_KIND))
             continue
         for col, names in zip(cols, row):
@@ -317,22 +318,30 @@ def _queries(query: SqlQuery) -> Iterator[SqlQuery]:
         yield from _queries(q)
 
 
-def _tied(query: SqlQuery, distinct: bool, conn: sqlite3.Connection) -> bool:
+def _tied(query: SqlQuery, distinct: bool, database: Database) -> bool:
     """Whether a LIMIT k in the try ``query`` cuts between rows k and k + 1 of
-    equal ORDER BY key, read as its query runs (row DISTINCT included); run on
-    ``conn`` and rendered by ``sqlgen``, so that no candidate count sees it."""
+    equal ORDER BY key, read as its query runs (row DISTINCT included) and
+    compared with ``IS``, under the key's collation and with nulls equal.  Run
+    by ``Database.fetch`` and rendered by ``sqlgen``, so no candidate count sees it."""
     for q in _queries(query):
         if q.limit is not None:
             key = q.order_by[:1] if q.order_by else ()  # no key: every row ties
             probe = replace(q, select=q.select + key, limit=q.limit + 1)
             sql = sqlgen.render_sql(probe, distinct and q is query and not _aggregates(probe))
+            if key:  # whether the key of row k + 1 IS that of row k, in key order
+                cols = [f"c{i}" for i in range(len(probe.select))]
+                last = cols[-1]
+                sql = (f"WITH p({', '.join(cols)}) AS ({sql}) SELECT t FROM"
+                       f" (SELECT {last} IS lag({last}) OVER w AS t, row_number() OVER w"
+                       f" AS r FROM p WINDOW w AS (ORDER BY {last} {q.order_by[1]}))"
+                       f" WHERE r = {q.limit + 1}")
             try:
-                rows = conn.execute(sql).fetchall()
-            except sqlite3.Error as exc:
-                if interrupted(exc):
-                    raise ExecutionTimeout("query ran past its deadline") from exc
+                rows = database.fetch(sql)
+            except ExecutionTimeout:
+                raise
+            except SqlError:
                 return True  # no verdict, so no match
-            if len(rows) > q.limit and (not key or rows[-1][-1] == rows[-2][-1]):
+            if rows and (rows[0][0] if key else len(rows) > q.limit):
                 return True
     return False
 
@@ -356,37 +365,26 @@ def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str
 @dataclass(frozen=True)
 class _Prepared:
     """What a session builds once for a decomposition: its plan, its slots
-    with their candidate columns, its variants, each as ``(program,
+    with their candidate columns, and its variants, each as ``(program,
     labels, reads)`` with the slots each step reads
-    (:func:`~qdmr2sql.sqlgen.step_reads`), and the family of aggregate
-    functions its shared statements compute (:func:`_family`)."""
+    (:func:`~qdmr2sql.sqlgen.step_reads`)."""
 
     plan: BindingPlan
     slots: List[Tuple[Slot, Tuple[ColumnRef, ...]]]
     variants: Tuple[Tuple[QdmrProgram, Tuple[str, ...], Reads], ...]
-    family: Tuple[str, ...]
 
 
-def _family(programs: List[QdmrProgram]) -> Tuple[str, ...]:
-    """The aggregate functions of the AGGREGATE steps of ``programs``, in
-    order of first use, when there are two or more; else none, since a
-    statement shared by one function is each try's own.  GROUP steps are
-    left out: a query built from one has a GROUP BY, so it never shares."""
-    fns = tuple(dict.fromkeys(
-        step.operator.aggregate_fn
-        for program in programs
-        for step in program.steps
-        if step.operator.kind is OpKind.AGGREGATE
-    ))
-    return fns if len(fns) > 1 else ()
+# The aggregate functions a shared statement computes: the two that the
+# COUNT/SUM swap exchanges, so that a try and its swap share one.
+_SHARED_FNS = ("count", "sum")
 
 
-def _shared_column(query: SqlQuery, family: Tuple[str, ...]) -> Optional[int]:
+def _shared_column(query: SqlQuery) -> Optional[int]:
     """The column that answers the tries of ``query`` in their shared
     statement, or None when they run their own.
 
     A query shares when its select list is one aggregate of a function in
-    ``family``, it has no GROUP BY, HAVING, ORDER BY or LIMIT, so it
+    ``_SHARED_FNS``, it has no GROUP BY, HAVING, ORDER BY or LIMIT, so it
     returns exactly one row, and it joins two or more tables.  Sharing
     saves compiling a statement, which costs more the more tables it
     joins; over one table a statement compiles in microseconds, and SQLite
@@ -395,26 +393,28 @@ def _shared_column(query: SqlQuery, family: Tuple[str, ...]) -> Optional[int]:
     if len(query.select) != 1 or len(query.from_tables) < 2:
         return None
     item = query.select[0]
-    if (not isinstance(item, AggExpr) or item.fn not in family
+    if (not isinstance(item, AggExpr) or item.fn not in _SHARED_FNS
             or query.group_by is not None or query.having or query.order_by
             or query.limit is not None):
         return None
-    return family.index(item.fn)
+    return _SHARED_FNS.index(item.fn)
 
 
 def _shared_row(
     database: Database, query: SqlQuery, distinct: bool, sql: str,
-    family: Tuple[str, ...], shared: Dict[str, Optional[tuple]],
+    shared: Dict[str, Optional[tuple]],
 ) -> Optional[tuple]:
     """The row of the statement the try ``(query, distinct)``, whose own
-    statement is ``sql``, shares: one aggregate of each function in
-    ``family`` over ``query``'s argument and clauses, DISTINCT inside each
-    as the try has it.  Run on its first try in the search and kept in
-    ``shared`` under its text; None once the engine has rejected it."""
-    statement = render_aggregates(query, family, distinct, sql)
+    statement is ``sql``, shares: one aggregate of each of ``_SHARED_FNS``
+    over ``query``'s argument and clauses, DISTINCT inside each as the try
+    has it.  Run on its first try in the search and kept in ``shared``
+    under its text; None once the engine has rejected it."""
+    statement = render_aggregates(query, _SHARED_FNS, distinct, sql)
     if statement not in shared:
         try:
-            shared[statement] = database.execute_row(statement)
+            shared[statement], = database.fetch(statement)
+        except ExecutionTimeout:
+            raise
         except SqlError:
             shared[statement] = None
     return shared[statement]
@@ -423,17 +423,17 @@ def _shared_row(
 class Session:
     """One database's search state, shared by every example searched on it.
 
-    Holds the database, its schema, the config and lexicon, a
-    :class:`ValueIndex` over the database's connection, a census of the
-    kinds of cell each column holds, and three memos that fill as
-    examples are searched: phrase to column ranking, decomposition to its
-    plan, slots and variants (:meth:`prepare`), and join-path key to join
-    path.  Constructing a session builds the value index, which reads the
-    database's text columns, and takes the census, so those reads fall
-    outside every example's deadline.  Each memo depends only on the
-    schema, the value index, the lexicon and the config, and a session
-    never changes them, so each holds for the session's life and no
-    longer.
+    Holds the database, through which it runs every statement, its
+    schema, the config and lexicon, a :class:`ValueIndex` over the
+    database, a census of the kinds of cell each column holds, and three
+    memos that fill as examples are searched: phrase to column ranking,
+    decomposition to its plan, slots and variants (:meth:`prepare`), and
+    join-path key to join path.  Constructing a session builds the value
+    index, which reads the database's text columns, and takes the census,
+    so those reads fall outside every example's deadline.  Each memo
+    depends only on the schema, the value index, the lexicon and the
+    config, and a session never changes them, so each holds for the
+    session's life and no longer.
 
     A session on a :meth:`~qdmr2sql.executor.Database.open` database
     reads one snapshot, the file's private in-memory copy (about the
@@ -454,7 +454,7 @@ class Session:
         self.config = config
         self.lexicon = lexicon
         self.value_index = ValueIndex(database, schema)
-        self.census = _kind_census(database.conn, schema)
+        self.census = _kind_census(database, schema)
         self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
         self.prepared: Dict[QdmrProgram, _Prepared] = {}
         self.join_paths: JoinPaths = {}
@@ -477,8 +477,7 @@ class Session:
                 (variant, labels, step_reads(variant, plan))
                 for variant, labels in _program_variants(program)
             )
-            family = _family([variant for variant, _, _ in variants])
-            prepared = self.prepared[program] = _Prepared(plan, slots, variants, family)
+            prepared = self.prepared[program] = _Prepared(plan, slots, variants)
         return prepared
 
     def close(self) -> None:
@@ -540,7 +539,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
             except Qdmr2SqlError as exc:
                 mapping_error = str(exc)
                 continue
-            column = _shared_column(query, prepared.family)
+            column = _shared_column(query)
             for distinct in (False, True):
                 if database.past_deadline():
                     return _timeout(tried, "search deadline exceeded")
@@ -555,7 +554,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
                 ran.add(sql)
                 try:
                     row = None if column is None else _shared_row(
-                        database, query, distinct, sql, prepared.family, shared
+                        database, query, distinct, sql, shared
                     )
                     if row is None:  # no shared statement, or the engine rejected it
                         result = database.execute(sql, target)
@@ -563,7 +562,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
                         result = read_until_mismatch((row[column:column + 1],), target)
                     found = not result.mismatch and denotations_equal(
                         result, target, config.allow_empty_denotation
-                    ) and (" LIMIT " not in sql or not _tied(query, distinct, database.conn))
+                    ) and (" LIMIT " not in sql or not _tied(query, distinct, database))
                 except ExecutionTimeout:
                     return _timeout(
                         tried, "candidate execution hit the search deadline"

@@ -242,3 +242,20 @@ def test_a_cell_has_one_canonical_form():
             assert result.kinds == {(str, float, float, str, type(None))}
     finally:
         conn.close()
+
+
+def test_one_module_runs_statements():
+    """A ``Database`` runs every statement a session issues, and only the
+    executor tells a statement its deadline interrupted from an engine
+    error: the schema keeps no copy of that test, the search imports no
+    ``sqlite3``, and no second row reader or per-decomposition family of
+    shared functions is left."""
+    executor = importlib.import_module("qdmr2sql.executor")
+    schema = importlib.import_module("qdmr2sql.schema")
+    search = importlib.import_module("qdmr2sql.search")
+    assert "interrupted" not in schema.__all__
+    for gone in ("interrupted", "_PROGRESS_GRANULARITY"):
+        assert not hasattr(schema, gone)
+    assert not hasattr(executor.Database, "execute_row")
+    assert not hasattr(search, "_family")
+    assert not hasattr(search, "sqlite3")

@@ -511,6 +511,32 @@ class TestEarlyExit:
         db.set_deadline(math.inf)
         assert db.execute("SELECT 1", ONE).rows == ((1,),)
 
+    def test_fetch_stops_at_the_deadline(self, ship_death_db, open_db):
+        # Past the deadline no statement starts; one running is aborted by
+        # the hook; both raise the timeout, and any other error SqlError.
+        db = open_db(ship_death_db)
+        traced = []
+        db.conn.set_trace_callback(traced.append)
+        db.set_deadline(time.monotonic() - 1)
+        with pytest.raises(ExecutionTimeout):
+            db.fetch("SELECT 1")
+        assert traced == []
+        runaway = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c)"
+                   " SELECT count(*) FROM c")
+        watchdog = threading.Timer(5.0, db.conn.interrupt)
+        watchdog.start()
+        try:
+            db.set_deadline(time.monotonic() + 0.1)
+            with pytest.raises(ExecutionTimeout):
+                db.fetch(runaway)
+        finally:
+            watchdog.cancel()
+        db.set_deadline(math.inf)
+        with pytest.raises(SqlError) as raised:
+            db.fetch("SELECT nosuch FROM ship")
+        assert not isinstance(raised.value, ExecutionTimeout)
+        assert db.fetch("SELECT ?", ("x",)) == [("x",)]
+
     @staticmethod
     def _kept_cursors():
         """A database on a writable connection that keeps a reference to each
@@ -522,8 +548,8 @@ class TestEarlyExit:
             def __init__(self, conn):
                 self.conn, self.cursors = conn, []
 
-            def execute(self, sql):
-                self.cursors.append(self.conn.execute(sql))
+            def execute(self, sql, *params):
+                self.cursors.append(self.conn.execute(sql, *params))
                 return self.cursors[-1]
 
         conn = sqlite3.connect(":memory:")
@@ -543,12 +569,15 @@ class TestEarlyExit:
             conn.close()
 
     def test_one_row_read_releases_the_statement(self):
-        # Reading the one row of an aggregate reaches the statement's end,
-        # which resets it; a statement with rows left needs the close.
+        # Database.fetch reads every row, which reaches the statement's end
+        # and resets it; so does a statement the engine fails part-way.
         conn, db = self._kept_cursors()
         try:
-            assert db.execute_row("SELECT COUNT(c0), SUM(c0) FROM t") == (1000, 499500)
-            assert db.execute_row("SELECT c0 FROM t") == (0,)
+            assert db.fetch("SELECT COUNT(c0), SUM(c0) FROM t") == [(1000, 499500)]
+            assert db.fetch("SELECT c0 FROM t WHERE c0 < ?", (2,)) == [(0,), (1,)]
+            with pytest.raises(SqlError):
+                db.fetch("SELECT CASE WHEN c0 < 9 THEN c0 ELSE abs(-9223372036854775807 - 1)"
+                         " END FROM t")
             conn.execute("DROP TABLE t")
         finally:
             conn.close()

@@ -763,7 +763,7 @@ class TestFailureStatuses:
         db.conn.set_progress_handler(None, 0)
         db.conn.set_trace_callback(None)
         assert len(steps) == 60
-        assert max(steps) < schema_module._PROGRESS_GRANULARITY
+        assert max(steps) < executor_module._PROGRESS_GRANULARITY
 
         start = time.monotonic()
         out = search(example, session)
@@ -1054,14 +1054,18 @@ class TestSnapshot:
             conn.close()
 
 
-def _ships(path, tonnages, deaths=None):
+def _ships(path, tonnages, deaths=None, codes=None):
     """A ``ship`` table with one row per tonnage, named in turn from a fixed
     list, whose second name is at no extreme of id or name order; with
-    ``deaths``, a ``death`` table of (ship id, killed) rows keyed to it."""
+    ``codes``, a ``code TEXT COLLATE NOCASE`` column holding them in turn;
+    with ``deaths``, a ``death`` table of (ship id, killed) rows keyed to
+    it."""
     names = ["Avalanche", "Mary", "Zephyr", "Lettice", "Bon Accord", "Kestrel"]
-    script = "CREATE TABLE ship (id INTEGER PRIMARY KEY, name TEXT, tonnage INTEGER);"
+    code = ", code TEXT COLLATE NOCASE" if codes else ""
+    script = f"CREATE TABLE ship (id INTEGER PRIMARY KEY, name TEXT, tonnage INTEGER{code});"
     script += "".join(
-        f"INSERT INTO ship VALUES ({i}, '{names[i - 1]}', {t});"
+        f"INSERT INTO ship VALUES ({i}, '{names[i - 1]}', {t}"
+        + (f", '{codes[i - 1]}');" if codes else ");")
         for i, t in enumerate(tonnages, 1)
     )
     if deaths is not None:
@@ -1105,8 +1109,9 @@ class TestTies:
         assert "ORDER BY ship.tonnage DESC LIMIT 1" in out.sql
 
     def test_tie_check_runs_outside_the_executor(self, tmp_path, open_db, monkeypatch):
-        # The check reads rows k and k + 1 of each LIMIT 1 query on the
-        # session's connection; Database.execute runs candidates alone.
+        # The check reads rows k and k + 1 of each LIMIT 1 query through
+        # Database.fetch, in one statement that compares their keys;
+        # Database.execute runs candidates alone.
         path = tmp_path / "ships.sqlite"
         _ships(path, [250, 900, 900, 300])
         db = open_db(path)
@@ -1122,8 +1127,25 @@ class TestTies:
         session = Session(db, schema_of(db), SynthesisConfig())
         out = search(FakeExample(_HIGHEST[1], ["Mary"]), session)
         assert out.status is SearchStatus.EXHAUSTED
-        assert any(sql.endswith("LIMIT 2") for sql in traced)
-        assert not any(sql.endswith("LIMIT 2") for sql in executed)
+        probes = [sql for sql in traced if "LIMIT 2) SELECT" in sql]
+        assert probes and all(" IS lag(" in sql for sql in probes)
+        assert not any("LIMIT 2" in sql for sql in executed)
+
+    @pytest.mark.parametrize("answer", [[1], [2]])
+    def test_tie_under_a_collated_key_is_not_found(self, tmp_path, open_db, answer):
+        # 'abc' and 'ABC' tie under NOCASE, though Python tells them apart:
+        # a LIMIT 1 returns the one the plan picks, so neither is found.
+        path = tmp_path / "ships.sqlite"
+        build_db(
+            path,
+            "CREATE TABLE ship (id INTEGER PRIMARY KEY, code TEXT COLLATE NOCASE);"
+            "INSERT INTO ship VALUES (1, 'abc'), (2, 'ABC'), (3, 'aaa');",
+        )
+        out = run_search(
+            open_db, path, None,
+            "return ships; return code of #1; return #1 where #2 is highest", answer,
+        )
+        assert out.status is SearchStatus.EXHAUSTED, out.sql
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1138,14 +1160,20 @@ class TestTies:
             "return #1 where #3 is highest; return the name of #4",
             "return ships; return killed of #1; return #1 where #2 is highest; "
             "return the name of #3",
+            "return ships; return code of #1; return #1 where #2 is highest; "
+            "return the name of #3",
         ]),
         pick=st.lists(st.integers(0, 5), min_size=1, max_size=2),
+        # Keys that tie under the column's NOCASE, though not as Python strings.
+        codes=st.one_of(st.none(), st.lists(
+            st.sampled_from(["abc", "ABC", "aaa"]), min_size=6, max_size=6
+        )),
     )
     def test_found_sql_reads_the_same_rows_from_the_file(
-        self, tmp_path_factory, tonnages, deaths, qdmr, pick
+        self, tmp_path_factory, tonnages, deaths, qdmr, pick, codes
     ):
         path = tmp_path_factory.mktemp("ties") / "ships.sqlite"
-        names = _ships(path, tonnages, deaths)
+        names = _ships(path, tonnages, deaths, codes)
         answer = sorted({names[i % len(names)] for i in pick})
         with Database.open(path) as db:
             session = Session(db, schema_of(db), SynthesisConfig())
@@ -1153,12 +1181,96 @@ class TestTies:
             event(f"{out.status.value}, LIMIT: {'LIMIT' in (out.sql or '')}")
             if out.status is not SearchStatus.FOUND:
                 return
+            if "ORDER BY ship.code DESC LIMIT 1" in out.sql:
+                # No other ship's code equals the top one under NOCASE.
+                top = max(codes[: len(names)], key=str.lower).lower()
+                assert [c.lower() for c in codes[: len(names)]].count(top) == 1
             copied = set(db.conn.execute(out.sql))
         plain = sqlite3.connect(path.resolve().as_uri() + "?mode=ro", uri=True)
         try:
             assert set(plain.execute(out.sql)) == copied, out.sql
         finally:
             plain.close()
+
+
+def _tied_ships(tmp_path, db_dir):
+    _ships(tmp_path / "ships.sqlite", [250, 900, 900, 300])
+    return tmp_path / "ships.sqlite"
+
+
+# Searches that run each kind of statement a session fetches, as (database
+# builder, decomposition, answer, a text only that kind's statements hold,
+# the reason of a timeout met in one).
+_FETCHES = [
+    (lambda tmp_path, db_dir: db_dir / "academic.sqlite",
+     "return papers; return #1 in PVLDB; return the number of #2", 999,
+     ", SUM(", "candidate execution hit the search deadline"),
+    (_tied_ships, _HIGHEST[1], ["Mary"],
+     " IS lag(", "candidate execution hit the search deadline"),
+    (lambda tmp_path, db_dir: _collated_items(tmp_path), "return items; return #1 with value 3 row 7", ["value 0 row 7"],
+     " = ? LIMIT 1", "literal lookup hit the search deadline"),
+]
+_FETCH_IDS = ["shared_statements", "tie_probes", "value_probes"]
+
+
+class TestOneRuntime:
+    """Every statement a session runs on its connection goes through
+    ``Database.fetch`` or, for a candidate, ``Database.execute``, so the
+    database's deadline bounds each of them."""
+
+    @pytest.mark.parametrize("build, qdmr, answer, marker, reason", _FETCHES, ids=_FETCH_IDS)
+    def test_traced_statements_are_the_databases(
+        self, tmp_path, db_dir, open_db, lexicon, build, qdmr, answer, marker, reason
+    ):
+        db = open_db(build(tmp_path, db_dir))
+        schema = schema_of(db)
+        traced, routed, fetched = [], [], []
+        real_fetch, real_execute = Database.fetch, Database.execute
+
+        def fetch(self, sql, params=()):
+            fetched.append(sql)
+            # The trace reports each ``?`` bound to its (text) parameter.
+            bound = sql
+            for value in params:
+                bound = bound.replace("?", "'" + value.replace("'", "''") + "'", 1)
+            routed.append(bound)
+            return real_fetch(self, sql, params)
+
+        def execute(self, sql, target):
+            routed.append(sql)
+            return real_execute(self, sql, target)
+
+        db.conn.set_trace_callback(traced.append)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Database, "fetch", fetch)
+            mp.setattr(Database, "execute", execute)
+            session = Session(db, schema, SynthesisConfig(), lexicon)
+            search(FakeExample(qdmr, answer), session)
+        db.conn.set_trace_callback(None)
+        assert routed and traced == routed
+        assert any(marker in sql for sql in fetched)
+
+    @pytest.mark.parametrize("build, qdmr, answer, marker, reason", _FETCHES, ids=_FETCH_IDS)
+    def test_a_deadline_met_in_a_fetch_ends_the_search(
+        self, tmp_path, db_dir, open_db, lexicon, build, qdmr, answer, marker, reason
+    ):
+        # The deadline passes as the first statement of the kind is fetched.
+        # A caller that took the timeout for an engine error would go on to
+        # the next try, and the search would end for another reason.
+        db = open_db(build(tmp_path, db_dir))
+        session = Session(db, schema_of(db), SynthesisConfig(), lexicon)
+        real_fetch = Database.fetch
+
+        def fetch(self, sql, params=()):
+            if marker in sql:
+                self.deadline = -math.inf
+            return real_fetch(self, sql, params)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Database, "fetch", fetch)
+            out = search(FakeExample(qdmr, answer), session)
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.failure_reason == reason
 
 
 class TestDeadlineLifted:
@@ -1714,7 +1826,7 @@ class TestDecidedCandidates:
             # A try whose LIMIT cuts a tie is a mismatch whatever it returns.
             assert result is None or not denotations_equal(
                 result, target, allow_empty
-            ) or search_module._tied(query, distinct, conn), render_sql(
+            ) or search_module._tied(query, distinct, session.database), render_sql(
                 query, distinct=distinct
             )
 
@@ -1731,7 +1843,7 @@ class TestDecidedCandidates:
             schema = load_schema(conn)
             statements = []
             conn.set_trace_callback(statements.append)
-            census = search_module._kind_census(conn, schema)
+            census = search_module._kind_census(Database(conn), schema)
             assert len(statements) == 2
             assert all(
                 s.startswith("SELECT group_concat(DISTINCT typeof(") for s in statements
@@ -1820,14 +1932,12 @@ _CELL = st.sampled_from(
 
 @st.composite
 def _shared_case(draw):
-    """Two tables, the aggregate queries the search maps over them (each
-    one row, sharing a few FROM ... WHERE bodies) and the family of
-    aggregate functions its shared statements compute."""
+    """Two tables and the aggregate queries the search maps over them,
+    each one row, sharing a few FROM ... WHERE bodies."""
     t_rows = draw(st.lists(st.tuples(_CELL, _CELL, _CELL, _CELL), max_size=5))
     u_rows = draw(st.lists(
         st.tuples(st.integers(1, 6), _CELL), max_size=5
     )) if t_rows else []
-    family = tuple(draw(st.lists(st.sampled_from(_FNS), min_size=2, unique=True)))
     joined = draw(st.sampled_from([True, True, True, False]))  # only joins share
     bodies = []
     for _ in range(draw(st.integers(1, 2))):
@@ -1843,9 +1953,9 @@ def _shared_case(draw):
         for arg, tables, where in (
             draw(st.sampled_from(bodies)) for _ in range(draw(st.integers(1, 6)))
         )
-        for fn in [draw(st.sampled_from(family))]
+        for fn in [draw(st.sampled_from(_FNS))]
     ]
-    return t_rows, u_rows, family, queries
+    return t_rows, u_rows, queries
 
 
 def _shared_db(t_rows, u_rows):
@@ -1865,21 +1975,25 @@ class TestSharedStatements:
     statement gets alone, and the search's outcome is the one it has when
     every try runs its own statement."""
 
-    def test_family_reads_aggregate_steps_only(self):
-        # A GROUP step's query has a GROUP BY, so it never shares, and its
-        # COUNT (with the SUM of its swap) joins no family: the AVG alone
-        # is no family either.
-        def family(qdmr):
-            program = parse_qdmr(qdmr)
-            return search_module._family(
-                [variant for variant, _ in search_module._program_variants(program)]
-            )
+    def test_shared_functions_are_the_swapped_pair(self):
+        # A COUNT try and its swap's SUM read one statement over a join.
+        # AVG, MIN and MAX run their own, as does any query over one table
+        # or with a GROUP BY, such as a GROUP step's.
+        arg, join = ColExpr(_T_COLS[1]), {"from_tables": ("t", "u"), "where": (_JOIN,)}
 
-        assert family("return papers; return the number of #1") == ("count", "sum")
-        assert family(
-            "return papers; return years of #1; "
-            "return the number of #1 for each #2; return the average of #2"
-        ) == ()
+        def column(fn, **clauses):
+            query = SqlQuery(select=(AggExpr(fn, arg),), **{**join, **clauses})
+            return search_module._shared_column(query)
+
+        assert [column(fn) for fn in _FNS] == [0, 1, None, None, None]
+        assert column("count", from_tables=("t",), where=()) is None
+        assert column("sum", group_by=arg) is None
+        program = parse_qdmr("return papers; return the number of #1")
+        assert {
+            step.operator.aggregate_fn
+            for variant, _ in search_module._program_variants(program)
+            for step in variant.steps if step.operator.kind is OpKind.AGGREGATE
+        } == set(search_module._SHARED_FNS)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1893,13 +2007,13 @@ class TestSharedStatements:
     # SUM(b) overflows, so the shared statement fails while COUNT(b) alone
     # succeeds: the try runs its own statement and matches.
     @example(
-        case=([(None, 2**62, None, None)] * 2, [(1, None), (2, None)], ("count", "sum"),
+        case=([(None, 2**62, None, None)] * 2, [(1, None), (2, None)],
               [SqlQuery(select=(AggExpr("count", ColExpr(_T_COLS[1])),),
                         from_tables=("t", "u"), where=(_JOIN,))]),
         source=(0, False), drawn=None, allow_empty=False,
     )
     def test_shared_verdict_is_the_own_verdict(self, case, source, drawn, allow_empty):
-        t_rows, u_rows, family, queries = case
+        t_rows, u_rows, queries = case
         conn = _shared_db(t_rows, u_rows)
         try:
             db = Database(conn)
@@ -1912,7 +2026,7 @@ class TestSharedStatements:
                 answer = drawn or []
             else:
                 answer = [list(row) for row in result.rows]
-            out, answered = self._search(session, queries, answer, family)
+            out, answered = self._search(session, queries, answer, ("count", "sum"))
             alone, none_shared = self._search(session, queries, answer, ())
             assert not none_shared
             assert out == alone
@@ -1928,10 +2042,10 @@ class TestSharedStatements:
             conn.close()
 
     @staticmethod
-    def _search(session, queries, answer, family):
+    def _search(session, queries, answer, fns):
         """The search over ``queries`` as the mapped candidates, with
-        ``family`` as the decomposition's, and each try answered from a
-        shared statement as ``(query, distinct, result)``."""
+        ``fns`` as the functions shared statements compute, and each try
+        answered from a shared statement as ``(query, distinct, result)``."""
         session.prepared.clear()
         built, rendered, answered = [], [], []
         real_render, real_read = search_module.render_sql, search_module.read_until_mismatch
@@ -1950,7 +2064,7 @@ class TestSharedStatements:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search_module, "_program_variants", lambda p: [(p, ())])
-            mp.setattr(search_module, "_family", lambda programs: family)
+            mp.setattr(search_module, "_SHARED_FNS", fns)
             mp.setattr(search_module, "enumerate_assignments",
                        lambda slots, limit: (linking.Assignment({}) for _ in queries))
             mp.setattr(search_module, "synthesize", synthesize)

@@ -5,12 +5,15 @@ one seed in a temporary directory, runs ``run_corpus`` on them with the
 package under ``--src``, and writes the pairs, failures and report files
 as ``perfbench/worker.py`` does.  It prints one line per workload: the
 number of examples found, the candidates tried summed over the examples,
-the number of examples of each status, and the SHA-256 of the three files
-together.  The output files do not hold a Found example's candidate count,
-so the sum shows a change in tries that the files would not.  Two
-versions of the package whose lines agree wrote byte-identical files and
-tried as many candidates for the same inputs; the inputs always come from
-this checkout.
+the SQLite statements run on the connections ``Database.open`` returned
+(counted by a trace callback on each), the number of examples of each
+status, and the SHA-256 of the three files together.  The output files do
+not hold a Found example's candidate count, so the sum shows a change in
+tries that the files would not, and the statement count shows a
+statement added or lost that changes no try.  Two versions of the
+package whose lines agree wrote byte-identical files, tried as many
+candidates and ran as many statements for the same inputs; the inputs
+always come from this checkout.
 
 With ``--against DIR`` the tool runs itself again in a subprocess with
 ``--src DIR`` and the same ``--seed``, prints that run's lines too,
@@ -52,6 +55,7 @@ def digest(out_dir: Path) -> str:
 def run_workload(workloads, name: str, seed: int, work: Path) -> str:
     """Build workload ``name``, run the corpus on it, and describe the files."""
     corpus = importlib.import_module("qdmr2sql.corpus")
+    executor = importlib.import_module("qdmr2sql.executor")
     linking = importlib.import_module("qdmr2sql.linking")
     search = importlib.import_module("qdmr2sql.search")
     inputs, out = work / "inputs", work / "out"
@@ -62,9 +66,21 @@ def run_workload(workloads, name: str, seed: int, work: Path) -> str:
     examples, rejects = corpus.load_examples(workload.corpus)
     if rejects:
         raise RuntimeError(f"{name}: {len(rejects)} corpus lines were rejected")
-    outcomes, report = corpus.run_corpus(
-        examples, workload.db_dir, config=search.SynthesisConfig(), lexicon=lexicon,
-    )
+    statements = []
+    real_open, saved = executor.Database.open, vars(executor.Database)["open"]
+
+    def open_traced(path):
+        database = real_open(path)
+        database.conn.set_trace_callback(statements.append)
+        return database
+
+    executor.Database.open = staticmethod(open_traced)
+    try:
+        outcomes, report = corpus.run_corpus(
+            examples, workload.db_dir, config=search.SynthesisConfig(), lexicon=lexicon,
+        )
+    finally:
+        executor.Database.open = saved
     corpus.emit_training_pairs(examples, outcomes, out / "pairs.jsonl")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     found = sum(o.status is search.SearchStatus.FOUND for o in outcomes)
@@ -72,7 +88,7 @@ def run_workload(workloads, name: str, seed: int, work: Path) -> str:
     statuses = Counter(o.status.value for o in outcomes)
     histogram = " ".join(f"{status}:{n}" for status, n in sorted(statuses.items()))
     return (f"{name}\tfound {found}/{len(examples)}\ttried {tried}"
-            f"\tstatuses {histogram}\tsha256 {digest(out)}")
+            f"\tstatements {len(statements)}\tstatuses {histogram}\tsha256 {digest(out)}")
 
 
 def main(argv=None) -> int:
