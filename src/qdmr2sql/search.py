@@ -23,8 +23,9 @@ Nothing an assignment cannot change is built twice:
   of columns of the slots it reads: the step's query
   (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments differ in
   one slot, so most steps repeat;
-- once per example, for each aggregated column, join and DISTINCT flag:
-  the statement the aggregate tries over them share (see below).
+- once per example, for each aggregated column and join: the statement
+  the aggregate tries over them share, under both DISTINCT flags (see
+  below).
 
 Each variant of each assignment is still one call of ``synthesize``, made
 only while the deadline holds.
@@ -34,17 +35,18 @@ list is one aggregate and which has no GROUP BY, HAVING, ORDER BY or
 LIMIT returns exactly one row.  When it also joins two or more tables and
 its aggregate is a COUNT or a SUM, the two functions the COUNT/SUM swap
 exchanges, its tries read their column of a statement that computes,
-over the same FROM and WHERE, the COUNT and the SUM of the column, with
-DISTINCT inside each as the try has it.  SQLite computes each aggregate
-on its own over the same rows, so each column is what the try's own
-statement returns.  The statement runs on the first try that reads it and
-its row serves the others, the COUNT/SUM swap's among them, until the
-search ends; it saves compiling a statement, which costs more the more
-tables it joins.  A try answered this way is rendered, counted and
-decided as any other; only its execution is shared.  When the engine
-rejects the shared statement (SUM overflows where COUNT alone would
-not), each try runs its own, so the engine errors and the statuses are
-those of the tries' own statements.
+over the same FROM and WHERE, the COUNT and the SUM of the column, each
+without and with DISTINCT inside, so one statement serves both DISTINCT
+flags.  SQLite computes each aggregate on its own over the same rows, so
+each column is what the try's own statement returns.  The statement runs
+on the first try that reads it and its row serves the others, the
+COUNT/SUM swap's among them, until the search ends; it saves compiling a
+statement, which costs more the more tables it joins.  A try answered
+this way is rendered, counted and decided as any other; only its
+execution is shared.  When the engine rejects the shared statement (a SUM
+overflows where COUNT alone, or the other flag's SUM, would not), each
+try runs its own, so the engine errors and the statuses are those of the
+tries' own statements.
 
 The first candidate whose denotation equals the answer wins, unless a
 LIMIT in it cuts a tie (:func:`_tied`): the plan picks which tied rows it
@@ -66,9 +68,11 @@ or engine rejections and still count as tried:
   match or a timeout would have ended the search.  This holds per search
   only: nothing is kept for the next example;
 - the DISTINCT try of a query when DISTINCT cannot change its set of
-  rows: no aggregate, no LIMIT and no column compared under a collation.
-  Comparison is by sets, so the try reads its first try's statement and
-  is decided with it, without being rendered;
+  rows: no aggregate, no LIMIT and no column compared under a collation,
+  or a select list that is exactly the query's uncollated GROUP BY
+  column, whose rows are distinct already.  Comparison is by sets, so the
+  try reads its first try's statement and is decided with it, without
+  being rendered; where a LIMIT cuts a tie, :func:`_tied` rejects both;
 - once a candidate of the example has executed, so that neither the
   status nor the first engine error can change any more, a candidate with
   some answer row that no row of its result can match: the row's width is
@@ -380,8 +384,9 @@ _SHARED_FNS = ("count", "sum")
 
 
 def _shared_column(query: SqlQuery) -> Optional[int]:
-    """The column that answers the tries of ``query`` in their shared
-    statement, or None when they run their own.
+    """The column that answers the try of ``query`` without DISTINCT in
+    their shared statement, or None when they run their own; the DISTINCT
+    try's is ``len(_SHARED_FNS)`` further on.
 
     A query shares when its select list is one aggregate of a function in
     ``_SHARED_FNS``, it has no GROUP BY, HAVING, ORDER BY or LIMIT, so it
@@ -406,9 +411,10 @@ def _shared_row(
 ) -> Optional[tuple]:
     """The row of the statement the try ``(query, distinct)``, whose own
     statement is ``sql``, shares: one aggregate of each of ``_SHARED_FNS``
-    over ``query``'s argument and clauses, DISTINCT inside each as the try
-    has it.  Run on its first try in the search and kept in ``shared``
-    under its text; None once the engine has rejected it."""
+    over ``query``'s argument and clauses, without and then with DISTINCT
+    inside (:func:`~qdmr2sql.sqlgen.render_aggregates`), so both flags'
+    tries read it.  Run on its first try in the search and kept in
+    ``shared`` under its text; None once the engine has rejected it."""
     statement = render_aggregates(query, _SHARED_FNS, distinct, sql)
     if statement not in shared:
         try:
@@ -559,7 +565,8 @@ def _search(example, session: Session) -> SynthesisOutcome:
                     if row is None:  # no shared statement, or the engine rejected it
                         result = database.execute(sql, target)
                     else:
-                        result = read_until_mismatch((row[column:column + 1],), target)
+                        i = column + len(_SHARED_FNS) * distinct
+                        result = read_until_mismatch((row[i:i + 1],), target)
                     found = not result.mismatch and denotations_equal(
                         result, target, config.allow_empty_denotation
                     ) and (" LIMIT " not in sql or not _tied(query, distinct, database))

@@ -28,7 +28,9 @@ comparison against an aggregated operand lands in HAVING, with the
 operand's grouping preserved.  A literal the value index found is compared
 as that text (``code = '1e5'``), a comparison value as the number it spells.
 DISTINCT is a flag of :func:`render_sql`, not part of a query;
-:func:`_distinct_keeps_rows` says when it cannot change the set of rows.
+:func:`_distinct_keeps_rows` says when it cannot change the set of rows,
+and :func:`render_aggregates` puts the aggregates of both flags in one
+statement.
 
 A step's query depends only on the columns of the slots it reads
 (:func:`step_reads`), the schema and the join paths between its tables.
@@ -224,20 +226,26 @@ def render_aggregates(
 ) -> str:
     """``sql``, which is ``render_sql(query, distinct)`` for a query whose
     select list is one aggregate, with one aggregate of each function in
-    ``fns`` over that aggregate's argument in its place; the clauses after
-    the select list are taken from ``sql``, not rendered again."""
+    ``fns`` over that aggregate's argument in its place, first without
+    DISTINCT and then with it, so column ``i + len(fns) * distinct`` is the
+    ``i``-th function under either flag; the clauses after the select list
+    are taken from ``sql``, not rendered again."""
     item = query.select[0]
     clauses = sql[len("SELECT ") + len(item.render(distinct)):]
-    items = ", ".join(AggExpr(fn, item.arg).render(distinct) for fn in fns)
+    items = ", ".join(AggExpr(fn, item.arg).render(d) for d in (False, True) for fn in fns)
     return "SELECT " + items + clauses
 
 
 def _distinct_keeps_rows(query: SqlQuery) -> bool:
     """Whether ``render_sql(query, distinct=True)`` has ``query``'s set of rows:
     not with DISTINCT inside an aggregate, a LIMIT that cuts the deduplicated
-    rows, or a collation that merges cells the comparison tells apart."""
-    return query.limit is None and not _aggregates(query) and not any(
-        isinstance(item, ColExpr) and item.col.collated for item in query.select
+    rows, or a collation that merges cells the comparison tells apart.  A
+    query that selects exactly its uncollated GROUP BY column returns one row
+    per group, each distinct, so DISTINCT removes nothing, LIMIT or not."""
+    if any(isinstance(item, ColExpr) and item.col.collated for item in query.select):
+        return False
+    return query.select == (query.group_by,) or (
+        query.limit is None and not _aggregates(query)
     )
 
 

@@ -388,8 +388,8 @@ class TestRunCorpus:
         # "ships" binds to maps to the same query, and its 256 tries read 64
         # statements of their own.  32 of them read one table and run; the
         # other 32, a SUM and a COUNT over the ship-death join for each
-        # column and DISTINCT flag, read 16 shared statements.  Each runs
-        # once; the repeats take its verdict.
+        # column and DISTINCT flag, read 8 shared statements, one per column
+        # for both flags.  Each runs once; the repeats take its verdict.
         examples, _ = load_examples(CORPUS)
         s4 = next(ex for ex in examples if ex.id == "s4")
         examples.append(dataclasses.replace(s4, id="unreachable", answer=[[12345]]))
@@ -408,7 +408,7 @@ class TestRunCorpus:
             "unreachable": ("Exhausted", 256),
         }
         shared = [sql for sql in searches["unreachable"] if _SHARED.match(sql)]
-        assert (len(searches["unreachable"]), len(shared)) == (48, 16)
+        assert (len(searches["unreachable"]), len(shared)) == (40, 8)
 
     def test_unknown_db_id_aborts_upfront(self, db_dir):
         bad = [_fake_example("x", "d", "no_such_db")]

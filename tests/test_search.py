@@ -549,10 +549,10 @@ class TestFailureStatuses:
         # one.  The engine refuses every statement, numbering its refusals,
         # and the reason names the first try's own.  Over products, each of
         # the 12 tries reads one table and is refused on its own, the first
-        # as "boom 1".  Over academic, the 14 statements shared by a COUNT
-        # and a SUM over a join are refused too, each before the own
-        # statements of its tries: the first try's shared statement is
-        # "boom 1" and its own "boom 2".
+        # as "boom 1".  Over academic, the 7 statements shared by a COUNT
+        # and a SUM over a join, one for both DISTINCT flags, are refused
+        # too, each before the own statements of its tries: the first try's
+        # shared statement is "boom 1" and its own "boom 2".
         class Refusing:
             """A connection whose engine refuses each statement it is
             given, as ``boom 1``, ``boom 2``, ... in turn."""
@@ -571,7 +571,7 @@ class TestFailureStatuses:
             (products_db, "return product types; return the number of #1",
              12, 12, 1),
             (academic_db, "return papers; return #1 in PVLDB; return the number of #2",
-             36, 36 + 14, 2),
+             36, 36 + 7, 2),
         ):
             db = open_db(path)
             session = Session(db, schema_of(db), SynthesisConfig(), lexicon)
@@ -1656,8 +1656,8 @@ _CASES = st.booleans().flatmap(lambda nocase: st.tuples(
     st.lists(_query(nocase), max_size=8),
 ))
 
-_A, _B = _columns(False)[:2]
-_A_NOCASE = _columns(True)[0]
+_A, _B, _C = _columns(False)
+_A_NOCASE, _B_NOCASE = _columns(True)[:2]
 
 
 def _plain(*items, **clauses):
@@ -1709,6 +1709,33 @@ class TestDecidedCandidates:
         case=(False, [_plain(AggExpr("min", ColExpr(_A)))],
               [_plain(ColExpr(_A), AggExpr("count", ColExpr(_B)))]),
         source=(0, False), drawn=None, allow_empty=False,
+    )
+    # A grouped superlative selects its group key, so DISTINCT keeps its
+    # rows; its LIMIT cuts a tie between x and y, so neither try matches.
+    @example(
+        rows=[("x", 1, 1), ("x", 2, 2), ("y", 3, 3), ("y", 1, 1)],
+        case=(False, [_plain(ColExpr(_A), group_by=ColExpr(_A),
+                             order_by=(AggExpr("count", ColExpr(_B)), "DESC"),
+                             limit=1)], []),
+        source=(0, True), drawn=None, allow_empty=False,
+    )
+    # A group key under NOCASE: its DISTINCT try is not decided.
+    @example(
+        rows=[("x", 1, 1), ("X", 2, 2), ("y", 3, 3)],
+        case=(True, [_plain(ColExpr(_A_NOCASE), group_by=ColExpr(_A_NOCASE),
+                            order_by=(AggExpr("count", ColExpr(_B_NOCASE)), "DESC"),
+                            limit=1)], []),
+        source=(0, True), drawn=None, allow_empty=False,
+    )
+    # A grouped query selecting a column other than its key repeats b = 1
+    # across groups, so DISTINCT before the LIMIT reaches b = 2.
+    @example(
+        rows=[("x", 1, 1), ("x", 1, 2), ("x", 1, 3), ("y", 1, 1), ("y", 1, 2),
+              ("z", 2, 1)],
+        case=(False, [_plain(ColExpr(_B), group_by=ColExpr(_A),
+                             order_by=(AggExpr("count", ColExpr(_C)), "DESC"),
+                             limit=2)], []),
+        source=(0, True), drawn=None, allow_empty=False,
     )
     # The engine rejects HAVING in a query without aggregates, and the
     # DISTINCT try is decided with its rejected first try.
@@ -1829,6 +1856,26 @@ class TestDecidedCandidates:
             ) or search_module._tied(query, distinct, session.database), render_sql(
                 query, distinct=distinct
             )
+
+    def test_distinct_keeps_rows(self):
+        keeps = sqlgen._distinct_keeps_rows
+        a, b, count_b = ColExpr(_A), ColExpr(_B), AggExpr("count", ColExpr(_B))
+        top = {"order_by": (count_b, "DESC"), "limit": 1}
+        assert keeps(_plain(a, b))
+        assert keeps(_plain(a, group_by=b))
+        assert not keeps(_plain(a, limit=2))
+        assert not keeps(_plain(count_b))
+        assert not keeps(_plain(ColExpr(_A_NOCASE)))
+        # A query selecting exactly its uncollated GROUP BY column returns
+        # one row per group, LIMIT or not.
+        assert keeps(_plain(a, group_by=a))
+        assert keeps(_plain(a, group_by=a, **top))
+        assert not keeps(_plain(b, group_by=a, **top))
+        assert not keeps(_plain(a, b, group_by=a, **top))
+        assert not keeps(_plain(a, count_b, group_by=a, **top))
+        nocase = ColExpr(_A_NOCASE)
+        assert not keeps(_plain(nocase, group_by=nocase))
+        assert not keeps(_plain(nocase, group_by=nocase, **top))
 
     def test_census_reads_one_row_per_table(self):
         # Each table is read in one statement that aggregates each column's
@@ -1971,9 +2018,9 @@ def _shared_db(t_rows, u_rows):
 
 class TestSharedStatements:
     """A try answered from the statement it shares with the other aggregate
-    tries over its FROM ... WHERE and DISTINCT flag gets the verdict its own
-    statement gets alone, and the search's outcome is the one it has when
-    every try runs its own statement."""
+    tries over its FROM ... WHERE, under either DISTINCT flag, gets the
+    verdict its own statement gets alone, and the search's outcome is the
+    one it has when every try runs its own statement."""
 
     def test_shared_functions_are_the_swapped_pair(self):
         # A COUNT try and its swap's SUM read one statement over a join.
@@ -1988,6 +2035,19 @@ class TestSharedStatements:
         assert [column(fn) for fn in _FNS] == [0, 1, None, None, None]
         assert column("count", from_tables=("t",), where=()) is None
         assert column("sum", group_by=arg) is None
+        # One statement serves both DISTINCT flags: a try reads column
+        # index(fn) + 2 * distinct.
+        query = SqlQuery(select=(AggExpr("sum", arg),), **join)
+        assert {
+            sqlgen.render_aggregates(
+                query, search_module._SHARED_FNS, distinct,
+                render_sql(query, distinct=distinct),
+            )
+            for distinct in (False, True)
+        } == {
+            "SELECT COUNT(t.b), SUM(t.b), COUNT(DISTINCT t.b), SUM(DISTINCT t.b)"
+            " FROM t, u WHERE u.t_id = t.id"
+        }
         program = parse_qdmr("return papers; return the number of #1")
         assert {
             step.operator.aggregate_fn
@@ -2011,6 +2071,23 @@ class TestSharedStatements:
               [SqlQuery(select=(AggExpr("count", ColExpr(_T_COLS[1])),),
                         from_tables=("t", "u"), where=(_JOIN,))]),
         source=(0, False), drawn=None, allow_empty=False,
+    )
+    # Plain SUM(b) overflows where SUM(DISTINCT b) does not, so the one
+    # statement for both flags fails: the DISTINCT COUNT try runs its own
+    # statement and matches.
+    @example(
+        case=([(None, 2**62, None, None)] * 2, [(1, None), (2, None)],
+              [SqlQuery(select=(AggExpr("count", ColExpr(_T_COLS[1])),),
+                        from_tables=("t", "u"), where=(_JOIN,))]),
+        source=(0, True), drawn=None, allow_empty=False,
+    )
+    # COUNT(DISTINCT b) is 1 and COUNT(b) is 2: the DISTINCT try reads the
+    # DISTINCT column of the shared statement.
+    @example(
+        case=([(None, 1, None, None)] * 2, [(1, None), (2, None)],
+              [SqlQuery(select=(AggExpr("count", ColExpr(_T_COLS[1])),),
+                        from_tables=("t", "u"), where=(_JOIN,))]),
+        source=(0, True), drawn=None, allow_empty=False,
     )
     def test_shared_verdict_is_the_own_verdict(self, case, source, drawn, allow_empty):
         t_rows, u_rows, queries = case

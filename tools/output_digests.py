@@ -23,9 +23,19 @@ agree).  To check a change against its parent commit:
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python3 tools/output_digests.py --against /tmp/parent/src
 
+With ``--expect FILE`` it compares its lines with those in ``FILE``,
+as an earlier run printed them, and exits 1 naming each workload whose
+line differs.  ``tools/digests.seed11.tsv`` holds this checkout's lines
+at seed 11; a change that alters outputs, tries or statements on
+purpose rewrites it:
+
+    python3 tools/output_digests.py --expect tools/digests.seed11.tsv
+    python3 tools/output_digests.py > tools/digests.seed11.tsv
+
 Standard library only.  Usage:
 
     python3 tools/output_digests.py [--src DIR] [--seed N] [--against DIR]
+                                    [--expect FILE]
 """
 
 from __future__ import annotations
@@ -98,6 +108,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--against", type=Path, default=None,
                    help="a second package directory whose lines must agree")
+    p.add_argument("--expect", type=argparse.FileType("r"), default=None,
+                   help="a file of lines, as this tool prints them, that must agree")
     args = p.parse_args(argv)
 
     sys.dont_write_bytecode = True  # leave perfbench/ and --src as they are
@@ -115,9 +127,27 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="qdmr2sql-digests-") as tmp:
             lines.append(run_workload(workloads, name, args.seed, Path(tmp)))
         print(lines[-1], flush=True)
-    if args.against is None:
-        return 0
-    return compare(lines, args)
+    status = 0
+    if args.expect is not None:
+        expected = args.expect.read().splitlines()
+        status = agree(lines, expected, f"--expect {args.expect.name}")
+    if args.against is not None:
+        status = compare(lines, args) or status
+    return status
+
+
+def agree(lines, theirs, what: str) -> int:
+    """0 when ``lines`` and ``theirs`` hold the same line for each workload;
+    else 1, after naming each workload whose lines differ or that only one
+    of them has."""
+    ours = {line.split("\t", 1)[0]: line for line in lines}
+    theirs = {line.split("\t", 1)[0]: line for line in theirs}
+    differ = [n for n in sorted(ours.keys() | theirs.keys()) if ours.get(n) != theirs.get(n)]
+    if differ:
+        print(f"differs from {what}: {', '.join(differ)}", file=sys.stderr)
+        return 1
+    print(f"all workloads agree with {what}")
+    return 0
 
 
 def compare(lines, args) -> int:
@@ -132,14 +162,7 @@ def compare(lines, args) -> int:
     if other.returncode:
         print(other.stderr, end="", file=sys.stderr)
         return other.returncode
-    ours = {line.split("\t", 1)[0]: line for line in lines}
-    theirs = {line.split("\t", 1)[0]: line for line in other.stdout.splitlines()}
-    differ = [n for n in sorted(ours.keys() | theirs.keys()) if ours.get(n) != theirs.get(n)]
-    if differ:
-        print(f"differs: {', '.join(differ)}", file=sys.stderr)
-        return 1
-    print("all workloads agree")
-    return 0
+    return agree(lines, other.stdout.splitlines(), f"--against {args.against}")
 
 
 if __name__ == "__main__":
