@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from os.path import realpath
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Dict, List, Optional
 
 from .corpus import (
     CoverageReport,
@@ -123,14 +124,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_batch(args: argparse.Namespace, outputs: Callable[[list], list]):
-    """Load the examples and the lexicon, create every file
-    ``outputs(rejects)`` names, then search: an output that cannot be
-    written stops the command before any example is searched."""
+def _check_outputs(args: argparse.Namespace, outputs: Dict[str, Path]) -> None:
+    """Refuse, as a usage error, an output file, named by what it is, that
+    is an input file or another output file."""
+    seen = {realpath(args.examples): "--examples",
+            realpath(args.embeddings): "--embeddings"}
+    for what, path in outputs.items():
+        other = seen.setdefault(realpath(path), what)
+        if other != what:
+            raise _UsageError(f"{what} {path} is also {other}")
+
+
+def _run_batch(
+    args: argparse.Namespace, outputs: Dict[str, Path], on_reject: Dict[str, Path]
+):
+    """Check the output files, load the examples and the lexicon, create
+    every file of ``outputs``, and those of ``on_reject`` when a line is
+    rejected, then search: an output that cannot be written stops the
+    command before any example is searched."""
     config = _config(args)
+    _check_outputs(args, {**outputs, **on_reject})
     examples, rejects = load_examples(args.examples)
     lexicon = EmbeddingLexicon.load(args.embeddings)
-    create_outputs(outputs(rejects))
+    create_outputs([*outputs.values(), *(on_reject.values() if rejects else ())])
     outcomes, report = run_corpus(examples, args.db_dir, config=config, lexicon=lexicon)
     return examples, rejects, outcomes, report
 
@@ -139,8 +155,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     pairs = args.out_pairs
     examples, rejects, outcomes, report = _run_batch(
         args,
-        lambda rejects: [pairs, failures_path(pairs), args.out_report]
-        + ([rejects_path(pairs)] if rejects else []),
+        {"--out-pairs": Path(pairs),
+         "the failures file of --out-pairs": failures_path(pairs),
+         "--out-report": Path(args.out_report)},
+        {"the rejects file of --out-pairs": rejects_path(pairs)},
     )
     written = emit_training_pairs(examples, outcomes, pairs)
     if rejects:
@@ -156,7 +174,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    examples, _, outcomes, report = _run_batch(args, lambda rejects: [args.out])
+    examples, _, outcomes, report = _run_batch(args, {"--out": Path(args.out)}, {})
     report.write(args.out)
     found = sum(1 for o in outcomes if o.status is SearchStatus.FOUND)
     pct = CoverageReport.percent(found, len(examples))

@@ -28,7 +28,8 @@ query's own statement (:meth:`Database.execute`) or are its column of the
 one row of a statement it shares with other aggregates over the same
 rows.  The :class:`Database` runs every other statement of a session too
 (:meth:`Database.fetch`), so its deadline bounds each one, and only this
-module tells a statement the deadline aborted from an engine error.
+module tells a statement the deadline aborted from an engine error.  It
+writes one of them: the census of each column's cell kinds (:func:`kind_census`).
 
 :meth:`Database.open` reads a file once, into a private in-memory copy
 with each foreign-key child column indexed, so every statement on it
@@ -45,10 +46,10 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ExecutionTimeout, SqlError, UnreadableDatabase
-from .schema import open_readonly, quote_ident
+from .schema import ColumnRef, SchemaGraph, open_readonly, quote_ident
 
 __all__ = [
     "Cell",
@@ -59,6 +60,7 @@ __all__ = [
     "read_until_mismatch",
     "normalize_answer",
     "answer_denotation",
+    "kind_census",
 ]
 
 Cell = Union[None, float, str]
@@ -73,7 +75,7 @@ NULL, NUMBER, TEXT = type(None), float, str
 
 # The kind of cell each storage class that SQLite's ``typeof`` names is read
 # as; BLOBs decode to text.
-TYPEOF_KINDS = {
+_TYPEOF_KINDS = {
     "null": NULL, "integer": NUMBER, "real": NUMBER, "text": TEXT, "blob": TEXT,
 }
 
@@ -253,6 +255,30 @@ class Database:
             return self.conn.execute(sql, params).fetchall()
         except sqlite3.Error as exc:
             raise _engine_error(exc) from exc
+
+
+Census = Dict[ColumnRef, FrozenSet[type]]
+
+
+def kind_census(database: Database, schema: SchemaGraph) -> Census:
+    """The kinds of cell each column of ``schema`` holds, read in one pass
+    over each table that returns one row of at most five type names per
+    column; the columns of a table that cannot be read may hold any kind."""
+    census: Census = {}
+    for table, cols in schema.tables.items():
+        types = ", ".join(f"group_concat(DISTINCT typeof({col.sql}))" for col in cols)
+        try:
+            row, = database.fetch(f"SELECT {types} FROM {quote_ident(table)}")
+        except ExecutionTimeout:
+            raise
+        except SqlError:
+            census.update(dict.fromkeys(cols, frozenset((NULL, NUMBER, TEXT))))
+            continue
+        for col, names in zip(cols, row):
+            census[col] = frozenset(
+                _TYPEOF_KINDS[name] for name in (names.split(",") if names else ())
+            )
+    return census
 
 
 def _interrupted(exc: sqlite3.Error) -> bool:

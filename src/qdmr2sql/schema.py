@@ -268,7 +268,7 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
         raise UnreadableDatabase(f"cannot introspect database: {exc}") from exc
 
     tables: Dict[str, List[ColumnRef]] = {}
-    pks: Dict[str, str] = {}
+    pks: Dict[str, str] = {}  # lowercased table name -> its leading key column
     keys: Dict[str, list] = {}
     for name in table_names:
         try:
@@ -281,8 +281,8 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
         cols = []
         for _, col, declared, _, _, pk in info:
             cols.append(_make_column(name, col, declared, _collated(conn, name, col)))
-            if pk and name not in pks:
-                pks[name] = col
+            if pk == 1:  # the key's first column, wherever it is declared
+                pks[name.lower()] = col
         tables[name] = cols
     names = SchemaGraph(tables, ())  # finds the columns the keys name
 
@@ -295,7 +295,7 @@ def _introspect_sqlite(conn: sqlite3.Connection) -> SchemaGraph:
             if seq != 0:
                 continue  # composite keys: keep the leading pair only
             if dst_col is None:
-                dst_col = pks.get(target_table)
+                dst_col = pks.get(target_table.lower())
                 if dst_col is None:
                     continue
             try:

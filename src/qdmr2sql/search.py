@@ -30,23 +30,20 @@ Nothing an assignment cannot change is built twice:
 Each variant of each assignment is still one call of ``synthesize``, made
 only while the deadline holds.
 
-Aggregate tries over one join share a statement.  A query whose select
-list is one aggregate and which has no GROUP BY, HAVING, ORDER BY or
-LIMIT returns exactly one row.  When it also joins two or more tables and
-its aggregate is a COUNT or a SUM, the two functions the COUNT/SUM swap
-exchanges, its tries read their column of a statement that computes,
-over the same FROM and WHERE, the COUNT and the SUM of the column, each
-without and with DISTINCT inside, so one statement serves both DISTINCT
-flags.  SQLite computes each aggregate on its own over the same rows, so
-each column is what the try's own statement returns.  The statement runs
-on the first try that reads it and its row serves the others, the
-COUNT/SUM swap's among them, until the search ends; it saves compiling a
-statement, which costs more the more tables it joins.  A try answered
-this way is rendered, counted and decided as any other; only its
-execution is shared.  When the engine rejects the shared statement (a SUM
-overflows where COUNT alone, or the other flag's SUM, would not), each
-try runs its own, so the engine errors and the statuses are those of the
-tries' own statements.
+This module writes no SQL.  ``sqlgen`` writes each try's statement
+(:func:`~qdmr2sql.sqlgen.render_sql`), the one COUNT or SUM tries over a
+join share with their DISTINCT and COUNT/SUM-swapped tries
+(:func:`~qdmr2sql.sqlgen.shared_statement`), and the tie probes
+(:func:`~qdmr2sql.sqlgen.tie_probes`); ``executor`` writes the census
+(:func:`~qdmr2sql.executor.kind_census`).  SQLite computes each aggregate
+of a shared statement on its own over the same rows, so a try's column
+is what its own statement returns.  The shared statement runs on the
+first try that reads it and its row serves the others until the search
+ends.  A try answered this way is rendered, counted and decided as any
+other; only its execution is shared.  When the engine rejects the shared
+statement (a SUM overflows where COUNT alone, or the other flag's SUM,
+would not), each try runs its own, so the engine errors and the statuses
+are those of the tries' own statements.
 
 The first candidate whose denotation equals the answer wins, unless a
 LIMIT in it cuts a tie (:func:`_tied`): the plan picks which tied rows it
@@ -92,20 +89,20 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
 from .executor import (
     NULL,
     NUMBER,
-    TEXT,
-    TYPEOF_KINDS,
+    Census,
     Database,
     Denotation,
     answer_denotation,
     denotations_equal,
+    kind_census,
     read_until_mismatch,
 )
 from .linking import (
@@ -118,11 +115,10 @@ from .linking import (
     plan_bindings,
 )
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
-from . import sqlgen
-from .schema import ColumnRef, SchemaGraph, ValueIndex, quote_ident
+from .schema import ColumnRef, SchemaGraph, ValueIndex
 from .sqlgen import (
-    AggExpr, ArithExpr, ColExpr, InPred, JoinPaths, OrGroup, Reads, SelectItem, SqlQuery,
-    StepMemo, render_aggregates, render_sql, step_reads, synthesize, _aggregates,
+    AggExpr, ColExpr, JoinPaths, Reads, SelectItem, SqlQuery, StepMemo, render_sql,
+    shared_statement, step_reads, synthesize, tie_probes, _aggregates,
     _distinct_keeps_rows,
 )
 
@@ -247,34 +243,10 @@ def heuristic_aggregate_swap(program: QdmrProgram) -> List[QdmrProgram]:
 
 # --- deciding candidates without running them ---------------------------------
 
-_ANY_KIND = frozenset((NULL, NUMBER, TEXT))
 _NUMBER_OR_NULL = frozenset((NUMBER, NULL))
 _AGGREGATE_KINDS = {
     "count": frozenset((NUMBER,)), "sum": _NUMBER_OR_NULL, "avg": _NUMBER_OR_NULL,
 }
-
-Census = Dict[ColumnRef, FrozenSet[type]]
-
-
-def _kind_census(database: Database, schema: SchemaGraph) -> Census:
-    """The kinds of cell each column holds, read in one pass over each
-    table that returns one row of at most five type names per column; the
-    columns of a table that cannot be read may hold any kind."""
-    census: Census = {}
-    for table, cols in schema.tables.items():
-        types = ", ".join(f"group_concat(DISTINCT typeof({col.sql}))" for col in cols)
-        try:
-            row, = database.fetch(f"SELECT {types} FROM {quote_ident(table)}")
-        except ExecutionTimeout:
-            raise
-        except SqlError:
-            census.update(dict.fromkeys(cols, _ANY_KIND))
-            continue
-        for col, names in zip(cols, row):
-            census[col] = frozenset(
-                TYPEOF_KINDS[name] for name in (names.split(",") if names else ())
-            )
-    return census
 
 
 def _item_kinds(item: SelectItem, query: SqlQuery, census: Census) -> FrozenSet[type]:
@@ -309,44 +281,19 @@ def _cannot_match(query: SqlQuery, answer: Denotation, census: Census) -> bool:
     )
 
 
-def _queries(query: SqlQuery) -> Iterator[SqlQuery]:
-    """``query`` and every query nested in it."""
-    yield query
-    preds = list(query.where)
-    for pred in preds:  # grows by the conjuncts of each OR group
-        if isinstance(pred, OrGroup):
-            preds += [p for side in pred.sides for p in side]
-    nested = [p.query for p in preds if isinstance(p, InPred)]
-    nested += [q for i in query.select if isinstance(i, ArithExpr) for q in (i.left, i.right)]
-    for q in nested:
-        yield from _queries(q)
-
-
 def _tied(query: SqlQuery, distinct: bool, database: Database) -> bool:
-    """Whether a LIMIT k in the try ``query`` cuts between rows k and k + 1 of
-    equal ORDER BY key, read as its query runs (row DISTINCT included) and
-    compared with ``IS``, under the key's collation and with nulls equal.  Run
-    by ``Database.fetch`` and rendered by ``sqlgen``, so no candidate count sees it."""
-    for q in _queries(query):
-        if q.limit is not None:
-            key = q.order_by[:1] if q.order_by else ()  # no key: every row ties
-            probe = replace(q, select=q.select + key, limit=q.limit + 1)
-            sql = sqlgen.render_sql(probe, distinct and q is query and not _aggregates(probe))
-            if key:  # whether the key of row k + 1 IS that of row k, in key order
-                cols = [f"c{i}" for i in range(len(probe.select))]
-                last = cols[-1]
-                sql = (f"WITH p({', '.join(cols)}) AS ({sql}) SELECT t FROM"
-                       f" (SELECT {last} IS lag({last}) OVER w AS t, row_number() OVER w"
-                       f" AS r FROM p WINDOW w AS (ORDER BY {last} {q.order_by[1]}))"
-                       f" WHERE r = {q.limit + 1}")
-            try:
-                rows = database.fetch(sql)
-            except ExecutionTimeout:
-                raise
-            except SqlError:
-                return True  # no verdict, so no match
-            if rows and (rows[0][0] if key else len(rows) > q.limit):
-                return True
+    """Whether a LIMIT in the try ``(query, distinct)`` cuts a tie; a probe
+    the engine rejects gives no verdict, so no match.  The probes are not
+    candidates: ``Database.fetch`` runs them and ``sqlgen`` renders them."""
+    for probe in tie_probes(query, distinct):
+        try:
+            rows = database.fetch(probe)
+        except ExecutionTimeout:
+            raise
+        except SqlError:
+            return True
+        if rows and rows[0][0]:
+            return True
     return False
 
 
@@ -378,44 +325,12 @@ class _Prepared:
     variants: Tuple[Tuple[QdmrProgram, Tuple[str, ...], Reads], ...]
 
 
-# The aggregate functions a shared statement computes: the two that the
-# COUNT/SUM swap exchanges, so that a try and its swap share one.
-_SHARED_FNS = ("count", "sum")
-
-
-def _shared_column(query: SqlQuery) -> Optional[int]:
-    """The column that answers the try of ``query`` without DISTINCT in
-    their shared statement, or None when they run their own; the DISTINCT
-    try's is ``len(_SHARED_FNS)`` further on.
-
-    A query shares when its select list is one aggregate of a function in
-    ``_SHARED_FNS``, it has no GROUP BY, HAVING, ORDER BY or LIMIT, so it
-    returns exactly one row, and it joins two or more tables.  Sharing
-    saves compiling a statement, which costs more the more tables it
-    joins; over one table a statement compiles in microseconds, and SQLite
-    reads a lone DISTINCT aggregate of an indexed column from its index,
-    which it cannot do for two in one statement."""
-    if len(query.select) != 1 or len(query.from_tables) < 2:
-        return None
-    item = query.select[0]
-    if (not isinstance(item, AggExpr) or item.fn not in _SHARED_FNS
-            or query.group_by is not None or query.having or query.order_by
-            or query.limit is not None):
-        return None
-    return _SHARED_FNS.index(item.fn)
-
-
 def _shared_row(
-    database: Database, query: SqlQuery, distinct: bool, sql: str,
-    shared: Dict[str, Optional[tuple]],
+    database: Database, statement: str, shared: Dict[str, Optional[tuple]],
 ) -> Optional[tuple]:
-    """The row of the statement the try ``(query, distinct)``, whose own
-    statement is ``sql``, shares: one aggregate of each of ``_SHARED_FNS``
-    over ``query``'s argument and clauses, without and then with DISTINCT
-    inside (:func:`~qdmr2sql.sqlgen.render_aggregates`), so both flags'
-    tries read it.  Run on its first try in the search and kept in
-    ``shared`` under its text; None once the engine has rejected it."""
-    statement = render_aggregates(query, _SHARED_FNS, distinct, sql)
+    """The one row of the shared ``statement``, run on its first try in the
+    search and kept in ``shared`` under its text; None once the engine has
+    rejected it."""
     if statement not in shared:
         try:
             shared[statement], = database.fetch(statement)
@@ -460,7 +375,7 @@ class Session:
         self.config = config
         self.lexicon = lexicon
         self.value_index = ValueIndex(database, schema)
-        self.census = _kind_census(database, schema)
+        self.census = kind_census(database, schema)
         self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
         self.prepared: Dict[QdmrProgram, _Prepared] = {}
         self.join_paths: JoinPaths = {}
@@ -545,7 +460,6 @@ def _search(example, session: Session) -> SynthesisOutcome:
             except Qdmr2SqlError as exc:
                 mapping_error = str(exc)
                 continue
-            column = _shared_column(query)
             for distinct in (False, True):
                 if database.past_deadline():
                     return _timeout(tried, "search deadline exceeded")
@@ -558,15 +472,13 @@ def _search(example, session: Session) -> SynthesisOutcome:
                 if sql in ran:
                     continue
                 ran.add(sql)
+                at = shared_statement(query, distinct, sql)
                 try:
-                    row = None if column is None else _shared_row(
-                        database, query, distinct, sql, shared
-                    )
+                    row = None if at is None else _shared_row(database, at[0], shared)
                     if row is None:  # no shared statement, or the engine rejected it
                         result = database.execute(sql, target)
                     else:
-                        i = column + len(_SHARED_FNS) * distinct
-                        result = read_until_mismatch((row[i:i + 1],), target)
+                        result = read_until_mismatch((row[at[1]:at[1] + 1],), target)
                     found = not result.mismatch and denotations_equal(
                         result, target, config.allow_empty_denotation
                     ) and (" LIMIT " not in sql or not _tied(query, distinct, database))

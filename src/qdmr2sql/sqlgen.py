@@ -18,8 +18,8 @@ every other rule: the conjuncts without the LIMIT select every row.
 
 A query is a typed, immutable tree: its predicates, grouping and ordering
 hold column and aggregate expressions, never SQL text, so equal subtrees
-are equal values and merged conjuncts are deduplicated by value.  Text
-appears only in :func:`render_sql`, in a flat comma-join SQL dialect:
+are equal values and merged conjuncts are deduplicated by value.  A query's
+text comes only from :func:`render_sql`, in a flat comma-join SQL dialect:
 qualified column names, ``FROM t1, t2`` with explicit equality predicates,
 ``IN``/``NOT IN`` subqueries, ``GROUP BY``/``HAVING``, ``ORDER BY ...
 LIMIT k``.  Identifiers that are plain, non-keyword names stay bare; any
@@ -28,9 +28,11 @@ comparison against an aggregated operand lands in HAVING, with the
 operand's grouping preserved.  A literal the value index found is compared
 as that text (``code = '1e5'``), a comparison value as the number it spells.
 DISTINCT is a flag of :func:`render_sql`, not part of a query;
-:func:`_distinct_keeps_rows` says when it cannot change the set of rows,
-and :func:`render_aggregates` puts the aggregates of both flags in one
-statement.
+:func:`_distinct_keeps_rows` says when it cannot change the set of rows.
+This module also writes the two statements the search runs besides a
+try's own: the one that aggregate tries over a join share under both
+flags (:func:`shared_statement`), and the probes of whether a LIMIT cuts
+a tie (:func:`tie_probes`).
 
 A step's query depends only on the columns of the slots it reads
 (:func:`step_reads`), the schema and the join paths between its tables.
@@ -42,11 +44,11 @@ columns they connect, serve a whole session.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
-    Union,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple, Union,
 )
 
 from .errors import (
@@ -75,7 +77,8 @@ __all__ = [
     "step_reads",
     "synthesize",
     "render_sql",
-    "render_aggregates",
+    "shared_statement",
+    "tie_probes",
 ]
 
 
@@ -221,21 +224,6 @@ def render_sql(query: SqlQuery, distinct: bool = False) -> str:
     return " ".join(parts)
 
 
-def render_aggregates(
-    query: SqlQuery, fns: Sequence[str], distinct: bool, sql: str
-) -> str:
-    """``sql``, which is ``render_sql(query, distinct)`` for a query whose
-    select list is one aggregate, with one aggregate of each function in
-    ``fns`` over that aggregate's argument in its place, first without
-    DISTINCT and then with it, so column ``i + len(fns) * distinct`` is the
-    ``i``-th function under either flag; the clauses after the select list
-    are taken from ``sql``, not rendered again."""
-    item = query.select[0]
-    clauses = sql[len("SELECT ") + len(item.render(distinct)):]
-    items = ", ".join(AggExpr(fn, item.arg).render(d) for d in (False, True) for fn in fns)
-    return "SELECT " + items + clauses
-
-
 def _distinct_keeps_rows(query: SqlQuery) -> bool:
     """Whether ``render_sql(query, distinct=True)`` has ``query``'s set of rows:
     not with DISTINCT inside an aggregate, a LIMIT that cuts the deduplicated
@@ -247,6 +235,80 @@ def _distinct_keeps_rows(query: SqlQuery) -> bool:
     return query.select == (query.group_by,) or (
         query.limit is None and not _aggregates(query)
     )
+
+
+# The aggregate functions a shared statement computes: the two that the
+# COUNT/SUM swap exchanges, so that a try and its swap share one.
+_SHARED_FNS = ("count", "sum")
+
+
+def shared_statement(
+    query: SqlQuery, distinct: bool, sql: str
+) -> Optional[Tuple[str, int]]:
+    """The statement the try ``(query, distinct)``, whose own statement is
+    ``sql``, shares, and the column of its one row that answers the try;
+    None when the try runs its own.
+
+    A query shares when its select list is one COUNT or SUM, it has no
+    GROUP BY, HAVING, ORDER BY or LIMIT, so it returns exactly one row,
+    and it joins two or more tables: over one table a statement compiles
+    in microseconds, and SQLite reads a lone DISTINCT aggregate of an
+    indexed column from its index, which it cannot do for two.  The
+    statement computes the COUNT and the SUM of the argument without and
+    then with DISTINCT inside, so it is one text under both flags; its
+    clauses are taken from ``sql``, not rendered again."""
+    if len(query.select) != 1 or len(query.from_tables) < 2:
+        return None
+    item = query.select[0]
+    if (not isinstance(item, AggExpr) or item.fn not in _SHARED_FNS
+            or query.group_by is not None or query.having or query.order_by
+            or query.limit is not None):
+        return None
+    clauses = sql[len("SELECT ") + len(item.render(distinct)):]
+    items = ", ".join(
+        AggExpr(fn, item.arg).render(d) for d in (False, True) for fn in _SHARED_FNS
+    )
+    column = _SHARED_FNS.index(item.fn) + len(_SHARED_FNS) * distinct
+    return "SELECT " + items + clauses, column
+
+
+def _queries(query: SqlQuery) -> Iterator[SqlQuery]:
+    """``query`` and every query nested in it."""
+    yield query
+    preds = list(query.where)
+    for pred in preds:  # grows by the conjuncts of each OR group
+        if isinstance(pred, OrGroup):
+            preds += [p for side in pred.sides for p in side]
+    nested = [p.query for p in preds if isinstance(p, InPred)]
+    nested += [q for i in query.select if isinstance(i, ArithExpr) for q in (i.left, i.right)]
+    for q in nested:
+        yield from _queries(q)
+
+
+def tie_probes(query: SqlQuery, distinct: bool) -> Iterator[str]:
+    """One statement for each LIMIT k in the try ``(query, distinct)``, in
+    ``query`` or nested in it, that returns at most one row, whose first
+    cell is true when the LIMIT cuts a tie: when rows k and k + 1 of its
+    query, read as it runs (row DISTINCT included), have ORDER BY keys
+    that are equal under ``IS``, under the key's collation and with nulls
+    equal.  A LIMIT without an ORDER BY key cuts a tie whenever its query
+    has more than k rows."""
+    for q in _queries(query):
+        if q.limit is None:
+            continue
+        key = q.order_by[:1] if q.order_by else ()
+        probe = replace(q, select=q.select + key, limit=q.limit + 1)
+        sql = render_sql(probe, distinct and q is query and not _aggregates(probe))
+        if not key:
+            yield f"SELECT count(*) > {q.limit} FROM ({sql})"
+            continue
+        # Whether the key of row k + 1 IS that of row k, in key order.
+        cols = [f"c{i}" for i in range(len(probe.select))]
+        last = cols[-1]
+        yield (f"WITH p({', '.join(cols)}) AS ({sql}) SELECT t FROM"
+               f" (SELECT {last} IS lag({last}) OVER w AS t, row_number() OVER w"
+               f" AS r FROM p WINDOW w AS (ORDER BY {last} {q.order_by[1]}))"
+               f" WHERE r = {q.limit + 1}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 import sqlite3
 import sys
 from pathlib import Path
@@ -259,3 +260,37 @@ def test_one_module_runs_statements():
     assert not hasattr(executor.Database, "execute_row")
     assert not hasattr(search, "_family")
     assert not hasattr(search, "sqlite3")
+
+
+def _starts_a_statement(node) -> bool:
+    """Whether a string or f-string literal begins with SELECT or WITH."""
+    if isinstance(node, ast.JoinedStr):
+        node = node.values[0] if node.values else None
+    return (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.match(r"\s*(SELECT|WITH)\b", node.value, re.IGNORECASE) is not None
+    )
+
+
+def test_search_writes_no_sql():
+    """``sqlgen`` writes each statement the search runs, the shared
+    aggregate statements and tie probes among them, and ``executor`` the
+    census: no string in ``search.py`` but a docstring starts a statement,
+    and the helpers that wrote or laid them out there are gone."""
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    statements = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if id(node) not in docstrings and _starts_a_statement(node)
+    ]
+    assert not statements
+    search = importlib.import_module("qdmr2sql.search")
+    sqlgen = importlib.import_module("qdmr2sql.sqlgen")
+    for gone in ("_SHARED_FNS", "_shared_column", "_queries", "sqlgen", "TYPEOF_KINDS"):
+        assert not hasattr(search, gone), gone
+    assert not hasattr(sqlgen, "render_aggregates")

@@ -224,6 +224,58 @@ class TestUnwritableOutputs:
         assert searched == []
 
 
+class TestOutputClashes:
+    """An output file that is an input file, or another output file, is a
+    usage error: exit 1 before any file is created or changed."""
+
+    PAIRS = {"--out-pairs": "p.jsonl", "--out-report": "r.json"}
+
+    @pytest.mark.parametrize(
+        "command, examples, outputs, message",
+        [
+            ("synth", "in.jsonl", {**PAIRS, "--out-pairs": "in.jsonl"},
+             "--out-pairs {}/in.jsonl is also --examples"),
+            ("synth", "in.jsonl", {**PAIRS, "--out-pairs": "sub/../in.jsonl"},
+             "--out-pairs {}/sub/../in.jsonl is also --examples"),
+            ("synth", "in.jsonl", {**PAIRS, "--out-pairs": "link.jsonl"},
+             "--out-pairs {}/link.jsonl is also --examples"),
+            ("synth", "in.jsonl", {**PAIRS, "--out-report": "vectors.txt"},
+             "--out-report {}/vectors.txt is also --embeddings"),
+            ("synth", "in.failures.jsonl", {**PAIRS, "--out-pairs": "in.jsonl"},
+             "the failures file of --out-pairs {}/in.failures.jsonl is also --examples"),
+            ("synth", "in.rejects.jsonl", {**PAIRS, "--out-pairs": "in.jsonl"},
+             "the rejects file of --out-pairs {}/in.rejects.jsonl is also --examples"),
+            ("synth", "in.jsonl", {**PAIRS, "--out-report": "p.jsonl"},
+             "--out-report {}/p.jsonl is also --out-pairs"),
+            ("synth", "in.jsonl", {**PAIRS, "--out-report": "p.failures.jsonl"},
+             "--out-report {}/p.failures.jsonl is also the failures file of --out-pairs"),
+            ("synth", "in.jsonl", {**PAIRS, "--out-report": "p.rejects.jsonl"},
+             "the rejects file of --out-pairs {}/p.rejects.jsonl is also --out-report"),
+            ("coverage", "in.jsonl", {"--out": "in.jsonl"},
+             "--out {}/in.jsonl is also --examples"),
+            ("coverage", "in.jsonl", {"--out": "vectors.txt"},
+             "--out {}/vectors.txt is also --embeddings"),
+        ],
+    )
+    def test_exits_1_before_any_file_is_written(
+        self, db_dir, tmp_path, capsys, command, examples, outputs, message
+    ):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / examples).write_bytes(CORPUS.read_bytes())
+        (tmp_path / "vectors.txt").write_bytes(EMBEDDINGS.read_bytes())
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / examples)
+        argv = [command] + batch_args(db_dir, **{
+            "--examples": str(tmp_path / examples),
+            "--embeddings": str(tmp_path / "vectors.txt"),
+        }) + [x for flag, name in outputs.items() for x in (flag, str(tmp_path / name))]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"qdmr2sql {command}: error: {message.format(tmp_path)}\n"
+        )
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 class TestInvalidConfigFlags:
     @staticmethod
     def _outputs(tmp_path, command):

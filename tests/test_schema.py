@@ -100,6 +100,31 @@ class TestIntrospection:
             ("writes.pid", "publication.pid"),
         }
 
+    @pytest.mark.parametrize(
+        "script, edge",
+        [
+            # A key that names no column points at the primary key of the
+            # table it names in any case.
+            ("CREATE TABLE ship (id INTEGER PRIMARY KEY, name TEXT);"
+             "CREATE TABLE death (ship_id INTEGER REFERENCES SHIP, n INTEGER);",
+             ("death.ship_id", "ship.id")),
+            # A composite key's leading pair goes to the first column of the
+            # primary key, not the first column of the table in it.
+            ("CREATE TABLE t (a, b, PRIMARY KEY (b, a));"
+             "CREATE TABLE u (x, y, FOREIGN KEY (x, y) REFERENCES t);",
+             ("u.x", "t.b")),
+        ],
+        ids=["other_case", "key_order"],
+    )
+    def test_foreign_key_to_an_implicit_primary_key(self, script, edge):
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.executescript(script)
+            schema = load_schema(conn)
+        finally:
+            conn.close()
+        assert [(str(e.source), str(e.target)) for e in schema.fks] == [edge]
+
     def test_parallel_foreign_keys_both_kept(self, voting_record_db):
         schema = load_schema(voting_record_db)
         sources = sorted(str(e.source) for e in schema.fks)

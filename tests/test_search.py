@@ -1131,6 +1131,28 @@ class TestTies:
         assert probes and all(" IS lag(" in sql for sql in probes)
         assert not any("LIMIT 2" in sql for sql in executed)
 
+    @pytest.mark.parametrize(
+        "cells, distinct, tied",
+        [([1], False, False), ([1, 2], False, True), ([1, 1], False, True),
+         ([1, 1], True, False)],
+    )
+    def test_probe_of_a_limit_without_a_key(self, cells, distinct, tied):
+        # Without an ORDER BY key every row ties, so a LIMIT k cuts a tie
+        # when its query, DISTINCT included, has more than k rows.
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.execute("CREATE TABLE t (a)")
+            conn.executemany("INSERT INTO t VALUES (?)", [(c,) for c in cells])
+            query = SqlQuery(select=(ColExpr(ColumnRef("t", "a")),),
+                             from_tables=("t",), limit=1)
+            select = "SELECT DISTINCT" if distinct else "SELECT"
+            probe, = sqlgen.tie_probes(query, distinct)
+            assert probe == f"SELECT count(*) > 1 FROM ({select} t.a FROM t LIMIT 2)"
+            assert conn.execute(probe).fetchall() == [(int(tied),)]
+            assert search_module._tied(query, distinct, Database(conn)) is tied
+        finally:
+            conn.close()
+
     @pytest.mark.parametrize("answer", [[1], [2]])
     def test_tie_under_a_collated_key_is_not_found(self, tmp_path, open_db, answer):
         # 'abc' and 'ABC' tie under NOCASE, though Python tells them apart:
@@ -1890,7 +1912,7 @@ class TestDecidedCandidates:
             schema = load_schema(conn)
             statements = []
             conn.set_trace_callback(statements.append)
-            census = search_module._kind_census(Database(conn), schema)
+            census = executor_module.kind_census(Database(conn), schema)
             assert len(statements) == 2
             assert all(
                 s.startswith("SELECT group_concat(DISTINCT typeof(") for s in statements
@@ -2023,37 +2045,50 @@ class TestSharedStatements:
     one it has when every try runs its own statement."""
 
     def test_shared_functions_are_the_swapped_pair(self):
-        # A COUNT try and its swap's SUM read one statement over a join.
-        # AVG, MIN and MAX run their own, as does any query over one table
-        # or with a GROUP BY, such as a GROUP step's.
+        # A COUNT try and its swap's SUM read one statement over a join,
+        # under both DISTINCT flags, each from its own column.  AVG, MIN
+        # and MAX run their own, as does any query over one table or with
+        # a GROUP BY, such as a GROUP step's.
         arg, join = ColExpr(_T_COLS[1]), {"from_tables": ("t", "u"), "where": (_JOIN,)}
 
-        def column(fn, **clauses):
+        def shared(fn, distinct=False, **clauses):
             query = SqlQuery(select=(AggExpr(fn, arg),), **{**join, **clauses})
-            return search_module._shared_column(query)
+            sql = render_sql(query, distinct=distinct)
+            return sqlgen.shared_statement(query, distinct, sql)
 
-        assert [column(fn) for fn in _FNS] == [0, 1, None, None, None]
-        assert column("count", from_tables=("t",), where=()) is None
-        assert column("sum", group_by=arg) is None
-        # One statement serves both DISTINCT flags: a try reads column
-        # index(fn) + 2 * distinct.
-        query = SqlQuery(select=(AggExpr("sum", arg),), **join)
-        assert {
-            sqlgen.render_aggregates(
-                query, search_module._SHARED_FNS, distinct,
-                render_sql(query, distinct=distinct),
-            )
-            for distinct in (False, True)
-        } == {
+        statement = (
             "SELECT COUNT(t.b), SUM(t.b), COUNT(DISTINCT t.b), SUM(DISTINCT t.b)"
             " FROM t, u WHERE u.t_id = t.id"
-        }
+        )
+        assert [shared(fn) for fn in _FNS] == [
+            (statement, 0), (statement, 1), None, None, None,
+        ]
+        assert [shared(fn, distinct=True) for fn in _FNS] == [
+            (statement, 2), (statement, 3), None, None, None,
+        ]
+        assert shared("count", from_tables=("t",), where=()) is None
+        assert shared("sum", group_by=arg) is None
+        # Each column is what the try's own statement returns.
+        conn = _shared_db([(None, 1, None, None), (None, 1, None, None),
+                           (None, 4, None, None)], [(1, None), (2, None), (3, None)])
+        try:
+            row, = conn.execute(statement).fetchall()
+            for fn in ("count", "sum"):
+                for distinct in (False, True):
+                    query = SqlQuery(select=(AggExpr(fn, arg),), **join)
+                    own = conn.execute(render_sql(query, distinct=distinct)).fetchall()
+                    assert own == [(row[shared(fn, distinct)[1]],)]
+        finally:
+            conn.close()
+        # The pair is the one the COUNT/SUM swap exchanges.
         program = parse_qdmr("return papers; return the number of #1")
-        assert {
+        fns = {
             step.operator.aggregate_fn
             for variant, _ in search_module._program_variants(program)
             for step in variant.steps if step.operator.kind is OpKind.AGGREGATE
-        } == set(search_module._SHARED_FNS)
+        }
+        assert fns == {"count", "sum"}
+        assert all(shared(fn) is not None for fn in fns)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -2103,8 +2138,8 @@ class TestSharedStatements:
                 answer = drawn or []
             else:
                 answer = [list(row) for row in result.rows]
-            out, answered = self._search(session, queries, answer, ("count", "sum"))
-            alone, none_shared = self._search(session, queries, answer, ())
+            out, answered = self._search(session, queries, answer, share=True)
+            alone, none_shared = self._search(session, queries, answer, share=False)
             assert not none_shared
             assert out == alone
             event(f"tries answered from a shared statement: {min(len(answered), 3)}")
@@ -2119,10 +2154,10 @@ class TestSharedStatements:
             conn.close()
 
     @staticmethod
-    def _search(session, queries, answer, fns):
-        """The search over ``queries`` as the mapped candidates, with
-        ``fns`` as the functions shared statements compute, and each try
-        answered from a shared statement as ``(query, distinct, result)``."""
+    def _search(session, queries, answer, share):
+        """The search over ``queries`` as the mapped candidates, each try
+        running its own statement unless ``share``, and each try answered
+        from a shared statement as ``(query, distinct, result)``."""
         session.prepared.clear()
         built, rendered, answered = [], [], []
         real_render, real_read = search_module.render_sql, search_module.read_until_mismatch
@@ -2141,7 +2176,8 @@ class TestSharedStatements:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search_module, "_program_variants", lambda p: [(p, ())])
-            mp.setattr(search_module, "_SHARED_FNS", fns)
+            if not share:
+                mp.setattr(search_module, "shared_statement", lambda *args: None)
             mp.setattr(search_module, "enumerate_assignments",
                        lambda slots, limit: (linking.Assignment({}) for _ in queries))
             mp.setattr(search_module, "synthesize", synthesize)

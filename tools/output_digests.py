@@ -25,12 +25,13 @@ agree).  To check a change against its parent commit:
 
 With ``--expect FILE`` it compares its lines with those in ``FILE``,
 as an earlier run printed them, and exits 1 naming each workload whose
-line differs.  ``tools/digests.seed11.tsv`` holds this checkout's lines
-at seed 11; a change that alters outputs, tries or statements on
-purpose rewrites it:
+line differs.  ``tools/digests.seed11.tsv`` and ``tools/digests.seed7.tsv``
+hold this checkout's lines at seeds 11 and 7; a change that alters
+outputs, tries or statements on purpose rewrites both:
 
     python3 tools/output_digests.py --expect tools/digests.seed11.tsv
     python3 tools/output_digests.py > tools/digests.seed11.tsv
+    python3 tools/output_digests.py --seed 7 > tools/digests.seed7.tsv
 
 Standard library only.  Usage:
 
