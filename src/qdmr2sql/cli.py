@@ -63,6 +63,12 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--allow-empty", action="store_true")
 
 
+def _path(text: str) -> str:
+    if "\0" in text:  # which every OS call refuses
+        raise argparse.ArgumentTypeError("a path cannot hold a NUL byte")
+    return text
+
+
 class _UsageError(Exception):
     """A flag value the command cannot run with: exit 1, before any work."""
 
@@ -86,29 +92,29 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser(
         "synth", help="synthesize SQL for a corpus and emit training pairs"
     )
-    synth.add_argument("--examples", required=True)
-    synth.add_argument("--db-dir", required=True)
-    synth.add_argument("--embeddings", required=True)
+    synth.add_argument("--examples", required=True, type=_path)
+    synth.add_argument("--db-dir", required=True, type=_path)
+    synth.add_argument("--embeddings", required=True, type=_path)
     _add_config_flags(synth)
-    synth.add_argument("--out-pairs", required=True)
-    synth.add_argument("--out-report", required=True)
+    synth.add_argument("--out-pairs", required=True, type=_path)
+    synth.add_argument("--out-report", required=True, type=_path)
     synth.set_defaults(func=_cmd_synth)
 
     coverage = commands.add_parser(
         "coverage", help="run synthesis and write only the coverage report"
     )
-    coverage.add_argument("--examples", required=True)
-    coverage.add_argument("--db-dir", required=True)
-    coverage.add_argument("--embeddings", required=True)
+    coverage.add_argument("--examples", required=True, type=_path)
+    coverage.add_argument("--db-dir", required=True, type=_path)
+    coverage.add_argument("--embeddings", required=True, type=_path)
     _add_config_flags(coverage)
-    coverage.add_argument("--out", required=True)
+    coverage.add_argument("--out", required=True, type=_path)
     coverage.set_defaults(func=_cmd_coverage)
 
     map_cmd = commands.add_parser(
         "map", help="print the SQL for one decomposition without executing it"
     )
     map_cmd.add_argument("--qdmr", required=True)
-    map_cmd.add_argument("--schema", required=True)
+    map_cmd.add_argument("--schema", required=True, type=_path)
     map_cmd.add_argument("--assignment", default=None)
     map_cmd.set_defaults(func=_cmd_map)
 
@@ -116,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         "link", help="print ranked column candidates for a phrase"
     )
     link.add_argument("--phrase", required=True)
-    link.add_argument("--schema", required=True)
-    link.add_argument("--embeddings", required=True)
+    link.add_argument("--schema", required=True, type=_path)
+    link.add_argument("--embeddings", required=True, type=_path)
     link.add_argument("--top-k", type=int, default=20)
     link.set_defaults(func=_cmd_link)
 

@@ -30,10 +30,12 @@ import json
 import re
 import sqlite3
 import string
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExecutionTimeout, NoTables, SqlError, UnreadableDatabase
 from .text import content_lemmas, tokenize
@@ -163,7 +165,9 @@ def _make_column(
 class SchemaGraph:
     """Tables, columns in declaration order, and the foreign-key graph as
     undirected ``adjacency``: table -> [(neighbor, edge), ...], edges in
-    declaration order, so the first declared key is a hop's first choice."""
+    declaration order, so the first declared key is a hop's first choice.
+    ``parallel_columns``: the columns of the keys that share their pair of
+    tables with another key, the only anchors that can pick an edge."""
 
     def __init__(self, tables: Dict[str, List[ColumnRef]], fks: Sequence[FKEdge]):
         if not tables:
@@ -179,6 +183,10 @@ class SchemaGraph:
         for edge in self.fks:
             self.adjacency[edge.source.table].append((edge.target.table, edge))
             self.adjacency[edge.target.table].append((edge.source.table, edge))
+        pairs = Counter(frozenset((e.source.table, e.target.table)) for e in self.fks)
+        self.parallel_columns: FrozenSet[ColumnRef] = frozenset(chain.from_iterable(
+            (e.source, e.target) for e in self.fks
+            if pairs[frozenset((e.source.table, e.target.table))] > 1))
 
     def column(self, table: str, column: str) -> ColumnRef:
         try:

@@ -12,17 +12,19 @@ mapped query is tried as mapped, then rendered with DISTINCT (a flag of
 
 Nothing an assignment cannot change is built twice:
 
-- once per session, for each distinct decomposition
+- once per session, for each distinct tuple of step texts
   (:meth:`Session.prepare`): the plan
   (:func:`~qdmr2sql.linking.plan_bindings`), the slots with their ranked
   columns (:func:`~qdmr2sql.linking.link_program`), the variants, and for
   each variant the slots each step reads
-  (:func:`~qdmr2sql.sqlgen.step_reads`);
-- once per session, for each join-path key: the join path;
-- once per example and variant, for each step but the last and each set
-  of columns of the slots it reads: the step's query
-  (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments differ in
-  one slot, so most steps repeat;
+  (:func:`~qdmr2sql.sqlgen.step_reads`) and the ids of its prefixes;
+- once per session, for each join-path key, whose anchors are only those
+  that can pick one of two foreign keys: the join path;
+- once per example, for each prefix id but a last step's and each set of
+  columns of the slots the step reads: the step's query, which variants
+  share (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments
+  differ in one slot, so most steps repeat;
+- once per query: its text;
 - once per example, for each aggregated column and join: the statement
   the aggregate tries over them share, under both DISTINCT flags (see
   below).
@@ -317,12 +319,12 @@ def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str
 class _Prepared:
     """What a session builds once for a decomposition: its plan, its slots
     with their candidate columns, and its variants, each as ``(program,
-    labels, reads)`` with the slots each step reads
-    (:func:`~qdmr2sql.sqlgen.step_reads`)."""
+    labels, reads, prefixes)``, with the slots each step reads and its
+    steps' prefix ids (:class:`~qdmr2sql.sqlgen.StepMemo`)."""
 
     plan: BindingPlan
     slots: List[Tuple[Slot, Tuple[ColumnRef, ...]]]
-    variants: Tuple[Tuple[QdmrProgram, Tuple[str, ...], Reads], ...]
+    variants: Tuple[Tuple[QdmrProgram, Tuple[str, ...], Reads, Tuple[int, ...]], ...]
 
 
 def _shared_row(
@@ -377,28 +379,33 @@ class Session:
         self.value_index = ValueIndex(database, schema)
         self.census = kind_census(database, schema)
         self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
-        self.prepared: Dict[QdmrProgram, _Prepared] = {}
+        self.prepared: Dict[Tuple[str, ...], _Prepared] = {}
         self.join_paths: JoinPaths = {}
 
     def prepare(self, program: QdmrProgram) -> _Prepared:
-        """``program`` planned, linked and rewritten, on its first search in
-        this session; taken from the memo after that.
+        """``program`` planned, linked and rewritten on the first search of
+        its step texts in this session; taken from the memo after that.
 
         A literal probe that meets the database's deadline raises
         :class:`~qdmr2sql.errors.ExecutionTimeout` and leaves the program
         unprepared."""
-        prepared = self.prepared.get(program)
+        key = tuple(step.raw_text for step in program.steps)
+        prepared = self.prepared.get(key)
         if prepared is None:
             plan = plan_bindings(program, self.value_index)
             slots = link_program(
                 plan, self.schema, self.lexicon, self.value_index,
                 self.config.top_k, self.rankings,
             )
+            ids: Dict[tuple, int] = {}  # prefix, steps 1 to i, to its id
             variants = tuple(
-                (variant, labels, step_reads(variant, plan))
+                (variant, labels, step_reads(variant, plan), tuple(
+                    ids.setdefault(variant.steps[:i], len(ids))
+                    for i in range(1, len(variant.steps))
+                ))
                 for variant, labels in _program_variants(program)
             )
-            prepared = self.prepared[program] = _Prepared(plan, slots, variants)
+            prepared = self.prepared[key] = _Prepared(plan, slots, variants)
         return prepared
 
     def close(self) -> None:
@@ -438,9 +445,10 @@ def _search(example, session: Session) -> SynthesisOutcome:
         prepared = session.prepare(example.program)
     except ExecutionTimeout:
         return _timeout(0, "literal lookup hit the search deadline")
+    steps: dict = {}  # the mapped steps of every variant
     variants = [
-        (program, labels, StepMemo(reads, session.join_paths))
-        for program, labels, reads in prepared.variants
+        (program, labels, StepMemo(reads, prefixes, steps, session.join_paths))
+        for program, labels, reads, prefixes in prepared.variants
     ]
 
     tried = 0

@@ -34,11 +34,10 @@ try's own: the one that aggregate tries over a join share under both
 flags (:func:`shared_statement`), and the probes of whether a LIMIT cuts
 a tie (:func:`tie_probes`).
 
-A step's query depends only on the columns of the slots it reads
-(:func:`step_reads`), the schema and the join paths between its tables.
-So a :class:`StepMemo` keeps each step's query across the assignments of
-one example, and the join paths found, keyed by the tables and anchor
-columns they connect, serve a whole session.
+A step's query depends only on the steps up to it, the columns of the
+slots it reads (:func:`step_reads`), the schema and its join paths.  So
+a :class:`StepMemo` keeps it across the assignments and variants of one
+example; the join paths found serve a whole session.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple, Union,
 )
 
 from .errors import (
@@ -144,14 +143,14 @@ class CmpPred:
     op: str  # = | != | > | < | >= | <=
     value: Union[int, float, str]
 
-    def _key(self) -> tuple:
-        return (self.expr, self.op, _sql_literal(self.value))
+    def __post_init__(self):
+        object.__setattr__(self, "_key", (self.expr, self.op, _sql_literal(self.value)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CmpPred) and self._key() == other._key()
+        return isinstance(other, CmpPred) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def render(self) -> str:
         return f"{self.expr.render()} {self.op} {_sql_literal(self.value)}"
@@ -185,7 +184,8 @@ Pred = Union[JoinPred, CmpPred, InPred, OrGroup]
 
 @dataclass(frozen=True)
 class SqlQuery:
-    """One SELECT statement in the flat comma-join dialect."""
+    """One SELECT statement in the flat comma-join dialect.  Its hash skips
+    nested subqueries and is never kept, so it holds under any hash seed."""
 
     select: Tuple[SelectItem, ...] = ()
     from_tables: Tuple[str, ...] = ()
@@ -195,33 +195,44 @@ class SqlQuery:
     order_by: Optional[Tuple[Operand, str]] = None  # (expr, "ASC" | "DESC")
     limit: Optional[int] = None
 
+    def __hash__(self) -> int:
+        return hash((self.select, self.from_tables, len(self.where), self.limit))
+
 
 def _aggregates(query: SqlQuery) -> bool:
     return any(isinstance(item, AggExpr) for item in query.select)
 
 
+def _items(query: SqlQuery, inside: bool) -> str:
+    return ", ".join(i.render(inside) if isinstance(i, AggExpr) else i.render()
+                     for i in query.select)
+
+
 def render_sql(query: SqlQuery, distinct: bool = False) -> str:
     """SQL text for ``query``, without a trailing semicolon; ``distinct`` puts
-    DISTINCT inside its aggregates, or on its SELECT clause if it has none."""
-    inside = distinct and _aggregates(query)
-    items = ", ".join(
-        item.render(inside) if isinstance(item, AggExpr) else item.render()
-        for item in query.select
-    )
-    parts = [("SELECT DISTINCT " if distinct and not inside else "SELECT ") + items]
-    if query.from_tables:
-        parts.append("FROM " + ", ".join(map(quote_ident, query.from_tables)))
-    if query.where:
-        parts.append("WHERE " + " AND ".join(p.render() for p in query.where))
-    if query.group_by is not None:
-        parts.append("GROUP BY " + query.group_by.render())
-    if query.having:
-        parts.append("HAVING " + " AND ".join(p.render() for p in query.having))
-    if query.order_by:
-        parts.append(f"ORDER BY {query.order_by[0].render()} {query.order_by[1]}")
-    if query.limit is not None:
-        parts.append(f"LIMIT {query.limit}")
-    return " ".join(parts)
+    DISTINCT inside its aggregates, or on its SELECT clause if it has none.
+    The plain text is rendered once, kept in the query's ``__dict__``."""
+    text = query.__dict__.get("_text")
+    if text is None:
+        parts = ["SELECT " + _items(query, False)]
+        if query.from_tables:
+            parts.append("FROM " + ", ".join(map(quote_ident, query.from_tables)))
+        if query.where:
+            parts.append("WHERE " + " AND ".join(p.render() for p in query.where))
+        if query.group_by is not None:
+            parts.append("GROUP BY " + query.group_by.render())
+        if query.having:
+            parts.append("HAVING " + " AND ".join(p.render() for p in query.having))
+        if query.order_by:
+            parts.append(f"ORDER BY {query.order_by[0].render()} {query.order_by[1]}")
+        if query.limit is not None:
+            parts.append(f"LIMIT {query.limit}")
+        text = query.__dict__["_text"] = " ".join(parts)
+    if not distinct:
+        return text
+    if not _aggregates(query):
+        return "SELECT DISTINCT " + text[len("SELECT "):]
+    return "SELECT " + _items(query, True) + text[len("SELECT " + _items(query, False)):]
 
 
 def _distinct_keeps_rows(query: SqlQuery) -> bool:
@@ -354,8 +365,9 @@ def _merged(*groups: Iterable) -> tuple:
     return tuple(dict.fromkeys(chain(*groups)))
 
 
-# A join path's key: the tables already covered, the tables to reach and
-# the anchor columns.  A key whose tables no path connects keeps the reason.
+# A join path's key: the tables covered, the tables to reach and the anchors
+# that can pick its edges (``SchemaGraph.parallel_columns``).  A key whose
+# tables no path connects keeps the reason.
 JoinKey = Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[ColumnRef]]
 JoinPaths = Dict[JoinKey, Union[JoinPath, str]]
 
@@ -368,7 +380,7 @@ def _join_units(
 
     Returns the FROM tables, the units' own in order and then those the
     join paths add, and the join conjuncts of those paths.  Each path is
-    searched once per key and kept in ``ctx.paths``.
+    searched once per key, with every anchor, and kept in ``ctx.paths``.
     """
     own_tables = [tables for tables, _ in units]
     units = [u for u in units if u[0]]
@@ -377,11 +389,12 @@ def _join_units(
     paths: List[JoinPath] = []
     covered = set(units[0][0])
     anchors = frozenset(c for _, cols in units for c in cols)
+    picks = anchors & ctx.schema.parallel_columns
     for tables, _ in units[1:]:
         if set(tables) & covered:
             covered |= set(tables)
             continue
-        key = (frozenset(covered), frozenset(tables), anchors)
+        key = (frozenset(covered), frozenset(tables), picks)
         path = ctx.paths.get(key)
         if path is None:
             try:
@@ -805,25 +818,21 @@ def step_reads(program: QdmrProgram, plan: BindingPlan) -> Reads:
     return tuple(reads)
 
 
-class StepMemo:
-    """One program's mapped steps, kept across the assignments of one example.
+class StepMemo(NamedTuple):
+    """One variant's handle on the mapped steps of its example.
 
-    ``reads`` is :func:`step_reads` of the program; a step is kept under
-    the columns its slots hold.  The last step is not kept: it reads the
-    slots of every step that leads to it, and no two assignments of an
-    example agree on every slot.  ``paths`` is the join-path memo, which
-    holds only what the schema decides and so may serve every memo of one
-    database.
+    ``reads`` is :func:`step_reads` of the variant; ``prefixes`` has an id
+    for each step's prefix, steps 1 to i, but the last's, which variants
+    equal up to step i share.  ``steps``, the example's one dict, keeps a
+    step under its prefix id and the columns of its reads.  The last step,
+    which reads every slot that leads to it, is not kept.  ``paths``, the
+    join-path memo, holds only what the schema decides.
     """
 
-    __slots__ = ("reads", "paths", "steps")
-
-    def __init__(self, reads: Reads, paths: JoinPaths):
-        self.reads = reads
-        self.paths = paths
-        self.steps: Tuple[Dict[tuple, _MappedStep], ...] = tuple(
-            {} for _ in reads[:-1]
-        )
+    reads: Reads
+    prefixes: Sequence[int]
+    steps: Dict[tuple, _MappedStep]
+    paths: JoinPaths
 
 
 def synthesize(
@@ -836,9 +845,9 @@ def synthesize(
     """Map every step in order and return the final step's query.
 
     With a ``memo`` built for this program and plan, a step mapped under
-    the same columns of the slots it reads is taken from it, and join
-    paths from its ``paths``.  A step that fails is not kept, so it fails
-    again, with the same error, wherever it recurs.
+    the same prefix and the same columns of the slots it reads is taken
+    from it, and join paths from its ``paths``.  A step that fails is not
+    kept, so it fails again, with the same error, wherever it recurs.
     """
     columns = assignment.columns
     paths: JoinPaths = {} if memo is None else memo.paths
@@ -848,15 +857,14 @@ def synthesize(
         q, cols = _RULES[step.operator.kind](step, ctx)
         return _MappedStep(cols=frozenset(cols), query=q)
 
-    kept = () if memo is None else memo.steps
-    for step in program.steps:
-        i = step.index
-        if i <= len(kept):
-            key = tuple(map(columns.get, memo.reads[i - 1]))
-            mapped = kept[i - 1].get(key)
-            if mapped is None:
-                mapped = kept[i - 1][key] = build(step)
-        else:
-            mapped = build(step)
-        ctx.mapped[i] = mapped
+    if memo is not None:
+        kept = memo.steps
+        for step, prefix, reads in zip(program.steps, memo.prefixes, memo.reads):
+            key = (prefix, *map(columns.get, reads))
+            m = kept.get(key)
+            if m is None:
+                m = kept[key] = build(step)
+            ctx.mapped[step.index] = m
+    for step in program.steps[len(ctx.mapped):]:
+        ctx.mapped[step.index] = build(step)
     return ctx.mapped[len(program.steps)].query

@@ -330,6 +330,39 @@ class TestInvalidConfigFlags:
         assert not list(tmp_path.iterdir())
 
 
+class TestNulInPath:
+    """A path argument holding a NUL byte, which no OS call accepts, is a
+    usage error that names the argument, not an internal error."""
+
+    OUTPUTS = {"synth": ["--out-pairs", "--out-report"], "coverage": ["--out"]}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command, outputs in OUTPUTS.items()
+        for flag in ["--examples", "--db-dir", "--embeddings", *outputs]
+    ])
+    def test_exits_1_naming_the_argument(self, db_dir, tmp_path, capsys, command, flag):
+        args = {
+            "--examples": str(CORPUS),
+            "--db-dir": str(db_dir),
+            "--embeddings": str(EMBEDDINGS),
+            "--out-pairs": str(tmp_path / "p.jsonl"),
+            "--out-report": str(tmp_path / "r.json"),
+            "--out": str(tmp_path / "r.json"),
+        }
+        args = {f: args[f] for f in ["--examples", "--db-dir", "--embeddings",
+                                     *self.OUTPUTS[command]]}
+        args[flag] = args[flag][:-1] + "\x00" + args[flag][-1:]
+        argv = [command] + [x for pair in args.items() for x in pair]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qdmr2sql " + command)
+        assert err.endswith(
+            f"qdmr2sql {command}: error: argument {flag}: a path cannot hold a NUL byte\n"
+        )
+        assert not list(tmp_path.iterdir())
+
+
 class TestCoverage:
     def test_report_only(self, db_dir, tmp_path, capsys):
         out = tmp_path / "cov.json"

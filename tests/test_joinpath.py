@@ -9,14 +9,21 @@ sets, and walk real declared edges.
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from qdmr2sql import (
+    Assignment,
     DisconnectedTables,
     JoinPath,
     join_tables,
     load_schema,
+    parse_qdmr,
+    plan_bindings,
 )
+from qdmr2sql.errors import Qdmr2SqlError
 from qdmr2sql.schema import SchemaGraph
+from qdmr2sql.sqlgen import JoinPred, StepMemo, step_reads, synthesize
 
 
 def make_schema(n_tables, edges):
@@ -195,3 +202,53 @@ class TestAgainstOracle:
             schema = make_schema(n, edges)
             with pytest.raises(DisconnectedTables):
                 join_tables(schema, {"t0"}, {f"t{n - 1}"})
+
+
+# Every step but the first joins tables: two projections, then both ends.
+MAPPED = parse_qdmr("return a; return b of #1; return c of #2; return #1 and #3")
+
+
+def _joined(query):
+    """A mapped query's FROM tables and join conjuncts, or its error."""
+    if isinstance(query, Qdmr2SqlError):
+        return type(query), str(query)
+    return query.from_tables, [p for p in query.where if isinstance(p, JoinPred)]
+
+
+def _map(schema, assignment, plan, memo=None):
+    try:
+        return synthesize(MAPPED, schema, assignment, plan, memo)
+    except Qdmr2SqlError as exc:
+        return exc
+
+
+class TestSharedJoinPathMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_shared_memo_joins_as_a_fresh_one(self, seed, data):
+        """Join paths are kept under the anchors that can pick a parallel
+        edge only, so one memo shared by many mappings must join as a fresh
+        memo per mapping does, on schemas with parallel edges too."""
+        rng = random.Random(seed)
+        schema = random_schema(rng, rng.randint(2, 6))
+        event("parallel edges" if schema.parallel_columns else "no parallel edges")
+        plan = plan_bindings(MAPPED, None)
+        columns = st.sampled_from(schema.columns())
+        paths = {}
+        for _ in range(data.draw(st.integers(2, 8))):
+            assignment = Assignment({s: data.draw(columns) for s in plan.phrase_slots})
+            # No prefix ids: every step is mapped afresh, through the shared paths.
+            memo = StepMemo(step_reads(MAPPED, plan), (), {}, paths)
+            shared = _joined(_map(schema, assignment, plan, memo))
+            assert shared == _joined(_map(schema, assignment, plan))
+        assert all(anchors <= schema.parallel_columns for _, _, anchors in paths)
+
+    def test_parallel_columns(self, voting_record_db, ship_death_db):
+        """Only the columns of keys that share their pair of tables."""
+        voting = load_schema(voting_record_db)
+        assert voting.parallel_columns == {
+            voting.column("voting_record", "stuid"),
+            voting.column("voting_record", "treasurer_vote"),
+            voting.column("student", "stuid"),
+        }
+        assert load_schema(ship_death_db).parallel_columns == frozenset()

@@ -1525,15 +1525,37 @@ class TestPlanSharing:
         assert compared > 0
 
 
+def _count_builds(monkeypatch):
+    """Record the index of every step a rule of ``sqlgen._RULES`` builds."""
+    built = []
+    for kind, rule in list(sqlgen._RULES.items()):
+        def counted(step, ctx, rule=rule):
+            built.append(step.index)
+            return rule(step, ctx)
+        monkeypatch.setitem(sqlgen._RULES, kind, counted)
+    return built
+
+
+def _example_memos(prepared, join_paths):
+    """Each variant with its memo, all sharing one dict, as a search has them."""
+    steps = {}
+    return [
+        (variant, StepMemo(reads, prefixes, steps, join_paths))
+        for variant, _, reads, prefixes in prepared.variants
+    ]
+
+
 class TestStepMemo:
-    def test_memoized_steps_map_as_fresh_ones(self, db_dir, lexicon):
+    def test_memoized_steps_map_as_fresh_ones(self, db_dir, lexicon, monkeypatch):
         """For every fixture example, every assignment its search may
-        enumerate and every variant, mapping through the example's memo
-        renders what mapping afresh renders, or fails with the same error;
-        and the memo is used, not only filled."""
+        enumerate and every variant, mapping through the example's shared
+        memo renders what mapping afresh renders, or fails with the same
+        error; and the memo is used, not only filled: it builds fewer
+        steps than mapping afresh does."""
         examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
         config = SynthesisConfig()
-        compared = kept = 0
+        built = _count_builds(monkeypatch)
+        compared = memoized_builds = fresh_builds = 0
         for db_id in dict.fromkeys(ex.db_id for ex in examples):
             with Database.open(db_dir / f"{db_id}.sqlite") as db:
                 session = Session(db, load_schema(db.conn), config, lexicon)
@@ -1541,24 +1563,21 @@ class TestStepMemo:
                     if ex.db_id != db_id:
                         continue
                     prepared = session.prepare(ex.program)
-                    memos = [
-                        StepMemo(reads, session.join_paths)
-                        for _, _, reads in prepared.variants
-                    ]
-                    assignments = list(linking.enumerate_assignments(
+                    memos = _example_memos(prepared, session.join_paths)
+                    for assignment in linking.enumerate_assignments(
                         prepared.slots, config.max_assignments
-                    ))
-                    for assignment in assignments:
-                        for (variant, _, _), memo in zip(prepared.variants, memos):
+                    ):
+                        for variant, memo in memos:
                             args = (variant, session.schema, assignment, prepared.plan)
-                            assert _mapped(*args, memo) == _mapped(*args)
+                            before = len(built)
+                            memoized = _mapped(*args, memo)
+                            middle = len(built)
+                            assert memoized == _mapped(*args)
+                            memoized_builds += middle - before
+                            fresh_builds += len(built) - middle
                             compared += 1
-                    kept += sum(
-                        len(steps) < len(assignments)
-                        for memo in memos for steps in memo.steps if steps
-                    )
         assert compared > 1000
-        assert kept > 0
+        assert 0 < memoized_builds < fresh_builds
 
     def test_a_step_is_kept_under_the_slots_of_the_steps_it_references(
         self, ship_death_db, open_db
@@ -1579,7 +1598,7 @@ class TestStepMemo:
             linking.Assignment({ships: ColumnRef(table, column), injuries: injured})
             for table, column in (("ship", "id"), ("death", "caused_by_ship_id"))
         ]
-        memo = StepMemo(step_reads(program, plan), {})
+        memo = StepMemo(step_reads(program, plan), (0, 1), {}, {})
         memoized = [_mapped(program, schema, a, plan, memo) for a in assignments]
         fresh = [_mapped(program, schema, a, plan) for a in assignments]
         assert memoized == fresh
@@ -1589,8 +1608,53 @@ class TestStepMemo:
             " WHERE death.caused_by_ship_id = ship.id",
             "SELECT COUNT(death.injured) FROM death",
         ]
-        # Step 2 was mapped once per assignment, not taken from the first.
-        assert len(memo.steps[1]) == 2
+        # Step 2 (prefix id 1) was mapped once per assignment, not taken
+        # from the first.
+        assert [key[0] for key in memo.steps].count(1) == 2
+
+    def test_a_swapped_variant_maps_only_the_swapped_step_and_after(
+        self, ship_death_db, open_db, monkeypatch
+    ):
+        """The COUNT/SUM swap rewrites step 3 of four.  Its variant shares
+        the prefix ids of steps 1 and 2 with the base program, so once the
+        base is mapped under an assignment, the variant builds steps 3 and
+        4 alone, and still maps as it would afresh."""
+        db = open_db(ship_death_db)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        program = parse_qdmr(
+            "return ships; return deaths of #1; "
+            "return the number of #2 for each #1; return #1 where #3 is at least 2"
+        )
+        prepared = session.prepare(program)
+        (_, base_labels, _, base_ids), (_, labels, _, ids) = prepared.variants
+        assert (base_labels, labels) == ((), ("aggregate_swap",))
+        assert ids[:2] == base_ids[:2] and ids[2] != base_ids[2]
+        (base, base_memo), (swapped, memo) = _example_memos(prepared, {})
+        built = _count_builds(monkeypatch)
+        mapped = 0
+        for assignment in linking.enumerate_assignments(prepared.slots, 50):
+            args = (session.schema, assignment, prepared.plan)
+            if isinstance(_mapped(base, *args, base_memo), tuple):
+                continue  # a failed step is not kept
+            del built[:]
+            memoized = _mapped(swapped, *args, memo)
+            assert built == [3, 4]
+            assert memoized == _mapped(swapped, *args)
+            mapped += 1
+        assert mapped > 1
+
+    def test_prepare_is_keyed_by_step_texts(self, ship_death_db, open_db):
+        """Two decompositions parsed apart that have the same step texts
+        share one record; a different one gets its own."""
+        db = open_db(ship_death_db)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        first = session.prepare(parse_qdmr("return ships; return the tonnage of #1"))
+        again = parse_qdmr("return  ships ;return the tonnage of #1")
+        assert session.prepare(again) is first
+        assert list(session.prepared) == [("ships", "the tonnage of #1")]
+        other = session.prepare(parse_qdmr("return ships; return the name of #1"))
+        assert other is not first
+        assert len(session.prepared) == 2
 
 
 # --- candidates decided without running them -----------------------------------

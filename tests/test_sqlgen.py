@@ -8,7 +8,12 @@ covered separately.
 """
 
 import dataclasses
+import os
+import pickle
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +36,7 @@ from qdmr2sql import (
     render_sql,
     synthesize,
 )
+import qdmr2sql
 from qdmr2sql.schema import ColumnRef
 from qdmr2sql.sqlgen import (
     AggExpr,
@@ -40,6 +46,7 @@ from qdmr2sql.sqlgen import (
     InPred,
     JoinPred,
     OrGroup,
+    _merged,
 )
 
 
@@ -494,6 +501,16 @@ class TestMergeSemantics:
         assert run(geo_db, sql).rows == (("texas",),)
 
 
+def nested_query(tonnage):
+    """The number of ships whose id a subquery selects by ``tonnage``."""
+    ship = ColExpr(ColumnRef("ship", "id"))
+    heavy = CmpPred(ColExpr(ColumnRef("ship", "tonnage")), ">", tonnage)
+    sub = SqlQuery(select=(ship,), from_tables=("ship",), where=(heavy,))
+    return SqlQuery(
+        select=(AggExpr("count", ship),), from_tables=("ship",), where=(InPred(ship, sub),)
+    )
+
+
 class TestImmutableTree:
     """Queries are frozen values: predicates, grouping and ordering hold
     expression objects, and merged conjuncts are deduplicated by value."""
@@ -591,6 +608,53 @@ class TestImmutableTree:
             },
         )
         assert sql.endswith("WHERE state.population = 7")
+
+    def test_equal_queries_built_apart_hash_and_render_equal(self):
+        first, second = nested_query(300), nested_query(300)
+        assert first is not second
+        render_sql(first)  # kept with ``first`` alone
+        assert first == second and hash(first) == hash(second)
+        for distinct in (False, True):
+            assert render_sql(first, distinct) == render_sql(second, distinct)
+        assert render_sql(first, distinct=True) == (
+            "SELECT COUNT(DISTINCT ship.id) FROM ship WHERE ship.id IN"
+            " ( SELECT ship.id FROM ship WHERE ship.tonnage > 300 )"
+        )
+        # A changed copy is rendered anew, not read from its source.
+        assert render_sql(dataclasses.replace(first, limit=1)) == (
+            render_sql(first) + " LIMIT 1"
+        )
+
+    def test_a_nested_where_tells_queries_apart(self):
+        light, heavy = nested_query(300), nested_query(400)
+        assert light != heavy
+        assert render_sql(light) != render_sql(heavy)
+        conjuncts = [light.where[0], heavy.where[0], nested_query(300).where[0]]
+        assert _merged(conjuncts) == (light.where[0], heavy.where[0])
+
+    def test_a_query_unpickled_under_another_hash_seed_finds_its_equal(self):
+        """A query rendered, hashed and pickled in a process with another
+        hash seed is found in a dict keyed by an equal query built here."""
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import pickle, sys\n"
+            "from qdmr2sql import render_sql\n"
+            "from test_sqlgen import nested_query\n"
+            "query = nested_query(300)\n"
+            "render_sql(query), hash(query)\n"
+            "sys.stdout.buffer.write(pickle.dumps((hash('seeded'), query)))\n"
+        )
+        paths = [Path(__file__).parent, Path(qdmr2sql.__file__).parents[1]]
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        ).stdout
+        their_hash, query = pickle.loads(out)
+        assert their_hash != hash("seeded")
+        fresh = nested_query(300)
+        assert {fresh: "found"}.get(query) == "found"
+        assert render_sql(query) == render_sql(fresh)
 
     def test_cmp_pred_equality_follows_rendering(self):
         col = ColExpr(ColumnRef("t", "c"))
