@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -48,32 +49,57 @@ __all__ = [
 
 
 class EmbeddingLexicon:
-    """Word vectors in the plain text format ``token v1 v2 ... vd``."""
+    """Word vectors read from a GloVe-format text file.
 
-    def __init__(self, vectors: Dict[str, Tuple[float, ...]]):
+    The file is UTF-8, with or without a byte-order mark.  Each non-blank
+    line is ``word v1 v2 ... vd``: the word and its ``d`` finite values,
+    separated by single spaces, with no header line; every line has the
+    same ``d``.  Each vector is held as one ``array('d')``, about ``8·d``
+    bytes a word.  A word's norm is computed on the first :meth:`cosine`
+    that reads it and kept, so only the words looked up pay for one.
+    """
+
+    def __init__(self, vectors: Mapping[str, Sequence[float]]):
         self._vectors = vectors
-        self._norms = {
-            t: math.sqrt(sum(map(operator.mul, v, v))) for t, v in vectors.items()
-        }
+        self._norms: Dict[str, float] = {}
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "EmbeddingLexicon":
-        """Read a vectors file; raises FileUnreadable when it cannot be read
-        or its lines disagree on the vector width or hold a non-number."""
-        vectors: Dict[str, Tuple[float, ...]] = {}
+        """Read a vectors file; raises FileUnreadable when it cannot be read,
+        or a non-blank line holds no value, a non-number or a vector that
+        does not sum to a finite number, or lines disagree on the width."""
+        vectors: Dict[str, array] = {}
         dim: Optional[int] = None
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    parts = line.rstrip("\n").split(" ")
-                    if len(parts) < 2:
-                        continue
-                    values = tuple(float(x) for x in parts[1:])
+            with open(path, "r", encoding="utf-8-sig") as fh:
+                for number, line in enumerate(fh, 1):
+                    fields = line.rstrip().split(" ")
+                    token = fields[0]
+                    if len(fields) < 2:
+                        if not token:
+                            continue
+                        raise FileUnreadable(
+                            f"no vector on line {number} of {path}: "
+                            f"fields must be separated by single spaces"
+                        )
+                    del fields[0]
+                    try:
+                        values = array("d", map(float, fields))
+                    except ValueError as exc:
+                        raise FileUnreadable(
+                            f"malformed embeddings {path} on line {number}: {exc}"
+                        ) from exc
+                    if not math.isfinite(sum(values)):
+                        raise FileUnreadable(
+                            f"non-finite vector for {token!r} on line {number} of {path}"
+                        )
                     if dim is None:
                         dim = len(values)
                     elif len(values) != dim:
-                        raise FileUnreadable(f"inconsistent vector width in {path}")
-                    vectors[parts[0]] = values
+                        raise FileUnreadable(
+                            f"inconsistent vector width in {path} on line {number}"
+                        )
+                    vectors[token] = values
         except OSError as exc:
             raise FileUnreadable(f"cannot read embeddings {path}: {exc}") from exc
         except ValueError as exc:
@@ -84,11 +110,17 @@ class EmbeddingLexicon:
     def empty(cls) -> "EmbeddingLexicon":
         return cls({})
 
+    def _norm(self, token: str, vector: Sequence[float]) -> float:
+        norm = self._norms.get(token)
+        if norm is None:
+            norm = self._norms[token] = math.sqrt(sum(map(operator.mul, vector, vector)))
+        return norm
+
     def cosine(self, a: str, b: str) -> float:
         va, vb = self._vectors.get(a), self._vectors.get(b)
         if va is None or vb is None:
             return 0.0
-        na, nb = self._norms[a], self._norms[b]
+        na, nb = self._norm(a, va), self._norm(b, vb)
         if na == 0.0 or nb == 0.0:
             return 0.0
         return sum(map(operator.mul, va, vb)) / (na * nb)
@@ -98,14 +130,25 @@ def phrase_column_similarity(
     lexicon: EmbeddingLexicon,
     phrase_lemmas: Sequence[str],
     column_lemmas: Sequence[str],
+    cosines: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> float:
-    """Mean pairwise cosine; empty sides and unknown tokens score 0."""
+    """Mean pairwise cosine; empty sides and unknown tokens score 0.
+
+    The cosines are summed phrase lemma by phrase lemma, each over the
+    column lemmas in order.  ``cosines`` maps (phrase lemma, column lemma)
+    pairs to their cosine; pairs missing from it are computed and added.
+    """
     if not phrase_lemmas or not column_lemmas:
         return 0.0
+    if cosines is None:
+        cosines = {}
     total = 0.0
     for p in phrase_lemmas:
         for c in column_lemmas:
-            total += lexicon.cosine(p, c)
+            cos = cosines.get((p, c))
+            if cos is None:
+                cos = cosines[p, c] = lexicon.cosine(p, c)
+            total += cos
     return total / (len(phrase_lemmas) * len(column_lemmas))
 
 
@@ -125,15 +168,22 @@ def rank_columns(
     top_k: int,
 ) -> List[LinkCandidate]:
     """Rank every schema column as a link target for ``phrase`` and keep
-    the best ``top_k``; without a lexicon every similarity is 0."""
+    the best ``top_k``; without a lexicon every similarity is 0.
+
+    Each column's similarity is :func:`phrase_column_similarity`'s, bit for
+    bit.  Columns repeat their table's lemmas, so the call computes each
+    distinct (phrase lemma, column lemma) cosine once and shares it across
+    columns; the memo ends with the call.
+    """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     lexicon = lexicon or EmbeddingLexicon.empty()
     lemmas = content_lemmas(tokenize(phrase))
     lemma_set = set(lemmas)
+    cosines: Dict[Tuple[str, str], float] = {}
     scored = []
     for col in schema.columns():
-        sim = phrase_column_similarity(lexicon, lemmas, col.lemmas)
+        sim = phrase_column_similarity(lexicon, lemmas, col.lemmas, cosines)
         if lemma_set and (
             lemma_set == set(col.own_lemmas) or lemma_set == set(col.lemmas)
         ):

@@ -8,6 +8,9 @@ use the checked-in mini vector file.
 
 import itertools
 import math
+import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +36,7 @@ from qdmr2sql import (
     synthesize,
 )
 from qdmr2sql.schema import ColumnRef
+from qdmr2sql.text import content_lemmas, tokenize
 
 
 def write_lexicon(tmp_path, rows):
@@ -70,8 +74,8 @@ class TestLexicon:
 
     def test_non_number_rejected(self, tmp_path):
         path = tmp_path / "vectors.txt"
-        path.write_text("a 1.0 two\n")
-        with pytest.raises(FileUnreadable, match="malformed embeddings"):
+        path.write_text("a 1.0 2.0\nb 1.0 two\n")
+        with pytest.raises(FileUnreadable, match="malformed embeddings .* on line 2:"):
             EmbeddingLexicon.load(path)
 
     def test_missing_file(self, tmp_path):
@@ -96,6 +100,67 @@ class TestLexicon:
             sum(x * y for x, y in zip(a, b)) / (na * nb)
         )
         assert lex.cosine("a", "b") == expected
+
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("\ufeffship 1.0 0.0\nboat 0.6 0.8\n", encoding="utf-8")
+        lex = EmbeddingLexicon.load(path)
+        assert lex.cosine("ship", "boat") == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("text, number", [
+        # Split at single spaces, a tab-separated line holds a word and no
+        # vector; the file must not load as an empty lexicon.
+        ("ship 1.0 0.0\nboat\t0.6\t0.8\n", 2),
+        ("ship\n", 1),
+    ])
+    def test_line_without_vector_rejected_naming_its_number(
+        self, tmp_path, text, number
+    ):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text)
+        with pytest.raises(FileUnreadable, match=f"no vector on line {number} of"):
+            EmbeddingLexicon.load(path)
+
+    @pytest.mark.parametrize("ending", [" \n", "\r\n", " \t\r\n"])
+    def test_trailing_whitespace_ignored(self, tmp_path, ending):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(f"ship 1.0 0.0{ending}boat 0.6 0.8{ending}".encode())
+        lex = EmbeddingLexicon.load(path)
+        assert lex.cosine("ship", "boat") == pytest.approx(0.6)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("\nship 1.0 0.0\n\n  \r\nboat 0.6 0.8\n\n")
+        lex = EmbeddingLexicon.load(path)
+        assert lex.cosine("ship", "boat") == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_vector_rejected_naming_its_word(self, tmp_path, value):
+        # A NaN cosine compares false both ways in the ranking's sort key.
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"ship 1.0 0.0\nboat 0.6 {value}\n")
+        with pytest.raises(FileUnreadable, match="non-finite vector for 'boat' on line 2"):
+            EmbeddingLexicon.load(path)
+
+    def test_vectors_are_held_packed(self, tmp_path):
+        # 2000 words of width 100: a vector of Python floats keeps about 33
+        # bytes per component, a packed one about 8 and its word's share.
+        words, dim = 2000, 100
+        rng = random.Random(0)
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(
+            f"w{i} " + " ".join(f"{rng.gauss(0, 0.4):.5f}" for _ in range(dim)) + "\n"
+            for i in range(words)
+        ))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lex = EmbeddingLexicon.load(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert lex.cosine("w0", "w0") == pytest.approx(1.0)
+        assert retained / (words * dim) < 16
 
     def test_mini_file_loads(self, lexicon):
         # Every one of the file's 43 tokens has a nonzero vector.
@@ -192,6 +257,48 @@ class TestRankColumns:
         schema = load_schema(geo_db)
         with pytest.raises(ValueError, match="top_k must be at least 1"):
             rank_columns("states", schema, lexicon, top_k=top_k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_memo_ranks_as_one_similarity_per_column(self, data):
+        """Sharing cosines across the columns of one call moves no column,
+        tier or similarity bit: the reference scores each column with its
+        own :func:`phrase_column_similarity` call."""
+        words = ["ship", "port", "crew", "cargo", "captain", "fleet", "name", "id"]
+        word = st.sampled_from(words)
+        dim = data.draw(st.integers(1, 6))
+        vector = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+        # Some words stay out of the vocabulary and score 0.
+        known = data.draw(st.lists(word, unique=True))
+        vectors = {w: array("d", data.draw(vector)) for w in known}
+        lex = EmbeddingLexicon(vectors)
+        tables = data.draw(st.lists(word, min_size=1, max_size=4, unique=True))
+        schema = load_schema({"tables": {
+            t: {"_".join(name): "TEXT" for name in data.draw(
+                st.lists(st.lists(word, min_size=1, max_size=2), min_size=1, max_size=4)
+            )}
+            for t in tables
+        }})
+        phrase = " ".join(data.draw(st.lists(
+            st.sampled_from(words + ["the", "of", "ships"]), min_size=1, max_size=4
+        )))
+
+        lemmas = content_lemmas(tokenize(phrase))
+        reference = []
+        for c in schema.columns():
+            sim = phrase_column_similarity(EmbeddingLexicon(vectors), lemmas, c.lemmas)
+            if lemmas and set(lemmas) in (set(c.own_lemmas), set(c.lemmas)):
+                tier = 1
+            elif set(lemmas) & set(c.lemmas):
+                tier = 2
+            else:
+                tier = 3
+            reference.append((tier, -sim, c.table, c.column))
+        reference.sort()
+        ranked = rank_columns(phrase, schema, lex, len(reference))
+        assert [
+            (c.tier, -c.similarity, c.column.table, c.column.column) for c in ranked
+        ] == reference
 
     def test_voting_ranking(self, voting_record_db, lexicon):
         schema = load_schema(voting_record_db)
