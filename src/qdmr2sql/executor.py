@@ -23,13 +23,19 @@ answer, and reading them to the end would cost most of the search.  Such
 a row decides the comparison where it is read: the result says so
 (:attr:`Execution.mismatch`), and only a result whose every row lies in
 the target is left for :func:`denotations_equal` to decide.  One loop,
-:func:`read_until_mismatch`, reads rows so, whether they come from the
-query's own statement (:meth:`Database.execute`) or are its column of the
-one row of a statement it shares with other aggregates over the same
-rows.  The :class:`Database` runs every other statement of a session too
+:func:`read_until_mismatch`, reads rows so, whether they are the rows of
+the query's own statement (:meth:`Database.execute`) or one column of a
+wider statement it shares with other queries over the same rows, each
+cell a row of its own (:meth:`Database.execute_columns`).  A shared
+statement runs once and all its columns are read in one pass over its
+rows: each row is fetched once, as far as the column read furthest
+needs it, and kept for the columns read after it (:func:`itertools.tee`),
+so a query that runs its own statement pays nothing for the sharing.
+The :class:`Database` runs every other statement of a session too
 (:meth:`Database.fetch`), so its deadline bounds each one, and only this
 module tells a statement the deadline aborted from an engine error.  It
-writes one of them: the census of each column's cell kinds (:func:`kind_census`).
+writes one of them: the census of each column's cell kinds
+(:func:`kind_census`).
 
 :meth:`Database.open` reads a file once, into a private in-memory copy
 with each foreign-key child column indexed, so every statement on it
@@ -45,6 +51,8 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import tee
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
@@ -244,6 +252,27 @@ class Database:
         except sqlite3.Error as exc:
             raise _engine_error(exc) from exc
 
+    def execute_columns(self, sql: str, target: Denotation) -> Tuple[Execution, ...]:
+        """Run one statement and read each of its columns as a result of its
+        own, as rows of one cell (see :func:`read_until_mismatch`), in one
+        pass over its rows, with the errors of :meth:`execute`.  The
+        deadline is also checked before the statement runs, as
+        :meth:`fetch` checks it."""
+        if self.past_deadline():
+            raise ExecutionTimeout("query ran past its deadline")
+        try:
+            cursor = self.conn.execute(sql)
+            try:
+                columns = tee(cursor, len(cursor.description))
+                return tuple(
+                    read_until_mismatch(zip(map(itemgetter(i), rows)), target)
+                    for i, rows in enumerate(columns)
+                )
+            finally:
+                cursor.close()  # resets the statement
+        except sqlite3.Error as exc:
+            raise _engine_error(exc) from exc
+
     def fetch(self, sql: str, params: Sequence = ()) -> List[tuple]:
         """Run a statement that is not a candidate and return all its rows,
         with the errors of :meth:`execute`.  The deadline is also checked
@@ -302,7 +331,9 @@ def read_until_mismatch(rows: Iterable[Sequence], target: Denotation) -> Executi
     That row alone makes :func:`denotations_equal` against ``target``
     false, which the result records as its ``mismatch``; every row before
     it matches, so the verdict on the rows read equals the verdict on all
-    of ``rows``.  ``len`` of the result counts the rows read.
+    of ``rows``.  ``len`` of the result counts the rows read.  ``rows``
+    are a statement's whole rows or one of its columns as rows of one cell
+    (see :meth:`Database.execute_columns`).
     """
     wanted = target._distinct
     read: List[Tuple[Cell, ...]] = []

@@ -56,7 +56,9 @@ class EmbeddingLexicon:
     separated by single spaces, with no header line; every line has the
     same ``d``.  Each vector is held as one ``array('d')``, about ``8·d``
     bytes a word.  A word's norm is computed on the first :meth:`cosine`
-    that reads it and kept, so only the words looked up pay for one.
+    that reads it and kept, so only the words looked up pay for one.  A
+    pair whose norms' product overflows a float, finite as each value is,
+    is scaled down before its cosine is taken.
     """
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
@@ -123,7 +125,21 @@ class EmbeddingLexicon:
         na, nb = self._norm(a, va), self._norm(b, vb)
         if na == 0.0 or nb == 0.0:
             return 0.0
-        return sum(map(operator.mul, va, vb)) / (na * nb)
+        dot, scale = sum(map(operator.mul, va, vb)), na * nb
+        if scale == math.inf or not math.isfinite(dot):
+            return _rescaled_cosine(va, vb)
+        return dot / scale
+
+
+def _rescaled_cosine(va: Sequence[float], vb: Sequence[float]) -> float:
+    """The cosine of two nonzero vectors whose norms or dot product overflow
+    a float: each is divided by its largest magnitude first, so no sum
+    exceeds its width."""
+    ma, mb = max(map(abs, va)), max(map(abs, vb))
+    ua, ub = [x / ma for x in va], [y / mb for y in vb]
+    return sum(map(operator.mul, ua, ub)) / math.sqrt(
+        sum(map(operator.mul, ua, ua)) * sum(map(operator.mul, ub, ub))
+    )
 
 
 def phrase_column_similarity(

@@ -25,27 +25,46 @@ Nothing an assignment cannot change is built twice:
   share (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments
   differ in one slot, so most steps repeat;
 - once per query: its text;
-- once per example, for each aggregated column and join: the statement
-  the aggregate tries over them share, under both DISTINCT flags (see
-  below).
+- once per session, for each set of answer kinds: each table's columns
+  that can hold such an answer (:meth:`Session.fitting_columns`);
+- once per example, for each shared statement: its results, one per
+  column, which the aggregate tries over one argument and join, under
+  both DISTINCT flags, or the projection tries over one join's rows
+  take (see below).
 
 Each variant of each assignment is still one call of ``synthesize``, made
 only while the deadline holds.
 
 This module writes no SQL.  ``sqlgen`` writes each try's statement
-(:func:`~qdmr2sql.sqlgen.render_sql`), the one COUNT or SUM tries over a
-join share with their DISTINCT and COUNT/SUM-swapped tries
-(:func:`~qdmr2sql.sqlgen.shared_statement`), and the tie probes
+(:func:`~qdmr2sql.sqlgen.render_sql`), the statement a try over a join
+shares (:func:`~qdmr2sql.sqlgen.shared_statement`), and the tie probes
 (:func:`~qdmr2sql.sqlgen.tie_probes`); ``executor`` writes the census
-(:func:`~qdmr2sql.executor.kind_census`).  SQLite computes each aggregate
-of a shared statement on its own over the same rows, so a try's column
-is what its own statement returns.  The shared statement runs on the
-first try that reads it and its row serves the others until the search
-ends.  A try answered this way is rendered, counted and decided as any
-other; only its execution is shared.  When the engine rejects the shared
-statement (a SUM overflows where COUNT alone, or the other flag's SUM,
-would not), each try runs its own, so the engine errors and the statuses
-are those of the tries' own statements.
+(:func:`~qdmr2sql.executor.kind_census`).  Two kinds of try share:
+
+- a COUNT or SUM try, with its DISTINCT and COUNT/SUM-swapped tries.
+  SQLite computes each aggregate of the shared statement on its own over
+  the same rows, so a try's column is what its own statement returns;
+- a try that projects one plain column, without DISTINCT, with the tries
+  that project another column of its table over the same rows.  The
+  shared statement selects every column of that table that can hold the
+  answer (:meth:`Session.fitting_columns`; a try that projects another
+  is decided by kind) under the try's own clauses, so a try's column of
+  its rows is its own statement's rows, duplicates kept.
+
+A try shares only once a candidate of the example has executed, so an
+example found on its first try never pays for reading the wider
+statement.  The shared statement runs on the first try that
+reads it, which reads each of its columns in one pass, until that column
+has a row outside the answer or the rows run out
+(:meth:`~qdmr2sql.executor.Database.execute_columns`); each column's
+result serves its tries until the search ends.  A try answered this way
+is rendered, counted and decided as any other; only its execution is
+shared.  When the engine rejects the shared statement (a SUM overflows
+where COUNT alone, or the other flag's SUM, would not; a cell of a
+column the try does not read cannot be read), each try runs its own, so
+the engine errors and the statuses are those of the tries' own
+statements.  A shared statement that meets the deadline ends the search
+with Timeout, as a try's own would.
 
 The first candidate whose denotation equals the answer wins, unless a
 LIMIT in it cuts a tie (:func:`_tied`): the plan picks which tied rows it
@@ -102,10 +121,10 @@ from .executor import (
     Census,
     Database,
     Denotation,
+    Execution,
     answer_denotation,
     denotations_equal,
     kind_census,
-    read_until_mismatch,
 )
 from .linking import (
     Assignment,
@@ -327,15 +346,16 @@ class _Prepared:
     variants: Tuple[Tuple[QdmrProgram, Tuple[str, ...], Reads, Tuple[int, ...]], ...]
 
 
-def _shared_row(
-    database: Database, statement: str, shared: Dict[str, Optional[tuple]],
-) -> Optional[tuple]:
-    """The one row of the shared ``statement``, run on its first try in the
-    search and kept in ``shared`` under its text; None once the engine has
-    rejected it."""
+def _shared_results(
+    database: Database, statement: str, target: Denotation,
+    shared: Dict[str, Optional[Tuple[Execution, ...]]],
+) -> Optional[Tuple[Execution, ...]]:
+    """The results of the shared ``statement``'s columns against
+    ``target``, read on its first try in the search and kept in ``shared``
+    under its text; None once the engine has rejected it."""
     if statement not in shared:
         try:
-            shared[statement], = database.fetch(statement)
+            shared[statement] = database.execute_columns(statement, target)
         except ExecutionTimeout:
             raise
         except SqlError:
@@ -348,15 +368,16 @@ class Session:
 
     Holds the database, through which it runs every statement, its
     schema, the config and lexicon, a :class:`ValueIndex` over the
-    database, a census of the kinds of cell each column holds, and three
+    database, a census of the kinds of cell each column holds, and four
     memos that fill as examples are searched: phrase to column ranking,
-    decomposition to its plan, slots and variants (:meth:`prepare`), and
-    join-path key to join path.  Constructing a session builds the value
-    index, which reads the database's text columns, and takes the census,
-    so those reads fall outside every example's deadline.  Each memo
-    depends only on the schema, the value index, the lexicon and the
-    config, and a session never changes them, so each holds for the
-    session's life and no longer.
+    decomposition to its plan, slots and variants (:meth:`prepare`),
+    join-path key to join path, and an answer's kinds to the columns that
+    can hold it (:meth:`fitting_columns`).  Constructing a session builds
+    the value index, which reads the database's text columns, and takes
+    the census, so those reads fall outside every example's deadline.
+    Each memo depends only on the schema, the value index, the census, the
+    lexicon and the config, and a session never changes them, so each
+    holds for the session's life and no longer.
 
     A session on a :meth:`~qdmr2sql.executor.Database.open` database
     reads one snapshot, the file's private in-memory copy (about the
@@ -381,6 +402,7 @@ class Session:
         self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
         self.prepared: Dict[Tuple[str, ...], _Prepared] = {}
         self.join_paths: JoinPaths = {}
+        self.fitting: Dict[FrozenSet[Tuple[type, ...]], Dict[str, List[ColumnRef]]] = {}
 
     def prepare(self, program: QdmrProgram) -> _Prepared:
         """``program`` planned, linked and rewritten on the first search of
@@ -407,6 +429,22 @@ class Session:
             )
             prepared = self.prepared[key] = _Prepared(plan, slots, variants)
         return prepared
+
+    def fitting_columns(
+        self, kinds: FrozenSet[Tuple[type, ...]]
+    ) -> Dict[str, List[ColumnRef]]:
+        """Each table's columns that can hold every answer row of ``kinds``
+        (:attr:`~qdmr2sql.executor.Denotation.kinds`) as a row of one cell:
+        the only columns a try that projects one is not decided for by
+        :func:`_cannot_match`.  Kept per set of kinds."""
+        columns = self.fitting.get(kinds)
+        if columns is None:
+            columns = self.fitting[kinds] = {
+                table: [col for col in cols
+                        if all(len(row) == 1 and row[0] in self.census[col] for row in kinds)]
+                for table, cols in self.schema.tables.items()
+            }
+        return columns
 
     def close(self) -> None:
         """Close the database, which frees its copy."""
@@ -453,8 +491,11 @@ def _search(example, session: Session) -> SynthesisOutcome:
 
     tried = 0
     executed = False  # whether a candidate ran without an engine error
+    # Once a candidate has executed: each table's columns that can hold the answer.
+    columns: Dict[str, List[ColumnRef]] = {}
     ran: Set[str] = set()  # each statement run or rejected, none matching
-    shared: Dict[str, Optional[tuple]] = {}  # each shared statement run: its row
+    # Each shared statement run: its columns' results, None once rejected.
+    shared: Dict[str, Optional[Tuple[Execution, ...]]] = {}
     mapping_error: Optional[str] = None  # the last one
     engine_error: Optional[str] = None  # the first one
     for assignment in enumerate_assignments(prepared.slots, config.max_assignments):
@@ -480,13 +521,15 @@ def _search(example, session: Session) -> SynthesisOutcome:
                 if sql in ran:
                     continue
                 ran.add(sql)
-                at = shared_statement(query, distinct, sql)
+                at = shared_statement(query, distinct, sql, columns) if executed else None
                 try:
-                    row = None if at is None else _shared_row(database, at[0], shared)
-                    if row is None:  # no shared statement, or the engine rejected it
+                    results = None if at is None else _shared_results(
+                        database, at[0], target, shared
+                    )
+                    if results is None:  # no shared statement, or the engine rejected it
                         result = database.execute(sql, target)
                     else:
-                        result = read_until_mismatch((row[at[1]:at[1] + 1],), target)
+                        result = results[at[1]]
                     found = not result.mismatch and denotations_equal(
                         result, target, config.allow_empty_denotation
                     ) and (" LIMIT " not in sql or not _tied(query, distinct, database))
@@ -507,7 +550,8 @@ def _search(example, session: Session) -> SynthesisOutcome:
                         candidates_tried=tried,
                         qdmr=render_program(program),
                     )
-                executed = True
+                if not executed:
+                    executed, columns = True, session.fitting_columns(target.kinds)
 
     # Timeouts return above, and until a candidate has executed, a try is
     # decided only when it reads a statement the engine rejected, so when

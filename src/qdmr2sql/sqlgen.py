@@ -30,9 +30,10 @@ as that text (``code = '1e5'``), a comparison value as the number it spells.
 DISTINCT is a flag of :func:`render_sql`, not part of a query;
 :func:`_distinct_keeps_rows` says when it cannot change the set of rows.
 This module also writes the two statements the search runs besides a
-try's own: the one that aggregate tries over a join share under both
-flags (:func:`shared_statement`), and the probes of whether a LIMIT cuts
-a tie (:func:`tie_probes`).
+try's own: the one that the aggregate tries over a join share under both
+flags, or the projection tries over a join's rows share
+(:func:`shared_statement`), and the probes of whether a LIMIT cuts a tie
+(:func:`tie_probes`).
 
 A step's query depends only on the steps up to it, the columns of the
 slots it reads (:func:`step_reads`), the schema and its join paths.  So
@@ -254,26 +255,41 @@ _SHARED_FNS = ("count", "sum")
 
 
 def shared_statement(
-    query: SqlQuery, distinct: bool, sql: str
+    query: SqlQuery, distinct: bool, sql: str, columns: Mapping[str, Sequence[ColumnRef]],
 ) -> Optional[Tuple[str, int]]:
     """The statement the try ``(query, distinct)``, whose own statement is
-    ``sql``, shares, and the column of its one row that answers the try;
-    None when the try runs its own.
+    ``sql``, shares, and its column that answers the try, each row's cell
+    there a row of the try's result; None when the try runs its own.
+    ``columns`` holds, for each table, the columns such a statement
+    selects.
 
-    A query shares when its select list is one COUNT or SUM, it has no
-    GROUP BY, HAVING, ORDER BY or LIMIT, so it returns exactly one row,
-    and it joins two or more tables: over one table a statement compiles
-    in microseconds, and SQLite reads a lone DISTINCT aggregate of an
-    indexed column from its index, which it cannot do for two.  The
-    statement computes the COUNT and the SUM of the argument without and
-    then with DISTINCT inside, so it is one text under both flags; its
-    clauses are taken from ``sql``, not rendered again."""
-    if len(query.select) != 1 or len(query.from_tables) < 2:
-        return None
-    item = query.select[0]
-    if (not isinstance(item, AggExpr) or item.fn not in _SHARED_FNS
+    A query shares when it joins two or more tables (over one table a
+    statement compiles in microseconds) and it has no GROUP BY, HAVING,
+    ORDER BY or LIMIT.  Its select list must then be one of:
+
+    - one COUNT or SUM, under either flag.  The query returns exactly one
+      row, and the statement computes the COUNT and the SUM of the
+      argument without and then with DISTINCT inside, so it is one text
+      under both flags; SQLite computes each on its own over the same
+      rows.  Over one table SQLite reads a lone DISTINCT aggregate of an
+      indexed column from its index, which it cannot do for two;
+    - one plain column, without the DISTINCT flag, which ``columns``
+      holds for its table.  The statement selects those columns, so its
+      rows are the query's rows, duplicates kept, each widened.
+
+    The statement's clauses are taken from ``sql``, not rendered again."""
+    if (len(query.select) != 1 or len(query.from_tables) < 2
             or query.group_by is not None or query.having or query.order_by
             or query.limit is not None):
+        return None
+    item = query.select[0]
+    if isinstance(item, ColExpr) and not distinct:
+        table = columns.get(item.col.table, ())
+        if item.col not in table:
+            return None
+        clauses = sql[len("SELECT ") + len(item.render()):]
+        return "SELECT " + ", ".join(c.sql for c in table) + clauses, table.index(item.col)
+    if not isinstance(item, AggExpr) or item.fn not in _SHARED_FNS:
         return None
     clauses = sql[len("SELECT ") + len(item.render(distinct)):]
     items = ", ".join(

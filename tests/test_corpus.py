@@ -370,17 +370,18 @@ class TestRunCorpus:
 
     def test_decided_candidates_are_not_executed(self, db_dir, lexicon, monkeypatch):
         # 121 candidates are tried; 18 of them are decided from their query,
-        # the answer and the cell kinds, and never reach the engine.  Of the
-        # other 103, 102 run their own statement; a7's COUNT over a join,
-        # found on its first try, reads the statement it would share with
-        # its SUM.  4 more statements check the LIMIT cut of a match for a
-        # tie.  So the engine runs 107 statements.
+        # the answer and the cell kinds, and never reach the engine.  The
+        # other 103 run their own statement: no try shares before a
+        # candidate has executed, and a7's COUNT over a join, which would
+        # share with its SUM, is found on its first try.  4 more statements
+        # check the LIMIT cut of a match for a tie.  So the engine runs 107
+        # statements.
         examples, _ = load_examples(CORPUS)
         statements = _trace_searches(monkeypatch)
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
         assert sum(o.candidates_tried for o in outcomes) == 121
         shared = [sql for _, sql in statements if _SHARED.match(sql)]
-        assert (len(statements), len(shared)) == (107, 1)
+        assert (len(statements), len(shared)) == (107, 0)
 
     def test_no_statement_runs_twice_in_one_search(self, db_dir, lexicon, monkeypatch):
         # Beside the fixture examples, s4 with an answer no query reaches:

@@ -581,3 +581,64 @@ class TestEarlyExit:
             conn.execute("DROP TABLE t")
         finally:
             conn.close()
+
+
+class TestExecuteColumns:
+    """A shared statement runs once, and each of its columns is read as rows
+    of one cell only as far as its own verdict needs, from rows fetched
+    once, and gets the verdict of a statement that selects it alone."""
+
+    @staticmethod
+    def _db(rows):
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE t (a, b, c)")
+        conn.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+        return conn, Database(conn)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(*[st.sampled_from([None, 1, 2, 2.0000001, "x", "x "])] * 3),
+                      max_size=6),
+        answer=st.lists(st.sampled_from([None, 1, 2, "x"]), max_size=3),
+    )
+    def test_each_column_reads_as_its_own_statement(self, rows, answer):
+        conn, db = self._db(rows)
+        try:
+            target = answer_denotation(answer)
+            got = db.execute_columns("SELECT a, b, c FROM t", target)
+            assert got == tuple(db.execute(f"SELECT {c} FROM t", target) for c in "abc")
+        finally:
+            conn.close()
+
+    def test_each_column_reads_only_as_far_as_its_verdict(self):
+        conn, db = self._db([(1, "x", i) for i in range(1, 1001)])
+        try:
+            ran = []
+            db.conn.set_trace_callback(ran.append)
+            a, b, c = db.execute_columns("SELECT a, b, c FROM t", answer_denotation([[1]]))
+            assert (len(a), a.mismatch) == (1000, False)
+            assert (len(b), b.mismatch) == (1, True)  # "x" is outside the answer
+            assert (len(c), c.mismatch) == (2, True)  # 1, then 2
+            assert ran == ["SELECT a, b, c FROM t"]
+        finally:
+            conn.close()
+
+    def test_releases_the_statement(self):
+        conn, db = TestEarlyExit._kept_cursors()
+        try:
+            got = db.execute_columns("SELECT c0, c0 FROM t", answer_denotation([[-1]]))
+            assert [r.rows for r in got] == [((0,),), ((0,),)]
+            conn.execute("DROP TABLE t")
+        finally:
+            conn.close()
+
+    def test_engine_errors_and_the_deadline(self):
+        conn, db = self._db([(1, 2, 3)])
+        try:
+            with pytest.raises(SqlError):
+                db.execute_columns("SELECT nosuch FROM t", answer_denotation(1))
+            db.deadline = -math.inf
+            with pytest.raises(ExecutionTimeout):
+                db.execute_columns("SELECT a, b FROM t", answer_denotation(1))
+        finally:
+            conn.close()

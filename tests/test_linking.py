@@ -101,6 +101,14 @@ class TestLexicon:
         )
         assert lex.cosine("a", "b") == expected
 
+    def test_overflowing_norm_scores_as_its_direction(self, tmp_path):
+        # Each value is finite, but 1e200 squared is not: the cosine is
+        # taken of the vectors scaled down, never of an infinite norm.
+        lex = EmbeddingLexicon.load(write_lexicon(tmp_path, [("a", 1e200, 0.0),
+                                                             ("b", 1.0, 0.0)]))
+        assert lex.cosine("a", "a") == 1.0
+        assert lex.cosine("a", "b") == lex.cosine("b", "a") == 1.0
+
     def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("\ufeffship 1.0 0.0\nboat 0.6 0.8\n", encoding="utf-8")
@@ -299,6 +307,28 @@ class TestRankColumns:
         assert [
             (c.tier, -c.similarity, c.column.table, c.column.column) for c in ranked
         ] == reference
+
+    def test_overflowing_vectors_rank_whatever_the_column_order(self, tmp_path):
+        # "vessel" and "ship" are near and "boat" far, but only scaled down
+        # do their cosines with "ship" come out so: their norms' products
+        # overflow, which read as a NaN and a 0.0, and a NaN in the sort
+        # key leaves the columns in the order they came.
+        lex = EmbeddingLexicon.load(write_lexicon(tmp_path, [
+            ("ship", 1e200, 0.0), ("vessel", 1e200, 1e199), ("boat", 1.0, 3.0),
+        ]))
+        names = ["vessel", "crew", "boat"]
+        rankings = []
+        for order in itertools.permutations(names):
+            schema = load_schema({"tables": {"fleet": {n: "TEXT" for n in order}}})
+            rankings.append([
+                (str(c.column), c.tier, c.similarity)
+                for c in rank_columns("ship", schema, lex, len(names))
+            ])
+        assert all(ranking == rankings[0] for ranking in rankings)
+        assert [column for column, _, _ in rankings[0]] == [
+            "fleet.vessel", "fleet.boat", "fleet.crew",
+        ]
+        assert all(math.isfinite(sim) for _, _, sim in rankings[0])
 
     def test_voting_ranking(self, voting_record_db, lexicon):
         schema = load_schema(voting_record_db)

@@ -11,6 +11,7 @@ import importlib
 import math
 import sqlite3
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -549,10 +550,10 @@ class TestFailureStatuses:
         # one.  The engine refuses every statement, numbering its refusals,
         # and the reason names the first try's own.  Over products, each of
         # the 12 tries reads one table and is refused on its own, the first
-        # as "boom 1".  Over academic, the 7 statements shared by a COUNT
-        # and a SUM over a join, one for both DISTINCT flags, are refused
-        # too, each before the own statements of its tries: the first try's
-        # shared statement is "boom 1" and its own "boom 2".
+        # as "boom 1".  Over academic, the COUNT and SUM tries over a join
+        # would share a statement, but no try shares before a candidate has
+        # executed: each of the 36 is refused on its own, the first as
+        # "boom 1".
         class Refusing:
             """A connection whose engine refuses each statement it is
             given, as ``boom 1``, ``boom 2``, ... in turn."""
@@ -571,7 +572,7 @@ class TestFailureStatuses:
             (products_db, "return product types; return the number of #1",
              12, 12, 1),
             (academic_db, "return papers; return #1 in PVLDB; return the number of #2",
-             36, 36 + 7, 2),
+             36, 36, 1),
         ):
             db = open_db(path)
             session = Session(db, schema_of(db), SynthesisConfig(), lexicon)
@@ -1237,7 +1238,8 @@ _FETCH_IDS = ["shared_statements", "tie_probes", "value_probes"]
 
 class TestOneRuntime:
     """Every statement a session runs on its connection goes through
-    ``Database.fetch`` or, for a candidate, ``Database.execute``, so the
+    ``Database.fetch`` or, for a candidate, ``Database.execute`` or, for a
+    statement candidates share, ``Database.execute_columns``, so the
     database's deadline bounds each of them."""
 
     @pytest.mark.parametrize("build, qdmr, answer, marker, reason", _FETCHES, ids=_FETCH_IDS)
@@ -1246,8 +1248,9 @@ class TestOneRuntime:
     ):
         db = open_db(build(tmp_path, db_dir))
         schema = schema_of(db)
-        traced, routed, fetched = [], [], []
+        traced, routed, fetched = [], [], []  # fetched: each not a try's own
         real_fetch, real_execute = Database.fetch, Database.execute
+        real_columns = Database.execute_columns
 
         def fetch(self, sql, params=()):
             fetched.append(sql)
@@ -1262,10 +1265,16 @@ class TestOneRuntime:
             routed.append(sql)
             return real_execute(self, sql, target)
 
+        def execute_columns(self, sql, target):
+            fetched.append(sql)
+            routed.append(sql)
+            return real_columns(self, sql, target)
+
         db.conn.set_trace_callback(traced.append)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Database, "fetch", fetch)
             mp.setattr(Database, "execute", execute)
+            mp.setattr(Database, "execute_columns", execute_columns)
             session = Session(db, schema, SynthesisConfig(), lexicon)
             search(FakeExample(qdmr, answer), session)
         db.conn.set_trace_callback(None)
@@ -1276,20 +1285,27 @@ class TestOneRuntime:
     def test_a_deadline_met_in_a_fetch_ends_the_search(
         self, tmp_path, db_dir, open_db, lexicon, build, qdmr, answer, marker, reason
     ):
-        # The deadline passes as the first statement of the kind is fetched.
+        # The deadline passes as the first statement of the kind is fetched,
+        # or, for a shared statement, run (``Database.execute_columns``).
         # A caller that took the timeout for an engine error would go on to
         # the next try, and the search would end for another reason.
         db = open_db(build(tmp_path, db_dir))
         session = Session(db, schema_of(db), SynthesisConfig(), lexicon)
-        real_fetch = Database.fetch
+        real_fetch, real_columns = Database.fetch, Database.execute_columns
 
         def fetch(self, sql, params=()):
             if marker in sql:
                 self.deadline = -math.inf
             return real_fetch(self, sql, params)
 
+        def execute_columns(self, sql, target):
+            if marker in sql:
+                self.deadline = -math.inf
+            return real_columns(self, sql, target)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Database, "fetch", fetch)
+            mp.setattr(Database, "execute_columns", execute_columns)
             out = search(FakeExample(qdmr, answer), session)
         assert out.status is SearchStatus.TIMEOUT
         assert out.failure_reason == reason
@@ -1407,8 +1423,9 @@ class TestOnePassVerdict:
 
     def test_mismatch_never_compared(self, db_dir, lexicon, monkeypatch):
         # A try reads its rows from its own statement (Database.execute) or
-        # its column of a statement shared with other aggregate tries; both
-        # read through read_until_mismatch.
+        # takes its column of a statement shared with other tries over the
+        # same rows (Database.execute_columns), which reads each of its
+        # columns; all read through read_until_mismatch.
         executed, compared = [], []
         real_read = executor_module.read_until_mismatch
         real_equal = search_module.denotations_equal
@@ -1427,13 +1444,15 @@ class TestOnePassVerdict:
             return real_equal(result, target, allow_empty)
 
         monkeypatch.setattr(executor_module, "read_until_mismatch", read)
-        monkeypatch.setattr(search_module, "read_until_mismatch", read)
         monkeypatch.setattr(search_module, "denotations_equal", equal)
         examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
         mismatches = [r for r in executed if r.mismatch]
         assert mismatches
-        # One result for each of the 103 tries that reach the engine.
+        # One result for each of the 103 tries that reach the engine: no
+        # fixture search reads a shared statement, since none shares before
+        # a candidate has executed, and those over a join that could are
+        # found on their first try.
         assert len(executed) == 103
         assert len(compared) == len(executed) - len(mismatches)
         assert sum(o.status is SearchStatus.FOUND for o in outcomes) == 23
@@ -2102,6 +2121,13 @@ def _shared_db(t_rows, u_rows):
     return conn
 
 
+# Each table of ``_shared_db`` with its columns, as its schema holds them.
+_TABLES = {
+    "t": [ColumnRef("t", "id")] + _T_COLS,
+    "u": [ColumnRef("u", "t_id")] + _U_COLS,
+}
+
+
 class TestSharedStatements:
     """A try answered from the statement it shares with the other aggregate
     tries over its FROM ... WHERE, under either DISTINCT flag, gets the
@@ -2118,7 +2144,7 @@ class TestSharedStatements:
         def shared(fn, distinct=False, **clauses):
             query = SqlQuery(select=(AggExpr(fn, arg),), **{**join, **clauses})
             sql = render_sql(query, distinct=distinct)
-            return sqlgen.shared_statement(query, distinct, sql)
+            return sqlgen.shared_statement(query, distinct, sql, _TABLES)
 
         statement = (
             "SELECT COUNT(t.b), SUM(t.b), COUNT(DISTINCT t.b), SUM(DISTINCT t.b)"
@@ -2163,8 +2189,9 @@ class TestSharedStatements:
                                             max_size=2)),
         allow_empty=st.booleans(),
     )
-    # SUM(b) overflows, so the shared statement fails while COUNT(b) alone
-    # succeeds: the try runs its own statement and matches.
+    # SUM(b) overflows, so the shared statement would fail while COUNT(b)
+    # alone succeeds: the try runs its own statement, as no try shares
+    # before a candidate has executed, and matches.
     @example(
         case=([(None, 2**62, None, None)] * 2, [(1, None), (2, None)],
               [SqlQuery(select=(AggExpr("count", ColExpr(_T_COLS[1])),),
@@ -2223,8 +2250,10 @@ class TestSharedStatements:
         running its own statement unless ``share``, and each try answered
         from a shared statement as ``(query, distinct, result)``."""
         session.prepared.clear()
-        built, rendered, answered = [], [], []
-        real_render, real_read = search_module.render_sql, search_module.read_until_mismatch
+        built, rendered, columns, answered = [], [], [], []
+        real_render = search_module.render_sql
+        real_shared = search_module.shared_statement
+        real_results = search_module._shared_results
 
         def synthesize(*args):
             built.append(queries[len(built)])
@@ -2234,18 +2263,315 @@ class TestSharedStatements:
             rendered.append((query, distinct))
             return real_render(query, distinct=distinct)
 
-        def read(rows, target):
-            answered.append((*rendered[-1], real_read(rows, target)))
-            return answered[-1][-1]
+        def shared_statement(*args):
+            at = real_shared(*args) if share else None
+            columns.append(None if at is None else at[1])
+            return at
+
+        def shared_results(*args):
+            results = real_results(*args)
+            if results is not None:
+                answered.append((*rendered[-1], results[columns[-1]]))
+            return results
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search_module, "_program_variants", lambda p: [(p, ())])
-            if not share:
-                mp.setattr(search_module, "shared_statement", lambda *args: None)
+            mp.setattr(search_module, "shared_statement", shared_statement)
+            mp.setattr(search_module, "_shared_results", shared_results)
             mp.setattr(search_module, "enumerate_assignments",
                        lambda slots, limit: (linking.Assignment({}) for _ in queries))
             mp.setattr(search_module, "synthesize", synthesize)
             mp.setattr(search_module, "render_sql", render)
-            mp.setattr(search_module, "read_until_mismatch", read)
             out = search(FakeExample("return things", answer), session)
         return out, answered
+
+
+# --- projection tries answered from a shared statement -------------------------
+
+# Few distinct cells, so that joined rows repeat and answers are reachable.
+_PROJECTED_CELL = st.sampled_from([None, 1, 2, 0.5, "x", "X", "y"])
+
+
+@st.composite
+def _projection_case(draw):
+    """Two tables and the queries the search maps over them: mostly one
+    plain column of their join, some with a filter under NOCASE or a
+    nested IN, and a few that do not share (over one table, two columns
+    wide, or grouped)."""
+    t_rows = draw(st.lists(st.tuples(*[_PROJECTED_CELL] * 4), max_size=5))
+    # Several u rows on one t row repeat it in the join.
+    u_rows = draw(st.lists(st.tuples(st.integers(1, 5), _PROJECTED_CELL), max_size=6))
+    cols = [ColumnRef("t", "id")] + _T_COLS + _U_COLS
+    queries = []
+    # The first try to execute runs its own statement, so draw several.
+    for _ in range(draw(st.integers(2, 7))):
+        where = (_JOIN,)
+        if draw(st.booleans()):
+            col = ColExpr(draw(st.sampled_from(cols)))
+            op = draw(st.sampled_from(["=", "!=", ">"]))
+            where += (CmpPred(col, op, draw(st.sampled_from([1, 0.5, "x"]))),)
+        if draw(st.booleans()):
+            inner = SqlQuery(select=(ColExpr(ColumnRef("u", "t_id")),), from_tables=("u",),
+                             where=(CmpPred(ColExpr(_U_COLS[0]), "!=", "y"),))
+            where += (InPred(ColExpr(ColumnRef("t", "id")), inner),)
+        select = (ColExpr(draw(st.sampled_from(cols))),)
+        shape = draw(st.sampled_from(["shared"] * 4 + ["one table", "two wide", "grouped"]))
+        if shape == "one table":
+            select = (ColExpr(draw(st.sampled_from(_TABLES["t"]))),)
+            queries.append(SqlQuery(select=select, from_tables=("t",)))
+            continue
+        if shape == "two wide":
+            select += (ColExpr(draw(st.sampled_from(cols))),)
+        group_by = select[0] if shape == "grouped" else None
+        queries.append(SqlQuery(select=select, from_tables=("t", "u"), where=where,
+                                group_by=group_by))
+    return t_rows, u_rows, queries
+
+
+def _ship_projection(column):
+    """One column of ship over its join with death."""
+    return SqlQuery(
+        select=(ColExpr(ColumnRef("ship", column)),), from_tables=("ship", "death"),
+        where=(JoinPred(ColumnRef("death", "caused_by_ship_id"), ColumnRef("ship", "id")),),
+    )
+
+
+class TestSharedProjections:
+    """A try that projects one plain column of a join, without DISTINCT,
+    takes that column of the statement it shares with the other such tries
+    over the same rows, and gets the verdict its own statement gets."""
+
+    def test_statement_selects_every_column_of_the_table(self):
+        body = {"from_tables": ("t", "u"), "where": (_JOIN,)}
+
+        def shared(col, distinct=False, **clauses):
+            query = SqlQuery(select=(ColExpr(col),), **{**body, **clauses})
+            sql = render_sql(query, distinct=distinct)
+            return sqlgen.shared_statement(query, distinct, sql, _TABLES)
+
+        t_all = "SELECT t.id, t.a, t.b, t.c, t.d FROM t, u WHERE u.t_id = t.id"
+        assert [shared(col) for col in _TABLES["t"]] == [(t_all, i) for i in range(5)]
+        assert shared(_U_COLS[0]) == ("SELECT u.t_id, u.e FROM t, u WHERE u.t_id = t.id", 1)
+        # Not under DISTINCT, over one table, grouped, ordered or limited,
+        # nor when the table's columns do not hold the column.
+        b = _T_COLS[1]
+        assert shared(b, distinct=True) is None
+        assert shared(b, from_tables=("t",), where=()) is None
+        assert shared(b, group_by=ColExpr(b)) is None
+        assert shared(b, having=(CmpPred(AggExpr("count", ColExpr(b)), ">", 1),)) is None
+        assert shared(b, order_by=(ColExpr(b), "ASC")) is None
+        assert shared(b, limit=1) is None
+        assert shared(ColumnRef("t", "gone")) is None
+        two = SqlQuery(select=(ColExpr(b), ColExpr(b)), **body)
+        assert sqlgen.shared_statement(two, False, render_sql(two), _TABLES) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=_projection_case(),
+        # The answer is the full result of one query, or else drawn, one or
+        # two columns wide.
+        source=st.integers(0, 6),
+        drawn=st.one_of(
+            st.none(),
+            st.integers(1, 2).flatmap(lambda width: st.lists(
+                st.lists(_PROJECTED_CELL, min_size=width, max_size=width), max_size=3
+            )),
+        ),
+        allow_empty=st.booleans(),
+    )
+    # Ship names of the one ship, read once per death: the name column
+    # matches on every row while the others mismatch on the first.
+    @example(
+        case=([("x", 1, None, None)], [(1, None), (1, None)],
+              [SqlQuery(select=(ColExpr(_T_COLS[2]),), from_tables=("t", "u"),
+                        where=(_JOIN,)),
+               SqlQuery(select=(ColExpr(_T_COLS[0]),), from_tables=("t", "u"),
+                        where=(_JOIN,))]),
+        source=1, drawn=None, allow_empty=False,
+    )
+    # An empty join, whose every column is an empty result.
+    @example(
+        case=([("x", 1, None, None)], [],
+              [SqlQuery(select=(ColExpr(_T_COLS[0]),), from_tables=("t", "u"),
+                        where=(_JOIN,))]),
+        source=0, drawn=[], allow_empty=True,
+    )
+    def test_shared_verdict_is_the_own_verdict(self, case, source, drawn, allow_empty):
+        t_rows, u_rows, queries = case
+        conn = _shared_db(t_rows, u_rows)
+        try:
+            db = Database(conn)
+            session = Session(
+                db, load_schema(conn), SynthesisConfig(allow_empty_denotation=allow_empty)
+            )
+            result = _rows_of(conn, queries[source % len(queries)])
+            if drawn is not None or result is None:
+                answer = drawn or []
+            else:
+                answer = [list(row) for row in result.rows]
+            out, answered = TestSharedStatements._search(session, queries, answer, share=True)
+            alone, none_shared = TestSharedStatements._search(
+                session, queries, answer, share=False
+            )
+            assert not none_shared
+            assert out == alone
+            event(f"tries answered from a shared statement: {min(len(answered), 3)}")
+            event(f"answer width: {len(answer[0]) if answer else 0}")
+            target = answer_denotation(answer)
+            for query, distinct, got in answered:
+                assert not distinct and len(query.select) == 1
+                own = db.execute(render_sql(query, distinct=distinct), target)
+                assert got.mismatch == own.mismatch
+                if not got.mismatch:  # read in full: the same rows, duplicates kept
+                    assert Counter(got.rows) == Counter(own.rows)
+                assert (not got.mismatch and denotations_equal(got, target, allow_empty)) == (
+                    not own.mismatch and denotations_equal(own, target, allow_empty)
+                )
+        finally:
+            conn.close()
+
+    @staticmethod
+    def _ships(tmp_path, open_db, deaths=3):
+        """ship_death with one ship, the barge Ark, and ``deaths`` deaths it
+        caused."""
+        path = tmp_path / "ships.sqlite"
+        build_db(path, """
+            CREATE TABLE ship (id INTEGER PRIMARY KEY, name TEXT, type TEXT,
+                tonnage INTEGER);
+            CREATE TABLE death (id INTEGER PRIMARY KEY,
+                caused_by_ship_id INTEGER REFERENCES ship (id), injured INTEGER);
+            INSERT INTO ship VALUES (1, 'Ark', 'barge', 900);
+        """)
+        conn = sqlite3.connect(path)
+        conn.executemany("INSERT INTO death (caused_by_ship_id, injured) VALUES (1, ?)",
+                         [(i,) for i in range(deaths)])
+        conn.commit()
+        conn.close()
+        return open_db(path)
+
+    # Projections of ship over its join with death.  The first try runs
+    # its own statement: no try shares before a candidate has executed.
+    # The second reads the shared statement, the third takes its column
+    # from there.  Against a text answer, the statement selects the text
+    # columns, the only ones a try is not decided for by kind.
+    _QUERIES = [_ship_projection(column) for column in ("tonnage", "type", "name")]
+    _OWN = [render_sql(query) for query in _QUERIES]
+    _SHARED_SQL = ("SELECT ship.name, ship.type FROM ship, death"
+                   " WHERE death.caused_by_ship_id = ship.id")
+
+    def _search(self, session, answer, monkeypatch, queries=_QUERIES):
+        built = []
+
+        def synthesize(*args):
+            built.append(queries[len(built)])
+            return built[-1]
+
+        monkeypatch.setattr(search_module, "_program_variants", lambda p: [(p, ())])
+        monkeypatch.setattr(search_module, "enumerate_assignments",
+                            lambda slots, limit: (linking.Assignment({}) for _ in queries))
+        monkeypatch.setattr(search_module, "synthesize", synthesize)
+        return search(FakeExample("return things", answer), session)
+
+    def test_one_statement_answers_the_tries_after_the_first(
+        self, tmp_path, open_db, monkeypatch
+    ):
+        db = self._ships(tmp_path, open_db)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        ran = []
+        db.conn.set_trace_callback(ran.append)
+        out = self._search(session, [["Ark"]], monkeypatch)
+        db.conn.set_trace_callback(None)
+        assert out.status is SearchStatus.FOUND
+        assert out.sql == self._OWN[2]
+        assert out.candidates_tried == 5  # each DISTINCT try but the last is decided
+        assert ran == [self._OWN[0], self._SHARED_SQL]
+
+    def test_found_on_the_first_try_reads_no_shared_statement(
+        self, tmp_path, open_db, monkeypatch
+    ):
+        db = self._ships(tmp_path, open_db)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        ran = []
+        db.conn.set_trace_callback(ran.append)
+        out = self._search(session, [[900]], monkeypatch)
+        db.conn.set_trace_callback(None)
+        assert (out.status, out.candidates_tried, ran) == (
+            SearchStatus.FOUND, 1, [self._OWN[0]]
+        )
+
+    def test_rejected_shared_statement_runs_each_own(self, tmp_path, open_db, monkeypatch):
+        # The engine refuses the shared statement: it is not run again, and
+        # each try after the first runs its own statement.
+        db = self._ships(tmp_path, open_db)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        conn, refused, ran = db.conn, [], []
+
+        class Refusing:
+            def __getattr__(self, name):
+                return getattr(conn, name)
+
+            def execute(self, sql, *args):
+                if sql == TestSharedProjections._SHARED_SQL:
+                    refused.append(sql)
+                    raise sqlite3.OperationalError(f"boom {len(refused)}")
+                ran.append(sql)
+                return conn.execute(sql, *args)
+
+        db.conn = Refusing()
+        try:
+            out = self._search(session, [["Ark"]], monkeypatch)
+        finally:
+            db.conn = conn
+        assert out.status is SearchStatus.FOUND
+        assert refused == [self._SHARED_SQL]
+        assert ran == self._OWN
+
+    def test_undecodable_cell_of_another_column_falls_back(self, tmp_path, open_db):
+        # Ark's tonnage is text, but not UTF-8, so reading the shared
+        # statement, which selects it, fails; the name try reads its own.
+        path = tmp_path / "ships.sqlite"
+        build_db(path, """
+            CREATE TABLE ship (id INTEGER PRIMARY KEY, name TEXT, type TEXT,
+                tonnage TEXT);
+            CREATE TABLE death (id INTEGER PRIMARY KEY,
+                caused_by_ship_id INTEGER REFERENCES ship (id), injured INTEGER);
+            INSERT INTO ship VALUES (1, 'Ark', 'barge', CAST(x'ff' AS TEXT));
+            INSERT INTO death VALUES (1, 1, 0);
+        """)
+        db = open_db(path)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        ran = []
+        db.conn.set_trace_callback(ran.append)
+        with pytest.MonkeyPatch.context() as mp:
+            out = self._search(session, [["Ark"]], mp, queries=self._QUERIES[1:])
+        db.conn.set_trace_callback(None)
+        assert out.status is SearchStatus.FOUND
+        joins = [sql for sql in ran if " FROM ship, death " in sql]  # no literal probe
+        shared = self._SHARED_SQL.replace("ship.type FROM", "ship.type, ship.tonnage FROM")
+        assert joins == [self._OWN[1], shared, self._OWN[2]]
+
+    def test_shared_statement_meeting_the_deadline_times_out(
+        self, tmp_path, open_db, monkeypatch
+    ):
+        # The deadline passes while the shared statement is read, so the
+        # engine aborts it through the progress hook: the search ends with
+        # Timeout, not by running the try's own statement.  Every row's
+        # tonnage is in the answer, so its column reads on.
+        db = self._ships(tmp_path, open_db, deaths=20000)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        real_read = executor_module.read_until_mismatch
+        reads = []
+
+        def read(rows, target):
+            reads.append(type(rows))
+            if not isinstance(rows, sqlite3.Cursor):  # a column of the shared statement
+                db.deadline = -math.inf
+            return real_read(rows, target)
+
+        monkeypatch.setattr(executor_module, "read_until_mismatch", read)
+        queries = [_ship_projection("id"), _ship_projection("tonnage")]
+        out = self._search(session, [[900]], monkeypatch, queries=queries)
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.failure_reason == "candidate execution hit the search deadline"
+        assert out.candidates_tried == 3  # the id try, its DISTINCT try, the tonnage try
+        assert reads[0] is sqlite3.Cursor and sqlite3.Cursor not in reads[1:]

@@ -17,17 +17,19 @@ always come from this checkout.
 
 With ``--against DIR`` the tool runs itself again in a subprocess with
 ``--src DIR`` and the same ``--seed``, prints that run's lines too,
-and exits 1 naming each workload whose line differs (0 when all
-agree).  To check a change against its parent commit:
+and exits 1 naming each field that differs, with that run's value first
+(``scaled_ship: statements 488 != 373``), and each workload only one
+run has (0 when all agree).  To check a change against its parent commit:
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python3 tools/output_digests.py --against /tmp/parent/src
 
 With ``--expect FILE`` it compares its lines with those in ``FILE``,
-as an earlier run printed them, and exits 1 naming each workload whose
-line differs.  ``tools/digests.seed11.tsv`` and ``tools/digests.seed7.tsv``
-hold this checkout's lines at seeds 11 and 7; a change that alters
-outputs, tries or statements on purpose rewrites both:
+as an earlier run printed them, and exits 1 naming what differs as
+``--against`` does, the file's value first.  ``tools/digests.seed11.tsv``
+and ``tools/digests.seed7.tsv`` hold this checkout's lines at seeds 11
+and 7; a change that alters outputs, tries or statements on purpose
+rewrites both:
 
     python3 tools/output_digests.py --expect tools/digests.seed11.tsv
     python3 tools/output_digests.py > tools/digests.seed11.tsv
@@ -137,15 +139,32 @@ def main(argv=None) -> int:
     return status
 
 
+def _fields(line: str) -> dict:
+    """A line's fields after the workload name, each as ``name: value``."""
+    return dict(field.partition(" ")[::2] for field in line.split("\t")[1:])
+
+
 def agree(lines, theirs, what: str) -> int:
     """0 when ``lines`` and ``theirs`` hold the same line for each workload;
-    else 1, after naming each workload whose lines differ or that only one
-    of them has."""
+    else 1, after naming each workload that only one of them has and each
+    field that differs, as ``workload: field theirs != ours``."""
     ours = {line.split("\t", 1)[0]: line for line in lines}
     theirs = {line.split("\t", 1)[0]: line for line in theirs}
-    differ = [n for n in sorted(ours.keys() | theirs.keys()) if ours.get(n) != theirs.get(n)]
+    differ = []
+    for name in sorted(ours.keys() | theirs.keys()):
+        if name not in ours or name not in theirs:
+            differ.append(f"{name}: only in {what if name in theirs else 'this run'}")
+            continue
+        mine, other = _fields(ours[name]), _fields(theirs[name])
+        differ += [
+            f"{name}: {field} {other.get(field, '(none)')} != {mine.get(field, '(none)')}"
+            for field in dict.fromkeys([*other, *mine])
+            if other.get(field) != mine.get(field)
+        ]
     if differ:
-        print(f"differs from {what}: {', '.join(differ)}", file=sys.stderr)
+        print(f"differs from {what} (its value first):", file=sys.stderr)
+        for line in differ:
+            print(f"  {line}", file=sys.stderr)
         return 1
     print(f"all workloads agree with {what}")
     return 0
