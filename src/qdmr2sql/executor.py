@@ -241,8 +241,12 @@ class Database:
         matches no row of ``target`` (see :func:`read_until_mismatch`).
 
         The statement is aborted once the database's deadline passes
-        (:meth:`set_deadline`).
+        (:meth:`set_deadline`), and does not start after it: a run of
+        statements each shorter than the hook's interval might never fire
+        the hook.  Both raise :class:`~qdmr2sql.errors.ExecutionTimeout`.
         """
+        if self.past_deadline():
+            raise ExecutionTimeout("query ran past its deadline")
         try:
             cursor = self.conn.execute(sql)
             try:
@@ -255,9 +259,7 @@ class Database:
     def execute_columns(self, sql: str, target: Denotation) -> Tuple[Execution, ...]:
         """Run one statement and read each of its columns as a result of its
         own, as rows of one cell (see :func:`read_until_mismatch`), in one
-        pass over its rows, with the errors of :meth:`execute`.  The
-        deadline is also checked before the statement runs, as
-        :meth:`fetch` checks it."""
+        pass over its rows, with the errors and deadline of :meth:`execute`."""
         if self.past_deadline():
             raise ExecutionTimeout("query ran past its deadline")
         try:
@@ -275,9 +277,7 @@ class Database:
 
     def fetch(self, sql: str, params: Sequence = ()) -> List[tuple]:
         """Run a statement that is not a candidate and return all its rows,
-        with the errors of :meth:`execute`.  The deadline is also checked
-        before the statement runs: a run of statements each shorter than
-        the hook's interval might never fire the hook."""
+        with the errors and deadline of :meth:`execute`."""
         if self.past_deadline():
             raise ExecutionTimeout("query ran past its deadline")
         try:

@@ -15,15 +15,15 @@ Nothing an assignment cannot change is built twice:
 - once per session, for each distinct tuple of step texts
   (:meth:`Session.prepare`): the plan
   (:func:`~qdmr2sql.linking.plan_bindings`), the slots with their ranked
-  columns (:func:`~qdmr2sql.linking.link_program`), the variants, and for
-  each variant the slots each step reads
-  (:func:`~qdmr2sql.sqlgen.step_reads`) and the ids of its prefixes;
+  columns (:func:`~qdmr2sql.linking.link_program`), the variants, and
+  each step's own slots (:func:`~qdmr2sql.sqlgen.step_slots`);
 - once per session, for each join-path key, whose anchors are only those
   that can pick one of two foreign keys: the join path;
-- once per example, for each prefix id but a last step's and each set of
-  columns of the slots the step reads: the step's query, which variants
-  share (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments
-  differ in one slot, so most steps repeat;
+- once per example, for each step but a last one, its number and text,
+  the columns of its own slots and the mapped steps it references: the
+  step's query, which every variant shares
+  (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments differ
+  in one slot, so most steps repeat;
 - once per query: its text;
 - once per session, for each set of answer kinds: each table's columns
   that can hold such an answer (:meth:`Session.fitting_columns`);
@@ -138,8 +138,8 @@ from .linking import (
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
 from .schema import ColumnRef, SchemaGraph, ValueIndex
 from .sqlgen import (
-    AggExpr, ColExpr, JoinPaths, Reads, SelectItem, SqlQuery, StepMemo, render_sql,
-    shared_statement, step_reads, synthesize, tie_probes, _aggregates,
+    AggExpr, ColExpr, JoinPaths, SelectItem, SqlQuery, StepMemo, StepSlots, render_sql,
+    shared_statement, step_slots, synthesize, tie_probes, _aggregates,
     _distinct_keeps_rows,
 )
 
@@ -169,6 +169,10 @@ class SynthesisConfig:
     allow_empty_denotation: bool = False
 
     def __post_init__(self):
+        for name in ("top_k", "max_assignments"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         # Written so that NaN, which fails every comparison, is rejected too.
         if not self.top_k >= 1:
             raise ValueError("top_k must be at least 1")
@@ -337,13 +341,13 @@ def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str
 @dataclass(frozen=True)
 class _Prepared:
     """What a session builds once for a decomposition: its plan, its slots
-    with their candidate columns, and its variants, each as ``(program,
-    labels, reads, prefixes)``, with the slots each step reads and its
-    steps' prefix ids (:class:`~qdmr2sql.sqlgen.StepMemo`)."""
+    with their candidate columns, its variants (:func:`_program_variants`),
+    and each step's own slots (:func:`~qdmr2sql.sqlgen.step_slots`)."""
 
     plan: BindingPlan
     slots: List[Tuple[Slot, Tuple[ColumnRef, ...]]]
-    variants: Tuple[Tuple[QdmrProgram, Tuple[str, ...], Reads, Tuple[int, ...]], ...]
+    variants: List[Tuple[QdmrProgram, Tuple[str, ...]]]
+    step_slots: StepSlots
 
 
 def _shared_results(
@@ -419,15 +423,9 @@ class Session:
                 plan, self.schema, self.lexicon, self.value_index,
                 self.config.top_k, self.rankings,
             )
-            ids: Dict[tuple, int] = {}  # prefix, steps 1 to i, to its id
-            variants = tuple(
-                (variant, labels, step_reads(variant, plan), tuple(
-                    ids.setdefault(variant.steps[:i], len(ids))
-                    for i in range(1, len(variant.steps))
-                ))
-                for variant, labels in _program_variants(program)
+            prepared = self.prepared[key] = _Prepared(
+                plan, slots, _program_variants(program), step_slots(plan)
             )
-            prepared = self.prepared[key] = _Prepared(plan, slots, variants)
         return prepared
 
     def fitting_columns(
@@ -483,11 +481,8 @@ def _search(example, session: Session) -> SynthesisOutcome:
         prepared = session.prepare(example.program)
     except ExecutionTimeout:
         return _timeout(0, "literal lookup hit the search deadline")
-    steps: dict = {}  # the mapped steps of every variant
-    variants = [
-        (program, labels, StepMemo(reads, prefixes, steps, session.join_paths))
-        for program, labels, reads, prefixes in prepared.variants
-    ]
+    # The example's mapped steps, which every variant shares.
+    memo = StepMemo(prepared.step_slots, {}, session.join_paths)
 
     tried = 0
     executed = False  # whether a candidate ran without an engine error
@@ -499,7 +494,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
     mapping_error: Optional[str] = None  # the last one
     engine_error: Optional[str] = None  # the first one
     for assignment in enumerate_assignments(prepared.slots, config.max_assignments):
-        for program, labels, memo in variants:
+        for program, labels in prepared.variants:
             if database.past_deadline():
                 return _timeout(tried, "search deadline exceeded")
             try:

@@ -35,10 +35,11 @@ flags, or the projection tries over a join's rows share
 (:func:`shared_statement`), and the probes of whether a LIMIT cuts a tie
 (:func:`tie_probes`).
 
-A step's query depends only on the steps up to it, the columns of the
-slots it reads (:func:`step_reads`), the schema and its join paths.  So
-a :class:`StepMemo` keeps it across the assignments and variants of one
-example; the join paths found serve a whole session.
+A rule reads only its step, the columns of the step's own slots
+(:func:`step_slots`), the mapped steps it references, the schema and its
+join paths.  So a :class:`StepMemo` keeps a step's query under exactly
+those, across the assignments and variants of one example; the join
+paths found serve a whole session.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ __all__ = [
     "OrGroup",
     "SqlQuery",
     "StepMemo",
-    "step_reads",
+    "step_slots",
     "synthesize",
     "render_sql",
     "shared_statement",
@@ -338,9 +339,11 @@ def tie_probes(query: SqlQuery, distinct: bool) -> Iterator[str]:
                f" WHERE r = {q.limit + 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MappedStep:
-    """A step's linked columns and constructed query."""
+    """A step's linked columns and constructed query; equal only to itself,
+    so a :class:`StepMemo` key holds the steps a step references by
+    identity."""
 
     cols: frozenset
     query: SqlQuery
@@ -817,36 +820,32 @@ _RULES: Dict[OpKind, Callable[[QdmrStep, _Context], Built]] = {
 }
 
 
-Reads = Tuple[Tuple[Slot, ...], ...]
+StepSlots = Mapping[int, Tuple[Slot, ...]]
 
 
-def step_reads(program: QdmrProgram, plan: BindingPlan) -> Reads:
-    """For each step, the slots whose columns its query depends on: its own
-    phrase slots and literals under ``plan``, and those of every step it
-    references, transitively.  A rule reads no other slot, so two
-    assignments that agree on these slots map the step to the same query."""
-    reads: List[Tuple[Slot, ...]] = []
-    for step in program.steps:
-        own = [slot for slot in plan.phrase_slots if slot.step == step.index]
-        own += [Slot(None, text) for text in plan.step_literals.get(step.index, ())]
-        inherited = [reads[ref - 1] for ref in step.ref_args]
-        reads.append(tuple(dict.fromkeys(chain(own, *inherited))))
-    return tuple(reads)
+def step_slots(plan: BindingPlan) -> StepSlots:
+    """Each step's own slots under ``plan``, by step number: its phrase
+    slots, then its literals.  A rule reads the columns of these slots
+    and of no other."""
+    slots: Dict[int, List[Slot]] = {}
+    for slot in plan.phrase_slots:
+        slots.setdefault(slot.step, []).append(slot)
+    for index, texts in plan.step_literals.items():
+        slots.setdefault(index, []).extend(Slot(None, text) for text in texts)
+    return {index: tuple(own) for index, own in slots.items()}
 
 
 class StepMemo(NamedTuple):
-    """One variant's handle on the mapped steps of its example.
+    """The mapped steps of one example, which all its variants share.
 
-    ``reads`` is :func:`step_reads` of the variant; ``prefixes`` has an id
-    for each step's prefix, steps 1 to i, but the last's, which variants
-    equal up to step i share.  ``steps``, the example's one dict, keeps a
-    step under its prefix id and the columns of its reads.  The last step,
-    which reads every slot that leads to it, is not kept.  ``paths``, the
-    join-path memo, holds only what the schema decides.
+    ``slots`` is :func:`step_slots` of the example's plan.  ``steps`` keeps
+    each step but a program's last under what its rule reads: the step's
+    number and text, the columns of its own slots, and the mapped steps it
+    references, by identity.  ``paths``, the join-path memo, holds only
+    what the schema decides.
     """
 
-    reads: Reads
-    prefixes: Sequence[int]
+    slots: StepSlots
     steps: Dict[tuple, _MappedStep]
     paths: JoinPaths
 
@@ -860,27 +859,25 @@ def synthesize(
 ) -> SqlQuery:
     """Map every step in order and return the final step's query.
 
-    With a ``memo`` built for this program and plan, a step mapped under
-    the same prefix and the same columns of the slots it reads is taken
-    from it, and join paths from its ``paths``.  A step that fails is not
-    kept, so it fails again, with the same error, wherever it recurs.
+    With a ``memo`` built for this plan, a step already mapped from the
+    same text, columns of its own slots and referenced steps is taken from
+    it, and join paths from its ``paths``.  Without one, the steps map
+    through a fresh memo, which finds nothing: each key holds its step's
+    number.  A step that fails is not kept, so it fails again, with the
+    same error, wherever it recurs.
     """
-    columns = assignment.columns
-    paths: JoinPaths = {} if memo is None else memo.paths
-    ctx = _Context(columns, plan.step_literals, {}, schema, paths)
-
-    def build(step: QdmrStep) -> _MappedStep:
-        q, cols = _RULES[step.operator.kind](step, ctx)
-        return _MappedStep(cols=frozenset(cols), query=q)
-
-    if memo is not None:
-        kept = memo.steps
-        for step, prefix, reads in zip(program.steps, memo.prefixes, memo.reads):
-            key = (prefix, *map(columns.get, reads))
-            m = kept.get(key)
-            if m is None:
-                m = kept[key] = build(step)
-            ctx.mapped[step.index] = m
-    for step in program.steps[len(ctx.mapped):]:
-        ctx.mapped[step.index] = build(step)
-    return ctx.mapped[len(program.steps)].query
+    if memo is None:
+        memo = StepMemo(step_slots(plan), {}, {})
+    columns, kept = assignment.columns, memo.steps
+    ctx = _Context(columns, plan.step_literals, {}, schema, memo.paths)
+    mapped = ctx.mapped
+    *steps, last = program.steps
+    for step in steps:
+        own = map(columns.get, memo.slots.get(step.index, ()))
+        key = (step.index, step.raw_text, *own, *map(mapped.get, step.ref_args))
+        m = kept.get(key)
+        if m is None:
+            q, cols = _RULES[step.operator.kind](step, ctx)
+            m = kept[key] = _MappedStep(frozenset(cols), q)
+        mapped[step.index] = m
+    return _RULES[last.operator.kind](last, ctx)[0]

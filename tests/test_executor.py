@@ -520,6 +520,8 @@ class TestEarlyExit:
         db.set_deadline(time.monotonic() - 1)
         with pytest.raises(ExecutionTimeout):
             db.fetch("SELECT 1")
+        with pytest.raises(ExecutionTimeout):
+            db.execute("SELECT 1", answer_denotation(1))
         assert traced == []
         runaway = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c)"
                    " SELECT count(*) FROM c")

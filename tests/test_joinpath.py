@@ -23,7 +23,7 @@ from qdmr2sql import (
 )
 from qdmr2sql.errors import Qdmr2SqlError
 from qdmr2sql.schema import SchemaGraph
-from qdmr2sql.sqlgen import JoinPred, StepMemo, step_reads, synthesize
+from qdmr2sql.sqlgen import JoinPred, StepMemo, step_slots, synthesize
 
 
 def make_schema(n_tables, edges):
@@ -237,8 +237,8 @@ class TestSharedJoinPathMemo:
         paths = {}
         for _ in range(data.draw(st.integers(2, 8))):
             assignment = Assignment({s: data.draw(columns) for s in plan.phrase_slots})
-            # No prefix ids: every step is mapped afresh, through the shared paths.
-            memo = StepMemo(step_reads(MAPPED, plan), (), {}, paths)
+            # No steps kept: every step is mapped afresh, through the shared paths.
+            memo = StepMemo(step_slots(plan), {}, paths)
             shared = _joined(_map(schema, assignment, plan, memo))
             assert shared == _joined(_map(schema, assignment, plan))
         assert all(anchors <= schema.parallel_columns for _, _, anchors in paths)

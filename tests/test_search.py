@@ -9,6 +9,7 @@ winning SQL.
 import dataclasses
 import importlib
 import math
+import random
 import sqlite3
 import time
 from collections import Counter
@@ -49,10 +50,11 @@ from qdmr2sql.search import (
 )
 from qdmr2sql.sqlgen import (
     AggExpr, ArithExpr, CmpPred, ColExpr, InPred, JoinPred, SqlQuery, StepMemo,
-    render_sql, step_reads, synthesize,
+    render_sql, step_slots, synthesize,
 )
 
 from test_executor import _write_table, tables_and_targets
+from test_joinpath import random_schema
 from test_sqlgen import run
 
 # The package re-exports the ``search`` function under the module's name.
@@ -74,10 +76,15 @@ class TestConfig:
             {"max_assignments": 0},
             {"per_example_timeout": 0.0},
             {"per_example_timeout": -1.0},
+            {"top_k": 1.5},
+            {"top_k": True},
+            {"top_k": math.nan},
+            {"max_assignments": 2.5},
+            {"max_assignments": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SynthesisConfig(**kwargs)
 
 
@@ -1555,13 +1562,39 @@ def _count_builds(monkeypatch):
     return built
 
 
-def _example_memos(prepared, join_paths):
-    """Each variant with its memo, all sharing one dict, as a search has them."""
-    steps = {}
-    return [
-        (variant, StepMemo(reads, prefixes, steps, join_paths))
-        for variant, _, reads, prefixes in prepared.variants
-    ]
+def _example_memo(prepared, join_paths):
+    """The example's one memo, which every variant shares, as a search has it."""
+    return StepMemo(prepared.step_slots, {}, join_paths)
+
+
+# Decompositions whose variants rewrite a step: a COUNT/SUM swap or a
+# superlative.  "red" and "blue" are literals (:class:`_RedAndBlue`).
+_REWRITTEN = [
+    "return a; return the number of #1; return b of #1; return the sum of #3",
+    "return a; return b of #1; return a with the largest #2; return c of #3;"
+    " return the number of #4",
+    "return red b; return a of #1; return #2 with the lowest c; return the sum of #3",
+    "return a that is red; return #1 that is blue; return b of #2;"
+    " return the sum of #3 for each #1; return #1 where #4 is at least 2",
+    "return a; return b of #1; return c of #1; return #1 where #2 is highest;"
+    " return the number of #4; return the sum of #3",
+]
+
+
+class _RedAndBlue:
+    """A value index in which "red" and "blue" are the only cells."""
+
+    def columns_containing(self, text):
+        return text in ("red", "blue")
+
+
+def _mapped_query(program, schema, assignment, plan, memo=None):
+    """The mapped query, its hash and text, or its error's type and message."""
+    try:
+        query = synthesize(program, schema, assignment, plan, memo)
+    except Qdmr2SqlError as exc:
+        return type(exc), str(exc)
+    return query, hash(query), render_sql(query)
 
 
 class TestStepMemo:
@@ -1582,11 +1615,11 @@ class TestStepMemo:
                     if ex.db_id != db_id:
                         continue
                     prepared = session.prepare(ex.program)
-                    memos = _example_memos(prepared, session.join_paths)
+                    memo = _example_memo(prepared, session.join_paths)
                     for assignment in linking.enumerate_assignments(
                         prepared.slots, config.max_assignments
                     ):
-                        for variant, memo in memos:
+                        for variant, _ in prepared.variants:
                             args = (variant, session.schema, assignment, prepared.plan)
                             before = len(built)
                             memoized = _mapped(*args, memo)
@@ -1602,8 +1635,9 @@ class TestStepMemo:
         self, ship_death_db, open_db
     ):
         """Two assignments that differ only in step 1's slot give step 2
-        different queries, so step 2's memo key must hold step 1's column.
-        A third step makes step 2 one that the memo keeps."""
+        different queries, so step 2's memo key must hold step 1's mapped
+        step, which holds step 1's column.  A third step makes step 2 one
+        that the memo keeps."""
         db = open_db(ship_death_db)
         schema = load_schema(db.conn)
         program = parse_qdmr(
@@ -1617,7 +1651,7 @@ class TestStepMemo:
             linking.Assignment({ships: ColumnRef(table, column), injuries: injured})
             for table, column in (("ship", "id"), ("death", "caused_by_ship_id"))
         ]
-        memo = StepMemo(step_reads(program, plan), (0, 1), {}, {})
+        memo = StepMemo(step_slots(plan), {}, {})
         memoized = [_mapped(program, schema, a, plan, memo) for a in assignments]
         fresh = [_mapped(program, schema, a, plan) for a in assignments]
         assert memoized == fresh
@@ -1627,17 +1661,17 @@ class TestStepMemo:
             " WHERE death.caused_by_ship_id = ship.id",
             "SELECT COUNT(death.injured) FROM death",
         ]
-        # Step 2 (prefix id 1) was mapped once per assignment, not taken
-        # from the first.
-        assert [key[0] for key in memo.steps].count(1) == 2
+        # Step 2 was mapped once per assignment, not taken from the first.
+        assert [key[0] for key in memo.steps].count(2) == 2
 
     def test_a_swapped_variant_maps_only_the_swapped_step_and_after(
         self, ship_death_db, open_db, monkeypatch
     ):
         """The COUNT/SUM swap rewrites step 3 of four.  Its variant shares
-        the prefix ids of steps 1 and 2 with the base program, so once the
-        base is mapped under an assignment, the variant builds steps 3 and
-        4 alone, and still maps as it would afresh."""
+        steps 1 and 2 with the base program, so once the base is mapped
+        under an assignment, mapping it again builds its last step alone,
+        and the variant builds steps 3 and 4 alone, and still maps as it
+        would afresh."""
         db = open_db(ship_death_db)
         session = Session(db, schema_of(db), SynthesisConfig())
         program = parse_qdmr(
@@ -1645,22 +1679,83 @@ class TestStepMemo:
             "return the number of #2 for each #1; return #1 where #3 is at least 2"
         )
         prepared = session.prepare(program)
-        (_, base_labels, _, base_ids), (_, labels, _, ids) = prepared.variants
+        (base, base_labels), (swapped, labels) = prepared.variants
         assert (base_labels, labels) == ((), ("aggregate_swap",))
-        assert ids[:2] == base_ids[:2] and ids[2] != base_ids[2]
-        (base, base_memo), (swapped, memo) = _example_memos(prepared, {})
+        memo = _example_memo(prepared, {})
         built = _count_builds(monkeypatch)
         mapped = 0
         for assignment in linking.enumerate_assignments(prepared.slots, 50):
             args = (session.schema, assignment, prepared.plan)
-            if isinstance(_mapped(base, *args, base_memo), tuple):
+            if isinstance(_mapped(base, *args, memo), tuple):
                 continue  # a failed step is not kept
+            del built[:]
+            _mapped(base, *args, memo)
+            assert built == [4]
             del built[:]
             memoized = _mapped(swapped, *args, memo)
             assert built == [3, 4]
             assert memoized == _mapped(swapped, *args)
             mapped += 1
         assert mapped > 1
+
+    def test_a_variant_takes_the_later_steps_that_skip_its_rewrite(
+        self, ship_death_db, open_db, monkeypatch
+    ):
+        """The COUNT/SUM swap rewrites step 2 of four, which no later step
+        references.  Once the base is mapped under an assignment, the
+        variant takes step 3 from it and builds steps 2 and 4 alone, and
+        still maps as it would afresh."""
+        db = open_db(ship_death_db)
+        session = Session(db, schema_of(db), SynthesisConfig())
+        program = parse_qdmr(
+            "return ships; return the number of #1; return the tonnage of #1;"
+            " return the sum of #3"
+        )
+        prepared = session.prepare(program)
+        (base, _), *variants = prepared.variants
+        swapped, = [v for v, _ in variants if v.step(2).raw_text == "the sum of #1"]
+        built = _count_builds(monkeypatch)
+        mapped = 0
+        for assignment in linking.enumerate_assignments(prepared.slots, 50):
+            args = (session.schema, assignment, prepared.plan)
+            memo = _example_memo(prepared, {})
+            if isinstance(_mapped(base, *args, memo), tuple):
+                continue  # a failed step is not kept
+            del built[:]
+            memoized = _mapped(swapped, *args, memo)
+            assert built == [2, 4]
+            assert memoized == _mapped(swapped, *args)
+            mapped += 1
+        assert mapped > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_one_memo_serves_every_variant_as_fresh_ones(self, seed, data):
+        """Over drawn schemas with parallel foreign keys, decompositions
+        whose variants rewrite a step, and runs of assignments that differ
+        in one slot each, one memo shared by every variant and assignment
+        maps each to the query a fresh memo maps, under ``==``, ``hash``
+        and ``render_sql``, or fails with the same error and message."""
+        rng = random.Random(seed)
+        schema = random_schema(rng, rng.randint(2, 6))
+        while not schema.parallel_columns:
+            schema = random_schema(rng, rng.randint(2, 6))
+        program = parse_qdmr(data.draw(st.sampled_from(_REWRITTEN)))
+        plan = linking.plan_bindings(program, _RedAndBlue())
+        variants = [variant for variant, _ in search_module._program_variants(program)]
+        assert len(variants) > 1
+        slots = [slot for own in step_slots(plan).values() for slot in own]
+        columns = st.sampled_from(schema.columns())
+        chosen = {slot: data.draw(columns) for slot in slots}
+        memo = StepMemo(step_slots(plan), {}, {})
+        for _ in range(data.draw(st.integers(1, 6))):
+            chosen[data.draw(st.sampled_from(slots))] = data.draw(columns)
+            assignment = linking.Assignment(dict(chosen))
+            for variant in variants:
+                args = (variant, schema, assignment, plan)
+                shared = _mapped_query(*args, memo)
+                event("fails" if len(shared) == 2 else "maps")
+                assert shared == _mapped_query(*args)
 
     def test_prepare_is_keyed_by_step_texts(self, ship_death_db, open_db):
         """Two decompositions parsed apart that have the same step texts
