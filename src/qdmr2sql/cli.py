@@ -26,6 +26,7 @@ from .corpus import (
     failures_path,
     load_examples,
     rejects_path,
+    resolve_database,
     run_corpus,
     write_rejects,
 )
@@ -130,11 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_outputs(args: argparse.Namespace, outputs: Dict[str, Path]) -> None:
+def _check_outputs(
+    args: argparse.Namespace, databases: Dict[str, Path], outputs: Dict[str, Path]
+) -> None:
     """Refuse, as a usage error, an output file, named by what it is, that
-    is an input file or another output file."""
+    is an input file, the database of a ``db_id`` in ``databases``, or
+    another output file."""
     seen = {realpath(args.examples): "--examples",
             realpath(args.embeddings): "--embeddings"}
+    for db_id, path in databases.items():
+        seen.setdefault(realpath(path), f"the database of db_id {db_id!r}")
     for what, path in outputs.items():
         other = seen.setdefault(realpath(path), what)
         if other != what:
@@ -144,13 +150,18 @@ def _check_outputs(args: argparse.Namespace, outputs: Dict[str, Path]) -> None:
 def _run_batch(
     args: argparse.Namespace, outputs: Dict[str, Path], on_reject: Dict[str, Path]
 ):
-    """Check the output files, load the examples and the lexicon, create
-    every file of ``outputs``, and those of ``on_reject`` when a line is
-    rejected, then search: an output that cannot be written stops the
-    command before any example is searched."""
+    """Load the examples, locate their databases, check the output files
+    against both, load the lexicon, create every file of ``outputs``, and
+    those of ``on_reject`` when a line is rejected, then search: an output
+    that cannot be written stops the command before any example is
+    searched."""
     config = _config(args)
-    _check_outputs(args, {**outputs, **on_reject})
     examples, rejects = load_examples(args.examples)
+    databases = {
+        db_id: resolve_database(args.db_dir, db_id)
+        for db_id in dict.fromkeys(ex.db_id for ex in examples)
+    }
+    _check_outputs(args, databases, {**outputs, **on_reject})
     lexicon = EmbeddingLexicon.load(args.embeddings)
     create_outputs([*outputs.values(), *(on_reject.values() if rejects else ())])
     outcomes, report = run_corpus(examples, args.db_dir, config=config, lexicon=lexicon)

@@ -10,11 +10,12 @@ are total and reproducible.
 
 Literal values mentioned in a step are matched verbatim against database
 cells; every column containing the literal is a candidate.  Each phrase of
-a step and each literal is a :class:`Slot`; an :class:`Assignment` maps
-every slot to one of its candidate columns.  The enumerator yields
-assignments in non-decreasing rank-sum order (best first, ties by
-lexicographic rank tuple) so a search can walk alternatives from most to
-least plausible.
+a step and each literal is a :class:`Slot`; a :class:`BindingPlan` lists
+each step's own slots, the one record of what a step binds, and an
+:class:`Assignment` maps every slot to one of its candidate columns.  The
+enumerator yields assignments in non-decreasing rank-sum order (best
+first, ties by lexicographic rank tuple) so a search can walk
+alternatives from most to least plausible.
 """
 
 from __future__ import annotations
@@ -277,10 +278,12 @@ def enumerate_assignments(
 
 @dataclass(frozen=True)
 class BindingPlan:
-    """Which fragments of a program need columns, and which are literals."""
+    """Each step's own slots, by step number, for the steps that have any:
+    its phrase slots, then its literals as ``Slot(None, text)``, each once.
+    A step's rule reads the columns of these slots and of no other, so
+    they are also what its mapped query is kept under."""
 
-    phrase_slots: Tuple[Slot, ...]
-    step_literals: Mapping[int, Tuple[str, ...]]
+    slots: Mapping[int, Tuple[Slot, ...]]
 
 
 # The fields of a step's shape that may hold a phrase naming a column.
@@ -326,9 +329,7 @@ def plan_bindings(
     is a phrase slot, and a FILTER whose tail holds words but no further
     reference cannot be mapped (:class:`~qdmr2sql.errors.UnboundPhrase`).
     """
-    phrase_slots: Dict[Slot, None] = {}
-    step_literals: Dict[int, Tuple[str, ...]] = {}
-
+    slots: Dict[int, Tuple[Slot, ...]] = {}
     for step in program.steps:
         shape = step.shape
         kind = step.operator.kind
@@ -336,15 +337,16 @@ def plan_bindings(
         if value_index is not None and kind in (OpKind.SELECT, OpKind.FILTER):
             fragment = shape.phrase if kind is OpKind.SELECT else (shape.tail or "")
             literals = _find_literals(fragment, value_index) if fragment else []
-        if literals:
-            step_literals[step.index] = tuple(literals)
+        own: Dict[Slot, None] = {}
         for name in _PHRASE_FIELDS:
             text = getattr(shape, name)
             # A SELECT whose phrase holds literals selects those instead.
             if isinstance(text, str) and text and not (literals and name == "phrase"):
-                phrase_slots[Slot(step.index, text)] = None
-
-    return BindingPlan(phrase_slots=tuple(phrase_slots), step_literals=step_literals)
+                own[Slot(step.index, text)] = None
+        own.update(dict.fromkeys(Slot(None, text) for text in literals))
+        if own:
+            slots[step.index] = tuple(own)
+    return BindingPlan(slots)
 
 
 def link_program(
@@ -356,7 +358,7 @@ def link_program(
     rankings: Dict[str, Tuple[ColumnRef, ...]],
 ) -> List[Tuple[Slot, Tuple[ColumnRef, ...]]]:
     """List each slot of ``plan`` with its best ``top_k`` columns: phrase
-    slots in plan order, then literals in first-mention order, each once.
+    slots in step order, then literals in first-mention order, each once.
 
     ``rankings`` maps a phrase to its ranked columns; phrases missing from
     it are ranked and added.  :class:`qdmr2sql.search.Session` owns the
@@ -365,15 +367,17 @@ def link_program(
     plan found it in, which keeps them.
     """
     slots: Dict[Slot, Tuple[ColumnRef, ...]] = {}
-    for slot in plan.phrase_slots:
-        columns = rankings.get(slot.text)
-        if columns is None:
-            ranked = rank_columns(slot.text, schema, lexicon, top_k)
-            columns = rankings[slot.text] = tuple(c.column for c in ranked)
-        slots[slot] = columns
-    for literals in plan.step_literals.values():
-        for literal in literals:
-            slot = Slot(None, literal)
-            if slot not in slots:
-                slots[slot] = value_index.columns_containing(literal)[:top_k]
+    literals: Dict[Slot, None] = {}
+    for own in plan.slots.values():
+        for slot in own:
+            if slot.step is None:
+                literals[slot] = None
+                continue
+            columns = rankings.get(slot.text)
+            if columns is None:
+                ranked = rank_columns(slot.text, schema, lexicon, top_k)
+                columns = rankings[slot.text] = tuple(c.column for c in ranked)
+            slots[slot] = columns
+    for slot in literals:
+        slots[slot] = value_index.columns_containing(slot.text)[:top_k]
     return list(slots.items())

@@ -14,9 +14,9 @@ Nothing an assignment cannot change is built twice:
 
 - once per session, for each distinct tuple of step texts
   (:meth:`Session.prepare`): the plan
-  (:func:`~qdmr2sql.linking.plan_bindings`), the slots with their ranked
-  columns (:func:`~qdmr2sql.linking.link_program`), the variants, and
-  each step's own slots (:func:`~qdmr2sql.sqlgen.step_slots`);
+  (:func:`~qdmr2sql.linking.plan_bindings`), which lists each step's own
+  slots, the slots with their ranked columns
+  (:func:`~qdmr2sql.linking.link_program`), and the variants;
 - once per session, for each join-path key, whose anchors are only those
   that can pick one of two foreign keys: the join path;
 - once per example, for each step but a last one, its number and text,
@@ -138,9 +138,8 @@ from .linking import (
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
 from .schema import ColumnRef, SchemaGraph, ValueIndex
 from .sqlgen import (
-    AggExpr, ColExpr, JoinPaths, SelectItem, SqlQuery, StepMemo, StepSlots, render_sql,
-    shared_statement, step_slots, synthesize, tie_probes, _aggregates,
-    _distinct_keeps_rows,
+    AggExpr, ColExpr, JoinPaths, SelectItem, SqlQuery, StepMemo, render_sql,
+    shared_statement, synthesize, tie_probes, _aggregates, _distinct_keeps_rows,
 )
 
 __all__ = [
@@ -169,10 +168,15 @@ class SynthesisConfig:
     allow_empty_denotation: bool = False
 
     def __post_init__(self):
-        for name in ("top_k", "max_assignments"):
+        for name, kind, what in (("top_k", int, "an int"), ("max_assignments", int, "an int"),
+                                 ("per_example_timeout", (int, float), "a number")):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, not {value!r}")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
+        if not isinstance(self.allow_empty_denotation, bool):
+            raise ValueError(
+                f"allow_empty_denotation must be a bool, not {self.allow_empty_denotation!r}"
+            )
         # Written so that NaN, which fails every comparison, is rejected too.
         if not self.top_k >= 1:
             raise ValueError("top_k must be at least 1")
@@ -341,13 +345,12 @@ def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str
 @dataclass(frozen=True)
 class _Prepared:
     """What a session builds once for a decomposition: its plan, its slots
-    with their candidate columns, its variants (:func:`_program_variants`),
-    and each step's own slots (:func:`~qdmr2sql.sqlgen.step_slots`)."""
+    with their candidate columns, and its variants
+    (:func:`_program_variants`)."""
 
     plan: BindingPlan
     slots: List[Tuple[Slot, Tuple[ColumnRef, ...]]]
     variants: List[Tuple[QdmrProgram, Tuple[str, ...]]]
-    step_slots: StepSlots
 
 
 def _shared_results(
@@ -423,9 +426,7 @@ class Session:
                 plan, self.schema, self.lexicon, self.value_index,
                 self.config.top_k, self.rankings,
             )
-            prepared = self.prepared[key] = _Prepared(
-                plan, slots, _program_variants(program), step_slots(plan)
-            )
+            prepared = self.prepared[key] = _Prepared(plan, slots, _program_variants(program))
         return prepared
 
     def fitting_columns(
@@ -482,7 +483,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
     except ExecutionTimeout:
         return _timeout(0, "literal lookup hit the search deadline")
     # The example's mapped steps, which every variant shares.
-    memo = StepMemo(prepared.step_slots, {}, session.join_paths)
+    memo = StepMemo({}, session.join_paths)
 
     tried = 0
     executed = False  # whether a candidate ran without an engine error

@@ -36,10 +36,10 @@ flags, or the projection tries over a join's rows share
 (:func:`tie_probes`).
 
 A rule reads only its step, the columns of the step's own slots
-(:func:`step_slots`), the mapped steps it references, the schema and its
-join paths.  So a :class:`StepMemo` keeps a step's query under exactly
-those, across the assignments and variants of one example; the join
-paths found serve a whole session.
+(:attr:`~qdmr2sql.linking.BindingPlan.slots`), the mapped steps it
+references, the schema and its join paths.  So a :class:`StepMemo` keeps
+a step's query under exactly those, across the assignments and variants
+of one example; the join paths found serve a whole session.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ __all__ = [
     "OrGroup",
     "SqlQuery",
     "StepMemo",
-    "step_slots",
     "synthesize",
     "render_sql",
     "shared_statement",
@@ -213,22 +212,29 @@ def _items(query: SqlQuery, inside: bool) -> str:
 def render_sql(query: SqlQuery, distinct: bool = False) -> str:
     """SQL text for ``query``, without a trailing semicolon; ``distinct`` puts
     DISTINCT inside its aggregates, or on its SELECT clause if it has none.
-    The plain text is rendered once, kept in the query's ``__dict__``."""
+    The plain text is rendered once, kept in the query's ``__dict__``.
+
+    Rendering recurses into nested queries, so a query nested past
+    Python's recursion limit raises :class:`SqlBuildError`; SQLite's
+    parser refuses one nested a few dozen levels deep anyway."""
     text = query.__dict__.get("_text")
     if text is None:
-        parts = ["SELECT " + _items(query, False)]
-        if query.from_tables:
-            parts.append("FROM " + ", ".join(map(quote_ident, query.from_tables)))
-        if query.where:
-            parts.append("WHERE " + " AND ".join(p.render() for p in query.where))
-        if query.group_by is not None:
-            parts.append("GROUP BY " + query.group_by.render())
-        if query.having:
-            parts.append("HAVING " + " AND ".join(p.render() for p in query.having))
-        if query.order_by:
-            parts.append(f"ORDER BY {query.order_by[0].render()} {query.order_by[1]}")
-        if query.limit is not None:
-            parts.append(f"LIMIT {query.limit}")
+        try:
+            parts = ["SELECT " + _items(query, False)]
+            if query.from_tables:
+                parts.append("FROM " + ", ".join(map(quote_ident, query.from_tables)))
+            if query.where:
+                parts.append("WHERE " + " AND ".join(p.render() for p in query.where))
+            if query.group_by is not None:
+                parts.append("GROUP BY " + query.group_by.render())
+            if query.having:
+                parts.append("HAVING " + " AND ".join(p.render() for p in query.having))
+            if query.order_by:
+                parts.append(f"ORDER BY {query.order_by[0].render()} {query.order_by[1]}")
+            if query.limit is not None:
+                parts.append(f"LIMIT {query.limit}")
+        except RecursionError:
+            raise SqlBuildError("the query nests its subqueries too deeply to render") from None
         text = query.__dict__["_text"] = " ".join(parts)
     if not distinct:
         return text
@@ -454,12 +460,13 @@ class _Context:
     ``columns`` is the assignment's map from slot to column; rules look a
     column up under a plain ``(step, text)`` tuple, which finds the
     ``Slot`` key (a NamedTuple hashes and compares as a tuple) and costs
-    less to build.  ``mapped`` holds the steps mapped so far, ``paths``
-    the join paths found so far.
+    less to build.  ``slots`` is the plan's own slots of each step,
+    ``mapped`` holds the steps mapped so far, ``paths`` the join paths
+    found so far.
     """
 
     columns: Mapping[Tuple[Optional[int], str], ColumnRef]
-    step_literals: Mapping[int, Tuple[str, ...]]
+    slots: Mapping[int, Tuple[Slot, ...]]
     mapped: Dict[int, _MappedStep]
     schema: SchemaGraph
     paths: JoinPaths
@@ -472,11 +479,14 @@ class _Context:
 
     def literals(self, step: QdmrStep) -> List[Tuple[str, ColumnRef]]:
         found = []
-        for text in self.step_literals.get(step.index, ()):
-            col = self.columns.get((None, text))
-            if col is None:
-                raise UnboundPhrase(f"step {step.index} has no column bound for value {text!r}")
-            found.append((text, col))
+        for slot in self.slots.get(step.index, ()):
+            if slot.step is None:
+                col = self.columns.get(slot)
+                if col is None:
+                    raise UnboundPhrase(
+                        f"step {step.index} has no column bound for value {slot.text!r}"
+                    )
+                found.append((slot.text, col))
         return found
 
     def built(self, n: Optional[int]) -> _MappedStep:
@@ -820,32 +830,16 @@ _RULES: Dict[OpKind, Callable[[QdmrStep, _Context], Built]] = {
 }
 
 
-StepSlots = Mapping[int, Tuple[Slot, ...]]
-
-
-def step_slots(plan: BindingPlan) -> StepSlots:
-    """Each step's own slots under ``plan``, by step number: its phrase
-    slots, then its literals.  A rule reads the columns of these slots
-    and of no other."""
-    slots: Dict[int, List[Slot]] = {}
-    for slot in plan.phrase_slots:
-        slots.setdefault(slot.step, []).append(slot)
-    for index, texts in plan.step_literals.items():
-        slots.setdefault(index, []).extend(Slot(None, text) for text in texts)
-    return {index: tuple(own) for index, own in slots.items()}
-
-
 class StepMemo(NamedTuple):
     """The mapped steps of one example, which all its variants share.
 
-    ``slots`` is :func:`step_slots` of the example's plan.  ``steps`` keeps
-    each step but a program's last under what its rule reads: the step's
-    number and text, the columns of its own slots, and the mapped steps it
-    references, by identity.  ``paths``, the join-path memo, holds only
-    what the schema decides.
+    ``steps`` keeps each step but a program's last under what its rule
+    reads: the step's number and text, the columns of its own slots in
+    the example's plan (:attr:`~qdmr2sql.linking.BindingPlan.slots`), and
+    the mapped steps it references, by identity.  ``paths``, the join-path
+    memo, holds only what the schema decides.
     """
 
-    slots: StepSlots
     steps: Dict[tuple, _MappedStep]
     paths: JoinPaths
 
@@ -859,7 +853,7 @@ def synthesize(
 ) -> SqlQuery:
     """Map every step in order and return the final step's query.
 
-    With a ``memo`` built for this plan, a step already mapped from the
+    With a ``memo`` kept for this plan, a step already mapped from the
     same text, columns of its own slots and referenced steps is taken from
     it, and join paths from its ``paths``.  Without one, the steps map
     through a fresh memo, which finds nothing: each key holds its step's
@@ -867,13 +861,13 @@ def synthesize(
     same error, wherever it recurs.
     """
     if memo is None:
-        memo = StepMemo(step_slots(plan), {}, {})
-    columns, kept = assignment.columns, memo.steps
-    ctx = _Context(columns, plan.step_literals, {}, schema, memo.paths)
+        memo = StepMemo({}, {})
+    columns, kept, slots = assignment.columns, memo.steps, plan.slots
+    ctx = _Context(columns, slots, {}, schema, memo.paths)
     mapped = ctx.mapped
     *steps, last = program.steps
     for step in steps:
-        own = map(columns.get, memo.slots.get(step.index, ()))
+        own = map(columns.get, slots.get(step.index, ()))
         key = (step.index, step.raw_text, *own, *map(mapped.get, step.ref_args))
         m = kept.get(key)
         if m is None:

@@ -157,7 +157,7 @@ def test_an_assignment_is_one_map_from_slot_to_column():
     assert fields == {
         linking.Assignment: ["columns"],
         linking.LinkCandidate: ["column", "tier", "similarity"],
-        linking.BindingPlan: ["phrase_slots", "step_literals"],
+        linking.BindingPlan: ["slots"],
     }
     assert linking.Slot._fields == ("step", "text")
     assert not hasattr(linking, "PhraseLinking")
@@ -165,19 +165,22 @@ def test_an_assignment_is_one_map_from_slot_to_column():
 
 
 def test_each_step_reads_its_own_slots():
-    """A plan lists ``Slot``s, and a rule reads its columns under its own
-    step's shape texts: no role names, binder or per-kind dispatch chain
-    sit between the assignment and the rules."""
+    """A plan lists each step's own ``Slot``s, and a rule reads its columns
+    under its own step's shape texts: no role names, binder, per-kind
+    dispatch chain or second per-step encoding sit between the assignment
+    and the rules."""
     linking = importlib.import_module("qdmr2sql.linking")
     sqlgen = importlib.import_module("qdmr2sql.sqlgen")
     program = qdmr2sql.parse_qdmr(
         "return ships; return injuries of #1; return number of #2 for each type"
     )
-    slots = linking.plan_bindings(program, None).phrase_slots
+    by_step = linking.plan_bindings(program, None).slots
+    slots = [slot for own in by_step.values() for slot in own]
     assert slots and all(type(slot) is linking.Slot for slot in slots)
+    assert all(slot.step == index for index, own in by_step.items() for slot in own)
     assert set(sqlgen._RULES) == set(qdmr2sql.OpKind)
-    assert not hasattr(sqlgen, "_Binder")
-    assert not hasattr(sqlgen, "_map_step")
+    for gone in ("_Binder", "_map_step", "step_slots", "StepSlots"):
+        assert not hasattr(sqlgen, gone)
 
 
 def test_a_columns_lookup_is_read_once_at_introspection():

@@ -28,6 +28,12 @@ SURROGATE_LINE = (
     '{"id": "sur", "question": "q", "db_id": "ship_death", "answer": 1, '
     '"qdmr": "return ships; return #1 where tonnage is more than \\ud800"}'
 )
+# A chain of 1000 projections, whose query nests deeper than Python can
+# render it; SQLite's parser already refuses a chain of 20.
+DEEP_QDMR = "; ".join(
+    ["return ships"]
+    + [f"return the {('name', 'tonnage')[i % 2]} of #{i}" for i in range(1, 1000)]
+)
 
 
 def batch_args(db_dir, **extra):
@@ -225,8 +231,9 @@ class TestUnwritableOutputs:
 
 
 class TestOutputClashes:
-    """An output file that is an input file, or another output file, is a
-    usage error: exit 1 before any file is created or changed."""
+    """An output file that is an input file, the database of one of the
+    examples, or another output file, is a usage error: exit 1 before any
+    file is created or changed."""
 
     PAIRS = {"--out-pairs": "p.jsonl", "--out-report": "r.json"}
 
@@ -255,6 +262,13 @@ class TestOutputClashes:
              "--out {}/in.jsonl is also --examples"),
             ("coverage", "in.jsonl", {"--out": "vectors.txt"},
              "--out {}/vectors.txt is also --embeddings"),
+            ("synth", "in.jsonl", {**PAIRS, "--out-report": "ship_death.sqlite"},
+             "--out-report {}/ship_death.sqlite is also the database of db_id 'ship_death'"),
+            ("synth", "in.jsonl", {**PAIRS, "--out-pairs": "p.sqlite"},
+             "the failures file of --out-pairs {}/p.failures.sqlite"
+             " is also the database of db_id 'geo'"),
+            ("coverage", "in.jsonl", {"--out": "academic.sqlite"},
+             "--out {}/academic.sqlite is also the database of db_id 'academic'"),
         ],
     )
     def test_exits_1_before_any_file_is_written(
@@ -264,7 +278,13 @@ class TestOutputClashes:
         (tmp_path / examples).write_bytes(CORPUS.read_bytes())
         (tmp_path / "vectors.txt").write_bytes(EMBEDDINGS.read_bytes())
         (tmp_path / "link.jsonl").symlink_to(tmp_path / examples)
-        argv = [command] + batch_args(db_dir, **{
+        # The databases, geo's reached through a link, so that the failures
+        # file of --out-pairs p.sqlite is it.
+        for db in db_dir.glob("*.sqlite"):
+            (tmp_path / db.name).write_bytes(db.read_bytes())
+        (tmp_path / "geo.sqlite").rename(tmp_path / "p.failures.sqlite")
+        (tmp_path / "geo.sqlite").symlink_to(tmp_path / "p.failures.sqlite")
+        argv = [command] + batch_args(tmp_path, **{
             "--examples": str(tmp_path / examples),
             "--embeddings": str(tmp_path / "vectors.txt"),
         }) + [x for flag, name in outputs.items() for x in (flag, str(tmp_path / name))]
@@ -435,9 +455,11 @@ class TestMap:
         assert capsys.readouterr().out == "SELECT ship.id FROM ship\n"
 
     def test_bad_decomposition(self, ship_death_db, capsys):
-        code = main(["map", "--qdmr", "return #3", "--schema", str(ship_death_db)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        # A dangling reference, and a chain whose query nests too deeply to render.
+        for qdmr in ("return #3", DEEP_QDMR):
+            code = main(["map", "--qdmr", qdmr, "--schema", str(ship_death_db)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_decomposition_that_is_not_utf8(self, ship_death_db, capsys):
         # A lone surrogate, as an undecodable command-line byte arrives.
@@ -811,6 +833,12 @@ class TestDrawnCorpora:
     )
     @given(lines=st.lists(_corpus_line(), min_size=1, max_size=3))
     @example(lines=[SURROGATE_LINE])
+    @example(lines=[
+        json.dumps({"id": "deep", "question": "q", "db_id": "ship_death", "answer": 1,
+                    "qdmr": DEEP_QDMR}),
+        '{"id": "ok", "question": "q", "db_id": "ship_death", "answer": 6, '
+        '"qdmr": "return ships; return the number of #1"}',
+    ])
     def test_synth_never_exits_with_an_internal_error(self, db_dir, lines):
         with tempfile.TemporaryDirectory() as out:
             corpus = Path(out) / "corpus.jsonl"

@@ -641,7 +641,9 @@ def _phrase_slots(examples, db_dir):
                     plan = linking.plan_bindings(ex.program, index)
                     slots += [
                         (_database_key(schema), slot.text)
-                        for slot in plan.phrase_slots
+                        for own in plan.slots.values()
+                        for slot in own
+                        if slot.step is not None
                     ]
         finally:
             conn.close()

@@ -23,7 +23,7 @@ from qdmr2sql import (
 )
 from qdmr2sql.errors import Qdmr2SqlError
 from qdmr2sql.schema import SchemaGraph
-from qdmr2sql.sqlgen import JoinPred, StepMemo, step_slots, synthesize
+from qdmr2sql.sqlgen import JoinPred, StepMemo, synthesize
 
 
 def make_schema(n_tables, edges):
@@ -236,9 +236,11 @@ class TestSharedJoinPathMemo:
         columns = st.sampled_from(schema.columns())
         paths = {}
         for _ in range(data.draw(st.integers(2, 8))):
-            assignment = Assignment({s: data.draw(columns) for s in plan.phrase_slots})
+            assignment = Assignment(
+                {s: data.draw(columns) for own in plan.slots.values() for s in own}
+            )
             # No steps kept: every step is mapped afresh, through the shared paths.
-            memo = StepMemo(step_slots(plan), {}, paths)
+            memo = StepMemo({}, paths)
             shared = _joined(_map(schema, assignment, plan, memo))
             assert shared == _joined(_map(schema, assignment, plan))
         assert all(anchors <= schema.parallel_columns for _, _, anchors in paths)

@@ -473,12 +473,12 @@ class TestPlanBindings:
             "return the population of #2"
         )
         plan = plan_bindings(program, None)
-        assert plan.phrase_slots == (
-            Slot(1, "the mississippi"),
-            Slot(2, "states run through"),
-            Slot(3, "the population of"),
-        )
-        assert not plan.step_literals
+        assert plan.slots == {
+            1: (Slot(1, "the mississippi"),),
+            2: (Slot(2, "states run through"),),
+            3: (Slot(3, "the population of"),),
+        }
+        assert all(slot.step is not None for own in plan.slots.values() for slot in own)
 
     def test_select_literal_consumes_phrase_slot(self, geo_db):
         conn = open_readonly(geo_db)
@@ -490,13 +490,18 @@ class TestPlanBindings:
                 "return the population of #2"
             )
             plan = plan_bindings(program, index)
-            assert plan.step_literals == {1: ("mississippi",)}
+            assert plan.slots == {
+                1: (Slot(None, "mississippi"),),
+                2: (Slot(2, "states run through"),),
+                3: (Slot(3, "the population of"),),
+            }
             slots = link_program(plan, schema, None, index, 20, {})
             assert [str(c) for c in dict(slots)[Slot(None, "mississippi")]] == [
                 "river.river_name"
             ]
-            assert Slot(1, "the mississippi") not in plan.phrase_slots
-            assert len(plan.phrase_slots) == 2
+            phrase_slots = [s for own in plan.slots.values() for s in own if s.step is not None]
+            assert Slot(1, "the mississippi") not in phrase_slots
+            assert len(phrase_slots) == 2
         finally:
             conn.close()
 
@@ -510,9 +515,10 @@ class TestPlanBindings:
                 "return #2 by Yunyao Li"
             )
             plan = plan_bindings(program, index)
-            assert plan.step_literals == {
-                2: ("H. V. Jagadish",),
-                3: ("Yunyao Li",),
+            assert plan.slots == {
+                1: (Slot(1, "papers"),),
+                2: (Slot(None, "H. V. Jagadish"),),
+                3: (Slot(None, "Yunyao Li"),),
             }
             slots = link_program(plan, schema, None, index, 20, {})
             cols = dict(slots)[Slot(None, "H. V. Jagadish")]
@@ -526,18 +532,17 @@ class TestPlanBindings:
             "return the number of #2 for each affiliation"
         )
         plan = plan_bindings(program, None)
-        assert Slot(3, "affiliation") in plan.phrase_slots
+        assert Slot(3, "affiliation") in plan.slots[3]
 
     def test_group_phrase_value_comes_before_its_key(self):
         program = parse_qdmr("return number of ship names for each ship type")
-        assert plan_bindings(program, None).phrase_slots == (
-            Slot(1, "ship names"),
-            Slot(1, "ship type"),
-        )
+        assert plan_bindings(program, None).slots == {
+            1: (Slot(1, "ship names"), Slot(1, "ship type")),
+        }
 
     def test_a_text_two_fields_hold_is_one_slot(self):
         program = parse_qdmr("return number of ships for each ships")
-        assert plan_bindings(program, None).phrase_slots == (Slot(1, "ships"),)
+        assert plan_bindings(program, None).slots == {1: (Slot(1, "ships"),)}
 
 
 class TestLinkProgram:
@@ -557,7 +562,9 @@ class TestLinkProgram:
                 Slot(3, "the population of"),
                 Slot(None, "mississippi"),
             ]
-            assert list(plan.phrase_slots) == [s for s, _ in slots[:2]]
+            own = [slot for own in plan.slots.values() for slot in own]
+            assert [s for s in own if s.step is not None] == [s for s, _ in slots[:2]]
+            assert [s for s in own if s.step is None] == [s for s, _ in slots[2:]]
             assert str(slots[0][1][0]) == "state.state_name"
             assert all(len(options) <= 3 for _, options in slots)
         finally:
@@ -573,7 +580,9 @@ class TestLinkProgram:
             program = parse_qdmr("return missouri; return #1 that is missouri")
             plan = plan_bindings(program, index)
             slots = link_program(plan, schema, None, index, 20, {})
-            assert plan.step_literals == {1: ("missouri",), 2: ("missouri",)}
+            assert plan.slots == {
+                1: (Slot(None, "missouri"),), 2: (Slot(None, "missouri"),),
+            }
             assert [(s, [str(c) for c in options]) for s, options in slots] == [
                 (Slot(None, "missouri"), ["river.traverse", "state.state_name"]),
             ]

@@ -181,20 +181,20 @@ class TestShapes:
 
     def test_comparison_literal_gets_no_phrase_slot(self):
         program = parse_qdmr("return cars; return #1 where price is less than 50")
-        assert plan_bindings(program, None).phrase_slots == (
-            Slot(1, "cars"),
-            Slot(2, "price"),
-        )
+        assert plan_bindings(program, None).slots == {
+            1: (Slot(1, "cars"),),
+            2: (Slot(2, "price"),),
+        }
 
     def test_project_phrase_drops_ref_marker(self):
         program = parse_qdmr("return the mississippi; return states #1 run through")
-        slot = plan_bindings(program, None).phrase_slots[1]
-        assert slot == Slot(2, "states run through")
+        slots = plan_bindings(program, None).slots[2]
+        assert slots == (Slot(2, "states run through"),)
 
     def test_filter_tail_gets_no_phrase_slot(self):
         program = parse_qdmr("return ships; return #1 from the northern fleet")
         assert program.steps[1].operator.kind is OpKind.FILTER
-        assert plan_bindings(program, None).phrase_slots == (Slot(1, "ships"),)
+        assert plan_bindings(program, None).slots == {1: (Slot(1, "ships"),)}
 
 
 class TestValidation:

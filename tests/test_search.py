@@ -50,7 +50,7 @@ from qdmr2sql.search import (
 )
 from qdmr2sql.sqlgen import (
     AggExpr, ArithExpr, CmpPred, ColExpr, InPred, JoinPred, SqlQuery, StepMemo,
-    render_sql, step_slots, synthesize,
+    render_sql, synthesize,
 )
 
 from test_executor import _write_table, tables_and_targets
@@ -81,6 +81,13 @@ class TestConfig:
             {"top_k": math.nan},
             {"max_assignments": 2.5},
             {"max_assignments": True},
+            {"per_example_timeout": "5"},
+            {"per_example_timeout": True},
+            {"per_example_timeout": None},
+            {"per_example_timeout": math.nan},
+            {"allow_empty_denotation": "no"},
+            {"allow_empty_denotation": 1},
+            {"allow_empty_denotation": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -941,7 +948,10 @@ class TestSession:
                 linking.plan_bindings(ex.program, ValueIndex(db, schema))
                 for ex in ships
             ]
-        slots = [slot.text for plan in plans for slot in plan.phrase_slots]
+        slots = [
+            slot.text for plan in plans for own in plan.slots.values() for slot in own
+            if slot.step is not None
+        ]
         # Phrases repeat across the examples, so one ranking serves several.
         assert len(set(slots)) < len(slots)
 
@@ -1562,9 +1572,9 @@ def _count_builds(monkeypatch):
     return built
 
 
-def _example_memo(prepared, join_paths):
+def _example_memo(join_paths):
     """The example's one memo, which every variant shares, as a search has it."""
-    return StepMemo(prepared.step_slots, {}, join_paths)
+    return StepMemo({}, join_paths)
 
 
 # Decompositions whose variants rewrite a step: a COUNT/SUM swap or a
@@ -1615,7 +1625,7 @@ class TestStepMemo:
                     if ex.db_id != db_id:
                         continue
                     prepared = session.prepare(ex.program)
-                    memo = _example_memo(prepared, session.join_paths)
+                    memo = _example_memo(session.join_paths)
                     for assignment in linking.enumerate_assignments(
                         prepared.slots, config.max_assignments
                     ):
@@ -1644,14 +1654,14 @@ class TestStepMemo:
             "return ships; return injuries of #1; return the number of #2"
         )
         plan = linking.plan_bindings(program, None)
-        ships, injuries = plan.phrase_slots
+        (ships,), (injuries,) = plan.slots.values()
         assert (ships.step, injuries.step) == (1, 2)
         injured = ColumnRef("death", "injured")
         assignments = [
             linking.Assignment({ships: ColumnRef(table, column), injuries: injured})
             for table, column in (("ship", "id"), ("death", "caused_by_ship_id"))
         ]
-        memo = StepMemo(step_slots(plan), {}, {})
+        memo = StepMemo({}, {})
         memoized = [_mapped(program, schema, a, plan, memo) for a in assignments]
         fresh = [_mapped(program, schema, a, plan) for a in assignments]
         assert memoized == fresh
@@ -1681,7 +1691,7 @@ class TestStepMemo:
         prepared = session.prepare(program)
         (base, base_labels), (swapped, labels) = prepared.variants
         assert (base_labels, labels) == ((), ("aggregate_swap",))
-        memo = _example_memo(prepared, {})
+        memo = _example_memo({})
         built = _count_builds(monkeypatch)
         mapped = 0
         for assignment in linking.enumerate_assignments(prepared.slots, 50):
@@ -1718,7 +1728,7 @@ class TestStepMemo:
         mapped = 0
         for assignment in linking.enumerate_assignments(prepared.slots, 50):
             args = (session.schema, assignment, prepared.plan)
-            memo = _example_memo(prepared, {})
+            memo = _example_memo({})
             if isinstance(_mapped(base, *args, memo), tuple):
                 continue  # a failed step is not kept
             del built[:]
@@ -1744,10 +1754,10 @@ class TestStepMemo:
         plan = linking.plan_bindings(program, _RedAndBlue())
         variants = [variant for variant, _ in search_module._program_variants(program)]
         assert len(variants) > 1
-        slots = [slot for own in step_slots(plan).values() for slot in own]
+        slots = [slot for own in plan.slots.values() for slot in own]
         columns = st.sampled_from(schema.columns())
         chosen = {slot: data.draw(columns) for slot in slots}
-        memo = StepMemo(step_slots(plan), {}, {})
+        memo = StepMemo({}, {})
         for _ in range(data.draw(st.integers(1, 6))):
             chosen[data.draw(st.sampled_from(slots))] = data.draw(columns)
             assignment = linking.Assignment(dict(chosen))
