@@ -24,6 +24,11 @@ Nothing an assignment cannot change is built twice:
   step's query, which every variant shares
   (:class:`~qdmr2sql.sqlgen.StepMemo`).  Consecutive assignments differ
   in one slot, so most steps repeat;
+- once per example, after a candidate has executed, for each variant of
+  three or more steps and each pattern of the assignment
+  (:class:`~qdmr2sql.sqlgen.SlotCodes`: each slot's table, the first slot
+  holding its column, and the column where it can pick one of two
+  foreign keys): the variant's query, or its failure;
 - once per query: its text;
 - once per session, for each set of answer kinds: each table's columns
   that can hold such an answer (:meth:`Session.fitting_columns`);
@@ -33,7 +38,12 @@ Nothing an assignment cannot change is built twice:
   take (see below).
 
 Each variant of each assignment is still one call of ``synthesize``, made
-only while the deadline holds.
+only while the deadline holds.  A call whose pattern was kept maps no
+step: it swaps the assignment's columns in at the kept query's column
+expressions, so its outputs, tries and statements are those of mapping
+afresh.  It builds the query's clauses but WHERE first and asks the kind
+decision below of them; when that rejects the query, both its tries are
+counted and decided, and the WHERE is never built.
 
 This module writes no SQL.  ``sqlgen`` writes each try's statement
 (:func:`~qdmr2sql.sqlgen.render_sql`), the statement a try over a join
@@ -112,6 +122,7 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import ExecutionTimeout, Qdmr2SqlError, QdmrParseError, SqlError
@@ -138,7 +149,7 @@ from .linking import (
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
 from .schema import ColumnRef, SchemaGraph, ValueIndex
 from .sqlgen import (
-    AggExpr, ColExpr, JoinPaths, SelectItem, SqlQuery, StepMemo, render_sql,
+    AggExpr, ColExpr, JoinPaths, SelectItem, SlotCodes, SqlQuery, StepMemo, render_sql,
     shared_statement, synthesize, tie_probes, _aggregates, _distinct_keeps_rows,
 )
 
@@ -345,12 +356,20 @@ def _program_variants(program: QdmrProgram) -> List[Tuple[QdmrProgram, Tuple[str
 @dataclass(frozen=True)
 class _Prepared:
     """What a session builds once for a decomposition: its plan, its slots
-    with their candidate columns, and its variants
-    (:func:`_program_variants`)."""
+    with their candidate columns, their codes for the pattern memo, and
+    its variants (:func:`_program_variants`)."""
 
     plan: BindingPlan
     slots: List[Tuple[Slot, Tuple[ColumnRef, ...]]]
+    codes: SlotCodes
     variants: List[Tuple[QdmrProgram, Tuple[str, ...]]]
+
+
+# The fewest steps of a program that keeps patterns (``StepMemo.patterns``).
+# A program of one or two steps maps through at most two rules, which
+# build about the nodes a substitution builds, so its pattern key and
+# substitution cost more than they save.
+_PATTERN_STEPS = 3
 
 
 def _shared_results(
@@ -426,7 +445,9 @@ class Session:
                 plan, self.schema, self.lexicon, self.value_index,
                 self.config.top_k, self.rankings,
             )
-            prepared = self.prepared[key] = _Prepared(plan, slots, _program_variants(program))
+            prepared = self.prepared[key] = _Prepared(
+                plan, slots, SlotCodes(slots, self.schema), _program_variants(program)
+            )
         return prepared
 
     def fitting_columns(
@@ -482,8 +503,11 @@ def _search(example, session: Session) -> SynthesisOutcome:
         prepared = session.prepare(example.program)
     except ExecutionTimeout:
         return _timeout(0, "literal lookup hit the search deadline")
-    # The example's mapped steps, which every variant shares.
-    memo = StepMemo({}, session.join_paths)
+    # The example's mapped steps, which every variant shares; once a
+    # candidate has executed, each variant's patterns beside them.
+    steps: dict = {}
+    plain = StepMemo(steps, session.join_paths)
+    memos = [plain] * len(prepared.variants)
 
     tried = 0
     executed = False  # whether a candidate ran without an engine error
@@ -494,13 +518,15 @@ def _search(example, session: Session) -> SynthesisOutcome:
     shared: Dict[str, Optional[Tuple[Execution, ...]]] = {}
     mapping_error: Optional[str] = None  # the last one
     engine_error: Optional[str] = None  # the first one
+    # Once a candidate has executed: whether a query, without its WHERE, cannot match.
+    decide = None
     for assignment in enumerate_assignments(prepared.slots, config.max_assignments):
-        for program, labels in prepared.variants:
+        for (program, labels), memo in zip(prepared.variants, memos):
             if database.past_deadline():
                 return _timeout(tried, "search deadline exceeded")
             try:
                 query = synthesize(
-                    program, session.schema, assignment, prepared.plan, memo
+                    program, session.schema, assignment, prepared.plan, memo, decide
                 )
             except Qdmr2SqlError as exc:
                 mapping_error = str(exc)
@@ -509,6 +535,8 @@ def _search(example, session: Session) -> SynthesisOutcome:
                 if database.past_deadline():
                     return _timeout(tried, "search deadline exceeded")
                 tried += 1
+                if query is None:
+                    continue  # decided by kind, before a pattern's tree was built
                 if distinct and _distinct_keeps_rows(query):
                     continue  # decided with its first try, which reads the same rows
                 if executed and _cannot_match(query, target, session.census):
@@ -548,6 +576,12 @@ def _search(example, session: Session) -> SynthesisOutcome:
                     )
                 if not executed:
                     executed, columns = True, session.fitting_columns(target.kinds)
+                    decide = partial(_cannot_match, answer=target, census=session.census)
+                    memos = [
+                        StepMemo(steps, session.join_paths, prepared.codes, {})
+                        if len(variant.steps) >= _PATTERN_STEPS else plain
+                        for variant, _ in prepared.variants
+                    ]
 
     # Timeouts return above, and until a candidate has executed, a try is
     # decided only when it reads a statement the engine rejected, so when

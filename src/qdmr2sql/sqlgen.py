@@ -39,7 +39,16 @@ A rule reads only its step, the columns of the step's own slots
 (:attr:`~qdmr2sql.linking.BindingPlan.slots`), the mapped steps it
 references, the schema and its join paths.  So a :class:`StepMemo` keeps
 a step's query under exactly those, across the assignments and variants
-of one example; the join paths found serve a whole session.
+of one example; the join paths found serve a whole session.  Of a
+column, the rules read only its table, whether it equals another slot's
+column, and whether it can pick one of two foreign keys; the rest of it
+lands in ``ColExpr`` nodes alone.  So a memo may also keep a program's
+whole query under those facts, the assignment's pattern
+(:class:`SlotCodes`), and a later assignment with that pattern swaps its
+columns in at those nodes instead of mapping again; a subquery that
+holds no swapped column is kept as it is, with its rendered text.  A
+caller that may reject the query by its select list passes ``decide``,
+which such a swap asks first of the query without its WHERE.
 """
 
 from __future__ import annotations
@@ -74,6 +83,7 @@ __all__ = [
     "InPred",
     "OrGroup",
     "SqlQuery",
+    "SlotCodes",
     "StepMemo",
     "synthesize",
     "render_sql",
@@ -413,12 +423,14 @@ def _join_units(
         return _merged(*own_tables), []
     paths: List[JoinPath] = []
     covered = set(units[0][0])
-    anchors = frozenset(c for _, cols in units for c in cols)
-    picks = anchors & ctx.schema.parallel_columns
+    anchors = picks = None  # built once a unit needs a join path
     for tables, _ in units[1:]:
-        if set(tables) & covered:
-            covered |= set(tables)
+        if not covered.isdisjoint(tables):
+            covered.update(tables)
             continue
+        if anchors is None:
+            anchors = frozenset(c for _, cols in units for c in cols)
+            picks = anchors & ctx.schema.parallel_columns
         key = (frozenset(covered), frozenset(tables), picks)
         path = ctx.paths.get(key)
         if path is None:
@@ -430,7 +442,7 @@ def _join_units(
         if isinstance(path, str):
             raise MissingJoin(path)
         paths.append(path)
-        covered |= set(tables) | set(path.tables)
+        covered.update(tables, path.tables)
     joins = [JoinPred(e.source, e.target) for p in paths for e in p.edges]
     return _merged(*own_tables, *(p.tables for p in paths)), joins
 
@@ -830,18 +842,188 @@ _RULES: Dict[OpKind, Callable[[QdmrStep, _Context], Built]] = {
 }
 
 
+# --- the pattern memo ---------------------------------------------------------
+
+
+class SlotCodes:
+    """What a mapped program's shape reads of an assignment, as small ints.
+
+    A rule reads a slot's column for its table, for the join-path anchors
+    it adds, of which only a column in
+    :attr:`~qdmr2sql.schema.SchemaGraph.parallel_columns` can pick an
+    edge, and for whether it equals another slot's column (merged
+    conjuncts, a FILTER's conflicting literals, a select list equal to its
+    GROUP BY).  Every ``ColExpr`` of a mapped query holds a slot's column,
+    and a join conjunct holds none, so two assignments with one
+    :meth:`key` map a program to queries that differ only in the columns
+    of their ``ColExpr`` nodes, or fail alike.
+
+    Made for a list of slots with their options.  On the first
+    :meth:`key`, each option gets a number, equal for equal columns,
+    looked up by the option's identity (the options are kept, so no other
+    object takes one's ``id``), and each number a code: its table's
+    number, or, for a parallel column, its own.
+    """
+
+    def __init__(
+        self, slots: Sequence[Tuple[Slot, Sequence[ColumnRef]]], schema: SchemaGraph
+    ):
+        self.slots = tuple(slot for slot, _ in slots)
+        self.options = [options for _, options in slots]  # keeps the ids alive
+        self.parallel = schema.parallel_columns
+        self.numbers: Optional[Dict[int, int]] = None
+
+    def _number(self) -> None:
+        numbers: Dict[ColumnRef, int] = {}
+        for col in chain.from_iterable(self.options):
+            numbers.setdefault(col, len(numbers))
+        tables: Dict[str, int] = {}
+        self.codes = tuple(
+            ~n if col in self.parallel else tables.setdefault(col.table, len(tables))
+            for col, n in numbers.items()
+        )
+        self.numbers = {id(col): numbers[col] for col in chain.from_iterable(self.options)}
+
+    def key(self, assignment: Assignment) -> Tuple[Optional[tuple], tuple]:
+        """The assignment's pattern: each slot's code, then the first slot
+        that holds its column; None when a slot holds an object that is
+        no option.  And the slots' columns, in order."""
+        if self.numbers is None:
+            self._number()
+        cols = tuple(map(assignment.columns.get, self.slots))
+        numbers = tuple(map(self.numbers.get, map(id, cols)))
+        if None in numbers:
+            return None, cols
+        return (*map(self.codes.__getitem__, numbers), *map(numbers.index, numbers)), cols
+
+
+class _Pattern(NamedTuple):
+    """A program mapped under one pattern: its query and the columns of
+    the slots it was mapped from, in :attr:`SlotCodes.slots` order."""
+
+    query: SqlQuery
+    cols: tuple
+
+
+_NO_COLUMNS: FrozenSet[ColumnRef] = frozenset()
+
+
+def _parts(node) -> Iterable:
+    """The expressions, predicates and queries directly inside ``node``."""
+    kind = type(node)
+    if kind is SqlQuery:
+        parts = [*node.select, *node.where, *node.having]
+        if node.group_by is not None:
+            parts.append(node.group_by)
+        if node.order_by:
+            parts.append(node.order_by[0])
+        return parts
+    if kind is AggExpr:
+        return (node.arg,)
+    if kind is CmpPred:
+        return (node.expr,)
+    if kind is InPred:
+        return (node.expr, node.query)
+    if kind is OrGroup:
+        return chain.from_iterable(node.sides)
+    if kind is ArithExpr:
+        return (node.left, node.right)
+    return ()  # JoinPred: its columns are no slot's
+
+
+def _columns(node) -> FrozenSet[ColumnRef]:
+    """The columns of the ``ColExpr`` nodes in ``node``, nested queries
+    included; kept in its ``__dict__``, as :func:`render_sql` keeps text."""
+    cols = node.__dict__.get("_cols")
+    if cols is None:
+        if type(node) is ColExpr:
+            cols = frozenset((node.col,))
+        else:
+            cols = _NO_COLUMNS.union(*map(_columns, _parts(node)))
+        node.__dict__["_cols"] = cols
+    return cols
+
+
+def _swapper(swap: Mapping[ColumnRef, ColumnRef]) -> Callable:
+    """A function from a node to the node with each ``ColExpr`` column
+    that ``swap`` holds swapped for its value; a node that holds none is
+    returned as it is, with its rendered text."""
+    changed = frozenset(swap)
+
+    def swapped(node):
+        if _columns(node).isdisjoint(changed):
+            return node
+        kind = type(node)
+        if kind is ColExpr:
+            return ColExpr(swap[node.col])
+        if kind is AggExpr:
+            return AggExpr(node.fn, swapped(node.arg))
+        if kind is CmpPred:
+            return CmpPred(swapped(node.expr), node.op, node.value)
+        if kind is InPred:
+            return InPred(swapped(node.expr), swapped(node.query), node.negated)
+        if kind is OrGroup:
+            return OrGroup(tuple(tuple(map(swapped, side)) for side in node.sides))
+        if kind is ArithExpr:
+            return ArithExpr(node.op, swapped(node.left), swapped(node.right))
+        return _swapped_query(node, swapped, tuple(map(swapped, node.where)))
+
+    return swapped
+
+
+def _swapped_query(query: SqlQuery, swapped: Callable, where: Tuple[Pred, ...]) -> SqlQuery:
+    """``query`` with its clauses but WHERE ``swapped``, and ``where``."""
+    order_by = query.order_by
+    return SqlQuery(
+        tuple(map(swapped, query.select)),
+        query.from_tables,
+        where,
+        None if query.group_by is None else swapped(query.group_by),
+        tuple(map(swapped, query.having)) if query.having else (),
+        order_by and (swapped(order_by[0]), order_by[1]),
+        query.limit,
+    )
+
+
+def _substituted(
+    kept: _Pattern, cols: tuple, decide: Optional[Callable[[SqlQuery], bool]]
+) -> Optional[SqlQuery]:
+    """``kept.query`` with the columns ``cols`` in place of ``kept.cols``;
+    None when ``decide`` holds for it without its WHERE, which is then
+    not built."""
+    swapped = _swapper({old: new for old, new in zip(kept.cols, cols) if old is not new})
+    query = kept.query
+    if decide is None:
+        return swapped(query)
+    head = _swapped_query(query, swapped, ())
+    if decide(head):
+        return None
+    where = tuple(map(swapped, query.where))
+    return SqlQuery(head.select, head.from_tables, where, head.group_by, head.having,
+                    head.order_by, head.limit)
+
+
 class StepMemo(NamedTuple):
-    """The mapped steps of one example, which all its variants share.
+    """The mapped steps of one example, which all its variants share, and
+    the patterns of one of its programs.
 
     ``steps`` keeps each step but a program's last under what its rule
     reads: the step's number and text, the columns of its own slots in
     the example's plan (:attr:`~qdmr2sql.linking.BindingPlan.slots`), and
     the mapped steps it references, by identity.  ``paths``, the join-path
-    memo, holds only what the schema decides.
+    memo, holds only what the schema decides.  A memo with ``codes``, the
+    plan's slots with the options their columns come from, serves one
+    program, and ``patterns`` keeps it under each pattern of an
+    assignment (:meth:`SlotCodes.key`): its query and the columns it was
+    mapped from, or its failure's type and message.  A pattern's first
+    assignment maps through ``steps`` as a memo without ``codes`` does;
+    every later one maps no step.
     """
 
     steps: Dict[tuple, _MappedStep]
     paths: JoinPaths
+    codes: Optional[SlotCodes] = None
+    patterns: Optional[Dict[tuple, Union[_Pattern, Tuple[type, str]]]] = None
 
 
 def synthesize(
@@ -850,7 +1032,8 @@ def synthesize(
     assignment: Assignment,
     plan: BindingPlan,
     memo: Optional[StepMemo] = None,
-) -> SqlQuery:
+    decide: Optional[Callable[[SqlQuery], bool]] = None,
+) -> Optional[SqlQuery]:
     """Map every step in order and return the final step's query.
 
     With a ``memo`` kept for this plan, a step already mapped from the
@@ -859,9 +1042,45 @@ def synthesize(
     through a fresh memo, which finds nothing: each key holds its step's
     number.  A step that fails is not kept, so it fails again, with the
     same error, wherever it recurs.
+
+    With the memo's ``codes``, a program already mapped under the
+    assignment's pattern is not mapped again: its failure is raised again,
+    or its query gets the assignment's columns in place of those it was
+    mapped from, at its ``ColExpr`` nodes alone.  There ``decide``, when
+    given, is first asked of the query without its WHERE, and when it
+    holds, None is returned and the WHERE is not built.
     """
     if memo is None:
         memo = StepMemo({}, {})
+    key = None
+    if memo.codes is not None:
+        key, cols = memo.codes.key(assignment)
+        kept = None if key is None else memo.patterns.get(key)
+        if type(kept) is _Pattern:
+            try:
+                return _substituted(kept, cols, decide)
+            except RecursionError:
+                pass  # nested too deeply to walk: mapped afresh below
+        elif kept is not None:
+            raise kept[0](kept[1])
+    try:
+        query = _map_steps(program, schema, assignment, plan, memo)
+    except SqlBuildError as exc:
+        if key is not None:
+            memo.patterns[key] = (type(exc), str(exc))
+        raise
+    if key is not None:
+        memo.patterns[key] = _Pattern(query, cols)
+    return query
+
+
+def _map_steps(
+    program: QdmrProgram,
+    schema: SchemaGraph,
+    assignment: Assignment,
+    plan: BindingPlan,
+    memo: StepMemo,
+) -> SqlQuery:
     columns, kept, slots = assignment.columns, memo.steps, plan.slots
     ctx = _Context(columns, slots, {}, schema, memo.paths)
     mapped = ctx.mapped

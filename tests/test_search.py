@@ -55,7 +55,7 @@ from qdmr2sql.sqlgen import (
 
 from test_executor import _write_table, tables_and_targets
 from test_joinpath import random_schema
-from test_sqlgen import run
+from test_sqlgen import _RedAndBlue, run
 
 # The package re-exports the ``search`` function under the module's name.
 search_module = importlib.import_module("qdmr2sql.search")
@@ -1591,13 +1591,6 @@ _REWRITTEN = [
 ]
 
 
-class _RedAndBlue:
-    """A value index in which "red" and "blue" are the only cells."""
-
-    def columns_containing(self, text):
-        return text in ("red", "blue")
-
-
 def _mapped_query(program, schema, assignment, plan, memo=None):
     """The mapped query, its hash and text, or its error's type and message."""
     try:
@@ -1779,6 +1772,83 @@ class TestStepMemo:
         other = session.prepare(parse_qdmr("return ships; return the name of #1"))
         assert other is not first
         assert len(session.prepared) == 2
+
+
+def _searched(examples, database_of, lexicon):
+    """What ``search`` reports for each example, each searched on one
+    session per database, in order, and the statements the sessions ran."""
+    sessions, reported, statements = {}, [], []
+    try:
+        for ex in examples:
+            path = database_of(ex)
+            if path not in sessions:
+                db = Database.open(path)
+                sessions[path] = Session(db, load_schema(db.conn), SynthesisConfig(), lexicon)
+                db.conn.set_trace_callback(statements.append)
+            out = search(ex, sessions[path])
+            reported.append((out.status, out.sql, out.heuristics_applied,
+                             out.candidates_tried, out.failure_reason))
+    finally:
+        for session in sessions.values():
+            session.close()
+    return reported, statements
+
+
+def _map_afresh(monkeypatch):
+    """Make the search map every try afresh: without a memo, no step and
+    no pattern is kept."""
+    real_synthesize = search_module.synthesize
+
+    def afresh(program, schema, assignment, plan, memo=None, decide=None):
+        return real_synthesize(program, schema, assignment, plan, None, decide)
+
+    monkeypatch.setattr(search_module, "synthesize", afresh)
+
+
+class TestPatternMemo:
+    def test_fixture_corpus_searches_as_when_mapped_afresh(self, db_dir, lexicon, monkeypatch):
+        """Statuses, SQL, heuristics, tries and failure reasons of every
+        fixture example, and the statements run, are those of a search
+        that maps each try afresh."""
+        examples, _ = load_examples(DATA_DIR / "corpus.jsonl")
+
+        def database_of(ex):
+            return db_dir / f"{ex.db_id}.sqlite"
+
+        kept = _searched(examples, database_of, lexicon)
+        _map_afresh(monkeypatch)
+        assert _searched(examples, database_of, lexicon) == kept
+
+    def test_tries_decided_by_kind_count_as_when_mapped_afresh(
+        self, ship_death_db, lexicon, monkeypatch
+    ):
+        """No ship is named by the text answer, and most tries select
+        numbers.  Once a candidate has executed, a try whose pattern was
+        kept and whose select list can hold no text is decided without
+        its WHERE being built; the search still reports what a search
+        that maps each try afresh reports."""
+        examples = [
+            FakeExample(qdmr, ["Nowhere"]) for qdmr in (
+                "return ships; return injuries of #1; return number of #2 for each #1;"
+                " return #1 where #3 is highest; return the name of #4",
+                "return ships; return tonnage of #1; return #1 where #2 is more than 800",
+            )
+        ]
+        decided = []
+        real_synthesize = search_module.synthesize
+
+        def counted(*args):
+            query = real_synthesize(*args)
+            decided.append(query is None)
+            return query
+
+        with monkeypatch.context() as mp:
+            mp.setattr(search_module, "synthesize", counted)
+            kept = _searched(examples, lambda ex: ship_death_db, lexicon)
+        assert sum(decided) > 100
+        assert [status for status, *_ in kept[0]] == [SearchStatus.EXHAUSTED] * 2
+        _map_afresh(monkeypatch)
+        assert _searched(examples, lambda ex: ship_death_db, lexicon) == kept
 
 
 # --- candidates decided without running them -----------------------------------

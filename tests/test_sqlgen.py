@@ -10,14 +10,18 @@ covered separately.
 import dataclasses
 import os
 import pickle
+import random
 import sqlite3
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_db
+from test_joinpath import make_schema, random_schema
 from qdmr2sql import (
     Assignment,
     ArityMismatch,
@@ -37,6 +41,8 @@ from qdmr2sql import (
     synthesize,
 )
 import qdmr2sql
+from qdmr2sql import sqlgen
+from qdmr2sql.errors import Qdmr2SqlError
 from qdmr2sql.schema import ColumnRef
 from qdmr2sql.sqlgen import (
     AggExpr,
@@ -46,6 +52,8 @@ from qdmr2sql.sqlgen import (
     InPred,
     JoinPred,
     OrGroup,
+    SlotCodes,
+    StepMemo,
     _merged,
 )
 
@@ -771,3 +779,150 @@ class TestFailures:
         )
         with pytest.raises(MissingJoin):
             synthesize(program, schema, assignment, plan)
+
+
+# Decompositions whose steps, together, take every rule of ``sqlgen._RULES``,
+# over the phrases "a", "b" and "c" and the literals "red" and "blue".  The
+# second filters one column by two literals, the self-join case.
+_EVERY_RULE = [
+    "return a; return b of #1; return the number of #2",
+    "return a that is red; return #1 that is blue; return b of #2",
+    "return a; return b of #1; return the number of #2 for each #1;"
+    " return #1 where #3 is at least 2",
+    "return a; return b of #1; return #1 where #2 is highest; return c of #3",
+    "return a; return b of #1; return #1 where #2 is more than 5;"
+    " return #1 where #2 is less than 3; return #3 or #4",
+    "return a; return b of #1; return c of #1; return #2 and #3",
+    "return a; return #1 that is red; return #1 that is blue; return c in both #2 and #3",
+    "return a; return b of #1; return #1 sorted by #2 in descending order",
+    "return a; return #1 that is red; return #1 besides #2",
+    "return a; return number of #1; return the b of #1; return the highest of #3;"
+    " return the sum of #2 and #4",
+    "return the number of a for each b",
+]
+
+
+class _RedAndBlue:
+    """A value index in which "red" and "blue" are the only cells."""
+
+    def columns_containing(self, text):
+        return text in ("red", "blue")
+
+
+def _mapped_or_error(*args):
+    try:
+        return synthesize(*args)
+    except Qdmr2SqlError as exc:
+        return exc
+
+
+def _aggregated(query):
+    """A stand-in for the search's decision by kind: it reads the select list."""
+    return isinstance(query.select[0], AggExpr)
+
+
+def _two_islands(rng, n_tables):
+    """A random schema of two parts that no foreign key joins, each with
+    occasional extra and parallel edges, so some tables cannot be joined."""
+    cut = rng.randint(1, n_tables - 1)
+    edges = []
+    for low, high in ((0, cut), (cut, n_tables)):
+        edges += [(i, rng.randrange(low, i)) for i in range(low + 1, high)]
+        for _ in range(rng.randrange(high - low + 1)):
+            a, b = rng.randrange(low, high), rng.randrange(low, high)
+            if a != b:
+                edges.append((a, b))
+    return make_schema(n_tables, edges)
+
+
+# What a decision by kind may read: every clause but WHERE.
+_HEAD = ("select", "from_tables", "group_by", "having", "order_by", "limit")
+
+
+class TestPatternMemo:
+    def test_the_decompositions_take_every_rule(self):
+        kinds = {step.operator.kind for text in _EVERY_RULE for step in parse_qdmr(text).steps}
+        assert kinds == set(sqlgen._RULES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_kept_patterns_map_as_fresh_ones(self, seed, data):
+        """Over drawn schemas, some with parallel foreign keys or tables
+        that no path joins, and runs of assignments whose slots share
+        columns and take parallel anchors, one memo maps each assignment
+        to the query a fresh mapping gives, under ``==``, ``hash`` and
+        ``render_sql``, or fails with the same error and message.  With
+        ``decide``, a kept pattern asks it of the query's clauses but
+        WHERE, and None comes back exactly when it holds."""
+        rng = random.Random(seed)
+        build = data.draw(st.sampled_from([random_schema, _two_islands]))
+        schema = build(rng, rng.randint(2, 6))
+        event("parallel edges" if schema.parallel_columns else "no parallel edges")
+        program = parse_qdmr(data.draw(st.sampled_from(_EVERY_RULE)))
+        for step in program.steps:
+            event(step.operator.kind.name)
+        plan = plan_bindings(program, _RedAndBlue())
+        slots = list(dict.fromkeys(slot for own in plan.slots.values() for slot in own))
+        columns = schema.columns()
+        parallel = sorted(schema.parallel_columns, key=str)
+        codes = SlotCodes([(slot, tuple(columns)) for slot in slots], schema)
+        memo = StepMemo({}, {}, codes, {})
+        asked = []
+
+        def decide(query):
+            asked.append(query)
+            return _aggregated(query)
+
+        for _ in range(data.draw(st.integers(2, 10))):
+            chosen = {}
+            for slot in slots:
+                how = data.draw(st.sampled_from(["any", "shared", "parallel"]))
+                if how == "shared" and chosen:
+                    chosen[slot] = data.draw(st.sampled_from(list(chosen.values())))
+                elif how == "parallel" and parallel:
+                    chosen[slot] = data.draw(st.sampled_from(parallel))
+                else:
+                    chosen[slot] = data.draw(st.sampled_from(columns))
+            assignment = Assignment(chosen)
+            hit = codes.key(assignment)[0] in memo.patterns
+            event("pattern kept" if hit else "new pattern")
+            fresh = _mapped_or_error(program, schema, assignment, plan)
+            deciding = data.draw(st.booleans())
+            del asked[:]
+            kept = _mapped_or_error(
+                program, schema, assignment, plan, memo, decide if deciding else None
+            )
+            if isinstance(fresh, Qdmr2SqlError):
+                event(f"fails: {type(fresh).__name__}")
+                assert (type(kept), str(kept)) == (type(fresh), str(fresh))
+                continue
+            assert bool(asked) == (deciding and hit)
+            if kept is None:
+                assert asked and _aggregated(fresh)
+                assert [getattr(asked[0], f) for f in _HEAD] == [getattr(fresh, f) for f in _HEAD]
+                continue
+            assert not (asked and _aggregated(fresh))
+            assert kept == fresh
+            assert hash(kept) == hash(fresh)
+            assert render_sql(kept) == render_sql(fresh)
+
+    def test_a_pattern_nested_too_deeply_to_walk_is_mapped_afresh(self):
+        """A thousand nested projections map without recursion, but a
+        swap would walk them recursively; that pattern is mapped afresh."""
+        schema = qdmr2sql.load_schema(
+            {"tables": {"t": {"x": "INTEGER", "y": "INTEGER"}}, "foreign_keys": {}}
+        )
+        steps = ["return a"] + [f"return b of #{i}" for i in range(1, 1000)]
+        program = parse_qdmr("; ".join(steps))
+        plan = plan_bindings(program, None)
+        slots = [slot for own in plan.slots.values() for slot in own]
+        columns = schema.columns()
+        codes = SlotCodes([(slot, tuple(columns)) for slot in slots], schema)
+        memo = StepMemo({}, {}, codes, {})
+        first, second = (Assignment(dict.fromkeys(slots, col)) for col in columns)
+        assert codes.key(first)[0] == codes.key(second)[0]
+        synthesize(program, schema, first, plan, memo)
+        kept = synthesize(program, schema, second, plan, memo)
+        fresh = synthesize(program, schema, second, plan)
+        assert (kept.select, kept.from_tables) == (fresh.select, fresh.from_tables)
+        assert memo.patterns[codes.key(second)[0]].query is kept  # kept in its place

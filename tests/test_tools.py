@@ -1,7 +1,12 @@
 """The command-line tools under ``tools/``, loaded from their files."""
 
+import importlib
 import importlib.util
+import math
+import sys
 from pathlib import Path
+
+from qdmr2sql.qdmr import OpKind
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -57,3 +62,41 @@ class TestAgree:
             "  scaled_ship: sha256 bbbb != aaaa",
             "  scaled_ship: tried (none) != 2680",
         ]
+
+
+def _workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded without writing its bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = TOOLS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMappingWork:
+    """``mapping_work.count`` counts the calls, steps built, pattern hits
+    and tries decided before their tree was built of one workload pass."""
+
+    def test_fixture_with_and_without_patterns(self, tmp_path, monkeypatch):
+        work, workloads = _tool("mapping_work"), _workloads(monkeypatch)
+        search = importlib.import_module("qdmr2sql.search")
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        with_patterns = work.count(workloads, "fixture", 11, first)
+        monkeypatch.setattr(search, "_PATTERN_STEPS", math.inf)
+        without = work.count(workloads, "fixture", 11, second)
+        # The memos change what is built, never which tries are mapped.
+        assert with_patterns["calls"] == without["calls"] == 3120
+        assert (without["hits"], without["decided"]) == (0, 0)
+        assert 0 < with_patterns["hits"] < with_patterns["calls"]
+        assert 0 <= with_patterns["decided"] <= with_patterns["hits"]
+        assert with_patterns["steps"] < without["steps"]
+        for counts in (with_patterns, without):
+            assert counts["steps"] == sum(counts["by_kind"].values())
+            assert set(counts["by_kind"]) <= {kind.name for kind in OpKind}
+        line = work.line("fixture", with_patterns)
+        assert line.startswith("fixture\tcalls 3120\tsteps ")
+        assert line.endswith(f"\thits {with_patterns['hits']}\tdecided {with_patterns['decided']}")
