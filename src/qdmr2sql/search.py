@@ -46,17 +46,20 @@ decision below of them; when that rejects the query, both its tries are
 counted and decided, and the WHERE is never built.
 
 This module writes no SQL.  ``sqlgen`` writes each try's statement
-(:func:`~qdmr2sql.sqlgen.render_sql`), the statement a try over a join
-shares (:func:`~qdmr2sql.sqlgen.shared_statement`), and the tie probes
+(:func:`~qdmr2sql.sqlgen.render_sql`), the statement a try shares
+(:func:`~qdmr2sql.sqlgen.shared_statement`), the key a repeat is told by
+(:func:`~qdmr2sql.sqlgen.count_key`), and the tie probes
 (:func:`~qdmr2sql.sqlgen.tie_probes`); ``executor`` writes the census
 (:func:`~qdmr2sql.executor.kind_census`).  Two kinds of try share:
 
-- a COUNT or SUM try, with its DISTINCT and COUNT/SUM-swapped tries.
-  SQLite computes each aggregate of the shared statement on its own over
-  the same rows, so a try's column is what its own statement returns;
-- a try that projects one plain column, without DISTINCT, with the tries
-  that project another column of its table over the same rows.  The
-  shared statement selects every column of that table that can hold the
+- a COUNT or SUM try over a join, with its DISTINCT and
+  COUNT/SUM-swapped tries.  SQLite computes each aggregate of the shared
+  statement on its own over the same rows, so a try's column is what its
+  own statement returns;
+- a try that projects one plain column, without DISTINCT, over a join
+  or over one table under a nested ``IN`` query, with the tries that
+  project another column of its table over the same rows.  The shared
+  statement selects every column of that table that can hold the
   answer (:meth:`Session.fitting_columns`; a try that projects another
   is decided by kind) under the try's own clauses, so a try's column of
   its rows is its own statement's rows, duplicates kept.
@@ -93,8 +96,15 @@ or engine rejections and still count as tried:
 - a candidate whose statement this search already ran, answered from a
   shared statement, or saw the engine reject.  The same statement on the
   same connection, against the same answer, gets the same verdict, and a
-  match or a timeout would have ended the search.  This holds per search
-  only: nothing is kept for the next example;
+  match or a timeout would have ended the search.  So does a candidate
+  whose statement equals such a one once both are read with each
+  ``COUNT(col)`` of a column the census holds no null in as
+  ``COUNT(*)``, in the select list, HAVING, ORDER BY and nested queries
+  alike (:func:`~qdmr2sql.sqlgen.count_key`): the two return the same
+  rows, or a LIMIT cuts a tie in both, which :func:`_tied` rejects
+  either way, and the engine rejects both alike.  This holds per search
+  only: nothing is kept for the next example, and no answer value is
+  read;
 - the DISTINCT try of a query when DISTINCT cannot change its set of
   rows: no aggregate, no LIMIT and no column compared under a collation,
   or a select list that is exactly the query's uncollated GROUP BY
@@ -149,8 +159,8 @@ from .linking import (
 from .qdmr import OpKind, QdmrProgram, parse_qdmr, render_program, superlative_fn
 from .schema import ColumnRef, SchemaGraph, ValueIndex
 from .sqlgen import (
-    AggExpr, ColExpr, JoinPaths, SelectItem, SlotCodes, SqlQuery, StepMemo, render_sql,
-    shared_statement, synthesize, tie_probes, _aggregates, _distinct_keeps_rows,
+    AggExpr, ColExpr, JoinPaths, SelectItem, SlotCodes, SqlQuery, StepMemo, count_key,
+    render_sql, shared_statement, synthesize, tie_probes, _aggregates, _distinct_keeps_rows,
 )
 
 __all__ = [
@@ -394,7 +404,8 @@ class Session:
 
     Holds the database, through which it runs every statement, its
     schema, the config and lexicon, a :class:`ValueIndex` over the
-    database, a census of the kinds of cell each column holds, and four
+    database, a census of the kinds of cell each column holds, the
+    columns that census holds no null in (``null_free``), and four
     memos that fill as examples are searched: phrase to column ranking,
     decomposition to its plan, slots and variants (:meth:`prepare`),
     join-path key to join path, and an answer's kinds to the columns that
@@ -425,6 +436,7 @@ class Session:
         self.lexicon = lexicon
         self.value_index = ValueIndex(database, schema)
         self.census = kind_census(database, schema)
+        self.null_free = frozenset(col for col, kinds in self.census.items() if NULL not in kinds)
         self.rankings: Dict[str, Tuple[ColumnRef, ...]] = {}
         self.prepared: Dict[Tuple[str, ...], _Prepared] = {}
         self.join_paths: JoinPaths = {}
@@ -513,7 +525,7 @@ def _search(example, session: Session) -> SynthesisOutcome:
     executed = False  # whether a candidate ran without an engine error
     # Once a candidate has executed: each table's columns that can hold the answer.
     columns: Dict[str, List[ColumnRef]] = {}
-    ran: Set[str] = set()  # each statement run or rejected, none matching
+    ran: Set[str] = set()  # each statement run or rejected, none matching, and its count_key
     # Each shared statement run: its columns' results, None once rejected.
     shared: Dict[str, Optional[Tuple[Execution, ...]]] = {}
     mapping_error: Optional[str] = None  # the last one
@@ -544,6 +556,11 @@ def _search(example, session: Session) -> SynthesisOutcome:
                 sql = render_sql(query, distinct=distinct)
                 if sql in ran:
                     continue
+                key = count_key(query, distinct, sql, session.null_free)
+                if key is not None:
+                    if key in ran:
+                        continue
+                    ran.add(key)
                 ran.add(sql)
                 at = shared_statement(query, distinct, sql, columns) if executed else None
                 try:
@@ -584,8 +601,10 @@ def _search(example, session: Session) -> SynthesisOutcome:
                     ]
 
     # Timeouts return above, and until a candidate has executed, a try is
-    # decided only when it reads a statement the engine rejected, so when
-    # none executed every one was rejected by the engine.
+    # decided only when it reads a statement the engine rejected, or one
+    # that counts the same rows as such a statement (count_key), which the
+    # engine rejects alike; so when none executed every one was rejected
+    # by the engine.
     if not executed:
         if tried:
             reason = (

@@ -31,9 +31,11 @@ DISTINCT is a flag of :func:`render_sql`, not part of a query;
 :func:`_distinct_keeps_rows` says when it cannot change the set of rows.
 This module also writes the two statements the search runs besides a
 try's own: the one that the aggregate tries over a join share under both
-flags, or the projection tries over a join's rows share
-(:func:`shared_statement`), and the probes of whether a LIMIT cuts a tie
-(:func:`tie_probes`).
+flags, or the projection tries over the rows of a join or of a
+one-table query that nests one share (:func:`shared_statement`), and
+the probes of whether a LIMIT cuts a tie (:func:`tie_probes`); and the
+key by which the search tells a try that counts the rows an earlier one
+counted (:func:`count_key`).
 
 A rule reads only its step, the columns of the step's own slots
 (:attr:`~qdmr2sql.linking.BindingPlan.slots`), the mapped steps it
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import is_
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
     Sequence, Tuple, Union,
@@ -88,6 +91,7 @@ __all__ = [
     "synthesize",
     "render_sql",
     "shared_statement",
+    "count_key",
     "tie_probes",
 ]
 
@@ -280,26 +284,33 @@ def shared_statement(
     ``columns`` holds, for each table, the columns such a statement
     selects.
 
-    A query shares when it joins two or more tables (over one table a
-    statement compiles in microseconds) and it has no GROUP BY, HAVING,
-    ORDER BY or LIMIT.  Its select list must then be one of:
+    A query shares when it has no GROUP BY, HAVING, ORDER BY or LIMIT.
+    Its select list must then be one of:
 
-    - one COUNT or SUM, under either flag.  The query returns exactly one
-      row, and the statement computes the COUNT and the SUM of the
-      argument without and then with DISTINCT inside, so it is one text
-      under both flags; SQLite computes each on its own over the same
-      rows.  Over one table SQLite reads a lone DISTINCT aggregate of an
-      indexed column from its index, which it cannot do for two;
+    - one COUNT or SUM, under either flag, over a join of two or more
+      tables.  The query returns exactly one row, and the statement
+      computes the COUNT and the SUM of the argument without and then with
+      DISTINCT inside, so it is one text under both flags; SQLite computes
+      each on its own over the same rows.  Over one table SQLite reads a
+      lone DISTINCT aggregate of an indexed column from its index, which
+      it cannot do for two, and sharing was measured slower;
     - one plain column, without the DISTINCT flag, which ``columns``
-      holds for its table.  The statement selects those columns, so its
-      rows are the query's rows, duplicates kept, each widened.
+      holds for its table, over a join, or over one table with an ``IN``
+      subquery in its WHERE (:func:`_nests`).  Such a nested statement
+      took 0.4-0.6 ms over a table of 1000 rows; one over one table
+      without a nested query takes microseconds, and runs its own.  The
+      shared statement selects those columns, so its rows are the query's
+      rows, duplicates kept, each widened.
 
     The statement's clauses are taken from ``sql``, not rendered again."""
-    if (len(query.select) != 1 or len(query.from_tables) < 2
-            or query.group_by is not None or query.having or query.order_by
-            or query.limit is not None):
+    if (len(query.select) != 1 or query.group_by is not None or query.having
+            or query.order_by or query.limit is not None):
         return None
     item = query.select[0]
+    if len(query.from_tables) < 2 and (
+        distinct or not query.where or type(item) is not ColExpr or not _nests(query.where)
+    ):
+        return None
     if isinstance(item, ColExpr) and not distinct:
         table = columns.get(item.col.table, ())
         if item.col not in table:
@@ -314,6 +325,110 @@ def shared_statement(
     )
     column = _SHARED_FNS.index(item.fn) + len(_SHARED_FNS) * distinct
     return "SELECT " + items + clauses, column
+
+
+def _nests(preds: Iterable[Pred]) -> bool:
+    """Whether ``preds`` hold an ``IN`` subquery, inside OR groups too."""
+    for p in preds:
+        if type(p) is InPred or type(p) is OrGroup and any(map(_nests, p.sides)):
+            return True
+    return False
+
+
+class _AllRows:
+    """The argument of ``COUNT(*)``, which only a :func:`count_key` holds."""
+
+    @staticmethod
+    def render() -> str:
+        return "*"
+
+
+_COUNT_ROWS = AggExpr("count", _AllRows())
+
+
+def count_key(
+    query: SqlQuery, distinct: bool, sql: str, null_free: FrozenSet[ColumnRef]
+) -> Optional[str]:
+    """The statement of the try ``(query, distinct)``, whose own statement
+    is ``sql``, with each ``COUNT(col)`` of a column that ``null_free``
+    holds as ``COUNT(*)``: in the select list, HAVING, ORDER BY and nested
+    queries alike, but not ``COUNT(DISTINCT col)``, which counts values.
+    None when the try has no such COUNT.
+
+    ``COUNT(col)`` counts the rows where ``col`` is not null, so over a
+    column that holds no null it counts every row: two tries with one key
+    return the same rows, unless a LIMIT cuts a tie, which it then cuts in
+    both, between rows whose keys are equal.  The key is written from the
+    query tree (:func:`_rows_counted`), so a literal that spells a COUNT
+    is never read as one.
+
+    The usual try, whose select list is one COUNT and whose ``sql`` holds
+    no other ``COUNT(`` (a literal that spells one sends it to the walk),
+    keeps the clauses of ``sql`` after that COUNT, as
+    :func:`shared_statement` does: the tree names the text it replaces.
+    Walking and rendering the whole tree for it made the key cost 5.7 in
+    place of 1.6 us a try on ``fixture`` and 19 in place of 7.8 on
+    ``wide_schema``, timed over one pass's tries, and read 5.3% and 2.1%
+    fewer ``examples_per_s`` there in alternating perfbench pairs (6 of 6
+    and 5 of 5; 2-vCPU VM, Python 3.11)."""
+    if "COUNT(" not in sql:
+        return None
+    select = query.select
+    if (len(select) == 1 and type(select[0]) is AggExpr and select[0].fn == "count"
+            and sql.count("COUNT(") == 1):
+        # Under the flag it counts values.
+        col = select[0].arg.col
+        if distinct or col not in null_free:
+            return None
+        return "SELECT COUNT(*)" + sql[len("SELECT COUNT()") + len(col.sql):]
+    # Under the flag DISTINCT sits inside the select list's aggregates.
+    keyed = _rows_counted(query, null_free, distinct and _aggregates(query))
+    return None if keyed is query else render_sql(keyed, distinct)
+
+
+def _rows_counted(node, null_free: FrozenSet[ColumnRef], keep_select: bool = False):
+    """``node`` with each ``COUNT(col)`` of a column in ``null_free`` as
+    ``COUNT(*)``, but in a query's select list when ``keep_select``;
+    ``node`` itself, with its rendered text, when it holds none."""
+    kind = type(node)
+    if kind is AggExpr:
+        return _COUNT_ROWS if node.fn == "count" and node.arg.col in null_free else node
+    if kind is CmpPred:
+        expr = _rows_counted(node.expr, null_free)
+        return node if expr is node.expr else CmpPred(expr, node.op, node.value)
+    if kind is InPred:
+        expr, query = _rows_counted(node.expr, null_free), _rows_counted(node.query, null_free)
+        if expr is node.expr and query is node.query:
+            return node
+        return InPred(expr, query, node.negated)
+    if kind is OrGroup:
+        sides = [_each_rows_counted(side, null_free) for side in node.sides]
+        return node if all(map(is_, sides, node.sides)) else OrGroup(tuple(sides))
+    if kind is ArithExpr:
+        left, right = _rows_counted(node.left, null_free), _rows_counted(node.right, null_free)
+        if left is node.left and right is node.right:
+            return node
+        return ArithExpr(node.op, left, right)
+    if kind is not SqlQuery:
+        return node  # ColExpr, JoinPred
+    select = node.select if keep_select else _each_rows_counted(node.select, null_free)
+    where = _each_rows_counted(node.where, null_free)
+    having = _each_rows_counted(node.having, null_free)
+    order_by = node.order_by
+    if order_by:
+        key = _rows_counted(order_by[0], null_free)
+        order_by = order_by if key is order_by[0] else (key, order_by[1])
+    if (select is node.select and where is node.where and having is node.having
+            and order_by is node.order_by):
+        return node
+    return SqlQuery(select, node.from_tables, where, node.group_by, having, order_by, node.limit)
+
+
+def _each_rows_counted(nodes: tuple, null_free: FrozenSet[ColumnRef]) -> tuple:
+    """Each of ``nodes`` :func:`_rows_counted`; ``nodes`` itself when none
+    holds such a COUNT."""
+    counted = [_rows_counted(n, null_free) for n in nodes]
+    return nodes if all(map(is_, counted, nodes)) else tuple(counted)
 
 
 def _queries(query: SqlQuery) -> Iterator[SqlQuery]:

@@ -370,27 +370,36 @@ class TestRunCorpus:
 
     def test_decided_candidates_are_not_executed(self, db_dir, lexicon, monkeypatch):
         # 121 candidates are tried; 18 of them are decided from their query,
-        # the answer and the cell kinds, and never reach the engine.  The
-        # other 103 run their own statement: no try shares before a
-        # candidate has executed, and a7's COUNT over a join, which would
-        # share with its SUM, is found on its first try.  4 more statements
-        # check the LIMIT cut of a match for a tie.  So the engine runs 107
-        # statements.
+        # the answer and the cell kinds, and 10 more, COUNTs of s7 and a8
+        # over one table, repeat an earlier COUNT of a column without nulls
+        # over the same rows (count_key): none of them reaches the engine.
+        # Of the other 93, 92 run their own statement: no try shares before
+        # a candidate has executed, and a7's COUNT over a join, which would
+        # share with its SUM, is found on its first try.  g2's last try, a
+        # column of one table under a nested query, reads the statement it
+        # shares with the other columns of state.  4 more statements check
+        # the LIMIT cut of a match for a tie.  So the engine runs 97
+        # statements, none an aggregate statement shared over a join.
         examples, _ = load_examples(CORPUS)
         statements = _trace_searches(monkeypatch)
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
         assert sum(o.candidates_tried for o in outcomes) == 121
         shared = [sql for _, sql in statements if _SHARED.match(sql)]
-        assert (len(statements), len(shared)) == (107, 0)
+        assert (len(statements), len(shared)) == (97, 0)
 
     def test_no_statement_runs_twice_in_one_search(self, db_dir, lexicon, monkeypatch):
         # Beside the fixture examples, s4 with an answer no query reaches:
         # "tonnage of #1" reads only #1's table, so each of the four columns
         # "ships" binds to maps to the same query, and its 256 tries read 64
-        # statements of their own.  32 of them read one table and run; the
-        # other 32, a SUM and a COUNT over the ship-death join for each
-        # column and DISTINCT flag, read 8 shared statements, one per column
-        # for both flags.  Each runs once; the repeats take its verdict.
+        # statements of their own.  32 of them read one table; 5 of those,
+        # a plain COUNT of ship.id, ship.name and ship.ship_type after
+        # ship.tonnage's and of death.id and death.killed after
+        # death.caused_by_ship_id's, count every row of a column without
+        # nulls, as an earlier COUNT did, and are decided, so 27 run.
+        # death.injured holds a null, so its COUNT runs.  The other 32, a
+        # SUM and a COUNT over the ship-death join for each column and
+        # DISTINCT flag, read 8 shared statements, one per column for both
+        # flags.  Each runs once; the repeats take its verdict.
         examples, _ = load_examples(CORPUS)
         s4 = next(ex for ex in examples if ex.id == "s4")
         examples.append(dataclasses.replace(s4, id="unreachable", answer=[[12345]]))
@@ -409,7 +418,7 @@ class TestRunCorpus:
             "unreachable": ("Exhausted", 256),
         }
         shared = [sql for sql in searches["unreachable"] if _SHARED.match(sql)]
-        assert (len(searches["unreachable"]), len(shared)) == (40, 8)
+        assert (len(searches["unreachable"]), len(shared)) == (35, 8)
 
     def test_unknown_db_id_aborts_upfront(self, db_dir):
         bad = [_fake_example("x", "d", "no_such_db")]

@@ -49,7 +49,7 @@ from qdmr2sql.search import (
     search,
 )
 from qdmr2sql.sqlgen import (
-    AggExpr, ArithExpr, CmpPred, ColExpr, InPred, JoinPred, SqlQuery, StepMemo,
+    AggExpr, ArithExpr, CmpPred, ColExpr, InPred, JoinPred, OrGroup, SqlQuery, StepMemo,
     render_sql, synthesize,
 )
 
@@ -559,15 +559,19 @@ class TestFailureStatuses:
         self, products_db, academic_db, open_db, lexicon
     ):
         # No candidate executes, so none may be decided by width ([1, 2])
-        # or by kind ("three" against a COUNT), and each try is a statement
-        # of its own (DISTINCT changes what a COUNT counts), so none repeats
-        # one.  The engine refuses every statement, numbering its refusals,
-        # and the reason names the first try's own.  Over products, each of
-        # the 12 tries reads one table and is refused on its own, the first
-        # as "boom 1".  Over academic, the COUNT and SUM tries over a join
+        # or by kind ("three" against a COUNT).  Each try is a statement of
+        # its own (DISTINCT changes what a COUNT counts), but a plain COUNT
+        # of a column without nulls counts every row, so it repeats an
+        # earlier such COUNT over the same rows (count_key) and is decided
+        # with its refusal.  The engine refuses every other statement,
+        # numbering its refusals, and the reason names the first try's own.
+        # Over products, each of the 12 tries reads one table; the COUNTs
+        # of its three columns are one, so 10 are refused, the first as
+        # "boom 1".  Over academic, the COUNT and SUM tries over a join
         # would share a statement, but no try shares before a candidate has
-        # executed: each of the 36 is refused on its own, the first as
-        # "boom 1".
+        # executed.  Of the 36, the COUNTs of author's two columns are one,
+        # of journal's two, of publication's three and of writes' two, so
+        # 31 are refused on their own, the first as "boom 1".
         class Refusing:
             """A connection whose engine refuses each statement it is
             given, as ``boom 1``, ``boom 2``, ... in turn."""
@@ -584,9 +588,9 @@ class TestFailureStatuses:
 
         for path, qdmr, tried, refusals, first in (
             (products_db, "return product types; return the number of #1",
-             12, 12, 1),
+             12, 10, 1),
             (academic_db, "return papers; return #1 in PVLDB; return the number of #2",
-             36, 36, 1),
+             36, 31, 1),
         ):
             db = open_db(path)
             session = Session(db, schema_of(db), SynthesisConfig(), lexicon)
@@ -1466,11 +1470,13 @@ class TestOnePassVerdict:
         outcomes, _ = run_corpus(examples, db_dir, lexicon=lexicon)
         mismatches = [r for r in executed if r.mismatch]
         assert mismatches
-        # One result for each of the 103 tries that reach the engine: no
-        # fixture search reads a shared statement, since none shares before
-        # a candidate has executed, and those over a join that could are
-        # found on their first try.
-        assert len(executed) == 103
+        # One result for each of the 92 tries that reach the engine on
+        # their own statement, and two for g2's last try, which reads both
+        # columns of the statement it shares with state's other column
+        # under one nested query.  No other fixture search reads a shared
+        # statement: none shares before a candidate has executed, and those
+        # over a join that could are found on their first try.
+        assert len(executed) == 94
         assert len(compared) == len(executed) - len(mismatches)
         assert sum(o.status is SearchStatus.FOUND for o in outcomes) == 23
 
@@ -1929,10 +1935,39 @@ def _query(draw, nocase):
     )
 
 
+def _recounted(query, col):
+    """``query`` with each COUNT of its select list, HAVING and ORDER BY
+    counting ``col``."""
+
+    def recount(expr):
+        if isinstance(expr, AggExpr) and expr.fn == "count":
+            return AggExpr("count", ColExpr(col))
+        return expr
+
+    order_by = query.order_by and (recount(query.order_by[0]), query.order_by[1])
+    having = tuple(CmpPred(recount(p.expr), p.op, p.value) for p in query.having)
+    return dataclasses.replace(query, select=tuple(map(recount, query.select)),
+                               having=having, order_by=order_by)
+
+
+@st.composite
+def _candidates(draw, nocase):
+    """The queries the search maps, some an earlier one recounted, whose
+    COUNTs may repeat the earlier one's when both columns hold no null."""
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        if queries and draw(st.booleans()):
+            earlier = draw(st.sampled_from(queries))
+            queries.append(_recounted(earlier, draw(st.sampled_from(_columns(nocase)))))
+        else:
+            queries.append(draw(_query(nocase)))
+    return queries
+
+
 # (nocase, the candidates the search maps, more queries whose rules are checked)
 _CASES = st.booleans().flatmap(lambda nocase: st.tuples(
     st.just(nocase),
-    st.lists(_query(nocase), min_size=1, max_size=6),
+    _candidates(nocase),
     st.lists(_query(nocase), max_size=8),
 ))
 
@@ -1946,8 +1981,13 @@ def _plain(*items, **clauses):
 
 def _rows_of(conn, query, distinct=False):
     """The full result of ``query``; None when the engine rejects it."""
+    return _rows_of_sql(conn, render_sql(query, distinct=distinct))
+
+
+def _rows_of_sql(conn, sql):
+    """The full result of the statement ``sql``; None when the engine
+    rejects it."""
     try:
-        sql = render_sql(query, distinct=distinct)
         return Denotation.from_rows(conn.execute(sql).fetchall())
     except sqlite3.Error:
         return None
@@ -2026,6 +2066,22 @@ class TestDecidedCandidates:
         )], []),
         source=(0, False), drawn=None, allow_empty=False,
     )
+    # t.a and t.b hold no null, so the plain COUNTs of both count every
+    # row: the COUNT(b) try repeats COUNT(a)'s key and is decided.
+    @example(
+        rows=[("x", 1, 1), ("x", 2, 2)],
+        case=(False, [_plain(AggExpr("count", ColExpr(_A))),
+                      _plain(AggExpr("count", ColExpr(_B)))], []),
+        source=(0, False), drawn=[[7]], allow_empty=False,
+    )
+    # t.b holds a null, so COUNT(b) counts one row where COUNT(c) counts
+    # two: both run, and COUNT(b) matches.
+    @example(
+        rows=[("x", None, 1), ("y", 2, 2)],
+        case=(False, [_plain(AggExpr("count", ColExpr(_C))),
+                      _plain(AggExpr("count", ColExpr(_B)))], []),
+        source=(1, False), drawn=None, allow_empty=False,
+    )
     def test_decided_candidates_do_not_match(
         self, rows, case, source, drawn, allow_empty
     ):
@@ -2058,8 +2114,20 @@ class TestDecidedCandidates:
     @staticmethod
     def _check_rules(conn, query, census):
         """The rules hold on ``query`` whatever the answer: each cell is of
-        a kind its select item may yield, and a DISTINCT try the search
-        would decide returns the same rows as a set."""
+        a kind its select item may yield, a DISTINCT try the search would
+        decide returns the same rows as a set, and a try's count key is
+        the walk of its whole tree and, without a LIMIT, returns its rows
+        or is rejected with it."""
+        null_free = frozenset(col for col, kinds in census.items() if type(None) not in kinds)
+        for distinct in (False, True):
+            sql = render_sql(query, distinct=distinct)
+            key = sqlgen.count_key(query, distinct, sql, null_free)
+            walked = sqlgen._rows_counted(query, null_free, distinct and sqlgen._aggregates(query))
+            assert key == (None if walked is query else render_sql(walked, distinct)), sql
+            if key is not None and " LIMIT " not in sql:
+                own, keyed = _rows_of(conn, query, distinct), _rows_of_sql(conn, key)
+                assert (own is None) == (keyed is None), sql
+                assert own is None or Counter(own.rows) == Counter(keyed.rows), sql
         rows = _rows_of(conn, query)
         if rows is None:
             return
@@ -2076,15 +2144,23 @@ class TestDecidedCandidates:
     @staticmethod
     def _check_search(conn, session, queries, answer, allow_empty):
         """Run the search over ``queries`` as the mapped candidates, then
-        read every try it did not execute in full, and name why it was
-        decided."""
+        read every try it neither executed nor answered from a shared
+        statement in full, and name why it was decided."""
         # A try is (query, distinct); the search renders the tries of the
         # query it mapped last, so a rendered try is known by its position.
         built, rendered = [], []
-        executed = {}  # position -> statement, run or rejected
-        ran = []  # positions that ran without an engine error
+        # position -> the try's statement and its key, run or rejected, or
+        # answered from a shared statement
+        executed = {}
+        ran = []  # positions that got a result without an engine error
+        shared_ran = {}  # each shared statement read -> the position that ran it
         real_render = search_module.render_sql
         real_execute = Database.execute
+        real_execute_columns = Database.execute_columns
+
+        def keyed(query, distinct):
+            sql = render_sql(query, distinct=distinct)
+            return sql, sqlgen.count_key(query, distinct, sql, session.null_free) or sql
 
         def synthesize(*args):
             built.append(queries[len(built)])
@@ -2096,10 +2172,19 @@ class TestDecidedCandidates:
             return real_render(query, distinct=distinct)
 
         def execute(self, sql, target):
-            executed[rendered[-1]] = sql
+            executed[rendered[-1]] = keyed(built[-1], rendered[-1] % 2 == 1)
+            assert sql == executed[rendered[-1]][0]
             result = real_execute(self, sql, target)
             ran.append(rendered[-1])
             return result
+
+        def execute_columns(self, sql, target):
+            assert sql not in shared_ran, "a shared statement ran twice"
+            results = real_execute_columns(self, sql, target)
+            shared_ran[sql] = rendered[-1]
+            executed[rendered[-1]] = keyed(built[-1], rendered[-1] % 2 == 1)
+            ran.append(rendered[-1])
+            return results
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search_module, "_program_variants", lambda p: [(p, ())])
@@ -2108,10 +2193,13 @@ class TestDecidedCandidates:
             mp.setattr(search_module, "synthesize", synthesize)
             mp.setattr(search_module, "render_sql", render)
             mp.setattr(Database, "execute", execute)
+            mp.setattr(Database, "execute_columns", execute_columns)
             out = search(FakeExample("return things", answer), session)
 
-        assert len(set(executed.values())) == len(executed), "a statement ran twice"
+        keys = [key for _, key in executed.values()]
+        assert len(set(keys)) == len(keys), "a try repeats the key of one run earlier"
         target = answer_denotation(answer)
+        columns = session.fitting_columns(target.kinds)
         tries = [(query, distinct) for query in built for distinct in (False, True)]
         for position in range(out.candidates_tried):
             if position in executed:
@@ -2119,15 +2207,25 @@ class TestDecidedCandidates:
             query, distinct = tries[position]
             # The statement the try reads: a DISTINCT try that cannot change
             # the set of rows reads its first try's.
-            reads = render_sql(
-                query, distinct=distinct and not sqlgen._distinct_keeps_rows(query)
+            sql, key = keyed(
+                query, distinct and not sqlgen._distinct_keeps_rows(query)
             )
-            if reads in (sql for p, sql in executed.items() if p < position):
+            earlier = [run for p, run in executed.items() if p < position]
+            if sql in (own for own, _ in earlier):
                 reason = "repeats a statement run or rejected earlier"
-            else:
-                assert any(p < position for p in ran)
-                assert search_module._cannot_match(query, target, session.census)
+            elif key in (key for _, key in earlier):
+                assert key != sql
+                reason = "counts the rows of a null-free column an earlier COUNT counted"
+            elif any(p < position for p in ran) and search_module._cannot_match(
+                query, target, session.census
+            ):
                 reason = "no row can match, after a run"
+            else:
+                # Not decided: answered from a statement an earlier try read.
+                at = sqlgen.shared_statement(query, distinct, sql, columns)
+                assert at is not None and shared_ran.get(at[0], position) < position
+                executed[position] = sql, key
+                continue
             event(f"decided: {reason}")
             result = _rows_of(conn, query, distinct)
             # A try whose LIMIT cuts a tie is a mismatch whatever it returns.
@@ -2471,8 +2569,9 @@ _PROJECTED_CELL = st.sampled_from([None, 1, 2, 0.5, "x", "X", "y"])
 def _projection_case(draw):
     """Two tables and the queries the search maps over them: mostly one
     plain column of their join, some with a filter under NOCASE or a
-    nested IN, and a few that do not share (over one table, two columns
-    wide, or grouped)."""
+    nested IN, some one column of t under a nested IN, and a few that do
+    not share (over one table without a nested IN, two columns wide, or
+    grouped)."""
     t_rows = draw(st.lists(st.tuples(*[_PROJECTED_CELL] * 4), max_size=5))
     # Several u rows on one t row repeat it in the join.
     u_rows = draw(st.lists(st.tuples(st.integers(1, 5), _PROJECTED_CELL), max_size=6))
@@ -2490,10 +2589,17 @@ def _projection_case(draw):
                              where=(CmpPred(ColExpr(_U_COLS[0]), "!=", "y"),))
             where += (InPred(ColExpr(ColumnRef("t", "id")), inner),)
         select = (ColExpr(draw(st.sampled_from(cols))),)
-        shape = draw(st.sampled_from(["shared"] * 4 + ["one table", "two wide", "grouped"]))
-        if shape == "one table":
+        shape = draw(st.sampled_from(
+            ["shared"] * 4 + ["one table", "one table nested", "two wide", "grouped"]
+        ))
+        if shape.startswith("one table"):
             select = (ColExpr(draw(st.sampled_from(_TABLES["t"]))),)
-            queries.append(SqlQuery(select=select, from_tables=("t",)))
+            where = ()
+            if shape == "one table nested":
+                inner = SqlQuery(select=(ColExpr(ColumnRef("t", "id")),), from_tables=("t",),
+                                 where=(CmpPred(ColExpr(_T_COLS[0]), "!=", "y"),))
+                where = (InPred(ColExpr(ColumnRef("t", "id")), inner),)
+            queries.append(SqlQuery(select=select, from_tables=("t",), where=where))
             continue
         if shape == "two wide":
             select += (ColExpr(draw(st.sampled_from(cols))),)
@@ -2527,11 +2633,27 @@ class TestSharedProjections:
         t_all = "SELECT t.id, t.a, t.b, t.c, t.d FROM t, u WHERE u.t_id = t.id"
         assert [shared(col) for col in _TABLES["t"]] == [(t_all, i) for i in range(5)]
         assert shared(_U_COLS[0]) == ("SELECT u.t_id, u.e FROM t, u WHERE u.t_id = t.id", 1)
-        # Not under DISTINCT, over one table, grouped, ordered or limited,
-        # nor when the table's columns do not hold the column.
+        # Over one table, only a query that nests one, in its WHERE or in an
+        # OR group there, shares.
         b = _T_COLS[1]
+        inner = SqlQuery(select=(ColExpr(b),), from_tables=("t",), order_by=(ColExpr(b), "DESC"),
+                         limit=1)
+        nested = InPred(ColExpr(b), inner)
+        one = {"from_tables": ("t",)}
+        assert shared(b, **one, where=(nested,)) == (
+            "SELECT t.id, t.a, t.b, t.c, t.d FROM t WHERE t.b IN"
+            " ( SELECT t.b FROM t ORDER BY t.b DESC LIMIT 1 )", 2,
+        )
+        either = OrGroup(((nested,), (CmpPred(ColExpr(b), "=", 1),)))
+        assert shared(b, **one, where=(either,))[1] == 2
+        assert shared(b, **one, where=()) is None
+        assert shared(b, **one, where=(CmpPred(ColExpr(b), "=", 1),)) is None
+        assert shared(b, distinct=True, **one, where=(nested,)) is None
+        counted = SqlQuery(select=(AggExpr("count", ColExpr(b)),), **one, where=(nested,))
+        assert sqlgen.shared_statement(counted, False, render_sql(counted), _TABLES) is None
+        # Not under DISTINCT, grouped, ordered or limited, nor when the
+        # table's columns do not hold the column.
         assert shared(b, distinct=True) is None
-        assert shared(b, from_tables=("t",), where=()) is None
         assert shared(b, group_by=ColExpr(b)) is None
         assert shared(b, having=(CmpPred(AggExpr("count", ColExpr(b)), ">", 1),)) is None
         assert shared(b, order_by=(ColExpr(b), "ASC")) is None

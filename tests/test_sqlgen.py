@@ -41,8 +41,8 @@ from qdmr2sql import (
     synthesize,
 )
 import qdmr2sql
-from qdmr2sql import sqlgen
-from qdmr2sql.errors import Qdmr2SqlError
+from qdmr2sql import executor as executor_module, sqlgen
+from qdmr2sql.errors import Qdmr2SqlError, SqlBuildError
 from qdmr2sql.schema import ColumnRef
 from qdmr2sql.sqlgen import (
     AggExpr,
@@ -708,6 +708,191 @@ class TestRenderDetails:
         assert set(query.from_tables) == {"ship", "death"}
         assert len(query.select) == 1
         assert query.where
+
+
+class TestCountKey:
+    """``count_key`` reads each plain COUNT of a column without nulls as
+    ``COUNT(*)``, from the query tree, wherever the query counts."""
+
+    @staticmethod
+    def _counts(conn):
+        """The columns of ``conn``'s tables that hold no null, by census."""
+        schema = load_schema(conn)
+        census = executor_module.kind_census(Database(conn), schema)
+        return schema, frozenset(col for col, kinds in census.items() if type(None) not in kinds)
+
+    @staticmethod
+    def _key(query, null_free, distinct=False):
+        return sqlgen.count_key(query, distinct, render_sql(query, distinct), null_free)
+
+    @pytest.fixture()
+    def conn(self):
+        conn = sqlite3.connect(":memory:")
+        conn.executescript("""
+            CREATE TABLE t (a TEXT, b INTEGER, c TEXT);
+            INSERT INTO t VALUES ('x', 1, 'COUNT(t.a)'), ('y', NULL, 'z'), ('y', 3, 'z');
+            CREATE TABLE "my t" ("my col" TEXT);
+            INSERT INTO "my t" VALUES ('p'), ('q');
+        """)
+        yield conn
+        conn.close()
+
+    def test_a_column_holding_a_null_keeps_its_count(self, conn):
+        schema, null_free = self._counts(conn)
+        a, b, c = (schema.column("t", name) for name in "abc")
+        assert null_free == {a, c, schema.column("my t", "my col")}
+
+        def count(col):
+            return SqlQuery(select=(AggExpr("count", ColExpr(col)),), from_tables=("t",))
+
+        assert self._key(count(a), null_free) == self._key(count(c), null_free) == (
+            "SELECT COUNT(*) FROM t"
+        )
+        assert self._key(count(b), null_free) is None
+        rows = [conn.execute(render_sql(count(col))).fetchall() for col in (a, b, c)]
+        assert rows == [[(3,)], [(2,)], [(3,)]]
+
+    def test_a_literal_that_spells_a_count_stays_a_literal(self, conn):
+        schema, null_free = self._counts(conn)
+        a, c = schema.column("t", "a"), schema.column("t", "c")
+
+        def counted(spelled):
+            return SqlQuery(select=(AggExpr("count", ColExpr(c)),), from_tables=("t",),
+                            where=(CmpPred(ColExpr(c), "=", spelled),))
+
+        # Read as text, both literals would become 'COUNT(*)', and the two
+        # queries, which count other rows, one key.
+        real, other = counted("COUNT(t.a)"), counted("COUNT(t.c)")
+        assert self._key(real, null_free) == "SELECT COUNT(*) FROM t WHERE t.c = 'COUNT(t.a)'"
+        assert self._key(other, null_free) == "SELECT COUNT(*) FROM t WHERE t.c = 'COUNT(t.c)'"
+        assert [conn.execute(render_sql(q)).fetchall() for q in (real, other)] == [
+            [(1,)], [(0,)]
+        ]
+        # A literal alone is no COUNT.
+        plain = SqlQuery(select=(ColExpr(a),), from_tables=("t",),
+                         where=(CmpPred(ColExpr(c), "=", "COUNT(t.a)"),))
+        assert self._key(plain, null_free) is None
+
+    def test_distinct_counts_are_never_merged(self, conn):
+        schema, null_free = self._counts(conn)
+        a, c = schema.column("t", "a"), schema.column("t", "c")
+        query = SqlQuery(select=(AggExpr("count", ColExpr(a)),), from_tables=("t",))
+        assert self._key(query, null_free, distinct=True) is None
+        # Under the flag DISTINCT sits in the select list alone, so a COUNT
+        # in HAVING still counts rows.
+        grouped = SqlQuery(
+            select=(AggExpr("count", ColExpr(a)),), from_tables=("t",), group_by=ColExpr(c),
+            having=(CmpPred(AggExpr("count", ColExpr(a)), ">", 1),),
+        )
+        assert self._key(grouped, null_free, distinct=True) == (
+            "SELECT COUNT(DISTINCT t.a) FROM t GROUP BY t.c HAVING COUNT(*) > 1"
+        )
+        assert self._key(grouped, null_free) == (
+            "SELECT COUNT(*) FROM t GROUP BY t.c HAVING COUNT(*) > 1"
+        )
+
+    def test_counts_in_having_order_by_and_subqueries(self, conn):
+        schema, null_free = self._counts(conn)
+        a, c = ColExpr(schema.column("t", "a")), ColExpr(schema.column("t", "c"))
+        count_c = AggExpr("count", c)
+        having = SqlQuery(select=(a,), from_tables=("t",), group_by=a,
+                          having=(CmpPred(count_c, ">", 1),))
+        assert self._key(having, null_free) == (
+            "SELECT t.a FROM t GROUP BY t.a HAVING COUNT(*) > 1"
+        )
+        top = SqlQuery(select=(a,), from_tables=("t",), group_by=a,
+                       order_by=(count_c, "DESC"), limit=1)
+        assert self._key(top, null_free) == (
+            "SELECT t.a FROM t GROUP BY t.a ORDER BY COUNT(*) DESC LIMIT 1"
+        )
+        # A DISTINCT try without aggregates: its ORDER BY COUNT counts rows.
+        assert self._key(top, null_free, distinct=True) == (
+            "SELECT DISTINCT t.a FROM t GROUP BY t.a ORDER BY COUNT(*) DESC LIMIT 1"
+        )
+        nested = SqlQuery(select=(c,), from_tables=("t",),
+                          where=(OrGroup(((InPred(a, top),), (CmpPred(c, "=", "z"),))),))
+        assert self._key(nested, null_free) == (
+            "SELECT t.c FROM t WHERE ( t.a IN ( SELECT t.a FROM t GROUP BY t.a"
+            " ORDER BY COUNT(*) DESC LIMIT 1 ) OR t.c = 'z' )"
+        )
+        # The subquery keeps its own text; only the key is written anew.
+        assert render_sql(top) == (
+            "SELECT t.a FROM t GROUP BY t.a ORDER BY COUNT(t.c) DESC LIMIT 1"
+        )
+
+    def test_quoted_identifier_with_a_space(self, conn):
+        schema, null_free = self._counts(conn)
+        col = ColExpr(schema.column("my t", "my col"))
+        query = SqlQuery(select=(AggExpr("count", col),), from_tables=("my t",),
+                         where=(CmpPred(col, "!=", "q"),))
+        assert render_sql(query) == (
+            'SELECT COUNT("my t"."my col") FROM "my t" WHERE "my t"."my col" != \'q\''
+        )
+        assert self._key(query, null_free) == (
+            'SELECT COUNT(*) FROM "my t" WHERE "my t"."my col" != \'q\''
+        )
+        assert conn.execute(self._key(query, null_free)).fetchall() == (
+            conn.execute(render_sql(query)).fetchall()
+        )
+
+    def test_a_query_without_count_gets_no_key(self, conn):
+        schema, null_free = self._counts(conn)
+        a, b = ColExpr(schema.column("t", "a")), ColExpr(schema.column("t", "b"))
+        for query in (
+            SqlQuery(select=(a,), from_tables=("t",)),
+            SqlQuery(select=(AggExpr("sum", b),), from_tables=("t",), group_by=a,
+                     order_by=(AggExpr("max", b), "DESC"), limit=1),
+        ):
+            for distinct in (False, True):
+                assert self._key(query, null_free, distinct) is None
+
+
+    @pytest.mark.parametrize("in_or_group", [False, True])
+    def test_a_query_nested_as_deep_as_renders_is_keyed(self, in_or_group):
+        """The walk recurses no deeper a level than rendering, so a try
+        whose statement rendered gets its key, not a RecursionError."""
+        a, b = ColExpr(ColumnRef("t", "a")), ColExpr(ColumnRef("t", "b"))
+
+        def chain(depth):
+            query = SqlQuery(select=(a,), from_tables=("t",), group_by=a,
+                             order_by=(AggExpr("count", b), "DESC"), limit=1)
+            for _ in range(depth):
+                pred = InPred(a, query)
+                if in_or_group:
+                    pred = OrGroup(((pred,), (CmpPred(a, "=", 1),)))
+                query = SqlQuery(select=(a,), from_tables=("t",), where=(pred,))
+            return query
+
+        deepest, past = 1, 4 * sys.getrecursionlimit()
+        while deepest + 1 < past:  # the deepest chain that renders
+            depth = (deepest + past) // 2
+            try:
+                render_sql(chain(depth))
+                deepest = depth
+            except SqlBuildError:
+                past = depth
+        # Two levels short of it, as the key's own text is rendered a few
+        # frames deeper than the try's; a walk that took more frames a
+        # level than rendering would fail a hundred levels short.
+        query = chain(deepest - 2)
+        sql = render_sql(query)
+        key = sqlgen.count_key(query, False, sql, frozenset([a.col, b.col]))
+        assert key == sql.replace("COUNT(t.b)", "COUNT(*)")
+
+    def test_a_lone_count_keeps_the_clauses_text_as_the_walk_writes_them(self, conn):
+        schema, null_free = self._counts(conn)
+        a, c = ColExpr(schema.column("t", "a")), ColExpr(schema.column("t", "c"))
+        top = SqlQuery(select=(a,), from_tables=("t",), group_by=a,
+                       order_by=(AggExpr("count", c), "DESC"), limit=1)
+        for where in (
+            (CmpPred(c, "=", "z"),),
+            (CmpPred(c, "=", "COUNT(t.a)"),),  # one more COUNT( in the text: walked
+            (InPred(a, top),),  # a nested COUNT: walked
+        ):
+            query = SqlQuery(select=(AggExpr("count", a),), from_tables=("t",), where=where)
+            walked = sqlgen._rows_counted(query, null_free)
+            assert walked is not query
+            assert self._key(query, null_free) == render_sql(walked)
 
 
 class TestLiteralSpelling:
